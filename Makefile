@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast lint typecheck check bench bench-fast sweep-bench service-bench service-bench-fast table1 fig4 report trace-smoke serve-smoke interleave-smoke stats-smoke
+.PHONY: test test-fast lint typecheck check bench bench-fast sweep-bench service-bench service-bench-fast table1 fig4 report trace-smoke serve-smoke interleave-smoke perf-smoke stats-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -64,6 +64,13 @@ stats-smoke:
 # the await-atomicity static rule; details in docs/static-analysis.md
 interleave-smoke:
 	$(PYTHON) -m repro.verify.schedules --seeds 50
+
+# Smoke test of the repository benchmark (perf/, ~20 s; not collected
+# by tier-1, whose testpaths is tests/).  Its traced run wraps every
+# connection in perf's TracingTransport, which inherits the base-class
+# "not writable()" — the peer links' writer-task fallback end to end
+perf-smoke:
+	$(PYTHON) -m pytest perf -q
 
 # Regenerate BENCH_hot_paths.json (drain strategies + DepLog micro-ops +
 # tracing overhead guardrails: fails if the no-op recorder costs > 3%

@@ -264,6 +264,17 @@ class CausalProtocol(ABC):
         """
         return True
 
+    def stale_deps(self, reply: FetchReply) -> Any:
+        """The ``deps`` of a re-fetch after ``reply`` failed
+        :meth:`reply_is_fresh`: exactly the dependency records the
+        reply's ``applied`` snapshot did not cover, in the shape
+        :meth:`can_serve_fetch` tests.  A serving site that parks the
+        re-fetch on them answers on the apply that satisfies them, so
+        the requester need not poll.  A protocol that overrides
+        :meth:`reply_is_fresh` overrides this with it; the default
+        matches the default gate (nothing can be stale)."""
+        return None
+
     # ------------------------------------------------------------------
     # update path (abstract)
     # ------------------------------------------------------------------

@@ -150,6 +150,12 @@ class FullTrackProtocol(CausalProtocol):
             return True
         return bool(np.all(reply.applied >= self.write_clock.m[:, reply.server]))
 
+    def stale_deps(self, reply: FetchReply) -> np.ndarray:
+        # the failed slots of column `server`, zero elsewhere: the same
+        # vector shape can_serve_fetch compares against Apply
+        col = self.write_clock.m[:, reply.server]
+        return np.where(np.asarray(reply.applied) < col, col, 0)
+
     # ------------------------------------------------------------------
     # update path — Alg. 1 lines 14-17
     # ------------------------------------------------------------------

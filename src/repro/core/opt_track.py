@@ -251,6 +251,17 @@ class OptTrackProtocol(CausalProtocol):
             applied[z] >= c for (z, c), d in self.log.entries.items() if d & bit
         )
 
+    def stale_deps(self, reply: FetchReply) -> Tuple[Tuple[int, int], ...]:
+        applied = reply.applied
+        bit = bitsets.singleton(reply.server)
+        return tuple(
+            sorted(
+                (z, c)
+                for (z, c), d in self.log.entries.items()
+                if d & bit and applied[z] < c
+            )
+        )
+
     # ------------------------------------------------------------------
     # update path — Alg. 2 lines 24-31
     # ------------------------------------------------------------------

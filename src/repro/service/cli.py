@@ -40,7 +40,7 @@ import argparse
 import asyncio
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.base import available_protocols
 from repro.errors import ServiceUnavailableError, WireError
@@ -492,6 +492,8 @@ async def _collect_top(
                     if link["applied"] is None
                     else link["acked"] - link["applied"]
                 ),
+                "flushes_inline": link["flushes_inline"],
+                "flushes_task": link["flushes_task"],
             }
             for dest, link in sorted(stats.get("links", {}).items())
         }
@@ -530,22 +532,36 @@ def _render_top(
             f"{s['applies']:8d} {s['parked']:6d} "
             f"{s['dep_log']['entries']:7d} {s['flight']['held']:7d}"
         )
-    lines.append("")
-    lines.append("replication lag  src -> dst, unacked/unapplied (- = no link)")
-    lines.append("     " + "".join(f"{'s' + d:>10}" for d in ids))
-    for src in ids:
-        row = [f"{'s' + src:>5}"]
-        for dst in ids:
-            if src == dst:
-                row.append(f"{'·':>10}")
-                continue
-            link = lag.get(src, {}).get(dst)
-            if link is None:
-                row.append(f"{'-':>10}")
-            else:
-                ua = link["unapplied"]
-                row.append(f"{link['unacked']}/{'-' if ua is None else ua}".rjust(10))
-        lines.append("".join(row))
+
+    def link_matrix(title: str, cell: Callable[[Dict], str], width: int) -> None:
+        lines.append("")
+        lines.append(f"{title} (- = no link)")
+        lines.append("     " + "".join(f"{'s' + d:>{width}}" for d in ids))
+        for src in ids:
+            row = [f"{'s' + src:>5}"]
+            for dst in ids:
+                link = lag.get(src, {}).get(dst)
+                if src == dst:
+                    row.append(f"{'·':>{width}}")
+                elif link is None:
+                    row.append(f"{'-':>{width}}")
+                else:
+                    row.append(cell(link).rjust(width))
+            lines.append("".join(row))
+
+    def lag_cell(link: Dict) -> str:
+        ua = link["unapplied"]
+        return f"{link['unacked']}/{'-' if ua is None else ua}"
+
+    link_matrix("replication lag  src -> dst, unacked/unapplied", lag_cell, 10)
+    # write-through evidence: flushes the enqueuer wrote in its own loop
+    # step vs. flushes left to the link's writer task (reconnect,
+    # backpressure, a connection that is never writable)
+    link_matrix(
+        "link flushes  src -> dst, inline/task",
+        lambda link: f"{link['flushes_inline']}/{link['flushes_task']}",
+        14,
+    )
     vis_lines = []
     for sid in up:
         for origin, h in sorted(sites[sid]["visibility_ms"].items()):

@@ -55,13 +55,14 @@ def digest_frame(server: Any) -> Dict[str, Any]:
 
 def _ship_own(server: Any, link: Any, clock: int, dest: int) -> int:
     """Enqueue this site's own write ``clock`` to ``dest`` if the link is
-    not already carrying it; returns the number of frames enqueued."""
+    not already carrying it; returns the number of frames enqueued.  The
+    caller flushes the link once after its whole repair burst."""
     if clock <= link.acked_seq or clock in link._queued_seqs:
         return 0
     shipped = 0
     for msg in server._own_log.get(clock, ()):
         if msg.dest == dest:
-            link.enqueue_update(msg)
+            link.enqueue_update(msg, flush=False)
             shipped += 1
     return shipped
 
@@ -88,6 +89,7 @@ def handle_digest(server: Any, frame: Dict[str, Any]) -> int:
         for clock in sorted(server._own_log):
             if clock > floor:
                 shipped += _ship_own(server, link, clock, src)
+        link.flush()
 
     # pull: the peer's own writes we have not applied yet — ask the
     # origin itself for the gap (third-origin gaps heal through each
@@ -121,4 +123,5 @@ def handle_range(server: Any, frame: Dict[str, Any]) -> int:
     for clock in sorted(server._own_log):
         if lo < clock <= hi:
             shipped += _ship_own(server, link, clock, rq)
+    link.flush()
     return shipped

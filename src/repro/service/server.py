@@ -13,7 +13,8 @@ Request paths (the home-site session model):
   resulting update messages are enqueued on per-destination
   :class:`PeerLink` queues — FIFO per link, surviving reconnects — which
   preserves the per-sender delivery order the activation predicates rely
-  on.
+  on.  The client's ``put.ok`` is sent first and the links are flushed
+  second, in the same loop step.
 * **get, locally replicated** — gated on
   :meth:`~repro.core.base.CausalProtocol.can_read_local` (strict mode can
   hold a read while causally known updates are in flight); the wait is
@@ -23,8 +24,10 @@ Request paths (the home-site session model):
   client's behalf over the peer link to the predesignated replica.  Strict
   mode defers on the serving side (``can_serve_fetch``); lenient mode runs
   the client-side reply-freshness gate
-  (:meth:`~repro.core.base.CausalProtocol.reply_is_fresh`) and re-issues
-  stale fetches, exactly like the simulator.  Exhaustion surfaces as a
+  (:meth:`~repro.core.base.CausalProtocol.reply_is_fresh`) and answers a
+  stale reply with a re-fetch that names the records the reply missed
+  (:meth:`~repro.core.base.CausalProtocol.stale_deps`), which the serving
+  site parks until it has applied them.  Exhaustion surfaces as a
   retriable ``unavailable`` error and the client fails over to another
   replica of the key.
 
@@ -46,10 +49,12 @@ The same handshake negotiates the **wire profile** (WIRE_VERSION 3):
 ``link.hello`` and the client ``hello`` carry the sender's capability
 version ``cv``, the receiver answers with ``min(cv, own)``, and only
 when both sides are ≥ 3 does the connection switch to the binary codec
-and the batched profile — the link drains its whole outbound FIFO per
-wakeup with one coalesced flush, the inbound loop decodes and applies a
-whole batch of contiguous frames before signalling the progress
-condition once, and repl acks are **cumulative per batch** (one
+and the batched profile — the link hands its whole unsent suffix to
+the transport as one batch (written through in the loop step that
+enqueued it when the connection is idle and writable, by the link's
+writer task otherwise; see :class:`PeerLink`), the inbound loop decodes
+and applies a whole batch of contiguous frames before signalling the
+progress condition once, and repl acks are **cumulative per batch** (one
 ack naming the highest contiguous sequence, instead of one ack frame
 per apply).  Acks remain batch-deferred-but-processing-gated: an ack is
 sent only after every frame it covers was applied or parked, so the v2
@@ -142,14 +147,11 @@ from repro.service.transport import Connection, Listener, Transport
 from repro.types import SiteId, VarId, WriteId
 
 #: bound on consecutive stale-reply re-fetches of one remote read (same
-#: role as ``repro.sim.process.MAX_STALE_FETCH_RETRIES``: the missing
-#: update is in flight to the serving replica, so the loop converges
-#: unless the link is actually down)
+#: role as ``repro.sim.process.MAX_STALE_FETCH_RETRIES``).  A re-fetch
+#: parks at the serving replica until the records the stale reply
+#: missed are applied, so one usually suffices; more are needed only
+#: when this site's own causal past grew while it waited.
 MAX_STALE_FETCH_RETRIES = 100
-
-#: pause before re-issuing a stale fetch, seconds (grows linearly per
-#: consecutive stale reply; gives the in-flight update time to land)
-STALE_RETRY_PAUSE = 0.002
 
 #: bound on waiting for the peer's ``link.ok`` handshake reply, seconds
 LINK_HANDSHAKE_TIMEOUT = 2.0
@@ -164,7 +166,7 @@ class PeerLink:
 
     Every connection opens with a ``link.hello``/``link.ok`` handshake
     (see the module docstring).  ``repl`` frames are sent in FIFO order
-    by a single sender task but **retired only by a receiver-side ack**
+    by one flusher at a time but **retired only by a receiver-side ack**
     — the handshake's cumulative ack or an in-band ``repl.ack`` — never
     by transport send success alone, so a frame the transport accepted
     but the peer never processed is resent on the next connection.
@@ -182,6 +184,18 @@ class PeerLink:
     the receiver's applied watermark ``ap``; :meth:`_note_applied`
     translates it to the write clock at that sequence and feeds the
     protocol's ack-driven dependency-log GC.
+
+    The link is **write-through**: while it holds a handshaken v3+
+    connection that is idle (``_busy`` false) and :meth:`~repro.service.
+    transport.Connection.writable`, :meth:`flush` encodes the unsent
+    suffix and hands it to the transport in the caller's own loop step —
+    the update is on the wire before the handler that accepted the write
+    returns.  The writer task is the slow path only: connect, handshake,
+    resend after a reconnect, backpressure (a connection that is not
+    writable, or never is — the base-class default), and the v2
+    per-frame profile.  Both paths build batches with the same
+    :meth:`_collect` / :meth:`_mark_sent` pair, so frames reach a
+    connection in ``ls`` order exactly once whichever path carried them.
     """
 
     def __init__(
@@ -239,6 +253,30 @@ class PeerLink:
         #: the last handshake agreed the v4 profile (applied watermarks
         #: flow, so ``_gc_ls`` is a meaningful lag baseline)
         self._v4 = False
+        #: the handshaken v3+ connection batches currently go to;
+        #: ``None`` while connecting, handshaking or tearing one down,
+        #: and for the whole life of a v2 (per-frame) connection
+        self._conn: Optional[Connection] = None
+        #: highest repl link sequence handed to ``_conn``
+        self._sent = 0
+        #: a writer-task ``send_many`` on ``_conn`` is suspended in the
+        #: transport: an inline write now would land behind a batch that
+        #: is only partly written, or re-encode frames it already holds
+        self._busy = False
+        #: flushes by the path that carried them (``inline`` = in the
+        #: enqueuer's loop step, ``task`` = the writer task)
+        self.flushes = {"inline": 0, "task": 0}
+        metrics = owner.metrics
+        self._flush_counters = (
+            None
+            if metrics is None
+            else {
+                path: metrics.counter(
+                    "link_flushes_total", site=owner.site, peer=dest, path=path
+                )
+                for path in self.flushes
+            }
+        )
         self._closed = False
         self._task: Optional[asyncio.Task] = None
 
@@ -246,17 +284,44 @@ class PeerLink:
         if self._task is None:
             self._task = asyncio.ensure_future(self._run())
 
-    def enqueue_update(self, msg: UpdateMessage) -> None:
+    def enqueue_update(self, msg: UpdateMessage, flush: bool = True) -> None:
+        """Queue one update.  ``flush=False`` leaves putting it on the
+        wire to the caller's own :meth:`flush` — a put replies to its
+        client first, a gossip repair flushes its whole burst once."""
         self._link_seq += 1
         self._repl.append((self._link_seq, msg))
         self._ls_clock[self._link_seq] = msg.write_id.seq
         self._issued_at[self._link_seq] = self.owner.now_ms()
         self._queued_seqs.add(msg.write_id.seq)
-        self._wakeup.set()
+        if flush:
+            self.flush()
 
     def enqueue_fetch(self, req: FetchRequest) -> None:
         self._fetch.append(wire.encode_fetch_request(req))
-        self._wakeup.set()
+        self.flush()
+
+    def flush(self) -> None:
+        """Put everything queued on the wire now if the link can, else
+        wake the writer task to do it.  ``writable()`` is asked *before*
+        :meth:`_collect`: collecting advances the connection's delta
+        chain, so a collected batch must reach that connection next."""
+        conn = self._conn
+        if conn is None or self._busy or not conn.writable():
+            self._wakeup.set()
+            return
+        batch, last_ls, n_fetch, n_ctrl = self._collect()
+        if not batch:
+            return
+        try:
+            conn.write_many(batch)
+        except (ConnectionError, OSError):
+            # the connection is dead and its delta chain with it: stop
+            # writing to it and let the writer task return, so _run
+            # reconnects and resends from the next handshake's ack
+            self._conn = None
+            self._wakeup.set()
+            return
+        self._mark_sent(last_ls, n_fetch, n_ctrl, "inline")
 
     def enqueue_ctrl(self, frame: Dict[str, Any]) -> None:
         """Queue a gossip control frame, superseding any queued frame of
@@ -266,10 +331,10 @@ class PeerLink:
         for i, queued in enumerate(self._ctrl):
             if (queued["t"], queued.get("origin")) == key:
                 self._ctrl[i] = frame
-                self._wakeup.set()
-                return
-        self._ctrl.append(frame)
-        self._wakeup.set()
+                break
+        else:
+            self._ctrl.append(frame)
+        self.flush()
 
     @property
     def backlog(self) -> int:
@@ -305,6 +370,8 @@ class PeerLink:
             "fetch_queue": len(self._fetch),
             "ctrl_queue": len(self._ctrl) + self._ctrl_unacked,
             "backlog": self.backlog,
+            "flushes_inline": self.flushes["inline"],
+            "flushes_task": self.flushes["task"],
         }
 
     async def close(self) -> None:
@@ -343,6 +410,11 @@ class PeerLink:
                 backoff = min(backoff * 2.0, self.backoff_cap)
                 continue
             backoff = self.backoff_base
+            if conn.agreed_version >= wire.BATCH_WIRE_VERSION:
+                # from here flush() may write to the connection inline:
+                # everything the receiver acked is sent, the rest is not
+                self._sent = acked
+                self._conn = conn
             # run writer and reader side by side and reconnect when
             # EITHER dies: a send failure, or the reader seeing EOF (a
             # peer that restarted or silently closed) — unacked repl
@@ -354,6 +426,9 @@ class PeerLink:
                     {writer, reader}, return_when=asyncio.FIRST_COMPLETED
                 )
             finally:
+                # before the first await of the teardown: no inline
+                # write may reach a connection that is being closed
+                self._conn = None
                 for task in (writer, reader):
                     task.cancel()
                     try:
@@ -465,13 +540,13 @@ class PeerLink:
             self.owner._own_retired(msg)
 
     async def _drain_queue(self, conn: Connection, acked: int) -> None:
+        if conn.agreed_version >= wire.BATCH_WIRE_VERSION:
+            await self._drain_queue_batched(conn)
+            return
         # ``sent`` tracks the highest repl seq written to THIS
         # connection; entries stay in ``_repl`` until the receiver acks
         # them (linear rescan per frame — the unacked window is small
         # because acks retire the prefix as they arrive)
-        if conn.agreed_version >= wire.BATCH_WIRE_VERSION:
-            await self._drain_queue_batched(conn, acked)
-            return
         sent = acked
         while not self._closed:
             frame = self._next_unsent(sent)
@@ -490,73 +565,93 @@ class PeerLink:
                 return
             await self._wakeup.wait()
 
-    async def _drain_queue_batched(self, conn: Connection, acked: int) -> None:
-        """The v3+ writer: drain the WHOLE outbound FIFO per wakeup with
-        one coalesced flush (``send_many`` → one transport drain),
-        instead of a send-per-frame loop.  Retirement is unchanged —
-        repl entries leave ``_repl`` only via receiver acks.  Frames are
-        encoded here, in ``ls`` order, exactly once per connection: that
+    def _collect(self) -> Tuple[List[Dict[str, Any]], int, int, int]:
+        """Encode everything not yet handed to the current connection:
+        the unsent repl suffix, then the pending fetches and control
+        frames.  Returns ``(batch, last_ls, n_fetch, n_ctrl)``; the
+        caller writes the batch to ``_conn`` and passes the rest to
+        :meth:`_mark_sent`.  Retirement is unchanged — repl entries
+        leave ``_repl`` only via receiver acks.  Frames are encoded
+        here, in ``ls`` order, exactly once per connection: that
         single-pass discipline is what lets the v4 delta encoder chain
         each frame against the previous one."""
-        sent = acked
-        enc = self._delta_out
-        while not self._closed:
-            while not self._closed:  # lint: atomic — single drainer task per link: only this coroutine pops _fetch, and it pops exactly the prefix it captured before the send (new fetches append on the right and stay for the next round)
-                # ``ls`` values are consecutive (assigned at enqueue) and
-                # retired from the left only, so the unsent entries are
-                # exactly the last ``_link_seq - sent`` entries — no scan
-                n_unsent = min(len(self._repl), self._link_seq - sent)
-                batch: List[Dict[str, Any]] = []
-                last_ls = sent
-                if n_unsent > 0:
-                    stamp = self._peer_stats
-                    for ls, msg in itertools.islice(
-                        self._repl, len(self._repl) - n_unsent, None
-                    ):
-                        frame = (
-                            enc.encode_update(msg, ls)
-                            if enc is not None
-                            else wire.encode_update(msg, ls)
-                        )
-                        if stamp:
-                            issued = self._issued_at.get(ls)
-                            if issued is not None:
-                                wire.stamp_issue(frame, issued)
-                        batch.append(frame)
-                        last_ls = ls
-                n_fetch = len(self._fetch)
-                n_ctrl = 0
-                if self._ctrl:
-                    if self._peer_gossip:
-                        n_ctrl = len(self._ctrl)
-                    else:
-                        # the peer never negotiated ``gx``: drop control
-                        # frames instead of queueing them forever, or a
-                        # mixed cluster would never quiesce (the gossip
-                        # loop regenerates digests every round anyway)
-                        self._ctrl.clear()
-                if not batch and not n_fetch and not n_ctrl:
-                    break
-                if n_fetch:
-                    batch.extend(list(self._fetch)[:n_fetch])
-                if n_ctrl:
-                    batch.extend(list(self._ctrl)[:n_ctrl])
+        sent = self._sent
+        # ``ls`` values are consecutive (assigned at enqueue) and
+        # retired from the left only, so the unsent entries are exactly
+        # the last ``_link_seq - sent`` entries — no scan
+        n_unsent = min(len(self._repl), self._link_seq - sent)
+        batch: List[Dict[str, Any]] = []
+        last_ls = sent
+        if n_unsent > 0:
+            enc = self._delta_out
+            stamp = self._peer_stats
+            for ls, msg in itertools.islice(
+                self._repl, len(self._repl) - n_unsent, None
+            ):
+                frame = (
+                    enc.encode_update(msg, ls)
+                    if enc is not None
+                    else wire.encode_update(msg, ls)
+                )
+                if stamp:
+                    issued = self._issued_at.get(ls)
+                    if issued is not None:
+                        wire.stamp_issue(frame, issued)
+                batch.append(frame)
+                last_ls = ls
+        n_fetch = len(self._fetch)
+        batch.extend(self._fetch)
+        n_ctrl = 0
+        if self._ctrl:
+            if self._peer_gossip:
+                n_ctrl = len(self._ctrl)
+                batch.extend(self._ctrl)
+            else:
+                # the peer never negotiated ``gx``: drop control frames
+                # instead of queueing them forever, or a mixed cluster
+                # would never quiesce (the gossip loop regenerates
+                # digests every round anyway)
+                self._ctrl.clear()
+        return batch, last_ls, n_fetch, n_ctrl
+
+    def _mark_sent(self, last_ls: int, n_fetch: int, n_ctrl: int, path: str) -> None:
+        """The batch :meth:`_collect` built was handed to ``_conn``.
+        Nothing else pops ``_fetch`` / ``_ctrl`` or collects between the
+        two calls (inline: one synchronous block; writer task: ``_busy``
+        holds inline writes off while its send is suspended), so the
+        prefixes popped here are exactly the frames that were sent."""
+        self._sent = last_ls
+        # fetches are retired on send (fire-and-forget); ones enqueued
+        # while a writer-task send was suspended stay for the next batch
+        for _ in range(n_fetch):
+            self._fetch.popleft()
+        for _ in range(n_ctrl):
+            # retired on send but still counted in the backlog via
+            # ``_ctrl_unacked`` until ``sys.ctrl.ok`` lands
+            self._ctrl.popleft()
+            self._ctrl_unacked += 1
+        self.flushes[path] += 1
+        if self._flush_counters is not None:
+            self._flush_counters[path].inc()
+
+    async def _drain_queue_batched(self, conn: Connection) -> None:
+        """The v3+ writer task — the slow path behind :meth:`flush`:
+        per wakeup, drain the WHOLE outbound FIFO with one coalesced
+        flush (``send_many`` → one transport drain).  It returns once
+        ``_conn`` is no longer this connection (an inline write found
+        it dead), which makes ``_run`` reconnect."""
+        while not self._closed and self._conn is conn:
+            batch, last_ls, n_fetch, n_ctrl = self._collect()
+            if not batch:
+                self._wakeup.clear()
+                await self._wakeup.wait()
+                continue
+            self._busy = True
+            try:
                 await conn.send_many(batch)
-                if n_fetch:
-                    # fetches are retired on send (fire-and-forget); new
-                    # ones enqueued during the await stay for next round
-                    for _ in range(n_fetch):
-                        self._fetch.popleft()
-                for _ in range(n_ctrl):
-                    # retired on send but still counted in the backlog
-                    # via ``_ctrl_unacked`` until ``sys.ctrl.ok`` lands
-                    self._ctrl.popleft()
-                    self._ctrl_unacked += 1
-                sent = last_ls
-            self._wakeup.clear()
-            if self._closed:
-                return
-            await self._wakeup.wait()
+            finally:
+                self._busy = False
+            self._mark_sent(last_ls, n_fetch, n_ctrl, "task")
 
     def _next_unsent(self, sent: int) -> Optional[Dict[str, Any]]:
         for ls, msg in self._repl:
@@ -1159,16 +1254,31 @@ class SiteServer:
         rec = self.recorder
         if rec is not None and rec.enabled:
             rec.on_issue(now, self.site, var, result.write_id, proto.replicas(var))
+        # enqueued in the same synchronous block as protocol.write —
+        # link-sequence order must stay write-clock order — but flushed
+        # only after the reply below
+        links: List[PeerLink] = []
         for msg in result.messages:
             if rec is not None and rec.enabled:
                 rec.on_send(now, self.site, msg.dest, msg.write_id)
-            self._link(msg.dest).enqueue_update(msg)
+            link = self._link(msg.dest)
+            link.enqueue_update(msg, flush=False)
+            links.append(link)
         if result.applied_locally:
             self._drain()
         self.metric("service_requests_total", op="put")
-        await conn.send(
-            wire.make_frame("put.ok", w=wire.encode_write_id(result.write_id))
-        )
+        try:
+            # reply first, flush second, same loop step: the flush makes
+            # the destinations' handler tasks runnable, and a reply
+            # queued behind them would hand the client their ingest time
+            await conn.send(
+                wire.make_frame("put.ok", w=wire.encode_write_id(result.write_id))
+            )
+        finally:
+            # also when the client is gone: the write is in this site's
+            # state and must replicate regardless
+            for link in links:
+                link.flush()
 
     # ------------------------------------------------------------------
     # get
@@ -1217,22 +1327,28 @@ class SiteServer:
         )
 
     async def _remote_get(self, var: VarId) -> Tuple[Any, Optional[WriteId]]:
-        """The paper's RemoteFetch, run on the client's behalf."""
+        """The paper's RemoteFetch, run on the client's behalf.  The
+        whole read — first fetch and every stale re-fetch — is bounded
+        by one ``read_timeout`` deadline."""
         proto = self.protocol
         server = proto.fetch_target(var)
         link = self._link(server)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.read_timeout
+        req = proto.make_fetch_request(var, server)
         stale = 0
         while True:
-            req = proto.make_fetch_request(var, server)
-            fut: asyncio.Future = asyncio.get_running_loop().create_future()
+            fut: asyncio.Future = loop.create_future()
             self._fetch_waiters[req.fetch_id] = fut
             link.enqueue_fetch(req)
             try:
-                frame = await asyncio.wait_for(fut, self.fetch_timeout)
+                frame = await asyncio.wait_for(
+                    fut, min(self.fetch_timeout, max(0.0, deadline - loop.time()))
+                )
             except asyncio.TimeoutError:
                 raise ServiceUnavailableError(
-                    f"fetch of {var!r} from site {server} timed out after "
-                    f"{self.fetch_timeout}s"
+                    f"fetch of {var!r} from site {server} timed out"
+                    + (f" after {stale} stale replies" if stale else "")
                 ) from None
             finally:
                 self._fetch_waiters.pop(req.fetch_id, None)
@@ -1245,8 +1361,7 @@ class SiteServer:
             # site advertised at its handshake (held by our peer link);
             # every site derives the same table from the shared
             # placement map, so our own copy is the fallback
-            link = self._links.get(server)
-            enc = link._delta_out if link is not None else None
+            enc = link._delta_out
             reply = wire.decode_fetch_reply(
                 frame, enc.itab if enc is not None else self._itab
             )
@@ -1267,8 +1382,10 @@ class SiteServer:
                     )
                 return proto.complete_remote_read(reply)
             # lenient-mode stale reply: discard without merging its
-            # metadata and re-issue once the in-flight update had a
-            # moment to land (same gate as repro.sim.process._do_read)
+            # metadata and re-issue naming exactly the records the
+            # reply's snapshot failed, so the serving site parks the
+            # fetch until it applied them and answers on that apply
+            # (the simulator's gate, repro.sim.process._do_read, polls)
             stale += 1
             self.metric("service_stale_replies_total")
             if stale > MAX_STALE_FETCH_RETRIES:
@@ -1276,7 +1393,10 @@ class SiteServer:
                     f"remote read of {var!r} stale after {stale - 1} retries: "
                     f"site {server} never applied a causally required update"
                 )
-            await asyncio.sleep(STALE_RETRY_PAUSE * stale)
+            link = self._link(server)
+            req = FetchRequest(
+                var, self.site, server, proto.next_fetch_id(), proto.stale_deps(reply)
+            )
 
     def _resolve_fetch(self, frame: Dict[str, Any]) -> None:
         fut = self._fetch_waiters.pop(int(frame["fid"]), None)

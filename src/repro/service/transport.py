@@ -155,6 +155,25 @@ class Connection(ABC):
         for frame in frames:
             await self.send(frame)
 
+    def writable(self) -> bool:
+        """True when :meth:`write_many` can take a batch right now
+        without queueing it behind bytes the transport still holds —
+        the test a :class:`~repro.service.server.PeerLink` makes before
+        writing through from the caller's loop step.  The default is
+        *not writable*: a connection that only implements the awaitable
+        ``send`` / ``send_many`` pair (wrappers that time, delay or drop
+        frames) keeps working through the link's writer task."""
+        return False
+
+    def write_many(self, frames: List[Dict[str, Any]]) -> None:
+        """Synchronous ``send_many`` without the flush wait: encode the
+        batch and hand it to the transport before returning.  Call only
+        while :meth:`writable`; raises ``ConnectionError`` when the peer
+        is known to be gone."""
+        raise NotImplementedError(
+            f"{type(self).__name__} is never writable()"
+        )
+
     @abstractmethod
     async def recv(self) -> Optional[Dict[str, Any]]:
         """Receive the next frame, or ``None`` on EOF / severed peer."""
@@ -257,7 +276,12 @@ class _LoopbackConnection(Connection):
             meter.kind(frame["t"]).inc(len(encoded))
         peer._enqueue(_decode_annotated(encoded[4:]))
 
-    async def send_many(self, frames: List[Dict[str, Any]]) -> None:
+    def writable(self) -> bool:
+        # an in-process queue never pushes back; a dead peer surfaces
+        # as the ConnectionResetError write_many raises
+        return True
+
+    def write_many(self, frames: List[Dict[str, Any]]) -> None:
         peer = self._peer
         if self._closed or peer is None or peer._closed:
             raise ConnectionResetError(f"loopback peer {self._peer_name} is gone")
@@ -277,6 +301,9 @@ class _LoopbackConnection(Connection):
         if meter is not None:
             meter.sent.inc(total)
             meter.received.inc(total)
+
+    async def send_many(self, frames: List[Dict[str, Any]]) -> None:
+        self.write_many(frames)
 
     async def recv(self) -> Optional[Dict[str, Any]]:
         if self._closed and self._rx.empty():
@@ -426,14 +453,19 @@ class _TcpConnection(Connection):
         self._writer.write(encoded)
         await self._writer.drain()
 
-    async def send_many(self, frames: List[Dict[str, Any]]) -> None:
-        if not frames:
-            return
+    def writable(self) -> bool:
+        # an empty write buffer means the kernel took every earlier
+        # byte: one more batch cannot pile up behind a slow peer.  Once
+        # it is non-empty, writers go through send_many and its drain —
+        # the stream's own backpressure
+        transport = self._writer.transport
+        return not transport.is_closing() and transport.get_write_buffer_size() == 0
+
+    def write_many(self, frames: List[Dict[str, Any]]) -> None:
         codec = self._codec
         encode = wire.encode_frame
         meter = self._meter
-        # one writev-style buffer append, ONE drain for the whole batch —
-        # this is the flush the per-frame path pays once per frame
+        # one writev-style buffer append for the whole batch
         if meter is None:
             batch = b"".join(encode(f, codec=codec) for f in frames)
         else:
@@ -445,6 +477,13 @@ class _TcpConnection(Connection):
             batch = b"".join(parts)
             meter.sent.inc(len(batch))
         self._writer.write(batch)
+
+    async def send_many(self, frames: List[Dict[str, Any]]) -> None:
+        if not frames:
+            return
+        # ONE drain for the whole batch — this is the flush the
+        # per-frame path pays once per frame
+        self.write_many(frames)
         await self._writer.drain()
 
     async def _fill(self) -> bool:

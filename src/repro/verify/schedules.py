@@ -14,7 +14,9 @@ from "whatever order asyncio picks" into a seeded adversary:
 2. A *preempting* loopback transport — every connection endpoint yields
    the event loop 0–N extra times before each send/receive, widening
    the suspension windows at exactly the points the CFG marks as
-   suspension points.
+   suspension points, and answers ``writable()`` with a seeded coin so
+   peer links alternate between their inline write-through and their
+   writer task mid-stream.
 3. A pre-generated per-seed workload (puts and causally-chained reads
    from one client per site) over a :class:`~repro.service.harness.
    ServiceCluster` with ``sanitize=True``, so the Full-Track oracle
@@ -152,6 +154,15 @@ def make_preempting_loopback(
         async def send_many(self, frames: List[Dict[str, Any]]) -> None:
             await self._preempt()
             await self._inner.send_many(frames)
+
+        # seeded coin: half the link flushes write through inline, the
+        # rest fall back to the writer task and its preempted send_many
+        # — so a sweep interleaves both paths on the same connection
+        def writable(self) -> bool:
+            return bool(rng.random() < 0.5) and self._inner.writable()
+
+        def write_many(self, frames: List[Dict[str, Any]]) -> None:
+            self._inner.write_many(frames)
 
         async def recv(self) -> Optional[Dict[str, Any]]:
             frame = await self._inner.recv()

@@ -132,3 +132,113 @@ def test_strict_mode_replies_always_fresh():
     server.apply_update(msg)
     assert server.can_serve_fetch(req_y)
     assert reader.reply_is_fresh(server.serve_fetch(req_y))
+
+
+def test_service_stale_reply_is_followed_by_one_parked_refetch():
+    """The same corner through the networked service: the requester
+    answers a stale reply with ONE re-fetch naming the records the
+    reply's snapshot missed; the serving site parks it and answers on
+    the apply.  No polling — while the update is held back for 50 ms
+    (a dozen rounds of the old 2 ms × attempt sleep loop) exactly two
+    fetch frames reach the serving site."""
+    import asyncio
+
+    from repro.obs.registry import MetricsRegistry
+    from repro.service.harness import ServiceCluster
+    from repro.service.transport import Connection, LoopbackTransport
+    from repro.service.wire import REPL_FRAME_KINDS
+
+    class HoldingConnection(Connection):
+        """Passes everything but repl frames, which wait for release()."""
+
+        def __init__(self, inner, transport):
+            self._inner = inner
+            self._transport = transport
+
+        @property
+        def codec(self):
+            return self._inner.codec
+
+        @property
+        def agreed_version(self):
+            return self._inner.agreed_version
+
+        def negotiate(self, codec, agreed=None):
+            self._inner.negotiate(codec, agreed)
+
+        async def send(self, frame):
+            await self.send_many([frame])
+
+        async def send_many(self, frames):
+            t = self._transport
+            t.fetches.extend(f for f in frames if f["t"] == "fetch")
+            if t.holding:
+                repl = [f for f in frames if f["t"] in REPL_FRAME_KINDS]
+                t.held.append((self._inner, repl))
+                frames = [f for f in frames if f["t"] not in REPL_FRAME_KINDS]
+            await self._inner.send_many(frames)
+
+        async def recv(self):
+            return await self._inner.recv()
+
+        async def close(self):
+            await self._inner.close()
+
+        @property
+        def peer(self):
+            return self._inner.peer
+
+    class HoldingTransport(LoopbackTransport):
+        """Replication into ``site-1`` is held until :meth:`release`."""
+
+        def __init__(self, metrics):
+            super().__init__(metrics=metrics)
+            self.holding = False
+            self.held = []
+            self.fetches = []
+
+        async def connect(self, address):
+            inner = await super().connect(address)
+            return HoldingConnection(inner, self) if address == "site-1" else inner
+
+        async def release(self):
+            self.holding = False
+            for inner, frames in self.held:
+                await inner.send_many(frames)
+
+    async def main():
+        metrics = MetricsRegistry()
+        transport = HoldingTransport(metrics)
+        placement = {"x0": (0,), "x1": (1,)}
+        async with ServiceCluster(3, 2, "opt-track", placement=placement,
+                                  strict_remote_reads=False, sanitize=True,
+                                  metrics=metrics, transport=transport) as cluster:
+            writer = cluster.client(home=0)
+            reader = cluster.client(home=2)
+            await writer.put("x1", "warm")  # links up, chains started
+            await cluster.quiesce()
+            transport.holding = True
+            await writer.put("x1", "y")  # in flight to site 1, held
+            await writer.put("x0", "x")
+            # reading x0 at its writer imports knowledge of the held write
+            assert (await reader.get("x0"))[0] == "x"
+            del transport.fetches[:]
+            read = asyncio.ensure_future(reader.get("x1"))
+            await asyncio.sleep(0.05)
+            parked = cluster.servers[1]._waiting
+            fetches = list(transport.fetches)
+            assert not read.done()
+            await transport.release()
+            value, _, by = await asyncio.wait_for(read, 2.0)
+            await cluster.quiesce()
+            await writer.close()
+            await reader.close()
+            return value, by, parked, fetches, metrics.snapshot()["counters"]
+
+    value, by, parked, fetches, counters = asyncio.run(main())
+    assert (value, by) == ("y", 1)
+    assert parked == 1  # the re-fetch sat in site 1's _wait_for
+    assert len(fetches) == 2
+    assert fetches[0]["deps"] is None  # lenient: the first carries nothing
+    assert fetches[1]["deps"] is not None  # the re-fetch names what was missed
+    assert counters["service_stale_replies_total{site=2}"] == 1

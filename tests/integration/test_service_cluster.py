@@ -485,6 +485,288 @@ class TestBatchedAcks:
 
 
 # ----------------------------------------------------------------------
+# write-through peer links: inline flush vs the writer task
+# ----------------------------------------------------------------------
+class _WrappedConnection(Connection):
+    """Delegating base for the link-path wrappers below: everything goes
+    to the inner loopback endpoint, ``writable``/``write_many`` included.
+    The owning transport's ``log`` records ``(op, [frame kinds])``."""
+
+    def __init__(self, inner, transport):
+        self._inner = inner
+        self._transport = transport
+        self._log = transport.log
+
+    @property
+    def codec(self):
+        return self._inner.codec
+
+    @property
+    def wire_version(self):
+        return self._inner.wire_version
+
+    @property
+    def agreed_version(self):
+        return self._inner.agreed_version
+
+    def negotiate(self, codec, agreed=None):
+        self._inner.negotiate(codec, agreed)
+
+    async def send(self, frame):
+        self._log.append(("send", [frame["t"]]))
+        await self._inner.send(frame)
+
+    async def send_many(self, frames):
+        self._log.append(("send_many", [f["t"] for f in frames]))
+        await self._inner.send_many(frames)
+
+    def writable(self):
+        return self._inner.writable()
+
+    def write_many(self, frames):
+        self._log.append(("write_many", [f["t"] for f in frames]))
+        self._inner.write_many(frames)
+
+    async def recv(self):
+        return await self._inner.recv()
+
+    async def recv_many(self):
+        return await self._inner.recv_many()
+
+    async def close(self):
+        await self._inner.close()
+
+    @property
+    def peer(self):
+        return self._inner.peer
+
+
+class _NeverWritable(_WrappedConnection):
+    """What a wrapper written before write-through looks like: only the
+    awaitable pair, ``writable()`` left at the base-class default."""
+
+    writable = Connection.writable
+    write_many = Connection.write_many
+
+
+class _StallingConnection(_WrappedConnection):
+    """Backpressure on every third flush: the connection stops being
+    writable until the writer task's ``send_many`` has drained it, and
+    that ``send_many`` suspends mid-batch — first half, a few loop
+    turns, second half."""
+
+    def __init__(self, inner, transport):
+        super().__init__(inner, transport)
+        self._asked = 0
+        self._full = False
+
+    def writable(self):
+        self._asked += 1
+        if self._asked % 3 == 0:
+            self._full = True
+        return not self._full
+
+    async def send_many(self, frames):
+        self._log.append(("send_many", [f["t"] for f in frames]))
+        half = (len(frames) + 1) // 2
+        await self._inner.send_many(frames[:half])
+        for _ in range(3):
+            await asyncio.sleep(0)
+        await self._inner.send_many(frames[half:])
+        self._full = False
+
+
+class _SwallowingConnection(_WrappedConnection):
+    """Once its transport is armed, the next inline write is accepted
+    and never delivered, and the pair is cut — the ack for it can never
+    come."""
+
+    def write_many(self, frames):
+        if self._transport.armed:
+            self._transport.armed = False
+            self._log.append(("swallowed", [f["t"] for f in frames]))
+            self._inner._peer._sever()
+            self._inner._sever()
+            return
+        super().write_many(frames)
+
+
+class _WrappingTransport(LoopbackTransport):
+    """Loopback whose outbound endpoints to ``victim`` (every address
+    when None) and, with ``inbound``, server-side endpoints too, are
+    wrapped in ``wrapper``."""
+
+    def __init__(self, wrapper, victim=None, inbound=False, metrics=None):
+        super().__init__(metrics=metrics)
+        self.wrapper = wrapper
+        self.victim = victim
+        self.inbound = inbound
+        self.log = []
+        self.armed = False  # read by _SwallowingConnection
+
+    async def listen(self, address, handler):
+        if not self.inbound:
+            return await super().listen(address, handler)
+
+        async def wrapped(conn):
+            await handler(_WrappedConnection(conn, self))
+
+        return await super().listen(address, wrapped)
+
+    async def connect(self, address):
+        inner = await super().connect(address)
+        if self.victim is None or address == self.victim:
+            return self.wrapper(inner, self)
+        return inner
+
+
+def _counter(counters, name):
+    """Sum of a counter over all its label sets."""
+    return sum(v for k, v in counters.items() if k.split("{")[0] == name)
+
+
+class TestWriteThrough:
+    def test_put_is_on_the_wire_before_the_writer_task_runs(self):
+        async def main():
+            async with ServiceCluster(2, 2, "opt-track",
+                                      replication_factor=2) as cluster:
+                c0 = cluster.client(home=0)
+                await c0.put("x0", "prime")  # first contact: handshake
+                await cluster.quiesce()
+                link = cluster.servers[0]._links[1]
+                receiver = cluster.servers[1]
+                before = dict(link.flushes), receiver.applies
+                await c0.put("x0", "v1")
+                # put() has only just returned: the update was handed to
+                # the transport in the handler's own loop step ...
+                sent = link._sent == link._link_seq
+                flushes = dict(link.flushes)
+                # ... so the destination's handler is already runnable
+                await asyncio.sleep(0)
+                applies = receiver.applies
+                await c0.close()
+                return before, sent, flushes, applies
+
+        (flushes0, applies0), sent, flushes, applies = run(main())
+        assert sent
+        assert flushes["task"] == flushes0["task"]
+        assert flushes["inline"] == flushes0["inline"] + 1
+        assert applies == applies0 + 1
+
+    @staticmethod
+    async def _burst(cluster, sessions=4, puts=15):
+        """Concurrent sessions at site 0, so puts arrive while earlier
+        flushes are still in the transport."""
+        clients = [cluster.client(home=0) for _ in range(sessions)]
+
+        async def session(k, client):
+            for i in range(puts):
+                await client.put(f"x{i % 3}", f"s{k}-{i}")
+
+        await asyncio.gather(*(session(k, c) for k, c in enumerate(clients)))
+        await cluster.quiesce()
+        for client in clients:
+            await client.close()
+        return sessions * puts
+
+    def test_unwritable_connection_goes_through_the_writer_task(self):
+        async def main():
+            metrics = MetricsRegistry()
+            transport = _WrappingTransport(_NeverWritable, metrics=metrics)
+            async with ServiceCluster(3, 3, "opt-track", replication_factor=3,
+                                      sanitize=True, metrics=metrics,
+                                      transport=transport) as cluster:
+                n = await self._burst(cluster)
+                applies = [s.applies for s in cluster.servers]
+                return n, applies, metrics.snapshot()["counters"], transport.log
+
+        n, applies, counters, log = run(main())
+        assert applies == [0, n, n]  # every delta chain decoded
+        assert _counter(counters, "service_repl_gaps_total") == 0
+        assert _counter(counters, "service_repl_dups_total") == 0
+        assert counters["link_flushes_total{path=task,peer=1,site=0}"] > 0
+        assert counters["link_flushes_total{path=inline,peer=1,site=0}"] == 0
+        assert not any(op == "write_many" for op, _ in log)
+
+    def test_inline_writes_hold_off_while_a_task_flush_is_suspended(self):
+        # without the _busy guard an inline flush during the suspended
+        # send_many re-collects the batch the task still holds: frames
+        # go out twice and the delta chain advances twice
+        async def main():
+            metrics = MetricsRegistry()
+            transport = _WrappingTransport(_StallingConnection, victim="site-1",
+                                           metrics=metrics)
+            async with ServiceCluster(3, 3, "opt-track", replication_factor=3,
+                                      sanitize=True, metrics=metrics,
+                                      transport=transport) as cluster:
+                n = await self._burst(cluster)
+                applies = [s.applies for s in cluster.servers]
+                flushes = dict(cluster.servers[0]._links[1].flushes)
+                return n, applies, flushes, metrics.snapshot()["counters"]
+
+        n, applies, flushes, counters = run(main())
+        assert applies == [0, n, n]
+        assert _counter(counters, "service_repl_gaps_total") == 0
+        assert _counter(counters, "service_repl_dups_total") == 0
+        assert flushes["inline"] > 0 and flushes["task"] > 0
+
+    def test_write_lost_before_its_ack_is_resent_on_a_fresh_chain(self):
+        async def main():
+            metrics = MetricsRegistry()
+            transport = _WrappingTransport(_SwallowingConnection, victim="site-1",
+                                           metrics=metrics)
+            async with ServiceCluster(2, 2, "opt-track", replication_factor=2,
+                                      sanitize=True, metrics=metrics,
+                                      transport=transport) as cluster:
+                c0 = cluster.client(home=0)
+                for i in range(3):  # the chain is mid-stream
+                    await c0.put("x0", f"v{i}")
+                await cluster.quiesce()
+                link = cluster.servers[0]._links[1]
+                chain = link._delta_out
+                transport.armed = True
+                await c0.put("x0", "lost-once")
+                await c0.put("x0", "after")
+                await cluster.quiesce(timeout=10.0)
+                c1 = cluster.client(home=1)
+                value, _, _ = await c1.get("x0")
+                await c0.close()
+                await c1.close()
+                return (value, cluster.servers[1].applies, chain is link._delta_out,
+                        metrics.snapshot()["counters"], transport.log)
+
+        value, applies, same_chain, counters, log = run(main())
+        assert (value, applies) == ("after", 5)  # resent once, applied once
+        assert not same_chain
+        assert _counter(counters, "service_repl_gaps_total") == 0
+        cut = next(i for i, (op, _) in enumerate(log) if op == "swallowed")
+        resent = next(kinds for op, kinds in log[cut + 1:]
+                      if any(k in wire.REPL_FRAME_KINDS for k in kinds))
+        # the new connection's chain starts over with a full frame
+        assert not resent[0].startswith("repl.delta")
+
+    def test_put_ok_is_sent_before_the_flush(self):
+        async def main():
+            transport = _WrappingTransport(_WrappedConnection, inbound=True)
+            async with ServiceCluster(2, 2, "opt-track", replication_factor=2,
+                                      transport=transport) as cluster:
+                c0 = cluster.client(home=0)
+                await c0.put("x0", "prime")
+                await cluster.quiesce()
+                del transport.log[:]
+                await c0.put("x0", "v1")
+                await c0.close()
+                return list(transport.log)
+
+        log = run(main())
+        reply = log.index(("send", ["put.ok"]))
+        flush = next(i for i, (op, kinds) in enumerate(log)
+                     if op == "write_many"
+                     and any(k in wire.REPL_FRAME_KINDS for k in kinds))
+        assert reply < flush
+
+
+# ----------------------------------------------------------------------
 # causal safety through the service stack
 # ----------------------------------------------------------------------
 class TestCausalSafety:

@@ -17,9 +17,13 @@ class FakeLink:
         self.updates = []
         self.ctrl = []
 
-    def enqueue_update(self, msg):
+    def enqueue_update(self, msg, flush=True):
+        assert not flush  # a repair burst is flushed once, by its caller
         self.updates.append(msg)
         self._queued_seqs.add(msg.write_id.seq)
+
+    def flush(self):
+        pass
 
     def enqueue_ctrl(self, frame):
         self.ctrl.append(frame)
