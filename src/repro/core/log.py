@@ -41,7 +41,7 @@ Hot-path engineering (profile-driven, see docs/performance.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import bitsets
 
@@ -53,6 +53,15 @@ class LogEntry:
     sender: int
     clock: int
     dests: tuple[int, ...]
+
+
+def _latest_of(entries: Mapping[Tuple[int, int], int]) -> Dict[int, int]:
+    """Per-sender newest clock over ``entries`` (the ``_latest`` cache)."""
+    latest: Dict[int, int] = {}
+    for s, c in entries:
+        if c > latest.get(s, 0):
+            latest[s] = c
+    return latest
 
 
 class DepLog:
@@ -294,7 +303,12 @@ class DepLog:
                 out.append((dest, shared))
         return out
 
-    def diff(self, base: "DepLog") -> Tuple[List[int], List[int], List[int]]:
+    def diff(
+        self,
+        base: "DepLog",
+        base_order: Optional[List[Tuple[int, int]]] = None,
+        order: Optional[List[Tuple[int, int]]] = None,
+    ) -> Tuple[List[int], List[int], List[int]]:
         """Index-coded delta of this log relative to ``base``:
         ``(removed, updated, added)``.
 
@@ -311,12 +325,20 @@ class DepLog:
         exactly; all three lists are canonical, so equal logs always
         produce byte-identical wire encodings.  Read-only on both logs —
         no COW materialization.
+
+        ``base_order`` / ``order`` are the sorted keys of ``base`` and of
+        this log when the caller already holds them (a delta chain hands
+        each log from "current" to "baseline" exactly once, so it sorts
+        each once and passes the result back in); either is computed
+        here when omitted.
         """
         entries = self.entries
         base_entries = base.entries
+        if base_order is None:
+            base_order = sorted(base_entries)
         removed: List[int] = []
         updated: List[int] = []
-        for i, key in enumerate(sorted(base_entries)):
+        for i, key in enumerate(base_order):
             d = entries.get(key)
             if d is None:
                 removed.append(i)
@@ -324,26 +346,31 @@ class DepLog:
                 updated.append(i)
                 updated.append(d)
         added: List[int] = []
-        for (s, c), d in sorted(entries.items()):
-            if (s, c) not in base_entries:
-                added.append(s)
-                added.append(c)
-                added.append(d)
+        if len(entries) + len(removed) != len(base_entries):
+            for key in sorted(entries) if order is None else order:
+                if key not in base_entries:
+                    added.append(key[0])
+                    added.append(key[1])
+                    added.append(entries[key])
         return removed, updated, added
 
     def apply_diff(
-        self, removed: List[int], updated: List[int], added: List[int]
+        self,
+        removed: Sequence[int],
+        updated: Sequence[int],
+        added: Sequence[int],
+        offset: int = 0,
     ) -> "DepLog":
         """Reconstruct the log that produced ``diff(self) == (removed,
         updated, added)``.
 
         Returns a **new** log; ``self`` (the baseline) is untouched, so a
         receiver can keep chaining deltas against the logs it decodes
-        without defensive copies.  The public constructor rebuilds the
-        per-sender latest cache, keeping the ``_latest`` invariant without
-        reasoning about which removal orphaned which sender.  Raises
-        ``IndexError``/``KeyError`` on positions outside the baseline —
-        the wire layer turns that into a :class:`~repro.errors.WireError`.
+        without defensive copies.  ``offset`` is added to the clock of
+        every ``added`` record (the wire ships those relative to the
+        message clock).  Raises ``IndexError``/``KeyError`` on positions
+        outside the baseline — the wire layer turns that into a
+        :class:`~repro.errors.WireError`.
         """
         order = sorted(self.entries)
         entries = dict(self.entries)
@@ -351,9 +378,51 @@ class DepLog:
             del entries[order[i]]
         for i in range(0, len(updated), 2):
             entries[order[updated[i]]] = updated[i + 1]
+        # the per-sender latest cache follows the diff: an addition can
+        # only raise its sender's newest clock, and a removal matters
+        # only when it took a sender's newest record with nothing newer
+        # added — rare (PURGE retains the newest), so that case alone
+        # pays for the full rebuild
+        latest = dict(self._latest)
         for i in range(0, len(added), 3):
-            entries[(added[i], added[i + 1])] = added[i + 2]
-        return DepLog(entries)
+            s = added[i]
+            c = added[i + 1] + offset
+            entries[(s, c)] = added[i + 2]
+            if c > latest.get(s, 0):
+                latest[s] = c
+        for i in removed:
+            key = order[i]
+            if latest.get(key[0]) == key[1] and key not in entries:
+                latest = _latest_of(entries)
+                break
+        return DepLog._from_parts(entries, latest)
+
+    @classmethod
+    def from_flat(
+        cls,
+        triples: Sequence[int],
+        pairs: Sequence[int] = (),
+        offset: int = 0,
+    ) -> "DepLog":
+        """The log a flat wire encoding spells: ``[sender, clock, dests,
+        ...]`` triples plus ``[sender, clock, ...]`` pairs of
+        empty-destination records, every clock shifted by ``offset`` (the
+        lean encodings ship clocks relative to the message clock)."""
+        entries: Dict[Tuple[int, int], int] = {}
+        latest: Dict[int, int] = {}
+        for i in range(0, len(triples), 3):
+            s = triples[i]
+            c = triples[i + 1] + offset
+            entries[(s, c)] = triples[i + 2]
+            if c > latest.get(s, 0):
+                latest[s] = c
+        for i in range(0, len(pairs), 2):
+            s = pairs[i]
+            c = pairs[i + 1] + offset
+            entries[(s, c)] = 0
+            if c > latest.get(s, 0):
+                latest[s] = c
+        return cls._from_parts(entries, latest)
 
     def prune_known(self, known) -> None:
         """Condition 1 against a table of proven applies: ``known[d, z]``

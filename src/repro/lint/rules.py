@@ -910,7 +910,7 @@ _DELTA_STATE_ALLOWED = {
         ("PeerLink", "__init__"),
         ("PeerLink", "_handshake"),
         ("SiteServer", "__init__"),
-        ("SiteServer", "_decode_repl"),
+        ("SiteServer", "_decoder"),
         ("SiteServer", "_handle_hello"),
     },
     "repro.service.client": {

@@ -39,7 +39,12 @@ A codec microbench (encoded frame sizes and per-frame encode/decode
 times for a representative ``repl`` frame and ack, plus the chained
 delta encoding of a representative consecutive-frame pair) rides
 along, tying the end-to-end numbers back to the paper's
-message-overhead argument.
+message-overhead argument.  Its ``one_pass`` block times the two
+heaviest hot frames — a v4 repl chain and a fetch reply — through both
+wire paths (frame dicts walked by the generic codec vs the one-pass
+encoders and decoders of :mod:`repro.service.wire`);
+:func:`write_report` raises when a one-pass row is slower than its
+dict-path row or the two paths' bytes differ, in fast mode too.
 
 The **durability cell** prices the write-ahead log (docs/durability.md):
 the reference loopback/binary config run WAL-off and WAL-on in paired
@@ -65,7 +70,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.core.log import DepLog
-from repro.core.messages import OptTrackMeta, UpdateMessage
+from repro.core.messages import FetchReply, OptTrackMeta, UpdateMessage
 from repro.obs.export import parse_metric_key
 from repro.obs.registry import MetricsRegistry
 from repro.service import wire
@@ -340,6 +345,154 @@ def bench_codecs(iterations: int = 20000) -> Dict[str, Any]:
         "delta_body_bytes": delta_bytes,
         "size_ratio": full_bytes / delta_bytes if delta_bytes else 0.0,
     }
+    out["one_pass"] = bench_one_pass(iterations)
+    return out
+
+
+def _reference_repl_chain(frames: int = 12) -> List[UpdateMessage]:
+    """A longer stream from one sender for the one-pass rows: the
+    dependency log evolves a record or two per write (profitable
+    ``repl.delta`` frames) and turns over wholesale every fifth write
+    (the fall-back-to-full frame), like a live link's."""
+    entries = {(0, 17): 6, (2, 9): 3, (3, 30): 0, (4, 12): 5, (5, 8): 0}
+    msgs = []
+    for step in range(frames):
+        clock = 41 + step
+        entries = dict(entries)
+        if step % 5 == 4:
+            entries = {(s, clock - 3 - s): s % 4 for s in range(6) if s != 1}
+        else:
+            entries.pop(min(entries), None)
+            entries[(step % 6, clock - 1)] = (step * 5) % 8
+        entries[(1, clock)] = 0b101
+        msgs.append(
+            UpdateMessage(
+                var=f"x{step % 3}",
+                value=f"value-{step}",
+                write_id=WriteId(1, clock),
+                sender=1,
+                dest=2,
+                meta=OptTrackMeta(
+                    clock=clock, replicas_mask=0b110, log=DepLog(entries)
+                ),
+            )
+        )
+    return msgs
+
+
+def _best_us(fn: Any, per_call: int, iterations: int) -> float:
+    """Microseconds per item of ``fn`` (which processes ``per_call``
+    items): the fastest of five timed batches, so one scheduler hiccup
+    cannot fail the one-pass rail."""
+    rounds = max(1, iterations // per_call)
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for _ in range(rounds):
+            fn()
+        best = min(best, time.perf_counter() - t0)
+    return best / (rounds * per_call) * 1e6
+
+
+def bench_one_pass(iterations: int = 20000) -> Dict[str, Any]:
+    """The repl chain and the fetch reply through both wire paths on a
+    v4 connection: per-frame encode and decode times, and whether the
+    two paths produced the same bytes (they must)."""
+    codec = wire.BINARY_CODEC_V4
+    itab = wire.InternTable(["x0", "x1", "x2"])
+    chain = _reference_repl_chain()
+    issued = 1234.5
+
+    def encode_dict() -> List[bytes]:
+        enc = wire.DeltaEncoder(itab)
+        return [
+            codec.encode(wire.stamp_issue(enc.encode_update(m, ls), issued))
+            for ls, m in enumerate(chain, 1)
+        ]
+
+    def encode_one_pass() -> List[bytes]:
+        enc = wire.DeltaEncoder(itab)
+        return [
+            enc.pack_update(m, ls, issued, codec) for ls, m in enumerate(chain, 1)
+        ]
+
+    bodies = [frame[4:] for frame in encode_dict()]
+
+    def decode_dict() -> None:
+        dec = wire.DeltaDecoder()
+        for body in bodies:
+            frame = wire.decode_body(body)
+            wire.strip_issue(frame)
+            dec.decode_update(frame, itab)
+
+    def decode_one_pass() -> None:
+        dec = wire.DeltaDecoder()
+        for body in bodies:
+            dec.unpack_update(wire.decode_message(body, itab))
+
+    reply = FetchReply(
+        var="x1",
+        value="value-7",
+        write_id=WriteId(1, 41),
+        server=2,
+        requester=1,
+        fetch_id=7,
+        meta=chain[3].meta.log,
+        applied=(44, 41, 9, 30, 12, 8),
+    )
+    reply_dict = codec.encode(wire.encode_fetch_reply(reply, compact=True, itab=itab))
+    reply_body = reply_dict[4:]
+    out: Dict[str, Any] = {
+        "repl.chain": {
+            "frames": len(chain),
+            "kinds": [wire.encoded_kind(f) for f in encode_one_pass()],
+            "bytes_equal": encode_dict() == encode_one_pass(),
+            "dict": {
+                "encode_us": _best_us(encode_dict, len(chain), iterations),
+                "decode_us": _best_us(decode_dict, len(chain), iterations),
+            },
+            "one_pass": {
+                "encode_us": _best_us(encode_one_pass, len(chain), iterations),
+                "decode_us": _best_us(decode_one_pass, len(chain), iterations),
+            },
+        },
+        "fetch.ok": {
+            "bytes_equal": reply_dict == codec.pack_fetch_ok(reply, True, itab),
+            "dict": {
+                "encode_us": _best_us(
+                    lambda: codec.encode(
+                        wire.encode_fetch_reply(reply, compact=True, itab=itab)
+                    ),
+                    1, iterations,
+                ),
+                "decode_us": _best_us(
+                    lambda: wire.decode_fetch_reply(
+                        wire.decode_body(reply_body), itab
+                    ),
+                    1, iterations,
+                ),
+            },
+            "one_pass": {
+                "encode_us": _best_us(
+                    lambda: codec.pack_fetch_ok(reply, True, itab), 1, iterations
+                ),
+                "decode_us": _best_us(
+                    lambda: wire.decode_message(reply_body, itab), 1, iterations
+                ),
+            },
+        },
+    }
+    problems = []
+    for name, row in out.items():
+        if not row["bytes_equal"]:
+            problems.append(f"{name}: one-pass bytes differ from the dict path's")
+        for side in ("encode_us", "decode_us"):
+            if row["one_pass"][side] > row["dict"][side]:
+                problems.append(
+                    f"{name}: one-pass {side} {row['one_pass'][side]:.2f} is "
+                    f"slower than the dict path's {row['dict'][side]:.2f}"
+                )
+    out["problems"] = problems
     return out
 
 
@@ -542,6 +695,13 @@ def write_report(
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    one_pass = report["codec_micro"]["one_pass"]["problems"]
+    if one_pass:
+        # enforced in fast mode too: byte identity is exact, and the
+        # timings are best-of-five of a 1.5x gap
+        raise RuntimeError(
+            "service bench guardrail failed: " + "; ".join(one_pass)
+        )
     rail = report["guardrail"]
     if not rail["ok"]:
         problems = []
@@ -578,6 +738,7 @@ __all__ = [
     "METADATA_BOUND",
     "bench_cell",
     "bench_codecs",
+    "bench_one_pass",
     "bench_recovery",
     "bench_service",
     "write_report",

@@ -85,6 +85,8 @@ class KVClient:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.metrics = metrics
+        #: counters :meth:`_metric` already resolved, by name and labels
+        self._counters: Dict[Any, Any] = {}
         self._rng = np.random.default_rng(seed)
         self._conns: Dict[SiteId, Connection] = {}
         #: sites that served a request / failed one, for tests & CLI
@@ -96,19 +98,24 @@ class KVClient:
     # ------------------------------------------------------------------
     async def put(self, var: VarId, value: Any) -> WriteId:
         """Write ``var``; returns the id of the write."""
-        frame = await self._request(
+        reply = await self._request(
             wire.make_frame("put", var=var, value=value), self._candidates(var)
         )
-        wid = wire.decode_write_id(frame["w"])
+        if type(reply) is wire.PutOk:
+            wid = reply.write_id
+        else:
+            wid = wire.decode_write_id(reply["w"])
         assert wid is not None
         return wid
 
     async def get(self, var: VarId) -> Tuple[Any, Optional[WriteId], SiteId]:
         """Read ``var``; returns ``(value, write_id, served_by_site)``."""
-        frame = await self._request(
+        reply = await self._request(
             wire.make_frame("get", var=var), self._candidates(var)
         )
-        return frame["value"], wire.decode_write_id(frame["w"]), int(frame["by"])
+        if type(reply) is wire.GetOk:
+            return reply
+        return reply["value"], wire.decode_write_id(reply["w"]), int(reply["by"])
 
     async def ping(self, site: SiteId) -> bool:
         try:
@@ -165,12 +172,17 @@ class KVClient:
         return order
 
     def _metric(self, name: str, **labels: Any) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, **labels).inc()
+        """Count on ``name{**labels}``, resolving the series in the
+        registry the first time only (see ``SiteServer.metric``)."""
+        if self.metrics is None:
+            return
+        key = (name, *labels.items()) if labels else name
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = self.metrics.counter(name, **labels)
+        counter.inc()
 
-    async def _request(
-        self, frame: Dict[str, Any], candidates: List[SiteId]
-    ) -> Dict[str, Any]:
+    async def _request(self, frame: Dict[str, Any], candidates: List[SiteId]) -> Any:
         """Send ``frame`` to the first candidate that answers non-retriably.
 
         Walks the candidate list ``max_rounds`` times with exponential
@@ -193,7 +205,7 @@ class KVClient:
                         self.failovers += 1
                         self._metric("client_failovers_total", op=op)
                     continue
-                if reply["t"] == "err":
+                if type(reply) is dict and reply["t"] == "err":
                     last_error = f"site {site}: {reply.get('code')}: {reply.get('msg')}"
                     self._metric(
                         "client_request_errors_total", op=op, code=reply.get("code")
@@ -213,11 +225,22 @@ class KVClient:
         base = min(self.backoff_base * (2.0 ** (attempt - 1)), self.backoff_cap)
         return base * (0.5 + self._rng.uniform(0.0, 0.5))
 
-    def _intern(self, site: SiteId, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Substitute the interned id for a ``var`` name when this
-        site's connection negotiated a table (shallow copy — the caller
-        reuses the original frame across failover candidates)."""
-        itab = self._itabs.get(site)
+    def _outbound(
+        self, frame: Dict[str, Any], conn: Connection, itab: Optional[wire.InternTable]
+    ) -> Any:
+        """What ``frame`` travels as on ``conn``: a put or get goes
+        straight to its wire bytes when the connection takes them,
+        anything else stays a frame dict — with the interned id
+        substituted for a ``var`` name when this site's connection
+        negotiated a table (shallow copy — the caller reuses the
+        original frame across failover candidates)."""
+        codec = conn.one_pass
+        if codec is not None:
+            kind = frame["t"]
+            if kind == "put":
+                return codec.pack_put(frame["var"], frame["value"], itab)
+            if kind == "get":
+                return codec.pack_get(frame["var"], itab)
         if itab is None:
             return frame
         var = frame.get("var")
@@ -230,13 +253,17 @@ class KVClient:
         out["var"] = interned
         return out
 
-    async def _roundtrip(self, site: SiteId, frame: Dict[str, Any]) -> Dict[str, Any]:
+    async def _roundtrip(self, site: SiteId, frame: Dict[str, Any]) -> Any:
+        """One request, one reply.  The reply comes back as the message
+        it carries (``wire.PutOk`` / ``wire.GetOk``) when the connection
+        decodes in one pass, as its frame dict otherwise."""
         conn = await self._conn(site)
+        itab = self._itabs.get(site)
         try:
-            await conn.send(self._intern(site, frame))
+            await conn.send(self._outbound(frame, conn, itab))
             # asyncio.timeout, not wait_for: no extra Task per request
             async with asyncio.timeout(self.timeout):
-                reply = await conn.recv()
+                reply = await conn.recv_message(itab)
         except (ConnectionError, OSError, asyncio.TimeoutError, WireError):
             await self._drop_conn(site)
             raise

@@ -88,10 +88,14 @@ class WalCorruptionError(ServiceError):
     """
 
 
+def _guard(payload: bytes) -> bytes:
+    """A length-prefixed frame as a CRC-guarded WAL record."""
+    return zlib.crc32(payload).to_bytes(_CRC_BYTES, "big") + payload
+
+
 def encode_record(frame: Dict[str, Any]) -> bytes:
     """Encode one frame as a CRC-guarded WAL record."""
-    payload = wire.BINARY_CODEC.encode(frame)
-    return zlib.crc32(payload).to_bytes(_CRC_BYTES, "big") + payload
+    return _guard(wire.BINARY_CODEC.encode(frame))
 
 
 def encode_raw_record(body: bytes) -> bytes:
@@ -100,8 +104,7 @@ def encode_raw_record(body: bytes) -> bytes:
     WAL record.  :func:`decode_records` sniffs the codec per record, so
     raw bodies of either codec interleave freely with
     :func:`encode_record` output in one segment."""
-    payload = len(body).to_bytes(4, "big") + body
-    return zlib.crc32(payload).to_bytes(_CRC_BYTES, "big") + payload
+    return _guard(len(body).to_bytes(4, "big") + body)
 
 
 def decode_records(
@@ -306,8 +309,12 @@ class SiteWal:
 
     # -- appends --------------------------------------------------------
 
-    def append(self, frame: Dict[str, Any]) -> None:
+    def append(self, frame: Any) -> None:
         """Append one frame record (write + flush; fsync is batched).
+
+        ``frame`` is a frame dict, or the frame already encoded by one
+        of :data:`wire.BINARY_CODEC`'s ``pack_wal_*`` encoders (length
+        prefix included) — the same record bytes either way.
 
         Synchronous by design: called between awaits on the single-writer
         loop, so the record hits the OS page cache before the protocol
@@ -315,7 +322,9 @@ class SiteWal:
         """
         if self._closed:
             return
-        self._write_record(encode_record(frame))
+        self._write_record(
+            _guard(frame) if type(frame) is bytes else encode_record(frame)
+        )
 
     def append_raw(self, body: bytes) -> None:
         """Append one record from already-encoded wire bytes.

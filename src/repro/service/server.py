@@ -216,8 +216,9 @@ class PeerLink:
         #: encoding happens at send time so the delta chain can restart
         #: per connection while the queue survives reconnects
         self._repl: Deque[Tuple[int, UpdateMessage]] = deque()
-        #: pending fetch requests (retired on send; no ack bookkeeping)
-        self._fetch: Deque[Dict[str, Any]] = deque()
+        #: pending fetch requests (retired on send; no ack bookkeeping),
+        #: encoded at send time like the updates
+        self._fetch: Deque[FetchRequest] = deque()
         #: pending gossip control frames (``sys.digest`` / ``sys.range``).
         #: Retired on send but counted in :attr:`backlog` until the peer
         #: acks them with ``sys.ctrl.ok`` — control frames trigger repair
@@ -297,7 +298,7 @@ class PeerLink:
             self.flush()
 
     def enqueue_fetch(self, req: FetchRequest) -> None:
-        self._fetch.append(wire.encode_fetch_request(req))
+        self._fetch.append(req)
         self.flush()
 
     def flush(self) -> None:
@@ -554,7 +555,7 @@ class PeerLink:
                 await conn.send(frame)
                 if frame["t"] in _REPL_KINDS:
                     sent = int(frame["ls"])
-                elif self._fetch and self._fetch[0] is frame:
+                elif frame["t"] == "fetch":
                     self._fetch.popleft()
                 elif self._ctrl and self._ctrl[0] is frame:
                     self._ctrl.popleft()
@@ -565,7 +566,7 @@ class PeerLink:
                 return
             await self._wakeup.wait()
 
-    def _collect(self) -> Tuple[List[Dict[str, Any]], int, int, int]:
+    def _collect(self) -> Tuple[List[Any], int, int, int]:
         """Encode everything not yet handed to the current connection:
         the unsent repl suffix, then the pending fetches and control
         frames.  Returns ``(batch, last_ls, n_fetch, n_ctrl)``; the
@@ -574,33 +575,43 @@ class PeerLink:
         leave ``_repl`` only via receiver acks.  Frames are encoded
         here, in ``ls`` order, exactly once per connection: that
         single-pass discipline is what lets the v4 delta encoder chain
-        each frame against the previous one."""
+        each frame against the previous one.  Updates and fetches go
+        straight to their wire bytes when the connection takes them
+        (``one_pass``), through frame dicts when it does not."""
         sent = self._sent
+        codec = self._conn.one_pass if self._conn is not None else None
         # ``ls`` values are consecutive (assigned at enqueue) and
         # retired from the left only, so the unsent entries are exactly
         # the last ``_link_seq - sent`` entries — no scan
         n_unsent = min(len(self._repl), self._link_seq - sent)
-        batch: List[Dict[str, Any]] = []
+        batch: List[Any] = []
         last_ls = sent
         if n_unsent > 0:
             enc = self._delta_out
-            stamp = self._peer_stats
+            issued_at = self._issued_at if self._peer_stats else {}
             for ls, msg in itertools.islice(
                 self._repl, len(self._repl) - n_unsent, None
             ):
-                frame = (
-                    enc.encode_update(msg, ls)
-                    if enc is not None
-                    else wire.encode_update(msg, ls)
-                )
-                if stamp:
-                    issued = self._issued_at.get(ls)
+                issued = issued_at.get(ls)
+                if codec is None:
+                    frame: Any = (
+                        enc.encode_update(msg, ls)
+                        if enc is not None
+                        else wire.encode_update(msg, ls)
+                    )
                     if issued is not None:
                         wire.stamp_issue(frame, issued)
+                elif enc is not None:
+                    frame = enc.pack_update(msg, ls, issued, codec)
+                else:
+                    frame = codec.pack_update(msg, ls, issued)
                 batch.append(frame)
                 last_ls = ls
         n_fetch = len(self._fetch)
-        batch.extend(self._fetch)
+        if codec is None:
+            batch.extend(map(wire.encode_fetch_request, self._fetch))
+        else:
+            batch.extend(map(codec.pack_fetch, self._fetch))
         n_ctrl = 0
         if self._ctrl:
             if self._peer_gossip:
@@ -663,7 +674,7 @@ class PeerLink:
                         wire.stamp_issue(frame, issued)
                 return frame
         if self._fetch:
-            return self._fetch[0]
+            return wire.encode_fetch_request(self._fetch[0])
         if self._ctrl:
             if self._peer_gossip:
                 return self._ctrl[0]
@@ -672,10 +683,27 @@ class PeerLink:
         return None
 
     async def _read_replies(self, conn: Connection) -> None:
+        # an interned var id in a fetch reply resolves against the table
+        # the serving site advertised at this connection's handshake;
+        # every site derives the same table from the shared placement
+        # map, so our own copy is the fallback
+        enc = self._delta_out
+        itab = enc.itab if enc is not None else self.owner._itab
         while True:
-            frame = await conn.recv()
+            frame = await conn.recv_message(itab)
             if frame is None:
                 return
+            if type(frame) is wire.Ack:
+                if frame.applied_gap is not None:
+                    # v4 ack: the gap to the applied watermark rides along
+                    self._note_applied(frame.ack - frame.applied_gap)
+                self._retire(frame.ack)
+                continue
+            if type(frame) is FetchReply:
+                self.owner._resolve_fetch(frame.fetch_id, frame)
+                continue
+            if type(frame) is not dict:
+                continue  # no other message kind belongs on a link's reply side
             kind = frame.get("t")
             if kind == "repl.ackp":
                 # v4 ack: ``ap`` is the gap to the applied watermark
@@ -692,7 +720,7 @@ class PeerLink:
                     0, self._ctrl_unacked - int(frame.get("n", 1))
                 )
             elif kind in ("fetch.ok", "fetch.err"):
-                self.owner._resolve_fetch(frame)
+                self.owner._resolve_fetch(int(frame["fid"]), frame)
 
 
 class SiteServer:
@@ -753,6 +781,8 @@ class SiteServer:
         # fan-out; the server owns its protocol instance exclusively
         protocol.obs = self.recorder
         self.metrics = metrics
+        #: counters :meth:`metric` already resolved, by name and labels
+        self._counters: Dict[Any, Any] = {}
         self.read_timeout = read_timeout
         self.fetch_timeout = fetch_timeout
         self.seed = seed
@@ -801,10 +831,10 @@ class SiteServer:
         self._waiting = 0
         self._links: Dict[SiteId, PeerLink] = {}
         self._fetch_waiters: Dict[int, asyncio.Future] = {}
-        #: origin issue time (ms) per in-flight write, stripped from
-        #: ``repl.t`` frames; consumed at apply into the per-origin
+        #: origin issue stamp (whole ms) per in-flight write, stripped
+        #: from ``repl.t`` frames; consumed at apply into the per-origin
         #: visibility histogram
-        self._issue_ms: Dict[WriteId, float] = {}
+        self._issue_ms: Dict[WriteId, int] = {}
         #: cached per-origin ``visibility_latency_ms`` histogram handles
         #: (skips the label-formatting lookup on the apply hot path)
         self._vis_hist: Dict[SiteId, Any] = {}
@@ -926,8 +956,18 @@ class SiteServer:
         return self._stopped.is_set()
 
     def metric(self, name: str, amount: int = 1, **labels: Any) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, site=self.site, **labels).inc(amount)
+        """Count on ``name{site=..., **labels}``.  The series is looked
+        up in the registry (which formats its sorted-label key string)
+        the first time only; afterwards the bound counter is a dict hit."""
+        if self.metrics is None:
+            return
+        key = (name, *labels.items()) if labels else name
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = self.metrics.counter(
+                name, site=self.site, **labels
+            )
+        counter.inc(amount)
 
     # ------------------------------------------------------------------
     # connection handling
@@ -943,7 +983,7 @@ class SiteServer:
                 # waiting and applies the batch before acking once; a
                 # v2 peer keeps PR 5's frame-at-a-time loop
                 if conn.agreed_version >= wire.BATCH_WIRE_VERSION:
-                    frames = await conn.recv_many()
+                    frames = await conn.recv_messages(self._itab)
                     if frames is None:
                         return
                     if self.stopped:
@@ -1000,12 +1040,38 @@ class SiteServer:
             self._server_conns.discard(conn)
             await conn.close()
 
-    async def _dispatch(self, conn: Connection, frame: Dict[str, Any]) -> None:
+    async def _dispatch(self, conn: Connection, frame: Any) -> None:
+        """Route one inbound frame.  The request kinds arrive either as
+        the message :func:`wire.decode_message` built in one pass or as
+        a frame dict (JSON peers, connections that only speak dicts);
+        both reach the same handler with the same arguments."""
+        cls = type(frame)
+        if cls is wire.Put:
+            await self._handle_put(conn, frame.var, frame.value)
+            return
+        if cls is wire.Get:
+            await self._handle_get(conn, frame.var)
+            return
+        if cls is FetchRequest:
+            # served in its own task: a strict-mode fetch can block on
+            # this site's apply progress, and the repl frames that unblock
+            # it arrive on this very connection — inline serving would
+            # deadlock the link (head-of-line blocking)
+            asyncio.ensure_future(self._handle_fetch(conn, frame))
+            return
+        if cls is not dict:
+            # a reply kind (an ack, a put.ok, ...) sent *to* a server
+            await conn.send(
+                wire.err_frame("bad-frame", f"unexpected {cls.__name__} frame")
+            )
+            return
         kind = frame["t"]
         if kind == "put":
-            await self._handle_put(conn, frame)
+            await self._handle_put(
+                conn, wire.resolve_var(frame["var"], self._itab), frame["value"]
+            )
         elif kind == "get":
-            await self._handle_get(conn, frame)
+            await self._handle_get(conn, wire.resolve_var(frame["var"], self._itab))
         elif kind in _REPL_KINDS:
             await self._handle_repl(conn, frame)
         elif kind == "link.hello":
@@ -1013,11 +1079,9 @@ class SiteServer:
         elif kind == "hello":
             await self._handle_client_hello(conn, frame)
         elif kind == "fetch":
-            # served in its own task: a strict-mode fetch can block on
-            # this site's apply progress, and the repl frames that unblock
-            # it arrive on this very connection — inline serving would
-            # deadlock the link (head-of-line blocking)
-            asyncio.ensure_future(self._handle_fetch(conn, frame))
+            asyncio.ensure_future(
+                self._handle_fetch(conn, wire.decode_fetch_request(frame))
+            )
         elif kind == "sys.stats":
             await self._handle_stats(conn)
         elif kind == "sys.digest":
@@ -1036,9 +1100,7 @@ class SiteServer:
         else:
             await conn.send(wire.err_frame("bad-frame", f"unknown type {kind!r}"))
 
-    async def _dispatch_batch(
-        self, conn: Connection, frames: List[Dict[str, Any]]
-    ) -> None:
+    async def _dispatch_batch(self, conn: Connection, frames: List[Any]) -> None:
         """The v3 inbound profile: process a whole batch of frames, then
         signal progress once and ack cumulatively.
 
@@ -1063,18 +1125,26 @@ class SiteServer:
                     )
                 )
                 return
-            if frame["t"] in _REPL_KINDS:
+            if type(frame) is wire.ReplFrame or (
+                type(frame) is dict and frame["t"] in _REPL_KINDS
+            ):
                 applied += self._ingest_repl(frame, acks)
             else:
                 applied = await self._flush_repl(conn, acks, applied)
                 await self._dispatch(conn, frame)
         await self._flush_repl(conn, acks, applied)
 
-    def _ingest_repl(self, frame: Dict[str, Any], acks: Dict[SiteId, int]) -> int:
-        """Process one repl frame without acking or draining; returns
-        the number of updates applied (0 = dup/gap/parked)."""
-        src = int(frame["src"])
-        link_seq = int(frame["ls"])
+    def _ingest_repl(self, frame: Any, acks: Dict[SiteId, int]) -> int:
+        """Process one repl frame — parsed in one pass
+        (:class:`wire.ReplFrame`) or a frame dict — without acking or
+        draining; returns the number of updates applied (0 =
+        dup/gap/parked)."""
+        parsed = type(frame) is wire.ReplFrame
+        if parsed:
+            src, link_seq = frame.src, frame.ls
+        else:
+            src = int(frame["src"])
+            link_seq = int(frame["ls"])
         seen = self._seen_ls.get(src, 0)
         if link_seq <= seen:
             # resend of a frame processed earlier; fold the cumulative
@@ -1087,13 +1157,17 @@ class SiteServer:
             # for the contiguous prefix, if any, still goes out
             self.metric("service_repl_gaps_total")
             return 0
-        # strip the issue-time stamp BEFORE the chained-delta decode —
-        # the decoder dispatches on the restored base frame type
-        it = wire.strip_issue(frame)
-        raw = frame.pop("_raw", None)
-        if raw is not None and not isinstance(frame.get("var"), str):
-            raw = None  # interned var id: the body needs the link's table
-        msg = self._decode_repl(src, frame)
+        if parsed:
+            it, raw = frame.it, frame.raw
+            msg = self._decoder(src).unpack_update(frame)
+        else:
+            # strip the issue-time stamp BEFORE the chained-delta decode —
+            # the decoder dispatches on the restored base frame type
+            it = wire.strip_issue(frame)
+            raw = frame.pop("_raw", None)
+            if raw is not None and not isinstance(frame.get("var"), str):
+                raw = None  # interned var id: the body needs the link's table
+            msg = self._decoder(src).decode_update(frame, self._itab)
         if self.wal is not None:
             # logged before the apply/park decision (and before the
             # origin-dup guard — the guard still ACKS, and an acked
@@ -1114,7 +1188,7 @@ class SiteServer:
             acks[src] = max(acks.get(src, 0), link_seq)
             return 0
         if it is not None:
-            self._issue_ms[msg.write_id] = float(it)
+            self._issue_ms[msg.write_id] = it
         now = self.now_ms()
         self._recv_at[msg.write_id] = now
         rec = self.recorder
@@ -1148,13 +1222,11 @@ class SiteServer:
         )
 
     @staticmethod
-    def _wal_repl(msg: UpdateMessage, link_seq: int) -> Dict[str, Any]:
+    def _wal_repl(msg: UpdateMessage, link_seq: int) -> bytes:
         """The durable twin of a repl frame: same fields, ``wal.repl``
         type (never interned, never lean — a WAL record must decode with
-        no connection state)."""
-        frame = wire.encode_update(msg, link_seq)
-        frame["t"] = "wal.repl"
-        return frame
+        no connection state), encoded for :meth:`SiteWal.append`."""
+        return wire.BINARY_CODEC.pack_update(msg, link_seq, wal=True)
 
     def _own_retired(self, msg: UpdateMessage) -> None:
         """A destination acked ``msg`` (it is durable there): release
@@ -1168,15 +1240,15 @@ class SiteServer:
         if not entry:
             del self._own_log[msg.write_id.seq]
 
-    def _decode_repl(self, src: SiteId, frame: Dict[str, Any]) -> UpdateMessage:
-        """Decode the contiguous next frame from ``src`` through its
-        chained-delta decoder (plain frames pass through, rebaselining).
-        Only ``ls == seen + 1`` frames may reach this — duplicates and
-        gaps must never touch the chain state."""
+    def _decoder(self, src: SiteId) -> wire.DeltaDecoder:
+        """The chained-delta decoder of ``src``'s link (plain frames
+        pass through it too, rebaselining).  Only the contiguous next
+        frame (``ls == seen + 1``) may be decoded through it —
+        duplicates and gaps must never touch the chain state."""
         dec = self._delta_in.get(src)
         if dec is None:
             dec = self._delta_in[src] = wire.DeltaDecoder()
-        return dec.decode_update(frame, self._itab)
+        return dec
 
     def _park(self, src: SiteId, link_seq: int, msg: UpdateMessage) -> None:
         """Buffer an update whose activation predicate is false, and
@@ -1221,20 +1293,13 @@ class SiteServer:
     # ------------------------------------------------------------------
     # put
     # ------------------------------------------------------------------
-    async def _handle_put(self, conn: Connection, frame: Dict[str, Any]) -> None:
-        var = wire.resolve_var(frame["var"], self._itab)
-        value = frame["value"]
+    async def _handle_put(self, conn: Connection, var: VarId, value: Any) -> None:
         now = self.now_ms()
         proto = self.protocol
         result: WriteResult = proto.write(var, value)
         if self.wal is not None:
             self.wal.append(
-                wire.make_frame(
-                    "wal.put",
-                    var=var,
-                    value=value,
-                    w=wire.encode_write_id(result.write_id),
-                )
+                wire.BINARY_CODEC.pack_wal_put(var, value, result.write_id)
             )
         if result.write_id.seq > self._origin_applied.get(self.site, 0):
             self._origin_applied[self.site] = result.write_id.seq
@@ -1271,8 +1336,11 @@ class SiteServer:
             # reply first, flush second, same loop step: the flush makes
             # the destinations' handler tasks runnable, and a reply
             # queued behind them would hand the client their ingest time
+            codec = conn.one_pass
             await conn.send(
                 wire.make_frame("put.ok", w=wire.encode_write_id(result.write_id))
+                if codec is None
+                else codec.pack_put_ok(result.write_id)
             )
         finally:
             # also when the client is gone: the write is in this site's
@@ -1283,8 +1351,7 @@ class SiteServer:
     # ------------------------------------------------------------------
     # get
     # ------------------------------------------------------------------
-    async def _handle_get(self, conn: Connection, frame: Dict[str, Any]) -> None:
-        var = wire.resolve_var(frame["var"], self._itab)
+    async def _handle_get(self, conn: Connection, var: VarId) -> None:
         proto = self.protocol
         self.metric("service_requests_total", op="get")
         if proto.locally_replicates(var):
@@ -1304,7 +1371,7 @@ class SiteServer:
                 # of LastWriteOn metadata), so they are logged: losing a
                 # read-merge across a crash would let post-recovery
                 # writes under-state their causal past
-                self.wal.append(wire.make_frame("wal.read", var=var))
+                self.wal.append(wire.BINARY_CODEC.pack_wal_read(var))
             served_by = self.site
         else:
             try:
@@ -1320,10 +1387,13 @@ class SiteServer:
         rec = self.recorder
         if rec is not None and rec.enabled:
             rec.on_read(now, self.site, var, wid)
+        codec = conn.one_pass
         await conn.send(
             wire.make_frame(
                 "get.ok", value=value, w=wire.encode_write_id(wid), by=served_by
             )
+            if codec is None
+            else codec.pack_get_ok(value, wid, served_by)
         )
 
     async def _remote_get(self, var: VarId) -> Tuple[Any, Optional[WriteId]]:
@@ -1352,34 +1422,27 @@ class SiteServer:
                 ) from None
             finally:
                 self._fetch_waiters.pop(req.fetch_id, None)
-            if frame["t"] == "fetch.err":
+            if type(frame) is FetchReply:
+                reply = frame  # the link's reader decoded it in one pass
+            elif frame["t"] == "fetch.err":
                 raise ServiceUnavailableError(
                     f"site {server} could not serve {var!r}: "
                     f"{frame.get('code')} ({frame.get('msg')})"
                 )
-            # an interned var id resolves against the table the serving
-            # site advertised at its handshake (held by our peer link);
-            # every site derives the same table from the shared
-            # placement map, so our own copy is the fallback
-            enc = link._delta_out
-            reply = wire.decode_fetch_reply(
-                frame, enc.itab if enc is not None else self._itab
-            )
+            else:
+                # an interned var id resolves against the table the
+                # serving site advertised at its handshake (held by our
+                # peer link); every site derives the same table from the
+                # shared placement map, so our own copy is the fallback
+                enc = link._delta_out
+                reply = wire.decode_fetch_reply(
+                    frame, enc.itab if enc is not None else self._itab
+                )
             if proto.reply_is_fresh(reply):
                 if self.wal is not None:
                     # same reasoning as wal.read: completing a remote
                     # read merges the reply's metadata into local state
-                    self.wal.append(
-                        wire.make_frame(
-                            "wal.rfetch",
-                            var=reply.var,
-                            value=reply.value,
-                            w=wire.encode_write_id(reply.write_id),
-                            sv=reply.server,
-                            meta=wire.encode_meta(reply.meta),
-                            applied=wire.encode_meta(reply.applied),
-                        )
-                    )
+                    self.wal.append(wire.BINARY_CODEC.pack_wal_rfetch(reply))
                 return proto.complete_remote_read(reply)
             # lenient-mode stale reply: discard without merging its
             # metadata and re-issue naming exactly the records the
@@ -1398,10 +1461,12 @@ class SiteServer:
                 var, self.site, server, proto.next_fetch_id(), proto.stale_deps(reply)
             )
 
-    def _resolve_fetch(self, frame: Dict[str, Any]) -> None:
-        fut = self._fetch_waiters.pop(int(frame["fid"]), None)
+    def _resolve_fetch(self, fetch_id: int, reply: Any) -> None:
+        """Hand a fetch's answer — a decoded :class:`FetchReply`, or a
+        ``fetch.ok`` / ``fetch.err`` frame dict — to its waiter."""
+        fut = self._fetch_waiters.pop(fetch_id, None)
         if fut is not None and not fut.done():
-            fut.set_result(frame)
+            fut.set_result(reply)
 
     # ------------------------------------------------------------------
     # peer traffic
@@ -1518,7 +1583,7 @@ class SiteServer:
         raw = frame.pop("_raw", None)
         if raw is not None and not isinstance(frame.get("var"), str):
             raw = None  # interned var id: the body needs the link's table
-        msg = self._decode_repl(src, frame)
+        msg = self._decoder(src).decode_update(frame, self._itab)
         if self.wal is not None:
             # see _ingest_repl: before the dup guard, because the guard
             # acks, and an acked advance must survive a restart
@@ -1532,7 +1597,7 @@ class SiteServer:
             await self._send_ack(conn, link_seq, src)
             return
         if it is not None:
-            self._issue_ms[msg.write_id] = float(it)
+            self._issue_ms[msg.write_id] = it
         now = self.now_ms()
         self._recv_at[msg.write_id] = now
         rec = self.recorder
@@ -1553,24 +1618,28 @@ class SiteServer:
         await self._send_ack(conn, link_seq, src)
 
     async def _send_ack(self, conn: Connection, ack: int, src: SiteId) -> None:
+        # the applied watermark rides every ack on a v4 link as the gap
+        # ``ack - applied`` (usually 0 — one byte); a pre-v4 sender gets
+        # the bare v2/v3 ack shape unchanged
+        gap = (
+            ack - self._applied_ls(src)
+            if conn.agreed_version >= wire.DELTA_WIRE_VERSION
+            else None
+        )
+        codec = conn.one_pass
+        if codec is not None:
+            frame: Any = codec.pack_ack(ack, gap)
+        elif gap is not None:
+            frame = wire.make_frame("repl.ackp", a=ack, ap=gap)
+        else:
+            frame = wire.make_frame("repl.ack", a=ack)
         try:
-            if conn.agreed_version >= wire.DELTA_WIRE_VERSION:
-                # the applied watermark rides every ack on a v4 link as
-                # the gap ``ack - applied`` (usually 0 — one byte); a
-                # pre-v4 sender gets the bare v2/v3 ack shape unchanged
-                await conn.send(
-                    wire.make_frame(
-                        "repl.ackp", a=ack, ap=ack - self._applied_ls(src)
-                    )
-                )
-            else:
-                await conn.send(wire.make_frame("repl.ack", a=ack))
+            await conn.send(frame)
         except (ConnectionError, OSError):
             # sender is gone; it relearns the ack at its next handshake
             pass
 
-    async def _handle_fetch(self, conn: Connection, frame: Dict[str, Any]) -> None:
-        req = wire.decode_fetch_request(frame)
+    async def _handle_fetch(self, conn: Connection, req: FetchRequest) -> None:
         proto = self.protocol
         if not await self._wait_for(lambda: proto.can_serve_fetch(req)):
             self.metric("service_fetch_defer_timeouts_total")
@@ -1590,14 +1659,14 @@ class SiteServer:
         reply = proto.serve_fetch(req)
         try:
             v4 = conn.agreed_version >= wire.DELTA_WIRE_VERSION
+            # our own advertised table — the requester holds a copy
+            # from this link's handshake
+            itab = self._itab if v4 else None
+            codec = conn.one_pass
             await conn.send(
-                wire.encode_fetch_reply(
-                    reply,
-                    compact=v4,
-                    # our own advertised table — the requester holds a
-                    # copy from this link's handshake
-                    itab=self._itab if v4 else None,
-                )
+                wire.encode_fetch_reply(reply, compact=v4, itab=itab)
+                if codec is None
+                else codec.pack_fetch_ok(reply, v4, itab)
             )
         except (ConnectionError, OSError):
             # requester is gone; its timeout/failover handles the loss
@@ -2042,10 +2111,12 @@ class SiteServer:
             )
         issued = self._issue_ms.pop(msg.write_id, None)
         if issued is not None and self.metrics is not None:
-            # issue→local-apply, as stamped by the origin (clamped: the
-            # two clocks share an origin on co-hosted clusters but may
-            # skew across hosts)
-            self._visibility(msg.write_id.site).observe(max(0.0, now - issued))
+            # issue→local-apply, as stamped by the origin and read at the
+            # stamp's own resolution (clamped: the two clocks share an
+            # origin on co-hosted clusters but may skew across hosts)
+            self._visibility(msg.write_id.site).observe(
+                max(0.0, wire.issue_age_ms(issued, now))
+            )
         self.metric("service_applies_total")
 
     def _drain(self, replay: bool = False) -> None:

@@ -8,12 +8,23 @@ test can run the full service stack over :class:`LoopbackTransport` with no
 sockets, deterministically, and with the causal sanitizer shadow-checking
 the very same code paths that run over TCP in production.
 
-The loopback is not a shortcut past the wire format: every frame crosses a
-full :func:`repro.service.wire.encode_frame` → decode round trip, so codec
-bugs (unserializable metadata, field drift) fail loopback tests too.  It
+The loopback is not a shortcut past the wire format: every frame crosses
+as its encoded bytes and is decoded on the receiving side, so codec bugs
+(unserializable metadata, field drift) fail loopback tests too.  It
 also implements :meth:`LoopbackTransport.kill` — an abrupt site failure
 that drops the listener and severs every established connection — which is
 what the chaos tests and ``repro-kv smoke`` use to exercise failover.
+
+Both transports' own connections carry a frame as bytes end to end:
+``send`` / ``send_many`` / ``write_many`` take a frame dict (encoded under
+the connection's codec) or, once the binary codec is negotiated, a frame
+one of :class:`repro.service.wire.BinaryCodec`'s one-pass encoders already
+encoded; a received body is decoded only when it is handed out, by the
+decoder the receiving call names — frame dicts from ``recv`` /
+``recv_many``, messages built in one pass from ``recv_message`` /
+``recv_messages``.  A :class:`Connection` subclass that implements only
+the dict-speaking methods (a wrapper that times, delays or drops frames)
+keeps exchanging frame dicts; the bytes on the wire are the same.
 """
 
 from __future__ import annotations
@@ -80,23 +91,9 @@ class WireMeter:
         return counter
 
 
-def _decode_annotated(body: bytes) -> Dict[str, Any]:
-    """Decode one frame body, annotating self-contained repl frames
-    with their raw wire bytes under the local ``_raw`` key.
-
-    A durable receiver logs those bytes to its WAL verbatim
-    (:meth:`SiteWal.append_raw`) instead of re-encoding the decoded
-    update — the re-encode is most of a WAL append's CPU cost.  Only
-    the plain repl kinds qualify: a ``repl.delta`` body diffs against
-    per-connection chain state and cannot decode standalone, so it is
-    never annotated.  ``_raw`` is a receive-side annotation, not a wire
-    field — the ingest path pops it before the frame goes anywhere.
-    """
-    frame = wire.decode_body(body)
-    t = frame.get("t")
-    if t == "repl" or t == "repl.t":
-        frame["_raw"] = body
-    return frame
+#: the dict decode of one received body (self-contained repl frames
+#: annotated with their wire bytes, see :func:`wire.decode_annotated`)
+_decode_annotated = wire.decode_annotated
 
 
 class Connection(ABC):
@@ -113,6 +110,14 @@ class Connection(ABC):
     levels.
     """
 
+    #: the binary codec whose one-pass encoders this connection takes
+    #: pre-encoded frames from (``bytes``, see ``BinaryCodec.pack_*``) on
+    #: ``send`` / ``send_many`` / ``write_many`` — or ``None`` when every
+    #: frame must travel as a frame dict: before the binary codec is
+    #: negotiated, and for the whole life of a connection class that
+    #: does not override this default (wrappers that time, delay, drop
+    #: or log frame dicts keep seeing frame dicts)
+    one_pass: Optional[wire.BinaryCodec] = None
     #: active send codec; class-level default, shadowed by negotiate()
     _codec: Any = wire.JSON_CODEC
     #: negotiated connection capability (min of both sides' ``cv``);
@@ -186,6 +191,22 @@ class Connection(ABC):
         frame = await self.recv()
         return None if frame is None else [frame]
 
+    async def recv_message(self, itab: Optional[wire.InternTable] = None) -> Any:
+        """:meth:`recv`, decoding in one pass where the frame allows: a
+        hot kind on the binary codec arrives as the message it carries
+        (:func:`wire.decode_message`; ``itab`` resolves interned
+        variable ids), anything else as its frame dict.  The default is
+        the frame dict for everything — callers dispatch on the type of
+        what they get, so a connection that only implements ``recv``
+        interoperates unchanged."""
+        return await self.recv()
+
+    async def recv_messages(
+        self, itab: Optional[wire.InternTable] = None
+    ) -> Optional[List[Any]]:
+        """:meth:`recv_many` with :meth:`recv_message`'s decoding."""
+        return await self.recv_many()
+
     @abstractmethod
     async def close(self) -> None:
         """Close this side; the peer's ``recv`` returns ``None``."""
@@ -194,6 +215,63 @@ class Connection(ABC):
     @abstractmethod
     def peer(self) -> str:
         """The remote address, for diagnostics."""
+
+
+class _PlainConnection(Connection):
+    """What the two transports' own endpoints share: once the binary
+    codec is negotiated they take pre-encoded frames beside frame
+    dicts, and hand a received body to whichever decoder the caller
+    asks for — :func:`wire.decode_annotated` behind ``recv`` /
+    ``recv_many``, :func:`wire.decode_message` behind ``recv_message``
+    / ``recv_messages`` — instead of decoding it on arrival."""
+
+    def negotiate(self, codec: Any, agreed: Optional[int] = None) -> None:
+        super().negotiate(codec, agreed)
+        self.one_pass = codec if isinstance(codec, wire.BinaryCodec) else None
+
+    def _encode(self, frame: Any) -> bytes:
+        """Wire bytes of one outbound frame (a pre-encoded one is
+        already that), metered by kind."""
+        if type(frame) is bytes:
+            encoded = frame
+        else:
+            encoded = wire.encode_frame(frame, codec=self._codec)
+        meter = self._meter
+        if meter is not None:
+            kind = wire.encoded_kind(frame) if encoded is frame else frame["t"]
+            meter.kind(kind).inc(len(encoded))
+        return encoded
+
+    @abstractmethod
+    async def _next_body(self) -> Optional[bytes]:
+        """The next received frame body, or ``None`` on EOF."""
+
+    @abstractmethod
+    async def _next_bodies(self) -> Optional[List[bytes]]:
+        """Every body already available, waiting only for the first;
+        ``None`` on EOF (bodies that beat an EOF are still delivered,
+        the next call reports it)."""
+
+    async def recv(self) -> Optional[Dict[str, Any]]:
+        body = await self._next_body()
+        return None if body is None else _decode_annotated(body)
+
+    async def recv_many(self) -> Optional[List[Dict[str, Any]]]:
+        bodies = await self._next_bodies()
+        return None if bodies is None else [_decode_annotated(b) for b in bodies]
+
+    async def recv_message(self, itab: Optional[wire.InternTable] = None) -> Any:
+        body = await self._next_body()
+        return None if body is None else wire.decode_message(body, itab)
+
+    async def recv_messages(
+        self, itab: Optional[wire.InternTable] = None
+    ) -> Optional[List[Any]]:
+        bodies = await self._next_bodies()
+        if bodies is None:
+            return None
+        decode = wire.decode_message
+        return [decode(body, itab) for body in bodies]
 
 
 class Listener(ABC):
@@ -218,12 +296,12 @@ class Transport(ABC):
 # ======================================================================
 # loopback
 # ======================================================================
-class _LoopbackConnection(Connection):
+class _LoopbackConnection(_PlainConnection):
     """One endpoint of an in-process connection pair.
 
-    ``_rx`` receives frames the peer sent; ``_tx`` is the peer's ``_rx``.
-    Frames are round-tripped through the wire codec on send, so the bytes
-    that *would* hit a socket are exactly what the receiver decodes.
+    ``_rx`` receives the bodies of frames the peer sent; ``_tx`` is the
+    peer's ``_rx``.  Frames cross as their encoded bytes, so what the
+    receiver decodes is exactly what *would* hit a socket.
     """
 
     def __init__(self, peer_name: str, delay: float = 0.0) -> None:
@@ -262,60 +340,47 @@ class _LoopbackConnection(Connection):
                 await asyncio.sleep(wait)
             self._rx.put_nowait(item)
 
-    async def send(self, frame: Dict[str, Any]) -> None:
-        peer = self._peer
-        if self._closed or peer is None or peer._closed:
-            raise ConnectionResetError(f"loopback peer {self._peer_name} is gone")
-        # full codec round trip: the bytes that *would* hit a socket are
-        # exactly what the receiver decodes, under the active codec
-        encoded = wire.encode_frame(frame, codec=self._codec)
-        meter = self._meter
-        if meter is not None:
-            meter.sent.inc(len(encoded))
-            meter.received.inc(len(encoded))
-            meter.kind(frame["t"]).inc(len(encoded))
-        peer._enqueue(_decode_annotated(encoded[4:]))
+    async def send(self, frame: Any) -> None:
+        self.write_many((frame,))
 
     def writable(self) -> bool:
         # an in-process queue never pushes back; a dead peer surfaces
         # as the ConnectionResetError write_many raises
         return True
 
-    def write_many(self, frames: List[Dict[str, Any]]) -> None:
+    def write_many(self, frames: Any) -> None:
         peer = self._peer
         if self._closed or peer is None or peer._closed:
             raise ConnectionResetError(f"loopback peer {self._peer_name} is gone")
-        # one liveness check for the whole batch; each frame still
-        # round-trips the codec, and the receiver wakes once (the first
-        # put wakes it, the rest land before it runs)
-        codec = self._codec
+        # one liveness check for the whole batch; each frame crosses as
+        # its encoded body, and the receiver wakes once (the first put
+        # wakes it, the rest land before it runs)
+        encode = self._encode
         enqueue = peer._enqueue
-        meter = self._meter
         total = 0
         for frame in frames:
-            encoded = wire.encode_frame(frame, codec=codec)
+            encoded = encode(frame)
             total += len(encoded)
-            if meter is not None:
-                meter.kind(frame["t"]).inc(len(encoded))
-            enqueue(_decode_annotated(encoded[4:]))
+            enqueue(encoded[4:])
+        meter = self._meter
         if meter is not None:
             meter.sent.inc(total)
             meter.received.inc(total)
 
-    async def send_many(self, frames: List[Dict[str, Any]]) -> None:
+    async def send_many(self, frames: Any) -> None:
         self.write_many(frames)
 
-    async def recv(self) -> Optional[Dict[str, Any]]:
+    async def _next_body(self) -> Optional[bytes]:
         if self._closed and self._rx.empty():
             return None
         item = await self._rx.get()
         return None if item is _EOF else item
 
-    async def recv_many(self) -> Optional[List[Dict[str, Any]]]:
-        first = await self.recv()
+    async def _next_bodies(self) -> Optional[List[bytes]]:
+        first = await self._next_body()
         if first is None:
             return None
-        frames = [first]
+        bodies = [first]
         rx = self._rx
         while not rx.empty():
             item = rx.get_nowait()
@@ -324,8 +389,8 @@ class _LoopbackConnection(Connection):
                 # the next recv reports the close
                 rx.put_nowait(_EOF)
                 break
-            frames.append(item)
-        return frames
+            bodies.append(item)
+        return bodies
 
     async def close(self) -> None:
         self._sever()
@@ -431,9 +496,9 @@ def split_address(address: str) -> Tuple[str, int]:
     return host, int(port)
 
 
-class _TcpConnection(Connection):
+class _TcpConnection(_PlainConnection):
     """Frames over one TCP stream, with its own read buffer so a batch
-    of frames that arrived in one segment decodes without extra reads,
+    of frames that arrived in one segment is split without extra reads,
     and coalesced writes so a batch flushes with one ``drain``."""
 
     def __init__(
@@ -443,14 +508,11 @@ class _TcpConnection(Connection):
         self._writer = writer
         self._name = name
         self._buf = bytearray()
-        self._frames: deque = deque()
+        #: bodies of complete frames received and not yet handed out
+        self._bodies: deque = deque()
 
-    async def send(self, frame: Dict[str, Any]) -> None:
-        encoded = wire.encode_frame(frame, codec=self._codec)
-        if self._meter is not None:
-            self._meter.sent.inc(len(encoded))
-            self._meter.kind(frame["t"]).inc(len(encoded))
-        self._writer.write(encoded)
+    async def send(self, frame: Any) -> None:
+        self.write_many((frame,))
         await self._writer.drain()
 
     def writable(self) -> bool:
@@ -461,24 +523,14 @@ class _TcpConnection(Connection):
         transport = self._writer.transport
         return not transport.is_closing() and transport.get_write_buffer_size() == 0
 
-    def write_many(self, frames: List[Dict[str, Any]]) -> None:
-        codec = self._codec
-        encode = wire.encode_frame
-        meter = self._meter
+    def write_many(self, frames: Any) -> None:
         # one writev-style buffer append for the whole batch
-        if meter is None:
-            batch = b"".join(encode(f, codec=codec) for f in frames)
-        else:
-            parts = []
-            for frame in frames:
-                encoded = encode(frame, codec=codec)
-                meter.kind(frame["t"]).inc(len(encoded))
-                parts.append(encoded)
-            batch = b"".join(parts)
-            meter.sent.inc(len(batch))
+        batch = b"".join(map(self._encode, frames))
+        if self._meter is not None:
+            self._meter.sent.inc(len(batch))
         self._writer.write(batch)
 
-    async def send_many(self, frames: List[Dict[str, Any]]) -> None:
+    async def send_many(self, frames: Any) -> None:
         if not frames:
             return
         # ONE drain for the whole batch — this is the flush the
@@ -499,8 +551,9 @@ class _TcpConnection(Connection):
         self._buf += data
         return True
 
-    def _parse(self) -> None:
-        """Decode every complete frame in the buffer into ``_frames``."""
+    def _split(self) -> None:
+        """Move the body of every complete frame in the buffer to
+        ``_bodies`` (decoding is the receiving call's choice)."""
         buf = self._buf
         pos = 0
         end = len(buf)
@@ -508,28 +561,26 @@ class _TcpConnection(Connection):
             body_len = wire.frame_length(bytes(buf[pos : pos + 4]))
             if end - pos - 4 < body_len:
                 break
-            self._frames.append(
-                _decode_annotated(bytes(buf[pos + 4 : pos + 4 + body_len]))
-            )
+            self._bodies.append(bytes(buf[pos + 4 : pos + 4 + body_len]))
             pos += 4 + body_len
         if pos:
             del buf[:pos]
 
-    async def recv(self) -> Optional[Dict[str, Any]]:
-        while not self._frames:
+    async def _next_body(self) -> Optional[bytes]:
+        while not self._bodies:
             if not await self._fill():
                 return None
-            self._parse()
-        return self._frames.popleft()
+            self._split()
+        return self._bodies.popleft()
 
-    async def recv_many(self) -> Optional[List[Dict[str, Any]]]:
-        while not self._frames:
+    async def _next_bodies(self) -> Optional[List[bytes]]:
+        while not self._bodies:
             if not await self._fill():
                 return None
-            self._parse()
-        frames = list(self._frames)
-        self._frames.clear()
-        return frames
+            self._split()
+        bodies = list(self._bodies)
+        self._bodies.clear()
+        return bodies
 
     async def close(self) -> None:
         try:

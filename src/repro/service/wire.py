@@ -129,13 +129,28 @@ piggybacked through the tagged codec in :func:`encode_meta` /
 :mod:`repro.core.messages` exactly — the decoded objects are the same
 classes the protocols consume, so a protocol instance cannot tell a wire
 peer from an in-process one.
+
+One-pass path
+-------------
+The frame kinds of the steady state (:data:`HOT_KINDS`, plus the
+``wal.*`` records on the encode side) do not need the frame dict at
+all on a binary connection: :class:`BinaryCodec`'s ``pack_*`` methods
+and :meth:`DeltaEncoder.pack_update` write a frame's bytes straight
+from the message object, and :func:`decode_message` /
+:meth:`DeltaDecoder.unpack_update` build the message straight from the
+body.  The bytes are exactly :meth:`BinaryCodec.encode`'s for the same
+message (``tests/property/test_wire_codecs.py`` holds the two paths to
+that, and to equal decoded objects), so the choice is invisible on the
+wire: no version, no negotiation, and either end of a connection may be
+on either path.  Everything else — JSON, handshakes, ``sys.*``,
+``snap``, ``err``, WAL replay — stays on the dict walk.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -349,6 +364,8 @@ class BinaryCodec:
                 frame_type = _FRAME_TYPES[tag]
         except IndexError:
             raise WireError(f"unknown binary frame type tag {tag}") from None
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise WireError(f"undecodable binary frame type: {exc}") from None
         if not isinstance(frame_type, str):
             raise WireError("binary frame missing its type tag")
         frame: Dict[str, Any] = {"v": version, "t": frame_type}
@@ -378,6 +395,159 @@ class BinaryCodec:
                 f"binary frame has {len(body) - pos} trailing bytes"
             )
         return frame
+
+    # ------------------------------------------------------------------
+    # one-pass encoders: message object -> wire bytes, no frame dict
+    # ------------------------------------------------------------------
+    # Each writes exactly the bytes :meth:`encode` produces for the
+    # frame dict the same message would have been turned into
+    # (``encode_update`` / ``make_frame`` / ...) — the layouts are the
+    # ``_FRAME_SCHEMAS`` rows, spelled out field by field.  A new field
+    # on one of these kinds is added to its schema row, its encoder
+    # here, its decoder under ``decode_message`` and the byte-identity
+    # property test together.
+
+    def _pack_repl(
+        self,
+        kind: str,
+        msg: UpdateMessage,
+        link_seq: int,
+        issued_ms: Optional[float],
+        itab: Optional["InternTable"],
+        lean: bool,
+        fields: Any,
+    ) -> bytes:
+        """``var value w src dst meta ls [it]``; ``fields`` is the
+        metadata's schema row (``None`` for no metadata)."""
+        compact = self.compact
+        out = bytearray((_HEADS if issued_ms is None else _STAMPED_HEADS)[kind])
+        _pack_var(out, msg.var, itab, compact)
+        _pack_into(out, msg.value, compact)
+        _pack_wid(
+            out, None if lean and _derivable_write_id(msg) else msg.write_id, compact
+        )
+        _pack_int(out, msg.sender, compact)
+        _pack_int(out, msg.dest, compact)
+        _pack_fields(out, fields, compact)
+        _pack_int(out, link_seq, compact)
+        if issued_ms is not None:
+            _pack_int(out, int(issued_ms), compact)
+        return _finish(out)
+
+    def pack_update(
+        self,
+        msg: UpdateMessage,
+        link_seq: int,
+        issued_ms: Optional[float] = None,
+        wal: bool = False,
+    ) -> bytes:
+        """A full, self-contained repl frame (``repl.t`` when
+        ``issued_ms`` is given) — or, with ``wal``, its durable twin
+        ``wal.repl``: never interned, never lean, so it decodes with no
+        connection state."""
+        meta = msg.meta
+        return self._pack_repl(
+            "wal.repl" if wal else "repl",
+            msg,
+            link_seq,
+            issued_ms,
+            None,
+            False,
+            None if meta is None else _meta_fields(meta),
+        )
+
+    def pack_ack(self, ack: int, applied_gap: Optional[int] = None) -> bytes:
+        """``repl.ack {a}``, or the v4 ``repl.ackp {a, ap}`` when the
+        applied-watermark gap is given."""
+        out = bytearray(_HEADS["repl.ack" if applied_gap is None else "repl.ackp"])
+        _pack_int(out, ack, self.compact)
+        if applied_gap is not None:
+            _pack_int(out, applied_gap, self.compact)
+        return _finish(out)
+
+    def pack_put(
+        self, var: Any, value: Any, itab: Optional["InternTable"] = None
+    ) -> bytes:
+        out = bytearray(_HEADS["put"])
+        _pack_var(out, var, itab, self.compact)
+        _pack_into(out, value, self.compact)
+        return _finish(out)
+
+    def pack_put_ok(self, write_id: WriteId) -> bytes:
+        out = bytearray(_HEADS["put.ok"])
+        _pack_wid(out, write_id, self.compact)
+        return _finish(out)
+
+    def pack_get(self, var: Any, itab: Optional["InternTable"] = None) -> bytes:
+        out = bytearray(_HEADS["get"])
+        _pack_var(out, var, itab, self.compact)
+        return _finish(out)
+
+    def pack_get_ok(
+        self, value: Any, write_id: Optional[WriteId], served_by: int
+    ) -> bytes:
+        compact = self.compact
+        out = bytearray(_HEADS["get.ok"])
+        _pack_into(out, value, compact)
+        _pack_wid(out, write_id, compact)
+        _pack_int(out, served_by, compact)
+        return _finish(out)
+
+    def pack_fetch(self, req: FetchRequest) -> bytes:
+        compact = self.compact
+        out = bytearray(_HEADS["fetch"])
+        _pack_var(out, req.var, None, compact)
+        _pack_int(out, req.requester, compact)
+        _pack_int(out, req.server, compact)
+        _pack_int(out, req.fetch_id, compact)
+        deps = req.deps
+        _pack_fields(out, None if deps is None else _meta_fields(deps), compact)
+        return _finish(out)
+
+    def pack_fetch_ok(
+        self,
+        reply: FetchReply,
+        lean: bool = False,
+        itab: Optional["InternTable"] = None,
+    ) -> bytes:
+        """``fetch.ok``; ``lean`` and ``itab`` as :func:`encode_fetch_reply`
+        (its ``compact`` — a v4 connection)."""
+        compact = self.compact
+        out = bytearray(_HEADS["fetch.ok"])
+        _pack_var(out, reply.var, itab, compact)
+        _pack_into(out, reply.value, compact)
+        _pack_wid(out, reply.write_id, compact)
+        _pack_int(out, reply.server, compact)
+        _pack_int(out, reply.requester, compact)
+        _pack_int(out, reply.fetch_id, compact)
+        _pack_fields(out, _reply_meta_fields(reply, lean), compact)
+        _pack_fields(out, _reply_applied_fields(reply, lean), compact)
+        return _finish(out)
+
+    def pack_wal_put(self, var: Any, value: Any, write_id: WriteId) -> bytes:
+        out = bytearray(_HEADS["wal.put"])
+        _pack_var(out, var, None, self.compact)
+        _pack_into(out, value, self.compact)
+        _pack_wid(out, write_id, self.compact)
+        return _finish(out)
+
+    def pack_wal_read(self, var: Any) -> bytes:
+        out = bytearray(_HEADS["wal.read"])
+        _pack_var(out, var, None, self.compact)
+        return _finish(out)
+
+    def pack_wal_rfetch(self, reply: FetchReply) -> bytes:
+        """The durable record of a completed remote read (plain
+        metadata kinds: a WAL record decodes with no connection state)."""
+        compact = self.compact
+        out = bytearray(_HEADS["wal.rfetch"])
+        _pack_var(out, reply.var, None, compact)
+        _pack_into(out, reply.value, compact)
+        _pack_wid(out, reply.write_id, compact)
+        _pack_int(out, reply.server, compact)
+        _pack_fields(out, _reply_meta_fields(reply, False), compact)
+        _pack_fields(out, _reply_applied_fields(reply, False), compact)
+        return _finish(out)
 
 
 #: the codec singletons; connections reference these, never copies.
@@ -530,7 +700,7 @@ _MAP_SCHEMAS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("ivec", ("v",)),
     ("pairs", ("v",)),
     # v4 delta metadata kinds (diffs against a per-connection baseline,
-    # see encode_meta_delta).  otd is index-coded: "c" is the clock
+    # see _delta_fields).  otd is index-coded: "c" is the clock
     # advance over the baseline, "x"/"u" address baseline records by
     # their sorted position, "n" carries new records as full triples
     ("otd", ("c", "rm", "x", "u", "n")),
@@ -817,6 +987,188 @@ def _unpack_from(body: bytes, pos: int) -> Tuple[Any, int]:
 
 
 # ----------------------------------------------------------------------
+# int-only packing (the one-pass encoders and decoders)
+# ----------------------------------------------------------------------
+# The hot frames are almost entirely ints and flat int runs.  These
+# helpers write and read exactly the bytes ``_pack_into`` /
+# ``_unpack_from`` produce for an ``int`` and for a ``list`` of ints,
+# without entering the generic type chain: anything outside the common
+# shapes (numpy scalars, ints past 32 bits, runs past int64) is handed
+# back to the generic functions, so the two can never disagree.
+
+#: ``struct.Struct`` per (run length, element width); runs longer than
+#: the cap are built on demand so a hostile count cannot grow the cache
+_RUN_STRUCTS: Dict[int, struct.Struct] = {}
+_RUN_CACHE_MAX = 512
+
+
+def _run_struct(n: int, width: int) -> struct.Struct:
+    key = n * 16 + width
+    packer = _RUN_STRUCTS.get(key)
+    if packer is None:
+        letter = _INTLIST_DECODE.get(width)
+        if letter is None:
+            raise WireError(f"unknown int-vector width {width}")
+        packer = struct.Struct(f">{n}{letter}")
+        if n <= _RUN_CACHE_MAX:
+            _RUN_STRUCTS[key] = packer
+    return packer
+
+
+def _pack_int(out: bytearray, value: Any, compact: bool) -> None:
+    if type(value) is not int:
+        _pack_into(out, value, compact)
+    elif 0 <= value <= 127:
+        out.append(_T_FIXINT | value)
+    elif -128 <= value < 0:
+        out.append(_T_INT8)
+        out.append(value & 0xFF)
+    elif compact and -(2**15) <= value < 2**15:
+        out += _BH.pack(_T_INT16, value)
+    elif -(2**31) <= value < 2**31:
+        out += _BI.pack(_T_INT32, value)
+    else:
+        _pack_into(out, value, compact)
+
+
+def _pack_ints(out: bytearray, values: List[int], compact: bool) -> None:
+    n = len(values)
+    if n >= 4:
+        lo = min(values)
+        hi = max(values)
+        if -(1 << 7) <= lo and hi < 1 << 7:
+            width = 1
+        elif -(1 << 15) <= lo and hi < 1 << 15:
+            width = 2
+        elif -(1 << 31) <= lo and hi < 1 << 31:
+            width = 4
+        elif _I64_MIN <= lo and hi <= _I64_MAX:
+            width = 8
+        else:
+            _pack_into(out, values, compact)
+            return
+        if n < 0xFF:
+            out.append(_T_INTLIST)
+            out.append(n)
+        else:
+            _pack_len(out, _T_INTLIST, n)
+        out.append(width)
+        out += _run_struct(n, width).pack(*values)
+        return
+    out.append(_T_LIST)
+    out.append(n)
+    for item in values:
+        if type(item) is int and 0 <= item <= 127:
+            out.append(_T_FIXINT | item)
+        else:
+            _pack_int(out, item, compact)
+
+
+def _pack_fields(
+    out: bytearray, fields: Optional[Tuple[int, Tuple[Any, ...]]], compact: bool
+) -> None:
+    """One ``_MAP_SCHEMAS`` row (see ``_meta_fields``) as the generic
+    codec packs its tagged dict: schema tag, id byte, values in order."""
+    if fields is None:
+        out.append(_T_NONE)
+        return
+    out.append(_T_SCHEMA)
+    out.append(fields[0])
+    for value in fields[1]:
+        kind = type(value)
+        if kind is list:
+            _pack_ints(out, value, compact)
+        elif kind is int and 0 <= value <= 127:
+            out.append(_T_FIXINT | value)
+        else:
+            _pack_int(out, value, compact)
+
+
+def _read_int(body: bytes, pos: int) -> Tuple[int, int]:
+    tag = body[pos]
+    if tag >= _T_FIXINT:
+        return tag - _T_FIXINT, pos + 1
+    if tag == _T_INT16:
+        return _I16.unpack_from(body, pos + 1)[0], pos + 3
+    if tag == _T_INT32:
+        return _I32.unpack_from(body, pos + 1)[0], pos + 5
+    value, pos = _unpack_from(body, pos)
+    if type(value) is not int:
+        raise WireError(f"expected an int, got {type(value).__name__}")
+    return value, pos
+
+
+def _read_ints(body: bytes, pos: int) -> Tuple[Any, int]:
+    tag = body[pos]
+    if tag == _T_INTLIST:
+        n = body[pos + 1]
+        pos += 2
+        if n == 0xFF:
+            n = int.from_bytes(body[pos : pos + 4], "big")
+            pos += 4
+        width = body[pos]
+        return (
+            _run_struct(n, width).unpack_from(body, pos + 1),
+            pos + 1 + n * width,
+        )
+    if tag == _T_LIST and body[pos + 1] != 0xFF:
+        # a short run (the generic packer keeps lists under four
+        # elements per-item): almost always one-byte fixints
+        n = body[pos + 1]
+        pos += 2
+        values = []
+        for _ in range(n):
+            tag = body[pos]
+            if tag >= _T_FIXINT:
+                values.append(tag - _T_FIXINT)
+                pos += 1
+            else:
+                value, pos = _read_int(body, pos)
+                values.append(value)
+        return values, pos
+    values, pos = _unpack_from(body, pos)
+    if type(values) is not list:
+        raise WireError(f"expected an int vector, got {type(values).__name__}")
+    for item in values:
+        if type(item) is not int:
+            raise WireError(
+                f"expected an int vector, found {type(item).__name__}"
+            )
+    return values, pos
+
+
+def _read_fields(body: bytes, pos: int) -> Tuple[Optional[int], Any, int]:
+    """Inverse of :func:`_pack_fields`: ``(schema id, values, pos)``
+    (id ``None`` for an absent metadata object).  A metadata map that
+    is not schema-packed — legal, never emitted — goes through the
+    generic decoder and :func:`_untagged`."""
+    tag = body[pos]
+    if tag == _T_SCHEMA:
+        sid = body[pos + 1]
+        if sid >= len(_MAP_SCHEMAS):
+            raise WireError(f"unknown map schema id {sid}")
+        pos += 2
+        values = []
+        for _ in _MAP_SCHEMAS[sid][1]:
+            tag = body[pos]
+            if tag >= _T_FIXINT:
+                values.append(tag - _T_FIXINT)
+                pos += 1
+            elif tag == _T_INTLIST or tag == _T_LIST:
+                value, pos = _read_ints(body, pos)
+                values.append(value)
+            else:
+                value, pos = _read_int(body, pos)
+                values.append(value)
+        return sid, values, pos
+    if tag == _T_NONE:
+        return None, None, pos + 1
+    data, pos = _unpack_from(body, pos)
+    sid, values = _untagged(data, "metadata")
+    return sid, values, pos
+
+
+# ----------------------------------------------------------------------
 # framing (codec-agnostic module API)
 # ----------------------------------------------------------------------
 def encode_frame(frame: Dict[str, Any], codec: Any = JSON_CODEC) -> bytes:
@@ -838,6 +1190,25 @@ def decode_body(body: bytes) -> Dict[str, Any]:
     if body[0] == BINARY_MAGIC:
         return BINARY_CODEC.decode_body(body)
     return JSON_CODEC.decode_body(body)
+
+
+def decode_annotated(body: bytes) -> Dict[str, Any]:
+    """:func:`decode_body`, annotating self-contained repl frames with
+    their raw wire bytes under the local ``_raw`` key.
+
+    A durable receiver logs those bytes to its WAL verbatim
+    (``SiteWal.append_raw``) instead of re-encoding the decoded update
+    — the re-encode is most of a WAL append's CPU cost.  Only the plain
+    repl kinds qualify: a ``repl.delta`` body diffs against
+    per-connection chain state and cannot decode standalone, so it is
+    never annotated.  ``_raw`` is a receive-side annotation, not a wire
+    field — the ingest path pops it before the frame goes anywhere.
+    """
+    frame = decode_body(body)
+    kind = frame["t"]
+    if kind == "repl" or kind == "repl.t":
+        frame["_raw"] = body
+    return frame
 
 
 def frame_length(prefix: bytes) -> int:
@@ -875,176 +1246,220 @@ def decode_write_id(value: Any) -> Optional[WriteId]:
 # ----------------------------------------------------------------------
 # protocol metadata codec (tagged by "k")
 # ----------------------------------------------------------------------
-def encode_meta(meta: Any, compact: bool = False) -> Any:
-    """Encode one piggybacked metadata object to its JSON shape.
+# Every metadata kind is a row of ``_MAP_SCHEMAS``: a kind name and a
+# fixed tuple of fields, each a plain int or a flat list of ints.  The
+# functions below compute those field values from a protocol object
+# (``_meta_fields``) and rebuild the object from them (``_build_meta``);
+# what differs between the two wire paths is only how a row travels —
+# as a ``{"k": kind, field: value, ...}`` dict the generic codecs walk
+# (``encode_meta`` / ``decode_meta``), or written straight into the
+# frame's bytes by the one-pass encoders further down.
 
-    ``compact`` (v4 connections only) selects the metadata-lean
-    encodings: ``ot4`` for Opt-Track metas — record clocks relative to
-    the meta clock (small ints instead of full-width absolutes) and the
-    PURGE-retention records (newest per sender, empty destination set —
-    typically the majority of a mature log) packed as two-int pairs
-    with the redundant destination element dropped.  Both shapes decode
-    to the exact objects the plain kinds carry; a v3 peer never sees
-    them (:func:`codec_for` gates the emitting connections).
-    """
-    if meta is None:
-        return None
+#: ``_MAP_SCHEMAS`` row numbers (the schema id byte on the binary wire)
+(
+    _S_OT, _S_CRP, _S_DL, _S_MC, _S_VC, _S_ARR, _S_IVEC, _S_PAIRS,
+    _S_OTD, _S_CRPD, _S_MCD, _S_OT4, _S_IVR, _S_DL4,
+) = range(len(_MAP_SCHEMAS))
+assert tuple(kind for kind, _ in _MAP_SCHEMAS) == (
+    "ot", "crp", "dl", "mc", "vc", "arr", "ivec", "pairs",
+    "otd", "crpd", "mcd", "ot4", "ivr", "dl4",
+), "the _S_* ids above name _MAP_SCHEMAS rows by position"
+
+
+def _split_log(log: DepLog, base: int, order: Any = None) -> Tuple[List[int], List[int]]:
+    """The lean (v4) spelling of a dependency log: ``(triples, empties)``
+    with clocks relative to ``base``.  PURGE-retention records (newest
+    per sender, empty destination set — typically the majority of a
+    mature log) go to ``empties`` as two-int pairs with the redundant
+    destination element dropped; everything else is a full triple."""
+    entries = log.entries
+    latest = log.latest_by_sender
+    triples: List[int] = []
+    empties: List[int] = []
+    # .get: a clock-0 record never registers in latest_by_sender, so it
+    # must take the general triple shape
+    for key in sorted(entries) if order is None else order:
+        s, c = key
+        d = entries[key]
+        if d == 0 and c == latest.get(s):
+            empties.append(s)
+            empties.append(c - base)
+        else:
+            triples.append(s)
+            triples.append(c - base)
+            triples.append(d)
+    return triples, empties
+
+
+def _meta_fields(
+    meta: Any, compact: bool = False, order: Any = None
+) -> Tuple[int, Tuple[Any, ...]]:
+    """``(schema id, field values)`` of one piggybacked metadata object,
+    values in ``_MAP_SCHEMAS`` layout order.  ``order`` is the sorted
+    keys of the object's dependency log when the caller already holds
+    them (a delta chain does)."""
     if isinstance(meta, OptTrackMeta):
         if compact:
-            clock = meta.clock
-            latest = meta.log.latest_by_sender
-            triples: List[int] = []
-            empties: List[int] = []
-            # .get: a clock-0 record never registers in latest_by_sender,
-            # so it must take the general triple shape
-            for (s, c), d in sorted(meta.log.entries.items()):
-                if d == 0 and c == latest.get(s):
-                    empties.append(int(s))
-                    empties.append(int(c) - clock)
-                else:
-                    triples.append(int(s))
-                    triples.append(int(c) - clock)
-                    triples.append(int(d))
-            return {
-                "k": "ot4",
-                "c": clock,
-                "rm": meta.replicas_mask,
-                "log": triples,
-                "e": empties,
-            }
-        return {
-            "k": "ot",
-            "c": meta.clock,
-            "rm": meta.replicas_mask,
-            "log": _encode_deplog(meta.log),
-        }
+            triples, empties = _split_log(meta.log, meta.clock, order)
+            return _S_OT4, (meta.clock, meta.replicas_mask, triples, empties)
+        return _S_OT, (
+            meta.clock, meta.replicas_mask, _encode_deplog(meta.log, order)
+        )
     if isinstance(meta, CrpMeta):
         log: List[int] = []
         for s, c in sorted(meta.log.items()):
             log.append(int(s))
             log.append(int(c))
-        return {"k": "crp", "c": meta.clock, "log": log}
+        return _S_CRP, (meta.clock, log)
     if isinstance(meta, DepLog):
         if compact:
-            latest = meta.latest_by_sender
-            base = max(latest.values(), default=0)
-            triples: List[int] = []
-            empties: List[int] = []
-            for (s, c), d in sorted(meta.entries.items()):
-                if d == 0 and c == latest.get(s):
-                    empties.append(int(s))
-                    empties.append(int(c) - base)
-                else:
-                    triples.append(int(s))
-                    triples.append(int(c) - base)
-                    triples.append(int(d))
-            return {"k": "dl4", "c": base, "log": triples, "e": empties}
-        return {"k": "dl", "e": _encode_deplog(meta)}
+            base = max(meta.latest_by_sender.values(), default=0)
+            triples, empties = _split_log(meta, base)
+            return _S_DL4, (base, triples, empties)
+        return _S_DL, (_encode_deplog(meta),)
     if isinstance(meta, MatrixClock):
         # flat row-major (the matrix is square): one contiguous int list
         # packs as a single binary intlist instead of n nested rows
-        return {"k": "mc", "m": meta.m.ravel().tolist()}
+        return _S_MC, (meta.m.ravel().tolist(),)
     if isinstance(meta, VectorClock):
-        return {"k": "vc", "v": meta.v.tolist()}
+        return _S_VC, (meta.v.tolist(),)
     if isinstance(meta, np.ndarray):
-        return {"k": "arr", "v": [int(x) for x in meta]}
+        return _S_ARR, ([int(x) for x in meta],)
     if isinstance(meta, tuple):
         if all(isinstance(x, (int, np.integer)) for x in meta):
             # flat clock vectors, e.g. opt-track's apply-progress snapshot
-            return {"k": "ivec", "v": [int(x) for x in meta]}
+            return _S_IVEC, ([int(x) for x in meta],)
         # opt-track dependency summaries: tuples of (sender, clock) pairs,
         # flattened for the same single-intlist reason as the dep log
         flat: List[int] = []
         for z, c in meta:
             flat.append(int(z))
             flat.append(int(c))
-        return {"k": "pairs", "v": flat}
+        return _S_PAIRS, (flat,)
     raise WireError(f"unserializable protocol metadata {type(meta).__name__}")
+
+
+def _ivr_fields(applied: Any) -> Tuple[int, Tuple[Any, ...]]:
+    """An apply snapshot as the relative clock vector ``ivr`` (v4):
+    ``[ceiling, ceiling - x, ...]`` — the entries cluster near the
+    maximum on a live cluster, so the offsets pack one byte each where
+    the absolutes need two or four."""
+    base = max(applied, default=0)
+    vec = [base]
+    vec += [base - int(a) for a in applied]
+    return _S_IVR, (vec,)
+
+
+def _tagged(sid: int, values: Tuple[Any, ...]) -> Dict[str, Any]:
+    """A schema row as the tagged dict the generic codecs carry."""
+    kind, keys = _MAP_SCHEMAS[sid]
+    data: Dict[str, Any] = {"k": kind}
+    data.update(zip(keys, values))
+    return data
+
+
+def _untagged(data: Any, what: str) -> Tuple[int, List[Any]]:
+    """Inverse of :func:`_tagged` for a decoded (untrusted) dict: the
+    schema id and its field values, every int and int list coerced the
+    way the protocols' own types demand."""
+    if not isinstance(data, dict) or "k" not in data:
+        raise WireError(f"malformed {what} payload {data!r}")
+    kind = data["k"]
+    row = _MAP_SCHEMA_IDS.get(kind) if isinstance(kind, str) else None
+    if row is None:
+        raise WireError(f"unknown {what} kind {kind!r}")
+    values: List[Any] = []
+    for key in row[1]:
+        value = data[key]
+        if type(value) is list or type(value) is tuple:
+            values.append(list(map(int, value)))
+        else:
+            values.append(int(value))
+    return row[0], values
+
+
+def encode_meta(meta: Any, compact: bool = False) -> Any:
+    """Encode one piggybacked metadata object to its JSON shape.
+
+    ``compact`` (v4 connections only) selects the metadata-lean
+    encodings: ``ot4`` for Opt-Track metas — record clocks relative to
+    the meta clock (small ints instead of full-width absolutes) and the
+    PURGE-retention records packed as two-int pairs (see
+    :func:`_split_log`).  Both shapes decode to the exact objects the
+    plain kinds carry; a v3 peer never sees them (:func:`codec_for`
+    gates the emitting connections).
+    """
+    if meta is None:
+        return None
+    return _tagged(*_meta_fields(meta, compact))
+
+
+def _build_meta(sid: int, values: Any) -> Any:
+    """The protocol object a full (non-delta) schema row spells; the
+    values are already plain ints and int sequences."""
+    if sid == _S_OT4:
+        clock, rm, triples, empties = values
+        return OptTrackMeta(clock, rm, DepLog.from_flat(triples, empties, clock))
+    if sid == _S_OT:
+        clock, rm, log = values
+        return OptTrackMeta(clock, rm, DepLog.from_flat(log))
+    if sid == _S_CRP:
+        clock, log = values
+        return CrpMeta(
+            clock, {log[i]: log[i + 1] for i in range(0, len(log), 2)}
+        )
+    if sid == _S_DL4:
+        base, triples, empties = values
+        return DepLog.from_flat(triples, empties, base)
+    if sid == _S_DL:
+        (log,) = values
+        return DepLog.from_flat(log)
+    if sid == _S_IVR:
+        # [ceiling, ceiling - x, ...], see _ivr_fields
+        (v,) = values
+        base = v[0]
+        return tuple(base - x for x in v[1:])
+    if sid == _S_IVEC:
+        (v,) = values
+        return tuple(v)
+    if sid == _S_PAIRS:
+        (v,) = values
+        return tuple((v[i], v[i + 1]) for i in range(0, len(v), 2))
+    if sid == _S_MC:
+        (m,) = values
+        flat = np.array(m, dtype=np.int64)
+        n = int(np.sqrt(flat.size))
+        return MatrixClock(n, flat.reshape(n, n))
+    if sid == _S_VC:
+        (v,) = values
+        clock = np.array(v, dtype=np.int64)
+        return VectorClock(clock.shape[0], clock)
+    if sid == _S_ARR:
+        (v,) = values
+        return np.array(v, dtype=np.int64)
+    raise WireError(
+        f"metadata kind {_MAP_SCHEMAS[sid][0]!r} is a delta: it needs a "
+        f"chain baseline"
+    )
 
 
 def decode_meta(data: Any) -> Any:
     """Decode the output of :func:`encode_meta` back to protocol objects."""
     if data is None:
         return None
-    if not isinstance(data, dict) or "k" not in data:
-        raise WireError(f"malformed metadata payload {data!r}")
-    kind = data["k"]
-    if kind == "ot":
-        return OptTrackMeta(
-            int(data["c"]), int(data["rm"]), _decode_deplog(data["log"])
-        )
-    if kind == "ot4":
-        clock = int(data["c"])
-        triples = data["log"]
-        entries = {
-            (int(triples[i]), int(triples[i + 1]) + clock): int(triples[i + 2])
-            for i in range(0, len(triples), 3)
-        }
-        empties = data["e"]
-        for i in range(0, len(empties), 2):
-            entries[(int(empties[i]), int(empties[i + 1]) + clock)] = 0
-        return OptTrackMeta(clock, int(data["rm"]), DepLog(entries))
-    if kind == "crp":
-        log = data["log"]
-        return CrpMeta(
-            int(data["c"]),
-            {int(log[i]): int(log[i + 1]) for i in range(0, len(log), 2)},
-        )
-    if kind == "dl":
-        return _decode_deplog(data["e"])
-    if kind == "dl4":
-        base = int(data["c"])
-        triples = data["log"]
-        entries = {
-            (int(triples[i]), int(triples[i + 1]) + base): int(triples[i + 2])
-            for i in range(0, len(triples), 3)
-        }
-        empties = data["e"]
-        for i in range(0, len(empties), 2):
-            entries[(int(empties[i]), int(empties[i + 1]) + base)] = 0
-        return DepLog(entries)
-    if kind == "mc":
-        flat = np.array(data["m"], dtype=np.int64)
-        n = int(np.sqrt(flat.size))
-        return MatrixClock(n, flat.reshape(n, n))
-    if kind == "vc":
-        v = np.array(data["v"], dtype=np.int64)
-        return VectorClock(v.shape[0], v)
-    if kind == "arr":
-        return np.array(data["v"], dtype=np.int64)
-    if kind == "ivec":
-        return tuple(int(x) for x in data["v"])
-    if kind == "ivr":
-        # relative clock vector (v4): [ceiling, ceiling - x, ...] — the
-        # per-element offsets of a near-uniform vector (an apply
-        # snapshot) fit one byte where the absolutes need two or four
-        v = data["v"]
-        base = int(v[0])
-        return tuple(base - int(x) for x in v[1:])
-    if kind == "pairs":
-        v = data["v"]
-        return tuple((int(v[i]), int(v[i + 1])) for i in range(0, len(v), 2))
-    raise WireError(f"unknown metadata kind {kind!r}")
+    return _build_meta(*_untagged(data, "metadata"))
 
 
-def _encode_deplog(log: DepLog) -> List[int]:
+def _encode_deplog(log: DepLog, order: Any = None) -> List[int]:
     """Flat ``[sender, clock, dests, ...]`` triples: a single contiguous
     int list packs as one binary intlist (and is shorter as JSON too)."""
+    entries = log.entries
     flat: List[int] = []
-    for (s, c), d in sorted(log.entries.items()):
-        flat.append(int(s))
-        flat.append(int(c))
-        flat.append(int(d))
+    for key in sorted(entries) if order is None else order:
+        flat.append(key[0])
+        flat.append(key[1])
+        flat.append(entries[key])
     return flat
-
-
-def _decode_deplog(entries: Any) -> DepLog:
-    return DepLog(
-        {
-            (int(entries[i]), int(entries[i + 1])): int(entries[i + 2])
-            for i in range(0, len(entries), 3)
-        }
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1196,6 +1611,17 @@ def stamp_issue(frame: Dict[str, Any], issued_ms: float) -> Dict[str, Any]:
     return frame
 
 
+def issue_age_ms(stamp: int, now_ms: float) -> float:
+    """Milliseconds from an issue stamp to ``now_ms`` on the same clock,
+    both ends at the stamp's resolution.  The stamp is the issue time
+    floored to whole milliseconds; subtracting it from an unfloored
+    clock reads 0-1 ms (mean 0.5 ms) long on every sample.  Flooring
+    the apply side too makes each sample an integer within 1 ms of the
+    truth and the *mean* exact (the two rounding errors are the same
+    in distribution and cancel), at no cost in wire bytes."""
+    return float(int(now_ms) - stamp)
+
+
 def strip_issue(frame: Dict[str, Any]) -> Optional[int]:
     """Remove an issue stamp in place, restoring the base repl type;
     returns the stamp (origin-clock ms) or ``None`` for unstamped
@@ -1212,18 +1638,23 @@ def strip_issue(frame: Dict[str, Any]) -> Optional[int]:
 # ----------------------------------------------------------------------
 # delta metadata codec (v4: repl.delta chaining)
 # ----------------------------------------------------------------------
-def encode_meta_delta(meta: Any, base: Any) -> Optional[Dict[str, Any]]:
-    """Encode ``meta`` as a diff against ``base``, the metadata of the
-    previous frame sent on the same connection.
+def _delta_fields(
+    meta: Any, base: Any, base_order: Any = None, order: Any = None
+) -> Optional[Tuple[int, Tuple[Any, ...]]]:
+    """``(schema id, field values)`` of ``meta`` as a diff against
+    ``base``, the metadata of the previous frame sent on the same
+    connection.
 
     Returns ``None`` when the pair does not support diffing (different
     kinds, kinds without incremental structure) or when the diff would
     not beat the full encoding — the caller then sends a full ``repl``
     frame, which also resets the receiver's chain baseline to ``meta``.
-    Read-only on both metadata objects.
-    """
+    Read-only on both metadata objects.  ``base_order`` / ``order`` are
+    the sorted dependency-log keys of the two sides when the caller
+    holds them (:class:`DeltaEncoder` sorts each log once and hands it
+    from "current" to "baseline")."""
     if isinstance(meta, OptTrackMeta) and isinstance(base, OptTrackMeta):
-        removed, updated, added = meta.log.diff(base.log)
+        removed, updated, added = meta.log.diff(base.log, base_order, order)
         # a full encoding costs 3 ints per record; fall back when the
         # index-coded diff is no cheaper (wholesale turnover, tiny logs)
         if (
@@ -1237,16 +1668,11 @@ def encode_meta_delta(meta: Any, base: Any) -> Optional[Dict[str, Any]]:
         clock = meta.clock
         for i in range(1, len(added), 3):
             added[i] -= clock
-        return {
-            "k": "otd",
-            # the clock advance over the baseline: small on a live link,
-            # where the absolute clock would cost a full-width int
-            "c": clock - base.clock,
-            "rm": meta.replicas_mask,
-            "x": removed,
-            "u": updated,
-            "n": added,
-        }
+        # "c" is the clock advance over the baseline: small on a live
+        # link, where the absolute clock would cost a full-width int
+        return _S_OTD, (
+            clock - base.clock, meta.replicas_mask, removed, updated, added
+        )
     if isinstance(meta, CrpMeta) and isinstance(base, CrpMeta):
         log, base_log = meta.log, base.log
         gone = [int(s) for s in sorted(base_log) if s not in log]
@@ -1257,7 +1683,7 @@ def encode_meta_delta(meta: Any, base: Any) -> Optional[Dict[str, Any]]:
                 moved.append(int(c))
         if len(gone) + len(moved) >= 2 * len(log):
             return None
-        return {"k": "crpd", "c": meta.clock, "x": gone, "ch": moved}
+        return _S_CRPD, (meta.clock, gone, moved)
     if (
         isinstance(meta, MatrixClock)
         and isinstance(base, MatrixClock)
@@ -1272,48 +1698,44 @@ def encode_meta_delta(meta: Any, base: Any) -> Optional[Dict[str, Any]]:
         for i in hot:
             changed.append(int(i))
             changed.append(int(flat[i]))
-        return {"k": "mcd", "n": meta.n, "ch": changed}
+        return _S_MCD, (meta.n, changed)
     return None
 
 
-def decode_meta_delta(data: Any, base: Any) -> Any:
-    """Reconstruct the metadata that :func:`encode_meta_delta` diffed
-    against ``base`` (the receiver's chain baseline)."""
-    if not isinstance(data, dict) or "k" not in data:
-        raise WireError(f"malformed delta metadata payload {data!r}")
-    kind = data["k"]
+def _build_delta(sid: int, values: Any, base: Any) -> Any:
+    """The metadata a delta schema row reconstructs against ``base``
+    (the receiver's chain baseline); the values are already plain ints
+    and int sequences."""
+    kind = _MAP_SCHEMAS[sid][0]
     try:
-        if kind == "otd":
+        if sid == _S_OTD:
             if not isinstance(base, OptTrackMeta):
                 raise WireError(f"otd delta against {type(base).__name__}")
-            clock = base.clock + int(data["c"])
-            added = list(data["n"])
-            for i in range(1, len(added), 3):
-                added[i] += clock
+            advance, rm, removed, updated, added = values
+            clock = base.clock + advance
             return OptTrackMeta(
                 clock,
-                int(data["rm"]),
-                base.log.apply_diff(data["x"], data["u"], added),
+                rm,
+                base.log.apply_diff(removed, updated, added, clock),
             )
-        if kind == "crpd":
+        if sid == _S_CRPD:
             if not isinstance(base, CrpMeta):
                 raise WireError(f"crpd delta against {type(base).__name__}")
+            clock, gone, moved = values
             log = dict(base.log)
-            for s in data["x"]:
-                log.pop(int(s), None)
-            ch = data["ch"]
-            for i in range(0, len(ch), 2):
-                log[int(ch[i])] = int(ch[i + 1])
-            return CrpMeta(int(data["c"]), log)
-        if kind == "mcd":
-            n = int(data["n"])
+            for s in gone:
+                log.pop(s, None)
+            for i in range(0, len(moved), 2):
+                log[moved[i]] = moved[i + 1]
+            return CrpMeta(clock, log)
+        if sid == _S_MCD:
+            n, changed = values
             if not isinstance(base, MatrixClock) or base.n != n:
                 raise WireError(f"mcd delta against {type(base).__name__}")
             m = base.m.copy()
             flat = m.ravel()
-            ch = data["ch"]
-            for i in range(0, len(ch), 2):
-                flat[int(ch[i])] = int(ch[i + 1])
+            for i in range(0, len(changed), 2):
+                flat[changed[i]] = changed[i + 1]
             return MatrixClock(n, m)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise WireError(f"malformed {kind!r} delta metadata: {exc}") from None
@@ -1324,38 +1746,67 @@ class DeltaEncoder:
     """Per-connection sender state for the v4 chained repl stream.
 
     Owns the chain baseline (the metadata of the previous repl frame
-    encoded on this connection) and the negotiated intern table.  The
-    link send path creates one per established ``cv >= 4`` connection
-    and drops it on disconnect — a fresh receiver therefore always gets
-    one full frame first (``_base is None``), exactly mirroring
-    :class:`DeltaDecoder`'s reset on its side.  This class and the
-    decoder are the only places delta baselines mutate; the wire-delta
-    lint rule holds the service layer to that.
+    encoded on this connection, with the sorted key order of its
+    dependency log beside it — each log is ordered once, as "current",
+    and reused when it becomes the baseline) and the negotiated intern
+    table.  The link send path creates one per established ``cv >= 4``
+    connection and drops it on disconnect — a fresh receiver therefore
+    always gets one full frame first (``_base is None``), exactly
+    mirroring :class:`DeltaDecoder`'s reset on its side.  This class
+    and the decoder are the only places delta baselines mutate; the
+    wire-delta lint rule holds the service layer to that.
     """
 
-    __slots__ = ("itab", "_base")
+    __slots__ = ("itab", "_base", "_order")
 
     def __init__(self, itab: Optional[InternTable] = None) -> None:
         self.itab = itab
         self._base: Any = None
+        self._order: Any = None
+
+    def _advance(self, meta: Any) -> Tuple[str, Any]:
+        """Move the chain to ``meta``: the next frame's kind and its
+        metadata as a schema row — a diff against the previous frame's
+        metadata when profitable, the lean full encoding otherwise."""
+        base, base_order = self._base, self._order
+        order = sorted(meta.log.entries) if type(meta) is OptTrackMeta else None
+        self._base, self._order = meta, order
+        if base is not None:
+            fields = _delta_fields(meta, base, base_order, order)
+            if fields is not None:
+                return "repl.delta", fields
+        return "repl", None if meta is None else _meta_fields(meta, True, order)
 
     def encode_update(self, msg: UpdateMessage, link_seq: int) -> Dict[str, Any]:
-        """The next frame of the chain: ``repl.delta`` against the
-        previous frame's metadata when profitable, full ``repl``
-        otherwise.  Either way the baseline advances to ``msg.meta``."""
-        base, self._base = self._base, msg.meta
-        delta = None if base is None else encode_meta_delta(msg.meta, base)
-        if delta is None:
-            return encode_update(msg, link_seq, self.itab, lean=True)
+        """The next frame of the chain as a frame dict: ``repl.delta``
+        against the previous frame's metadata when profitable, full
+        ``repl`` otherwise.  Either way the baseline advances to
+        ``msg.meta``."""
+        kind, fields = self._advance(msg.meta)
         return make_frame(
-            "repl.delta",
+            kind,
             var=msg.var if self.itab is None else self.itab.encode_var(msg.var),
             value=msg.value,
             w=None if _derivable_write_id(msg) else encode_write_id(msg.write_id),
             src=msg.sender,
             dst=msg.dest,
-            meta=delta,
+            meta=None if fields is None else _tagged(*fields),
             ls=link_seq,
+        )
+
+    def pack_update(
+        self,
+        msg: UpdateMessage,
+        link_seq: int,
+        issued_ms: Optional[float] = None,
+        codec: "BinaryCodec" = BINARY_CODEC_V4,
+    ) -> bytes:
+        """The next frame of the chain in one pass: the bytes ``codec``
+        encodes :meth:`encode_update`'s dict to (issue-stamped when
+        ``issued_ms`` is given), with no dict in between."""
+        kind, fields = self._advance(msg.meta)
+        return codec._pack_repl(
+            kind, msg, link_seq, issued_ms, self.itab, True, fields
         )
 
 
@@ -1370,6 +1821,10 @@ class DeltaDecoder:
     ``repl.delta`` arriving with no or mismatched baseline raises
     :class:`WireError` — the server drops the connection and the sender
     reconnects, re-sending from the ack with a full first frame.
+
+    Unlike the encoder it keeps no key order beside the baseline: a
+    received log is the baseline of at most one diff, so it is sorted
+    once already (inside ``DepLog.apply_diff``).
     """
 
     __slots__ = ("_base",)
@@ -1381,19 +1836,24 @@ class DeltaDecoder:
         """Forget the chain (epoch change: a new sender incarnation)."""
         self._base = None
 
+    def _delta_meta(self, sid: int, values: Any) -> Any:
+        """The metadata a delta schema row spells against the baseline
+        (which the caller advances once the whole frame has decoded)."""
+        if self._base is None:
+            raise WireError("repl.delta with no chain baseline")
+        return _build_delta(sid, values, self._base)
+
     def decode_update(
         self, frame: Dict[str, Any], itab: Optional[InternTable] = None
     ) -> UpdateMessage:
-        """Decode the next processed frame of the chain (full or delta),
-        advancing the baseline to its metadata."""
+        """Decode the next processed frame of the chain (full or delta)
+        from its frame dict, advancing the baseline to its metadata."""
         if frame["t"] != "repl.delta":
             msg = decode_update(frame, itab)
             self._base = msg.meta
             return msg
-        if self._base is None:
-            raise WireError("repl.delta with no chain baseline")
         try:
-            meta = decode_meta_delta(frame["meta"], self._base)
+            meta = self._delta_meta(*_untagged(frame["meta"], "delta metadata"))
             src = int(frame["src"])
             msg = UpdateMessage(
                 var=resolve_var(frame["var"], itab),
@@ -1403,8 +1863,33 @@ class DeltaDecoder:
                 dest=int(frame["dst"]),
                 meta=meta,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise WireError(f"malformed repl.delta frame: {exc}") from None
+        self._base = meta
+        return msg
+
+    def unpack_update(self, frame: "ReplFrame") -> UpdateMessage:
+        """:meth:`decode_update` for a frame :func:`decode_message`
+        parsed in one pass: build its metadata (against the baseline
+        for a ``repl.delta``) and advance the chain."""
+        try:
+            if frame.delta:
+                meta = self._delta_meta(frame.sid, frame.fields)
+            elif frame.sid is None:
+                meta = None
+            else:
+                meta = _build_meta(frame.sid, frame.fields)
+            wid = frame.wid
+            if wid is None:
+                clock = getattr(meta, "clock", None)
+                if clock is None:
+                    raise WireError("repl frame without a write id")
+                wid = WriteId(frame.src, clock)
+            msg = UpdateMessage(
+                frame.var, frame.value, wid, frame.src, frame.dst, meta
+            )
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise WireError(f"malformed repl frame: {exc}") from None
         self._base = meta
         return msg
 
@@ -1433,6 +1918,18 @@ def decode_fetch_request(frame: Dict[str, Any]) -> FetchRequest:
         raise WireError(f"malformed fetch frame: {exc}") from None
 
 
+def _reply_meta_fields(reply: FetchReply, lean: bool) -> Any:
+    meta = reply.meta
+    return None if meta is None else _meta_fields(meta, lean)
+
+
+def _reply_applied_fields(reply: FetchReply, lean: bool) -> Any:
+    applied = reply.applied
+    if applied is None:
+        return None
+    return _ivr_fields(applied) if lean else _meta_fields(applied)
+
+
 def encode_fetch_reply(
     reply: FetchReply,
     compact: bool = False,
@@ -1445,14 +1942,8 @@ def encode_fetch_reply(
     ``itab`` is the *serving* site's own intern table: the requester
     holds a copy from the ``link.ok`` handshake, so replies may intern
     the variable name against it."""
-    applied: Any = reply.applied
-    if compact and applied is not None:
-        base = max(applied, default=0)
-        vec = [base]
-        vec.extend(base - int(a) for a in applied)
-        applied = {"k": "ivr", "v": vec}
-    else:
-        applied = encode_meta(applied)
+    meta = _reply_meta_fields(reply, compact)
+    applied = _reply_applied_fields(reply, compact)
     return make_frame(
         "fetch.ok",
         var=reply.var if itab is None else itab.encode_var(reply.var),
@@ -1461,8 +1952,8 @@ def encode_fetch_reply(
         sv=reply.server,
         rq=reply.requester,
         fid=reply.fetch_id,
-        meta=encode_meta(reply.meta, compact=compact),
-        applied=applied,
+        meta=None if meta is None else _tagged(*meta),
+        applied=None if applied is None else _tagged(*applied),
     )
 
 
@@ -1484,6 +1975,321 @@ def decode_fetch_reply(
         raise WireError(f"malformed fetch.ok frame: {exc}") from None
 
 
+# ----------------------------------------------------------------------
+# one-pass wire: hot frames between message objects and bytes
+# ----------------------------------------------------------------------
+# The steady state is a dozen frame kinds (``HOT_KINDS``).  On a binary
+# connection they skip the frame dict in both directions: the
+# ``BinaryCodec.pack_*`` encoders write a frame's bytes straight from
+# the message, and :func:`decode_message` builds the message straight
+# from the body.  The bytes are the ones :meth:`BinaryCodec.encode`
+# produces, so either end of a connection may be on either path.  The
+# dict walk stays for everything else: the JSON profile, the rare or
+# growing kinds (handshakes, ``sys.*``, ``snap``, ``err``), WAL replay,
+# and connections that only speak frame dicts.
+
+#: kinds with a one-pass decoder (and encoder); the ``wal.*`` records
+#: have encoders only — they are read back at recovery, as dicts
+HOT_KINDS = REPL_FRAME_KINDS + (
+    "repl.ack", "repl.ackp", "put", "put.ok", "get", "get.ok",
+    "fetch", "fetch.ok",
+)
+
+#: length-prefix placeholder + schema-packed binary header per kind
+_HEADS: Dict[str, bytes] = {
+    kind: bytes(4) + _HDR.pack(
+        BINARY_MAGIC, JSON_WIRE_VERSION, _FRAME_TAGS[kind] | _SCHEMA_BIT
+    )
+    for kind in _FRAME_SCHEMAS
+}
+
+
+#: the issue-stamped variant's head under its base kind's name
+_STAMPED_HEADS: Dict[str, bytes] = {
+    kind: _HEADS[kind + ".t"] for kind in _FRAME_SCHEMAS if kind + ".t" in _HEADS
+}
+
+
+def _finish(out: bytearray) -> bytes:
+    """Patch the length prefix in; the frame is complete."""
+    body_len = len(out) - 4
+    if body_len > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {body_len} bytes exceeds {MAX_FRAME_BYTES}")
+    _LEN.pack_into(out, 0, body_len)
+    return bytes(out)
+
+
+def _pack_var(
+    out: bytearray, var: Any, itab: Optional[InternTable], compact: bool
+) -> None:
+    if type(var) is str:
+        if itab is not None:
+            interned = itab._ids.get(var)
+            if interned is not None:
+                _pack_int(out, interned, compact)
+                return
+        _pack_str(out, var)
+    else:
+        _pack_into(out, var, compact)
+
+
+def _pack_wid(out: bytearray, wid: Optional[WriteId], compact: bool) -> None:
+    if wid is None:
+        out.append(_T_NONE)
+    else:
+        out.append(_T_LIST)
+        out.append(2)
+        _pack_int(out, wid.site, compact)
+        _pack_int(out, wid.seq, compact)
+
+
+def encoded_kind(encoded: bytes) -> str:
+    """Frame type of a pre-encoded binary frame (length prefix
+    included), read back from its header tag byte."""
+    return _FRAME_TYPES[encoded[6] & (_SCHEMA_BIT - 1)]
+
+
+class ReplFrame:
+    """One repl frame parsed off the wire but not yet decoded against
+    its sender's delta chain: the server reads ``src`` / ``ls`` to drop
+    duplicates and gaps *before* :meth:`DeltaDecoder.unpack_update`
+    touches the chain.  ``sid`` / ``fields`` are the metadata's schema
+    row (``sid`` ``None`` = no metadata), ``delta`` says the row is a
+    diff, ``it`` is the origin's issue stamp (``None`` unstamped) and
+    ``raw`` the body itself when it is self-contained (a full frame
+    with a literal variable name) — what a WAL may log verbatim."""
+
+    __slots__ = (
+        "delta", "var", "value", "wid", "src", "dst", "sid", "fields",
+        "ls", "it", "raw",
+    )
+
+    def __init__(
+        self, delta: bool, var: Any, value: Any, wid: Optional[WriteId],
+        src: int, dst: int, sid: Optional[int], fields: Any, ls: int,
+        it: Optional[int], raw: Optional[bytes],
+    ) -> None:
+        self.delta = delta
+        self.var = var
+        self.value = value
+        self.wid = wid
+        self.src = src
+        self.dst = dst
+        self.sid = sid
+        self.fields = fields
+        self.ls = ls
+        self.it = it
+        self.raw = raw
+
+
+class Ack(NamedTuple):
+    """``repl.ack`` / ``repl.ackp``: cumulative ack and, on v4 links,
+    its gap to the applied watermark (``None`` on a bare ack)."""
+
+    ack: int
+    applied_gap: Optional[int]
+
+
+class Put(NamedTuple):
+    var: Any
+    value: Any
+
+
+class PutOk(NamedTuple):
+    write_id: Optional[WriteId]
+
+
+class Get(NamedTuple):
+    var: Any
+
+
+class GetOk(NamedTuple):
+    value: Any
+    write_id: Optional[WriteId]
+    served_by: int
+
+
+def _read_value(body: bytes, pos: int) -> Tuple[Any, int]:
+    if body[pos] == _T_STR:
+        n = body[pos + 1]
+        if n != 0xFF:
+            end = pos + 2 + n
+            return body[pos + 2 : end].decode("utf-8"), end
+    return _unpack_from(body, pos)
+
+
+def _read_var(
+    body: bytes, pos: int, itab: Optional[InternTable]
+) -> Tuple[Any, int]:
+    var, pos = _read_value(body, pos)
+    return (resolve_var(var, itab) if type(var) is int else var), pos
+
+
+def _read_wid(body: bytes, pos: int) -> Tuple[Optional[WriteId], int]:
+    tag = body[pos]
+    if tag == _T_NONE:
+        return None, pos + 1
+    if tag == _T_LIST and body[pos + 1] == 2:
+        site, pos = _read_int(body, pos + 2)
+        seq, pos = _read_int(body, pos)
+        return WriteId(site, seq), pos
+    value, pos = _unpack_from(body, pos)
+    return decode_write_id(value), pos
+
+
+def _read_meta(body: bytes, pos: int) -> Tuple[Any, int]:
+    sid, values, pos = _read_fields(body, pos)
+    return (None if sid is None else _build_meta(sid, values)), pos
+
+
+def _read_repl(
+    body: bytes, itab: Optional[InternTable], delta: bool, stamped: bool
+) -> ReplFrame:
+    var, pos = _read_var(body, 3, itab)
+    value, pos = _read_value(body, pos)
+    wid, pos = _read_wid(body, pos)
+    src, pos = _read_int(body, pos)
+    dst, pos = _read_int(body, pos)
+    sid, fields, pos = _read_fields(body, pos)
+    ls, pos = _read_int(body, pos)
+    it = None
+    if stamped:
+        it, pos = _read_int(body, pos)
+    if pos != len(body):
+        raise _trailing(body, pos)
+    # self-contained = a full frame whose variable name is spelled out
+    raw = body if body[3] == _T_STR and not delta else None
+    return ReplFrame(delta, var, value, wid, src, dst, sid, fields, ls, it, raw)
+
+
+def _read_ack(body: bytes, itab: Any, gap: bool) -> Ack:
+    ack, pos = _read_int(body, 3)
+    applied_gap = None
+    if gap:
+        applied_gap, pos = _read_int(body, pos)
+    if pos != len(body):
+        raise _trailing(body, pos)
+    return Ack(ack, applied_gap)
+
+
+def _read_put(body: bytes, itab: Optional[InternTable]) -> Put:
+    var, pos = _read_var(body, 3, itab)
+    value, pos = _read_value(body, pos)
+    if pos != len(body):
+        raise _trailing(body, pos)
+    return Put(var, value)
+
+
+def _read_put_ok(body: bytes, itab: Any) -> PutOk:
+    wid, pos = _read_wid(body, 3)
+    if pos != len(body):
+        raise _trailing(body, pos)
+    return PutOk(wid)
+
+
+def _read_get(body: bytes, itab: Optional[InternTable]) -> Get:
+    var, pos = _read_var(body, 3, itab)
+    if pos != len(body):
+        raise _trailing(body, pos)
+    return Get(var)
+
+
+def _read_get_ok(body: bytes, itab: Any) -> GetOk:
+    value, pos = _read_value(body, 3)
+    wid, pos = _read_wid(body, pos)
+    by, pos = _read_int(body, pos)
+    if pos != len(body):
+        raise _trailing(body, pos)
+    return GetOk(value, wid, by)
+
+
+def _read_fetch(body: bytes, itab: Any) -> FetchRequest:
+    # fetch requests never intern: the name passes through as sent
+    var, pos = _read_value(body, 3)
+    rq, pos = _read_int(body, pos)
+    sv, pos = _read_int(body, pos)
+    fid, pos = _read_int(body, pos)
+    deps, pos = _read_meta(body, pos)
+    if pos != len(body):
+        raise _trailing(body, pos)
+    return FetchRequest(var, rq, sv, fid, deps)
+
+
+def _read_fetch_ok(body: bytes, itab: Optional[InternTable]) -> FetchReply:
+    var, pos = _read_var(body, 3, itab)
+    value, pos = _read_value(body, pos)
+    wid, pos = _read_wid(body, pos)
+    sv, pos = _read_int(body, pos)
+    rq, pos = _read_int(body, pos)
+    fid, pos = _read_int(body, pos)
+    meta, pos = _read_meta(body, pos)
+    applied, pos = _read_meta(body, pos)
+    if pos != len(body):
+        raise _trailing(body, pos)
+    return FetchReply(var, value, wid, sv, rq, fid, meta, applied)
+
+
+def _trailing(body: bytes, pos: int) -> WireError:
+    return WireError(f"binary frame has {len(body) - pos} trailing bytes")
+
+
+#: schema-packed header tag byte -> (kind, reader); a hot kind that
+#: arrives map-shaped (legal, never emitted) has no schema bit and so
+#: no entry: it takes the dict path like any other frame
+_READERS: Dict[int, Tuple[str, Any]] = {
+    _FRAME_TAGS[kind] | _SCHEMA_BIT: (kind, reader)
+    for kind, reader in (
+        ("repl", lambda b, t: _read_repl(b, t, False, False)),
+        ("repl.t", lambda b, t: _read_repl(b, t, False, True)),
+        ("repl.delta", lambda b, t: _read_repl(b, t, True, False)),
+        ("repl.delta.t", lambda b, t: _read_repl(b, t, True, True)),
+        ("repl.ack", lambda b, t: _read_ack(b, t, False)),
+        ("repl.ackp", lambda b, t: _read_ack(b, t, True)),
+        ("put", _read_put),
+        ("put.ok", _read_put_ok),
+        ("get", _read_get),
+        ("get.ok", _read_get_ok),
+        ("fetch", _read_fetch),
+        ("fetch.ok", _read_fetch_ok),
+    )
+}
+assert sorted(kind for kind, _ in _READERS.values()) == sorted(HOT_KINDS)
+
+
+def decode_message(body: bytes, itab: Optional[InternTable] = None) -> Any:
+    """Decode one frame body in one pass where its kind allows.
+
+    A schema-packed binary body of a hot kind comes back as the message
+    it carries — a :class:`ReplFrame`, an :class:`Ack`, :class:`Put` /
+    :class:`PutOk` / :class:`Get` / :class:`GetOk`, a
+    :class:`~repro.core.messages.FetchRequest` or ``FetchReply`` — with
+    interned variable ids resolved against ``itab`` (the table this
+    side advertised, or learnt, at the connection's handshake).  Every
+    other body is :func:`decode_body`'s frame dict, a self-contained
+    repl frame annotated with its wire bytes under ``_raw``, so a
+    caller dispatches on the type of what it gets.  Malformed input
+    raises :class:`WireError`, whatever the path.
+    """
+    if len(body) > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
+    entry = (
+        _READERS.get(body[2])
+        if len(body) > 2 and body[0] == BINARY_MAGIC
+        else None
+    )
+    if entry is None:
+        return decode_annotated(body)
+    if not MIN_WIRE_VERSION <= body[1] <= WIRE_VERSION:
+        _check_version(body[1])
+    try:
+        return entry[1](body, itab)
+    except (
+        IndexError, KeyError, TypeError, ValueError, OverflowError,
+        struct.error, UnicodeDecodeError,
+    ) as exc:
+        raise WireError(f"undecodable {entry[0]} frame body: {exc}") from None
+
+
 __all__ = [
     "WIRE_VERSION",
     "BATCH_WIRE_VERSION",
@@ -1498,8 +2304,6 @@ __all__ = [
     "resolve_var",
     "DeltaEncoder",
     "DeltaDecoder",
-    "encode_meta_delta",
-    "decode_meta_delta",
     "BINARY_MAGIC",
     "MAX_FRAME_BYTES",
     "RETRIABLE",
@@ -1508,6 +2312,7 @@ __all__ = [
     "REPL_FRAME_KINDS",
     "stamp_issue",
     "strip_issue",
+    "issue_age_ms",
     "JsonCodec",
     "BinaryCodec",
     "JSON_CODEC",
@@ -1517,6 +2322,16 @@ __all__ = [
     "codec_for",
     "encode_frame",
     "decode_body",
+    "decode_annotated",
+    "decode_message",
+    "encoded_kind",
+    "HOT_KINDS",
+    "ReplFrame",
+    "Ack",
+    "Put",
+    "PutOk",
+    "Get",
+    "GetOk",
     "frame_length",
     "make_frame",
     "err_frame",

@@ -625,6 +625,78 @@ def _counter(counters, name):
     return sum(v for k, v in counters.items() if k.split("{")[0] == name)
 
 
+class TestBoundCounters:
+    def test_bound_counters_are_the_registrys_own_series(self):
+        """``SiteServer.metric`` / ``KVClient._metric`` resolve a series
+        once and bump the bound counter afterwards — a lookup shortcut,
+        not a second store: the registry (and so snapshots, sys.stats
+        and the exposition) reads what per-call lookups produced."""
+        async def main():
+            metrics, plain = MetricsRegistry(), MetricsRegistry()
+            async with ServiceCluster(2, 2, "opt-track", metrics=metrics) as cluster:
+                server = cluster.servers[1]
+                client = cluster.client(home=0)
+                base = metrics.snapshot()["counters"]
+                for _ in range(3):
+                    server.metric("service_requests_total", op="put")
+                    plain.counter("service_requests_total", site=1, op="put").inc()
+                    client._metric("client_failovers_total", op="get")
+                    plain.counter("client_failovers_total", op="get").inc()
+                server.metric("service_applies_total", 7)
+                plain.counter("service_applies_total", site=1).inc(7)
+                # label order at the call site does not split a series
+                server.metric("x_total", a=1, b=2)
+                server.metric("x_total", b=2, a=1)
+                plain.counter("x_total", site=1, a=1, b=2).inc(2)
+                after = metrics.snapshot()["counters"]
+                await client.close()
+            return base, after, plain.snapshot()["counters"]
+
+        base, after, expect = run(main())
+        grew = {k: v - base.get(k, 0) for k, v in after.items() if v != base.get(k, 0)}
+        assert grew == expect
+
+
+class TestOnePassInterop:
+    def test_wrapped_and_plain_connections_share_a_cluster(self):
+        """Every connection *into* site 1 is a wrapper that only speaks
+        frame dicts (its ``send`` reads ``frame["t"]`` — pre-encoded
+        bytes would raise), every other connection is the transport's
+        own and goes message <-> bytes in one pass.  Both ends of the
+        wrapped links mix the two paths — dict-encoded updates decoded
+        in one pass at site 1, one-pass acks decoded to dicts behind the
+        wrapper — and the bytes are the same either way."""
+        async def main():
+            metrics = MetricsRegistry()
+            transport = _WrappingTransport(_WrappedConnection, victim="site-1",
+                                           metrics=metrics)
+            async with ServiceCluster(3, 6, "opt-track", replication_factor=2,
+                                      sanitize=True, metrics=metrics,
+                                      transport=transport) as cluster:
+                gen = LoadGenerator(cluster, workload="a", ops_per_site=40,
+                                    sessions=2, seed=5, metrics=metrics)
+                report = await gen.run()
+                await cluster.quiesce()
+                links = cluster.servers[0]._links
+                paths = {d: link._conn.one_pass for d, link in links.items()}
+                backlogs = [link.backlog for server in cluster.servers
+                            for link in server._links.values()]
+                return (report, paths, backlogs, cluster.sanitizer.checks_run,
+                        metrics.snapshot()["counters"], transport.log)
+
+        report, paths, backlogs, checks, counters, log = run(main())
+        assert report.errors == 0 and report.ops > 0 and checks > 0
+        assert backlogs and all(b == 0 for b in backlogs)
+        # site 0's link to site 1 carried frame dicts, its link to
+        # site 2 pre-encoded frames on the negotiated v4 codec
+        assert paths[1] is None and paths[2] is wire.BINARY_CODEC_V4
+        carried = {kind for _, kinds in log for kind in kinds}
+        assert {"put", "get", "repl.t", "repl.delta.t", "fetch"} <= carried
+        assert _counter(counters, "service_repl_gaps_total") == 0
+        # remote reads crossed the seam too (wrapped fetch, one-pass reply)
+        assert _counter(counters, "service_fetch_failures_total") == 0
+
+
 class TestWriteThrough:
     def test_put_is_on_the_wire_before_the_writer_task_runs(self):
         async def main():

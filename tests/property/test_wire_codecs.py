@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.log import DepLog
-from repro.core.messages import CrpMeta, FetchRequest, OptTrackMeta, UpdateMessage
+from repro.core.messages import (
+    CrpMeta,
+    FetchReply,
+    FetchRequest,
+    OptTrackMeta,
+    UpdateMessage,
+)
 from repro.errors import WireError
 from repro.service import wire
 from repro.types import WriteId
@@ -247,6 +253,13 @@ class TestBinaryCodecEdges:
         with pytest.raises(WireError):
             wire.decode_body(body)
 
+    def test_undecodable_type_string_rejected(self):
+        # tag 0 spells the frame type out in the body; bytes that are
+        # not UTF-8 there used to escape as UnicodeDecodeError
+        body = bytes([wire.BINARY_MAGIC, wire.JSON_WIRE_VERSION, 0, 0x30, 1, 0xF4])
+        with pytest.raises(WireError):
+            wire.decode_body(body)
+
     def test_truncated_body_rejected(self):
         frame = wire.make_frame("put", var="xyz", value="abcdef")
         body = wire.BINARY_CODEC.encode(frame)[4:]
@@ -416,3 +429,497 @@ class TestMixedVersionFallback:
         counters = asyncio.run(run())
         assert self._total(counters, "client_wire_negotiations_total", "json") == 1
         assert self._total(counters, "client_wire_negotiations_total", "binary") == 0
+
+
+# ======================================================================
+# one-pass wire: the hot frames' encoders and decoders against the dict
+# path, byte for byte and object for object
+# ======================================================================
+BINARY = (wire.BINARY_CODEC, wire.BINARY_CODEC_V4)
+ITAB = wire.InternTable(wire.intern_table_names(f"x{i}" for i in range(8)))
+#: names inside and outside the negotiated table (interned / literal)
+VARS = st.sampled_from(list(ITAB.names) + ["zz_outside_table"])
+ISSUED = st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0**31))
+small_sites = st.integers(min_value=0, max_value=15)
+
+
+def body_of(encoded):
+    assert wire.frame_length(encoded[:4]) == len(encoded) - 4
+    return encoded[4:]
+
+
+def messages_equal(a, b):
+    return (
+        (a.var, a.value, a.write_id, a.sender, a.dest)
+        == (b.var, b.value, b.write_id, b.sender, b.dest)
+        and meta_equal(a.meta, b.meta)
+        and (
+            not isinstance(a.meta, OptTrackMeta)
+            or a.meta.log.latest_by_sender == b.meta.log.latest_by_sender
+        )
+    )
+
+
+@st.composite
+def meta_chains(draw):
+    """Metadata of one family as a live link evolves it: small steps
+    (profitable deltas), at least one wholesale turnover (the
+    fall-back-to-full frame) and one reconnect (fresh chain)."""
+    family = draw(st.sampled_from(["ot", "crp", "mc", "vc", "none"]))
+    steps = draw(
+        st.lists(st.sampled_from(["small", "small", "churn"]), min_size=3, max_size=7)
+    )
+    steps[draw(st.integers(min_value=1, max_value=len(steps) - 1))] = "churn"
+    clock = draw(st.integers(min_value=1, max_value=2**20))
+    out = []
+    if family == "ot":
+        entries = dict(draw(st.dictionaries(st.tuples(small_sites, clocks), masks, max_size=6)))
+        for step in steps:
+            clock += draw(st.integers(min_value=1, max_value=300))
+            entries = dict(entries)
+            if step == "churn":
+                entries = dict(
+                    draw(st.dictionaries(st.tuples(small_sites, clocks), masks, max_size=6))
+                )
+            elif entries and draw(st.booleans()):
+                key = draw(st.sampled_from(sorted(entries)))
+                if draw(st.booleans()):
+                    del entries[key]
+                else:
+                    entries[key] = draw(masks)
+            entries[(draw(small_sites), clock)] = draw(st.sampled_from([0, 0, 5]))
+            out.append(OptTrackMeta(clock, draw(masks), DepLog(entries)))
+    elif family == "crp":
+        log = dict(draw(st.dictionaries(small_sites, clocks, max_size=6)))
+        for step in steps:
+            clock += draw(st.integers(min_value=1, max_value=300))
+            log = dict(log)
+            if step == "churn":
+                log = dict(draw(st.dictionaries(small_sites, clocks, max_size=6)))
+            elif log and draw(st.booleans()):
+                del log[draw(st.sampled_from(sorted(log)))]
+            log[draw(small_sites)] = clock
+            out.append(CrpMeta(clock, log))
+    elif family == "mc":
+        n = draw(st.integers(min_value=2, max_value=5))
+        m = np.array(
+            draw(st.lists(st.lists(clocks, min_size=n, max_size=n), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        for step in steps:
+            m = m.copy()
+            if step == "churn":
+                m += draw(st.integers(min_value=1, max_value=9))
+            else:
+                m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += 1
+            out.append(MatrixClock(n, m))
+    elif family == "vc":
+        v = draw(st.lists(clocks, min_size=1, max_size=8))
+        for _ in steps:
+            out.append(VectorClock(len(v), np.array(v, dtype=np.int64)))
+    else:
+        out = [None for _ in steps]
+    return out
+
+
+@st.composite
+def update_streams(draw):
+    """``(messages, reconnect index)``: one sender's updates over one
+    link, the write id derivable from ``(sender, meta.clock)`` on some
+    and explicit on others."""
+    sender, dest = draw(small_sites), draw(small_sites)
+    msgs = []
+    for i, meta in enumerate(draw(meta_chains())):
+        seq = getattr(meta, "clock", None)
+        if seq is None or not draw(st.booleans()):
+            seq = draw(clocks)  # explicit (and for clockless metas, required)
+        msgs.append(
+            UpdateMessage(draw(VARS), draw(values), WriteId(sender, seq), sender, dest, meta)
+        )
+    return msgs, draw(st.integers(min_value=1, max_value=len(msgs) - 1))
+
+
+def dict_path_update(codec, enc, msg, ls, issued, itab):
+    """The frame bytes the pre-one-pass sender produced."""
+    frame = (
+        enc.encode_update(msg, ls) if enc is not None else wire.encode_update(msg, ls)
+    )
+    if issued is not None:
+        wire.stamp_issue(frame, issued)
+    return codec.encode(frame)
+
+
+class TestOnePassIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(stream=update_streams(), issued=ISSUED, interned=st.booleans(), ls0=clocks)
+    def test_repl_chain_bytes_and_objects(self, stream, issued, interned, ls0):
+        """The v4 chain: full, delta, fall-back-to-full and the full
+        frame after a reconnect — one-pass bytes are the dict path's,
+        and both decoders rebuild the same messages from them."""
+        msgs, reconnect = stream
+        codec = wire.BINARY_CODEC_V4
+        itab = ITAB if interned else None
+        dict_enc, one_enc = wire.DeltaEncoder(itab), wire.DeltaEncoder(itab)
+        dict_dec, one_dec = wire.DeltaDecoder(), wire.DeltaDecoder()
+        kinds = []
+        for i, msg in enumerate(msgs):
+            if i == reconnect:
+                # a fresh connection: fresh encoder chain (the decoder
+                # keeps its baseline — same sender incarnation)
+                dict_enc, one_enc = wire.DeltaEncoder(itab), wire.DeltaEncoder(itab)
+            ls = ls0 + i
+            expect = dict_path_update(codec, dict_enc, msg, ls, issued, itab)
+            got = one_enc.pack_update(msg, ls, issued, codec)
+            assert got == expect
+            kinds.append(wire.encoded_kind(got))
+            frame = wire.decode_body(body_of(expect))
+            stamp = wire.strip_issue(frame)
+            via_dict = dict_dec.decode_update(frame, ITAB)
+            parsed = wire.decode_message(body_of(got), ITAB)
+            assert isinstance(parsed, wire.ReplFrame)
+            assert (parsed.src, parsed.ls, parsed.it) == (msg.sender, ls, stamp)
+            assert parsed.delta == kinds[-1].startswith("repl.delta")
+            via_one = one_dec.unpack_update(parsed)
+            assert messages_equal(via_one, via_dict)
+            assert messages_equal(via_one, msg)
+        stamped = issued is not None
+        assert kinds[0] == kinds[reconnect] == ("repl.t" if stamped else "repl")
+
+    def test_chain_shape_full_delta_fallback_reconnect(self):
+        """The generated chains do take every branch: pin one by hand."""
+        def meta(clock, entries):
+            return OptTrackMeta(clock, 6, DepLog(entries))
+        base = {(0, 5): 6, (2, 9): 3, (3, 30): 0, (4, 12): 5}
+        metas = [
+            meta(41, {**base, (1, 41): 5}),
+            meta(42, {**base, (1, 42): 5}),                     # small diff
+            meta(43, {(s, 100 + s): 1 for s in range(5)}),      # turnover
+            meta(44, {**{(s, 100 + s): 1 for s in range(5)}, (1, 44): 4}),
+            meta(45, {**{(s, 100 + s): 1 for s in range(5)}, (1, 45): 4}),
+        ]
+        msgs = [UpdateMessage("x1", "v", WriteId(1, m.clock), 1, 2, m) for m in metas]
+        enc, kinds = wire.DeltaEncoder(ITAB), []
+        for i, msg in enumerate(msgs):
+            if i == 4:
+                enc = wire.DeltaEncoder(ITAB)
+            kinds.append(wire.encoded_kind(enc.pack_update(msg, i + 1, 7.0)))
+        assert kinds == ["repl.t", "repl.delta.t", "repl.t", "repl.delta.t", "repl.t"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        var=VARS, value=values, wid=st.tuples(sites, clocks), src=sites, dst=sites,
+        meta=metas(), ls=clocks, issued=ISSUED, compact=st.booleans(),
+    )
+    def test_plain_and_wal_update_frames(
+        self, var, value, wid, src, dst, meta, ls, issued, compact
+    ):
+        """Unchained full frames (v3 links) and their ``wal.repl`` twin,
+        over every metadata kind ``encode_meta`` emits."""
+        codec = BINARY[compact]
+        msg = UpdateMessage(var, value, WriteId(*wid), src, dst, meta)
+        expect = dict_path_update(codec, None, msg, ls, issued, None)
+        got = codec.pack_update(msg, ls, issued)
+        assert got == expect
+        parsed = wire.decode_message(body_of(got))
+        assert parsed.raw == body_of(got) and not parsed.delta
+        assert messages_equal(wire.DeltaDecoder().unpack_update(parsed), msg)
+        durable = wire.encode_update(msg, ls)
+        durable["t"] = "wal.repl"
+        assert codec.pack_update(msg, ls, wal=True) == codec.encode(durable)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ack=clocks, gap=st.one_of(st.none(), clocks), var=VARS, value=values,
+        wid=st.one_of(st.none(), st.tuples(sites, clocks)), by=sites,
+        compact=st.booleans(), interned=st.booleans(),
+    )
+    def test_ack_and_client_frames(self, ack, gap, var, value, wid, by, compact, interned):
+        codec = BINARY[compact]
+        itab = ITAB if interned else None
+        wid = None if wid is None else WriteId(*wid)
+        w = wire.encode_write_id(wid)
+        on_wire = var if itab is None else itab.encode_var(var)
+        cases = [
+            (
+                wire.make_frame("repl.ack", a=ack) if gap is None
+                else wire.make_frame("repl.ackp", a=ack, ap=gap),
+                codec.pack_ack(ack, gap),
+                wire.Ack(ack, gap),
+            ),
+            (
+                wire.make_frame("put", var=on_wire, value=value),
+                codec.pack_put(var, value, itab),
+                wire.Put(var, value),
+            ),
+            (wire.make_frame("put.ok", w=w), codec.pack_put_ok(wid), wire.PutOk(wid)),
+            (
+                wire.make_frame("get", var=on_wire),
+                codec.pack_get(var, itab),
+                wire.Get(var),
+            ),
+            (
+                wire.make_frame("get.ok", value=value, w=w, by=by),
+                codec.pack_get_ok(value, wid, by),
+                wire.GetOk(value, wid, by),
+            ),
+        ]
+        for frame, got, message in cases:
+            assert got == codec.encode(frame), frame["t"]
+            assert wire.encoded_kind(got) == frame["t"]
+            decoded = wire.decode_message(body_of(got), ITAB)
+            assert type(decoded) is type(message) and decoded == message
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        var=VARS, value=values, wid=st.one_of(st.none(), st.tuples(sites, clocks)),
+        sv=sites, rq=sites, fid=clocks,
+        meta=st.one_of(st.none(), deplogs(), metas()),
+        applied=st.one_of(st.none(), st.lists(clocks, max_size=8).map(tuple)),
+        deps=st.one_of(
+            st.none(),
+            st.lists(st.tuples(sites, clocks), max_size=8).map(tuple),
+            st.lists(clocks, min_size=1, max_size=8).map(tuple),
+        ),
+        lean=st.booleans(), interned=st.booleans(),
+    )
+    def test_fetch_frames(
+        self, var, value, wid, sv, rq, fid, meta, applied, deps, lean, interned
+    ):
+        codec = BINARY[lean]
+        itab = ITAB if interned else None
+        req = FetchRequest(var, rq, sv, fid, deps)
+        got = codec.pack_fetch(req)
+        assert got == codec.encode(wire.encode_fetch_request(req))
+        decoded = wire.decode_message(body_of(got))
+        via_dict = wire.decode_fetch_request(wire.decode_body(body_of(got)))
+        assert decoded == via_dict == req
+        reply = FetchReply(
+            var, value, None if wid is None else WriteId(*wid), sv, rq, fid, meta, applied
+        )
+        got = codec.pack_fetch_ok(reply, lean, itab)
+        assert got == codec.encode(wire.encode_fetch_reply(reply, compact=lean, itab=itab))
+        decoded = wire.decode_message(body_of(got), ITAB)
+        via_dict = wire.decode_fetch_reply(wire.decode_body(body_of(got)), ITAB)
+        for out in (decoded, via_dict):
+            assert type(out) is FetchReply
+            assert (out.var, out.value, out.write_id) == (var, value, reply.write_id)
+            assert (out.server, out.requester, out.fetch_id) == (sv, rq, fid)
+            assert meta_equal(out.meta, meta) and out.applied == applied
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        var=varnames, value=values, wid=st.tuples(sites, clocks), sv=sites,
+        meta=st.one_of(st.none(), deplogs()),
+        applied=st.one_of(st.none(), st.lists(clocks, max_size=8).map(tuple)),
+    )
+    def test_wal_records(self, var, value, wid, sv, meta, applied):
+        """The server's WAL records: pre-encoded bytes are what
+        ``encode_record`` made of the frame dicts, and they replay (the
+        generic decoder, no connection state) to those dicts."""
+        codec = wire.BINARY_CODEC
+        wid = WriteId(*wid)
+        reply = FetchReply(var, value, wid, sv, 0, 0, meta, applied)
+        cases = [
+            (
+                codec.pack_wal_put(var, value, wid),
+                wire.make_frame("wal.put", var=var, value=value, w=wire.encode_write_id(wid)),
+            ),
+            (codec.pack_wal_read(var), wire.make_frame("wal.read", var=var)),
+            (
+                codec.pack_wal_rfetch(reply),
+                wire.make_frame(
+                    "wal.rfetch", var=var, value=value, w=wire.encode_write_id(wid),
+                    sv=sv, meta=wire.encode_meta(meta), applied=wire.encode_meta(applied),
+                ),
+            ),
+        ]
+        for got, frame in cases:
+            assert got == codec.encode(frame), frame["t"]
+            assert wire.decode_message(body_of(got)) == frame  # not a hot kind: a dict
+
+
+def _valid_bodies():
+    """One valid body per hot kind (the repl kinds stamped and not)."""
+    codec = wire.BINARY_CODEC_V4
+    log = DepLog({(0, 300): 6, (1, 280): 0, (2, 290): 3, (3, 120): 0, (4, 270): 1})
+    first = UpdateMessage("x1", "v", WriteId(1, 301), 1, 2, OptTrackMeta(301, 6, log))
+    # two new records: the diff's ``n`` list is long enough for an int vector
+    log2 = DepLog({**log.entries, (1, 302): 5, (5, 299): 2})
+    second = UpdateMessage("x1", "v", WriteId(1, 302), 1, 2, OptTrackMeta(302, 6, log2))
+    bodies = {}
+    for issued in (None, 77.5):
+        enc = wire.DeltaEncoder(ITAB)
+        for msg, ls in ((first, 200), (second, 201)):
+            frame = enc.pack_update(msg, ls, issued, codec)
+            bodies[wire.encoded_kind(frame)] = body_of(frame)
+    reply = FetchReply("x1", "v", WriteId(1, 301), 2, 1, 400, log, (300, 280, 290, 120, 270))
+    for frame in (
+        codec.pack_ack(500), codec.pack_ack(500, 3),
+        codec.pack_put("x1", "value", ITAB), codec.pack_put_ok(WriteId(1, 301)),
+        codec.pack_get("zz_outside_table", ITAB), codec.pack_get_ok("value", WriteId(1, 301), 2),
+        codec.pack_fetch(FetchRequest("x1", 1, 2, 400, ((0, 300), (2, 290)))),
+        codec.pack_fetch_ok(reply, True, ITAB),
+    ):
+        bodies[wire.encoded_kind(frame)] = body_of(frame)
+    assert sorted(bodies) == sorted(wire.HOT_KINDS)
+    return bodies, first
+
+
+VALID_BODIES, CHAIN_HEAD = _valid_bodies()
+
+
+def decode_fully(body, itab=ITAB):
+    """Both decode phases, a delta against the chain it was cut from."""
+    message = wire.decode_message(body, itab)
+    if isinstance(message, wire.ReplFrame):
+        dec = wire.DeltaDecoder()
+        if message.delta:
+            dec.unpack_update(
+                wire.decode_message(VALID_BODIES["repl"], ITAB)
+            )
+        return dec.unpack_update(message)
+    return message
+
+
+class TestOnePassRejects:
+    """Every check the dict decoders make survives, as ``WireError`` —
+    never ``IndexError`` / ``struct.error`` / ``KeyError``."""
+
+    @pytest.mark.parametrize("kind", sorted(wire.HOT_KINDS))
+    def test_valid_bodies_decode(self, kind):
+        decode_fully(VALID_BODIES[kind])
+
+    @pytest.mark.parametrize("kind", sorted(wire.HOT_KINDS))
+    def test_every_strict_prefix(self, kind):
+        body = VALID_BODIES[kind]
+        for cut in range(len(body)):
+            with pytest.raises(WireError):
+                decode_fully(body[:cut])
+
+    @pytest.mark.parametrize("kind", sorted(wire.HOT_KINDS))
+    def test_one_trailing_byte(self, kind):
+        for extra in (b"\x00", b"\x80", b"\xff"):
+            with pytest.raises(WireError):
+                decode_fully(VALID_BODIES[kind] + extra)
+
+    @pytest.mark.parametrize("kind", sorted(wire.HOT_KINDS))
+    def test_header_corruption(self, kind):
+        body = VALID_BODIES[kind]
+        bad = [bytes([wire.BINARY_MAGIC ^ flip]) + body[1:] for flip in (0x01, 0x80, 0xFF)]
+        bad += [
+            body[:1] + bytes([version]) + body[2:]
+            for version in (0, wire.MIN_WIRE_VERSION - 1, wire.WIRE_VERSION + 1, 0xFF)
+        ]
+        # unregistered tags, with and without the schema bit; and this
+        # kind's own tag without it (a map-shaped body these bytes are not)
+        bad += [body[:2] + bytes([tag]) + body[3:] for tag in (0x7F, 0xFF, 0x70, body[2] & 0x7F)]
+        for corrupt in bad:
+            with pytest.raises(WireError):
+                decode_fully(corrupt)
+
+    @pytest.mark.parametrize("kind", ["repl", "repl.t", "repl.delta", "repl.delta.t", "fetch.ok"])
+    def test_metadata_corruption(self, kind):
+        body = VALID_BODIES[kind]
+        # the bytes are unambiguous in these bodies: one schema tag per
+        # metadata object, int vectors only inside them
+        at = body.index(bytes([0x60]))
+        for sid in (len(wire._MAP_SCHEMAS), 0x7F, 0xFF):
+            with pytest.raises(WireError):
+                decode_fully(body[: at + 1] + bytes([sid]) + body[at + 2 :])
+        at = body.index(bytes([0x48]))
+        n, width = body[at + 1], body[at + 2]
+        assert n >= 4 and width in (1, 2, 4, 8)
+        for bad_width in (0, 3, 5, 16, 0xFF):
+            with pytest.raises(WireError):
+                decode_fully(body[: at + 2] + bytes([bad_width]) + body[at + 3 :])
+        for bad_n in (n + 1, n + 40, 0xFE):
+            with pytest.raises(WireError):
+                decode_fully(body[: at + 1] + bytes([bad_n]) + body[at + 2 :])
+        # a vector count that claims four more bytes of length prefix
+        with pytest.raises(WireError):
+            decode_fully(body[: at + 1] + b"\xff" + body[at + 2 :])
+
+    def test_string_length_corruption(self):
+        body = VALID_BODIES["put"]
+        at = body.index(bytes([0x30]))  # the value string's tag
+        for bad_n in (body[at + 1] + 1, body[at + 1] - 1, 0xFE):
+            with pytest.raises(WireError):
+                decode_fully(body[: at + 1] + bytes([bad_n]) + body[at + 2 :])
+
+    def test_delta_without_baseline(self):
+        for kind in ("repl.delta", "repl.delta.t"):
+            parsed = wire.decode_message(VALID_BODIES[kind], ITAB)
+            with pytest.raises(WireError, match="no chain baseline"):
+                wire.DeltaDecoder().unpack_update(parsed)
+            dec = wire.DeltaDecoder()
+            dec.unpack_update(wire.decode_message(VALID_BODIES["repl"], ITAB))
+            dec.reset()
+            with pytest.raises(WireError, match="no chain baseline"):
+                dec.unpack_update(parsed)
+
+    def test_delta_against_the_wrong_baseline_kind(self):
+        dec = wire.DeltaDecoder()
+        crp = UpdateMessage("x1", "v", WriteId(1, 9), 1, 2, CrpMeta(9, {0: 3}))
+        dec.unpack_update(
+            wire.decode_message(body_of(wire.BINARY_CODEC.pack_update(crp, 1)))
+        )
+        with pytest.raises(WireError):
+            dec.unpack_update(wire.decode_message(VALID_BODIES["repl.delta"], ITAB))
+
+    def test_interned_id_outside_the_table(self):
+        small = wire.InternTable(["x0"])
+        for kind in ("repl", "repl.delta.t", "put", "fetch.ok"):
+            assert VALID_BODIES[kind][3] == 0x80 | ITAB.names.index("x1")
+            with pytest.raises(WireError, match="outside the negotiated table"):
+                wire.decode_message(VALID_BODIES[kind], small)
+            with pytest.raises(WireError, match="without a table"):
+                wire.decode_message(VALID_BODIES[kind], None)
+
+    def test_oversized_frames(self):
+        big = "v" * (wire.MAX_FRAME_BYTES + 1)
+        with pytest.raises(WireError, match="exceeds"):
+            wire.BINARY_CODEC_V4.pack_put("x1", big, ITAB)
+        with pytest.raises(WireError, match="exceeds"):
+            wire.BINARY_CODEC_V4.pack_get_ok(big, None, 0)
+        body = VALID_BODIES["put"]
+        with pytest.raises(WireError, match="exceeds"):
+            wire.decode_message(body + bytes(wire.MAX_FRAME_BYTES))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(wire.HOT_KINDS)),
+        edits=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=200), st.integers(0, 255)),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_arbitrary_corruption_only_ever_raises_wire_error(self, kind, edits):
+        body = bytearray(VALID_BODIES[kind])
+        for at, byte in edits:
+            body[at % len(body)] = byte
+        try:
+            decode_fully(bytes(body))
+        except WireError:
+            pass
+
+
+class TestIssueStamp:
+    def test_visibility_mean_is_unbiased(self):
+        """1 000 synthetic (issue, apply) pairs through the stamp the
+        wire carries: the mean age must sit on the float-clock truth
+        (the pre-fix reading — float now minus floored stamp — ran half
+        a millisecond long)."""
+        rng = np.random.default_rng(14)
+        issue = rng.uniform(0.0, 60_000.0, 1000)
+        latency = rng.uniform(0.0, 3.0, 1000)
+        ages, biased = [], []
+        for issued, applied in zip(issue, issue + latency):
+            frame = wire.stamp_issue(wire.make_frame("repl", ls=1), float(issued))
+            body = body_of(wire.BINARY_CODEC_V4.encode(frame))
+            stamp = wire.strip_issue(wire.decode_body(body))
+            ages.append(wire.issue_age_ms(stamp, float(applied)))
+            biased.append(float(applied) - stamp)
+        truth = float(latency.mean())
+        assert abs(np.mean(ages) - truth) < 0.05
+        assert np.mean(biased) - truth > 0.4
+        assert all(age >= 0 and age == int(age) for age in ages)
