@@ -72,7 +72,7 @@ interleave-smoke:
 perf-smoke:
 	$(PYTHON) -m pytest perf -q
 
-# Regenerate BENCH_hot_paths.json (drain strategies + DepLog micro-ops +
+# Regenerate BENCH_hot_paths.json (reference runs + DepLog and VectorClock micro-ops +
 # tracing overhead guardrails: fails if the no-op recorder costs > 3%
 # or the always-on flight ring costs > 20% over the detached fast path)
 bench:

@@ -1,16 +1,17 @@
-"""Hot-path micro/macro benchmarks for the Opt-Track fast paths.
+"""Hot-path micro/macro benchmarks for the protocol fast paths.
 
 Two layers of measurement, matching the two layers of the optimization
 work (docs/performance.md):
 
 * **macro** — the docs reference run (n=20, q=100, p=3, opt-track,
-  5 000 ops, write rate 0.4) under each drain strategy: end-to-end
-  throughput of the whole simulator, dominated by the drain and the
-  dependency-log operations;
+  5 000 ops, write rate 0.4; pending buffers <= 1 deep) and the
+  deep-buffer run (n=16 optp over a slow WAN, buffers ~60 deep):
+  end-to-end throughput of the whole simulator in both drain regimes;
 * **micro** — the individual ``DepLog`` operations the write/read/apply
-  paths lean on: per-destination pruned copies (``multicast_copies`` /
-  ``copy_for_dest``), the read-path ``absorb`` (merge + purge), and the
-  write-path ``retire`` (Condition-2 prune + purge).
+  paths lean on (per-destination pruned copies, the read-path ``absorb``,
+  the write-path ``retire``), and the :class:`VectorClock` operations the
+  vector-clock protocols lean on, each beside the numpy spelling it
+  replaced.
 
 ``python -m repro.cli bench`` (or ``make bench``) regenerates
 ``BENCH_hot_paths.json`` from these.
@@ -18,12 +19,15 @@ work (docs/performance.md):
 
 from __future__ import annotations
 
+import statistics
 import time
-from typing import Any, Dict, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core import bitsets
+from repro.core.clocks import VectorClock
 from repro.core.log import DepLog
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.workload.generator import WorkloadConfig, generate
@@ -38,7 +42,6 @@ DEEP_REFERENCE = dict(n=16, q=60, ops_per_site=200, write_rate=0.8)
 
 
 def reference_run(
-    drain_strategy: str = "auto",
     seed: int = 3,
     *,
     n: int = 20,
@@ -56,7 +59,6 @@ def reference_run(
         seed=seed,
         record_history=False,
         space_probe_every=None,
-        drain_strategy=drain_strategy,
     )
     cluster = Cluster(cfg)
     workload = generate(
@@ -73,7 +75,6 @@ def reference_run(
     wall = time.perf_counter() - t0
     n_ops = sum(result.metrics.ops.values())
     return {
-        "strategy": drain_strategy,
         "ops": n_ops,
         "wall_s": wall,
         "ops_per_s": n_ops / wall,
@@ -82,7 +83,6 @@ def reference_run(
 
 
 def deep_reference_run(
-    drain_strategy: str = "auto",
     seed: int = 3,
     *,
     n: int = 16,
@@ -105,7 +105,6 @@ def deep_reference_run(
         think_time=0.1,
         record_history=False,
         space_probe_every=None,
-        drain_strategy=drain_strategy,
     )
     cluster = Cluster(cfg)
     workload = generate(
@@ -122,7 +121,6 @@ def deep_reference_run(
     wall = time.perf_counter() - t0
     n_ops = sum(result.metrics.ops.values())
     return {
-        "strategy": drain_strategy,
         "ops": n_ops,
         "wall_s": wall,
         "ops_per_s": n_ops / wall,
@@ -194,6 +192,105 @@ def bench_deplog(
         "merge_purge_usec": _timeit(do_merge_purge, repeat=5, inner=inner),
         "retire_usec": _timeit(do_retire, repeat=5, inner=inner),
     }
+
+
+def _clock_vectors(n: int, seed: int = 7) -> list[Tuple[list[int], list[int], int]]:
+    """The fixed ``(apply, stamp, sender)`` set the clock operations are
+    checked on: the activation case first (stamp one ahead in the sender's
+    slot only — also the pair that is timed), then equal vectors, a stamp
+    two ahead, several slots short, and a stamp wholly behind."""
+    rng = np.random.default_rng([seed, n])
+    apply = [int(x) for x in rng.integers(0, 300, size=n)]
+    j = n // 2
+
+    def ahead(slots: Tuple[int, ...], by: int) -> list[int]:
+        return [x + by if k in slots else x for k, x in enumerate(apply)]
+
+    return [
+        (apply, ahead((j,), 1), j),
+        (apply, list(apply), j),
+        (apply, ahead((j,), 2), j),
+        (apply, ahead((0, j, n - 1), 1), j),
+        (ahead(tuple(range(n)), 3), list(apply), 0),
+    ]
+
+
+def _clock_ops_agree(n: int, av: list[int], wv: list[int], j: int) -> bool:
+    """Every :class:`VectorClock` operation against its numpy spelling."""
+    a, w = VectorClock(n, av), VectorClock(n, wv)
+    na, nw = np.array(av, dtype=np.int64), np.array(wv, dtype=np.int64)
+    merged = a.copy()
+    merged.merge(w)
+    return (
+        (a <= w) == bool(np.all(na <= nw))
+        and a.dominates(w) == bool(np.all(na >= nw))
+        and a.admits(w, j)
+        == bool(na[j] == nw[j] - 1 and np.count_nonzero(na < nw) == 1)
+        and a.short_slots(w) == np.nonzero(na < nw)[0].tolist()
+        and merged.v == tuple(np.maximum(na, nw).tolist())
+        and a.frozen_copy().v == tuple(av)
+    )
+
+
+def bench_clocks(
+    sizes: Tuple[int, ...] = (5, 16, 40), inner: int = 20000, repeat: int = 5
+) -> Dict[str, Any]:
+    """Micro-times of the :class:`VectorClock` operations beside the numpy
+    spelling each replaced, at each vector width: usec/op as ``[median,
+    min, max]`` over ``repeat`` timings of ``inner`` calls.  Both sides run
+    under one Python frame — the clock's method, a lambda standing in for
+    the method that used to hold the numpy call.  ``agree`` is the counted
+    part: on every pair of :func:`_clock_vectors`, each operation returns
+    what numpy returns."""
+    out: Dict[str, Any] = {"agree": True}
+    for n in sizes:
+        vectors = _clock_vectors(n)
+        if not all(_clock_ops_agree(n, *case) for case in vectors):
+            out["agree"] = False
+        av, wv, j = vectors[0]
+        a, w = VectorClock(n, av), VectorClock(n, wv)
+        na, nw = np.array(av, dtype=np.int64), np.array(wv, dtype=np.int64)
+        into, ninto = a.copy(), na.copy()
+        pairs: Dict[str, Tuple[Callable[[], Any], Callable[[], Any]]] = {
+            "compare": (partial(a.__le__, w), lambda: bool(np.all(na <= nw))),
+            "one_short": (
+                partial(a.admits, w, j),
+                lambda: na[j] == nw[j] - 1
+                and int(np.count_nonzero(na < nw)) == 1,
+            ),
+            "short_slots": (
+                partial(a.short_slots, w),
+                lambda: np.nonzero(na < nw)[0],
+            ),
+            "merge": (
+                partial(into.merge, w),
+                lambda: np.maximum(ninto, nw, out=ninto),
+            ),
+            "snapshot": (
+                a.frozen_copy,
+                lambda: na.copy().setflags(write=False),
+            ),
+        }
+        out[f"n={n}"] = {
+            name: {
+                "clock_usec": _spread(clock_op, repeat=repeat, inner=inner),
+                "numpy_usec": _spread(numpy_op, repeat=repeat, inner=inner),
+            }
+            for name, (clock_op, numpy_op) in pairs.items()
+        }
+    return out
+
+
+def _spread(fn: Callable[[], Any], *, repeat: int, inner: int) -> list[float]:
+    """``[median, min, max]`` microseconds per call over ``repeat`` timings
+    of ``inner`` calls each."""
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for _ in range(inner):
+            fn()
+        times.append((time.perf_counter() - t0) / inner * 1e6)
+    return [statistics.median(times), min(times), max(times)]
 
 
 #: tracing-disabled vs. attached-no-op budget: the ``recorder = None``
@@ -307,21 +404,13 @@ def bench_hot_paths(
     if fast:
         ref["ops_per_site"] = 50
         deep["ops_per_site"] = 40
-    strategies = ("auto", "index", "rescan")
-    runs = {s: reference_run(s, seed=seed, **ref) for s in strategies}
-    deep_runs = {s: deep_reference_run(s, seed=seed, **deep) for s in strategies}
-    for group in (runs, deep_runs):
-        assert (
-            group["auto"]["messages"]
-            == group["index"]["messages"]
-            == group["rescan"]["messages"]
-        ), "drain strategies diverged — run the equivalence property test"
     return {
         "reference": ref,
-        "drain": runs,
+        "run": reference_run(seed=seed, **ref),
         "deep_reference": deep,
-        "drain_deep": deep_runs,
+        "run_deep": deep_reference_run(seed=seed, **deep),
         "deplog": bench_deplog(n=ref["n"]),
+        "clocks": bench_clocks(inner=2000 if fast else 20000),
         "trace_overhead": bench_trace_overhead(fast=fast, seed=seed),
     }
 

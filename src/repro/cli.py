@@ -183,9 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="hot-path benchmark: drain strategies + DepLog micro-ops",
-        description="Times the reference run (n=20, q=100, p=3) under both "
-        "drain strategies plus the DepLog hot operations, and writes the "
+        help="hot-path benchmark: reference runs + DepLog/VectorClock micro-ops",
+        description="Times the reference run (n=20, q=100, p=3) and the "
+        "deep-buffer run, the DepLog hot operations and the VectorClock "
+        "operations beside their numpy spelling, and writes the "
         "BENCH_hot_paths.json report.",
     )
     bench.add_argument("--out", default="BENCH_hot_paths.json")

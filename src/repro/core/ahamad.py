@@ -16,9 +16,8 @@ delays dominate ``A_OPT`` ones.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Tuple
-
-import numpy as np
+from array import array
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core.base import CausalProtocol, ProtocolConfig, register_protocol
 from repro.core.clocks import VectorClock
@@ -37,7 +36,7 @@ class AhamadProtocol(CausalProtocol):
     def __init__(self, config: ProtocolConfig) -> None:
         super().__init__(config)
         self.vector_clock = VectorClock(config.n)
-        self.apply_counts = np.zeros(config.n, dtype=np.int64)
+        self.apply_counts = VectorClock(config.n)
 
     # ------------------------------------------------------------------
     def write(self, var: VarId, value: Any) -> WriteResult:
@@ -50,7 +49,7 @@ class AhamadProtocol(CausalProtocol):
             if dest != self.site
         ]
         self._store_value(var, value, write_id)
-        self.apply_counts[self.site] += 1
+        self.apply_counts.increment(self.site)
         return WriteResult(write_id, messages, True)
 
     def read_local(self, var: VarId) -> Tuple[Any, Optional[WriteId]]:
@@ -60,13 +59,7 @@ class AhamadProtocol(CausalProtocol):
 
     # ------------------------------------------------------------------
     def can_apply(self, msg: UpdateMessage) -> bool:
-        w: VectorClock = msg.meta
-        j = msg.sender
-        if self.apply_counts[j] != w[j] - 1:
-            return False
-        mask = np.ones(self.n, dtype=bool)
-        mask[j] = False
-        return bool(np.all(self.apply_counts[mask] >= w.v[mask]))
+        return self.apply_counts.admits(msg.meta, msg.sender)
 
     def apply_update(self, msg: UpdateMessage) -> None:
         if not self.can_apply(msg):
@@ -74,7 +67,7 @@ class AhamadProtocol(CausalProtocol):
                 f"site {self.site}: update {msg} applied before activation"
             )
         self._store_value(msg.var, msg.value, msg.write_id)
-        self.apply_counts[msg.sender] += 1
+        self.apply_counts.increment(msg.sender)
         # The happened-before merge: this is what manufactures false
         # causality relative to ~>co.
         self.vector_clock.merge(msg.meta)
@@ -82,20 +75,18 @@ class AhamadProtocol(CausalProtocol):
     # ------------------------------------------------------------------
     # durability hooks (plain-data contract: CausalProtocol.state_snapshot)
     # ------------------------------------------------------------------
-    def state_snapshot(self):
+    def state_snapshot(self) -> Dict[str, Any]:
         snap = super().state_snapshot()
-        snap["vc"] = [int(x) for x in self.vector_clock.v]
-        snap["ac"] = [int(x) for x in self.apply_counts]
+        snap["vc"] = list(self.vector_clock.v)
+        snap["ac"] = list(self.apply_counts.v)
         return snap
 
-    def state_restore(self, snap) -> None:
+    def state_restore(self, snap: Mapping[str, Any]) -> None:
         super().state_restore(snap)
-        self.vector_clock = VectorClock(
-            self.n, np.array(snap["vc"], dtype=np.int64)
-        )
-        self.apply_counts = np.array(snap["ac"], dtype=np.int64)
+        self.vector_clock = VectorClock(self.n, snap["vc"])
+        self.apply_counts = VectorClock(self.n, snap["ac"])
 
     # ------------------------------------------------------------------
     def meta_objects(self) -> Iterable[Any]:
         yield self.vector_clock
-        yield self.apply_counts
+        yield array("q", self.apply_counts.v)

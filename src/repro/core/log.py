@@ -424,11 +424,11 @@ class DepLog:
                 latest[s] = c
         return cls._from_parts(entries, latest)
 
-    def prune_known(self, known) -> None:
-        """Condition 1 against a table of proven applies: ``known[d, z]``
+    def prune_known(self, known: Sequence[Sequence[int]]) -> None:
+        """Condition 1 against a table of proven applies: ``known[d][z]``
         is a lower bound on ``Apply_d[z]`` (site ``d`` has applied sender
         ``z``'s writes up to that clock).  Clears ``d`` from every record
-        ``<z, c <= known[d, z]>`` and purges records it empties (unless
+        ``<z, c <= known[d][z]>`` and purges records it empties (unless
         newest of their sender — the PURGE retention rule).
 
         The table is how the service layer's ack-driven GC generalizes
@@ -443,7 +443,7 @@ class DepLog:
         for (z, c), d in self.entries.items():
             nd = d
             for s in bitsets.iter_sites(d):
-                if known[s, z] >= c:
+                if known[s][z] >= c:
                     nd &= ~(1 << s)
             if nd != d:
                 hit.append(((z, c), nd))

@@ -37,9 +37,8 @@ the expense of slightly larger messages.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
-
-import numpy as np
+from array import array
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core import bitsets
 from repro.core.base import CausalProtocol, ProtocolConfig, register_protocol
@@ -66,7 +65,7 @@ class OptTrackProtocol(CausalProtocol):
         self, config: ProtocolConfig, *, distributed_prune: bool = False
     ) -> None:
         super().__init__(config)
-        self.apply_clocks = np.zeros(config.n, dtype=np.int64)
+        self.apply_clocks: List[int] = [0] * config.n
         self.log = DepLog()
         self.last_write_on: Dict[VarId, DepLog] = {}
         self.distributed_prune = distributed_prune
@@ -74,14 +73,14 @@ class OptTrackProtocol(CausalProtocol):
         #: every write stored to it here — the causal ceiling used to
         #: reject regressions (see _dominated)
         self._ceiling: Dict[VarId, Dict[int, int]] = {}
-        #: ``known_applies[d, z]`` — proven lower bound on ``Apply_d[z]``,
+        #: ``known_applies[d][z]`` — proven lower bound on ``Apply_d[z]``,
         #: fed by the service layer's applied-watermark acks (direct for
         #: our own writes, transitive via the piggybacked log of each
         #: acked update — see note_remote_apply_log).  Lazily allocated:
         #: stays ``None`` (zero cost) until the first ack arrives, i.e.
         #: in simulation runs and on v3 links, which never send applied
         #: watermarks.
-        self.known_applies: Optional[np.ndarray] = None
+        self.known_applies: Optional[List[List[int]]] = None
 
     @property
     def clock(self) -> int:
@@ -186,9 +185,8 @@ class OptTrackProtocol(CausalProtocol):
         if not self.config.strict_remote_reads:
             return True
         me = bitsets.singleton(self.site)
-        return all(
-            self.apply_clocks[z] >= c for (z, c), d in self.log if d & me
-        )
+        ac = self.apply_clocks
+        return all(ac[z] >= c for (z, c), d in self.log if d & me)
 
     def make_fetch_request(self, var: VarId, server: SiteId) -> FetchRequest:
         deps = None
@@ -206,7 +204,8 @@ class OptTrackProtocol(CausalProtocol):
     def can_serve_fetch(self, req: FetchRequest) -> bool:
         if req.deps is None:
             return True
-        return all(self.apply_clocks[z] >= c for (z, c) in req.deps)
+        ac = self.apply_clocks
+        return all(ac[z] >= c for (z, c) in req.deps)
 
     def serve_fetch(self, req: FetchRequest) -> FetchReply:
         value, write_id = self.local_value(req.var)
@@ -217,7 +216,7 @@ class OptTrackProtocol(CausalProtocol):
             # table) — stored logs are otherwise never re-pruned, and
             # they dominate fetch-reply bytes on read-heavy workloads.
             meta.prune_known(self.known_applies)
-        applied = tuple(int(c) for c in self.apply_clocks)
+        applied = tuple(self.apply_clocks)
         return FetchReply(
             req.var,
             value,
@@ -268,8 +267,9 @@ class OptTrackProtocol(CausalProtocol):
     def can_apply(self, msg: UpdateMessage) -> bool:
         meta: OptTrackMeta = msg.meta
         me = bitsets.singleton(self.site)
+        ac = self.apply_clocks
         for (z, c), dests in meta.log:
-            if dests & me and self.apply_clocks[z] < c:
+            if dests & me and ac[z] < c:
                 return False
         return True
 
@@ -297,7 +297,7 @@ class OptTrackProtocol(CausalProtocol):
         return tuple((z, c) for (z, c), d in self.log if d & me and ac[z] < c)
 
     def apply_progress(self, z: SiteId) -> int:
-        return int(self.apply_clocks[z])
+        return self.apply_clocks[z]
 
     def apply_update(self, msg: UpdateMessage) -> None:
         if not self.can_apply(msg):
@@ -422,9 +422,9 @@ class OptTrackProtocol(CausalProtocol):
         """
         if upto_clock <= 0 or site == self.site:
             return
-        known = self._known()
-        if upto_clock > known[site, self.site]:
-            known[site, self.site] = upto_clock
+        row = self._known()[site]
+        if upto_clock > row[self.site]:
+            row[self.site] = upto_clock
         self.log.prune_sender_upto(
             self.site, upto_clock, bitsets.singleton(site)
         )
@@ -436,7 +436,7 @@ class OptTrackProtocol(CausalProtocol):
         piggybacked log naming it as a destination, and per-sender
         applies are FIFO (apply_update enforces monotonicity), so each
         such record ``<z, c>`` raises the proven bound
-        ``known_applies[site, z]`` to at least ``c``.  This is what lets
+        ``known_applies[site][z]`` to at least ``c``.  This is what lets
         the ack-driven GC clear *third-party* destination bits, not just
         the acking link's own-write slice — knowledge that otherwise
         only round-trips through a future piggybacked log merge.
@@ -444,17 +444,17 @@ class OptTrackProtocol(CausalProtocol):
         if site == self.site:
             return
         log: DepLog = meta.log
-        known = self._known()
+        row = self._known()[site]
         bit = bitsets.singleton(site)
         for (z, c), dests in log.entries.items():
-            if dests & bit and c > known[site, z]:
-                known[site, z] = c
+            if dests & bit and c > row[z]:
+                row[z] = c
 
-    def _known(self) -> np.ndarray:
+    def _known(self) -> List[List[int]]:
         known = self.known_applies
         if known is None:
             n = self.config.n
-            known = self.known_applies = np.zeros((n, n), dtype=np.int64)
+            known = self.known_applies = [[0] * n for _ in range(n)]
         return known
 
     # ------------------------------------------------------------------
@@ -480,7 +480,7 @@ class OptTrackProtocol(CausalProtocol):
 
     def state_snapshot(self) -> Dict[str, Any]:
         snap = super().state_snapshot()
-        snap["ac"] = [int(c) for c in self.apply_clocks]
+        snap["ac"] = list(self.apply_clocks)
         snap["log"] = self._log_flat(self.log)
         snap["lw"] = {
             var: self._log_flat(lw) for var, lw in self.last_write_on.items()
@@ -490,15 +490,15 @@ class OptTrackProtocol(CausalProtocol):
             for var, ceil in self._ceiling.items()
         }
         snap["known"] = (
-            [int(x) for x in self.known_applies.ravel()]
+            [c for row in self.known_applies for c in row]
             if self.known_applies is not None
             else None
         )
         return snap
 
-    def state_restore(self, snap) -> None:
+    def state_restore(self, snap: Mapping[str, Any]) -> None:
         super().state_restore(snap)
-        self.apply_clocks = np.array(snap["ac"], dtype=np.int64)
+        self.apply_clocks = [int(c) for c in snap["ac"]]
         self.log = self._log_unflat(snap["log"])
         self.last_write_on = {
             var: self._log_unflat(flat) for var, flat in snap["lw"].items()
@@ -508,8 +508,9 @@ class OptTrackProtocol(CausalProtocol):
             it = iter(flat)
             self._ceiling[var] = {int(z): int(c) for z, c in zip(it, it)}
         known = snap["known"]
+        n = self.n
         self.known_applies = (
-            np.array(known, dtype=np.int64).reshape(self.n, self.n)
+            [[int(c) for c in known[d * n : (d + 1) * n]] for d in range(n)]
             if known is not None
             else None
         )
@@ -517,8 +518,9 @@ class OptTrackProtocol(CausalProtocol):
     # ------------------------------------------------------------------
     def meta_objects(self) -> Iterable[Any]:
         yield self.log
-        yield self.apply_clocks
+        # Apply and the known-applies table are priced per entry
+        yield array("q", self.apply_clocks)
         yield from self.last_write_on.values()
         yield from self._ceiling.values()
         if self.known_applies is not None:
-            yield self.known_applies
+            yield array("q", (c for row in self.known_applies for c in row))

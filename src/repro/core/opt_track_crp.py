@@ -22,9 +22,8 @@ strictly better than Baldoni et al.'s OptP on every metric.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
-
-import numpy as np
+from array import array
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.base import CausalProtocol, ProtocolConfig, register_protocol
 from repro.core.messages import CrpMeta, UpdateMessage, WriteResult
@@ -41,7 +40,7 @@ class OptTrackCrpProtocol(CausalProtocol):
 
     def __init__(self, config: ProtocolConfig) -> None:
         super().__init__(config)
-        self.apply_clocks = np.zeros(config.n, dtype=np.int64)
+        self.apply_clocks: List[int] = [0] * config.n
         #: the paper's LOG_i, as {sender: clock} (one record per sender —
         #: MERGE keeps only the newest record per sender, line 14-16)
         self.log: Dict[int, int] = {}
@@ -90,7 +89,8 @@ class OptTrackCrpProtocol(CausalProtocol):
     def can_apply(self, msg: UpdateMessage) -> bool:
         meta: CrpMeta = msg.meta
         # lines 9-10: every piggybacked record must already be applied
-        return all(self.apply_clocks[z] >= c for z, c in meta.log.items())
+        ac = self.apply_clocks
+        return all(ac[z] >= c for z, c in meta.log.items())
 
     def blocking_deps(self, msg: UpdateMessage) -> Tuple[Tuple[int, int], ...]:
         meta: CrpMeta = msg.meta
@@ -98,7 +98,7 @@ class OptTrackCrpProtocol(CausalProtocol):
         return tuple((z, c) for z, c in meta.log.items() if ac[z] < c)
 
     def apply_progress(self, z: int) -> int:
-        return int(self.apply_clocks[z])
+        return self.apply_clocks[z]
 
     def apply_update(self, msg: UpdateMessage) -> None:
         if not self.can_apply(msg):
@@ -125,16 +125,16 @@ class OptTrackCrpProtocol(CausalProtocol):
     # ------------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, Any]:
         snap = super().state_snapshot()
-        snap["ac"] = [int(c) for c in self.apply_clocks]
+        snap["ac"] = list(self.apply_clocks)
         snap["log"] = [x for z, c in sorted(self.log.items()) for x in (z, c)]
         snap["lw"] = {
             var: [int(s), int(c)] for var, (s, c) in self.last_write_on.items()
         }
         return snap
 
-    def state_restore(self, snap) -> None:
+    def state_restore(self, snap: Mapping[str, Any]) -> None:
         super().state_restore(snap)
-        self.apply_clocks = np.array(snap["ac"], dtype=np.int64)
+        self.apply_clocks = [int(c) for c in snap["ac"]]
         it = iter(snap["log"])
         self.log = {int(z): int(c) for z, c in zip(it, it)}
         self.last_write_on = {
@@ -144,5 +144,5 @@ class OptTrackCrpProtocol(CausalProtocol):
     # ------------------------------------------------------------------
     def meta_objects(self) -> Iterable[Any]:
         yield self.log
-        yield self.apply_clocks
+        yield array("q", self.apply_clocks)  # Apply: priced per entry
         yield from self.last_write_on.values()

@@ -16,9 +16,8 @@ on every update, with none of the KS log-pruning machinery.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
-
-import numpy as np
+from array import array
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core.base import CausalProtocol, ProtocolConfig, register_protocol
 from repro.core.clocks import VectorClock
@@ -38,7 +37,7 @@ class OptPProtocol(CausalProtocol):
     def __init__(self, config: ProtocolConfig) -> None:
         super().__init__(config)
         self.write_clock = VectorClock(config.n)
-        self.apply_counts = np.zeros(config.n, dtype=np.int64)
+        self.apply_counts = VectorClock(config.n)
         self.last_write_on: Dict[VarId, VectorClock] = {}
 
     # ------------------------------------------------------------------
@@ -52,7 +51,7 @@ class OptPProtocol(CausalProtocol):
             if dest != self.site
         ]
         self._store_value(var, value, write_id)
-        self.apply_counts[self.site] += 1
+        self.apply_counts.increment(self.site)
         self.last_write_on[var] = snapshot
         return WriteResult(write_id, messages, True)
 
@@ -64,29 +63,26 @@ class OptPProtocol(CausalProtocol):
 
     # ------------------------------------------------------------------
     def can_apply(self, msg: UpdateMessage) -> bool:
-        w: VectorClock = msg.meta
-        j = msg.sender
-        if self.apply_counts[j] != w[j] - 1:
-            return False
-        # slot j always falls short by exactly 1 here (see Full-Track)
-        return int(np.count_nonzero(self.apply_counts < w.v)) == 1
+        return self.apply_counts.admits(msg.meta, msg.sender)
 
     def blocking_deps(self, msg: UpdateMessage) -> Tuple[Tuple[int, float], ...]:
         w: VectorClock = msg.meta
         j = msg.sender
         ac = self.apply_counts
-        if ac[j] > w[j] - 1:
+        need = w[j] - 1  # updates from j that must be applied before this one
+        have = ac[j]
+        if have > need:
             # unreachable under FIFO channels; see FullTrack.blocking_deps
             return ((j, float("inf")),)
-        deps = [
-            (int(k), int(w.v[k])) for k in np.nonzero(ac < w.v)[0] if k != j
+        deps: list[Tuple[int, float]] = [
+            (k, w[k]) for k in ac.short_slots(w) if k != j
         ]
-        if ac[j] < w[j] - 1:
-            deps.append((j, int(w[j]) - 1))
+        if have < need:
+            deps.append((j, need))
         return tuple(deps)
 
     def apply_progress(self, z: int) -> int:
-        return int(self.apply_counts[z])
+        return self.apply_counts[z]
 
     def apply_update(self, msg: UpdateMessage) -> None:
         if not self.can_apply(msg):
@@ -99,34 +95,33 @@ class OptPProtocol(CausalProtocol):
             # conflict, resolved by overwrite
             self.conflicts_detected += 1
         self._store_value(msg.var, msg.value, msg.write_id)
-        self.apply_counts[msg.sender] += 1
+        self.apply_counts.increment(msg.sender)
         self.last_write_on[msg.var] = msg.meta
 
     # ------------------------------------------------------------------
     # durability hooks (plain-data contract: CausalProtocol.state_snapshot)
     # ------------------------------------------------------------------
-    def state_snapshot(self):
+    def state_snapshot(self) -> Dict[str, Any]:
         snap = super().state_snapshot()
-        snap["wc"] = [int(x) for x in self.write_clock.v]
-        snap["ac"] = [int(x) for x in self.apply_counts]
+        snap["wc"] = list(self.write_clock.v)
+        snap["ac"] = list(self.apply_counts.v)
         snap["lw"] = {
-            var: [int(x) for x in clock.v]
-            for var, clock in self.last_write_on.items()
+            var: list(clock.v) for var, clock in self.last_write_on.items()
         }
         return snap
 
-    def state_restore(self, snap) -> None:
+    def state_restore(self, snap: Mapping[str, Any]) -> None:
         super().state_restore(snap)
         n = self.n
-        self.write_clock = VectorClock(n, np.array(snap["wc"], dtype=np.int64))
-        self.apply_counts = np.array(snap["ac"], dtype=np.int64)
+        self.write_clock = VectorClock(n, snap["wc"])
+        self.apply_counts = VectorClock(n, snap["ac"])
         self.last_write_on = {
-            var: VectorClock(n, np.array(flat, dtype=np.int64))
-            for var, flat in snap["lw"].items()
+            var: VectorClock(n, flat) for var, flat in snap["lw"].items()
         }
 
     # ------------------------------------------------------------------
     def meta_objects(self) -> Iterable[Any]:
         yield self.write_clock
-        yield self.apply_counts
+        # Apply is priced per entry, as the array it is in the paper
+        yield array("q", self.apply_counts.v)
         yield from self.last_write_on.values()

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.ahamad import AhamadProtocol
 from repro.core.base import CausalProtocol
-from repro.core.clocks import MatrixClock
+from repro.core.clocks import MatrixClock, VectorClock
 from repro.core.full_track import FullTrackProtocol
 from repro.core.log import DepLog
 from repro.core.opt_track import OptTrackProtocol
@@ -102,20 +102,20 @@ class _LogToken(_Token):
 
 class _VectorToken(_Token):
     def __init__(self, n: int) -> None:
-        self.v = np.zeros(n, dtype=np.int64)
+        self.clock = VectorClock(n)
 
-    def _site_vector(self, proto: CausalProtocol) -> np.ndarray:
+    def _site_vector(self, proto: CausalProtocol) -> VectorClock:
         if isinstance(proto, OptTrackCrpProtocol):
-            return proto.apply_clocks
+            return VectorClock(proto.n, proto.apply_clocks)
         if isinstance(proto, (OptPProtocol, AhamadProtocol)):
             return proto.apply_counts
         raise ConfigurationError(f"unsupported protocol {type(proto).__name__}")
 
     def covered_by(self, proto: CausalProtocol) -> bool:
-        return bool(np.all(self._site_vector(proto) >= self.v))
+        return self._site_vector(proto).dominates(self.clock)
 
     def absorb_site(self, proto: CausalProtocol) -> None:
-        np.maximum(self.v, self._site_vector(proto), out=self.v)
+        self.clock.merge(self._site_vector(proto))
 
     def push_to_site(self, proto: CausalProtocol) -> None:
         # Writes-follow-reads: the client's next write at this site must
@@ -123,14 +123,13 @@ class _VectorToken(_Token):
         # after everything the client has seen.  Inject the token into the
         # structure each protocol piggybacks on writes.
         if isinstance(proto, OptTrackCrpProtocol):
-            for z in range(proto.n):
-                c = int(self.v[z])
+            for z, c in enumerate(self.clock.v):
                 if c > proto.log.get(z, 0):
                     proto.log[z] = c
         elif isinstance(proto, OptPProtocol):
-            np.maximum(proto.write_clock.v, self.v, out=proto.write_clock.v)
+            proto.write_clock.merge(self.clock)
         elif isinstance(proto, AhamadProtocol):
-            np.maximum(proto.vector_clock.v, self.v, out=proto.vector_clock.v)
+            proto.vector_clock.merge(self.clock)
         else:  # pragma: no cover - guarded by _make_token
             raise ConfigurationError(f"unsupported protocol {type(proto).__name__}")
 

@@ -24,6 +24,7 @@ analyses can reprice.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any
 
@@ -85,8 +86,14 @@ class SizeModel:
         return self.id_bytes + self.clock_bytes
 
     def _size_ndarray(self, meta: np.ndarray) -> int:
-        # Apply arrays / strict-fetch dependency columns
+        # Full-Track Apply arrays / strict-fetch dependency columns
         return int(meta.size) * self.clock_bytes
+
+    def _size_int_array(self, meta: array) -> int:
+        # Apply arrays and known-applies tables of the protocols that keep
+        # them as Python ints: one clock per entry (a ``list`` is priced
+        # as (id, clock) records, so they are yielded as ``array("q")``)
+        return len(meta) * self.clock_bytes
 
     #: exact-type dispatch for meta_size — one dict lookup per metadata
     #: object instead of an isinstance chain (this runs for every message
@@ -101,6 +108,7 @@ class SizeModel:
         dict: _size_pairs,
         tuple: _size_pair_tuple,
         np.ndarray: _size_ndarray,
+        array: _size_int_array,
         list: _size_pairs,
         frozenset: _size_pairs,
         set: _size_pairs,

@@ -74,9 +74,9 @@ class NullRecorder:
     recorder costs one attribute test per site — no method call, no
     argument packing (the cost ceiling the hot-path bench enforces).
     ``needs_reasons`` tells instrumentation sites whether it is worth
-    *computing* expensive hook arguments (e.g. calling
-    ``protocol.blocking_deps`` on the rescan path just to name a buffered
-    update's blocking dependency) — the null recorder declines them.
+    *computing* expensive hook arguments (e.g. snapshotting a dependency
+    log before a prune just to report what the prune removed) — the null
+    recorder declines them.
     """
 
     enabled = False
@@ -245,8 +245,8 @@ class TraceRecorder(NullRecorder):
     ) -> None:
         """A wake-index wakeup: apply progress for ``origin`` reached
         ``progress``; the watchers parked on it were re-evaluated.
-        Strategy-dependent diagnostics — only the indexed drain emits
-        these (the rescan has no wake moments)."""
+        Diagnostics of the drain's bookkeeping, not of the execution —
+        span folding does not depend on them."""
         self.records.append(
             {
                 "k": "wake",

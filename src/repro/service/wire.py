@@ -1322,7 +1322,7 @@ def _meta_fields(
         # packs as a single binary intlist instead of n nested rows
         return _S_MC, (meta.m.ravel().tolist(),)
     if isinstance(meta, VectorClock):
-        return _S_VC, (meta.v.tolist(),)
+        return _S_VC, (list(meta.v),)
     if isinstance(meta, np.ndarray):
         return _S_ARR, ([int(x) for x in meta],)
     if isinstance(meta, tuple):
@@ -1432,8 +1432,7 @@ def _build_meta(sid: int, values: Any) -> Any:
         return MatrixClock(n, flat.reshape(n, n))
     if sid == _S_VC:
         (v,) = values
-        clock = np.array(v, dtype=np.int64)
-        return VectorClock(clock.shape[0], clock)
+        return VectorClock(len(v), v)
     if sid == _S_ARR:
         (v,) = values
         return np.array(v, dtype=np.int64)

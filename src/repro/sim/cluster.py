@@ -87,12 +87,6 @@ class ClusterConfig:
     #: trace).  Debugging/property-testing aid — adds an O(n^2) matrix
     #: copy per write; never enable when benchmarking.
     sanitize: bool = False
-    #: pending-update activation machinery: "auto" (default; per-drain
-    #: choice from buffer occupancy — rescan while shallow, dependency
-    #: wake index once buffers run deep), "index" (always the wake
-    #: index, O(work-done)) or "rescan" (the original fixed-point
-    #: rescan; same apply order, kept for differential tests)
-    drain_strategy: str = "auto"
 
     def resolved_replication_factor(self) -> int:
         cls = protocol_class(self.protocol)
@@ -376,7 +370,6 @@ class Cluster:
                     self.metrics,
                     self.tracer,
                     batch_window=config.batch_window,
-                    drain_strategy=config.drain_strategy,
                     sanitizer=self.sanitizer,
                 )
             )

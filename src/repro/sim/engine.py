@@ -16,43 +16,27 @@ from typing import Callable, List, Optional, Tuple
 from repro.errors import SimulationError
 
 
-class _Scheduled:
-    """One scheduled callback.  Heap entries are ``(time, seq, entry)``
-    tuples rather than the entries themselves: ``seq`` is unique, so tuple
-    comparison never reaches the entry, and ordering stays in C instead of
-    a Python-level ``__lt__`` per heap sift."""
+class EventHandle:
+    """One scheduled callback, and the caller's handle to it (``schedule``
+    returns the heap entry itself; most callers drop it).  Heap entries
+    are ``(time, seq, event)`` tuples rather than the events themselves:
+    ``seq`` is unique, so tuple comparison never reaches the event, and
+    ordering stays in C instead of a Python-level ``__lt__`` per heap
+    sift."""
 
-    __slots__ = ("time", "seq", "fn", "cancelled", "done")
+    __slots__ = ("time", "fn", "cancelled", "done", "_sim")
 
-    def __init__(self, time: float, seq: int, fn: Callable[[], None]) -> None:
+    def __init__(self, time: float, fn: Callable[[], None], sim: "Simulator") -> None:
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.cancelled = False
         self.done = False
-
-
-class EventHandle:
-    """Handle to a scheduled event, supporting cancellation."""
-
-    __slots__ = ("_entry", "_sim")
-
-    def __init__(self, entry: _Scheduled, sim: "Simulator") -> None:
-        self._entry = entry
         self._sim = sim
 
-    @property
-    def time(self) -> float:
-        return self._entry.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry.cancelled
-
     def cancel(self) -> None:
-        entry = self._entry
-        if not entry.cancelled and not entry.done:
-            entry.cancelled = True
+        """Keep the event from firing; a no-op once fired or cancelled."""
+        if not self.cancelled and not self.done:
+            self.cancelled = True
             self._sim._pending_live -= 1
 
 
@@ -61,7 +45,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, _Scheduled]] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq: int = 0
         self._pending_live: int = 0
         self.events_processed: int = 0
@@ -70,14 +54,19 @@ class Simulator:
         """Schedule ``fn`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        entry = _Scheduled(self.now + delay, self._seq, fn)
+        time = self.now + delay
+        event = EventHandle(time, fn, self)
+        heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, (entry.time, entry.seq, entry))
         self._pending_live += 1
-        return EventHandle(entry, self)
+        return event
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> EventHandle:
-        """Schedule ``fn`` at absolute simulated time ``time``."""
+        """Schedule ``fn`` at absolute simulated time ``time``.
+
+        The event fires at ``now + (time - now)``, which can differ from
+        ``time`` in the last bit; every recorded run carries that rounding,
+        so it is kept."""
         return self.schedule(time - self.now, fn)
 
     @property

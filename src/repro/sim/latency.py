@@ -7,6 +7,8 @@ keeping runs deterministic.  Times are milliseconds.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import List, Sequence
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -19,6 +21,18 @@ class LatencyModel(ABC):
     @abstractmethod
     def sample(self, src: SiteId, dst: SiteId, rng: np.random.Generator) -> float:
         """Draw one delay for a message from ``src`` to ``dst``."""
+
+    def sample_many(
+        self, src: SiteId, dsts: Sequence[SiteId], rng: np.random.Generator
+    ) -> List[float]:
+        """One delay per destination of a multicast from ``src``.
+
+        Contract: consumes the generator exactly as the scalar loop
+        ``[sample(src, d, rng) for d in dsts]`` does — same values, same
+        generator state after — so a run's arrival times do not depend on
+        how its sends were grouped.  Models override this with one vector
+        draw where numpy guarantees that equivalence."""
+        return [self.sample(src, dst, rng) for dst in dsts]
 
     def mean(self, src: SiteId, dst: SiteId) -> float:
         """Expected delay (used by availability timeouts and docs)."""
@@ -52,6 +66,11 @@ class UniformLatency(LatencyModel):
     def sample(self, src: SiteId, dst: SiteId, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.low, self.high))
 
+    def sample_many(
+        self, src: SiteId, dsts: Sequence[SiteId], rng: np.random.Generator
+    ) -> List[float]:
+        return rng.uniform(self.low, self.high, size=len(dsts)).tolist()
+
     def mean(self, src: SiteId, dst: SiteId) -> float:
         return (self.low + self.high) / 2
 
@@ -73,6 +92,11 @@ class LogNormalLatency(LatencyModel):
 
     def sample(self, src: SiteId, dst: SiteId, rng: np.random.Generator) -> float:
         return float(rng.lognormal(self._mu, self.sigma))
+
+    def sample_many(
+        self, src: SiteId, dsts: Sequence[SiteId], rng: np.random.Generator
+    ) -> List[float]:
+        return rng.lognormal(self._mu, self.sigma, size=len(dsts)).tolist()
 
     def mean(self, src: SiteId, dst: SiteId) -> float:
         return float(self.median * np.exp(self.sigma**2 / 2))
@@ -97,6 +121,14 @@ class MatrixLatency(LatencyModel):
         if self.jitter_sigma == 0:
             return b
         return b * float(rng.lognormal(0.0, self.jitter_sigma))
+
+    def sample_many(
+        self, src: SiteId, dsts: Sequence[SiteId], rng: np.random.Generator
+    ) -> List[float]:
+        base = self.base[src, dsts]
+        if self.jitter_sigma == 0:
+            return base.tolist()
+        return (base * rng.lognormal(0.0, self.jitter_sigma, size=len(dsts))).tolist()
 
     def mean(self, src: SiteId, dst: SiteId) -> float:
         return float(self.base[src, dst]) * float(

@@ -18,7 +18,8 @@ Failure injection (used by the availability extension and the fault tests):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -125,59 +126,86 @@ class Network:
         """Send one message; it will be delivered after a sampled delay
         (FIFO per channel).  Metrics are charged at send time — a dropped
         message was still paid for on the wire."""
-        if src == dst:
-            raise SimulationError(f"site {src} sending to itself")
-        if not _replay:
-            self.messages_sent += 1
-            if self.metrics is not None:
-                self.metrics.on_message(kind, msg)
+        self.send_many(kind, (msg,), src, (dst,), _replay)
+
+    def send_many(
+        self,
+        kind: str,
+        msgs: Sequence[Any],
+        src: SiteId,
+        dsts: Sequence[SiteId],
+        _replay: bool = False,
+    ) -> None:
+        """Send ``msgs[i]`` to ``dsts[i]``, all from ``src`` — the copies of
+        one multicast.  Accounting, the partition, down-site and drop-filter
+        checks run per message in send order; the delays of the messages
+        that survive them come from one ``LatencyModel.sample_many`` draw,
+        which consumes the generator exactly as per-message draws would."""
         rec = self.recorder
-        if self._crosses_partition(src, dst):
-            self.messages_held += 1
-            self._held.append((kind, msg, src, dst))
-            if rec is not None and rec.enabled:
-                for wid in _update_write_ids(kind, msg):
-                    rec.on_hold(self.sim.now, src, dst, wid)
+        if rec is not None and not rec.enabled:
+            rec = None
+        now = self.sim.now
+        live_msgs = []
+        live_dsts = []
+        for msg, dst in zip(msgs, dsts):
+            if src == dst:
+                raise SimulationError(f"site {src} sending to itself")
+            if not _replay:
+                self.messages_sent += 1
+                if self.metrics is not None:
+                    self.metrics.on_message(kind, msg)
+            if self._crosses_partition(src, dst):
+                self.messages_held += 1
+                self._held.append((kind, msg, src, dst))
+                if rec is not None:
+                    for wid in _update_write_ids(kind, msg):
+                        rec.on_hold(now, src, dst, wid)
+            elif (
+                src in self.down
+                or dst in self.down
+                or (
+                    self.drop_filter is not None
+                    and self.drop_filter(kind, msg, src, dst)
+                )
+            ):
+                self.messages_dropped += 1
+                if rec is not None:
+                    for wid in _update_write_ids(kind, msg):
+                        rec.on_drop(now, src, dst, wid)
+            else:
+                live_msgs.append(msg)
+                live_dsts.append(dst)
+        if not live_msgs:
             return
-        if (
-            src in self.down
-            or dst in self.down
-            or (
-                self.drop_filter is not None
-                and self.drop_filter(kind, msg, src, dst)
-            )
-        ):
+        delays = self.latency.sample_many(src, live_dsts, self.rng)
+        last_arrival = self._last_arrival
+        for msg, dst, delay in zip(live_msgs, live_dsts, delays):
+            if delay < 0:
+                raise SimulationError(
+                    f"latency model produced negative delay {delay}"
+                )
+            arrival = now + delay
+            key = (src, dst)
+            prev = last_arrival.get(key, -1.0)
+            if arrival <= prev:
+                arrival = prev + _FIFO_EPSILON
+            last_arrival[key] = arrival
+            if rec is not None:
+                for wid in _update_write_ids(kind, msg):
+                    rec.on_enqueue(now, src, dst, wid, arrival)
+            self.sim.schedule_at(arrival, partial(self._deliver, kind, msg, src, dst))
+
+    def _deliver(self, kind: str, msg: Any, src: SiteId, dst: SiteId) -> None:
+        if dst in self.down:
             self.messages_dropped += 1
+            rec = self.recorder
             if rec is not None and rec.enabled:
                 for wid in _update_write_ids(kind, msg):
                     rec.on_drop(self.sim.now, src, dst, wid)
             return
-        delay = self.latency.sample(src, dst, self.rng)
-        if delay < 0:
-            raise SimulationError(f"latency model produced negative delay {delay}")
-        arrival = self.sim.now + delay
-        key = (src, dst)
-        prev = self._last_arrival.get(key, -1.0)
-        if arrival <= prev:
-            arrival = prev + _FIFO_EPSILON
-        self._last_arrival[key] = arrival
-        if rec is not None and rec.enabled:
-            for wid in _update_write_ids(kind, msg):
-                rec.on_enqueue(self.sim.now, src, dst, wid, arrival)
-
-        def deliver() -> None:
-            if dst in self.down:
-                self.messages_dropped += 1
-                late_rec = self.recorder
-                if late_rec is not None and late_rec.enabled:
-                    for wid in _update_write_ids(kind, msg):
-                        late_rec.on_drop(self.sim.now, src, dst, wid)
-                return
-            self.messages_delivered += 1
-            try:
-                handler = self._handlers[dst]
-            except KeyError:
-                raise SimulationError(f"no handler registered for site {dst}") from None
-            handler(kind, msg)
-
-        self.sim.schedule_at(arrival, deliver)
+        self.messages_delivered += 1
+        try:
+            handler = self._handlers[dst]
+        except KeyError:
+            raise SimulationError(f"no handler registered for site {dst}") from None
+        handler(kind, msg)

@@ -1,13 +1,15 @@
 """A simulated site: one protocol instance plus its pending buffers.
 
 The paper spawns a thread per received update that blocks until the
-activation predicate ``A(m, e)`` turns true (Section II-B).  The original
-deterministic equivalent used here was a **fixed-point rescan**: updates
-whose predicate is false go to a pending buffer, and the buffer is
-re-scanned after every event that changes protocol state, repeating until
-no progress — O(pending) work per apply.
+activation predicate ``A(m, e)`` turns true (Section II-B).  The
+deterministic equivalent is a pending buffer drained to a fixed point: an
+update whose predicate is false waits, and every apply may release others.
+The reference formulation is a **fixed-point rescan** — re-test every
+pending item, sweep after sweep, until a sweep applies nothing — which
+costs O(pending) per apply; it lives on as the oracle of
+tests/property/test_drain_equivalence.py.
 
-The default drain is now a **dependency wake index** (O(work done)): each
+The drain here is a **dependency wake index** (O(work done)): each
 buffered item registers a *watch* on one currently unsatisfied ``(origin,
 clock)`` dependency reported by the protocol's ``blocking_deps`` /
 ``blocking_fetch_deps`` / ``blocking_read_deps`` hooks.  When an apply
@@ -17,34 +19,23 @@ unsatisfied dependency (the classic watched-literal scheme — an item
 cannot be ready while *any* of its dependencies is unsatisfied, so
 watching a single one never misses the readiness moment).
 
-Apply **order is bit-for-bit identical** to the rescan (verified by
-tests/property/test_drain_equivalence.py).  The rescan examines pending
-items in arrival order, sweep after sweep; an item that becomes ready
-*behind* the sweep position waits for the next sweep, one *ahead* of it is
-applied in the same sweep.  The indexed drain reproduces this with two
-ready-heaps and an examination cursor: a wake with ``seq > cursor`` joins
-the current sweep's heap, one with ``seq <= cursor`` joins the next
-sweep's.
+Apply **order is bit-for-bit identical** to the rescan (the equivalence
+property above).  The rescan examines pending items in arrival order,
+sweep after sweep; an item that becomes ready *behind* the sweep position
+waits for the next sweep, one *ahead* of it is applied in the same sweep.
+The indexed drain reproduces this with two ready-heaps and an examination
+cursor: a wake with ``seq > cursor`` joins the current sweep's heap, one
+with ``seq <= cursor`` joins the next sweep's.
 
 Protocols whose hooks return ``None`` (e.g. the Ahamad baseline, which
 stays on the :class:`~repro.core.base.CausalProtocol` defaults) are
 "unindexable": their items go to a side list re-examined once per sweep at
 their arrival positions — exactly the rescan behaviour, merged in sequence
-order with the indexed fast path.  ``drain_strategy="rescan"`` keeps the
-original algorithm selectable (the property tests diff the two).
+order with the indexed fast path.
 
-The default, ``drain_strategy="auto"``, picks per drain from buffer
-occupancy: the index's watch registration and wake bookkeeping only pay
-off when pending buffers run deep (slow WANs, partitions, bursty
-arrivals); on shallow buffers a rescan touches fewer objects
-(``BENCH_hot_paths.json`` records both on the reference run).  Auto runs
-the rescan while ``len(pending) <= AUTO_INDEX_DEPTH`` and flips to the
-index above it, rebuilding the watch structures from the protocol's
-``blocking_*`` hooks at the flip — registration is memoryless given
-current protocol state, so a rebuilt index is indistinguishable from one
-maintained since arrival.  Because both strategies produce bit-identical
-behaviour from any state (the equivalence property below), mixing them
-per drain call preserves it.
+The index is the only drain: measured on the repository's two simulator
+workloads it is within 3 % of the better of the rescan and a
+depth-switched hybrid on both (docs/performance.md, "One drain strategy").
 
 Fetch requests are buffered the same way when strict remote reads are on
 and the requester's dependencies have not yet been applied locally.
@@ -78,11 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - import for annotations only
 
 #: wake-token kinds
 _UPD, _FET, _RD = 0, 1, 2
-
-#: pending-update depth above which ``drain_strategy="auto"`` switches
-#: from the rescan to the wake index (chosen from the reference-run
-#: crossover; see docs/performance.md)
-AUTO_INDEX_DEPTH = 16
 
 
 class _WakeIndex:
@@ -130,7 +116,6 @@ class SimSite:
         metrics: Optional[MetricsCollector] = None,
         tracer: Optional[Tracer] = None,
         batch_window: Optional[float] = None,
-        drain_strategy: str = "index",
         sanitizer: Optional["CausalSanitizer"] = None,
         recorder: Optional["Recorder"] = None,
     ) -> None:
@@ -147,20 +132,6 @@ class SimSite:
         #: opt-in repro.obs lifecycle recorder (None = tracing off, the
         #: zero-cost default); shared across the cluster
         self.recorder = recorder
-        if drain_strategy not in ("index", "rescan", "auto"):
-            raise SimulationError(
-                f"unknown drain_strategy {drain_strategy!r} "
-                f"(expected 'index', 'rescan' or 'auto')"
-            )
-        self.drain_strategy = drain_strategy
-        #: occupancy threshold for "auto" (an instance copy so tests can
-        #: pin it without touching the module default)
-        self.auto_index_depth = AUTO_INDEX_DEPTH
-        #: whether the wake structures currently cover every pending item.
-        #: "index": always; "rescan": never; "auto": toggles with depth —
-        #: shallow phases skip registration entirely (that bookkeeping is
-        #: the index's overhead), deep phases rebuild then maintain it.
-        self._index_live = drain_strategy == "index"
         self.batcher = None
         if batch_window is not None:
             from repro.sim.batching import UpdateBatcher
@@ -232,7 +203,9 @@ class SimSite:
                 now=self.sim.now,
             )
         rec = self.recorder
-        if rec is not None and rec.enabled:
+        if rec is not None and not rec.enabled:
+            rec = None
+        if rec is not None:
             rec.on_issue(
                 self.sim.now,
                 self.site,
@@ -240,18 +213,27 @@ class SimSite:
                 result.write_id,
                 self.protocol.replicas(var),
             )
-        for msg in result.messages:
-            if self.tracer:
-                self.tracer.emit(
-                    SendEvent(self.sim.now, self.site, msg.dest, var, msg.write_id)
-                )
-            if rec is not None and rec.enabled:
-                rec.on_send(self.sim.now, self.site, msg.dest, msg.write_id)
-            self.updates_sent += 1
-            if self.batcher is not None:
+        messages = result.messages
+        if self.tracer or rec is not None:
+            for msg in messages:
+                if self.tracer:
+                    self.tracer.emit(
+                        SendEvent(self.sim.now, self.site, msg.dest, var, msg.write_id)
+                    )
+                if rec is not None:
+                    rec.on_send(self.sim.now, self.site, msg.dest, msg.write_id)
+        self.updates_sent += len(messages)
+        if self.batcher is not None:
+            for msg in messages:
                 self.batcher.enqueue(msg)
-            else:
-                self.network.send(MetricsCollector.UPDATE, msg, self.site, msg.dest)
+        else:
+            # the copies of one write leave as one multicast
+            self.network.send_many(
+                MetricsCollector.UPDATE,
+                messages,
+                self.site,
+                [msg.dest for msg in messages],
+            )
         if result.applied_locally:
             self._record_apply(var, result.write_id, self.sim.now)
 
@@ -314,36 +296,31 @@ class SimSite:
         seq = self._useq
         self._useq += 1
         self._pu[seq] = (msg, recv_time)
+        deps = self.protocol.blocking_deps(msg)
         rec = self.recorder
-        if self._index_live:
-            deps = self.protocol.blocking_deps(msg)
-            if rec is not None and rec.enabled and deps != ():
-                # None (unindexable) or a non-empty blocking set: the
-                # activation predicate may be false right now
-                self._record_buffered(rec, msg, deps)
-            if deps is None:
-                self._unidx_u.append(seq)  # seqs only grow: stays sorted
-            elif deps:
-                z, c = deps[0]
-                self._wake.watch(z, c, _UPD, seq)
-            else:
-                heapq.heappush(self._ready_u, seq)
-        elif rec is not None and rec.enabled:
-            self._record_buffered(rec, msg, None)
+        if rec is not None and rec.enabled and deps != ():
+            # None (unindexable) or a non-empty blocking set: the
+            # activation predicate may be false right now
+            self._record_buffered(rec, msg, deps)
+        if deps is None:
+            self._unidx_u.append(seq)  # seqs only grow: stays sorted
+        elif deps:
+            z, c = deps[0]
+            self._wake.watch(z, c, _UPD, seq)
+        else:
+            heapq.heappush(self._ready_u, seq)
 
     def _record_buffered(self, rec, msg: UpdateMessage, deps) -> None:
         """Emit a ``buffered`` lifecycle event if ``msg``'s activation
         predicate is false on arrival, naming the blocking dependencies
-        when the protocol can report them.  ``deps`` is a precomputed
-        ``blocking_deps`` result, or None when the caller has none (the
-        predicate is then re-tested directly; all predicate hooks are
-        pure, so the extra call cannot perturb the run)."""
+        when the protocol can report them (``deps`` is its
+        ``blocking_deps`` result; None = unindexable, so the predicate is
+        tested directly — predicate hooks are pure, the extra call cannot
+        perturb the run)."""
         if deps is None:
             if self.protocol.can_apply(msg):
                 return
-            if rec.needs_reasons:
-                deps = self.protocol.blocking_deps(msg)
-            deps = deps or ()
+            deps = ()
         rec.on_buffered(self.sim.now, self.site, msg.write_id, deps)
 
     def _on_fetch_request(self, req: FetchRequest) -> None:
@@ -354,18 +331,15 @@ class SimSite:
         seq = self._fseq
         self._fseq += 1
         self._pf[seq] = (req, self.sim.now)
-        if self._index_live:
-            deps = self.protocol.blocking_fetch_deps(req)
-            if deps is None:
-                self._unidx_f.append(seq)
-            elif deps:
-                z, c = deps[0]
-                self._wake.watch(z, c, _FET, seq)
-            else:
-                del self._pf[seq]
-                self._serve_fetch(req)
+        deps = self.protocol.blocking_fetch_deps(req)
+        if deps is None:
+            self._unidx_f.append(seq)
+        elif deps:
+            z, c = deps[0]
+            self._wake.watch(z, c, _FET, seq)
         else:
-            self._serve_ready_fetches()
+            del self._pf[seq]
+            self._serve_fetch(req)
 
     def _on_fetch_reply(self, reply: FetchReply) -> None:
         if self.tracer:
@@ -388,50 +362,6 @@ class SimSite:
         (to the rescan's fixed point, in the rescan's order); then serve
         unblocked fetches and local reads.  Returns the number of updates
         applied."""
-        if self.drain_strategy == "auto":
-            if len(self._pu) <= self.auto_index_depth:
-                # shallow: rescan wins; drop the index (stale tokens are
-                # discarded wholesale at the next rebuild)
-                self._index_live = False
-            elif not self._index_live:
-                self._rebuild_index()
-        if self._index_live:
-            return self._drain_indexed()
-        return self._drain_rescan()
-
-    def _rebuild_index(self) -> None:
-        """Register every pending item in fresh wake structures (the flip
-        from rescan to index in "auto" mode).  Registration depends only
-        on current protocol state, so this reproduces exactly the index
-        an always-on strategy would hold right now."""
-        proto = self.protocol
-        self._wake = _WakeIndex()
-        self._ready_u, self._ready_f, self._ready_r = [], [], []
-        self._unidx_u, self._unidx_f, self._unidx_r = [], [], []
-        for seq in sorted(self._pu):
-            deps = proto.blocking_deps(self._pu[seq][0])
-            if deps is None:
-                self._unidx_u.append(seq)
-            elif deps:
-                z, c = deps[0]
-                self._wake.watch(z, c, _UPD, seq)
-            else:
-                heapq.heappush(self._ready_u, seq)
-        for seq in sorted(self._pf):
-            deps = proto.blocking_fetch_deps(self._pf[seq][0])
-            if deps is None:
-                self._unidx_f.append(seq)
-            elif deps:
-                z, c = deps[0]
-                self._wake.watch(z, c, _FET, seq)
-            else:
-                heapq.heappush(self._ready_f, seq)
-        for seq in sorted(self._pr):
-            self._register_read(seq)
-        self._index_live = True
-
-    # -- indexed drain -------------------------------------------------
-    def _drain_indexed(self) -> int:
         proto = self.protocol
         pu = self._pu
         cur = self._ready_u  # sweep-1 ready heap (the persistent one)
@@ -647,50 +577,7 @@ class SimSite:
         else:
             heapq.heappush(self._ready_r, seq)
 
-    # -- legacy fixed-point rescan ------------------------------------
-    def _drain_rescan(self) -> int:
-        proto = self.protocol
-        pu = self._pu
-        applied_total = 0
-        progress = True
-        while progress:
-            progress = False
-            for seq in list(pu):
-                msg, recv_time = pu[seq]
-                if proto.can_apply(msg):
-                    del pu[seq]
-                    if self.sanitizer is not None:
-                        self.sanitizer.before_apply(proto, msg, now=self.sim.now)
-                        proto.apply_update(msg)
-                        self.sanitizer.after_apply(proto, msg, now=self.sim.now)
-                    else:
-                        proto.apply_update(msg)
-                    self._record_apply(msg.var, msg.write_id, recv_time)
-                    self.updates_applied += 1
-                    applied_total += 1
-                    progress = True
-        if applied_total:
-            self._serve_ready_fetches()
-            self._wake_ready_reads()
-        return applied_total
-
-    def _serve_ready_fetches(self) -> None:
-        proto = self.protocol
-        for seq in list(self._pf):
-            req, _ = self._pf[seq]
-            if proto.can_serve_fetch(req):
-                del self._pf[seq]
-                self._serve_fetch(req)
-
-    def _wake_ready_reads(self) -> None:
-        proto = self.protocol
-        for seq in list(self._pr):
-            var, callback = self._pr[seq]
-            if proto.can_read_local(var):
-                del self._pr[seq]
-                callback()
-
-    # -- shared pieces -------------------------------------------------
+    # ------------------------------------------------------------------
     def wait_local_read(self, var: VarId, callback: Callable[[], None]) -> None:
         """Register a local read blocked by ``can_read_local``; the
         callback fires once the local state has caught up (possibly
@@ -701,8 +588,7 @@ class SimSite:
         seq = self._rseq
         self._rseq += 1
         self._pr[seq] = (var, callback)
-        if self._index_live:
-            self._register_read(seq)
+        self._register_read(seq)
 
     def _serve_fetch(self, req: FetchRequest) -> None:
         reply = self.protocol.serve_fetch(req)

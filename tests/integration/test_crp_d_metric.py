@@ -34,14 +34,15 @@ def mean_d(write_rate, writer_sites=None, seed=5, ops=80):
         )
     )
     sizes = []
-    original = cluster.network.send
+    original = cluster.network.send_many  # every message enters here
 
-    def spy(kind, msg, src, dst, **kw):
-        if kind == "update" and isinstance(getattr(msg, "meta", None), CrpMeta):
-            sizes.append(len(msg.meta.log))
-        return original(kind, msg, src, dst, **kw)
+    def spy(kind, msgs, src, dsts, *rest):
+        for msg in msgs:
+            if kind == "update" and isinstance(getattr(msg, "meta", None), CrpMeta):
+                sizes.append(len(msg.meta.log))
+        return original(kind, msgs, src, dsts, *rest)
 
-    cluster.network.send = spy
+    cluster.network.send_many = spy
 
     scripts = generate(
         WorkloadConfig(

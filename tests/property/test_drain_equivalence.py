@@ -1,19 +1,17 @@
-"""Differential property test for the drain strategies.
+"""Differential property test for the drain.
 
-The dependency wake index (``drain_strategy="index"``) is a pure
-performance rework of the original fixed-point rescan: it must produce
-the *identical execution* — same apply events at the same simulated
-times, same operation results, same message count — for every protocol,
-with strict remote reads on or off and with batching on or off.  Any
+The dependency wake index (``SimSite.drain``) is a pure performance
+rework of the original fixed-point rescan: it must produce the
+*identical execution* — same apply events at the same simulated times,
+same operation results, same message count — for every protocol, with
+strict remote reads on or off and with batching on or off.  Any
 divergence means the index woke something the rescan would not have (or
 vice versa), i.e. a correctness bug, not a perf difference.
 
-``drain_strategy="auto"`` (the default) picks per drain call from buffer
-occupancy; it must inherit the same equivalence.  Because small test
-clusters rarely exceed the default occupancy threshold, auto is checked
-twice: as configured (mostly-rescan) and with the threshold pinned to 0
-(every non-empty drain takes the index path, exercising the
-rescan-to-index rebuild)."""
+The rescan is no longer selectable in ``src/`` (docs/performance.md, "One
+drain strategy"); it lives here as :class:`RescanSite`, the oracle: every
+buffered update, fetch and blocked read is re-tested with the protocol's
+boolean predicate, sweep after sweep, until a sweep applies nothing."""
 
 import numpy as np
 import pytest
@@ -22,7 +20,68 @@ from hypothesis import strategies as st
 
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.latency import MatrixLatency
+from repro.sim.site import SimSite
 from repro.workload.generator import WorkloadConfig, generate
+
+
+class RescanSite(SimSite):
+    """The reference drain: a fixed-point rescan over the pending buffers
+    in arrival order, using only ``can_apply`` / ``can_serve_fetch`` /
+    ``can_read_local`` — none of the ``blocking_*`` hooks, no wake index."""
+
+    def _enqueue_update(self, msg, recv_time):
+        self._pu[self._useq] = (msg, recv_time)
+        self._useq += 1
+
+    def _on_fetch_request(self, req):
+        self._pf[self._fseq] = (req, self.sim.now)
+        self._fseq += 1
+        self._serve_ready_fetches()
+
+    def wait_local_read(self, var, callback):
+        if self.protocol.can_read_local(var):
+            callback()
+            return
+        self._pr[self._rseq] = (var, callback)
+        self._rseq += 1
+
+    def drain(self):
+        proto = self.protocol
+        pu = self._pu
+        applied_total = 0
+        progress = True
+        while progress:
+            progress = False
+            for seq in list(pu):
+                msg, recv_time = pu[seq]
+                if proto.can_apply(msg):
+                    del pu[seq]
+                    if self.sanitizer is not None:
+                        self.sanitizer.before_apply(proto, msg, now=self.sim.now)
+                        proto.apply_update(msg)
+                        self.sanitizer.after_apply(proto, msg, now=self.sim.now)
+                    else:
+                        proto.apply_update(msg)
+                    self._record_apply(msg.var, msg.write_id, recv_time)
+                    self.updates_applied += 1
+                    applied_total += 1
+                    progress = True
+        if applied_total:
+            self._serve_ready_fetches()
+            for seq in list(self._pr):
+                var, callback = self._pr[seq]
+                if proto.can_read_local(var):
+                    del self._pr[seq]
+                    callback()
+        return applied_total
+
+    def _serve_ready_fetches(self):
+        for seq in list(self._pf):
+            req, _ = self._pf[seq]
+            if self.protocol.can_serve_fetch(req):
+                del self._pf[seq]
+                self._serve_fetch(req)
+
 
 PARTIAL = ["full-track", "opt-track"]
 FULL = ["opt-track-crp", "optp", "ahamad"]
@@ -45,9 +104,7 @@ def apply_fingerprint(history):
     ]
 
 
-def run_once(
-    protocol, n, q, p, seed, write_rate, strict, batch, strategy, auto_depth=None
-):
+def run_once(protocol, n, q, p, seed, write_rate, strict, batch, rescan):
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.5, 120.0, size=(n, n))
     np.fill_diagonal(base, 0.0)
@@ -62,12 +119,13 @@ def run_once(
         strict_remote_reads=strict,
         think_time=1.0,
         batch_window=5.0 if batch else None,
-        drain_strategy=strategy,
     )
     cluster = Cluster(cfg)
-    if auto_depth is not None:
+    if rescan:
+        # nothing is buffered yet, and the network dispatches through the
+        # instance, so swapping the class swaps the whole drain
         for site in cluster.sites:
-            site.auto_index_depth = auto_depth
+            site.__class__ = RescanSite
     wl = generate(
         WorkloadConfig(
             n_sites=n,
@@ -88,23 +146,11 @@ def run_once(
 
 
 def assert_equivalent(protocol, n, q, p, seed, write_rate, strict, batch):
-    rescan = run_once(
-        protocol, n, q, p, seed, write_rate, strict, batch, "rescan"
-    )
-    candidates = [
-        run_once(protocol, n, q, p, seed, write_rate, strict, batch, "index"),
-        run_once(protocol, n, q, p, seed, write_rate, strict, batch, "auto"),
-        run_once(
-            protocol, n, q, p, seed, write_rate, strict, batch, "auto",
-            auto_depth=0,
-        ),
-    ]
-    for other in candidates:
-        assert op_fingerprint(other.history) == op_fingerprint(rescan.history)
-        assert apply_fingerprint(other.history) == apply_fingerprint(
-            rescan.history
-        )
-        assert other.metrics.total_messages == rescan.metrics.total_messages
+    rescan = run_once(protocol, n, q, p, seed, write_rate, strict, batch, True)
+    index = run_once(protocol, n, q, p, seed, write_rate, strict, batch, False)
+    assert op_fingerprint(index.history) == op_fingerprint(rescan.history)
+    assert apply_fingerprint(index.history) == apply_fingerprint(rescan.history)
+    assert index.metrics.total_messages == rescan.metrics.total_messages
 
 
 @st.composite

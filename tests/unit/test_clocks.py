@@ -104,7 +104,7 @@ class TestMatrixClock:
 
 class TestVectorClock:
     def test_starts_at_zero(self):
-        assert np.all(VectorClock(4).v == 0)
+        assert VectorClock(4).v == (0, 0, 0, 0)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ConfigurationError):
@@ -134,9 +134,16 @@ class TestVectorClock:
         assert a[0] == 0
 
     def test_frozen_copy(self):
-        f = VectorClock(2).frozen_copy()
-        with pytest.raises(ValueError):
+        a = VectorClock(2)
+        f = a.frozen_copy()
+        with pytest.raises(TypeError):
             f.v[0] = 1
+        with pytest.raises(ValueError):
+            f.increment(0)
+        with pytest.raises(ValueError):
+            f.merge(VectorClock(2, [3, 3]))
+        a.increment(0)  # the original moves on; the snapshot does not
+        assert f.v == (0, 0) and a.v == (1, 0)
 
     def test_dominance_and_le(self):
         a, b = VectorClock(2), VectorClock(2)

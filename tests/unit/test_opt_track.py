@@ -1,6 +1,8 @@
 """Unit tests for Algorithm Opt-Track (paper Algorithms 2+3): the KS
 pruning conditions, the activation predicate, and the remote-read path."""
 
+from array import array
+
 import pytest
 
 from repro.core import bitsets
@@ -252,7 +254,7 @@ def log_of(*entries):
 
 
 class TestKnownAppliesGC:
-    """The ack-driven Condition-1 seam: ``known_applies[d, z]`` holds
+    """The ack-driven Condition-1 seam: ``known_applies[d][z]`` holds
     proven lower bounds on ``Apply_d[z]``, fed by the service layer's
     applied watermarks (direct for own writes, transitive through the
     piggybacked log of each acked update), and swept into the log at
@@ -277,7 +279,7 @@ class TestKnownAppliesGC:
     def test_direct_watermark_recorded_and_pruned(self, sites):
         sites[0].write("x", 1)
         sites[0].note_remote_apply(1, 1)
-        assert sites[0].known_applies[1, 0] == 1
+        assert sites[0].known_applies[1][0] == 1
         # the acking link's own-write slice is pruned immediately
         assert not bitsets.contains(sites[0].log.dests_of(0, 1), 1)
 
@@ -287,8 +289,8 @@ class TestKnownAppliesGC:
         known = sites[0].known_applies
         # site 1 was named by <2,7> (so proved to have applied it) but
         # not by <3,4> — FIFO applies bound only the named origin
-        assert known[1, 2] == 7
-        assert known[1, 3] == 0
+        assert known[1][2] == 7
+        assert known[1][3] == 0
 
     def test_bounds_are_monotonic(self, sites):
         sites[0].note_remote_apply_log(1, OptTrackMeta(9, 0, log_of((2, 7, [1]))))
@@ -296,8 +298,8 @@ class TestKnownAppliesGC:
         sites[0].note_remote_apply(2, 5)
         sites[0].note_remote_apply(2, 4)
         known = sites[0].known_applies
-        assert known[1, 2] == 7
-        assert known[2, 0] == 5
+        assert known[1][2] == 7
+        assert known[2][0] == 5
 
     def test_write_sweeps_proven_third_party_bits(self):
         # y's replica set shares no site with the record's remaining
@@ -326,6 +328,7 @@ class TestKnownAppliesGC:
 
     def test_meta_objects_include_the_table(self, sites):
         sites[0].note_remote_apply(1, 1)
-        assert any(
-            obj is sites[0].known_applies for obj in sites[0].meta_objects()
-        )
+        # yielded flat (row-major), so the size model prices it per entry
+        table = array("q", (c for row in sites[0].known_applies for c in row))
+        assert len(table) == 16 and table[4] == 1
+        assert table in list(sites[0].meta_objects())
