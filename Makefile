@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast lint typecheck check bench bench-fast sweep-bench service-bench service-bench-fast table1 fig4 report trace-smoke serve-smoke interleave-smoke perf-smoke stats-smoke
+.PHONY: test test-fast lint typecheck check bench bench-fast sweep-bench table1 fig4 report trace-smoke serve-smoke interleave-smoke perf-smoke stats-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -33,7 +33,7 @@ typecheck:
 # smoke tests, which live outside pytest's testpaths
 check: lint typecheck
 	$(PYTHON) -m pytest -x -q
-	$(PYTHON) -m pytest -x -q benchmarks/bench_sweep.py benchmarks/bench_hot_paths.py benchmarks/bench_service.py
+	$(PYTHON) -m pytest -x -q benchmarks/bench_sweep.py benchmarks/bench_hot_paths.py
 
 # End-to-end tracing smoke: record a lifecycle trace under three
 # protocols, replay each through the causal sanitizer oracle, render the
@@ -50,18 +50,21 @@ trace-smoke:
 serve-smoke:
 	$(PYTHON) -m repro.service.cli smoke
 
-# Observability smoke: in-process TCP cluster, negotiated sys.stats on
-# every wire version, `repro-kv top --once --json`, a Prometheus scrape
-# that must parse, and a chaos kill that must leave a flight-recorder
-# dump `repro-sim trace` can render.  Details in docs/observability.md
+# Observability smoke: in-process TCP cluster, sys.stats over real
+# sockets, `repro-kv top --once --json`, a Prometheus scrape that must
+# parse, and a chaos kill that must leave a flight-recorder dump
+# `repro-sim trace` can render.  Details in docs/observability.md
 # ("Live service observability")
 stats-smoke:
 	$(PYTHON) -m repro.service.cli stats-smoke
 
 # Schedule-exploration smoke: sweep 50 seeded adversarial schedules
 # (shuffled ready queue + preempting loopback) over a 3-site cluster
-# with the causal sanitizer shadowing every apply.  The runtime half of
-# the await-atomicity static rule; details in docs/static-analysis.md
+# with the causal sanitizer shadowing every apply.  The preempting
+# connections sit on the one-pass wire and flip a seeded coin between
+# the links' inline write-through and their writer task, so the sweep
+# interleaves the paths that ship.  The runtime half of the
+# await-atomicity static rule; details in docs/static-analysis.md
 interleave-smoke:
 	$(PYTHON) -m repro.verify.schedules --seeds 50
 
@@ -80,23 +83,6 @@ bench:
 
 bench-fast:
 	$(PYTHON) -m repro.cli bench --out BENCH_hot_paths.json --fast
-
-# Regenerate BENCH_service.json (loopback + TCP ops/s and latency
-# percentiles under both wire profiles, the codec microbench, and the
-# durability cell: WAL-on vs WAL-off paired runs plus the kill →
-# restart → reconverge recovery microbench) and fail unless the
-# WIRE_VERSION 3 binary profile beats the JSON baseline by the
-# codec-speedup floor on the reference loopback cell AND the
-# WIRE_VERSION 4 delta profile spends at most the bytes-ratio ceiling of
-# the binary profile's bytes/op on the metadata-bound cell AND WAL-on
-# throughput stays above the durability floor of WAL-off.  Details in
-# docs/performance.md ("Service throughput", "Metadata on the wire")
-# and docs/durability.md
-service-bench:
-	$(PYTHON) -m repro.service.cli bench --ledger BENCH_service.json
-
-service-bench-fast:
-	$(PYTHON) -m repro.service.cli bench --ledger BENCH_service.json --fast
 
 # Regenerate BENCH_sweeps.json (serial vs --jobs fan-out vs warm cache)
 sweep-bench:

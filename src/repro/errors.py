@@ -71,6 +71,17 @@ class ServiceError(ReproError):
 class WireError(ServiceError):
     """A wire frame was malformed, oversized, or of an unsupported version."""
 
+    #: the ``err`` frame code a server answers this error with
+    code = "bad-frame"
+
+
+class UnsupportedVersionError(WireError):
+    """A handshake offered (or a peer answered with) a wire version
+    outside the support window — see ``repro.service.wire``.  The code
+    is not retriable: no replica of the same build answers differently."""
+
+    code = "unsupported-version"
+
 
 class ServiceUnavailableError(ServiceError):
     """A request could not be served by any reachable replica.

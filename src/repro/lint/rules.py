@@ -627,11 +627,9 @@ class BlockingIoRule(Rule):
 #: durability seam may call them from service code
 _DURABILITY_OS_CALLS = {"open", "fsync", "fdatasync"}
 
-#: service modules allowed raw file I/O: the WAL/snapshot seam itself,
-#: and the bench ledger writer (operator-facing output, not site state)
+#: service modules allowed raw file I/O: the WAL/snapshot seam itself
 _DURABILITY_EXEMPT = {
     "repro.service.durability",
-    "repro.service.bench",
 }
 
 
@@ -715,12 +713,11 @@ class DurabilityIoRule(Rule):
 _JSON_SERDE = {"dumps", "loads", "dump", "load"}
 
 #: service modules allowed to touch ``json`` directly: the codec module
-#: itself, and the human-facing edges (CLI snapshot printing, the bench
-#: ledger writer) whose JSON never crosses a peer or client connection
+#: itself, and the human-facing edge (CLI snapshot printing) whose JSON
+#: never crosses a peer or client connection
 _WIRE_EXEMPT = {
     "repro.service.wire",
     "repro.service.cli",
-    "repro.service.bench",
 }
 
 

@@ -205,31 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--value-size", type=int, default=0, help="pad written values to N bytes"
     )
-    bench.add_argument(
-        "--codec",
-        default="delta",
-        choices=("delta", "binary", "json"),
-        help="wire profile: delta = WIRE_VERSION 4 metadata-lean, "
-        "binary = WIRE_VERSION 3 batched, json = v2 per-frame",
-    )
     bench.add_argument("--strict", action="store_true")
     bench.add_argument("--sanitize", action="store_true")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--json", action="store_true", help="emit the metrics snapshot")
-    bench.add_argument(
-        "--ledger",
-        metavar="PATH",
-        default=None,
-        help="run the full transport x codec reference matrix instead, "
-        "write the BENCH_service.json ledger to PATH, and fail unless "
-        "the binary profile clears the codec-speedup guardrail and the "
-        "delta profile clears the metadata-cell bytes/op guardrail",
-    )
-    bench.add_argument(
-        "--fast",
-        action="store_true",
-        help="with --ledger: single repeat on a reduced run (smoke use)",
-    )
 
     smoke = sub.add_parser("smoke", help="CI smoke gate (loopback, chaos, sanitizer)")
     smoke.add_argument("--sites", type=int, default=3)
@@ -487,11 +466,7 @@ async def _collect_top(
         lag[me] = {
             dest: {
                 "unacked": link["unacked"],
-                "unapplied": (
-                    None
-                    if link["applied"] is None
-                    else link["acked"] - link["applied"]
-                ),
+                "unapplied": link["acked"] - link["applied"],
                 "flushes_inline": link["flushes_inline"],
                 "flushes_task": link["flushes_task"],
             }
@@ -550,8 +525,7 @@ def _render_top(
             lines.append("".join(row))
 
     def lag_cell(link: Dict) -> str:
-        ua = link["unapplied"]
-        return f"{link['unacked']}/{'-' if ua is None else ua}"
+        return f"{link['unacked']}/{link['unapplied']}"
 
     link_matrix("replication lag  src -> dst, unacked/unapplied", lag_cell, 10)
     # write-through evidence: flushes the enqueuer wrote in its own loop
@@ -613,62 +587,6 @@ async def _top(args: argparse.Namespace) -> int:
 # loopback commands
 # ----------------------------------------------------------------------
 async def _bench(args: argparse.Namespace) -> int:
-    if args.ledger is not None:
-        from repro.service.bench import write_report
-
-        # write_report runs its own event loops (one per cell); hop off
-        # this one via a thread to keep the handler signature uniform
-        try:
-            report = await asyncio.to_thread(write_report, args.ledger, args.fast)
-        except RuntimeError as exc:
-            print(f"ledger {args.ledger}: GUARDRAIL FAILED — {exc}")
-            return 1
-        rail = report["guardrail"]
-        cells = report["cells"]
-        for transport in ("loopback", "tcp"):
-            row = cells[transport]
-            print(
-                f"  {transport:<9} json {row['json']['ops_per_s']:8.0f} ops/s"
-                f"   binary {row['binary']['ops_per_s']:8.0f} ops/s"
-                f"   delta {row['delta']['ops_per_s']:8.0f} ops/s"
-                f"   speedup {row['speedup']:.2f}x"
-            )
-        meta = report["metadata_cell"]
-        print(
-            f"  metadata  json {meta['json']['wire_bytes_per_op']:8.0f} B/op"
-            f"   binary {meta['binary']['wire_bytes_per_op']:8.0f} B/op"
-            f"   delta {meta['delta']['wire_bytes_per_op']:8.0f} B/op"
-            f"   ratio {meta['bytes_ratio']:.2f}x"
-        )
-        dur = report["durability_cell"]
-        worst_recovery = max(dur["recovery"], key=lambda r: r["gap"])
-        print(
-            f"  durability  wal-off {dur['off']['ops_per_s']:8.0f} ops/s"
-            f"   wal-on {dur['on']['ops_per_s']:8.0f} ops/s"
-            f"   ratio {dur['wal_ratio']:.2f}x"
-            f"   recovery(gap={worst_recovery['gap']})"
-            f" {worst_recovery['restart_ms']:.1f}ms restart"
-            f" + {worst_recovery['converge_ms']:.1f}ms converge"
-        )
-        if rail["enforced"]:
-            print(
-                f"ledger {args.ledger}: binary {rail['speedup']:.2f}x >= "
-                f"{rail['speedup_floor']:.2f}x floor on {rail['transport']}; "
-                f"delta bytes/op {rail['bytes_ratio']:.2f}x <= "
-                f"{rail['bytes_ratio_ceiling']:.2f}x ceiling on the "
-                f"metadata cell; WAL {rail['wal_ratio']:.2f}x >= "
-                f"{rail['durability_floor']:.2f}x floor"
-            )
-        else:
-            print(
-                f"ledger {args.ledger}: binary {rail['speedup']:.2f}x on "
-                f"{rail['transport']}, delta bytes/op {rail['bytes_ratio']:.2f}x, "
-                f"WAL {rail['wal_ratio']:.2f}x "
-                f"(fast run — {rail['speedup_floor']:.2f}x floor / "
-                f"{rail['bytes_ratio_ceiling']:.2f}x ceiling / "
-                f"{rail['durability_floor']:.2f}x WAL floor not enforced)"
-            )
-        return 0
     metrics = MetricsRegistry()
     async with ServiceCluster(
         args.sites,
@@ -679,7 +597,6 @@ async def _bench(args: argparse.Namespace) -> int:
         sanitize=args.sanitize,
         metrics=metrics,
         seed=args.seed,
-        codec=args.codec,
     ) as cluster:
         gen = LoadGenerator(
             cluster,
@@ -695,8 +612,7 @@ async def _bench(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(metrics.snapshot(), indent=2, sort_keys=True))
     else:
-        print(f"protocol   {args.protocol} (workload {args.workload}, "
-              f"{args.codec} wire)")
+        print(f"protocol   {args.protocol} (workload {args.workload})")
         print(report.format())
         counters = metrics.snapshot()["counters"]
         sent = sum(
@@ -858,8 +774,8 @@ async def _stats_smoke(args: argparse.Namespace) -> int:
 
     failures: List[str] = []
     metrics = MetricsRegistry()
-    # mint free ports by binding port 0 (same idiom as the service
-    # bench's TCP cells; the window between close and listen is benign)
+    # mint free ports by binding port 0 (the window between close and
+    # listen is benign)
     addresses: Dict[SiteId, str] = {}
     for site in range(args.sites):
         probe = await asyncio.start_server(

@@ -30,7 +30,7 @@ and latency histograms go to an optional
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,28 +57,12 @@ class KVClient:
         backoff_cap: float = 0.25,
         metrics: Any = None,
         seed: int = 0,
-        codec: str = "delta",
     ) -> None:
-        if codec not in wire.PROFILE_CAPS:
-            raise ValueError(
-                f"unknown wire profile {codec!r}; choose from "
-                f"{sorted(wire.PROFILE_CAPS)}"
-            )
         self.addresses = dict(addresses)
         self.placement = placement
         self.transport = transport
-        #: preferred wire profile: ``"binary"`` and ``"delta"`` send a
-        #: ``hello`` negotiation frame on every new connection and
-        #: upgrade when the server agrees (``"delta"`` additionally
-        #: learns the server's intern table and sends interned var
-        #: ids); ``"json"`` skips the hello entirely (pure v2 client)
-        self.codec_name = codec
-        self.wire_caps = wire.profile_caps(codec)
-        #: per-site intern table from the last ``hello.ok`` (cv >= 4)
+        #: per-site intern table from the last ``hello.ok``
         self._itabs: Dict[SiteId, wire.InternTable] = {}
-        #: sites whose last ``hello.ok`` echoed the ``sx`` stats
-        #: capability — :meth:`stats` works against exactly these
-        self._stats_sites: Set[SiteId] = set()
         self.home = home
         self.timeout = timeout
         self.max_rounds = max_rounds
@@ -135,12 +119,9 @@ class KVClient:
     async def stats(self, site: Optional[SiteId] = None) -> Dict[str, Any]:
         """One ``sys.stats`` snapshot from ``site`` (default: home).
 
-        Works against any site whose ``hello.ok`` echoed the ``sx``
-        capability — that is orthogonal to the agreed wire version, so
-        a JSON-pinned server still answers.  Raises
-        :class:`ServiceUnavailableError` when the site refuses (an old
-        server, or a connection that never negotiated); connection
-        errors propagate for the caller's own failover policy."""
+        Raises :class:`ServiceUnavailableError` when the site refuses
+        (it is shutting down); connection errors propagate for the
+        caller's own failover policy."""
         target = self.home if site is None else site
         frame = await self._roundtrip(target, wire.make_frame("sys.stats"))
         if frame.get("t") != "sys.stats.ok":
@@ -226,14 +207,14 @@ class KVClient:
         return base * (0.5 + self._rng.uniform(0.0, 0.5))
 
     def _outbound(
-        self, frame: Dict[str, Any], conn: Connection, itab: Optional[wire.InternTable]
+        self, frame: Dict[str, Any], conn: Connection, itab: wire.InternTable
     ) -> Any:
         """What ``frame`` travels as on ``conn``: a put or get goes
         straight to its wire bytes when the connection takes them,
         anything else stays a frame dict — with the interned id
-        substituted for a ``var`` name when this site's connection
-        negotiated a table (shallow copy — the caller reuses the
-        original frame across failover candidates)."""
+        substituted for a ``var`` name from this site's table (shallow
+        copy — the caller reuses the original frame across failover
+        candidates)."""
         codec = conn.one_pass
         if codec is not None:
             kind = frame["t"]
@@ -241,8 +222,6 @@ class KVClient:
                 return codec.pack_put(frame["var"], frame["value"], itab)
             if kind == "get":
                 return codec.pack_get(frame["var"], itab)
-        if itab is None:
-            return frame
         var = frame.get("var")
         if type(var) is not str:
             return frame
@@ -258,7 +237,7 @@ class KVClient:
         it carries (``wire.PutOk`` / ``wire.GetOk``) when the connection
         decodes in one pass, as its frame dict otherwise."""
         conn = await self._conn(site)
-        itab = self._itabs.get(site)
+        itab = self._itabs[site]  # learnt at the handshake _conn ran
         try:
             await conn.send(self._outbound(frame, conn, itab))
             # asyncio.timeout, not wait_for: no extra Task per request
@@ -279,8 +258,7 @@ class KVClient:
             conn = await asyncio.wait_for(
                 self.transport.connect(address), self.timeout
             )
-            if self.wire_caps >= wire.BATCH_WIRE_VERSION:
-                await self._negotiate(site, conn)
+            await self._negotiate(site, conn)
             racer = self._conns.get(site)
             if racer is not None:
                 # a concurrent request for this site connected while we
@@ -291,45 +269,19 @@ class KVClient:
         return conn
 
     async def _negotiate(self, site: SiteId, conn: Connection) -> None:
-        """Offer our capability on a fresh connection.  The hello always
-        travels JSON; a v2 server answers ``err bad-frame`` (it has no
-        ``hello`` handler), which downgrades this connection to JSON —
-        interop costs one extra round trip at connect, nothing after.
-        A cv ≥ 4 agreement also delivers the server's intern table."""
+        """Open a fresh connection: one JSON ``hello`` carrying our
+        version, answered by the current-version ``hello.ok`` with the
+        server's intern table — or the connection is closed and
+        ``WireError`` raised (the support window, dialing side)."""
+        hello = wire.make_frame("hello", cv=wire.WIRE_VERSION)
         try:
-            await conn.send(
-                wire.make_frame(
-                    "hello", cv=self.wire_caps, sx=wire.STATS_CAPABILITY
-                )
-            )
             async with asyncio.timeout(self.timeout):
-                reply = await conn.recv()
+                reply = await conn.handshake(hello, "hello.ok")
+            itab = wire.InternTable(wire.field(reply, "itab", list))
         except (ConnectionError, OSError, asyncio.TimeoutError, WireError):
             await conn.close()
             raise
-        if reply is None:
-            await conn.close()
-            raise ConnectionResetError(
-                f"site {site} closed the connection during codec negotiation"
-            )
-        if int(reply.get("sx", 0)) >= wire.STATS_CAPABILITY:
-            self._stats_sites.add(site)
-        else:
-            self._stats_sites.discard(site)
-        agreed = min(
-            int(reply.get("cv", wire.JSON_WIRE_VERSION)), self.wire_caps
-        )
-        if reply.get("t") == "hello.ok" and agreed >= wire.BATCH_WIRE_VERSION:
-            conn.negotiate(wire.codec_for(agreed), agreed)
-            if agreed >= wire.DELTA_WIRE_VERSION:
-                self._itabs[site] = wire.InternTable(reply.get("itab", ()))
-                self._metric("client_wire_negotiations_total", codec="delta")
-            else:
-                self._itabs.pop(site, None)
-                self._metric("client_wire_negotiations_total", codec="binary")
-        else:
-            self._itabs.pop(site, None)
-            self._metric("client_wire_negotiations_total", codec="json")
+        self._itabs[site] = itab
 
     async def _drop_conn(self, site: SiteId) -> None:
         conn = self._conns.pop(site, None)

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.base import ProtocolConfig, protocol_class
 from repro.errors import ServiceError
+from repro.service import wire
 from repro.service.client import KVClient
 from repro.service.server import SiteServer
 from repro.service.transport import LoopbackTransport, Transport
@@ -71,13 +72,10 @@ class ServiceCluster:
     ) -> None:
         self.n = n_sites
         self.seed = seed
-        #: wire profile preference handed to every server and client:
-        #: ``"delta"`` negotiates the full WIRE_VERSION 4 metadata-lean
-        #: profile, ``"binary"`` pins the WIRE_VERSION 3 batched
-        #: profile, ``"json"`` pins the whole cluster to the v2
-        #: per-frame profile (the bench baseline and the mixed-version
-        #: tests use the pinned profiles)
-        self.codec = codec
+        if codec != "delta":
+            # the keyword outlives the profiles it chose between only
+            # because perf/ (frozen) still passes its one value
+            raise wire.unsupported_version(codec, "ServiceCluster(codec=)")
         cls = protocol_class(protocol)
         p = replication_factor
         if p is None or cls.full_replication_only:
@@ -162,7 +160,6 @@ class ServiceCluster:
             metrics=self.metrics,
             read_timeout=self.read_timeout,
             seed=self.seed + site,
-            codec=self.codec,
             **extra_kwargs,
         )
 
@@ -213,7 +210,6 @@ class ServiceCluster:
     def client(self, home: SiteId = 0, **kwargs: Any) -> KVClient:
         kwargs.setdefault("metrics", self.metrics)
         kwargs.setdefault("seed", self.seed + 1000 + home)
-        kwargs.setdefault("codec", self.codec)
         return KVClient(
             self.addresses, self.placement, self.transport, home=home, **kwargs
         )

@@ -48,18 +48,6 @@ class LoadReport:
     def ops_per_s(self) -> float:
         return self.ops / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary, used by the ``BENCH_service.json`` ledger."""
-        return {
-            "ops": self.ops,
-            "errors": self.errors,
-            "elapsed_s": self.elapsed_s,
-            "failovers": self.failovers,
-            "ops_per_s": self.ops_per_s,
-            "latency_ms": self.latency_ms,
-            "served_by": {str(s): c for s, c in sorted(self.served_by.items())},
-        }
-
     def format(self) -> str:
         lines = [
             f"ops        {self.ops} ({self.errors} errors, "
@@ -103,11 +91,11 @@ class LoadGenerator:
     ) -> None:
         self.cluster = cluster
         #: concurrent client sessions per site.  1 is the paper's
-        #: one-application-process-per-site model; the service bench
-        #: raises it so the servers see overlapping requests (which is
-        #: what gives frame batching something to coalesce).  Each
-        #: session stays closed-loop; a site's script is stride-split
-        #: across its sessions, keeping the key mix per session.
+        #: one-application-process-per-site model; more make the servers
+        #: see overlapping requests (which is what gives frame batching
+        #: something to coalesce).  Each session stays closed-loop; a
+        #: site's script is stride-split across its sessions, keeping
+        #: the key mix per session.
         self.sessions = max(1, int(sessions))
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.scripts: List[List[Operation]] = ycsb(

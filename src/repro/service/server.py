@@ -34,8 +34,8 @@ Request paths (the home-site session model):
 Peer links are **acknowledged**: every link connection opens with a
 ``link.hello`` handshake naming the sender's incarnation ``epoch``, and
 the receiver answers ``link.ok`` with its cumulative per-link ack.  A
-``repl`` frame leaves the sender's queue only when the receiver has
-acknowledged it (``repl.ack``, sent after the update is applied or
+repl frame leaves the sender's queue only when the receiver has
+acknowledged it (``repl.ackp``, sent after the update is applied or
 parked) — a transport-level send success (e.g. TCP accepting bytes into
 a kernel buffer the peer never reads) is *not* enough, so a frame lost
 mid-connection is resent after the next handshake.  The receiver
@@ -45,39 +45,37 @@ link's at-least-once delivery into exactly-once application; a new
 epoch (a restarted sender) resets the receiver's dedup state so a fresh
 incarnation's sequence numbers are not mistaken for duplicates.
 
-The same handshake negotiates the **wire profile** (WIRE_VERSION 3):
-``link.hello`` and the client ``hello`` carry the sender's capability
-version ``cv``, the receiver answers with ``min(cv, own)``, and only
-when both sides are ≥ 3 does the connection switch to the binary codec
-and the batched profile — the link hands its whole unsent suffix to
+The same handshake enforces the **support window** (see
+:mod:`repro.service.wire`): a connection whose first frame is not a
+hello carrying ``cv == WIRE_VERSION`` is answered with one
+``unsupported-version`` error and closed — on the dialing side a link
+backs off and retries, a client surfaces the error.  What a connection
+may send afterwards follows from which hello opened it (``sys.digest``
+/ ``sys.range``: link connections only).  After the handshake both ends
+send in the binary codec and the link hands its whole unsent suffix to
 the transport as one batch (written through in the loop step that
 enqueued it when the connection is idle and writable, by the link's
-writer task otherwise; see :class:`PeerLink`), the inbound loop decodes
+writer task otherwise; see :class:`PeerLink`); the inbound loop decodes
 and applies a whole batch of contiguous frames before signalling the
 progress condition once, and repl acks are **cumulative per batch** (one
-ack naming the highest contiguous sequence, instead of one ack frame
-per apply).  Acks remain batch-deferred-but-processing-gated: an ack is
-sent only after every frame it covers was applied or parked, so the v2
-guarantee — an acked frame is inside this site's protocol state — is
-unchanged.  A v2 peer never announces ``cv``, gets a JSON ``link.ok``
-without one, and both sides keep the v2 per-frame JSON profile.
+ack naming the highest contiguous sequence, instead of one ack frame per
+apply).  An ack is sent only after every frame it covers was applied or
+parked, so an acked frame is inside this site's protocol state.
 
-WIRE_VERSION 4 layers the **metadata-lean profile** on the same
-handshake.  When both sides announce ``cv >= 4`` the receiver's
-``link.ok`` / ``hello.ok`` additionally carries its intern table
+The receiver's ``link.ok`` / ``hello.ok`` carries its intern table
 (``itab``: variable names whose positions become the small int ids
-senders may substitute for ``var`` strings) and its applied watermark
-``ap``.  The sender then *chains* repl frames per connection: the first
-frame travels full, later frames may travel as ``repl.delta`` carrying
-only the metadata diff against the previous frame of the same
+senders may substitute for ``var`` strings) and ``link.ok`` its applied
+watermark ``ap``.  The sender *chains* repl frames per connection: the
+first frame travels full, later frames may travel as ``repl.delta``
+carrying only the metadata diff against the previous frame of the same
 connection.  Because the receiver only ever decodes the contiguous
 ``ls == seen + 1`` frame, its decode baseline (the last frame it
 processed) always equals the sender's chain baseline; a reconnect drops
 the chain on both sides and restarts with a full frame, so loss never
-needs a repair protocol.  Acks upgrade to ``repl.ackp`` carrying the
-applied watermark — the highest contiguous sequence whose update this
-site has *applied* (not merely parked), wired as the usually-zero gap
-below the ack — which the sender feeds to
+needs a repair protocol.  Acks carry the applied watermark — the
+highest contiguous sequence whose update this site has *applied* (not
+merely parked), wired as the usually-zero gap below the ack — which the
+sender feeds to
 :meth:`~repro.core.base.CausalProtocol.note_remote_apply`: an applied
 watermark is out-of-band Condition-1 knowledge, so the sender prunes
 the acked destination from retired dependency-log entries and its own
@@ -101,18 +99,15 @@ On top of that sits the **live observability plane**:
   :class:`~repro.obs.flight.TeeRecorder`); a ``SanitizerViolation``, an
   unhandled handler exception, or a chaos ``kill`` dumps the ring as a
   TRACE_VERSION post-mortem via :meth:`SiteServer.flight_dump`;
-* hellos carry the additive ``sx`` stats capability (orthogonal to the
-  wire version ``cv``); a connection that advertised it may ask
-  ``sys.stats`` and gets a synchronous single-writer snapshot — link
-  lag watermarks, parked depths, dependency-log size, the metrics
-  registry — while any other connection gets the same ``bad-frame``
-  error a pre-stats server would send;
-* when the handshake reply echoes ``sx``, a link stamps outgoing repl
-  frames with their origin issue time (``repl.t`` / ``repl.delta.t``),
-  and the receiver turns issue→apply into the per-origin
-  ``visibility_latency_ms`` histogram.  The stamp is exact on
-  co-hosted clusters (one clock origin via :meth:`set_clock_origin`)
-  and subject to host clock skew across machines.
+* any handshaken connection may ask ``sys.stats`` and gets a
+  synchronous single-writer snapshot — link lag watermarks, parked
+  depths, dependency-log size, the metrics registry;
+* a link stamps outgoing repl frames with their origin issue time
+  (``repl.t`` / ``repl.delta.t``), and the receiver turns issue→apply
+  into the per-origin ``visibility_latency_ms`` histogram.  The stamp
+  is exact on co-hosted clusters (one clock origin via
+  :meth:`set_clock_origin`) and subject to host clock skew across
+  machines.
 """
 
 from __future__ import annotations
@@ -167,16 +162,16 @@ class PeerLink:
     Every connection opens with a ``link.hello``/``link.ok`` handshake
     (see the module docstring).  ``repl`` frames are sent in FIFO order
     by one flusher at a time but **retired only by a receiver-side ack**
-    — the handshake's cumulative ack or an in-band ``repl.ack`` — never
+    — the handshake's cumulative ack or an in-band ``repl.ackp`` — never
     by transport send success alone, so a frame the transport accepted
     but the peer never processed is resent on the next connection.
     Fetch requests ride the same connection fire-and-forget (the
     requester's timeout covers their loss); a paired reader task routes
     ``fetch.ok`` / ``fetch.err`` responses back to the owning server's
-    waiter table and applies incoming ``repl.ack`` frames.
+    waiter table and applies incoming acks.
 
     The queue holds *decoded* :class:`UpdateMessage` objects and encodes
-    at send time: on a ``cv >= 4`` connection the per-connection
+    at send time: the per-connection
     :class:`~repro.service.wire.DeltaEncoder` (created during the
     handshake, dropped on disconnect) chains each frame against the
     previous one, so the same queued message encodes as a full frame on
@@ -185,17 +180,17 @@ class PeerLink:
     translates it to the write clock at that sequence and feeds the
     protocol's ack-driven dependency-log GC.
 
-    The link is **write-through**: while it holds a handshaken v3+
+    The link is **write-through**: while it holds a handshaken
     connection that is idle (``_busy`` false) and :meth:`~repro.service.
     transport.Connection.writable`, :meth:`flush` encodes the unsent
     suffix and hands it to the transport in the caller's own loop step —
     the update is on the wire before the handler that accepted the write
     returns.  The writer task is the slow path only: connect, handshake,
-    resend after a reconnect, backpressure (a connection that is not
-    writable, or never is — the base-class default), and the v2
-    per-frame profile.  Both paths build batches with the same
-    :meth:`_collect` / :meth:`_mark_sent` pair, so frames reach a
-    connection in ``ls`` order exactly once whichever path carried them.
+    resend after a reconnect, and backpressure (a connection that is not
+    writable, or never is — the base-class default).  Both paths build
+    batches with the same :meth:`_collect` / :meth:`_mark_sent` pair, so
+    frames reach a connection in ``ls`` order exactly once whichever
+    path carried them.
     """
 
     def __init__(
@@ -223,9 +218,7 @@ class PeerLink:
         #: Retired on send but counted in :attr:`backlog` until the peer
         #: acks them with ``sys.ctrl.ok`` — control frames trigger repair
         #: shipping at the peer, so quiesce must not settle while one is
-        #: in flight.  Dropped wholesale when the peer never negotiated
-        #: the ``gx`` capability (idempotent; the next gossip round
-        #: regenerates them).
+        #: in flight.
         self._ctrl: Deque[Dict[str, Any]] = deque()
         self._ctrl_unacked = 0
         #: highest own write clock among acked repl entries — the "peer
@@ -236,27 +229,21 @@ class PeerLink:
         self._queued_seqs: Set[int] = set()
         self._wakeup = asyncio.Event()
         self._link_seq = 0
-        #: per-connection delta/intern encoder; None below cv 4
-        self._delta_out: Optional[wire.DeltaEncoder] = None
+        #: per-connection delta/intern encoder, replaced at every
+        #: handshake (this first one never encodes: nothing is collected
+        #: while ``_conn`` is None)
+        self._delta_out = wire.DeltaEncoder()
         #: link sequence -> write clock, for translating the receiver's
         #: applied watermark ``ap`` into a ``note_remote_apply`` call;
         #: entries at or below ``_gc_ls`` have been consumed
         self._ls_clock: Dict[int, int] = {}
         self._gc_ls = 0
         #: link sequence -> origin issue time (ms), recorded at enqueue
-        #: and stamped onto frames for peers that negotiated ``sx``;
-        #: survives reconnects with the queue, retired with the acks
+        #: and stamped onto the frame; survives reconnects with the
+        #: queue, retired with the acks
         self._issued_at: Dict[int, float] = {}
-        #: the last handshake reply echoed the ``sx`` stats capability
-        self._peer_stats = False
-        #: the last handshake reply echoed the ``gx`` gossip capability
-        self._peer_gossip = False
-        #: the last handshake agreed the v4 profile (applied watermarks
-        #: flow, so ``_gc_ls`` is a meaningful lag baseline)
-        self._v4 = False
-        #: the handshaken v3+ connection batches currently go to;
-        #: ``None`` while connecting, handshaking or tearing one down,
-        #: and for the whole life of a v2 (per-frame) connection
+        #: the handshaken connection batches currently go to; ``None``
+        #: while connecting, handshaking or tearing one down
         self._conn: Optional[Connection] = None
         #: highest repl link sequence handed to ``_conn``
         self._sent = 0
@@ -358,16 +345,15 @@ class PeerLink:
         ``acked == enqueued - unacked`` holds because ``_repl`` is
         exactly the ``(acked, _link_seq]`` suffix: entries leave only
         through :meth:`_retire`, which pops a contiguous prefix.
-        ``applied`` is the receiver's applied watermark (v4 acks carry
-        it); ``None`` on links that never agreed the v4 profile, where
-        no watermark flows."""
+        ``applied`` is the receiver's applied watermark (every ack
+        carries it)."""
         unacked = len(self._repl)
         acked = self._link_seq - unacked
         return {
             "enqueued": self._link_seq,
             "acked": acked,
             "unacked": unacked,
-            "applied": self._gc_ls if self._v4 else None,
+            "applied": self._gc_ls,
             "fetch_queue": len(self._fetch),
             "ctrl_queue": len(self._ctrl) + self._ctrl_unacked,
             "backlog": self.backlog,
@@ -411,16 +397,15 @@ class PeerLink:
                 backoff = min(backoff * 2.0, self.backoff_cap)
                 continue
             backoff = self.backoff_base
-            if conn.agreed_version >= wire.BATCH_WIRE_VERSION:
-                # from here flush() may write to the connection inline:
-                # everything the receiver acked is sent, the rest is not
-                self._sent = acked
-                self._conn = conn
+            # from here flush() may write to the connection inline:
+            # everything the receiver acked is sent, the rest is not
+            self._sent = acked
+            self._conn = conn
             # run writer and reader side by side and reconnect when
             # EITHER dies: a send failure, or the reader seeing EOF (a
             # peer that restarted or silently closed) — unacked repl
             # frames are resent after the next handshake
-            writer = asyncio.ensure_future(self._drain_queue(conn, acked))
+            writer = asyncio.ensure_future(self._drain_queue(conn))
             reader = asyncio.ensure_future(self._read_replies(conn))
             try:
                 await asyncio.wait(
@@ -447,54 +432,33 @@ class PeerLink:
 
     async def _handshake(self, conn: Connection) -> int:
         """Open the link: identify this sender incarnation, learn the
-        receiver's cumulative ack (retiring frames it already has), and
-        negotiate the wire profile.  The hello itself always travels
-        JSON; the connection switches to the binary codec only when both
-        sides announced capability ≥ 3 — a v2 receiver ignores ``cv``
-        and answers without one, leaving the link on the v2 profile.  At
-        capability ≥ 4 the reply also carries the receiver's intern
-        table and applied watermark, and this connection gets a fresh
-        :class:`~repro.service.wire.DeltaEncoder` (first frame full)."""
-        await conn.send(
-            wire.make_frame(
-                "link.hello",
-                src=self.owner.site,
-                epoch=self.owner.epoch,
-                cv=self.owner.wire_caps,
-                sx=wire.STATS_CAPABILITY,
-                gx=wire.GOSSIP_CAPABILITY,
-            )
+        receiver's cumulative ack (retiring frames it already has), its
+        intern table and its applied watermark, and switch to the binary
+        codec with a fresh :class:`~repro.service.wire.DeltaEncoder`
+        (first frame full).  The hello itself travels JSON.  A reply
+        that is not the current-version ``link.ok``, or whose fields are
+        missing or mistyped, raises ``WireError``: ``_run`` counts it,
+        backs off and dials again."""
+        hello = wire.make_frame(
+            "link.hello",
+            src=self.owner.site,
+            epoch=self.owner.epoch,
+            cv=wire.WIRE_VERSION,
         )
-        reply = await asyncio.wait_for(conn.recv(), LINK_HANDSHAKE_TIMEOUT)
-        if reply is None or reply.get("t") != "link.ok":
-            raise ConnectionResetError(
-                f"peer {self.dest} did not complete the link handshake"
-            )
-        agreed = min(
-            int(reply.get("cv", wire.JSON_WIRE_VERSION)), self.owner.wire_caps
+        reply = await asyncio.wait_for(
+            conn.handshake(hello, "link.ok"), LINK_HANDSHAKE_TIMEOUT
         )
-        # the stats capability is orthogonal to the wire version: a peer
-        # that echoed ``sx`` understands issue-time-stamped repl frames
-        # on ANY agreed profile; a pre-stats peer never echoes it and
-        # never sees a ``.t`` frame
-        self._peer_stats = int(reply.get("sx", 0)) >= wire.STATS_CAPABILITY
-        self._peer_gossip = int(reply.get("gx", 0)) >= wire.GOSSIP_CAPABILITY
+        acked = wire.field(reply, "ack", int)
+        applied = wire.field(reply, "ap", int)
+        itab = wire.InternTable(wire.field(reply, "itab", list))
         # control frames unacked on the previous connection were either
         # processed (their repair effects live in the PEER's link
         # backlogs now) or lost (the next gossip round regenerates
         # them) — either way the in-flight count restarts with the
         # connection, unlike repl frames which must survive it
         self._ctrl_unacked = 0
-        self._v4 = agreed >= wire.DELTA_WIRE_VERSION
-        self._delta_out = None
-        if agreed >= wire.BATCH_WIRE_VERSION:
-            conn.negotiate(wire.codec_for(agreed), agreed)
-        if agreed >= wire.DELTA_WIRE_VERSION:
-            self._delta_out = wire.DeltaEncoder(
-                wire.InternTable(reply.get("itab", ()))
-            )
-            self._note_applied(int(reply.get("ap", 0)))
-        acked = int(reply.get("ack", 0))
+        self._delta_out = wire.DeltaEncoder(itab)
+        self._note_applied(applied)
         self._retire(acked)
         return acked
 
@@ -540,32 +504,6 @@ class PeerLink:
                 self.acked_seq = msg.write_id.seq
             self.owner._own_retired(msg)
 
-    async def _drain_queue(self, conn: Connection, acked: int) -> None:
-        if conn.agreed_version >= wire.BATCH_WIRE_VERSION:
-            await self._drain_queue_batched(conn)
-            return
-        # ``sent`` tracks the highest repl seq written to THIS
-        # connection; entries stay in ``_repl`` until the receiver acks
-        # them (linear rescan per frame — the unacked window is small
-        # because acks retire the prefix as they arrive)
-        sent = acked
-        while not self._closed:
-            frame = self._next_unsent(sent)
-            while frame is not None and not self._closed:
-                await conn.send(frame)
-                if frame["t"] in _REPL_KINDS:
-                    sent = int(frame["ls"])
-                elif frame["t"] == "fetch":
-                    self._fetch.popleft()
-                elif self._ctrl and self._ctrl[0] is frame:
-                    self._ctrl.popleft()
-                    self._ctrl_unacked += 1
-                frame = self._next_unsent(sent)
-            self._wakeup.clear()
-            if self._closed:
-                return
-            await self._wakeup.wait()
-
     def _collect(self) -> Tuple[List[Any], int, int, int]:
         """Encode everything not yet handed to the current connection:
         the unsent repl suffix, then the pending fetches and control
@@ -574,7 +512,7 @@ class PeerLink:
         :meth:`_mark_sent`.  Retirement is unchanged — repl entries
         leave ``_repl`` only via receiver acks.  Frames are encoded
         here, in ``ls`` order, exactly once per connection: that
-        single-pass discipline is what lets the v4 delta encoder chain
+        single-pass discipline is what lets the delta encoder chain
         each frame against the previous one.  Updates and fetches go
         straight to their wire bytes when the connection takes them
         (``one_pass``), through frame dicts when it does not."""
@@ -588,23 +526,17 @@ class PeerLink:
         last_ls = sent
         if n_unsent > 0:
             enc = self._delta_out
-            issued_at = self._issued_at if self._peer_stats else {}
+            # every unsent entry is unacked, so its issue time is here
+            issued_at = self._issued_at
             for ls, msg in itertools.islice(
                 self._repl, len(self._repl) - n_unsent, None
             ):
-                issued = issued_at.get(ls)
                 if codec is None:
-                    frame: Any = (
-                        enc.encode_update(msg, ls)
-                        if enc is not None
-                        else wire.encode_update(msg, ls)
+                    frame: Any = wire.stamp_issue(
+                        enc.encode_update(msg, ls), issued_at[ls]
                     )
-                    if issued is not None:
-                        wire.stamp_issue(frame, issued)
-                elif enc is not None:
-                    frame = enc.pack_update(msg, ls, issued, codec)
                 else:
-                    frame = codec.pack_update(msg, ls, issued)
+                    frame = enc.pack_update(msg, ls, issued_at[ls], codec)
                 batch.append(frame)
                 last_ls = ls
         n_fetch = len(self._fetch)
@@ -612,17 +544,8 @@ class PeerLink:
             batch.extend(map(wire.encode_fetch_request, self._fetch))
         else:
             batch.extend(map(codec.pack_fetch, self._fetch))
-        n_ctrl = 0
-        if self._ctrl:
-            if self._peer_gossip:
-                n_ctrl = len(self._ctrl)
-                batch.extend(self._ctrl)
-            else:
-                # the peer never negotiated ``gx``: drop control frames
-                # instead of queueing them forever, or a mixed cluster
-                # would never quiesce (the gossip loop regenerates
-                # digests every round anyway)
-                self._ctrl.clear()
+        n_ctrl = len(self._ctrl)
+        batch.extend(self._ctrl)
         return batch, last_ls, n_fetch, n_ctrl
 
     def _mark_sent(self, last_ls: int, n_fetch: int, n_ctrl: int, path: str) -> None:
@@ -645,8 +568,8 @@ class PeerLink:
         if self._flush_counters is not None:
             self._flush_counters[path].inc()
 
-    async def _drain_queue_batched(self, conn: Connection) -> None:
-        """The v3+ writer task — the slow path behind :meth:`flush`:
+    async def _drain_queue(self, conn: Connection) -> None:
+        """The writer task — the slow path behind :meth:`flush`:
         per wakeup, drain the WHOLE outbound FIFO with one coalesced
         flush (``send_many`` → one transport drain).  It returns once
         ``_conn`` is no longer this connection (an inline write found
@@ -664,39 +587,21 @@ class PeerLink:
                 self._busy = False
             self._mark_sent(last_ls, n_fetch, n_ctrl, "task")
 
-    def _next_unsent(self, sent: int) -> Optional[Dict[str, Any]]:
-        for ls, msg in self._repl:
-            if ls > sent:
-                frame = wire.encode_update(msg, ls)
-                if self._peer_stats:
-                    issued = self._issued_at.get(ls)
-                    if issued is not None:
-                        wire.stamp_issue(frame, issued)
-                return frame
-        if self._fetch:
-            return wire.encode_fetch_request(self._fetch[0])
-        if self._ctrl:
-            if self._peer_gossip:
-                return self._ctrl[0]
-            # non-gx peer: drop rather than hold (see the batched drain)
-            self._ctrl.clear()
-        return None
-
     async def _read_replies(self, conn: Connection) -> None:
+        """Route the peer's replies.  A reply field that is missing or
+        mistyped raises ``WireError`` (as an undecodable body does):
+        ``_run`` drops the connection and the next handshake resends
+        from the last ack."""
         # an interned var id in a fetch reply resolves against the table
-        # the serving site advertised at this connection's handshake;
-        # every site derives the same table from the shared placement
-        # map, so our own copy is the fallback
-        enc = self._delta_out
-        itab = enc.itab if enc is not None else self.owner._itab
+        # the serving site advertised at this connection's handshake
+        itab = self._delta_out.itab
         while True:
             frame = await conn.recv_message(itab)
             if frame is None:
                 return
             if type(frame) is wire.Ack:
-                if frame.applied_gap is not None:
-                    # v4 ack: the gap to the applied watermark rides along
-                    self._note_applied(frame.ack - frame.applied_gap)
+                # the gap to the applied watermark rides every ack
+                self._note_applied(frame.ack - frame.applied_gap)
                 self._retire(frame.ack)
                 continue
             if type(frame) is FetchReply:
@@ -704,23 +609,23 @@ class PeerLink:
                 continue
             if type(frame) is not dict:
                 continue  # no other message kind belongs on a link's reply side
-            kind = frame.get("t")
+            kind = frame["t"]
             if kind == "repl.ackp":
-                # v4 ack: ``ap`` is the gap to the applied watermark
-                ack = int(frame["a"])
-                self._note_applied(ack - int(frame.get("ap", 0)))
+                ack = wire.field(frame, "a", int)
+                self._note_applied(ack - wire.field(frame, "ap", int))
                 self._retire(ack)
-            elif kind == "repl.ack":
-                self._retire(int(frame["a"]))
             elif kind == "sys.ctrl.ok":
                 # the peer processed a control frame: its repair effects
                 # (if any) are enqueued on the peer's own links now, so
                 # they are visible to quiesce there — stop counting here
                 self._ctrl_unacked = max(
-                    0, self._ctrl_unacked - int(frame.get("n", 1))
+                    0, self._ctrl_unacked - wire.field(frame, "n", int)
                 )
-            elif kind in ("fetch.ok", "fetch.err"):
-                self.owner._resolve_fetch(int(frame["fid"]), frame)
+            elif kind == "fetch.ok":
+                reply = wire.decode_fetch_reply(frame, itab)
+                self.owner._resolve_fetch(reply.fetch_id, reply)
+            elif kind == "fetch.err":
+                self.owner._resolve_fetch(wire.field(frame, "fid", int), frame)
 
 
 class SiteServer:
@@ -738,7 +643,6 @@ class SiteServer:
         read_timeout: float = 2.0,
         fetch_timeout: float = 2.0,
         seed: int = 0,
-        codec: str = "delta",
         flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
         flight_dir: Optional[str] = None,
         data_dir: Optional[str] = None,
@@ -748,11 +652,6 @@ class SiteServer:
     ) -> None:
         if protocol.site not in addresses:
             raise ServiceError(f"no address for site {protocol.site}")
-        if codec not in wire.PROFILE_CAPS:
-            raise ServiceError(
-                f"unknown wire profile {codec!r}; choose from "
-                f"{sorted(wire.PROFILE_CAPS)}"
-            )
         self.protocol = protocol
         self.site: SiteId = protocol.site
         self.addresses = dict(addresses)
@@ -786,18 +685,9 @@ class SiteServer:
         self.read_timeout = read_timeout
         self.fetch_timeout = fetch_timeout
         self.seed = seed
-        #: preferred wire profile; ``wire_caps`` is the capability
-        #: version announced in handshakes (3 = binary + batched
-        #: profile, 4 = delta + interning on top).  A server configured
-        #: ``codec="json"`` is a faithful v2 peer (never announces
-        #: ``cv`` ≥ 3, never switches a connection) and ``codec=
-        #: "binary"`` pins the exact v3 profile, so fallback matrices
-        #: and benches can address each generation by name.
-        self.codec_name = codec
-        self.wire_caps = wire.profile_caps(codec)
-        #: the intern table this site advertises in ``cv >= 4``
-        #: handshakes: its placement's variable names, so both
-        #: directions of a connection resolve against the same list
+        #: the intern table this site advertises in handshakes: its
+        #: placement's variable names, so both directions of a
+        #: connection resolve against the same list
         self._itab = wire.InternTable(
             wire.intern_table_names(protocol.config.replicas_of)
         )
@@ -838,13 +728,8 @@ class SiteServer:
         #: cached per-origin ``visibility_latency_ms`` histogram handles
         #: (skips the label-formatting lookup on the apply hot path)
         self._vis_hist: Dict[SiteId, Any] = {}
-        #: connections whose hello advertised the ``sx`` capability —
-        #: the only ones ``sys.stats`` answers (anyone else gets the
-        #: pre-stats ``bad-frame`` error)
-        self._stats_conns: Set[Connection] = set()
-        #: connections whose hello advertised the ``gx`` capability —
-        #: the only ones whose ``sys.digest``/``sys.range`` frames are
-        #: honoured (same zero-round-trip gating as ``sx``)
+        #: connections a ``link.hello`` opened — the only ones whose
+        #: ``sys.digest``/``sys.range`` frames are honoured
         self._gossip_conns: Set[Connection] = set()
         #: established inbound connections, closed on stop()
         self._server_conns: Set[Connection] = set()
@@ -979,39 +864,33 @@ class SiteServer:
         self._server_conns.add(conn)
         try:
             while True:
-                # the v3+ inbound loop drains every frame already
-                # waiting and applies the batch before acking once; a
-                # v2 peer keeps PR 5's frame-at-a-time loop
-                if conn.agreed_version >= wire.BATCH_WIRE_VERSION:
-                    frames = await conn.recv_messages(self._itab)
-                    if frames is None:
-                        return
-                    if self.stopped:
-                        # stop() can land between recv and dispatch:
-                        # refuse rather than half-serve — a put accepted
-                        # here would be acked to the client but never
-                        # replicated, the peer links are already closed
-                        await conn.send(
-                            wire.err_frame(
-                                "shutting-down",
-                                f"site {self.site} is shutting down",
-                            )
+                # drain every frame already waiting and apply the batch
+                # before acking once
+                frames = await conn.recv_messages(self._itab)
+                if frames is None:
+                    return
+                if self.stopped:
+                    # stop() can land between recv and dispatch: refuse
+                    # rather than half-serve — a put accepted here would
+                    # be acked to the client but never replicated, the
+                    # peer links are already closed
+                    await conn.send(
+                        wire.err_frame(
+                            "shutting-down",
+                            f"site {self.site} is shutting down",
                         )
-                        return
-                    await self._dispatch_batch(conn, frames)
-                else:
-                    frame = await conn.recv()
-                    if frame is None:
-                        return
-                    if self.stopped:
-                        await conn.send(
-                            wire.err_frame(
-                                "shutting-down",
-                                f"site {self.site} is shutting down",
-                            )
+                    )
+                    return
+                if conn.agreed_version != wire.WIRE_VERSION:
+                    # nothing but a hello opens a connection (its ``cv``
+                    # is checked where it is handled, see _accept_hello)
+                    first = frames[0]
+                    kind = first["t"] if type(first) is dict else type(first).__name__
+                    if kind not in ("hello", "link.hello"):
+                        raise wire.unsupported_version(
+                            None, f"a {kind} frame before any hello"
                         )
-                        return
-                    await self._dispatch(conn, frame)
+                await self._dispatch_batch(conn, frames)
         except (ConnectionError, OSError):
             return
         except ServiceUnavailableError as exc:
@@ -1021,8 +900,10 @@ class SiteServer:
             except (ConnectionError, OSError):
                 pass
         except WireError as exc:
+            # ``bad-frame``, or ``unsupported-version`` for the support
+            # window's refusal; either way this connection is done
             try:
-                await conn.send(wire.err_frame("bad-frame", str(exc)))
+                await conn.send(wire.err_frame(exc.code, str(exc)))
             except (ConnectionError, OSError):
                 pass
         except SanitizerViolation:
@@ -1035,7 +916,6 @@ class SiteServer:
             self.flight_dump("handler-error")
             raise
         finally:
-            self._stats_conns.discard(conn)
             self._gossip_conns.discard(conn)
             self._server_conns.discard(conn)
             await conn.close()
@@ -1043,8 +923,9 @@ class SiteServer:
     async def _dispatch(self, conn: Connection, frame: Any) -> None:
         """Route one inbound frame.  The request kinds arrive either as
         the message :func:`wire.decode_message` built in one pass or as
-        a frame dict (JSON peers, connections that only speak dicts);
-        both reach the same handler with the same arguments."""
+        a frame dict (connections that only speak dicts, hand-typed
+        JSON); both reach the same handler with the same arguments.
+        Repl frames never get here: :meth:`_dispatch_batch` takes them."""
         cls = type(frame)
         if cls is wire.Put:
             await self._handle_put(conn, frame.var, frame.value)
@@ -1072,8 +953,6 @@ class SiteServer:
             )
         elif kind == "get":
             await self._handle_get(conn, wire.resolve_var(frame["var"], self._itab))
-        elif kind in _REPL_KINDS:
-            await self._handle_repl(conn, frame)
         elif kind == "link.hello":
             await self._handle_hello(conn, frame)
         elif kind == "hello":
@@ -1084,10 +963,14 @@ class SiteServer:
             )
         elif kind == "sys.stats":
             await self._handle_stats(conn)
-        elif kind == "sys.digest":
-            await self._handle_digest(conn, frame)
-        elif kind == "sys.range":
-            await self._handle_range(conn, frame)
+        elif kind in ("sys.digest", "sys.range") and conn in self._gossip_conns:
+            # gossip control frames: link connections only (what a
+            # connection may send follows from which hello opened it);
+            # anywhere else they fall through to "unknown type"
+            if kind == "sys.digest":
+                await self._handle_digest(conn, frame)
+            else:
+                await self._handle_range(conn, frame)
         elif kind == "ping":
             await conn.send(wire.make_frame("ping.ok", site=self.site))
         elif kind == "kill":
@@ -1101,13 +984,13 @@ class SiteServer:
             await conn.send(wire.err_frame("bad-frame", f"unknown type {kind!r}"))
 
     async def _dispatch_batch(self, conn: Connection, frames: List[Any]) -> None:
-        """The v3 inbound profile: process a whole batch of frames, then
-        signal progress once and ack cumulatively.
+        """Process a whole batch of frames, then signal progress once
+        and ack cumulatively.
 
-        ``repl`` frames are ingested synchronously (applied or parked —
-        no awaits, preserving the single-writer discipline) while their
+        Repl frames are ingested synchronously (applied or parked — no
+        awaits, preserving the single-writer discipline) while their
         acks are *deferred*: per sender we track the highest contiguous
-        sequence processed and emit ONE ``repl.ack`` per batch.  The
+        sequence processed and emit ONE ``repl.ackp`` per batch.  The
         parked-update rescan (:meth:`_drain`) also runs once per batch —
         an update a per-frame drain would have applied mid-batch is
         applied by the batch-end drain instead, before any ack covering
@@ -1153,8 +1036,11 @@ class SiteServer:
             acks[src] = max(acks.get(src, 0), seen)
             return 0
         if link_seq != seen + 1:
-            # gap: refuse without advancing (see _handle_repl); the ack
-            # for the contiguous prefix, if any, still goes out
+            # gap: an earlier frame of this link was lost in flight.
+            # Don't ack, don't advance — advancing here would silently
+            # skip the lost update forever; the sender renegotiates from
+            # the last contiguous ack at its next handshake and resends.
+            # The ack for the contiguous prefix, if any, still goes out
             self.metric("service_repl_gaps_total")
             return 0
         if parsed:
@@ -1177,7 +1063,12 @@ class SiteServer:
             if raw is not None:
                 self.wal.append_raw(raw)
             else:
-                self.wal.append(self._wal_repl(msg, link_seq))
+                # the durable twin of the frame: same fields, never
+                # interned, never lean — a WAL record must decode with
+                # no connection state
+                self.wal.append(
+                    wire.BINARY_CODEC.pack_update(msg, link_seq, wal=True)
+                )
         if self._is_origin_dup(msg):
             # a gossip re-ship (or a recovered sender replaying history)
             # delivered a write this site's state already covers: ack
@@ -1220,13 +1111,6 @@ class SiteServer:
             wid.seq <= self._origin_applied.get(wid.site, 0)
             or wid in self._park_of
         )
-
-    @staticmethod
-    def _wal_repl(msg: UpdateMessage, link_seq: int) -> bytes:
-        """The durable twin of a repl frame: same fields, ``wal.repl``
-        type (never interned, never lean — a WAL record must decode with
-        no connection state), encoded for :meth:`SiteWal.append`."""
-        return wire.BINARY_CODEC.pack_update(msg, link_seq, wal=True)
 
     def _own_retired(self, msg: UpdateMessage) -> None:
         """A destination acked ``msg`` (it is durable there): release
@@ -1422,22 +1306,12 @@ class SiteServer:
                 ) from None
             finally:
                 self._fetch_waiters.pop(req.fetch_id, None)
-            if type(frame) is FetchReply:
-                reply = frame  # the link's reader decoded it in one pass
-            elif frame["t"] == "fetch.err":
+            if type(frame) is not FetchReply:
                 raise ServiceUnavailableError(
                     f"site {server} could not serve {var!r}: "
                     f"{frame.get('code')} ({frame.get('msg')})"
                 )
-            else:
-                # an interned var id resolves against the table the
-                # serving site advertised at its handshake (held by our
-                # peer link); every site derives the same table from the
-                # shared placement map, so our own copy is the fallback
-                enc = link._delta_out
-                reply = wire.decode_fetch_reply(
-                    frame, enc.itab if enc is not None else self._itab
-                )
+            reply = frame
             if proto.reply_is_fresh(reply):
                 if self.wal is not None:
                     # same reasoning as wal.read: completing a remote
@@ -1463,7 +1337,7 @@ class SiteServer:
 
     def _resolve_fetch(self, fetch_id: int, reply: Any) -> None:
         """Hand a fetch's answer — a decoded :class:`FetchReply`, or a
-        ``fetch.ok`` / ``fetch.err`` frame dict — to its waiter."""
+        ``fetch.err`` frame dict — to its waiter."""
         fut = self._fetch_waiters.pop(fetch_id, None)
         if fut is not None and not fut.done():
             fut.set_result(reply)
@@ -1471,9 +1345,20 @@ class SiteServer:
     # ------------------------------------------------------------------
     # peer traffic
     # ------------------------------------------------------------------
+    @staticmethod
+    def _accept_hello(frame: Dict[str, Any]) -> None:
+        """The support window, accepting side: a hello is answered only
+        when it carries the current ``cv``.  Raised *before* the hello
+        touches any state; :meth:`_handle_conn` turns it into the one
+        ``unsupported-version`` error and closes the connection."""
+        offered = frame.get("cv")
+        if type(offered) is not int or offered != wire.WIRE_VERSION:
+            raise wire.unsupported_version(offered, f"a {frame['t']}")
+
     async def _handle_hello(self, conn: Connection, frame: Dict[str, Any]) -> None:
-        src = int(frame["src"])
-        epoch = int(frame["epoch"])
+        self._accept_hello(frame)
+        src = wire.field(frame, "src", int)
+        epoch = wire.field(frame, "epoch", int)
         if self._peer_epoch.get(src) != epoch:
             # a new sender incarnation restarts its link sequence at 1:
             # the dedup high-water mark must restart with it, or every
@@ -1502,137 +1387,47 @@ class SiteServer:
             if stale:
                 self._stale_parked[src] = self._stale_parked.get(src, 0) + stale
             self._parked_ls.pop(src, None)
-        agreed = self._agree_version(frame)
-        # the link.ok itself always travels under the codec the hello
-        # arrived with (JSON for any pre-negotiation sender); only the
-        # frames AFTER the handshake switch.  At cv >= 4 it also carries
-        # this site's intern table and applied watermark (see _send_ack)
-        ok: Dict[str, Any] = {
-            "site": self.site,
-            "ack": self._seen_ls.get(src, 0),
-            "cv": agreed,
-        }
-        if agreed >= wire.DELTA_WIRE_VERSION:
-            ok["itab"] = list(self._itab.names)
-            ok["ap"] = self._applied_ls(src)
-        if int(frame.get("sx", 0)) >= wire.STATS_CAPABILITY:
-            # echo the stats capability (orthogonal to ``cv``): the
-            # sender may now stamp repl frames and ask ``sys.stats``
-            ok["sx"] = wire.STATS_CAPABILITY
-            self._stats_conns.add(conn)
-        if int(frame.get("gx", 0)) >= wire.GOSSIP_CAPABILITY:
-            # echo the gossip capability: this connection may now send
-            # ``sys.digest``/``sys.range`` control frames (same
-            # zero-round-trip pattern as ``sx``; a pre-durability peer
-            # never sees either side of it)
-            ok["gx"] = wire.GOSSIP_CAPABILITY
-            self._gossip_conns.add(conn)
-        await conn.send(wire.make_frame("link.ok", **ok))
-        self._switch_profile(conn, agreed)
+        # a link connection: it may send gossip control frames
+        self._gossip_conns.add(conn)
+        # the link.ok itself travels under the codec the hello arrived
+        # with (JSON on a fresh connection); only the frames AFTER the
+        # handshake switch
+        await conn.send(
+            wire.make_frame(
+                "link.ok",
+                site=self.site,
+                ack=self._seen_ls.get(src, 0),
+                cv=wire.WIRE_VERSION,
+                itab=list(self._itab.names),
+                ap=self._applied_ls(src),
+            )
+        )
+        conn.negotiate(wire.BINARY_CODEC_V4, wire.WIRE_VERSION)
 
     async def _handle_client_hello(
         self, conn: Connection, frame: Dict[str, Any]
     ) -> None:
-        """Client codec negotiation.  A v2 server answers this frame
-        with ``err bad-frame`` (unknown type), which v3 clients take as
-        "stay on JSON" — that asymmetry is the whole fallback story."""
-        agreed = self._agree_version(frame)
-        ok: Dict[str, Any] = {"site": self.site, "cv": agreed}
-        if agreed >= wire.DELTA_WIRE_VERSION:
-            ok["itab"] = list(self._itab.names)
-        if int(frame.get("sx", 0)) >= wire.STATS_CAPABILITY:
-            ok["sx"] = wire.STATS_CAPABILITY
-            self._stats_conns.add(conn)
-        await conn.send(wire.make_frame("hello.ok", **ok))
-        self._switch_profile(conn, agreed)
-
-    def _agree_version(self, frame: Dict[str, Any]) -> int:
-        """Meet of the peer's announced capability and our own.  A peer
-        that says nothing is a v2 peer."""
-        peer_caps = int(frame.get("cv", wire.JSON_WIRE_VERSION))
-        return min(peer_caps, self.wire_caps)
-
-    def _switch_profile(self, conn: Connection, agreed: int) -> None:
-        if agreed >= wire.BATCH_WIRE_VERSION:
-            conn.negotiate(wire.codec_for(agreed), agreed)
-            self.metric(
-                "service_wire_negotiations_total",
-                codec="delta" if agreed >= wire.DELTA_WIRE_VERSION else "binary",
+        self._accept_hello(frame)
+        await conn.send(
+            wire.make_frame(
+                "hello.ok",
+                site=self.site,
+                cv=wire.WIRE_VERSION,
+                itab=list(self._itab.names),
             )
-        else:
-            self.metric("service_wire_negotiations_total", codec="json")
-
-    async def _handle_repl(self, conn: Connection, frame: Dict[str, Any]) -> None:
-        src = int(frame["src"])
-        link_seq = int(frame["ls"])
-        seen = self._seen_ls.get(src, 0)
-        if link_seq <= seen:
-            # resend of a frame processed over an earlier connection;
-            # re-ack cumulatively so the sender can retire it
-            self.metric("service_repl_dups_total")
-            await self._send_ack(conn, seen, src)
-            return
-        if link_seq != seen + 1:
-            # gap: an earlier frame of this link was lost in flight.
-            # Don't ack, don't advance — advancing here would silently
-            # skip the lost update forever; the sender renegotiates from
-            # the last contiguous ack at its next handshake and resends.
-            self.metric("service_repl_gaps_total")
-            return
-        it = wire.strip_issue(frame)
-        raw = frame.pop("_raw", None)
-        if raw is not None and not isinstance(frame.get("var"), str):
-            raw = None  # interned var id: the body needs the link's table
-        msg = self._decoder(src).decode_update(frame, self._itab)
-        if self.wal is not None:
-            # see _ingest_repl: before the dup guard, because the guard
-            # acks, and an acked advance must survive a restart
-            if raw is not None:
-                self.wal.append_raw(raw)
-            else:
-                self.wal.append(self._wal_repl(msg, link_seq))
-        if self._is_origin_dup(msg):
-            self.metric("service_origin_dups_total")
-            self._seen_ls[src] = link_seq
-            await self._send_ack(conn, link_seq, src)
-            return
-        if it is not None:
-            self._issue_ms[msg.write_id] = it
-        now = self.now_ms()
-        self._recv_at[msg.write_id] = now
-        rec = self.recorder
-        if rec is not None and rec.enabled:
-            rec.on_deliver(now, self.site, msg.write_id)
-        if self.protocol.can_apply(msg):
-            self._apply(msg)
-            self._drain()
-        else:
-            if rec is not None and rec.enabled:
-                rec.on_buffered(
-                    now, self.site, msg.write_id, self.protocol.blocking_deps(msg) or ()
-                )
-            self._park(src, link_seq, msg)
-        # the ack follows processing (applied or parked), so an acked
-        # frame is guaranteed to be inside this site's protocol state
-        self._seen_ls[src] = link_seq
-        await self._send_ack(conn, link_seq, src)
+        )
+        conn.negotiate(wire.BINARY_CODEC_V4, wire.WIRE_VERSION)
 
     async def _send_ack(self, conn: Connection, ack: int, src: SiteId) -> None:
-        # the applied watermark rides every ack on a v4 link as the gap
-        # ``ack - applied`` (usually 0 — one byte); a pre-v4 sender gets
-        # the bare v2/v3 ack shape unchanged
-        gap = (
-            ack - self._applied_ls(src)
-            if conn.agreed_version >= wire.DELTA_WIRE_VERSION
-            else None
-        )
+        # the applied watermark rides every ack as the gap
+        # ``ack - applied`` (usually 0 — one byte)
+        gap = ack - self._applied_ls(src)
         codec = conn.one_pass
-        if codec is not None:
-            frame: Any = codec.pack_ack(ack, gap)
-        elif gap is not None:
-            frame = wire.make_frame("repl.ackp", a=ack, ap=gap)
-        else:
-            frame = wire.make_frame("repl.ack", a=ack)
+        frame: Any = (
+            wire.make_frame("repl.ackp", a=ack, ap=gap)
+            if codec is None
+            else codec.pack_ack(ack, gap)
+        )
         try:
             await conn.send(frame)
         except (ConnectionError, OSError):
@@ -1658,15 +1453,14 @@ class SiteServer:
             return
         reply = proto.serve_fetch(req)
         try:
-            v4 = conn.agreed_version >= wire.DELTA_WIRE_VERSION
             # our own advertised table — the requester holds a copy
             # from this link's handshake
-            itab = self._itab if v4 else None
+            itab = self._itab
             codec = conn.one_pass
             await conn.send(
-                wire.encode_fetch_reply(reply, compact=v4, itab=itab)
+                wire.encode_fetch_reply(reply, compact=True, itab=itab)
                 if codec is None
-                else codec.pack_fetch_ok(reply, v4, itab)
+                else codec.pack_fetch_ok(reply, True, itab)
             )
         except (ConnectionError, OSError):
             # requester is gone; its timeout/failover handles the loss
@@ -1676,16 +1470,10 @@ class SiteServer:
     # durability + gossip anti-entropy
     # ------------------------------------------------------------------
     async def _handle_digest(self, conn: Connection, frame: Dict[str, Any]) -> None:
-        """Answer a peer's watermark digest — only on connections whose
-        hello advertised ``gx`` (same gating as ``sys.stats``).  The
-        repair itself is synchronous, so every re-shipped update is on a
-        link queue — visible to quiesce — before the ``sys.ctrl.ok``
-        releases the sender's in-flight control accounting."""
-        if conn not in self._gossip_conns:
-            await conn.send(
-                wire.err_frame("bad-frame", "unknown type 'sys.digest'")
-            )
-            return
+        """Answer a peer's watermark digest.  The repair itself is
+        synchronous, so every re-shipped update is on a link queue —
+        visible to quiesce — before the ``sys.ctrl.ok`` releases the
+        sender's in-flight control accounting."""
         shipped = gossip_proto.handle_digest(self, frame)
         if shipped:
             self.metric("service_gossip_pushes_total", shipped)
@@ -1695,11 +1483,6 @@ class SiteServer:
         """Serve a peer's own-origin range request (see the gossip
         module); acked with ``sys.ctrl.ok`` after the re-ships are
         enqueued, like digests."""
-        if conn not in self._gossip_conns:
-            await conn.send(
-                wire.err_frame("bad-frame", "unknown type 'sys.range'")
-            )
-            return
         shipped = gossip_proto.handle_range(self, frame)
         self.metric("service_gossip_ranges_total")
         if shipped:
@@ -1909,17 +1692,7 @@ class SiteServer:
     # observability plane
     # ------------------------------------------------------------------
     async def _handle_stats(self, conn: Connection) -> None:
-        """Answer ``sys.stats`` — but only on connections whose hello
-        advertised the ``sx`` capability.  Anyone else gets exactly the
-        ``bad-frame`` error a pre-stats server sends for an unknown
-        type, so probing an old server and probing a non-negotiated
-        connection are indistinguishable (zero-round-trip negotiation:
-        the capability travels on the hello both sides already send)."""
-        if conn not in self._stats_conns:
-            await conn.send(
-                wire.err_frame("bad-frame", "unknown type 'sys.stats'")
-            )
-            return
+        """Answer ``sys.stats`` (any handshaken connection may ask)."""
         self.metric("service_requests_total", op="stats")
         snapshot = self._stats_snapshot()
         await conn.send(
@@ -1958,7 +1731,7 @@ class SiteServer:
                 "dropped": self.flight.dropped,
                 "held": len(self.flight),
             },
-            "wire": {"profile": self.codec_name, "caps": self.wire_caps},
+            "wire": {"version": wire.WIRE_VERSION},
             "origin_applied": {
                 str(int(s)): int(v)
                 for s, v in sorted(self._origin_applied.items())
@@ -1995,10 +1768,9 @@ class SiteServer:
             m.gauge("link_unacked_count", site=self.site, peer=dest).set(
                 stats["unacked"]
             )
-            if stats["applied"] is not None:
-                m.gauge("link_unapplied_count", site=self.site, peer=dest).set(
-                    stats["acked"] - stats["applied"]
-                )
+            m.gauge("link_unapplied_count", site=self.site, peer=dest).set(
+                stats["acked"] - stats["applied"]
+            )
         m.gauge("parked_updates_count", site=self.site).set(len(self._parked))
         m.gauge("own_log_entries_count", site=self.site).set(len(self._own_log))
         if self.wal is not None:

@@ -17,10 +17,10 @@ what the chaos tests and ``repro-kv smoke`` use to exercise failover.
 
 Both transports' own connections carry a frame as bytes end to end:
 ``send`` / ``send_many`` / ``write_many`` take a frame dict (encoded under
-the connection's codec) or, once the binary codec is negotiated, a frame
-one of :class:`repro.service.wire.BinaryCodec`'s one-pass encoders already
-encoded; a received body is decoded only when it is handed out, by the
-decoder the receiving call names — frame dicts from ``recv`` /
+the connection's codec) or, once the handshake installed the binary codec,
+a frame one of :class:`repro.service.wire.BinaryCodec`'s one-pass encoders
+already encoded; a received body is decoded only when it is handed out, by
+the decoder the receiving call names — frame dicts from ``recv`` /
 ``recv_many``, messages built in one pass from ``recv_message`` /
 ``recv_messages``.  A :class:`Connection` subclass that implements only
 the dict-speaking methods (a wrapper that times, delays or drops frames)
@@ -99,30 +99,30 @@ _decode_annotated = wire.decode_annotated
 class Connection(ABC):
     """One bidirectional, ordered stream of frames.
 
-    Every connection carries a *codec* — :data:`wire.JSON_CODEC` until
-    :meth:`negotiate` switches it (the WIRE_VERSION 3+ handshake).  The
-    codec governs how *this side encodes*; inbound frames are decoded by
-    sniffing, so a connection can receive binary frames before (or
-    without ever) switching its own send side.  Alongside the codec a
-    connection records the *agreed capability* of the handshake — the
-    feature gates (batching at >= 3, delta/interning at >= 4) read that,
-    never the codec, because one byte codec serves several capability
-    levels.
+    Every connection carries a *codec* — :data:`wire.JSON_CODEC` for the
+    one handshake frame, then whatever :meth:`negotiate` installs
+    (:data:`wire.BINARY_CODEC_V4`; see the support window in
+    :mod:`repro.service.wire`).  The codec governs how *this side
+    encodes*; inbound frames are decoded by sniffing, so a connection can
+    receive binary frames without switching its own send side (a wrapper
+    that never forwards :meth:`negotiate` keeps sending JSON, legibly).
+    Alongside the codec a connection records the handshake's version:
+    ``agreed_version == wire.WIRE_VERSION`` is how a server tells a
+    handshaken connection from one that has yet to say hello.
     """
 
     #: the binary codec whose one-pass encoders this connection takes
     #: pre-encoded frames from (``bytes``, see ``BinaryCodec.pack_*``) on
     #: ``send`` / ``send_many`` / ``write_many`` — or ``None`` when every
-    #: frame must travel as a frame dict: before the binary codec is
-    #: negotiated, and for the whole life of a connection class that
-    #: does not override this default (wrappers that time, delay, drop
-    #: or log frame dicts keep seeing frame dicts)
+    #: frame must travel as a frame dict: before the handshake, and for
+    #: the whole life of a connection class that does not override this
+    #: default (wrappers that time, delay, drop or log frame dicts keep
+    #: seeing frame dicts)
     one_pass: Optional[wire.BinaryCodec] = None
     #: active send codec; class-level default, shadowed by negotiate()
     _codec: Any = wire.JSON_CODEC
-    #: negotiated connection capability (min of both sides' ``cv``);
-    #: the pre-handshake default is the v2 profile
-    _agreed: int = wire.JSON_WIRE_VERSION
+    #: the wire version a completed handshake recorded; 0 before it
+    _agreed: int = 0
     #: byte counters, set by the owning transport when it has a registry
     _meter: Optional[WireMeter] = None
 
@@ -132,21 +132,45 @@ class Connection(ABC):
 
     @property
     def wire_version(self) -> int:
-        """The send codec's native profile: 2 (JSON) or 3 (binary).
-        Gate features on :attr:`agreed_version`, not this."""
+        """The send codec's ``version``: the frame schema version under
+        JSON, :data:`wire.WIRE_VERSION` under the binary codec."""
         return self._codec.version
 
     @property
     def agreed_version(self) -> int:
-        """The handshake-agreed capability of this connection."""
+        """The wire version this connection's handshake recorded (0
+        before one)."""
         return self._agreed
 
     def negotiate(self, codec: Any, agreed: Optional[int] = None) -> None:
         """Switch this side's send codec for all subsequent frames,
-        recording the handshake-agreed capability when given."""
+        recording the handshake's version when given."""
         self._codec = codec
         if agreed is not None:
             self._agreed = agreed
+
+    async def handshake(self, hello: Dict[str, Any], ok_kind: str) -> Dict[str, Any]:
+        """The dialing side of the support window: send the one JSON
+        ``hello`` / ``link.hello``, and unless the reply is the
+        current-version ``ok_kind`` raise the refusal
+        (:func:`wire.unsupported_version`; a peer's ``err`` is quoted) —
+        there is nothing older to fall back to.  On success this side
+        switches to the binary codec and the reply is returned.  The
+        caller bounds the wait."""
+        await self.send(hello)
+        reply = await self.recv()
+        if reply is None:
+            raise ConnectionResetError(
+                f"{self.peer} closed the connection during the handshake"
+            )
+        kind = reply.get("t")
+        if kind != ok_kind or reply.get("cv") != wire.WIRE_VERSION:
+            where = f"the peer's {kind} reply"
+            if kind == "err":
+                where += f" ({reply.get('code')}: {reply.get('msg')})"
+            raise wire.unsupported_version(reply.get("cv"), where)
+        self.negotiate(wire.BINARY_CODEC_V4, wire.WIRE_VERSION)
+        return reply
 
     @abstractmethod
     async def send(self, frame: Dict[str, Any]) -> None:
@@ -156,7 +180,7 @@ class Connection(ABC):
     async def send_many(self, frames: List[Dict[str, Any]]) -> None:
         """Send a batch of frames with at most one flush (writev-style
         coalescing on transports that buffer).  The default sends them
-        one by one — the v2 profile."""
+        one by one."""
         for frame in frames:
             await self.send(frame)
 
@@ -219,7 +243,7 @@ class Connection(ABC):
 
 class _PlainConnection(Connection):
     """What the two transports' own endpoints share: once the binary
-    codec is negotiated they take pre-encoded frames beside frame
+    codec is installed they take pre-encoded frames beside frame
     dicts, and hand a received body to whichever decoder the caller
     asks for — :func:`wire.decode_annotated` behind ``recv`` /
     ``recv_many``, :func:`wire.decode_message` behind ``recv_message``

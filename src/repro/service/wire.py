@@ -3,31 +3,39 @@
 Frames are **length-prefixed**: a 4-byte big-endian unsigned length
 followed by one frame body in one of two codecs:
 
-* the **JSON codec** (:class:`JsonCodec`, frame schema version 2) — a
-  UTF-8 JSON object, byte-compatible with WIRE_VERSION 2 peers.  This is
-  the codec every connection starts in and the permanent fallback for
-  older peers;
-* the **binary codec** (:class:`BinaryCodec`, the WIRE_VERSION 3 wire) —
-  a struct-packed header (magic byte, frame schema version, frame-type
-  tag) followed by the frame's fields in a compact msgpack-style
-  encoding (single-byte type tags, varlength ints, flat ``struct``-packed
-  integer vectors for dependency logs and clock rows).  A JSON body
-  always starts with ``{`` (0x7B) and a binary body always starts with
-  :data:`BINARY_MAGIC` (0xB3, not a valid UTF-8 lead byte), so a
-  WIRE_VERSION 3 receiver decodes either codec per frame with no
-  ambiguity (:func:`decode_body` sniffs the first byte).
+* the **JSON codec** (:class:`JsonCodec`) — a UTF-8 JSON object.  It is
+  the *handshake codec* (the one frame that opens a connection travels
+  in it, so a refusal is legible to any peer of any age) and a *debug
+  input* (a hand-typed JSON frame decodes on any connection); nothing
+  can be configured to stay on it;
+* the **binary codec** (:class:`BinaryCodec`) — a struct-packed header
+  (magic byte, frame schema version, frame-type tag) followed by the
+  frame's fields in a compact msgpack-style encoding (single-byte type
+  tags, varlength ints, flat ``struct``-packed integer vectors for
+  dependency logs and clock rows).  Everything after the handshake is
+  sent in it, and WAL records are frames of it.
 
-Codec choice is **negotiated, never assumed**: every handshake frame
-(``link.hello``/``link.ok`` between peers, ``hello``/``hello.ok`` from
-clients) travels as JSON and carries the sender's capability version
-``cv``.  Only when both ends announced ``cv >= 3`` does a connection
-switch to the binary codec — a WIRE_VERSION 2 peer never sees a binary
-byte.  Capability 3 (:data:`BATCH_WIRE_VERSION`) additionally buys the
-*batched* wire profile (coalesced frame flushes and cumulative batched
-acks, see :mod:`repro.service.server`); a v2 peer keeps the per-frame
-profile.  Capability 4 (:data:`DELTA_WIRE_VERSION`, the current
-:data:`WIRE_VERSION`) makes the replication stream *metadata-lean* on
-top of the binary codec:
+A JSON body always starts with ``{`` (0x7B) and a binary body always
+starts with :data:`BINARY_MAGIC` (0xB3, not a valid UTF-8 lead byte), so
+a receiver decodes either codec per frame with no ambiguity
+(:func:`decode_body` sniffs the first byte).
+
+Support window
+--------------
+The service speaks **one wire version: the current one**
+(:data:`WIRE_VERSION`).  Every connection opens with one JSON ``hello``
+(client) or ``link.hello`` (peer) carrying ``cv``; ``cv ==
+WIRE_VERSION`` is answered ``hello.ok`` / ``link.ok`` and both ends
+install :data:`BINARY_CODEC_V4`.  Anything else — ``cv`` absent, lower
+or higher, or any other frame before a hello — is answered with one
+``err`` frame of the non-retriable code ``unsupported-version`` naming
+the version offered and the version spoken
+(:func:`unsupported_version`), and the connection is closed; the
+dialing side is symmetric (``Connection.handshake``).  Nothing is
+negotiated and nothing can be configured (docs/service.md, "Support
+window").
+
+What the current version puts on a peer link:
 
 * **per-link delta encoding** — consecutive repl frames on one peer-link
   connection share almost all of their dependency-log state, so the
@@ -39,35 +47,28 @@ top of the binary codec:
   decodes the contiguous ``ls == seen + 1`` frame, so its baseline (the
   previous frame it processed) is the one the sender chained against by
   construction.  A diff that would not be smaller than the full
-  metadata falls back to a full ``repl`` frame; receivers accept both
-  at any capability.
-* **negotiated id interning** — variable names repeat on every frame, so
-  the handshake *receiver* answers with an intern table (``itab``: a
-  list of names; position = id) built from its placement map.  Senders
-  may then put the small int in any ``var`` field; since ``VarId`` is a
-  string, an int on the wire is unambiguously an interned id, resolved
-  against the table its receiver itself advertised — race-free for the
-  same reason the codec sniffing is.
+  metadata falls back to a full ``repl`` frame.
+* **id interning** — variable names repeat on every frame, so the
+  handshake *receiver* answers with an intern table (``itab``: a list of
+  names; position = id) built from its placement map.  Senders may then
+  put the small int in any ``var`` field; since ``VarId`` is a string,
+  an int on the wire is unambiguously an interned id, resolved against
+  the table its receiver itself advertised.
 
-Every frame carries the frame schema version (``"v"``, currently
-:data:`JSON_WIRE_VERSION` — the field layout is unchanged from v2, which
-is what makes the JSON fallback interoperable) and a frame type
-(``"t"``).  A peer that receives a frame with an unknown version must
-reject the connection rather than guess — the schema version is bumped
-on any incompatible change (field renames, semantic changes), never for
-additive optional fields such as ``cv``.
+Every frame carries the frame schema version (``"v"``,
+:data:`JSON_WIRE_VERSION` — it is in every binary header and every WAL
+record, and is *not* the capability ``cv``) and a frame type (``"t"``).
+A frame with any other schema version is rejected rather than guessed
+at — the schema version is bumped on an incompatible change of field
+layout, never for additive optional fields.
 
 Frame types
 -----------
 Client-facing request/response::
 
-    hello    {v, t:"hello", cv}                  -> hello.ok {site, cv}
-             optional codec negotiation (one round trip per pooled
-             connection).  ``cv`` is the client's capability version;
-             the server answers with the minimum of both sides and the
-             connection switches to the binary codec when that is >= 3.
-             A v2 server answers ``err bad-frame`` and the client stays
-             on JSON — the fallback path.
+    hello    {v, t:"hello", cv}                  -> hello.ok {site, cv, itab}
+             opens every client connection (one round trip per pooled
+             connection); see "Support window" above.
     put      {v, t:"put", var, value}            -> put.ok {w} | err
     get      {v, t:"get", var}                   -> get.ok {value, w, by} | err
     ping     {v, t:"ping"}                       -> ping.ok {site}
@@ -75,50 +76,53 @@ Client-facing request/response::
 
 Server-to-server (peer links)::
 
-    link.hello  {v, t:"link.hello", src, epoch, cv} -> link.ok {ack, cv}
+    link.hello  {v, t:"link.hello", src, epoch, cv}
+                                         -> link.ok {ack, ap, cv, itab}
              opens every peer-link connection.  ``epoch`` identifies the
              sender *incarnation*: the receiver keys its repl dedup
              state by (src, epoch) and resets it when a new epoch
              connects, so a restarted site's fresh sequence numbers are
              not mistaken for duplicates.  ``ack`` is the receiver's
              cumulative per-link high-water mark; the sender retires
-             everything up to it and resends the rest.
-    repl     one UpdateMessage (REPLICATE); ``ls`` is a contiguous
-             per-link sequence number.  The receiver processes only
-             ``ls == seen + 1`` (drops duplicates, refuses gaps without
-             acking) and answers ``repl.ack {a}`` — a cumulative ack
-             sent only *after* the update is applied or parked.  The
-             sender retires a frame on ack, never on transport send
-             success alone: at-least-once delivery, exactly-once apply.
-    repl.ackp  the v4 ack: ``{a, ap}`` where ``ap`` is the gap between
-             ``a`` and the highest contiguous *applied* (not merely
-             parked) ``ls`` — ``a - ap`` is the sender's ack-driven
+             everything up to it and resends the rest.  ``ap`` is its
+             applied watermark (see ``repl.ackp``).
+    repl.t   one UpdateMessage (REPLICATE) with the origin's issue time
+             ``it`` (ms on the origin's clock — what feeds the
+             receiver's per-origin visibility-latency histograms);
+             ``ls`` is a contiguous per-link sequence number.  The
+             receiver processes only ``ls == seen + 1`` (drops
+             duplicates, refuses gaps without acking) and acks only
+             *after* the update is applied or parked.  The sender
+             retires a frame on ack, never on transport send success
+             alone: at-least-once delivery, exactly-once apply.
+    repl.delta.t  same fields, but ``meta`` holds a diff against the
+             metadata of the previous frame sent on this connection
+             (kinds ``otd``/``crpd``/``mcd``); never the first repl
+             frame of a connection.  Both kinds may carry ``w: None``
+             when the write id is derivable as ``WriteId(src,
+             meta.clock)`` (it always is for opt-track and CRP writes).
+    repl / repl.delta  the same two frames without the stamp
+             (:func:`strip_issue`).  A link always stamps, so these are
+             never sent; they stay decodable — a WAL written by an
+             earlier build holds raw ``repl`` records.
+    repl.ackp  ``{a, ap}``: the cumulative ack ``a`` and the gap between
+             it and the highest contiguous *applied* (not merely parked)
+             ``ls`` — ``a - ap`` is the sender's ack-driven
              dependency-log GC watermark (``note_remote_apply``).  The
              gap is almost always 0, so it packs into one byte where an
              absolute watermark would repeat a full-width sequence.
-    repl.delta  same fields as ``repl`` but ``meta`` holds a diff against
-             the metadata of the previous frame sent on this connection
-             (kinds ``otd``/``crpd``/``mcd``); only sent on ``cv >= 4``
-             links, never as the first repl frame of a connection.  On
-             v4 links both ``repl`` and ``repl.delta`` may carry ``w:
-             None`` when the write id is derivable as ``WriteId(src,
-             meta.clock)`` (it always is for opt-track and CRP writes).
     fetch    one FetchRequest, answered by fetch.ok (correlated by ``fid``)
+    sys.digest / sys.range -> sys.ctrl.ok   gossip anti-entropy; honoured
+             on link connections only.
 
-Live observability (the ``sx`` capability, see :data:`STATS_CAPABILITY`)::
+Live observability::
 
-    sys.stats   {v, t:"sys.stats"}  -> sys.stats.ok {site, epoch, ...}
+    sys.stats   {v, t:"sys.stats"}  -> sys.stats.ok {site, stats}
              one internally consistent snapshot of the answering site:
              per-link watermarks and backlogs, parked-update depths,
              dep-log size, wire bytes by frame kind, store size, and the
-             site's metrics-registry snapshot.  Only sent to peers that
-             advertised ``sx`` in their hello; anyone else answers
-             ``err bad-frame``, exactly like a pre-stats server would.
-    repl.t / repl.delta.t   the repl frames with the origin's issue time
-             ``it`` (ms on the origin's clock) appended — what feeds the
-             receiver's per-origin visibility-latency histograms.  Only
-             sent on links whose peer advertised ``sx``; field-for-field
-             identical to their base kinds otherwise (strip_issue).
+             site's metrics-registry snapshot.  Answered on any
+             handshaken connection.
 
 ``err`` frames carry a machine-readable ``code``; codes in
 :data:`RETRIABLE` mark failures the client may retry (elsewhere).
@@ -134,16 +138,16 @@ One-pass path
 -------------
 The frame kinds of the steady state (:data:`HOT_KINDS`, plus the
 ``wal.*`` records on the encode side) do not need the frame dict at
-all on a binary connection: :class:`BinaryCodec`'s ``pack_*`` methods
-and :meth:`DeltaEncoder.pack_update` write a frame's bytes straight
-from the message object, and :func:`decode_message` /
+all: :class:`BinaryCodec`'s ``pack_*`` methods and
+:meth:`DeltaEncoder.pack_update` write a frame's bytes straight from
+the message object, and :func:`decode_message` /
 :meth:`DeltaDecoder.unpack_update` build the message straight from the
 body.  The bytes are exactly :meth:`BinaryCodec.encode`'s for the same
 message (``tests/property/test_wire_codecs.py`` holds the two paths to
-that, and to equal decoded objects), so the choice is invisible on the
-wire: no version, no negotiation, and either end of a connection may be
-on either path.  Everything else — JSON, handshakes, ``sys.*``,
-``snap``, ``err``, WAL replay — stays on the dict walk.
+that, and to equal decoded objects), so either end of a connection may
+be on either path.  Everything else — handshakes, ``sys.*``, ``snap``,
+``err``, WAL replay, and a :class:`~repro.service.transport.Connection`
+that only speaks frame dicts — stays on the dict walk.
 """
 
 from __future__ import annotations
@@ -163,36 +167,19 @@ from repro.core.messages import (
     OptTrackMeta,
     UpdateMessage,
 )
-from repro.errors import WireError
+from repro.errors import UnsupportedVersionError, WireError
 from repro.types import WriteId
 
-#: the connection capability this side speaks (see module docstring).
-#: v2: acknowledged peer links — repl requires the link.hello handshake,
-#: contiguous ``ls``, and repl.ack-driven retirement; a v1 peer would
-#: wedge replication silently, so the versions must not interoperate.
-#: v3: negotiated binary codec + batched wire profile (coalesced frame
-#: flushes, cumulative batched acks).  Frame *fields* are unchanged from
-#: v2 — a v3 peer falls back to the v2 JSON profile via the handshake.
-#: v4: metadata-lean replication — chained ``repl.delta`` frames,
-#: ``ap`` applied watermarks on acks, and negotiated id interning.
-#: Everything v4 adds is per-connection negotiated state, so v3 and v2
-#: peers keep their exact profiles (the agreed capability is the min of
-#: both sides' announcements, feature-gated per threshold below).
+#: the wire version this side speaks — the *capability* ``cv`` a hello
+#: must carry, not a byte on any frame.  The support window is this one
+#: value (see module docstring): chained ``repl.delta`` frames, ``ap``
+#: applied watermarks on acks, id interning, the binary codec.
 WIRE_VERSION = 4
 
-#: capability threshold for the binary codec + batched link profile
-BATCH_WIRE_VERSION = 3
-
-#: capability threshold for delta-encoded repl metadata + id interning
-DELTA_WIRE_VERSION = 4
-
-#: the frame schema version stamped on every frame dict.  Still 2: v3
-#: adds a codec and a batching profile, not a field change, so the JSON
-#: rendering of every frame is exactly what a v2 peer expects.
+#: the frame schema version stamped on every frame dict, in every
+#: binary header and therefore in every WAL record.  Decoders accept
+#: exactly this value.
 JSON_WIRE_VERSION = 2
-
-#: oldest frame schema this side still decodes
-MIN_WIRE_VERSION = 2
 
 #: first body byte of a binary-codec frame.  0xB3 is not a valid UTF-8
 #: lead byte and a JSON object body always starts with ``{`` (0x7B), so
@@ -208,35 +195,36 @@ _LEN = struct.Struct(">I")
 #: ``err`` codes the client may retry (possibly against another replica)
 RETRIABLE = ("read-timeout", "unavailable", "shutting-down")
 
-#: the live-observability capability, advertised as the additive ``sx``
-#: field on ``hello``/``link.hello`` and echoed on the ok replies — the
-#: same zero-round-trip negotiation pattern as the codec capability
-#: ``cv`` but orthogonal to it (stats negotiate on any agreed wire
-#: version, JSON included).  A peer that advertised ``sx >= 1`` accepts
-#: ``sys.stats`` requests and understands the issue-time-stamped
-#: ``repl.t``/``repl.delta.t`` replication frames; peers that did not
-#: advertise it are never sent any of them.  Additive optional fields
-#: never bump the frame schema version (see module docstring).
-STATS_CAPABILITY = 1
 
-#: the gossip/anti-entropy capability, advertised as the additive ``gx``
-#: field on ``link.hello`` and echoed on ``link.ok`` — same zero-round-trip
-#: pattern as ``sx`` and orthogonal to both ``sx`` and the codec capability
-#: ``cv``.  A peer that advertised ``gx >= 1`` accepts ``sys.digest`` /
-#: ``sys.range`` anti-entropy frames and replies with ``sys.ctrl.ok``;
-#: peers that did not advertise it (pre-durability builds) are never sent
-#: any of them, so a mixed cluster degrades to plain exactly-once
-#: replication with no gossip catch-up for the old peer.
-GOSSIP_CAPABILITY = 1
+def unsupported_version(offered: Any, where: str) -> UnsupportedVersionError:
+    """The support window's one refusal, worded the same on the
+    accepting and the dialing side: the version offered (``None`` when
+    no ``cv`` was), where it was seen, and the version spoken."""
+    return UnsupportedVersionError(
+        f"unsupported wire version {offered!r} in {where}: this side "
+        f"speaks version {WIRE_VERSION} only"
+    )
+
+
+def field(frame: Dict[str, Any], key: str, kind: type) -> Any:
+    """A required field of a received frame dict, of exactly type
+    ``kind`` — the seam where a peer's frame stops being trusted: a
+    missing or mistyped field is a :class:`WireError` (drop the
+    connection), never a ``KeyError`` in the task that read it."""
+    value = frame.get(key)
+    if type(value) is not kind:
+        raise WireError(
+            f"{frame.get('t')} frame field {key!r} must be "
+            f"{kind.__name__}, got {value!r}"
+        )
+    return value
 
 
 def _check_version(version: Any) -> None:
-    if not isinstance(version, int) or not (
-        MIN_WIRE_VERSION <= version <= WIRE_VERSION
-    ):
+    if type(version) is not int or version != JSON_WIRE_VERSION:
         raise WireError(
-            f"unsupported wire version {version!r} (this side speaks "
-            f"{MIN_WIRE_VERSION}..{WIRE_VERSION}); upgrade the older peer"
+            f"unsupported wire version {version!r} on a frame (this side "
+            f"speaks frame schema {JSON_WIRE_VERSION})"
         )
 
 
@@ -244,10 +232,10 @@ def _check_version(version: Any) -> None:
 # codecs
 # ----------------------------------------------------------------------
 class JsonCodec:
-    """The WIRE_VERSION 2 fallback codec: one UTF-8 JSON object per frame."""
+    """The handshake and debug codec: one UTF-8 JSON object per frame."""
 
     name = "json"
-    #: highest connection capability this codec's profile provides
+    #: what ``Connection.wire_version`` reads before the handshake
     version = JSON_WIRE_VERSION
 
     def encode(self, frame: Dict[str, Any]) -> bytes:
@@ -271,7 +259,7 @@ class JsonCodec:
 
 
 class BinaryCodec:
-    """The WIRE_VERSION 3 codec: struct header + compact field packing.
+    """The binary codec: struct header + compact field packing.
 
     Body layout (after the outer 4-byte length prefix)::
 
@@ -286,23 +274,19 @@ class BinaryCodec:
     produced — both codecs are interchangeable per frame, which is what
     the codec round-trip property tests assert.
 
-    ``compact=True`` (the :data:`BINARY_CODEC_V4` instance) additionally
-    *emits* the v4 two-byte int tag (``_T_INT16``) for values the frozen
-    v3 encoder spends five bytes on — link sequence numbers, write
-    clocks, acks.  Every decoder of this release accepts the tag
-    regardless of negotiation, but a true v3 peer would not, so the
-    compact instance is only ever installed on a ``cv >= 4`` connection
-    (:func:`codec_for`); the plain instance keeps the v3 byte stream
-    frozen.
+    ``compact=True`` (the :data:`BINARY_CODEC_V4` instance, what every
+    connection sends in) additionally *emits* the two-byte int tag
+    (``_T_INT16``) for values the plain encoder spends five bytes on —
+    link sequence numbers, write clocks, acks.  Both decode everything
+    either emits.  The plain instance (:data:`BINARY_CODEC`) is the WAL
+    record encoder: its byte stream is a file format and stays frozen.
     """
 
     name = "binary"
-    version = BATCH_WIRE_VERSION
+    version = WIRE_VERSION
 
     def __init__(self, compact: bool = False) -> None:
         self.compact = compact
-        if compact:
-            self.version = DELTA_WIRE_VERSION
 
     def encode(self, frame: Dict[str, Any]) -> bytes:
         out = bytearray(4)  # length prefix patched in below
@@ -456,13 +440,12 @@ class BinaryCodec:
             None if meta is None else _meta_fields(meta),
         )
 
-    def pack_ack(self, ack: int, applied_gap: Optional[int] = None) -> bytes:
-        """``repl.ack {a}``, or the v4 ``repl.ackp {a, ap}`` when the
-        applied-watermark gap is given."""
-        out = bytearray(_HEADS["repl.ack" if applied_gap is None else "repl.ackp"])
+    def pack_ack(self, ack: int, applied_gap: int) -> bytes:
+        """``repl.ackp {a, ap}``: the cumulative ack and its gap to the
+        applied watermark."""
+        out = bytearray(_HEADS["repl.ackp"])
         _pack_int(out, ack, self.compact)
-        if applied_gap is not None:
-            _pack_int(out, applied_gap, self.compact)
+        _pack_int(out, applied_gap, self.compact)
         return _finish(out)
 
     def pack_put(
@@ -510,8 +493,8 @@ class BinaryCodec:
         lean: bool = False,
         itab: Optional["InternTable"] = None,
     ) -> bytes:
-        """``fetch.ok``; ``lean`` and ``itab`` as :func:`encode_fetch_reply`
-        (its ``compact`` — a v4 connection)."""
+        """``fetch.ok``; ``lean`` and ``itab`` as
+        :func:`encode_fetch_reply` (its ``compact``)."""
         compact = self.compact
         out = bytearray(_HEADS["fetch.ok"])
         _pack_var(out, reply.var, itab, compact)
@@ -550,50 +533,21 @@ class BinaryCodec:
         return _finish(out)
 
 
-#: the codec singletons; connections reference these, never copies.
-#: BINARY_CODEC_V4 shares the v3 decoder and frame layouts but emits
-#: the compact v4 int tags — see :class:`BinaryCodec`.
+#: the codec singletons; connections reference these, never copies:
+#: JSON for the handshake, BINARY_CODEC_V4 for everything after it,
+#: BINARY_CODEC for WAL records — see :class:`BinaryCodec`.
 JSON_CODEC = JsonCodec()
 BINARY_CODEC = BinaryCodec()
 BINARY_CODEC_V4 = BinaryCodec(compact=True)
 
-CODECS = {JSON_CODEC.name: JSON_CODEC, BINARY_CODEC.name: BINARY_CODEC}
 
+def codec_for(agreed: int) -> BinaryCodec:
+    """The send codec of a handshaken connection.  One row: the support
+    window is :data:`WIRE_VERSION`, anything else raises."""
+    if agreed != WIRE_VERSION:
+        raise unsupported_version(agreed, "codec_for")
+    return BINARY_CODEC_V4
 
-def codec_for(agreed: int) -> Any:
-    """The send codec a connection installs for an agreed capability:
-    the compact-int binary encoder at ``cv >= 4``, the byte-frozen v3
-    binary encoder at 3, JSON below."""
-    if agreed >= DELTA_WIRE_VERSION:
-        return BINARY_CODEC_V4
-    if agreed >= BATCH_WIRE_VERSION:
-        return BINARY_CODEC
-    return JSON_CODEC
-
-#: wire profiles selectable through the server/client ``codec=`` knob:
-#: profile name -> the capability version announced in handshakes.  The
-#: byte codec is implied (binary for ``cv >= BATCH_WIRE_VERSION``); the
-#: "delta" and "binary" profiles share it and differ only in whether the
-#: v4 features (repl.delta chaining, interning, ap watermarks) are
-#: offered.  "binary" therefore pins a peer to the exact v3 profile —
-#: the fallback matrix tests and the bench ledger rely on that.
-PROFILE_CAPS: Dict[str, int] = {
-    "json": JSON_WIRE_VERSION,
-    "binary": BATCH_WIRE_VERSION,
-    "delta": DELTA_WIRE_VERSION,
-}
-
-
-def profile_caps(profile: str) -> int:
-    """Capability version for a ``codec=`` profile name (raises
-    :class:`WireError` on unknown names, listing the valid ones)."""
-    try:
-        return PROFILE_CAPS[profile]
-    except KeyError:
-        raise WireError(
-            f"unknown wire profile {profile!r} "
-            f"(choose from {sorted(PROFILE_CAPS)})"
-        ) from None
 
 _HDR = struct.Struct(">BBB")
 
@@ -634,7 +588,7 @@ _FRAME_TYPES: Tuple[str, ...] = (
     "wal.read",
     "wal.rfetch",
     "snap",
-    # gossip anti-entropy (the gx capability)
+    # gossip anti-entropy (link connections only)
     "sys.digest",
     "sys.range",
     "sys.ctrl.ok",
@@ -654,14 +608,16 @@ _SCHEMA_BIT = 0x80
 _FRAME_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "repl": ("var", "value", "w", "src", "dst", "meta", "ls"),
     "repl.delta": ("var", "value", "w", "src", "dst", "meta", "ls"),
-    # issue-time-stamped repl variants (the sx stats capability): the
-    # same layout with the origin's issue timestamp appended — spelled
-    # as new types rather than new fields so the original layouts stay
-    # byte-frozen for peers that never negotiated the stamp
+    # issue-time-stamped repl variants: the same layout with the
+    # origin's issue timestamp appended — spelled as new types rather
+    # than new fields, so the unstamped layouts (raw WAL records) stay
+    # byte-frozen
     "repl.t": ("var", "value", "w", "src", "dst", "meta", "ls", "it"),
     "repl.delta.t": ("var", "value", "w", "src", "dst", "meta", "ls", "it"),
+    # retired (the ack without the applied gap): a layout, like a tag,
+    # is never removed — but nothing produces or accepts the kind
     "repl.ack": ("a",),
-    # the v4 ack: ``ap`` is the gap ``a - applied`` (usually 0, one byte)
+    # ``ap`` is the gap ``a - applied`` (usually 0, one byte)
     "repl.ackp": ("a", "ap"),
     "put": ("var", "value"),
     "put.ok": ("w",),
@@ -699,14 +655,14 @@ _MAP_SCHEMAS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("arr", ("v",)),
     ("ivec", ("v",)),
     ("pairs", ("v",)),
-    # v4 delta metadata kinds (diffs against a per-connection baseline,
+    # delta metadata kinds (diffs against a per-connection baseline,
     # see _delta_fields).  otd is index-coded: "c" is the clock
     # advance over the baseline, "x"/"u" address baseline records by
     # their sorted position, "n" carries new records as full triples
     ("otd", ("c", "rm", "x", "u", "n")),
     ("crpd", ("c", "x", "ch")),
     ("mcd", ("n", "ch")),
-    # v4 compact full encodings (see encode_meta / encode_fetch_reply)
+    # compact full encodings (see encode_meta / encode_fetch_reply)
     ("ot4", ("c", "rm", "log", "e")),
     ("ivr", ("v",)),
     ("dl4", ("c", "log", "e")),
@@ -727,8 +683,8 @@ _MAP_SCHEMA_IDS: Dict[str, Tuple[int, Tuple[str, ...]]] = {
 # dispatch on both bytes and time.
 _T_NONE, _T_FALSE, _T_TRUE = 0x00, 0x01, 0x02
 _T_INT8, _T_INT32, _T_INT64, _T_BIGINT = 0x10, 0x11, 0x12, 0x13
-#: two-byte int (v4): emitted only by the compact encoder instance,
-#: accepted by every decoder of this release (append-only tag registry)
+#: two-byte int: emitted only by the compact encoder instance (the
+#: plain one writes WAL records, a frozen file format), decoded by both
 _T_INT16 = 0x14
 _T_FLOAT = 0x20
 _T_STR, _T_BYTES, _T_LIST, _T_MAP = 0x30, 0x38, 0x40, 0x50
@@ -1180,10 +1136,8 @@ def decode_body(body: bytes) -> Dict[str, Any]:
     """Decode one frame body (the bytes after the length prefix).
 
     Sniffs the codec from the first byte: :data:`BINARY_MAGIC` marks the
-    binary codec, anything else is JSON.  A WIRE_VERSION 2 peer's JSON
-    frames therefore decode unchanged; binary bodies would be rejected
-    by a v2 peer's JSON-only decoder, which is why the binary codec is
-    only ever *sent* after a successful ``cv >= 3`` handshake.
+    binary codec, anything else is JSON — which is how the handshake
+    frame, and a hand-typed debug frame after it, are read.
     """
     if not body:
         raise WireError("empty frame body")
@@ -1220,9 +1174,8 @@ def frame_length(prefix: bytes) -> int:
 
 
 def make_frame(frame_type: str, **fields: Any) -> Dict[str, Any]:
-    """A frame dict of ``frame_type`` with the current frame schema
-    version (v2 — see :data:`JSON_WIRE_VERSION`; the v3 capability is a
-    per-connection negotiation, not a frame field)."""
+    """A frame dict of ``frame_type`` with the frame schema version
+    (:data:`JSON_WIRE_VERSION`)."""
     frame: Dict[str, Any] = {"v": JSON_WIRE_VERSION, "t": frame_type}
     frame.update(fields)
     return frame
@@ -1267,7 +1220,7 @@ assert tuple(kind for kind, _ in _MAP_SCHEMAS) == (
 
 
 def _split_log(log: DepLog, base: int, order: Any = None) -> Tuple[List[int], List[int]]:
-    """The lean (v4) spelling of a dependency log: ``(triples, empties)``
+    """The lean spelling of a dependency log: ``(triples, empties)``
     with clocks relative to ``base``.  PURGE-retention records (newest
     per sender, empty destination set — typically the majority of a
     mature log) go to ``empties`` as two-int pairs with the redundant
@@ -1340,7 +1293,7 @@ def _meta_fields(
 
 
 def _ivr_fields(applied: Any) -> Tuple[int, Tuple[Any, ...]]:
-    """An apply snapshot as the relative clock vector ``ivr`` (v4):
+    """An apply snapshot as the relative clock vector ``ivr``:
     ``[ceiling, ceiling - x, ...]`` — the entries cluster near the
     maximum on a live cluster, so the offsets pack one byte each where
     the absolutes need two or four."""
@@ -1381,13 +1334,12 @@ def _untagged(data: Any, what: str) -> Tuple[int, List[Any]]:
 def encode_meta(meta: Any, compact: bool = False) -> Any:
     """Encode one piggybacked metadata object to its JSON shape.
 
-    ``compact`` (v4 connections only) selects the metadata-lean
-    encodings: ``ot4`` for Opt-Track metas — record clocks relative to
-    the meta clock (small ints instead of full-width absolutes) and the
-    PURGE-retention records packed as two-int pairs (see
-    :func:`_split_log`).  Both shapes decode to the exact objects the
-    plain kinds carry; a v3 peer never sees them (:func:`codec_for`
-    gates the emitting connections).
+    ``compact`` (what connections send; WAL records and snapshots
+    stay plain) selects the metadata-lean encodings: ``ot4`` for
+    Opt-Track metas — record clocks relative to the meta clock (small
+    ints instead of full-width absolutes) and the PURGE-retention
+    records packed as two-int pairs (see :func:`_split_log`).  Both
+    shapes decode to the exact objects the plain kinds carry.
     """
     if meta is None:
         return None
@@ -1462,7 +1414,7 @@ def _encode_deplog(log: DepLog, order: Any = None) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# negotiated id interning (v4)
+# id interning
 # ----------------------------------------------------------------------
 #: hard cap on one handshake's intern table; keeps the JSON handshake
 #: frame small even against a placement map with millions of variables —
@@ -1477,7 +1429,7 @@ def intern_table_names(variables: Any) -> List[str]:
 
 
 class InternTable:
-    """One side's per-connection id interning table (v4).
+    """One side's per-connection id interning table.
 
     The table is built once from the handshake receiver's ``itab`` list
     (position = id) and is immutable afterwards: both directions of a
@@ -1531,41 +1483,33 @@ def _derivable_write_id(msg: UpdateMessage) -> bool:
     """True when the write id repeats information already on the frame:
     every clock-bearing metadata kind here names its write as
     ``WriteId(sender, meta.clock)`` (opt-track and CRP both stamp the
-    writer's own sequence), so a lean v4 frame can omit it."""
+    writer's own sequence), so a lean frame can omit it."""
     wid = msg.write_id
     return wid.site == msg.sender and getattr(msg.meta, "clock", None) == wid.seq
 
 
-def encode_update(
-    msg: UpdateMessage,
-    link_seq: int,
-    itab: Optional[InternTable] = None,
-    lean: bool = False,
-) -> Dict[str, Any]:
-    """A REPLICATE frame for one :class:`UpdateMessage`.
+def encode_update(msg: UpdateMessage, link_seq: int) -> Dict[str, Any]:
+    """A full, self-contained REPLICATE frame for one
+    :class:`UpdateMessage` — what a snapshot stores; a link sends the
+    chained, lean, interned spelling (:class:`DeltaEncoder`).
 
     ``link_seq`` is the per-peer-link sequence number used for duplicate
-    suppression across reconnect resends.  ``itab`` (v4) interns the
-    variable name against the receiver's advertised table; ``lean``
-    (also v4-only — set by :class:`DeltaEncoder`) sends ``w: None`` when
-    the write id is derivable from ``(src, meta.clock)`` (which
-    :func:`decode_update` reconstructs) and selects the compact ``ot4``
-    metadata encoding.
+    suppression across reconnect resends.
     """
     return make_frame(
         "repl",
-        var=msg.var if itab is None else itab.encode_var(msg.var),
+        var=msg.var,
         value=msg.value,
-        w=None if lean and _derivable_write_id(msg) else encode_write_id(msg.write_id),
+        w=encode_write_id(msg.write_id),
         src=msg.sender,
         dst=msg.dest,
-        meta=encode_meta(msg.meta, compact=lean),
+        meta=encode_meta(msg.meta),
         ls=link_seq,
     )
 
 
 def _update_write_id(frame: Dict[str, Any], src: int, meta: Any) -> WriteId:
-    """The frame's write id, rebuilding an omitted (lean v4) one from
+    """The frame's write id, rebuilding an omitted (lean) one from
     the sender and the metadata clock."""
     wid = decode_write_id(frame["w"])
     if wid is not None:
@@ -1602,9 +1546,7 @@ REPL_FRAME_KINDS = ("repl", "repl.delta", "repl.t", "repl.delta.t")
 def stamp_issue(frame: Dict[str, Any], issued_ms: float) -> Dict[str, Any]:
     """Stamp a ``repl``/``repl.delta`` frame with the time its write was
     issued at the origin (ms on the origin's clock), switching the type
-    to the ``.t`` variant; mutates and returns the frame.  Only valid on
-    links whose peer advertised :data:`STATS_CAPABILITY` — a peer that
-    never negotiated it does not know the stamped types."""
+    to the ``.t`` variant; mutates and returns the frame."""
     frame["t"] = frame["t"] + ".t"
     frame["it"] = int(issued_ms)
     return frame
@@ -1624,9 +1566,8 @@ def issue_age_ms(stamp: int, now_ms: float) -> float:
 def strip_issue(frame: Dict[str, Any]) -> Optional[int]:
     """Remove an issue stamp in place, restoring the base repl type;
     returns the stamp (origin-clock ms) or ``None`` for unstamped
-    frames.  After this the frame is field-for-field what the peer
-    would have sent without the stats capability, so every downstream
-    decode path is unchanged."""
+    frames.  After this the frame is field-for-field its unstamped
+    kind, so every downstream decode path is one path."""
     if frame["t"].endswith(".t"):
         frame["t"] = frame["t"][:-2]
         it = frame.pop("it", None)
@@ -1635,7 +1576,7 @@ def strip_issue(frame: Dict[str, Any]) -> Optional[int]:
 
 
 # ----------------------------------------------------------------------
-# delta metadata codec (v4: repl.delta chaining)
+# delta metadata codec (repl.delta chaining)
 # ----------------------------------------------------------------------
 def _delta_fields(
     meta: Any, base: Any, base_order: Any = None, order: Any = None
@@ -1742,14 +1683,14 @@ def _build_delta(sid: int, values: Any, base: Any) -> Any:
 
 
 class DeltaEncoder:
-    """Per-connection sender state for the v4 chained repl stream.
+    """Per-connection sender state for the chained repl stream.
 
     Owns the chain baseline (the metadata of the previous repl frame
     encoded on this connection, with the sorted key order of its
     dependency log beside it — each log is ordered once, as "current",
-    and reused when it becomes the baseline) and the negotiated intern
-    table.  The link send path creates one per established ``cv >= 4``
-    connection and drops it on disconnect — a fresh receiver therefore
+    and reused when it becomes the baseline) and the receiver's intern
+    table.  The link send path creates one per handshaken connection
+    and drops it on disconnect — a fresh receiver therefore
     always gets one full frame first (``_base is None``), exactly
     mirroring :class:`DeltaDecoder`'s reset on its side.  This class
     and the decoder are the only places delta baselines mutate; the
@@ -1934,7 +1875,7 @@ def encode_fetch_reply(
     compact: bool = False,
     itab: Optional[InternTable] = None,
 ) -> Dict[str, Any]:
-    """A fetch.ok frame.  ``compact`` (v4 connections) selects the lean
+    """A fetch.ok frame.  ``compact`` (what connections send) selects the lean
     metadata shapes: the ``dl4``/``ot4`` log encodings and the ``ivr``
     relative apply-snapshot vector — the snapshot's entries cluster near
     its maximum on a live cluster, so the offsets pack one byte each.
@@ -1990,8 +1931,7 @@ def decode_fetch_reply(
 #: kinds with a one-pass decoder (and encoder); the ``wal.*`` records
 #: have encoders only — they are read back at recovery, as dicts
 HOT_KINDS = REPL_FRAME_KINDS + (
-    "repl.ack", "repl.ackp", "put", "put.ok", "get", "get.ok",
-    "fetch", "fetch.ok",
+    "repl.ackp", "put", "put.ok", "get", "get.ok", "fetch", "fetch.ok",
 )
 
 #: length-prefix placeholder + schema-packed binary header per kind
@@ -2082,11 +2022,11 @@ class ReplFrame:
 
 
 class Ack(NamedTuple):
-    """``repl.ack`` / ``repl.ackp``: cumulative ack and, on v4 links,
-    its gap to the applied watermark (``None`` on a bare ack)."""
+    """``repl.ackp``: cumulative ack and its gap to the applied
+    watermark."""
 
     ack: int
-    applied_gap: Optional[int]
+    applied_gap: int
 
 
 class Put(NamedTuple):
@@ -2161,11 +2101,9 @@ def _read_repl(
     return ReplFrame(delta, var, value, wid, src, dst, sid, fields, ls, it, raw)
 
 
-def _read_ack(body: bytes, itab: Any, gap: bool) -> Ack:
+def _read_ack(body: bytes, itab: Any) -> Ack:
     ack, pos = _read_int(body, 3)
-    applied_gap = None
-    if gap:
-        applied_gap, pos = _read_int(body, pos)
+    applied_gap, pos = _read_int(body, pos)
     if pos != len(body):
         raise _trailing(body, pos)
     return Ack(ack, applied_gap)
@@ -2242,8 +2180,7 @@ _READERS: Dict[int, Tuple[str, Any]] = {
         ("repl.t", lambda b, t: _read_repl(b, t, False, True)),
         ("repl.delta", lambda b, t: _read_repl(b, t, True, False)),
         ("repl.delta.t", lambda b, t: _read_repl(b, t, True, True)),
-        ("repl.ack", lambda b, t: _read_ack(b, t, False)),
-        ("repl.ackp", lambda b, t: _read_ack(b, t, True)),
+        ("repl.ackp", _read_ack),
         ("put", _read_put),
         ("put.ok", _read_put_ok),
         ("get", _read_get),
@@ -2278,7 +2215,7 @@ def decode_message(body: bytes, itab: Optional[InternTable] = None) -> Any:
     )
     if entry is None:
         return decode_annotated(body)
-    if not MIN_WIRE_VERSION <= body[1] <= WIRE_VERSION:
+    if body[1] != JSON_WIRE_VERSION:
         _check_version(body[1])
     try:
         return entry[1](body, itab)
@@ -2291,12 +2228,9 @@ def decode_message(body: bytes, itab: Optional[InternTable] = None) -> Any:
 
 __all__ = [
     "WIRE_VERSION",
-    "BATCH_WIRE_VERSION",
-    "DELTA_WIRE_VERSION",
     "JSON_WIRE_VERSION",
-    "MIN_WIRE_VERSION",
-    "PROFILE_CAPS",
-    "profile_caps",
+    "unsupported_version",
+    "field",
     "INTERN_TABLE_MAX",
     "intern_table_names",
     "InternTable",
@@ -2306,8 +2240,6 @@ __all__ = [
     "BINARY_MAGIC",
     "MAX_FRAME_BYTES",
     "RETRIABLE",
-    "STATS_CAPABILITY",
-    "GOSSIP_CAPABILITY",
     "REPL_FRAME_KINDS",
     "stamp_issue",
     "strip_issue",
@@ -2317,7 +2249,6 @@ __all__ = [
     "JSON_CODEC",
     "BINARY_CODEC",
     "BINARY_CODEC_V4",
-    "CODECS",
     "codec_for",
     "encode_frame",
     "decode_body",

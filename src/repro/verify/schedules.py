@@ -146,6 +146,11 @@ def make_preempting_loopback(
 
         def negotiate(self, codec: Any, agreed: Optional[int] = None) -> None:
             self._inner.negotiate(codec, agreed)
+            # the wrapper only injects yields and never looks inside a
+            # frame, so it takes pre-encoded frames and hands out
+            # one-pass decodes exactly as the inner endpoint does: the
+            # explorer runs the path that ships
+            self.one_pass = self._inner.one_pass
 
         async def send(self, frame: Dict[str, Any]) -> None:
             await self._preempt()
@@ -173,6 +178,16 @@ def make_preempting_loopback(
             frames = await self._inner.recv_many()
             await self._preempt()
             return frames
+
+        async def recv_message(self, itab: Any = None) -> Any:
+            message = await self._inner.recv_message(itab)
+            await self._preempt()
+            return message
+
+        async def recv_messages(self, itab: Any = None) -> Optional[List[Any]]:
+            messages = await self._inner.recv_messages(itab)
+            await self._preempt()
+            return messages
 
         async def close(self) -> None:
             await self._inner.close()

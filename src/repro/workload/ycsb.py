@@ -21,7 +21,7 @@ Workload ``d``'s "latest" distribution is modeled by biasing reads toward
 the most recently written keys; ``e`` (scans) has no analogue in a
 register-based shared memory and is omitted.  ``w`` is not a YCSB core
 workload: it is the metadata-dominated regime (every op ships a
-dependency log) used by the service benchmark's metadata-bound cell.
+dependency log).
 """
 
 from __future__ import annotations

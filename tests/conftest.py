@@ -58,6 +58,25 @@ def remote_read(sites: List[CausalProtocol], reader: int, var: VarId):
     return proto.complete_remote_read(reply)
 
 
+async def open_handshaken(transport, address, **link):
+    """Open a raw service connection the way a current build does and
+    return ``(conn, ok)``: a ``link.hello`` when ``src`` / ``epoch`` are
+    given, a client ``hello`` otherwise, both carrying the one wire
+    version (``Connection.handshake`` checks the reply and installs
+    the binary codec).  The one way tests get below ``KVClient`` /
+    ``PeerLink`` — a connection that skips this is refused (the
+    support window)."""
+    from repro.service import wire
+
+    conn = await transport.connect(address)
+    kind, ok_kind = ("link.hello", "link.ok") if link else ("hello", "hello.ok")
+    ok = await conn.handshake(
+        wire.make_frame(kind, cv=wire.WIRE_VERSION, **link), ok_kind
+    )
+    assert isinstance(ok["itab"], list)
+    return conn, ok
+
+
 @pytest.fixture
 def two_var_partial():
     """4 sites; x on {0,1,2}, y on {1,2,3} — the canonical partial layout

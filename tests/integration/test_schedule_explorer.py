@@ -18,6 +18,7 @@ import pytest
 
 from repro.lint.engine import lint_source
 from repro.lint.rules import RULES_BY_NAME
+from repro.service import wire
 from repro.service.server import SiteServer
 from repro.verify.schedules import ScheduleOutcome, explore_schedules
 
@@ -70,6 +71,33 @@ class TestCleanSweep:
     def test_outcomes_carry_their_seed(self):
         outcomes = explore_schedules(range(3, 5))
         assert [o.seed for o in outcomes] == [3, 4]
+
+    def test_sweep_runs_the_path_that_ships(self):
+        """The explorer's connections are on the one-pass wire (hot
+        frames go message <-> bytes, as on the transports' own
+        endpoints) and its seeded ``writable()`` coin takes both flush
+        paths — not the dict/writer-task fallback a wrapper used to
+        inherit."""
+        links = []  # (connection class, its one_pass, flushes) at stop
+
+        class Observed(SiteServer):
+            async def stop(self):
+                for link in self._links.values():
+                    conn = link._conn
+                    if conn is not None:
+                        links.append(
+                            (type(conn).__name__, conn.one_pass, dict(link.flushes))
+                        )
+                await super().stop()
+
+        (outcome,) = explore_schedules([7], server_cls=Observed)
+        assert outcome.ok, str(outcome)
+        assert links
+        for name, one_pass, _ in links:
+            assert name == "_PreemptingConnection"
+            assert one_pass is wire.BINARY_CODEC_V4
+        assert sum(f["inline"] for _, _, f in links) > 0
+        assert sum(f["task"] for _, _, f in links) > 0
 
 
 class TestTornDrainMutant:

@@ -16,8 +16,10 @@ from repro.obs.registry import MetricsRegistry
 from repro.service import wire
 from repro.service.harness import ServiceCluster
 from repro.service.loadgen import LoadGenerator
+from repro.service.client import KVClient
 from repro.service.transport import Connection, LoopbackTransport
 from repro.types import WriteId
+from tests.conftest import open_handshaken
 
 
 def run(coro):
@@ -260,24 +262,23 @@ class TestLinkProtocol:
                 receiver = cluster.servers[1]
                 # a site-0 protocol twin mints real updates for site 1
                 proto = cluster.servers[0].protocol
-                conn = await cluster.transport.connect("site-1")
-
-                await conn.send(wire.make_frame("link.hello", src=0, epoch=11))
-                ok = await conn.recv()
-                assert ok["t"] == "link.ok" and ok["ack"] == 0
+                conn, ok = await open_handshaken(
+                    cluster.transport, "site-1", src=0, epoch=11
+                )
+                assert ok["ack"] == 0 and ok["ap"] == 0
 
                 m1 = next(m for m in proto.write("x0", "v1").messages
                           if m.dest == 1)
                 await conn.send(wire.encode_update(m1, 1))
                 ack = await conn.recv()
-                assert (ack["t"], ack["a"]) == ("repl.ack", 1)
+                assert (ack["t"], ack["a"], ack["ap"]) == ("repl.ackp", 1, 0)
                 assert receiver.applies == 1
 
                 # duplicate: dropped at the link layer, re-acked so the
                 # sender can retire it, protocol untouched
                 await conn.send(wire.encode_update(m1, 1))
                 ack = await conn.recv()
-                assert (ack["t"], ack["a"]) == ("repl.ack", 1)
+                assert (ack["t"], ack["a"]) == ("repl.ackp", 1)
                 assert receiver.applies == 1
 
                 # gap: ls=3 while seen=1 — refused without ack or advance
@@ -291,17 +292,19 @@ class TestLinkProtocol:
                 # the contiguous retry lands
                 await conn.send(wire.encode_update(m2, 2))
                 ack = await conn.recv()
-                assert (ack["t"], ack["a"]) == ("repl.ack", 2)
+                assert (ack["t"], ack["a"]) == ("repl.ackp", 2)
                 assert receiver.applies == 2
+                await conn.close()
 
                 # same incarnation reconnecting resumes at its high-water
                 # mark; a NEW incarnation (site restart) resets it, so the
                 # fresh link sequence starting at 1 is not dropped as a dup
-                await conn.send(wire.make_frame("link.hello", src=0, epoch=11))
-                assert (await conn.recv())["ack"] == 2
-                await conn.send(wire.make_frame("link.hello", src=0, epoch=99))
-                assert (await conn.recv())["ack"] == 0
-                await conn.close()
+                for epoch, resumes_at in ((11, 2), (99, 0)):
+                    conn, ok = await open_handshaken(
+                        cluster.transport, "site-1", src=0, epoch=epoch
+                    )
+                    assert ok["ack"] == resumes_at
+                    await conn.close()
 
         run(main())
 
@@ -312,7 +315,7 @@ class TestLinkProtocol:
         async def main():
             async with ServiceCluster(3, 3, "opt-track",
                                       replication_factor=3) as cluster:
-                conn = await cluster.transport.connect("site-1")
+                conn, _ = await open_handshaken(cluster.transport, "site-1")
                 await conn.send(wire.make_frame("kill"))
                 # queued behind the kill on the same connection
                 await conn.send(wire.make_frame("put", var="x0", value="doomed"))
@@ -332,37 +335,231 @@ class TestLinkProtocol:
         assert wid is not None
         assert served and 1 not in served
 
+    @staticmethod
+    async def _deliver_past(first_link_ok, first_ack):
+        """Site 1 is killed and a hand-scripted peer listens at its
+        address.  Its first connection answers the link handshake with
+        ``first_link_ok`` and (if that let the link through) the first
+        repl frame with ``first_ack``; every later connection behaves.
+        Site 0 then writes once.  Returns what the peer saw per
+        connection, whether site 0's link task is still alive, its
+        backlog, and site 0's counters."""
+        metrics = MetricsRegistry()
+        seen = []  # per connection: the frame kinds it received
+
+        async def peer(conn):
+            mine = []
+            seen.append(mine)
+            good = len(seen) > 1
+            hello = await conn.recv()
+            mine.append(hello["t"])
+            ok = wire.make_frame("link.ok", cv=wire.WIRE_VERSION, ack=0, ap=0,
+                                 itab=[])
+            await conn.send(ok if good else {**ok, **first_link_ok})
+            while (frame := await conn.recv()) is not None:
+                mine.append((frame["t"], frame["ls"]))
+                ack = wire.make_frame("repl.ackp", a=frame["ls"], ap=0)
+                await conn.send(ack if good else first_ack)
+
+        async with ServiceCluster(2, 2, "opt-track", replication_factor=2,
+                                  metrics=metrics) as cluster:
+            cluster.kill_site(1)
+            await cluster.servers[1].stop()  # its listener is gone for good
+            await cluster.transport.listen("site-1", peer)
+            c0 = cluster.client(home=0)
+            await c0.put("x0", "must-arrive")
+            link = cluster.servers[0]._links[1]
+            for _ in range(400):
+                if link.backlog == 0:
+                    break
+                await asyncio.sleep(0.005)
+            await c0.close()
+            return (seen, not link._task.done(), link.backlog,
+                    metrics.snapshot()["counters"])
+
+    def test_malformed_ack_drops_the_connection_not_the_link(self):
+        # regression: an ack without its ``a`` field raised KeyError in
+        # the link's reader, which escaped _run's teardown — the link
+        # task ended for good, its backlog grew without bound and
+        # SiteServer.stop() re-raised the error.  A malformed reply is a
+        # WireError: drop the connection, resend after the next handshake
+        seen, alive, backlog, counters = run(self._deliver_past(
+            {}, {"v": wire.JSON_WIRE_VERSION, "t": "repl.ackp"}
+        ))
+        assert alive and backlog == 0
+        # the update went out on the first connection (malformed ack)
+        # and was delivered again, and acked, on the next one
+        assert seen[0] == ["link.hello", ("repl.t", 1)]
+        assert seen[1] == ["link.hello", ("repl.t", 1)]
+        assert counters["link_drops_total{peer=1,site=0}"] >= 1
+
+    def test_malformed_link_ok_fails_the_handshake_not_the_link(self):
+        # same hole one step earlier: int("x") on link.ok's ack raised
+        # ValueError, which _run's handshake arm does not catch either
+        seen, alive, backlog, counters = run(self._deliver_past(
+            {"ack": "x"}, None
+        ))
+        assert alive and backlog == 0
+        assert seen[0] == ["link.hello"]  # no frame after the bad link.ok
+        assert seen[1] == ["link.hello", ("repl.t", 1)]
+        assert counters["link_connect_failures_total{peer=1,site=0}"] >= 1
+
 
 # ----------------------------------------------------------------------
-# WIRE_VERSION 3: coalesced batches and cumulative acks
+# the support window: one wire version, refused otherwise
+# ----------------------------------------------------------------------
+class TestSupportWindow:
+    """Every connection opens with a hello carrying ``cv ==
+    wire.WIRE_VERSION``; anything else gets exactly one
+    ``unsupported-version`` error naming both versions, then EOF, with
+    no protocol state touched — on the accepting side and, mirrored, on
+    the dialing side."""
+
+    @staticmethod
+    async def _refusal(frame_for):
+        """Send one frame on a fresh connection to site 1; returns every
+        reply up to EOF and the receiver's state afterwards."""
+        async with ServiceCluster(2, 2, "opt-track",
+                                  replication_factor=2) as cluster:
+            receiver = cluster.servers[1]
+            conn = await cluster.transport.connect("site-1")
+            await conn.send(frame_for(cluster))
+            replies = []
+            while (reply := await asyncio.wait_for(conn.recv(), 1.0)) is not None:
+                replies.append(reply)
+            await conn.close()
+            state = (receiver.applies, dict(receiver._seen_ls),
+                     dict(receiver._peer_epoch), dict(receiver._origin_applied),
+                     len(receiver._gossip_conns))
+            return replies, state
+
+    @staticmethod
+    def _assert_refused(replies, state, offered):
+        (err,) = replies  # exactly one frame before the EOF
+        assert (err["t"], err["code"]) == ("err", "unsupported-version")
+        assert err["code"] not in wire.RETRIABLE
+        assert f"version {wire.WIRE_VERSION} only" in err["msg"]
+        assert f"unsupported wire version {offered!r}" in err["msg"]
+        assert state == (0, {}, {}, {}, 0)
+
+    @pytest.mark.parametrize("cv", [None, 3, 5])
+    @pytest.mark.parametrize("kind", ["hello", "link.hello"])
+    def test_hello_outside_the_window_is_refused(self, kind, cv):
+        fields = {"src": 0, "epoch": 7} if kind == "link.hello" else {}
+        if cv is not None:
+            fields["cv"] = cv
+        replies, state = run(
+            self._refusal(lambda cluster: wire.make_frame(kind, **fields))
+        )
+        self._assert_refused(replies, state, cv)
+        assert kind in replies[0]["msg"]
+
+    @pytest.mark.parametrize("kind", ["put", "sys.stats", "repl.t"])
+    def test_frame_before_any_hello_is_refused(self, kind):
+        def frame_for(cluster):
+            if kind == "put":
+                return wire.make_frame("put", var="x0", value="v")
+            if kind == "sys.stats":
+                return wire.make_frame("sys.stats")
+            proto = cluster.servers[0].protocol
+            m = next(m for m in proto.write("x0", "v").messages if m.dest == 1)
+            return wire.stamp_issue(wire.encode_update(m, 1), 0.0)
+
+        replies, state = run(self._refusal(frame_for))
+        self._assert_refused(replies, state, None)
+        assert f"a {kind} frame before any hello" in replies[0]["msg"]
+
+    def test_link_backs_off_from_a_peer_on_another_version(self):
+        # the dialing side: a listener that answers ``link.ok cv=3`` is
+        # never sent a frame — the link counts a failed handshake, backs
+        # off and dials again, exactly as for any other handshake failure
+        async def main():
+            metrics = MetricsRegistry()
+            seen = []
+
+            async def old_peer(conn):
+                while (frame := await conn.recv()) is not None:
+                    seen.append(frame["t"])
+                    await conn.send(wire.make_frame("link.ok", cv=3, ack=0))
+
+            async with ServiceCluster(2, 2, "opt-track", replication_factor=2,
+                                      metrics=metrics) as cluster:
+                cluster.kill_site(1)
+                await cluster.servers[1].stop()
+                await cluster.transport.listen("site-1", old_peer)
+                c0 = cluster.client(home=0)
+                await c0.put("x0", "held")
+                link = cluster.servers[0]._links[1]
+                for _ in range(400):
+                    if len(seen) >= 3:
+                        break
+                    await asyncio.sleep(0.005)
+                await c0.close()
+                return (list(seen), not link._task.done(), link.backlog,
+                        metrics.snapshot()["counters"])
+
+        seen, alive, backlog, counters = run(main())
+        assert len(seen) >= 3 and set(seen) == {"link.hello"}
+        assert alive and backlog == 1  # held for a peer that can take it
+        assert counters["link_connect_failures_total{peer=1,site=0}"] >= 3
+
+    def test_client_refuses_a_server_that_rejects_hello(self):
+        # the input of the old "v2 server" downgrade test, with the
+        # opposite outcome: a server that answers ``err bad-frame`` to
+        # hello is not spoken to in JSON — the request fails, loudly
+        async def main():
+            transport = LoopbackTransport()
+            seen = []
+
+            async def v2_server(conn):
+                while (frame := await conn.recv()) is not None:
+                    seen.append(frame["t"])
+                    await conn.send(
+                        wire.err_frame("bad-frame", f"unknown frame {frame['t']!r}")
+                    )
+
+            await transport.listen("site-0", v2_server)
+            client = KVClient({0: "site-0"}, {"x0": (0,)}, transport, home=0,
+                              max_rounds=2, backoff_base=0.001)
+            try:
+                with pytest.raises(ServiceUnavailableError) as refused:
+                    await client.get("x0")
+            finally:
+                await client.close()
+                await transport.close()
+            return str(refused.value), seen
+
+        message, seen = run(main())
+        assert "unsupported wire version None" in message
+        assert f"version {wire.WIRE_VERSION} only" in message
+        assert "bad-frame" in message  # the peer's own words are quoted
+        assert seen == ["hello", "hello"]  # one per attempt, never a get
+
+
+# ----------------------------------------------------------------------
+# coalesced batches and cumulative acks
 # ----------------------------------------------------------------------
 class TestBatchedAcks:
     @staticmethod
-    async def _v3_link(cluster):
-        """Open a raw connection to site 1 and negotiate the v3 profile
-        the way a real PeerLink does."""
-        conn = await cluster.transport.connect("site-1")
-        await conn.send(
-            wire.make_frame(
-                "link.hello", src=0, epoch=5, cv=wire.BATCH_WIRE_VERSION
-            )
+    async def _link(cluster):
+        """Open a raw link connection to site 1 the way a real PeerLink
+        does."""
+        conn, _ = await open_handshaken(
+            cluster.transport, "site-1", src=0, epoch=5
         )
-        ok = await conn.recv()
-        assert ok["t"] == "link.ok" and ok.get("cv") == wire.BATCH_WIRE_VERSION
-        conn.negotiate(wire.BINARY_CODEC, wire.BATCH_WIRE_VERSION)
         return conn
 
     def test_contiguous_burst_acked_once_cumulatively(self):
-        # the v3 inbound profile: a burst delivered in one coalesced
-        # flush is applied as one batch and answered with a SINGLE
-        # cumulative repl.ack — not one ack per frame
+        # a burst delivered in one coalesced flush is applied as one
+        # batch and answered with a SINGLE cumulative ack — not one ack
+        # per frame
         async def main():
             metrics = MetricsRegistry()
             async with ServiceCluster(2, 2, "opt-track", replication_factor=2,
                                       metrics=metrics) as cluster:
                 receiver = cluster.servers[1]
                 proto = cluster.servers[0].protocol
-                conn = await self._v3_link(cluster)
+                conn = await self._link(cluster)
                 frames = []
                 for i in range(3):
                     m = next(m for m in proto.write("x0", f"v{i}").messages
@@ -370,7 +567,7 @@ class TestBatchedAcks:
                     frames.append(wire.encode_update(m, i + 1))
                 await conn.send_many(frames)
                 ack = await conn.recv()
-                assert (ack["t"], ack["a"]) == ("repl.ack", 3)
+                assert (ack["t"], ack["a"], ack["ap"]) == ("repl.ackp", 3, 0)
                 # no per-frame acks trail the cumulative one
                 with pytest.raises(asyncio.TimeoutError):
                     await asyncio.wait_for(conn.recv(), 0.05)
@@ -391,7 +588,7 @@ class TestBatchedAcks:
                                       metrics=metrics) as cluster:
                 receiver = cluster.servers[1]
                 proto = cluster.servers[0].protocol
-                conn = await self._v3_link(cluster)
+                conn = await self._link(cluster)
                 msgs = [next(m for m in proto.write("x0", f"v{i}").messages
                              if m.dest == 1) for i in range(4)]
                 # ls=3 missing: the batch is [1, 2, 4]
@@ -401,7 +598,7 @@ class TestBatchedAcks:
                     wire.encode_update(msgs[3], 4),
                 ])
                 ack = await conn.recv()
-                assert (ack["t"], ack["a"]) == ("repl.ack", 2)
+                assert (ack["t"], ack["a"]) == ("repl.ackp", 2)
                 assert receiver.applies == 2
                 # the retransmit closing the gap is again acked once
                 await conn.send_many([
@@ -409,7 +606,7 @@ class TestBatchedAcks:
                     wire.encode_update(msgs[3], 4),
                 ])
                 ack = await conn.recv()
-                assert (ack["t"], ack["a"]) == ("repl.ack", 4)
+                assert (ack["t"], ack["a"]) == ("repl.ackp", 4)
                 with pytest.raises(asyncio.TimeoutError):
                     await asyncio.wait_for(conn.recv(), 0.05)
                 await conn.close()
@@ -985,64 +1182,30 @@ class TestLoopbackTransport:
 # sys.stats raw-frame conformance
 # ----------------------------------------------------------------------
 class TestStatsFrames:
-    """Wire-level contract of the observability frames: the ``sx``
-    capability gates ``sys.stats`` per connection, a mid-batch stats
+    """Wire-level contract of the observability frames: any handshaken
+    connection may ask ``sys.stats`` (one sent before a hello is refused
+    like any other frame, see ``TestSupportWindow``), a mid-batch stats
     snapshot observes the repl frames flushed ahead of it, and a stopped
     site refuses with the retriable ``shutting-down`` code."""
 
-    def test_stats_without_capability_is_a_bad_frame(self):
-        # a connection that never negotiated sx — whether it sent no
-        # hello at all or a hello without the field — must be refused
-        # exactly like any unknown frame type, so old peers see the
-        # same behaviour they always did
-        async def main():
-            async with ServiceCluster(2, 2, "opt-track") as cluster:
-                # no hello at all (a pure v2 client)
-                conn = await cluster.transport.connect("site-0")
-                await conn.send(wire.make_frame("sys.stats"))
-                bare = await conn.recv()
-                await conn.close()
-                # a hello that did not offer sx
-                conn = await cluster.transport.connect("site-0")
-                await conn.send(
-                    wire.make_frame("hello", cv=wire.BATCH_WIRE_VERSION)
-                )
-                ok = await conn.recv()
-                conn.negotiate(wire.BINARY_CODEC, wire.BATCH_WIRE_VERSION)
-                await conn.send(wire.make_frame("sys.stats"))
-                no_sx = await conn.recv()
-                await conn.close()
-                return bare, ok, no_sx
-
-        bare, ok, no_sx = run(main())
-        assert (bare["t"], bare["code"]) == ("err", "bad-frame")
-        assert ok["t"] == "hello.ok" and "sx" not in ok
-        assert (no_sx["t"], no_sx["code"]) == ("err", "bad-frame")
-
     def test_hello_echoes_sx_and_answers_stats(self):
+        # the name predates the support window: there is no ``sx`` field
+        # any more, a current-version hello is all sys.stats needs
         async def main():
             async with ServiceCluster(2, 2, "opt-track", replication_factor=2,
                                       metrics=MetricsRegistry()) as cluster:
-                conn = await cluster.transport.connect("site-0")
-                await conn.send(
-                    wire.make_frame(
-                        "hello",
-                        cv=wire.BATCH_WIRE_VERSION,
-                        sx=wire.STATS_CAPABILITY,
-                    )
-                )
-                ok = await conn.recv()
-                conn.negotiate(wire.BINARY_CODEC, wire.BATCH_WIRE_VERSION)
+                conn, ok = await open_handshaken(cluster.transport, "site-0")
                 await conn.send(wire.make_frame("sys.stats"))
                 reply = await conn.recv()
                 await conn.close()
                 return ok, reply
 
         ok, reply = run(main())
-        assert ok.get("sx") == wire.STATS_CAPABILITY
+        assert "sx" not in ok and "gx" not in ok
         assert reply["t"] == "sys.stats.ok" and reply["site"] == 0
         stats = reply["stats"]
         assert stats["site"] == 0 and stats["applies"] == 0
+        assert stats["wire"] == {"version": wire.WIRE_VERSION}
         assert "links" in stats and "flight" in stats and "metrics" in stats
 
     def test_mid_batch_stats_sees_prior_updates_applied(self):
@@ -1055,19 +1218,9 @@ class TestStatsFrames:
                                       replication_factor=2) as cluster:
                 receiver = cluster.servers[1]
                 proto = cluster.servers[0].protocol
-                conn = await cluster.transport.connect("site-1")
-                await conn.send(
-                    wire.make_frame(
-                        "link.hello",
-                        src=0,
-                        epoch=5,
-                        cv=wire.BATCH_WIRE_VERSION,
-                        sx=wire.STATS_CAPABILITY,
-                    )
+                conn, _ = await open_handshaken(
+                    cluster.transport, "site-1", src=0, epoch=5
                 )
-                ok = await conn.recv()
-                assert ok["t"] == "link.ok"
-                conn.negotiate(wire.BINARY_CODEC, wire.BATCH_WIRE_VERSION)
                 frames = []
                 for i in range(2):
                     m = next(m for m in proto.write("x0", f"v{i}").messages
@@ -1078,12 +1231,11 @@ class TestStatsFrames:
                 ack = await conn.recv()
                 reply = await conn.recv()
                 await conn.close()
-                return ok, ack, reply, receiver.applies
+                return ack, reply, receiver.applies
 
-        ok, ack, reply, applies = run(main())
-        assert ok.get("sx") == wire.STATS_CAPABILITY
+        ack, reply, applies = run(main())
         # the repl prefix was applied and acked cumulatively first
-        assert (ack["t"], ack["a"]) == ("repl.ack", 2)
+        assert (ack["t"], ack["a"]) == ("repl.ackp", 2)
         assert reply["t"] == "sys.stats.ok"
         assert applies == 2
         stats = reply["stats"]
@@ -1097,12 +1249,7 @@ class TestStatsFrames:
         async def main():
             async with ServiceCluster(2, 2, "opt-track") as cluster:
                 server = cluster.servers[0]
-                conn = await cluster.transport.connect("site-0")
-                await conn.send(
-                    wire.make_frame("hello", sx=wire.STATS_CAPABILITY)
-                )
-                ok = await conn.recv()
-                assert ok.get("sx") == wire.STATS_CAPABILITY
+                conn, _ = await open_handshaken(cluster.transport, "site-0")
                 server._stopped.set()
                 await conn.send(wire.make_frame("sys.stats"))
                 reply = await conn.recv()

@@ -6,9 +6,8 @@ killed mid-run and restarted *in place* from its data directory — it
 must recover from snapshot + WAL suffix, rejoin under a bumped
 incarnation epoch, and converge back (peer-link redelivery where the
 sender still holds the frames, gossip anti-entropy where it does not) —
-over the loopback transport AND real TCP sockets, and against an
-emulated pre-durability peer that never negotiated the ``gx``
-capability.
+over the loopback transport AND real TCP sockets, and beside a peer
+that never gossips.
 """
 
 import asyncio
@@ -20,11 +19,12 @@ from repro.core.base import ProtocolConfig, protocol_class
 from repro.errors import ServiceError
 from repro.obs.registry import MetricsRegistry
 from repro.service import wire
-from repro.service.durability import WalCorruptionError
+from repro.service.durability import SiteWal, WalCorruptionError
 from repro.service.harness import ServiceCluster
 from repro.service.loadgen import LoadGenerator
 from repro.service.server import SiteServer
 from repro.service.transport import TcpTransport
+from tests.conftest import open_handshaken
 
 
 def run(coro):
@@ -211,42 +211,66 @@ class TestLoopbackRecovery:
             assert len(values) <= 1, f"{var} diverged across {replicas}"
 
     def test_raw_wal_records_recover(self, tmp_path):
-        """On the pinned binary profile every received repl is logged
-        as raw wire bytes (SiteWal.append_raw — the fast path the bench
-        guardrail depends on); recovery must replay those records to
-        exactly the state re-encoded records would have produced."""
+        """A received repl frame that is self-contained — full, with a
+        literal variable name — is logged as its raw wire bytes
+        (SiteWal.append_raw); recovery must replay those records, the
+        stamped ``repl.t`` and the unstamped ``repl`` alike, to exactly
+        the state they produced live.  A real link interns and chains,
+        so the frames come from a hand-driven link connection."""
 
         async def main():
+            # no sanitizer: the writes are minted by a site-0 twin it
+            # never saw.  No gossip: the real site 0 knows nothing of
+            # them either, and restart needs no catch-up here
             async with ServiceCluster(
-                3, 6, "opt-track", replication_factor=2, sanitize=True,
-                codec="binary", data_dir=str(tmp_path),
-                gossip_interval=0.05,
+                3, 6, "opt-track", replication_factor=2,
+                data_dir=str(tmp_path),
             ) as cluster:
                 victim = 2
-                c = cluster.client(0)
+                var = shared_var(cluster, 0, victim)
+                twin = protocol_class("opt-track")(
+                    ProtocolConfig(n=3, site=0, replicas_of=cluster.placement)
+                )
+                conn, _ = await open_handshaken(
+                    cluster.transport, f"site-{victim}", src=0, epoch=77
+                )
+                frames = []
                 for i in range(10):
-                    await c.put(shared_var(cluster, 0, victim), f"v{i}")
-                await c.close()
-                await cluster.quiesce()
+                    msg = next(m for m in twin.write(var, f"v{i}").messages
+                               if m.dest == victim)
+                    issued = float(i) if i % 2 else None
+                    frames.append(
+                        wire.BINARY_CODEC_V4.pack_update(msg, i + 1, issued)
+                    )
+                kinds = {wire.encoded_kind(f) for f in frames}
+                await conn.send_many(frames)
+                ack = await conn.recv()
+                await conn.close()
                 raw = cluster.servers[victim].wal.raw_appends
                 before = dict(cluster.servers[victim].protocol._values)
                 cluster.kill_site(victim)
                 revived = await cluster.restart_site(victim)
                 await cluster.quiesce(timeout=10.0)
                 return (
-                    raw, before, dict(revived.protocol._values),
-                    revived.wal_replayed,
+                    kinds, ack, raw, before[var], before,
+                    dict(revived.protocol._values), revived.wal_replayed,
+                    revived.applies,
                 )
 
-        raw, before, after, replayed = run(main())
-        assert raw > 0          # the fast path really engaged
+        kinds, ack, raw, held, before, after, replayed, applies = run(main())
+        assert kinds == {"repl", "repl.t"}
+        assert (ack["t"], ack["a"]) == ("repl.ackp", 10)
+        assert raw == 10        # the fast path really engaged, every frame
+        assert held[0] == "v9"  # the last write's value is in the store
         assert after == before  # raw records replay to the same state
         assert replayed >= raw  # and they were all part of the replay
+        assert applies == 10
 
     def test_delta_profile_falls_back_to_reencode(self, tmp_path):
-        """A repl.delta body diffs against per-connection chain state,
-        so it can never be logged raw: on the default (delta) profile
-        every WAL record must take the standalone re-encode path."""
+        """A repl.delta body diffs against per-connection chain state
+        and a link interns variable names against its table, so neither
+        can be logged raw: every update a real link delivers must take
+        the standalone re-encode path."""
 
         async def main():
             async with ServiceCluster(
@@ -296,6 +320,19 @@ class TestLoopbackRecovery:
                 {0: "site-0", 1: "site-1"},
                 None,
                 data_dir=os.path.join(str(tmp_path), "site-1"),
+            )
+
+    def test_unknown_record_kind_refuses_by_name(self, tmp_path):
+        """A well-formed record of a kind this build does not replay
+        stops recovery with the kind named, rather than being skipped."""
+        wal = SiteWal(str(tmp_path), fsync="none")
+        wal.append(wire.make_frame("wal.mystery", x=1))
+        wal.close()
+        cls = protocol_class("opt-track")
+        proto = cls(ProtocolConfig(n=2, site=0, replicas_of={"x0": (0, 1)}))
+        with pytest.raises(WalCorruptionError, match="'wal.mystery'"):
+            SiteServer(
+                proto, {0: "site-0", 1: "site-1"}, None, data_dir=str(tmp_path)
             )
 
 
@@ -348,31 +385,43 @@ class TestTcpRecovery:
 
 class TestCapabilityFallback:
     def test_digest_without_gx_is_a_bad_frame(self):
-        """The gate itself: a connection that never negotiated ``gx``
-        gets the same refusal an unknown frame type always got, so a
-        pre-durability peer sees nothing new."""
+        """What a connection may send follows from which hello opened
+        it: gossip control frames are honoured on link connections only
+        (there is no ``gx`` field any more), so one sent on a client
+        connection is refused like an unknown frame type."""
 
         async def main():
             async with ServiceCluster(2, 2, "opt-track") as cluster:
-                conn = await cluster.transport.connect("site-0")
-                await conn.send(
-                    wire.make_frame("link.hello", src=1, epoch=1)
-                )
-                ok = await conn.recv()
-                await conn.send(wire.make_frame("sys.digest", src=1, d=[]))
-                refused = await conn.recv()
+                conn, ok = await open_handshaken(cluster.transport, "site-0")
+                refused = []
+                for frame in (
+                    wire.make_frame("sys.digest", src=1, d=[]),
+                    wire.make_frame("sys.range", origin=0, rq=1, lo=1, hi=2),
+                ):
+                    await conn.send(frame)
+                    refused.append(await conn.recv())
                 await conn.close()
-                return ok, refused
+                # the same digest on a link connection is answered
+                conn, _ = await open_handshaken(
+                    cluster.transport, "site-0", src=1, epoch=1
+                )
+                await conn.send(wire.make_frame("sys.digest", src=1, d=[]))
+                answered = await conn.recv()
+                await conn.close()
+                return ok, refused, answered
 
-        ok, refused = run(main())
-        assert ok["t"] == "link.ok" and "gx" not in ok
-        assert (refused["t"], refused["code"]) == ("err", "bad-frame")
+        ok, refused, answered = run(main())
+        assert "gx" not in ok
+        for reply in refused:
+            assert (reply["t"], reply["code"]) == ("err", "bad-frame")
+        assert (answered["t"], answered["n"]) == ("sys.ctrl.ok", 1)
 
     def test_cycle_with_pre_durability_peer(self, tmp_path):
-        """One site emulates a peer from before this subsystem: it
-        never offers or echoes ``gx``, so peers silently drop gossip
-        control frames towards it — and the kill/recover cycle on a
-        *modern* site must still converge and quiesce."""
+        """One site never gossips (no digest loop of its own — all that
+        is left of the pre-durability peer this test once emulated, now
+        that every peer is a current build): the kill/recover cycle on
+        another site must still converge and quiesce, with the silent
+        site answering the digests it is sent."""
 
         async def main():
             metrics = MetricsRegistry()
@@ -381,30 +430,17 @@ class TestCapabilityFallback:
                 metrics=metrics, data_dir=str(tmp_path),
                 gossip_interval=0.05,
             )
-            legacy = cluster.servers[1]
-            legacy.gossip_interval = None  # no digest loop of its own
-            real_hello = legacy._handle_hello
-
-            async def hello_without_gx(conn, frame):
-                frame = dict(frame)
-                frame.pop("gx", None)  # pretend the field never existed
-                await real_hello(conn, frame)
-
-            legacy._handle_hello = hello_without_gx
+            cluster.servers[1].gossip_interval = None
             async with cluster:
                 report, revived, value = await crash_recover_cycle(
                     cluster, metrics
                 )
-                # peers really did fall back for the legacy site
-                fallback = [
-                    s._links[1]._peer_gossip
-                    for s in (cluster.servers[0], revived)
-                    if 1 in s._links
-                ]
-                return report, revived.epoch, value, fallback
+                counters = metrics.snapshot()["counters"]
+                return report, revived.epoch, value, counters
 
-        report, epoch, value, fallback = run(main())
+        report, epoch, value, counters = run(main())
         assert report.errors == 0
         assert value == "post-crash"
         assert epoch == 2
-        assert fallback and not any(fallback)
+        assert "service_gossip_digests_total{site=1}" not in counters
+        assert counters["service_gossip_digests_total{site=0}"] > 0

@@ -1,6 +1,6 @@
 """Property: both wire codecs are faithful — any frame the service can
 legitimately produce round-trips bit-exactly through encode/decode, the
-binary codec included, and a mixed-version pair always lands on JSON.
+binary codec included.
 
 The strategies generate frames the way the service does (through
 ``make_frame``/``encode_update``/``encode_fetch_request``/...), over
@@ -180,11 +180,12 @@ class TestFrameRoundTrip:
     @given(
         src=sites,
         epoch=clocks,
-        cv=st.integers(min_value=wire.MIN_WIRE_VERSION, max_value=wire.WIRE_VERSION),
+        cv=st.integers(min_value=0, max_value=wire.WIRE_VERSION + 1),
     )
     def test_handshake_frames(self, src, epoch, cv):
-        # handshakes always travel JSON, but must survive both codecs:
-        # negotiation can only race *later* frames, never corrupt these
+        # handshakes travel JSON on a fresh connection, but must survive
+        # both codecs (a repeated hello is sent in binary) — whatever
+        # ``cv`` they carry: the refusal needs to read it
         for frame in (
             wire.make_frame("link.hello", src=src, epoch=epoch, cv=cv),
             wire.make_frame("link.ok", ack=epoch, cv=cv),
@@ -271,164 +272,6 @@ class TestBinaryCodecEdges:
         body = wire.BINARY_CODEC.encode(wire.make_frame("ping"))[4:]
         with pytest.raises(WireError):
             wire.decode_body(body + b"\x00")
-
-
-class TestMixedVersionFallback:
-    def _negotiated_codecs(self, cluster_codec, client_codec):
-        """Run one put/get over a loopback cluster and report the codec
-        each side actually negotiated."""
-        import asyncio
-
-        from repro.obs.registry import MetricsRegistry
-        from repro.service.harness import ServiceCluster
-
-        async def run():
-            metrics = MetricsRegistry()
-            async with ServiceCluster(
-                2, 4, "opt-track", metrics=metrics, codec=cluster_codec
-            ) as cluster:
-                client = cluster.client(home=0, codec=client_codec)
-                try:
-                    await client.put("x0", "v")
-                    value, _, _ = await client.get("x0")
-                    assert value == "v"
-                finally:
-                    await client.close()
-                await cluster.quiesce()
-            return metrics.snapshot()["counters"]
-
-        return asyncio.run(run())
-
-    @staticmethod
-    def _total(counters, name, codec):
-        return sum(
-            v
-            for k, v in counters.items()
-            if k.startswith(f"{name}{{") and f"codec={codec}" in k
-        )
-
-    # the full profile matrix: every (cluster capability, client
-    # preference) pair settles on the *meet* of the two — json clients
-    # send no hello at all (expected label None)
-    @pytest.mark.parametrize(
-        "cluster_codec,client_codec,expected",
-        [
-            ("json", "json", None),
-            ("json", "binary", "json"),
-            ("json", "delta", "json"),
-            ("binary", "json", None),
-            ("binary", "binary", "binary"),
-            ("binary", "delta", "binary"),
-            ("delta", "json", None),
-            ("delta", "binary", "binary"),
-            ("delta", "delta", "delta"),
-        ],
-    )
-    def test_profile_matrix(self, cluster_codec, client_codec, expected):
-        counters = self._negotiated_codecs(cluster_codec, client_codec)
-        for label in ("json", "binary", "delta"):
-            got = self._total(counters, "client_wire_negotiations_total", label)
-            if label == expected:
-                assert got >= 1, (label, counters)
-            else:
-                assert got == 0, (label, counters)
-        if expected not in (None, "json"):
-            # the server observed the same agreement on its side
-            assert (
-                self._total(
-                    counters, "service_wire_negotiations_total", expected
-                )
-                >= 1
-            )
-
-    def test_mixed_capability_cluster_stays_causal(self):
-        """One cluster, three wire generations: site 0 speaks v4, site 1
-        v3, site 2 v2.  Every peer link lands on the pairwise meet, the
-        workload completes with zero errors, every link drains to zero
-        backlog, and the shadow sanitizer accepts every apply."""
-        import asyncio
-
-        from repro.obs.registry import MetricsRegistry
-        from repro.service.harness import ServiceCluster
-        from repro.service.loadgen import LoadGenerator
-
-        async def run():
-            metrics = MetricsRegistry()
-            cluster = ServiceCluster(
-                3, 6, "opt-track", replication_factor=3,
-                metrics=metrics, sanitize=True, codec="delta",
-            )
-            cluster.servers[1].wire_caps = wire.profile_caps("binary")
-            cluster.servers[2].wire_caps = wire.profile_caps("json")
-            async with cluster:
-                gen = LoadGenerator(
-                    cluster, workload="a", ops_per_site=30, sessions=2,
-                    seed=3, metrics=metrics,
-                )
-                report = await gen.run()
-                await cluster.quiesce()
-                backlogs = [
-                    link.backlog
-                    for server in cluster.servers
-                    for link in server._links.values()
-                ]
-                return report, cluster.sanitizer.checks_run, backlogs
-
-        report, checks, backlogs = asyncio.run(run())
-        assert report.errors == 0 and report.ops > 0
-        assert checks > 0
-        # every replication link drained: the mixed-version links did
-        # deliver (and get acked for) every update they carried
-        assert backlogs and all(b == 0 for b in backlogs)
-
-    def test_v2_server_err_downgrades_client(self):
-        """A true v2 server has no ``hello`` handler and answers ``err
-        bad-frame``; the v3 client must settle on JSON and still work."""
-        import asyncio
-
-        from repro.obs.registry import MetricsRegistry
-        from repro.service.client import KVClient
-        from repro.service.transport import LoopbackTransport
-
-        async def run():
-            transport = LoopbackTransport()
-            metrics = MetricsRegistry()
-
-            async def v2_server(conn):
-                # the seed's per-frame loop: anything it does not know
-                # (the hello included) gets err bad-frame, like a v2
-                # build would produce via its WireError handler
-                while True:
-                    frame = await conn.recv()
-                    if frame is None:
-                        return
-                    kind = frame.get("t")
-                    if kind == "ping":
-                        await conn.send(wire.make_frame("ping.ok", site=0))
-                    elif kind == "get":
-                        await conn.send(
-                            wire.make_frame("get.ok", value="old", w=None, by=0)
-                        )
-                    else:
-                        await conn.send(
-                            wire.err_frame("bad-frame", f"unknown frame {kind!r}")
-                        )
-
-            listener = await transport.listen("site-0", v2_server)
-            client = KVClient(
-                {0: "site-0"}, {"x0": (0,)}, transport, home=0, metrics=metrics
-            )
-            try:
-                value, wid, by = await client.get("x0")
-                assert (value, by) == ("old", 0)
-            finally:
-                await client.close()
-                await listener.close()
-            return metrics.snapshot()["counters"]
-
-        counters = asyncio.run(run())
-        assert self._total(counters, "client_wire_negotiations_total", "json") == 1
-        assert self._total(counters, "client_wire_negotiations_total", "binary") == 0
 
 
 # ======================================================================
@@ -629,7 +472,7 @@ class TestOnePassIdentity:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        ack=clocks, gap=st.one_of(st.none(), clocks), var=VARS, value=values,
+        ack=clocks, gap=clocks, var=VARS, value=values,
         wid=st.one_of(st.none(), st.tuples(sites, clocks)), by=sites,
         compact=st.booleans(), interned=st.booleans(),
     )
@@ -641,8 +484,7 @@ class TestOnePassIdentity:
         on_wire = var if itab is None else itab.encode_var(var)
         cases = [
             (
-                wire.make_frame("repl.ack", a=ack) if gap is None
-                else wire.make_frame("repl.ackp", a=ack, ap=gap),
+                wire.make_frame("repl.ackp", a=ack, ap=gap),
                 codec.pack_ack(ack, gap),
                 wire.Ack(ack, gap),
             ),
@@ -754,7 +596,7 @@ def _valid_bodies():
             bodies[wire.encoded_kind(frame)] = body_of(frame)
     reply = FetchReply("x1", "v", WriteId(1, 301), 2, 1, 400, log, (300, 280, 290, 120, 270))
     for frame in (
-        codec.pack_ack(500), codec.pack_ack(500, 3),
+        codec.pack_ack(500, 3),
         codec.pack_put("x1", "value", ITAB), codec.pack_put_ok(WriteId(1, 301)),
         codec.pack_get("zz_outside_table", ITAB), codec.pack_get_ok("value", WriteId(1, 301), 2),
         codec.pack_fetch(FetchRequest("x1", 1, 2, 400, ((0, 300), (2, 290)))),
@@ -808,7 +650,11 @@ class TestOnePassRejects:
         bad = [bytes([wire.BINARY_MAGIC ^ flip]) + body[1:] for flip in (0x01, 0x80, 0xFF)]
         bad += [
             body[:1] + bytes([version]) + body[2:]
-            for version in (0, wire.MIN_WIRE_VERSION - 1, wire.WIRE_VERSION + 1, 0xFF)
+            # the frame schema byte is accepted at exactly one value
+            for version in (
+                0, wire.JSON_WIRE_VERSION - 1, wire.JSON_WIRE_VERSION + 1,
+                wire.WIRE_VERSION, wire.WIRE_VERSION + 1, 0xFF,
+            )
         ]
         # unregistered tags, with and without the schema bit; and this
         # kind's own tag without it (a map-shaped body these bytes are not)

@@ -277,19 +277,20 @@ class TestCompactMetadataKinds:
         clock=clocks,
         rm=masks,
         log=deplogs(),
-        codec=st.sampled_from(["json", "binary"]),
+        codec=st.sampled_from([wire.BINARY_CODEC, wire.BINARY_CODEC_V4]),
     )
     def test_compact_kinds_decode_exactly(self, kind, clock, rm, log, codec):
         """``ot4``/``dl4`` are pure re-encodings: for *arbitrary* logs —
         clocks above the meta clock (negative offsets), empty logs,
         non-empty newest records — compact and plain decode to equal
-        objects through either codec."""
+        objects through either encoder — ``BINARY_CODEC`` (WAL
+        records) and ``BINARY_CODEC_V4`` (the wire)."""
         meta = OptTrackMeta(clock=clock, replicas_mask=rm, log=log) if kind == "ot" else log
         plain = wire.encode_meta(meta, compact=False)
         compact = wire.encode_meta(meta, compact=True)
         assert compact["k"] == ("ot4" if kind == "ot" else "dl4")
         frame = wire.make_frame("fetch.ok", var="x", value=None, meta=compact)
-        via_codec = roundtrip(frame, wire.CODECS[codec])["meta"]
+        via_codec = roundtrip(frame, codec)["meta"]
         assert meta_equal(wire.decode_meta(via_codec), meta)
         assert meta_equal(wire.decode_meta(plain), meta)
 
@@ -300,7 +301,7 @@ class TestCompactMetadataKinds:
         applied=st.lists(clocks, min_size=0, max_size=10),
         log=deplogs(),
         wid=st.one_of(st.none(), st.tuples(sites, clocks)),
-        codec=st.sampled_from(["json", "binary"]),
+        codec=st.sampled_from([wire.BINARY_CODEC, wire.BINARY_CODEC_V4]),
     )
     def test_compact_fetch_reply_roundtrip(self, var, value, applied, log, wid, codec):
         """The compact fetch.ok — interned var, ``dl4`` log, ``ivr``
@@ -320,7 +321,7 @@ class TestCompactMetadataKinds:
         frame = wire.encode_fetch_reply(reply, compact=True, itab=itab)
         assert isinstance(frame["var"], int) == (var in ITAB_NAMES)
         assert frame["applied"]["k"] == "ivr"
-        out = wire.decode_fetch_reply(roundtrip(frame, wire.CODECS[codec]), itab)
+        out = wire.decode_fetch_reply(roundtrip(frame, codec), itab)
         assert (out.var, out.value, out.write_id) == (var, value, reply.write_id)
         assert (out.server, out.requester, out.fetch_id) == (3, 5, 9)
         assert meta_equal(out.meta, log)

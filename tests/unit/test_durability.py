@@ -83,6 +83,17 @@ class TestRecords:
         with pytest.raises(WalCorruptionError, match="non-final segment"):
             decode_records(data, allow_torn_tail=False)
 
+    def test_unknown_schema_byte_refuses_by_name(self):
+        """A whole, CRC-valid record whose frame schema byte this build
+        does not read is refused with the version named — never
+        decoded on a guess."""
+        body = bytearray(wire.BINARY_CODEC.encode(put_frame(0))[4:])
+        body[1] = wire.JSON_WIRE_VERSION + 1
+        with pytest.raises(WalCorruptionError) as exc:
+            decode_records(encode_raw_record(bytes(body)), source="wal.000001")
+        assert "wal.000001" in str(exc.value)
+        assert f"unsupported wire version {wire.JSON_WIRE_VERSION + 1}" in str(exc.value)
+
 
 # ----------------------------------------------------------------------
 # raw (wire-bytes passthrough) records
@@ -167,7 +178,7 @@ class TestTransportAnnotation:
 
         for frame in (
             wire.make_frame("link.hello", src=1, epoch=1),
-            wire.make_frame("repl.ack", a=3),
+            wire.make_frame("repl.ackp", a=3, ap=0),
         ):
             body = wire.BINARY_CODEC.encode(frame)[4:]
             assert "_raw" not in _decode_annotated(body)

@@ -23,8 +23,8 @@ class TestFraming:
         assert roundtrip(frame) == frame
 
     def test_version_field_stamped(self):
-        # frames still carry the v2 *schema* version: WIRE_VERSION 3 adds
-        # a codec and a batching profile, not a field change
+        # frames carry the frame *schema* version; WIRE_VERSION is the
+        # capability a hello offers, not a byte on any frame
         assert wire.make_frame("ping")["v"] == wire.JSON_WIRE_VERSION
         assert wire.JSON_WIRE_VERSION < wire.WIRE_VERSION
 
@@ -34,7 +34,7 @@ class TestFraming:
             wire.decode_body(encoded[4:])
 
     def test_missing_type_rejected(self):
-        encoded = wire.encode_frame({"v": wire.WIRE_VERSION})
+        encoded = wire.encode_frame({"v": wire.JSON_WIRE_VERSION})
         with pytest.raises(WireError, match="type field"):
             wire.decode_body(encoded[4:])
 
