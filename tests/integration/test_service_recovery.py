@@ -383,6 +383,91 @@ class TestTcpRecovery:
         assert value == "post-crash"
 
 
+#: what the build that wrote ``test_wal_records.PARENT_*`` itself
+#: recovered from those bytes (captured there, beside them)
+PARENT_RECOVERED = {"applies": 7,
+ "clock": 2,
+ "origin_applied": {"0": 4, "1": 3, "2": 2},
+ "own_log": [1, 2],
+ "parked": 0,
+ "peer_epoch": {"0": 77, "1": 6},
+ "placement": {"x0": [0, 1],
+               "x1": [1, 2],
+               "x2": [0, 2],
+               "x3": [0, 1],
+               "x4": [1, 2],
+               "x5": [0, 2]},
+ "proto": {"ac": [4, 3, 2],
+           "ceil": {"x1": [1, 1, 2, 2],
+                    "x2": [0, 3, 1, 2, 2, 1],
+                    "x4": [1, 3],
+                    "x5": [0, 4, 1, 2]},
+           "conf": 1,
+           "fseq": 0,
+           "known": None,
+           "log": [0, 5, 2, 1, 2, 0, 2, 1, 1, 2, 2, 2],
+           "lw": {"x1": [2, 1, 1, 2, 2, 2],
+                  "x2": [0, 2, 0, 0, 3, 1, 1, 2, 0],
+                  "x4": [1, 2, 0, 1, 3, 2],
+                  "x5": [0, 3, 0, 0, 4, 1, 1, 2, 0]},
+           "values": {"x1": ["own-after", [2, 2]],
+                      "x2": ["d", [0, 3]],
+                      "x4": ["b2", [1, 3]],
+                      "x5": ["e", [0, 4]]},
+           "wseq": 2},
+ "seen_ls": {"0": 4, "1": 2},
+ "values": {"x1": ["own-after", [2, 2]],
+            "x2": ["d", [0, 3]],
+            "x4": ["b2", [1, 3]],
+            "x5": ["e", [0, 4]]},
+ "wal_replayed": 8}
+
+
+class TestParentDataDir:
+    def test_directory_written_before_wire_v5_recovers(self, tmp_path):
+        """docs/durability.md, "Old data directories": a directory an
+        older build wrote recovers unchanged.  The bytes are the ones
+        ``tests/property/test_wal_records.py`` holds — a snapshot with a
+        parked update, then every record kind incl. raw ``repl`` /
+        ``repl.t`` frames of the old self-contained link layout — and
+        the recovered site must be, field for field, the site the
+        writing build recovered."""
+        from tests.property.test_wal_records import (
+            PARENT_INCARNATION, PARENT_SEGMENT, PARENT_SNAP, PARENT_WAL,
+        )
+
+        data_dir = tmp_path / "site-2"
+        data_dir.mkdir()
+        (data_dir / "incarnation").write_bytes(PARENT_INCARNATION)
+        (data_dir / "snap.bin").write_bytes(bytes.fromhex(PARENT_SNAP[0]))
+        (data_dir / PARENT_SEGMENT).write_bytes(
+            b"".join(bytes.fromhex(h) for h, _ in PARENT_WAL)
+        )
+        want = PARENT_RECOVERED
+        placement = {v: tuple(r) for v, r in want["placement"].items()}
+        proto = protocol_class("opt-track")(
+            ProtocolConfig(
+                n=3, site=2, replicas_of=placement, strict_remote_reads=False
+            )
+        )
+        site = SiteServer(
+            proto, {s: f"site-{s}" for s in range(3)}, None,
+            data_dir=str(data_dir), fsync="none",
+        )
+        try:
+            assert site.epoch == 2  # the incarnation after the writer's
+            assert site.wal_replayed == want["wal_replayed"] == len(PARENT_WAL)
+            assert site.applies == want["applies"]
+            assert len(site._parked) == want["parked"]
+            assert sorted(site._own_log) == want["own_log"]
+            for attr in ("seen_ls", "peer_epoch", "origin_applied"):
+                got = {str(k): v for k, v in getattr(site, "_" + attr).items()}
+                assert got == want[attr], attr
+            assert proto.state_snapshot() == want["proto"]
+        finally:
+            site.wal.close()
+
+
 class TestCapabilityFallback:
     def test_digest_without_gx_is_a_bad_frame(self):
         """What a connection may send follows from which hello opened
