@@ -889,25 +889,30 @@ class HookShadowRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# v4 delta-chain / intern state discipline
+# link chain / intern state discipline
 # ----------------------------------------------------------------------
 
-#: per-connection WIRE_VERSION 4 state: delta-chain encoder/decoder
-#: baselines and the negotiated intern tables
-_DELTA_STATE_ATTRS = {"_delta_out", "_delta_in", "_itab", "_itabs"}
+#: per-connection link state: the two chain ends (metadata baselines),
+#: the chained-scalar baselines inside them (the last ``ls`` / issue
+#: stamp / ack that crossed the connection) and the negotiated intern
+#: tables
+_DELTA_STATE_ATTRS = {
+    "_delta_out", "_delta_in", "_itab", "_itabs",
+    "_last_ls", "_last_it", "_last_ack",
+}
 
 #: the connection-lifecycle sites allowed to (re)build that state:
-#: construction, the handshake that negotiates it, the epoch reset that
-#: discards a stale chain, and the contiguous-decode path that lazily
-#: creates a per-sender decoder.  Everything else must treat the state
-#: as read-only — an ad-hoc reset desynchronizes the two chain ends and
-#: the next repl.delta reconstructs the wrong metadata.
+#: construction, the handshake that makes a connection's chain end, and
+#: the handler exit that drops it with the connection.  Everything else
+#: must treat the state as read-only — an ad-hoc reset desynchronizes
+#: the two chain ends and the next repl.delta reconstructs the wrong
+#: metadata, the next ``ls`` the wrong sequence number.
 _DELTA_STATE_ALLOWED = {
     "repro.service.server": {
         ("PeerLink", "__init__"),
         ("PeerLink", "_handshake"),
         ("SiteServer", "__init__"),
-        ("SiteServer", "_decoder"),
+        ("SiteServer", "_handle_conn"),
         ("SiteServer", "_handle_hello"),
     },
     "repro.service.client": {
@@ -918,15 +923,18 @@ _DELTA_STATE_ALLOWED = {
 
 
 class WireDeltaStateRule(Rule):
-    """v4 delta/intern connection state mutates only on lifecycle paths.
+    """Link chain/intern connection state mutates only on lifecycle paths.
 
-    The ``repl.delta`` chain is sound because both ends advance their
-    baseline in lockstep with the frames actually sent and processed,
-    and id interning is sound because both directions resolve against
-    the table fixed at the handshake.  Any other code path touching
-    that state (``_delta_out``/``_delta_in``/``_itab``/``_itabs``)
-    breaks the agreement silently — the decoder then applies a diff to
-    the wrong baseline or resolves ids against the wrong table.  Flags,
+    The ``repl.delta`` chain and the chained scalars (``ls``, the issue
+    stamp, the ack) are sound because both ends advance their baselines
+    in lockstep with the frames actually sent and received, and id
+    interning is sound because both directions resolve against the
+    table fixed at the handshake.  Any other code path touching that
+    state (``_delta_out``/``_delta_in``/``_itab``/``_itabs``, or the
+    ``_last_ls``/``_last_it``/``_last_ack`` baselines inside a chain
+    end) breaks the agreement silently — the decoder then applies a
+    diff to the wrong baseline, rebuilds the wrong sequence number or
+    resolves ids against the wrong table.  Flags,
     in any ``repro.service`` module except :mod:`repro.service.wire`
     (which owns the encoder/decoder classes):
 
@@ -941,8 +949,8 @@ class WireDeltaStateRule(Rule):
 
     name = "wire-delta-state"
     summary = (
-        "v4 delta-chain/intern state mutated outside repro.service.wire "
-        "and the connection lifecycle paths"
+        "link chain (delta/scalar baselines) or intern state mutated outside "
+        "repro.service.wire and the connection lifecycle paths"
     )
     scoped_prefixes = ("repro.service",)
     exempt_modules = {"repro.service.wire"}
@@ -990,7 +998,7 @@ class WireDeltaStateRule(Rule):
                         self.name,
                         ctx.path,
                         node.lineno,
-                        f"write to v4 wire state {hit!r} outside the "
+                        f"write to link wire state {hit!r} outside the "
                         f"connection lifecycle paths — the delta chain "
                         f"and intern table only stay in sync when "
                         f"handshake/reset code owns them",
@@ -1003,7 +1011,7 @@ class WireDeltaStateRule(Rule):
                         self.name,
                         ctx.path,
                         node.lineno,
-                        f"del on v4 wire state {hit!r} outside the "
+                        f"del on link wire state {hit!r} outside the "
                         f"connection lifecycle paths",
                     )
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -1018,7 +1026,7 @@ class WireDeltaStateRule(Rule):
                     ctx.path,
                     node.lineno,
                     f"mutating call .{owner.attr}.{node.func.attr}(...) on "
-                    f"v4 wire state outside the connection lifecycle paths",
+                    f"link wire state outside the connection lifecycle paths",
                 )
 
     @staticmethod

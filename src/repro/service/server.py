@@ -72,7 +72,11 @@ connection.  Because the receiver only ever decodes the contiguous
 ``ls == seen + 1`` frame, its decode baseline (the last frame it
 processed) always equals the sender's chain baseline; a reconnect drops
 the chain on both sides and restarts with a full frame, so loss never
-needs a repair protocol.  Acks carry the applied watermark — the
+needs a repair protocol.  The same pair of chain ends carries what the
+link itself fixes: ``ls``, the issue stamp and the ack travel as
+advances over the previous frame of their kind (absolute on the first),
+and no frame repeats the two sites the ``link.hello`` named.  Acks
+carry the applied watermark — the
 highest contiguous sequence whose update this site has *applied* (not
 merely parked), wired as the usually-zero gap below the ack — which the
 sender feeds to
@@ -435,7 +439,7 @@ class PeerLink:
         receiver's cumulative ack (retiring frames it already has), its
         intern table and its applied watermark, and switch to the binary
         codec with a fresh :class:`~repro.service.wire.DeltaEncoder`
-        (first frame full).  The hello itself travels JSON.  A reply
+        (first frame full and absolute).  The hello itself travels JSON.  A reply
         that is not the current-version ``link.ok``, or whose fields are
         missing or mistyped, raises ``WireError``: ``_run`` counts it,
         backs off and dials again."""
@@ -457,7 +461,7 @@ class PeerLink:
         # them) — either way the in-flight count restarts with the
         # connection, unlike repl frames which must survive it
         self._ctrl_unacked = 0
-        self._delta_out = wire.DeltaEncoder(itab)
+        self._delta_out = wire.DeltaEncoder(itab, self.owner.site, self.dest)
         self._note_applied(applied)
         self._retire(acked)
         return acked
@@ -532,18 +536,16 @@ class PeerLink:
                 self._repl, len(self._repl) - n_unsent, None
             ):
                 if codec is None:
-                    frame: Any = wire.stamp_issue(
-                        enc.encode_update(msg, ls), issued_at[ls]
-                    )
+                    frame: Any = enc.encode_update(msg, ls, issued_at[ls])
                 else:
                     frame = enc.pack_update(msg, ls, issued_at[ls], codec)
                 batch.append(frame)
                 last_ls = ls
         n_fetch = len(self._fetch)
-        if codec is None:
-            batch.extend(map(wire.encode_fetch_request, self._fetch))
-        else:
-            batch.extend(map(codec.pack_fetch, self._fetch))
+        # a fetch interns its variable against the serving site's table
+        encode = wire.encode_fetch_request if codec is None else codec.pack_fetch
+        itab = self._delta_out.itab
+        batch.extend([encode(req, itab) for req in self._fetch])
         n_ctrl = len(self._ctrl)
         batch.extend(self._ctrl)
         return batch, last_ls, n_fetch, n_ctrl
@@ -594,9 +596,10 @@ class PeerLink:
         from the last ack."""
         # an interned var id in a fetch reply resolves against the table
         # the serving site advertised at this connection's handshake
-        itab = self._delta_out.itab
+        link = self._delta_out
+        itab = link.itab
         while True:
-            frame = await conn.recv_message(itab)
+            frame = await conn.recv_message(itab, link)
             if frame is None:
                 return
             if type(frame) is wire.Ack:
@@ -609,7 +612,7 @@ class PeerLink:
                 continue
             if type(frame) is not dict:
                 continue  # no other message kind belongs on a link's reply side
-            kind = frame["t"]
+            kind = link.restore(frame)["t"]
             if kind == "repl.ackp":
                 ack = wire.field(frame, "a", int)
                 self._note_applied(ack - wire.field(frame, "ap", int))
@@ -707,8 +710,10 @@ class SiteServer:
         self._seen_ls: Dict[SiteId, int] = {}
         #: sender incarnation the dedup state belongs to, per sender
         self._peer_epoch: Dict[SiteId, int] = {}
-        #: per-sender chained-delta decode state (reset on epoch change)
-        self._delta_in: Dict[SiteId, wire.DeltaDecoder] = {}
+        #: the accepting chain end of every open peer-link connection
+        #: (made by its ``link.hello``, dropped with it) — the only ones
+        #: whose ``repl*`` / ``sys.digest`` / ``sys.range`` are honoured
+        self._delta_in: Dict[Connection, wire.DeltaDecoder] = {}
         #: link sequences of currently *parked* updates per sender, plus
         #: the reverse index used to clear them on apply — together they
         #: yield the applied watermark ``ap`` acks advertise
@@ -728,9 +733,6 @@ class SiteServer:
         #: cached per-origin ``visibility_latency_ms`` histogram handles
         #: (skips the label-formatting lookup on the apply hot path)
         self._vis_hist: Dict[SiteId, Any] = {}
-        #: connections a ``link.hello`` opened — the only ones whose
-        #: ``sys.digest``/``sys.range`` frames are honoured
-        self._gossip_conns: Set[Connection] = set()
         #: established inbound connections, closed on stop()
         self._server_conns: Set[Connection] = set()
         self._listener: Optional[Listener] = None
@@ -866,7 +868,9 @@ class SiteServer:
             while True:
                 # drain every frame already waiting and apply the batch
                 # before acking once
-                frames = await conn.recv_messages(self._itab)
+                frames = await conn.recv_messages(
+                    self._itab, self._delta_in.get(conn)
+                )
                 if frames is None:
                     return
                 if self.stopped:
@@ -916,7 +920,8 @@ class SiteServer:
             self.flight_dump("handler-error")
             raise
         finally:
-            self._gossip_conns.discard(conn)
+            if conn in self._delta_in:  # a link connection: its chain end goes with it
+                del self._delta_in[conn]
             self._server_conns.discard(conn)
             await conn.close()
 
@@ -959,11 +964,13 @@ class SiteServer:
             await self._handle_client_hello(conn, frame)
         elif kind == "fetch":
             asyncio.ensure_future(
-                self._handle_fetch(conn, wire.decode_fetch_request(frame))
+                self._handle_fetch(
+                    conn, wire.decode_fetch_request(frame, self._itab)
+                )
             )
         elif kind == "sys.stats":
             await self._handle_stats(conn)
-        elif kind in ("sys.digest", "sys.range") and conn in self._gossip_conns:
+        elif kind in ("sys.digest", "sys.range") and conn in self._delta_in:
             # gossip control frames: link connections only (what a
             # connection may send follows from which hello opened it);
             # anywhere else they fall through to "unknown type"
@@ -999,7 +1006,10 @@ class SiteServer:
         or fetch arriving behind a burst of updates observes them."""
         acks: Dict[SiteId, int] = {}
         applied = 0
+        link = self._delta_in.get(conn)
         for frame in frames:
+            if link is not None and type(frame) is dict:
+                link.restore(frame)
             if self.stopped:
                 await self._flush_repl(conn, acks, applied)
                 await conn.send(
@@ -1011,17 +1021,24 @@ class SiteServer:
             if type(frame) is wire.ReplFrame or (
                 type(frame) is dict and frame["t"] in _REPL_KINDS
             ):
-                applied += self._ingest_repl(frame, acks)
+                if link is None:
+                    raise WireError(
+                        "repl frame on a connection no link.hello opened"
+                    )
+                applied += self._ingest_repl(link, frame, acks)
             else:
                 applied = await self._flush_repl(conn, acks, applied)
                 await self._dispatch(conn, frame)
         await self._flush_repl(conn, acks, applied)
 
-    def _ingest_repl(self, frame: Any, acks: Dict[SiteId, int]) -> int:
-        """Process one repl frame — parsed in one pass
-        (:class:`wire.ReplFrame`) or a frame dict — without acking or
-        draining; returns the number of updates applied (0 =
-        dup/gap/parked)."""
+    def _ingest_repl(
+        self, link: wire.DeltaDecoder, frame: Any, acks: Dict[SiteId, int]
+    ) -> int:
+        """Process one repl frame of ``link`` — parsed in one pass
+        (:class:`wire.ReplFrame`) or a restored frame dict — without
+        acking or draining; returns the number of updates applied (0 =
+        dup/gap/parked).  Only the contiguous next frame is decoded
+        through the link's chain: duplicates and gaps never touch it."""
         parsed = type(frame) is wire.ReplFrame
         if parsed:
             src, link_seq = frame.src, frame.ls
@@ -1044,8 +1061,8 @@ class SiteServer:
             self.metric("service_repl_gaps_total")
             return 0
         if parsed:
-            it, raw = frame.it, frame.raw
-            msg = self._decoder(src).unpack_update(frame)
+            it, raw = frame.it, None
+            msg = link.unpack_update(frame)
         else:
             # strip the issue-time stamp BEFORE the chained-delta decode —
             # the decoder dispatches on the restored base frame type
@@ -1053,7 +1070,7 @@ class SiteServer:
             raw = frame.pop("_raw", None)
             if raw is not None and not isinstance(frame.get("var"), str):
                 raw = None  # interned var id: the body needs the link's table
-            msg = self._decoder(src).decode_update(frame, self._itab)
+            msg = link.decode_update(frame, self._itab)
         if self.wal is not None:
             # logged before the apply/park decision (and before the
             # origin-dup guard — the guard still ACKS, and an acked
@@ -1124,16 +1141,6 @@ class SiteServer:
         if not entry:
             del self._own_log[msg.write_id.seq]
 
-    def _decoder(self, src: SiteId) -> wire.DeltaDecoder:
-        """The chained-delta decoder of ``src``'s link (plain frames
-        pass through it too, rebaselining).  Only the contiguous next
-        frame (``ls == seen + 1``) may be decoded through it —
-        duplicates and gaps must never touch the chain state."""
-        dec = self._delta_in.get(src)
-        if dec is None:
-            dec = self._delta_in[src] = wire.DeltaDecoder()
-        return dec
-
     def _park(self, src: SiteId, link_seq: int, msg: UpdateMessage) -> None:
         """Buffer an update whose activation predicate is false, and
         record its link sequence: the applied watermark ``ap`` stops
@@ -1169,8 +1176,9 @@ class SiteServer:
             self._drain()
         if acks:
             self.metric("service_ack_batches_total")
+            link = self._delta_in[conn]
             for src, ack in acks.items():
-                await self._send_ack(conn, ack, src)
+                await self._send_ack(conn, link, ack, src)
             acks.clear()
         return 0
 
@@ -1363,8 +1371,8 @@ class SiteServer:
             # a new sender incarnation restarts its link sequence at 1:
             # the dedup high-water mark must restart with it, or every
             # frame from the restarted site would be dropped as a dup —
-            # and the delta chain and parked-sequence bookkeeping refer
-            # to the old incarnation's numbering, so they restart too.
+            # and the parked-sequence bookkeeping refers to the old
+            # incarnation's numbering, so it restarts too.
             # The parked updates themselves are KEPT: they were acked to
             # the dead incarnation, which may have pruned them from its
             # own log, so dropping them here could lose them forever.
@@ -1378,7 +1386,6 @@ class SiteServer:
                 )
             self._peer_epoch[src] = epoch
             self._seen_ls[src] = 0
-            self._delta_in.pop(src, None)
             stale = 0
             for wid, (s, ls) in list(self._park_of.items()):
                 if s == src and ls:
@@ -1387,8 +1394,8 @@ class SiteServer:
             if stale:
                 self._stale_parked[src] = self._stale_parked.get(src, 0) + stale
             self._parked_ls.pop(src, None)
-        # a link connection: it may send gossip control frames
-        self._gossip_conns.add(conn)
+        # a link connection from here on, with a fresh chain end
+        self._delta_in[conn] = wire.DeltaDecoder(src, self.site)
         # the link.ok itself travels under the codec the hello arrived
         # with (JSON on a fresh connection); only the frames AFTER the
         # handshake switch
@@ -1418,18 +1425,14 @@ class SiteServer:
         )
         conn.negotiate(wire.BINARY_CODEC_V4, wire.WIRE_VERSION)
 
-    async def _send_ack(self, conn: Connection, ack: int, src: SiteId) -> None:
+    async def _send_ack(
+        self, conn: Connection, link: wire.DeltaDecoder, ack: int, src: SiteId
+    ) -> None:
         # the applied watermark rides every ack as the gap
-        # ``ack - applied`` (usually 0 — one byte)
+        # ``ack - applied`` (usually 0 — one byte); the link chains ``a``
         gap = ack - self._applied_ls(src)
-        codec = conn.one_pass
-        frame: Any = (
-            wire.make_frame("repl.ackp", a=ack, ap=gap)
-            if codec is None
-            else codec.pack_ack(ack, gap)
-        )
         try:
-            await conn.send(frame)
+            await conn.send(link.pack_ack(ack, gap, conn.one_pass))
         except (ConnectionError, OSError):
             # sender is gone; it relearns the ack at its next handshake
             pass

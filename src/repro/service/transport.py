@@ -215,18 +215,22 @@ class Connection(ABC):
         frame = await self.recv()
         return None if frame is None else [frame]
 
-    async def recv_message(self, itab: Optional[wire.InternTable] = None) -> Any:
+    async def recv_message(
+        self, itab: Optional[wire.InternTable] = None, link: Any = None
+    ) -> Any:
         """:meth:`recv`, decoding in one pass where the frame allows: a
         hot kind on the binary codec arrives as the message it carries
         (:func:`wire.decode_message`; ``itab`` resolves interned
-        variable ids), anything else as its frame dict.  The default is
-        the frame dict for everything — callers dispatch on the type of
-        what they get, so a connection that only implements ``recv``
-        interoperates unchanged."""
+        variable ids, ``link`` is this end of a peer link's chain),
+        anything else as its frame dict.  The default is the frame
+        dict for everything — callers dispatch on the type of what they
+        get (and pass a link's dicts through ``link.restore``), so a
+        connection that only implements ``recv`` interoperates
+        unchanged."""
         return await self.recv()
 
     async def recv_messages(
-        self, itab: Optional[wire.InternTable] = None
+        self, itab: Optional[wire.InternTable] = None, link: Any = None
     ) -> Optional[List[Any]]:
         """:meth:`recv_many` with :meth:`recv_message`'s decoding."""
         return await self.recv_many()
@@ -284,18 +288,20 @@ class _PlainConnection(Connection):
         bodies = await self._next_bodies()
         return None if bodies is None else [_decode_annotated(b) for b in bodies]
 
-    async def recv_message(self, itab: Optional[wire.InternTable] = None) -> Any:
+    async def recv_message(
+        self, itab: Optional[wire.InternTable] = None, link: Any = None
+    ) -> Any:
         body = await self._next_body()
-        return None if body is None else wire.decode_message(body, itab)
+        return None if body is None else wire.decode_message(body, itab, link)
 
     async def recv_messages(
-        self, itab: Optional[wire.InternTable] = None
+        self, itab: Optional[wire.InternTable] = None, link: Any = None
     ) -> Optional[List[Any]]:
         bodies = await self._next_bodies()
         if bodies is None:
             return None
         decode = wire.decode_message
-        return [decode(body, itab) for body in bodies]
+        return [decode(body, itab, link) for body in bodies]
 
 
 class Listener(ABC):

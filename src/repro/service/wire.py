@@ -11,9 +11,10 @@ followed by one frame body in one of two codecs:
 * the **binary codec** (:class:`BinaryCodec`) — a struct-packed header
   (magic byte, frame schema version, frame-type tag) followed by the
   frame's fields in a compact msgpack-style encoding (single-byte type
-  tags, varlength ints, flat ``struct``-packed integer vectors for
-  dependency logs and clock rows).  Everything after the handshake is
-  sent in it, and WAL records are frames of it.
+  tags, varlength ints, flat integer vectors for dependency logs and
+  clock rows — varints on a connection, fixed-width ``struct`` runs in
+  a WAL record).  Everything after the handshake is sent in it, and
+  WAL records are frames of it.
 
 A JSON body always starts with ``{`` (0x7B) and a binary body always
 starts with :data:`BINARY_MAGIC` (0xB3, not a valid UTF-8 lead byte), so
@@ -42,11 +43,11 @@ What the current version puts on a peer link:
   sender chains each frame's metadata as a diff against the previous
   frame it sent on that connection (``repl.delta``, encoded by
   :class:`DeltaEncoder` / decoded by :class:`DeltaDecoder`).  The first
-  repl frame after every handshake is always full — a reconnect or epoch
-  change resets both ends' baselines — and the receiver only ever
-  decodes the contiguous ``ls == seen + 1`` frame, so its baseline (the
-  previous frame it processed) is the one the sender chained against by
-  construction.  A diff that would not be smaller than the full
+  repl frame after every handshake is always full — every handshake
+  makes both chain ends anew — and the receiver only ever decodes the
+  contiguous ``ls == seen + 1`` frame, so its baseline (the previous
+  frame it processed) is the one the sender chained against by
+  construction.  A diff that would pack no fewer ints than the full
   metadata falls back to a full ``repl`` frame.
 * **id interning** — variable names repeat on every frame, so the
   handshake *receiver* answers with an intern table (``itab``: a list of
@@ -54,6 +55,21 @@ What the current version puts on a peer link:
   put the small int in any ``var`` field; since ``VarId`` is a string,
   an int on the wire is unambiguously an interned id, resolved against
   the table its receiver itself advertised.
+* **varint int vectors** — every list of ints a connection sends
+  (log runs, clock vectors, write ids) is a count in the tag byte and
+  one zigzag LEB128 varint per element (``_T_VARINTS``): an element
+  costs what *it* needs, not what the widest of its vector needs.  Only
+  the compact (connection) encoder emits it; both decode it.
+* **chained scalars** — ``ls``, the issue stamp ``it`` and the ack's
+  ``a`` travel as the advance over the previous frame of their kind on
+  the connection, absolute on the first after a handshake; the
+  receiving end adds it back as it parses (:class:`_LinkEnd`), so
+  dedup, gap refusal and :func:`issue_age_ms` see absolutes.
+* **link-implied fields** — the ``link.hello`` fixed both sites, so no
+  frame repeats them: no ``src`` / ``dst`` on the repl kinds, no ``rq``
+  / ``sv`` on ``fetch`` / ``fetch.ok``; the receiving end fills them in.
+  A repl frame that does spell ``src`` is *self-contained* (absolute):
+  what a snapshot nests and an old WAL holds, still legal on a link.
 
 Every frame carries the frame schema version (``"v"``,
 :data:`JSON_WIRE_VERSION` — it is in every binary header and every WAL
@@ -86,32 +102,39 @@ Server-to-server (peer links)::
              cumulative per-link high-water mark; the sender retires
              everything up to it and resends the rest.  ``ap`` is its
              applied watermark (see ``repl.ackp``).
-    repl.t   one UpdateMessage (REPLICATE) with the origin's issue time
-             ``it`` (ms on the origin's clock — what feeds the
-             receiver's per-origin visibility-latency histograms);
-             ``ls`` is a contiguous per-link sequence number.  The
-             receiver processes only ``ls == seen + 1`` (drops
-             duplicates, refuses gaps without acking) and acks only
-             *after* the update is applied or parked.  The sender
-             retires a frame on ack, never on transport send success
-             alone: at-least-once delivery, exactly-once apply.
+    repl.t   {var, value, w, meta, ls, it}: one UpdateMessage
+             (REPLICATE) from the link's ``src`` to its ``dst`` with the
+             origin's issue time ``it`` (ms on the origin's clock —
+             what feeds the receiver's per-origin visibility-latency
+             histograms); ``ls`` is a contiguous per-link sequence
+             number; both travel chained (see above).  The receiver
+             processes only ``ls == seen + 1`` (drops duplicates,
+             refuses gaps without acking) and acks only *after* the
+             update is applied or parked.  The sender retires a frame
+             on ack, never on transport send success alone:
+             at-least-once delivery, exactly-once apply.
     repl.delta.t  same fields, but ``meta`` holds a diff against the
              metadata of the previous frame sent on this connection
              (kinds ``otd``/``crpd``/``mcd``); never the first repl
-             frame of a connection.  Both kinds may carry ``w: None``
-             when the write id is derivable as ``WriteId(src,
-             meta.clock)`` (it always is for opt-track and CRP writes).
+             frame of a connection.  Both kinds carry ``w: None`` when
+             the write id is derivable as ``WriteId(src, meta.clock)``
+             (it always is for opt-track and CRP writes).
     repl / repl.delta  the same two frames without the stamp
-             (:func:`strip_issue`).  A link always stamps, so these are
-             never sent; they stay decodable — a WAL written by an
-             earlier build holds raw ``repl`` records.
-    repl.ackp  ``{a, ap}``: the cumulative ack ``a`` and the gap between
-             it and the highest contiguous *applied* (not merely parked)
-             ``ls`` — ``a - ap`` is the sender's ack-driven
-             dependency-log GC watermark (``note_remote_apply``).  The
-             gap is almost always 0, so it packs into one byte where an
-             absolute watermark would repeat a full-width sequence.
-    fetch    one FetchRequest, answered by fetch.ok (correlated by ``fid``)
+             (:func:`strip_issue`); a link always stamps.  ``repl`` /
+             ``repl.t`` also have a *self-contained* layout {var, value,
+             w, src, dst, meta, ls[, it]} (absolute): a WAL written by
+             an earlier build holds raw records of it.
+    repl.ackp  ``{a, ap}``: the cumulative ack ``a`` (chained) and the
+             gap between it and the highest contiguous *applied* (not
+             merely parked) ``ls`` — ``a - ap`` is the sender's
+             ack-driven dependency-log GC watermark
+             (``note_remote_apply``).  The gap is almost always 0, so
+             it packs into one byte where an absolute watermark would
+             repeat a full-width sequence.
+    fetch    {var, fid, deps}: one FetchRequest from the link's ``src``
+             (the requester) to its ``dst`` (the server), answered by
+             fetch.ok {var, value, w, fid, meta, applied} (correlated
+             by ``fid``)
     sys.digest / sys.range -> sys.ctrl.ok   gossip anti-entropy; honoured
              on link connections only.
 
@@ -172,9 +195,10 @@ from repro.types import WriteId
 
 #: the wire version this side speaks — the *capability* ``cv`` a hello
 #: must carry, not a byte on any frame.  The support window is this one
-#: value (see module docstring): chained ``repl.delta`` frames, ``ap``
-#: applied watermarks on acks, id interning, the binary codec.
-WIRE_VERSION = 4
+#: value (see module docstring): chained ``repl.delta`` frames and
+#: scalars, link-implied fields, varint int vectors, ``ap`` applied
+#: watermarks on acks, id interning, the binary codec.
+WIRE_VERSION = 5
 
 #: the frame schema version stamped on every frame dict, in every
 #: binary header and therefore in every WAL record.  Decoders accept
@@ -276,10 +300,12 @@ class BinaryCodec:
 
     ``compact=True`` (the :data:`BINARY_CODEC_V4` instance, what every
     connection sends in) additionally *emits* the two-byte int tag
-    (``_T_INT16``) for values the plain encoder spends five bytes on —
-    link sequence numbers, write clocks, acks.  Both decode everything
-    either emits.  The plain instance (:data:`BINARY_CODEC`) is the WAL
-    record encoder: its byte stream is a file format and stays frozen.
+    (``_T_INT16``) for values the plain encoder spends five bytes on,
+    and the varint int vector (``_T_VARINTS``) for every list of ints —
+    dependency-log runs, clock vectors, write ids.  Both decode
+    everything either emits.  The plain instance (:data:`BINARY_CODEC`)
+    is the WAL record encoder: its byte stream is a file format and
+    stays frozen.
     """
 
     name = "binary"
@@ -297,11 +323,12 @@ class BinaryCodec:
             raise WireError(f"frame missing required field {exc}") from None
         compact = self.compact
         tag = _FRAME_TAGS.get(frame_type, 0)
-        schema = _FRAME_SCHEMAS.get(frame_type)
+        layout = _LAYOUTS.get((frame_type, len(frame) - 2))
         values: Optional[list] = None
-        if schema is not None and len(frame) == len(schema) + 2:
+        if layout is not None:
             try:
-                values = [frame[k] for k in schema]
+                values = [frame[k] for k in _TAG_SCHEMAS[layout]]
+                tag = layout
             except KeyError:
                 values = None
         try:
@@ -355,7 +382,7 @@ class BinaryCodec:
         frame: Dict[str, Any] = {"v": version, "t": frame_type}
         try:
             if schema_packed:
-                schema = _FRAME_SCHEMAS.get(frame_type)
+                schema = _TAG_SCHEMAS.get(tag)
                 if schema is None:
                     raise WireError(
                         f"{frame_type!r} frames have no schema layout"
@@ -393,29 +420,31 @@ class BinaryCodec:
 
     def _pack_repl(
         self,
-        kind: str,
+        head: bytes,
         msg: UpdateMessage,
-        link_seq: int,
-        issued_ms: Optional[float],
+        wid: Optional[WriteId],
         itab: Optional["InternTable"],
-        lean: bool,
         fields: Any,
+        ls: int,
+        it: Optional[int],
+        sites: bool = False,
     ) -> bytes:
-        """``var value w src dst meta ls [it]``; ``fields`` is the
-        metadata's schema row (``None`` for no metadata)."""
+        """``var value w [src dst] meta ls [it]``: ``fields`` is the
+        metadata's schema row (``None`` for no metadata); ``sites``
+        spells the self-contained layout, else ``ls`` / ``it`` are the
+        advances :class:`DeltaEncoder` chained."""
         compact = self.compact
-        out = bytearray((_HEADS if issued_ms is None else _STAMPED_HEADS)[kind])
+        out = bytearray(head)
         _pack_var(out, msg.var, itab, compact)
         _pack_into(out, msg.value, compact)
-        _pack_wid(
-            out, None if lean and _derivable_write_id(msg) else msg.write_id, compact
-        )
-        _pack_int(out, msg.sender, compact)
-        _pack_int(out, msg.dest, compact)
+        _pack_wid(out, wid, compact)
+        if sites:
+            _pack_int(out, msg.sender, compact)
+            _pack_int(out, msg.dest, compact)
         _pack_fields(out, fields, compact)
-        _pack_int(out, link_seq, compact)
-        if issued_ms is not None:
-            _pack_int(out, int(issued_ms), compact)
+        _pack_int(out, ls, compact)
+        if it is not None:
+            _pack_int(out, it, compact)
         return _finish(out)
 
     def pack_update(
@@ -427,22 +456,19 @@ class BinaryCodec:
     ) -> bytes:
         """A full, self-contained repl frame (``repl.t`` when
         ``issued_ms`` is given) — or, with ``wal``, its durable twin
-        ``wal.repl``: never interned, never lean, so it decodes with no
-        connection state."""
+        ``wal.repl``: never interned, never lean, absolute, so it
+        decodes with no connection state."""
+        kind = "wal.repl" if wal else "repl" if issued_ms is None else "repl.t"
         meta = msg.meta
         return self._pack_repl(
-            "wal.repl" if wal else "repl",
-            msg,
-            link_seq,
-            issued_ms,
-            None,
-            False,
+            _HEADS[kind], msg, msg.write_id, None,
             None if meta is None else _meta_fields(meta),
+            link_seq, None if issued_ms is None else int(issued_ms), True,
         )
 
     def pack_ack(self, ack: int, applied_gap: int) -> bytes:
-        """``repl.ackp {a, ap}``: the cumulative ack and its gap to the
-        applied watermark."""
+        """``repl.ackp {a, ap}``: the cumulative ack (a link chains it,
+        :meth:`DeltaDecoder.pack_ack`) and its gap to the applied watermark."""
         out = bytearray(_HEADS["repl.ackp"])
         _pack_int(out, ack, self.compact)
         _pack_int(out, applied_gap, self.compact)
@@ -476,12 +502,11 @@ class BinaryCodec:
         _pack_int(out, served_by, compact)
         return _finish(out)
 
-    def pack_fetch(self, req: FetchRequest) -> bytes:
+    def pack_fetch(self, req: FetchRequest, itab: Any = None) -> bytes:
+        """``fetch``; ``itab`` is the serving site's table (the link's)."""
         compact = self.compact
         out = bytearray(_HEADS["fetch"])
-        _pack_var(out, req.var, None, compact)
-        _pack_int(out, req.requester, compact)
-        _pack_int(out, req.server, compact)
+        _pack_var(out, req.var, itab, compact)
         _pack_int(out, req.fetch_id, compact)
         deps = req.deps
         _pack_fields(out, None if deps is None else _meta_fields(deps), compact)
@@ -500,8 +525,6 @@ class BinaryCodec:
         _pack_var(out, reply.var, itab, compact)
         _pack_into(out, reply.value, compact)
         _pack_wid(out, reply.write_id, compact)
-        _pack_int(out, reply.server, compact)
-        _pack_int(out, reply.requester, compact)
         _pack_int(out, reply.fetch_id, compact)
         _pack_fields(out, _reply_meta_fields(reply, lean), compact)
         _pack_fields(out, _reply_applied_fields(reply, lean), compact)
@@ -592,8 +615,16 @@ _FRAME_TYPES: Tuple[str, ...] = (
     "sys.digest",
     "sys.range",
     "sys.ctrl.ok",
+    # second layouts of two kinds (see ``_LINK_TAGS``): what a link
+    # sends, under tags of its own — the first layouts are on disk
+    "repl",
+    "repl.t",
 )
-_FRAME_TAGS: Dict[str, int] = {t: i for i, t in enumerate(_FRAME_TYPES) if i}
+#: a kind's tag is its first entry: map-shaped bodies and its first
+#: (self-contained) layout travel under it
+_FRAME_TAGS: Dict[str, int] = {
+    t: i for i, t in reversed(list(enumerate(_FRAME_TYPES))) if i
+}
 
 #: header tag bit marking a schema-packed (positional) body
 _SCHEMA_BIT = 0x80
@@ -606,14 +637,17 @@ _SCHEMA_BIT = 0x80
 #: means dropping its schema entry (the generic map layout takes over,
 #: which every decoder also accepts).
 _FRAME_SCHEMAS: Dict[str, Tuple[str, ...]] = {
+    # self-contained (absolute, both sites spelled out) and on disk:
+    # snapshots nest the dict, an old WAL holds raw records of both
     "repl": ("var", "value", "w", "src", "dst", "meta", "ls"),
-    "repl.delta": ("var", "value", "w", "src", "dst", "meta", "ls"),
     # issue-time-stamped repl variants: the same layout with the
     # origin's issue timestamp appended — spelled as new types rather
-    # than new fields, so the unstamped layouts (raw WAL records) stay
-    # byte-frozen
+    # than new fields, so the unstamped layouts stay byte-frozen
     "repl.t": ("var", "value", "w", "src", "dst", "meta", "ls", "it"),
-    "repl.delta.t": ("var", "value", "w", "src", "dst", "meta", "ls", "it"),
+    # what a link sends: ``src`` / ``dst`` are the link's, ``ls`` /
+    # ``it`` the advance over the link's previous repl frame
+    "repl.delta": ("var", "value", "w", "meta", "ls"),
+    "repl.delta.t": ("var", "value", "w", "meta", "ls", "it"),
     # retired (the ack without the applied gap): a layout, like a tag,
     # is never removed — but nothing produces or accepts the kind
     "repl.ack": ("a",),
@@ -623,10 +657,9 @@ _FRAME_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "put.ok": ("w",),
     "get": ("var",),
     "get.ok": ("value", "w", "by"),
-    "fetch": ("var", "rq", "sv", "fid", "deps"),
-    "fetch.ok": (
-        "var", "value", "w", "sv", "rq", "fid", "meta", "applied",
-    ),
+    # requester and server are the link's two ends
+    "fetch": ("var", "fid", "deps"),
+    "fetch.ok": ("var", "value", "w", "fid", "meta", "applied"),
     # WAL record layouts (file-format constants, same append-only rules).
     # ``snap`` stays map-shaped: snapshots are rare and their field set
     # is expected to grow.
@@ -640,6 +673,22 @@ _FRAME_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "sys.digest": ("src", "d"),
     "sys.range": ("origin", "rq", "lo", "hi"),
     "sys.ctrl.ok": ("n",),
+}
+
+#: the second layouts: on a link a full frame of the chain is field for
+#: field its ``repl.delta`` twin (the first layouts are file formats)
+_LINK_TAGS: Dict[str, int] = {
+    kind: _FRAME_TYPES.index(kind, _FRAME_TAGS[kind] + 1) for kind in ("repl", "repl.t")
+}
+#: header tag -> layout; (kind, field count) -> header tag — a kind's
+#: layouts differ in length, so the count picks one when encoding
+_TAG_SCHEMAS: Dict[int, Tuple[str, ...]] = {
+    **{_FRAME_TAGS[kind]: schema for kind, schema in _FRAME_SCHEMAS.items()},
+    **{tag: _FRAME_SCHEMAS[kind.replace("repl", "repl.delta")]
+       for kind, tag in _LINK_TAGS.items()},
+}
+_LAYOUTS: Dict[Tuple[str, int], int] = {
+    (_FRAME_TYPES[tag], len(schema)): tag for tag, schema in _TAG_SCHEMAS.items()
 }
 
 #: positional layouts for the tagged metadata maps of
@@ -693,6 +742,11 @@ _T_INTLIST = 0x48
 #: schema-packed map: a _MAP_SCHEMAS id byte, then the values in layout
 #: order — no key strings on the wire
 _T_SCHEMA = 0x60
+#: 0x70..0x7F: varint int vector.  The low nibble is the element count
+#: (15: a ``_pack_len`` count follows), each element zigzag LEB128 — one
+#: byte for -64..63, two up to +-8191.  Emitted only by the compact
+#: encoder, for every list of int64s; decoded by both
+_T_VARINTS = 0x70
 #: 0x80..0xFF: the value n - 0x80 itself (0..127), no payload
 _T_FIXINT = 0x80
 
@@ -713,6 +767,27 @@ _INTLIST_WIDTHS = (
     (4, "i", 1 << 31),
     (8, "q", 1 << 63),
 )
+
+
+
+def _varint(value: int) -> bytes:
+    """Zigzag LEB128 of one int64."""
+    u = (value << 1) ^ (value >> 63)
+    if u >> 64:
+        raise OverflowError(f"{value} is outside int64")
+    out = bytearray()
+    while u > 0x7F:
+        out.append(u & 0x7F | 0x80)
+        u >>= 7
+    out.append(u)
+    return bytes(out)
+
+
+#: every int whose varint takes one or two bytes (in practice every
+#: element): a run encodes as one C-level ``map`` + ``join``
+_VARINTS: Dict[int, bytes] = {x: _varint(x) for x in range(-(1 << 13), 1 << 13)}
+#: one-byte varint -> the int it spells
+_UNZIGZAG = tuple((u >> 1) ^ -(u & 1) for u in range(128))
 
 #: short strings recur constantly on the wire (frame field names,
 #: variable names, metadata kind tags) — cache their packed form.  The
@@ -811,10 +886,10 @@ def _pack_into(out: bytearray, value: Any, compact: bool = False) -> None:
             _pack_into(out, v, compact)
     elif kind is list or kind is tuple:
         n = len(value)
-        if n >= 4:
-            # flat int vectors (clock rows, apply snapshots, long masks)
-            # pack in ONE struct call at the narrowest element width;
-            # shorter lists are cheaper per-element below
+        if compact or n >= 4:
+            # flat int vectors: varints from the compact encoder; from
+            # the plain one, four or more pack in ONE struct call at the
+            # narrowest width, shorter lists per element below
             lo = hi = 0
             for x in value:
                 if type(x) is not int:
@@ -824,7 +899,10 @@ def _pack_into(out: bytearray, value: Any, compact: bool = False) -> None:
                 elif x > hi:
                     hi = x
             else:
-                if lo >= _I64_MIN and hi <= _I64_MAX:
+                if compact:
+                    if _pack_varints(out, value):
+                        return
+                elif lo >= _I64_MIN and hi <= _I64_MAX:
                     for width, letter, bound in _INTLIST_WIDTHS:
                         if -bound <= lo and hi < bound:
                             _pack_len(out, _T_INTLIST, n)
@@ -869,6 +947,8 @@ def _unpack_from(body: bytes, pos: int) -> Tuple[Any, int]:
     pos += 1
     if tag >= _T_FIXINT:
         return tag - _T_FIXINT, pos
+    if tag >= _T_VARINTS:
+        return _read_varints(body, pos - 1)
     if tag == _T_STR:
         n, pos = _unpack_len(body, pos)
         return body[pos : pos + n].decode("utf-8"), pos + n
@@ -952,25 +1032,6 @@ def _unpack_from(body: bytes, pos: int) -> Tuple[Any, int]:
 # shapes (numpy scalars, ints past 32 bits, runs past int64) is handed
 # back to the generic functions, so the two can never disagree.
 
-#: ``struct.Struct`` per (run length, element width); runs longer than
-#: the cap are built on demand so a hostile count cannot grow the cache
-_RUN_STRUCTS: Dict[int, struct.Struct] = {}
-_RUN_CACHE_MAX = 512
-
-
-def _run_struct(n: int, width: int) -> struct.Struct:
-    key = n * 16 + width
-    packer = _RUN_STRUCTS.get(key)
-    if packer is None:
-        letter = _INTLIST_DECODE.get(width)
-        if letter is None:
-            raise WireError(f"unknown int-vector width {width}")
-        packer = struct.Struct(f">{n}{letter}")
-        if n <= _RUN_CACHE_MAX:
-            _RUN_STRUCTS[key] = packer
-    return packer
-
-
 def _pack_int(out: bytearray, value: Any, compact: bool) -> None:
     if type(value) is not int:
         _pack_into(out, value, compact)
@@ -987,37 +1048,70 @@ def _pack_int(out: bytearray, value: Any, compact: bool) -> None:
         _pack_into(out, value, compact)
 
 
-def _pack_ints(out: bytearray, values: List[int], compact: bool) -> None:
+def _pack_varints(out: bytearray, values: Any) -> bool:
+    """``values`` (ints) as a varint vector; ``False``, with nothing
+    written, when one is outside int64."""
+    try:
+        run = b"".join(map(_VARINTS.__getitem__, values))
+    except KeyError:
+        try:
+            run = b"".join([_VARINTS.get(x) or _varint(x) for x in values])
+        except OverflowError:
+            return False
     n = len(values)
-    if n >= 4:
-        lo = min(values)
-        hi = max(values)
-        if -(1 << 7) <= lo and hi < 1 << 7:
-            width = 1
-        elif -(1 << 15) <= lo and hi < 1 << 15:
-            width = 2
-        elif -(1 << 31) <= lo and hi < 1 << 31:
-            width = 4
-        elif _I64_MIN <= lo and hi <= _I64_MAX:
-            width = 8
-        else:
-            _pack_into(out, values, compact)
-            return
-        if n < 0xFF:
-            out.append(_T_INTLIST)
-            out.append(n)
-        else:
-            _pack_len(out, _T_INTLIST, n)
-        out.append(width)
-        out += _run_struct(n, width).pack(*values)
+    if n < 15:
+        out.append(_T_VARINTS | n)
+    else:
+        _pack_len(out, _T_VARINTS | 15, n)
+    out += run
+    return True
+
+
+def _read_varints(body: bytes, pos: int) -> Tuple[Any, int]:
+    """Inverse of :func:`_pack_varints`, ``pos`` at the tag."""
+    n = body[pos] & 15
+    pos += 1
+    if n == 15:
+        n, pos = _unpack_len(body, pos)
+    values: List[int] = []
+    append = values.append
+    one_byte = _UNZIGZAG
+    for _ in range(n):
+        u = body[pos]
+        if u < 0x80:
+            append(one_byte[u])
+            pos += 1
+            continue
+        byte = body[pos + 1]
+        u = u & 0x7F | (byte & 0x7F) << 7
+        pos += 2
+        shift = 14
+        while byte > 0x7F:
+            if shift > 63:
+                raise WireError("over-long varint in an int vector")
+            byte = body[pos]
+            pos += 1
+            u |= (byte & 0x7F) << shift
+            shift += 7
+        if u >> 64:
+            raise WireError("varint outside int64 in an int vector")
+        append((u >> 1) ^ -(u & 1))
+    return values, pos
+
+
+def _pack_ints(out: bytearray, values: List[int], compact: bool) -> None:
+    if compact and _pack_varints(out, values):
         return
-    out.append(_T_LIST)
-    out.append(n)
-    for item in values:
-        if type(item) is int and 0 <= item <= 127:
-            out.append(_T_FIXINT | item)
-        else:
-            _pack_int(out, item, compact)
+    n = len(values)
+    if not compact and 4 <= n < 0xFF:
+        # the plain encoder's (a WAL record's) fixed-width run
+        lo, hi = min(values), max(values)
+        for width, letter, bound in _INTLIST_WIDTHS:
+            if -bound <= lo and hi < bound:
+                out += bytes((_T_INTLIST, n, width))
+                out += struct.pack(f">{n}{letter}", *values)
+                return
+    _pack_into(out, values, compact)
 
 
 def _pack_fields(
@@ -1055,33 +1149,9 @@ def _read_int(body: bytes, pos: int) -> Tuple[int, int]:
 
 
 def _read_ints(body: bytes, pos: int) -> Tuple[Any, int]:
-    tag = body[pos]
-    if tag == _T_INTLIST:
-        n = body[pos + 1]
-        pos += 2
-        if n == 0xFF:
-            n = int.from_bytes(body[pos : pos + 4], "big")
-            pos += 4
-        width = body[pos]
-        return (
-            _run_struct(n, width).unpack_from(body, pos + 1),
-            pos + 1 + n * width,
-        )
-    if tag == _T_LIST and body[pos + 1] != 0xFF:
-        # a short run (the generic packer keeps lists under four
-        # elements per-item): almost always one-byte fixints
-        n = body[pos + 1]
-        pos += 2
-        values = []
-        for _ in range(n):
-            tag = body[pos]
-            if tag >= _T_FIXINT:
-                values.append(tag - _T_FIXINT)
-                pos += 1
-            else:
-                value, pos = _read_int(body, pos)
-                values.append(value)
-        return values, pos
+    if _T_VARINTS <= body[pos] < _T_FIXINT:
+        return _read_varints(body, pos)
+    # the plain encoder's spellings: legal, never sent on a connection
     values, pos = _unpack_from(body, pos)
     if type(values) is not list:
         raise WireError(f"expected an int vector, got {type(values).__name__}")
@@ -1110,7 +1180,7 @@ def _read_fields(body: bytes, pos: int) -> Tuple[Optional[int], Any, int]:
             if tag >= _T_FIXINT:
                 values.append(tag - _T_FIXINT)
                 pos += 1
-            elif tag == _T_INTLIST or tag == _T_LIST:
+            elif tag >= _T_VARINTS or tag == _T_INTLIST or tag == _T_LIST:
                 value, pos = _read_ints(body, pos)
                 values.append(value)
             else:
@@ -1147,20 +1217,16 @@ def decode_body(body: bytes) -> Dict[str, Any]:
 
 
 def decode_annotated(body: bytes) -> Dict[str, Any]:
-    """:func:`decode_body`, annotating self-contained repl frames with
-    their raw wire bytes under the local ``_raw`` key.
-
-    A durable receiver logs those bytes to its WAL verbatim
-    (``SiteWal.append_raw``) instead of re-encoding the decoded update
-    — the re-encode is most of a WAL append's CPU cost.  Only the plain
-    repl kinds qualify: a ``repl.delta`` body diffs against
-    per-connection chain state and cannot decode standalone, so it is
-    never annotated.  ``_raw`` is a receive-side annotation, not a wire
-    field — the ingest path pops it before the frame goes anywhere.
+    """:func:`decode_body`, annotating self-contained repl frames (the
+    layout that spells ``src``; never what a link itself sends) with
+    their raw wire bytes under the local ``_raw`` key: a durable
+    receiver logs those verbatim (``SiteWal.append_raw``) instead of
+    re-encoding the decoded update.  ``_raw`` is a receive-side
+    annotation, not a wire field — the ingest path pops it.
     """
     frame = decode_body(body)
     kind = frame["t"]
-    if kind == "repl" or kind == "repl.t":
+    if (kind == "repl" or kind == "repl.t") and "src" in frame:
         frame["_raw"] = body
     return frame
 
@@ -1508,48 +1574,17 @@ def encode_update(msg: UpdateMessage, link_seq: int) -> Dict[str, Any]:
     )
 
 
-def _update_write_id(frame: Dict[str, Any], src: int, meta: Any) -> WriteId:
-    """The frame's write id, rebuilding an omitted (lean) one from
-    the sender and the metadata clock."""
-    wid = decode_write_id(frame["w"])
-    if wid is not None:
-        return wid
-    clock = getattr(meta, "clock", None)
-    if clock is None:
-        raise WireError("repl frame without a write id")
-    return WriteId(src, int(clock))
-
-
 def decode_update(
     frame: Dict[str, Any], itab: Optional[InternTable] = None
 ) -> UpdateMessage:
-    try:
-        meta = decode_meta(frame["meta"])
-        src = int(frame["src"])
-        return UpdateMessage(
-            var=resolve_var(frame["var"], itab),
-            value=frame["value"],
-            write_id=_update_write_id(frame, src, meta),
-            sender=src,
-            dest=int(frame["dst"]),
-            meta=meta,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed repl frame: {exc}") from None
+    """The update of a self-contained repl frame (a snapshot's, a WAL
+    record's, a :meth:`_LinkEnd.restore`-d one's): no chain."""
+    return DeltaDecoder().decode_update(frame, itab)
 
 
 #: every frame kind that carries one replicated update; the ``.t``
 #: variants additionally carry the origin's issue stamp
 REPL_FRAME_KINDS = ("repl", "repl.delta", "repl.t", "repl.delta.t")
-
-
-def stamp_issue(frame: Dict[str, Any], issued_ms: float) -> Dict[str, Any]:
-    """Stamp a ``repl``/``repl.delta`` frame with the time its write was
-    issued at the origin (ms on the origin's clock), switching the type
-    to the ``.t`` variant; mutates and returns the frame."""
-    frame["t"] = frame["t"] + ".t"
-    frame["it"] = int(issued_ms)
-    return frame
 
 
 def issue_age_ms(stamp: int, now_ms: float) -> float:
@@ -1595,11 +1630,14 @@ def _delta_fields(
     from "current" to "baseline")."""
     if isinstance(meta, OptTrackMeta) and isinstance(base, OptTrackMeta):
         removed, updated, added = meta.log.diff(base.log, base_order, order)
-        # a full encoding costs 3 ints per record; fall back when the
-        # index-coded diff is no cheaper (wholesale turnover, tiny logs)
-        if (
-            len(removed) + len(updated) + len(added)
-            >= 3 * len(meta.log.entries)
+        # the full (ot4) spelling packs 3 ints per record, 2 for a
+        # PURGE-retention one (newest of its sender, no destinations):
+        # fall back when the index-coded diff packs no fewer
+        entries = meta.log.entries
+        latest = meta.log.latest_by_sender
+        saved = 3 * len(entries) - len(removed) - len(updated) - len(added)
+        if saved <= len(latest) and (
+            saved <= 0 or saved <= list(map(entries.get, latest.items())).count(0)
         ):
             return None
         # added-record clocks travel relative to the meta clock, like
@@ -1682,57 +1720,114 @@ def _build_delta(sid: int, values: Any, base: Any) -> Any:
     raise WireError(f"unknown delta metadata kind {kind!r}")
 
 
-class DeltaEncoder:
-    """Per-connection sender state for the chained repl stream.
+class _LinkEnd:
+    """What either end of one peer-link connection holds beside its
+    metadata chain: the two sites the ``link.hello`` joined (``src``
+    dialed ``dst``; no frame repeats them) and the last ``ls`` / ``it``
+    / ack ``a`` that crossed it — each travels as its advance over the
+    previous one (0 before the first, which is therefore absolute) and
+    the receiving end adds it back.  The dialing end is a
+    :class:`DeltaEncoder`, the accepting end a :class:`DeltaDecoder`;
+    both live as long as the connection.  A bare instance decodes with
+    ``src`` / ``dst`` ``None``."""
+
+    __slots__ = ("src", "dst", "_last_ls", "_last_it", "_last_ack", "_base")
+
+    def __init__(self, src: Optional[int] = None, dst: Optional[int] = None) -> None:
+        self.src = src
+        self.dst = dst
+        self._last_ls = self._last_it = self._last_ack = 0
+        #: the metadata chain's baseline (``None``: the next is full)
+        self._base: Any = None
+
+    def restore(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """The dict-path twin of ``decode_message(link=self)``: give a
+        received link frame back, in place, what the link left out
+        (absolute scalars, the implied sites).  A repl frame that
+        spells ``src`` is self-contained and passes untouched."""
+        kind = frame["t"]
+        try:
+            if kind == "repl.ackp":
+                frame["a"] = self._last_ack = self._last_ack + frame["a"]
+            elif kind == "fetch" or kind == "fetch.ok":
+                frame["rq"], frame["sv"] = self.src, self.dst
+            elif kind in REPL_FRAME_KINDS and "src" not in frame:
+                frame["src"], frame["dst"] = self.src, self.dst
+                frame["ls"] = self._last_ls = self._last_ls + frame["ls"]
+                if "it" in frame:
+                    frame["it"] = self._last_it = self._last_it + frame["it"]
+        except (KeyError, TypeError) as exc:
+            raise WireError(f"malformed {kind} frame: {exc!r}") from None
+        return frame
+
+
+class DeltaEncoder(_LinkEnd):
+    """The dialing end of a link: per-connection sender state for the
+    chained repl stream.
 
     Owns the chain baseline (the metadata of the previous repl frame
     encoded on this connection, with the sorted key order of its
     dependency log beside it — each log is ordered once, as "current",
     and reused when it becomes the baseline) and the receiver's intern
     table.  The link send path creates one per handshaken connection
-    and drops it on disconnect — a fresh receiver therefore
-    always gets one full frame first (``_base is None``), exactly
-    mirroring :class:`DeltaDecoder`'s reset on its side.  This class
-    and the decoder are the only places delta baselines mutate; the
-    wire-delta lint rule holds the service layer to that.
+    and drops it on disconnect — a fresh receiver therefore always gets
+    one full, absolute frame first, mirroring the :class:`DeltaDecoder`
+    its handshake created.  These two classes are the only places link
+    baselines mutate; the wire-delta lint rule holds the service layer
+    to that.
     """
 
-    __slots__ = ("itab", "_base", "_order")
+    __slots__ = ("itab", "_order")
 
-    def __init__(self, itab: Optional[InternTable] = None) -> None:
+    def __init__(
+        self, itab: Optional[InternTable] = None, src: Any = None, dst: Any = None
+    ) -> None:
+        super().__init__(src, dst)
         self.itab = itab
-        self._base: Any = None
         self._order: Any = None
 
-    def _advance(self, meta: Any) -> Tuple[str, Any]:
-        """Move the chain to ``meta``: the next frame's kind and its
-        metadata as a schema row — a diff against the previous frame's
-        metadata when profitable, the lean full encoding otherwise."""
+    def _advance(
+        self, meta: Any, link_seq: int, issued_ms: Optional[float]
+    ) -> Tuple[str, Any, int, Optional[int]]:
+        """Move the chain to the next frame: its kind, its metadata as
+        a schema row (a diff against the previous frame's when
+        profitable, else the lean full encoding) and the advances of
+        ``ls`` and of the issue stamp."""
+        ls, self._last_ls = link_seq - self._last_ls, link_seq
+        it = None
+        if issued_ms is not None:
+            stamp = int(issued_ms)
+            it, self._last_it = stamp - self._last_it, stamp
         base, base_order = self._base, self._order
         order = sorted(meta.log.entries) if type(meta) is OptTrackMeta else None
         self._base, self._order = meta, order
         if base is not None:
             fields = _delta_fields(meta, base, base_order, order)
             if fields is not None:
-                return "repl.delta", fields
-        return "repl", None if meta is None else _meta_fields(meta, True, order)
+                return "repl.delta", fields, ls, it
+        fields = None if meta is None else _meta_fields(meta, True, order)
+        return "repl", fields, ls, it
 
-    def encode_update(self, msg: UpdateMessage, link_seq: int) -> Dict[str, Any]:
+    def encode_update(
+        self, msg: UpdateMessage, link_seq: int, issued_ms: Optional[float] = None
+    ) -> Dict[str, Any]:
         """The next frame of the chain as a frame dict: ``repl.delta``
         against the previous frame's metadata when profitable, full
-        ``repl`` otherwise.  Either way the baseline advances to
-        ``msg.meta``."""
-        kind, fields = self._advance(msg.meta)
-        return make_frame(
+        ``repl`` otherwise (``.t`` with an issue stamp).  Either way
+        the baselines advance to this frame."""
+        kind, fields, ls, it = self._advance(msg.meta, link_seq, issued_ms)
+        frame = make_frame(
             kind,
             var=msg.var if self.itab is None else self.itab.encode_var(msg.var),
             value=msg.value,
             w=None if _derivable_write_id(msg) else encode_write_id(msg.write_id),
-            src=msg.sender,
-            dst=msg.dest,
             meta=None if fields is None else _tagged(*fields),
-            ls=link_seq,
+            ls=ls,
         )
+        if it is not None:
+            frame["t"] = kind + ".t"
+            frame["it"] = it
+        return frame
 
     def pack_update(
         self,
@@ -1742,22 +1837,25 @@ class DeltaEncoder:
         codec: "BinaryCodec" = BINARY_CODEC_V4,
     ) -> bytes:
         """The next frame of the chain in one pass: the bytes ``codec``
-        encodes :meth:`encode_update`'s dict to (issue-stamped when
-        ``issued_ms`` is given), with no dict in between."""
-        kind, fields = self._advance(msg.meta)
+        encodes :meth:`encode_update`'s dict to, with no dict in
+        between."""
+        kind, fields, ls, it = self._advance(msg.meta, link_seq, issued_ms)
         return codec._pack_repl(
-            kind, msg, link_seq, issued_ms, self.itab, True, fields
+            _LINK_HEADS[kind if it is None else kind + ".t"], msg,
+            None if _derivable_write_id(msg) else msg.write_id,
+            self.itab, fields, ls, it,
         )
 
 
-class DeltaDecoder:
-    """Per-sender receiver state mirroring :class:`DeltaEncoder`.
+class DeltaDecoder(_LinkEnd):
+    """The accepting end of a link, mirroring :class:`DeltaEncoder`.
 
-    The baseline is the metadata of the last repl frame *processed* from
-    this sender.  The server's link discipline only ever decodes the
-    contiguous ``ls == seen + 1`` frame (duplicates and gaps are never
-    decoded), and the sender chains against the previous frame it sent
-    on the connection, so the baselines agree by construction.  A
+    The metadata baseline is that of the last repl frame *processed* on
+    this connection.  The server's link discipline only ever decodes
+    the contiguous ``ls == seen + 1`` frame (duplicates and gaps never
+    touch it, though every frame *received* advances the scalars, as
+    every frame sent did), and the sender chains against the previous
+    frame it sent, so the baselines agree by construction.  A
     ``repl.delta`` arriving with no or mismatched baseline raises
     :class:`WireError` — the server drops the connection and the sender
     reconnects, re-sending from the ack with a full first frame.
@@ -1767,14 +1865,17 @@ class DeltaDecoder:
     once already (inside ``DepLog.apply_diff``).
     """
 
-    __slots__ = ("_base",)
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self._base: Any = None
-
-    def reset(self) -> None:
-        """Forget the chain (epoch change: a new sender incarnation)."""
-        self._base = None
+    def pack_ack(
+        self, ack: int, applied_gap: int, codec: Optional["BinaryCodec"]
+    ) -> Any:
+        """The next ``repl.ackp``, ``a`` chained: ``codec``'s bytes, or
+        with none (a dict-speaking connection) the frame dict."""
+        a, self._last_ack = ack - self._last_ack, ack
+        if codec is None:
+            return make_frame("repl.ackp", a=a, ap=applied_gap)
+        return codec.pack_ack(a, applied_gap)
 
     def _delta_meta(self, sid: int, values: Any) -> Any:
         """The metadata a delta schema row spells against the baseline
@@ -1786,32 +1887,26 @@ class DeltaDecoder:
     def decode_update(
         self, frame: Dict[str, Any], itab: Optional[InternTable] = None
     ) -> UpdateMessage:
-        """Decode the next processed frame of the chain (full or delta)
-        from its frame dict, advancing the baseline to its metadata."""
-        if frame["t"] != "repl.delta":
-            msg = decode_update(frame, itab)
-            self._base = msg.meta
-            return msg
+        """:meth:`unpack_update` for a frame dict — :meth:`restore`-d,
+        or its sites default to this link's."""
         try:
-            meta = self._delta_meta(*_untagged(frame["meta"], "delta metadata"))
-            src = int(frame["src"])
-            msg = UpdateMessage(
-                var=resolve_var(frame["var"], itab),
-                value=frame["value"],
-                write_id=_update_write_id(frame, src, meta),
-                sender=src,
-                dest=int(frame["dst"]),
-                meta=meta,
+            meta = frame["meta"]
+            sid, fields = (None, None) if meta is None else _untagged(meta, "metadata")
+            parsed = ReplFrame(
+                frame["t"].startswith("repl.delta"),
+                resolve_var(frame["var"], itab), frame["value"],
+                decode_write_id(frame["w"]),
+                frame.get("src", self.src), frame.get("dst", self.dst),
+                sid, fields, 0, None,
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise WireError(f"malformed repl.delta frame: {exc}") from None
-        self._base = meta
-        return msg
+            raise WireError(f"malformed {frame.get('t')} frame: {exc}") from None
+        return self.unpack_update(parsed)
 
     def unpack_update(self, frame: "ReplFrame") -> UpdateMessage:
-        """:meth:`decode_update` for a frame :func:`decode_message`
-        parsed in one pass: build its metadata (against the baseline
-        for a ``repl.delta``) and advance the chain."""
+        """Finish a frame :func:`decode_message` parsed: build its
+        metadata (against the baseline for a ``repl.delta``), derive an
+        omitted write id, and advance the chain."""
         try:
             if frame.delta:
                 meta = self._delta_meta(frame.sid, frame.fields)
@@ -1834,21 +1929,22 @@ class DeltaDecoder:
         return msg
 
 
-def encode_fetch_request(req: FetchRequest) -> Dict[str, Any]:
+def encode_fetch_request(req: FetchRequest, itab: Any = None) -> Dict[str, Any]:
+    """A fetch frame: requester and server are the link's two ends and
+    stay off it; ``itab`` is the serving site's table (the link's)."""
     return make_frame(
         "fetch",
-        var=req.var,
-        rq=req.requester,
-        sv=req.server,
+        var=req.var if itab is None else itab.encode_var(req.var),
         fid=req.fetch_id,
         deps=encode_meta(req.deps),
     )
 
 
-def decode_fetch_request(frame: Dict[str, Any]) -> FetchRequest:
+def decode_fetch_request(frame: Dict[str, Any], itab: Any = None) -> FetchRequest:
+    """The request of a :meth:`_LinkEnd.restore`-d fetch frame."""
     try:
         return FetchRequest(
-            var=frame["var"],
+            var=resolve_var(frame["var"], itab),
             requester=int(frame["rq"]),
             server=int(frame["sv"]),
             fetch_id=int(frame["fid"]),
@@ -1881,7 +1977,8 @@ def encode_fetch_reply(
     its maximum on a live cluster, so the offsets pack one byte each.
     ``itab`` is the *serving* site's own intern table: the requester
     holds a copy from the ``link.ok`` handshake, so replies may intern
-    the variable name against it."""
+    the variable name against it.  Server and requester are the link's
+    (:meth:`_LinkEnd.restore` gives them back)."""
     meta = _reply_meta_fields(reply, compact)
     applied = _reply_applied_fields(reply, compact)
     return make_frame(
@@ -1889,8 +1986,6 @@ def encode_fetch_reply(
         var=reply.var if itab is None else itab.encode_var(reply.var),
         value=reply.value,
         w=encode_write_id(reply.write_id),
-        sv=reply.server,
-        rq=reply.requester,
         fid=reply.fetch_id,
         meta=None if meta is None else _tagged(*meta),
         applied=None if applied is None else _tagged(*applied),
@@ -1918,21 +2013,16 @@ def decode_fetch_reply(
 # ----------------------------------------------------------------------
 # one-pass wire: hot frames between message objects and bytes
 # ----------------------------------------------------------------------
-# The steady state is a dozen frame kinds (``HOT_KINDS``).  On a binary
-# connection they skip the frame dict in both directions: the
-# ``BinaryCodec.pack_*`` encoders write a frame's bytes straight from
-# the message, and :func:`decode_message` builds the message straight
-# from the body.  The bytes are the ones :meth:`BinaryCodec.encode`
-# produces, so either end of a connection may be on either path.  The
-# dict walk stays for everything else: the JSON profile, the rare or
-# growing kinds (handshakes, ``sys.*``, ``snap``, ``err``), WAL replay,
-# and connections that only speak frame dicts.
+# (see "One-pass path" in the module docstring)
 
 #: kinds with a one-pass decoder (and encoder); the ``wal.*`` records
 #: have encoders only — they are read back at recovery, as dicts
 HOT_KINDS = REPL_FRAME_KINDS + (
     "repl.ackp", "put", "put.ok", "get", "get.ok", "fetch", "fetch.ok",
 )
+#: the kinds only a peer link carries: they leave out what the link's
+#: ``link.hello`` fixed and chain their scalars (:class:`_LinkEnd`)
+LINK_KINDS = frozenset(REPL_FRAME_KINDS + ("repl.ackp", "fetch", "fetch.ok"))
 
 #: length-prefix placeholder + schema-packed binary header per kind
 _HEADS: Dict[str, bytes] = {
@@ -1943,9 +2033,10 @@ _HEADS: Dict[str, bytes] = {
 }
 
 
-#: the issue-stamped variant's head under its base kind's name
-_STAMPED_HEADS: Dict[str, bytes] = {
-    kind: _HEADS[kind + ".t"] for kind in _FRAME_SCHEMAS if kind + ".t" in _HEADS
+#: the four repl kinds as a link spells them
+_LINK_HEADS: Dict[str, bytes] = {
+    kind: _HEADS[kind][:6] + bytes((_LINK_TAGS.get(kind, _FRAME_TAGS[kind]) | _SCHEMA_BIT,))
+    for kind in REPL_FRAME_KINDS
 }
 
 
@@ -1975,6 +2066,16 @@ def _pack_var(
 def _pack_wid(out: bytearray, wid: Optional[WriteId], compact: bool) -> None:
     if wid is None:
         out.append(_T_NONE)
+    elif compact:
+        # the varint vector the generic packer makes of ``[site, seq]``
+        try:
+            site, seq = _VARINTS[wid.site], _VARINTS[wid.seq]
+        except KeyError:
+            _pack_into(out, [wid.site, wid.seq], compact)
+        else:
+            out.append(_T_VARINTS | 2)
+            out += site
+            out += seq
     else:
         out.append(_T_LIST)
         out.append(2)
@@ -1988,37 +2089,25 @@ def encoded_kind(encoded: bytes) -> str:
     return _FRAME_TYPES[encoded[6] & (_SCHEMA_BIT - 1)]
 
 
-class ReplFrame:
-    """One repl frame parsed off the wire but not yet decoded against
-    its sender's delta chain: the server reads ``src`` / ``ls`` to drop
-    duplicates and gaps *before* :meth:`DeltaDecoder.unpack_update`
-    touches the chain.  ``sid`` / ``fields`` are the metadata's schema
-    row (``sid`` ``None`` = no metadata), ``delta`` says the row is a
-    diff, ``it`` is the origin's issue stamp (``None`` unstamped) and
-    ``raw`` the body itself when it is self-contained (a full frame
-    with a literal variable name) — what a WAL may log verbatim."""
+class ReplFrame(NamedTuple):
+    """One link repl frame parsed off the wire but not yet decoded
+    against its sender's delta chain: the server reads ``src`` / ``ls``
+    to drop duplicates and gaps *before*
+    :meth:`DeltaDecoder.unpack_update` touches the chain.  ``ls`` /
+    ``it`` (the issue stamp, ``None`` unstamped) are already absolute;
+    ``sid`` / ``fields`` are the metadata's schema row (``sid`` ``None``
+    = no metadata) and ``delta`` says the row is a diff."""
 
-    __slots__ = (
-        "delta", "var", "value", "wid", "src", "dst", "sid", "fields",
-        "ls", "it", "raw",
-    )
-
-    def __init__(
-        self, delta: bool, var: Any, value: Any, wid: Optional[WriteId],
-        src: int, dst: int, sid: Optional[int], fields: Any, ls: int,
-        it: Optional[int], raw: Optional[bytes],
-    ) -> None:
-        self.delta = delta
-        self.var = var
-        self.value = value
-        self.wid = wid
-        self.src = src
-        self.dst = dst
-        self.sid = sid
-        self.fields = fields
-        self.ls = ls
-        self.it = it
-        self.raw = raw
+    delta: bool
+    var: Any
+    value: Any
+    wid: Optional[WriteId]
+    src: int
+    dst: int
+    sid: Optional[int]
+    fields: Any
+    ls: int
+    it: Optional[int]
 
 
 class Ack(NamedTuple):
@@ -2068,6 +2157,18 @@ def _read_wid(body: bytes, pos: int) -> Tuple[Optional[WriteId], int]:
     tag = body[pos]
     if tag == _T_NONE:
         return None, pos + 1
+    if tag == _T_VARINTS | 2:
+        # nearly always a one-byte site and a one- or two-byte seq
+        site, u = body[pos + 1], body[pos + 2]
+        if site < 0x80:
+            if u < 0x80:
+                return WriteId(_UNZIGZAG[site], _UNZIGZAG[u]), pos + 3
+            byte = body[pos + 3]
+            if byte < 0x80:
+                u = u & 0x7F | byte << 7
+                return WriteId(_UNZIGZAG[site], (u >> 1) ^ -(u & 1)), pos + 4
+        (site, seq), pos = _read_varints(body, pos)
+        return WriteId(site, seq), pos
     if tag == _T_LIST and body[pos + 1] == 2:
         site, pos = _read_int(body, pos + 2)
         seq, pos = _read_int(body, pos)
@@ -2082,13 +2183,12 @@ def _read_meta(body: bytes, pos: int) -> Tuple[Any, int]:
 
 
 def _read_repl(
-    body: bytes, itab: Optional[InternTable], delta: bool, stamped: bool
+    body: bytes, itab: Optional[InternTable], link: "_LinkEnd",
+    delta: bool, stamped: bool,
 ) -> ReplFrame:
     var, pos = _read_var(body, 3, itab)
     value, pos = _read_value(body, pos)
     wid, pos = _read_wid(body, pos)
-    src, pos = _read_int(body, pos)
-    dst, pos = _read_int(body, pos)
     sid, fields, pos = _read_fields(body, pos)
     ls, pos = _read_int(body, pos)
     it = None
@@ -2096,16 +2196,19 @@ def _read_repl(
         it, pos = _read_int(body, pos)
     if pos != len(body):
         raise _trailing(body, pos)
-    # self-contained = a full frame whose variable name is spelled out
-    raw = body if body[3] == _T_STR and not delta else None
-    return ReplFrame(delta, var, value, wid, src, dst, sid, fields, ls, it, raw)
+    # the whole frame parsed: only now may the link's chain advance
+    ls = link._last_ls = link._last_ls + ls
+    if stamped:
+        it = link._last_it = link._last_it + it
+    return ReplFrame(delta, var, value, wid, link.src, link.dst, sid, fields, ls, it)
 
 
-def _read_ack(body: bytes, itab: Any) -> Ack:
+def _read_ack(body: bytes, itab: Any, link: "_LinkEnd") -> Ack:
     ack, pos = _read_int(body, 3)
     applied_gap, pos = _read_int(body, pos)
     if pos != len(body):
         raise _trailing(body, pos)
+    ack = link._last_ack = link._last_ack + ack
     return Ack(ack, applied_gap)
 
 
@@ -2140,30 +2243,29 @@ def _read_get_ok(body: bytes, itab: Any) -> GetOk:
     return GetOk(value, wid, by)
 
 
-def _read_fetch(body: bytes, itab: Any) -> FetchRequest:
-    # fetch requests never intern: the name passes through as sent
-    var, pos = _read_value(body, 3)
-    rq, pos = _read_int(body, pos)
-    sv, pos = _read_int(body, pos)
+def _read_fetch(
+    body: bytes, itab: Optional[InternTable], link: "_LinkEnd"
+) -> FetchRequest:
+    var, pos = _read_var(body, 3, itab)
     fid, pos = _read_int(body, pos)
     deps, pos = _read_meta(body, pos)
     if pos != len(body):
         raise _trailing(body, pos)
-    return FetchRequest(var, rq, sv, fid, deps)
+    return FetchRequest(var, link.src, link.dst, fid, deps)
 
 
-def _read_fetch_ok(body: bytes, itab: Optional[InternTable]) -> FetchReply:
+def _read_fetch_ok(
+    body: bytes, itab: Optional[InternTable], link: "_LinkEnd"
+) -> FetchReply:
     var, pos = _read_var(body, 3, itab)
     value, pos = _read_value(body, pos)
     wid, pos = _read_wid(body, pos)
-    sv, pos = _read_int(body, pos)
-    rq, pos = _read_int(body, pos)
     fid, pos = _read_int(body, pos)
     meta, pos = _read_meta(body, pos)
     applied, pos = _read_meta(body, pos)
     if pos != len(body):
         raise _trailing(body, pos)
-    return FetchReply(var, value, wid, sv, rq, fid, meta, applied)
+    return FetchReply(var, value, wid, link.dst, link.src, fid, meta, applied)
 
 
 def _trailing(body: bytes, pos: int) -> WireError:
@@ -2171,15 +2273,18 @@ def _trailing(body: bytes, pos: int) -> WireError:
 
 
 #: schema-packed header tag byte -> (kind, reader); a hot kind that
-#: arrives map-shaped (legal, never emitted) has no schema bit and so
-#: no entry: it takes the dict path like any other frame
+#: arrives map-shaped or as a self-contained ``repl`` (legal, never
+#: emitted) has no entry: it takes the dict path like any other frame.
+#: The :data:`LINK_KINDS` readers also take the link the frame is on
 _READERS: Dict[int, Tuple[str, Any]] = {
-    _FRAME_TAGS[kind] | _SCHEMA_BIT: (kind, reader)
+    _LINK_TAGS.get(kind, _FRAME_TAGS[kind]) | _SCHEMA_BIT: (
+        kind, reader, kind in LINK_KINDS
+    )
     for kind, reader in (
-        ("repl", lambda b, t: _read_repl(b, t, False, False)),
-        ("repl.t", lambda b, t: _read_repl(b, t, False, True)),
-        ("repl.delta", lambda b, t: _read_repl(b, t, True, False)),
-        ("repl.delta.t", lambda b, t: _read_repl(b, t, True, True)),
+        ("repl", lambda b, t, k: _read_repl(b, t, k, False, False)),
+        ("repl.t", lambda b, t, k: _read_repl(b, t, k, False, True)),
+        ("repl.delta", lambda b, t, k: _read_repl(b, t, k, True, False)),
+        ("repl.delta.t", lambda b, t, k: _read_repl(b, t, k, True, True)),
         ("repl.ackp", _read_ack),
         ("put", _read_put),
         ("put.ok", _read_put_ok),
@@ -2189,10 +2294,12 @@ _READERS: Dict[int, Tuple[str, Any]] = {
         ("fetch.ok", _read_fetch_ok),
     )
 }
-assert sorted(kind for kind, _ in _READERS.values()) == sorted(HOT_KINDS)
+assert sorted(kind for kind, _, _ in _READERS.values()) == sorted(HOT_KINDS)
 
 
-def decode_message(body: bytes, itab: Optional[InternTable] = None) -> Any:
+def decode_message(
+    body: bytes, itab: Optional[InternTable] = None, link: Optional["_LinkEnd"] = None
+) -> Any:
     """Decode one frame body in one pass where its kind allows.
 
     A schema-packed binary body of a hot kind comes back as the message
@@ -2200,11 +2307,14 @@ def decode_message(body: bytes, itab: Optional[InternTable] = None) -> Any:
     :class:`PutOk` / :class:`Get` / :class:`GetOk`, a
     :class:`~repro.core.messages.FetchRequest` or ``FetchReply`` — with
     interned variable ids resolved against ``itab`` (the table this
-    side advertised, or learnt, at the connection's handshake).  Every
-    other body is :func:`decode_body`'s frame dict, a self-contained
-    repl frame annotated with its wire bytes under ``_raw``, so a
-    caller dispatches on the type of what it gets.  Malformed input
-    raises :class:`WireError`, whatever the path.
+    side advertised, or learnt, at the connection's handshake) and, for
+    the :data:`LINK_KINDS`, what the frame leaves out restored from
+    ``link`` (this end's chain, whose scalars advance; with no link the
+    frame is refused).  Every other body is :func:`decode_body`'s frame
+    dict (``link.restore`` does the same for it), a self-contained repl
+    frame annotated with its wire bytes under ``_raw``, so a caller
+    dispatches on the type of what it gets.  Malformed input raises
+    :class:`WireError`, whatever the path.
     """
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
@@ -2218,7 +2328,13 @@ def decode_message(body: bytes, itab: Optional[InternTable] = None) -> Any:
     if body[1] != JSON_WIRE_VERSION:
         _check_version(body[1])
     try:
-        return entry[1](body, itab)
+        if not entry[2]:
+            return entry[1](body, itab)
+        if link is None:
+            raise WireError(
+                f"{entry[0]} frame on a connection no link.hello opened"
+            )
+        return entry[1](body, itab, link)
     except (
         IndexError, KeyError, TypeError, ValueError, OverflowError,
         struct.error, UnicodeDecodeError,
@@ -2241,7 +2357,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "RETRIABLE",
     "REPL_FRAME_KINDS",
-    "stamp_issue",
     "strip_issue",
     "issue_age_ms",
     "JsonCodec",
@@ -2256,6 +2371,7 @@ __all__ = [
     "decode_message",
     "encoded_kind",
     "HOT_KINDS",
+    "LINK_KINDS",
     "ReplFrame",
     "Ack",
     "Put",

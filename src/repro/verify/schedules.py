@@ -179,13 +179,15 @@ def make_preempting_loopback(
             await self._preempt()
             return frames
 
-        async def recv_message(self, itab: Any = None) -> Any:
-            message = await self._inner.recv_message(itab)
+        async def recv_message(self, itab: Any = None, link: Any = None) -> Any:
+            message = await self._inner.recv_message(itab, link)
             await self._preempt()
             return message
 
-        async def recv_messages(self, itab: Any = None) -> Optional[List[Any]]:
-            messages = await self._inner.recv_messages(itab)
+        async def recv_messages(
+            self, itab: Any = None, link: Any = None
+        ) -> Optional[List[Any]]:
+            messages = await self._inner.recv_messages(itab, link)
             await self._preempt()
             return messages
 

@@ -58,6 +58,12 @@ def remote_read(sites: List[CausalProtocol], reader: int, var: VarId):
     return proto.complete_remote_read(reply)
 
 
+def stamped(frame, issued_ms):
+    """A ``repl`` / ``repl.delta`` frame dict as its issue-stamped
+    ``.t`` twin (what ``wire.strip_issue`` undoes)."""
+    return {**frame, "t": frame["t"] + ".t", "it": int(issued_ms)}
+
+
 async def open_handshaken(transport, address, **link):
     """Open a raw service connection the way a current build does and
     return ``(conn, ok)``: a ``link.hello`` when ``src`` / ``epoch`` are

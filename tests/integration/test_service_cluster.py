@@ -10,7 +10,7 @@ import asyncio
 
 import pytest
 
-from repro.errors import ServiceUnavailableError
+from repro.errors import ServiceUnavailableError, WireError
 from repro.obs.recorder import TraceRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.service import wire
@@ -19,7 +19,7 @@ from repro.service.loadgen import LoadGenerator
 from repro.service.client import KVClient
 from repro.service.transport import Connection, LoopbackTransport
 from repro.types import WriteId
-from tests.conftest import open_handshaken
+from tests.conftest import open_handshaken, stamped
 
 
 def run(coro):
@@ -255,35 +255,44 @@ class TestLinkProtocol:
     def test_handshake_acks_dedup_and_epoch_reset(self):
         # drive the link protocol with raw frames: contiguity, cumulative
         # re-ack of duplicates, gap refusal, and the epoch handshake that
-        # resets dedup state for a restarted sender incarnation
+        # resets dedup state for a restarted sender incarnation.  The
+        # updates go self-contained (a chained frame can be sent once
+        # only); the acks come back chained: ``a`` is the advance over
+        # the previous ack of the connection, the first one absolute
         async def main():
             async with ServiceCluster(2, 2, "opt-track",
                                       replication_factor=2) as cluster:
                 receiver = cluster.servers[1]
                 # a site-0 protocol twin mints real updates for site 1
                 proto = cluster.servers[0].protocol
+
+                def write(value):
+                    return next(m for m in proto.write("x0", value).messages
+                                if m.dest == 1)
+
                 conn, ok = await open_handshaken(
                     cluster.transport, "site-1", src=0, epoch=11
                 )
                 assert ok["ack"] == 0 and ok["ap"] == 0
+                link = wire.DeltaEncoder(None, 0, 1)  # this end of the link
 
-                m1 = next(m for m in proto.write("x0", "v1").messages
-                          if m.dest == 1)
+                m1 = write("v1")
                 await conn.send(wire.encode_update(m1, 1))
                 ack = await conn.recv()
                 assert (ack["t"], ack["a"], ack["ap"]) == ("repl.ackp", 1, 0)
+                assert link.restore(ack)["a"] == 1
                 assert receiver.applies == 1
 
                 # duplicate: dropped at the link layer, re-acked so the
                 # sender can retire it, protocol untouched
                 await conn.send(wire.encode_update(m1, 1))
                 ack = await conn.recv()
-                assert (ack["t"], ack["a"]) == ("repl.ackp", 1)
+                assert (ack["t"], ack["a"]) == ("repl.ackp", 0)  # no advance
+                assert link.restore(ack)["a"] == 1
                 assert receiver.applies == 1
 
                 # gap: ls=3 while seen=1 — refused without ack or advance
-                m2 = next(m for m in proto.write("x0", "v2").messages
-                          if m.dest == 1)
+                m2 = write("v2")
                 await conn.send(wire.encode_update(m2, 3))
                 with pytest.raises(asyncio.TimeoutError):
                     await asyncio.wait_for(conn.recv(), 0.05)
@@ -292,18 +301,42 @@ class TestLinkProtocol:
                 # the contiguous retry lands
                 await conn.send(wire.encode_update(m2, 2))
                 ack = await conn.recv()
-                assert (ack["t"], ack["a"]) == ("repl.ackp", 2)
+                assert (ack["t"], ack["a"]) == ("repl.ackp", 1)
+                assert link.restore(ack)["a"] == 2
                 assert receiver.applies == 2
                 await conn.close()
 
                 # same incarnation reconnecting resumes at its high-water
                 # mark; a NEW incarnation (site restart) resets it, so the
-                # fresh link sequence starting at 1 is not dropped as a dup
+                # fresh link sequence starting at 1 is not dropped as a dup.
+                # Either way the handshake made both chain ends anew: the
+                # first frame is full and absolute in every chained field
+                # (``ls``, ``it``, the ack's ``a``), the second advances
+                applies = receiver.applies
                 for epoch, resumes_at in ((11, 2), (99, 0)):
                     conn, ok = await open_handshaken(
                         cluster.transport, "site-1", src=0, epoch=epoch
                     )
                     assert ok["ack"] == resumes_at
+                    link = wire.DeltaEncoder(wire.InternTable(ok["itab"]), 0, 1)
+                    first = link.encode_update(write("a"), resumes_at + 1, 5000.0)
+                    second = link.encode_update(write("b"), resumes_at + 2, 5007.0)
+                    assert (first["t"], first["ls"], first["it"]) == (
+                        "repl.t", resumes_at + 1, 5000
+                    )
+                    assert (second["ls"], second["it"]) == (1, 7)
+                    assert not {"src", "dst"} & (set(first) | set(second))
+                    await conn.send(first)
+                    ack = await conn.recv()
+                    assert ack["a"] == resumes_at + 1      # absolute
+                    link.restore(ack)
+                    await conn.send(second)
+                    ack = await conn.recv()
+                    assert ack["a"] == 1                   # chained
+                    assert link.restore(ack)["a"] == resumes_at + 2
+                    applies += 2
+                    assert receiver.applies == applies
+                    assert receiver._seen_ls[0] == resumes_at + 2
                     await conn.close()
 
         run(main())
@@ -430,7 +463,7 @@ class TestSupportWindow:
             await conn.close()
             state = (receiver.applies, dict(receiver._seen_ls),
                      dict(receiver._peer_epoch), dict(receiver._origin_applied),
-                     len(receiver._gossip_conns))
+                     len(receiver._delta_in))
             return replies, state
 
     @staticmethod
@@ -442,7 +475,7 @@ class TestSupportWindow:
         assert f"unsupported wire version {offered!r}" in err["msg"]
         assert state == (0, {}, {}, {}, 0)
 
-    @pytest.mark.parametrize("cv", [None, 3, 5])
+    @pytest.mark.parametrize("cv", [None, 4, 6])
     @pytest.mark.parametrize("kind", ["hello", "link.hello"])
     def test_hello_outside_the_window_is_refused(self, kind, cv):
         fields = {"src": 0, "epoch": 7} if kind == "link.hello" else {}
@@ -463,16 +496,17 @@ class TestSupportWindow:
                 return wire.make_frame("sys.stats")
             proto = cluster.servers[0].protocol
             m = next(m for m in proto.write("x0", "v").messages if m.dest == 1)
-            return wire.stamp_issue(wire.encode_update(m, 1), 0.0)
+            return stamped(wire.encode_update(m, 1), 0.0)
 
         replies, state = run(self._refusal(frame_for))
         self._assert_refused(replies, state, None)
         assert f"a {kind} frame before any hello" in replies[0]["msg"]
 
     def test_link_backs_off_from_a_peer_on_another_version(self):
-        # the dialing side: a listener that answers ``link.ok cv=3`` is
-        # never sent a frame — the link counts a failed handshake, backs
-        # off and dials again, exactly as for any other handshake failure
+        # the dialing side: a listener that answers ``link.ok cv=4`` (the
+        # previous wire version) is never sent a frame — the link counts
+        # a failed handshake, backs off and dials again, exactly as for
+        # any other handshake failure; the refusal names both versions
         async def main():
             metrics = MetricsRegistry()
             seen = []
@@ -480,7 +514,7 @@ class TestSupportWindow:
             async def old_peer(conn):
                 while (frame := await conn.recv()) is not None:
                     seen.append(frame["t"])
-                    await conn.send(wire.make_frame("link.ok", cv=3, ack=0))
+                    await conn.send(wire.make_frame("link.ok", cv=4, ack=0))
 
             async with ServiceCluster(2, 2, "opt-track", replication_factor=2,
                                       metrics=metrics) as cluster:
@@ -495,10 +529,14 @@ class TestSupportWindow:
                         break
                     await asyncio.sleep(0.005)
                 await c0.close()
+                with pytest.raises(WireError) as refusal:
+                    await open_handshaken(cluster.transport, "site-1", src=0, epoch=1)
                 return (list(seen), not link._task.done(), link.backlog,
-                        metrics.snapshot()["counters"])
+                        metrics.snapshot()["counters"], str(refusal.value))
 
-        seen, alive, backlog, counters = run(main())
+        seen, alive, backlog, counters, refusal = run(main())
+        assert "unsupported wire version 4 " in refusal
+        assert f"speaks version {wire.WIRE_VERSION} only" in refusal
         assert len(seen) >= 3 and set(seen) == {"link.hello"}
         assert alive and backlog == 1  # held for a peer that can take it
         assert counters["link_connect_failures_total{peer=1,site=0}"] >= 3
@@ -597,7 +635,8 @@ class TestBatchedAcks:
                     wire.encode_update(msgs[1], 2),
                     wire.encode_update(msgs[3], 4),
                 ])
-                ack = await conn.recv()
+                link = wire.DeltaEncoder(None, 0, 1)  # restores chained acks
+                ack = link.restore(await conn.recv())
                 assert (ack["t"], ack["a"]) == ("repl.ackp", 2)
                 assert receiver.applies == 2
                 # the retransmit closing the gap is again acked once
@@ -605,7 +644,7 @@ class TestBatchedAcks:
                     wire.encode_update(msgs[2], 3),
                     wire.encode_update(msgs[3], 4),
                 ])
-                ack = await conn.recv()
+                ack = link.restore(await conn.recv())
                 assert (ack["t"], ack["a"]) == ("repl.ackp", 4)
                 with pytest.raises(asyncio.TimeoutError):
                     await asyncio.wait_for(conn.recv(), 0.05)

@@ -26,6 +26,7 @@ from repro.core.messages import (
 from repro.errors import WireError
 from repro.service import wire
 from repro.types import WriteId
+from tests.conftest import stamped
 
 CODECS = (wire.JSON_CODEC, wire.BINARY_CODEC, wire.BINARY_CODEC_V4)
 
@@ -159,8 +160,10 @@ class TestFrameRoundTrip:
     def test_fetch_request_frames(self, var, rq, sv, fid, deps):
         req = FetchRequest(var=var, requester=rq, server=sv, fetch_id=fid, deps=deps)
         frame = wire.encode_fetch_request(req)
+        assert "rq" not in frame and "sv" not in frame  # the link's two ends
+        link = wire.DeltaDecoder(rq, sv)
         for codec in CODECS:
-            out = wire.decode_fetch_request(roundtrip(codec, frame))
+            out = wire.decode_fetch_request(link.restore(roundtrip(codec, frame)))
             assert (out.var, out.requester, out.server, out.fetch_id) == (
                 var,
                 rq,
@@ -218,6 +221,22 @@ class TestFrameRoundTrip:
             assert roundtrip(codec, frame) == frame, codec.name
 
 
+def reference_varints(v):
+    """The varint int vector of docs/service.md, spelled naively: tag
+    0x70 | count (0x7F + a count byte from 15 up), then each element
+    zigzagged (sign into bit 0) as little-endian base-128 groups, high
+    bit set on all but the last."""
+    assert len(v) < 255
+    out = bytearray([0x70 | len(v)] if len(v) < 15 else [0x7F, len(v)])
+    for x in v:
+        u = 2 * x if x >= 0 else -2 * x - 1
+        while u >= 128:
+            out.append(u % 128 + 128)
+            u //= 128
+        out.append(u)
+    return bytes(out)
+
+
 class TestBinaryCodecEdges:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -228,11 +247,25 @@ class TestBinaryCodecEdges:
         )
     )
     def test_int_vectors_any_width(self, v):
-        # exercises every intlist element width (1/2/4/8 bytes) plus the
-        # bigint fallback at the int64 boundary
+        # exercises every intlist element width (1/2/4/8 bytes) from the
+        # plain encoder and every varint length (1..10 bytes) from the
+        # compact one
         frame = wire.make_frame("fetch.ok", var="x", value=None, meta={"k": "ivec", "v": v})
-        out = roundtrip(wire.BINARY_CODEC, frame)
-        assert out["meta"]["v"] == v
+        plain, compact = (
+            codec.encode(frame)[4:] for codec in (wire.BINARY_CODEC, wire.BINARY_CODEC_V4)
+        )
+        for body in (plain, compact):
+            assert wire.decode_body(body)["meta"]["v"] == v
+        # the vector is the last thing in the body: the compact one is
+        # spelled exactly as the format says, by an independent encoder
+        assert compact.endswith(reference_varints(v))
+
+    @settings(max_examples=60, deadline=None)
+    @given(v=st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=6))
+    def test_ints_outside_int64_fall_back_to_a_plain_list(self, v):
+        frame = wire.make_frame("put", var="x", value=v)
+        for codec in (wire.BINARY_CODEC, wire.BINARY_CODEC_V4):
+            assert roundtrip(codec, frame)["value"] == v
 
     def test_bools_never_intlist(self):
         # bools are ints in Python; the intlist fast path must not
@@ -382,45 +415,66 @@ def update_streams(draw):
     return msgs, draw(st.integers(min_value=1, max_value=len(msgs) - 1))
 
 
-def dict_path_update(codec, enc, msg, ls, issued, itab):
-    """The frame bytes the pre-one-pass sender produced."""
-    frame = (
-        enc.encode_update(msg, ls) if enc is not None else wire.encode_update(msg, ls)
-    )
-    if issued is not None:
-        wire.stamp_issue(frame, issued)
-    return codec.encode(frame)
+def dict_path_update(codec, enc, msg, ls, issued):
+    """The frame bytes a dict-speaking sender produces: through the
+    link's chain, or (``enc`` ``None``) the self-contained spelling."""
+    if enc is not None:
+        return codec.encode(enc.encode_update(msg, ls, issued))
+    frame = wire.encode_update(msg, ls)
+    return codec.encode(frame if issued is None else stamped(frame, issued))
 
 
 class TestOnePassIdentity:
     @settings(max_examples=150, deadline=None)
     @given(stream=update_streams(), issued=ISSUED, interned=st.booleans(), ls0=clocks)
     def test_repl_chain_bytes_and_objects(self, stream, issued, interned, ls0):
-        """The v4 chain: full, delta, fall-back-to-full and the full
+        """The v5 chain: full, delta, fall-back-to-full and the full
         frame after a reconnect — one-pass bytes are the dict path's,
-        and both decoders rebuild the same messages from them."""
+        both decoders rebuild the same messages from them, and the
+        first frame after every handshake is absolute in every chained
+        field while every later one carries advances."""
         msgs, reconnect = stream
         codec = wire.BINARY_CODEC_V4
         itab = ITAB if interned else None
-        dict_enc, one_enc = wire.DeltaEncoder(itab), wire.DeltaEncoder(itab)
-        dict_dec, one_dec = wire.DeltaDecoder(), wire.DeltaDecoder()
+        sender, dest = msgs[0].sender, msgs[0].dest
+
+        def handshake():
+            # a fresh connection makes both ends of both paths anew
+            return (
+                wire.DeltaEncoder(itab, sender, dest), wire.DeltaEncoder(itab, sender, dest),
+                wire.DeltaDecoder(sender, dest), wire.DeltaDecoder(sender, dest),
+            )
+
+        dict_enc, one_enc, dict_dec, one_dec = handshake()
         kinds = []
+        stamp = None
         for i, msg in enumerate(msgs):
             if i == reconnect:
-                # a fresh connection: fresh encoder chain (the decoder
-                # keeps its baseline — same sender incarnation)
-                dict_enc, one_enc = wire.DeltaEncoder(itab), wire.DeltaEncoder(itab)
+                dict_enc, one_enc, dict_dec, one_dec = handshake()
             ls = ls0 + i
-            expect = dict_path_update(codec, dict_enc, msg, ls, issued, itab)
-            got = one_enc.pack_update(msg, ls, issued, codec)
+            previous, stamp = stamp, None if issued is None else issued + 2.5 * i
+            expect = dict_path_update(codec, dict_enc, msg, ls, stamp)
+            got = one_enc.pack_update(msg, ls, stamp, codec)
             assert got == expect
             kinds.append(wire.encoded_kind(got))
-            frame = wire.decode_body(body_of(expect))
-            stamp = wire.strip_issue(frame)
+            on_wire = wire.decode_body(body_of(expect))
+            assert not {"src", "dst", "_raw"} & set(on_wire)
+            if i in (0, reconnect):
+                assert on_wire["ls"] == ls
+                assert on_wire.get("it") == (None if stamp is None else int(stamp))
+            else:
+                assert on_wire["ls"] == 1
+                assert on_wire.get("it") == (
+                    None if stamp is None else int(stamp) - int(previous)
+                )
+            frame = dict_dec.restore(on_wire)
+            assert (frame["src"], frame["dst"], frame["ls"]) == (sender, dest, ls)
+            it = wire.strip_issue(frame)
+            assert it == (None if stamp is None else int(stamp))
             via_dict = dict_dec.decode_update(frame, ITAB)
-            parsed = wire.decode_message(body_of(got), ITAB)
+            parsed = wire.decode_message(body_of(got), ITAB, one_dec)
             assert isinstance(parsed, wire.ReplFrame)
-            assert (parsed.src, parsed.ls, parsed.it) == (msg.sender, ls, stamp)
+            assert (parsed.src, parsed.dst, parsed.ls, parsed.it) == (sender, dest, ls, it)
             assert parsed.delta == kinds[-1].startswith("repl.delta")
             via_one = one_dec.unpack_update(parsed)
             assert messages_equal(via_one, via_dict)
@@ -441,10 +495,10 @@ class TestOnePassIdentity:
             meta(45, {**{(s, 100 + s): 1 for s in range(5)}, (1, 45): 4}),
         ]
         msgs = [UpdateMessage("x1", "v", WriteId(1, m.clock), 1, 2, m) for m in metas]
-        enc, kinds = wire.DeltaEncoder(ITAB), []
+        enc, kinds = wire.DeltaEncoder(ITAB, 1, 2), []
         for i, msg in enumerate(msgs):
             if i == 4:
-                enc = wire.DeltaEncoder(ITAB)
+                enc = wire.DeltaEncoder(ITAB, 1, 2)
             kinds.append(wire.encoded_kind(enc.pack_update(msg, i + 1, 7.0)))
         assert kinds == ["repl.t", "repl.delta.t", "repl.t", "repl.delta.t", "repl.t"]
 
@@ -456,38 +510,41 @@ class TestOnePassIdentity:
     def test_plain_and_wal_update_frames(
         self, var, value, wid, src, dst, meta, ls, issued, compact
     ):
-        """Unchained full frames (v3 links) and their ``wal.repl`` twin,
-        over every metadata kind ``encode_meta`` emits."""
+        """Self-contained full frames (what a snapshot nests, what a
+        link sent before WIRE_VERSION 5) and their ``wal.repl`` twin,
+        over every metadata kind ``encode_meta`` emits.  On a link they
+        pass the chain untouched — absolute, annotated with their bytes
+        for the raw WAL append."""
         codec = BINARY[compact]
         msg = UpdateMessage(var, value, WriteId(*wid), src, dst, meta)
-        expect = dict_path_update(codec, None, msg, ls, issued, None)
+        expect = dict_path_update(codec, None, msg, ls, issued)
         got = codec.pack_update(msg, ls, issued)
         assert got == expect
-        parsed = wire.decode_message(body_of(got))
-        assert parsed.raw == body_of(got) and not parsed.delta
-        assert messages_equal(wire.DeltaDecoder().unpack_update(parsed), msg)
+        link = wire.DeltaDecoder(src + 1, dst + 1)
+        frame = link.restore(wire.decode_message(body_of(got), None, link))
+        assert frame.pop("_raw") == body_of(got)
+        assert (frame["src"], frame["dst"], frame["ls"]) == (src, dst, ls)
+        assert wire.strip_issue(frame) == (None if issued is None else int(issued))
+        assert messages_equal(link.decode_update(frame), msg)
+        assert link._last_ls == 0  # not a frame of the chain
         durable = wire.encode_update(msg, ls)
         durable["t"] = "wal.repl"
         assert codec.pack_update(msg, ls, wal=True) == codec.encode(durable)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        ack=clocks, gap=clocks, var=VARS, value=values,
+        acks=st.lists(st.tuples(clocks, clocks), min_size=1, max_size=4),
+        var=VARS, value=values,
         wid=st.one_of(st.none(), st.tuples(sites, clocks)), by=sites,
         compact=st.booleans(), interned=st.booleans(),
     )
-    def test_ack_and_client_frames(self, ack, gap, var, value, wid, by, compact, interned):
+    def test_ack_and_client_frames(self, acks, var, value, wid, by, compact, interned):
         codec = BINARY[compact]
         itab = ITAB if interned else None
         wid = None if wid is None else WriteId(*wid)
         w = wire.encode_write_id(wid)
         on_wire = var if itab is None else itab.encode_var(var)
         cases = [
-            (
-                wire.make_frame("repl.ackp", a=ack, ap=gap),
-                codec.pack_ack(ack, gap),
-                wire.Ack(ack, gap),
-            ),
             (
                 wire.make_frame("put", var=on_wire, value=value),
                 codec.pack_put(var, value, itab),
@@ -510,6 +567,20 @@ class TestOnePassIdentity:
             assert wire.encoded_kind(got) == frame["t"]
             decoded = wire.decode_message(body_of(got), ITAB)
             assert type(decoded) is type(message) and decoded == message
+        # acks: the accepting end chains ``a``, the dialing end restores
+        # it — first one absolute, the rest advances, on both paths
+        dict_dec, one_dec = wire.DeltaDecoder(1, 2), wire.DeltaDecoder(1, 2)
+        dict_enc, one_enc = wire.DeltaEncoder(None, 1, 2), wire.DeltaEncoder(None, 1, 2)
+        last = 0
+        for ack, gap in acks:
+            frame = dict_dec.pack_ack(ack, gap, None)
+            got = one_dec.pack_ack(ack, gap, codec)
+            assert got == codec.encode(frame) and wire.encoded_kind(got) == "repl.ackp"
+            assert (frame["a"], frame["ap"]) == (ack - last, gap)
+            last = ack
+            assert wire.decode_message(body_of(got), None, one_enc) == wire.Ack(ack, gap)
+            restored = dict_enc.restore(wire.decode_body(body_of(got)))
+            assert (restored["a"], restored["ap"]) == (ack, gap)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -529,19 +600,26 @@ class TestOnePassIdentity:
     ):
         codec = BINARY[lean]
         itab = ITAB if interned else None
+        # requester and server are the link's ends: ``rq`` dialed ``sv``
+        serving, asking = wire.DeltaDecoder(rq, sv), wire.DeltaEncoder(itab, rq, sv)
         req = FetchRequest(var, rq, sv, fid, deps)
-        got = codec.pack_fetch(req)
-        assert got == codec.encode(wire.encode_fetch_request(req))
-        decoded = wire.decode_message(body_of(got))
-        via_dict = wire.decode_fetch_request(wire.decode_body(body_of(got)))
+        got = codec.pack_fetch(req, itab)
+        assert got == codec.encode(wire.encode_fetch_request(req, itab))
+        on_wire = wire.decode_body(body_of(got))
+        assert sorted(on_wire) == ["deps", "fid", "t", "v", "var"]
+        assert on_wire["var"] == (var if itab is None else itab.encode_var(var))
+        decoded = wire.decode_message(body_of(got), ITAB, serving)
+        via_dict = wire.decode_fetch_request(serving.restore(on_wire), ITAB)
         assert decoded == via_dict == req
         reply = FetchReply(
             var, value, None if wid is None else WriteId(*wid), sv, rq, fid, meta, applied
         )
         got = codec.pack_fetch_ok(reply, lean, itab)
         assert got == codec.encode(wire.encode_fetch_reply(reply, compact=lean, itab=itab))
-        decoded = wire.decode_message(body_of(got), ITAB)
-        via_dict = wire.decode_fetch_reply(wire.decode_body(body_of(got)), ITAB)
+        on_wire = wire.decode_body(body_of(got))
+        assert not {"rq", "sv"} & set(on_wire)
+        decoded = wire.decode_message(body_of(got), ITAB, asking)
+        via_dict = wire.decode_fetch_reply(asking.restore(on_wire), ITAB)
         for out in (decoded, via_dict):
             assert type(out) is FetchReply
             assert (out.var, out.value, out.write_id) == (var, value, reply.write_id)
@@ -580,9 +658,13 @@ class TestOnePassIdentity:
             assert wire.decode_message(body_of(got)) == frame  # not a hot kind: a dict
 
 
-def _valid_bodies():
-    """One valid body per hot kind (the repl kinds stamped and not)."""
-    codec = wire.BINARY_CODEC_V4
+#: the link every valid body below was cut from: site 1 dialed site 2
+SRC, DST = 1, 2
+
+
+def _valid_bodies(codec):
+    """One valid body per hot kind (the repl kinds stamped and not), as
+    ``codec`` spells it on a link."""
     log = DepLog({(0, 300): 6, (1, 280): 0, (2, 290): 3, (3, 120): 0, (4, 270): 1})
     first = UpdateMessage("x1", "v", WriteId(1, 301), 1, 2, OptTrackMeta(301, 6, log))
     # two new records: the diff's ``n`` list is long enough for an int vector
@@ -590,36 +672,38 @@ def _valid_bodies():
     second = UpdateMessage("x1", "v", WriteId(1, 302), 1, 2, OptTrackMeta(302, 6, log2))
     bodies = {}
     for issued in (None, 77.5):
-        enc = wire.DeltaEncoder(ITAB)
+        enc = wire.DeltaEncoder(ITAB, SRC, DST)
         for msg, ls in ((first, 200), (second, 201)):
             frame = enc.pack_update(msg, ls, issued, codec)
             bodies[wire.encoded_kind(frame)] = body_of(frame)
     reply = FetchReply("x1", "v", WriteId(1, 301), 2, 1, 400, log, (300, 280, 290, 120, 270))
     for frame in (
-        codec.pack_ack(500, 3),
+        wire.DeltaDecoder(SRC, DST).pack_ack(500, 3, codec),
         codec.pack_put("x1", "value", ITAB), codec.pack_put_ok(WriteId(1, 301)),
         codec.pack_get("zz_outside_table", ITAB), codec.pack_get_ok("value", WriteId(1, 301), 2),
-        codec.pack_fetch(FetchRequest("x1", 1, 2, 400, ((0, 300), (2, 290)))),
+        codec.pack_fetch(FetchRequest("x1", 1, 2, 400, ((0, 300), (2, 290))), ITAB),
         codec.pack_fetch_ok(reply, True, ITAB),
     ):
         bodies[wire.encoded_kind(frame)] = body_of(frame)
     assert sorted(bodies) == sorted(wire.HOT_KINDS)
-    return bodies, first
+    return bodies
 
 
-VALID_BODIES, CHAIN_HEAD = _valid_bodies()
+VALID_BODIES = _valid_bodies(wire.BINARY_CODEC_V4)
+#: the same frames from the plain encoder: its flat fixed-width int
+#: vectors (``_T_INTLIST``) are still legal input on a connection
+PLAIN_BODIES = _valid_bodies(wire.BINARY_CODEC)
 
 
-def decode_fully(body, itab=ITAB):
-    """Both decode phases, a delta against the chain it was cut from."""
-    message = wire.decode_message(body, itab)
+def decode_fully(body, itab=ITAB, bodies=VALID_BODIES):
+    """Both decode phases on a fresh link end, a delta against the
+    chain it was cut from."""
+    link = wire.DeltaDecoder(SRC, DST)
+    message = wire.decode_message(body, itab, link)
     if isinstance(message, wire.ReplFrame):
-        dec = wire.DeltaDecoder()
         if message.delta:
-            dec.unpack_update(
-                wire.decode_message(VALID_BODIES["repl"], ITAB)
-            )
-        return dec.unpack_update(message)
+            link.unpack_update(wire.decode_message(bodies["repl"], ITAB, link))
+        return link.unpack_update(message)
     return message
 
 
@@ -630,6 +714,7 @@ class TestOnePassRejects:
     @pytest.mark.parametrize("kind", sorted(wire.HOT_KINDS))
     def test_valid_bodies_decode(self, kind):
         decode_fully(VALID_BODIES[kind])
+        decode_fully(PLAIN_BODIES[kind], bodies=PLAIN_BODIES)
 
     @pytest.mark.parametrize("kind", sorted(wire.HOT_KINDS))
     def test_every_strict_prefix(self, kind):
@@ -663,15 +748,25 @@ class TestOnePassRejects:
             with pytest.raises(WireError):
                 decode_fully(corrupt)
 
+    @pytest.mark.parametrize("kind", sorted(wire.LINK_KINDS))
+    def test_link_kinds_need_a_link(self, kind):
+        """A chained scalar or an implied site with nothing to restore
+        it from: the frame is refused, not guessed at."""
+        with pytest.raises(WireError, match="no link.hello opened"):
+            wire.decode_message(VALID_BODIES[kind], ITAB)
+        with pytest.raises(WireError, match="no link.hello opened"):
+            wire.decode_message(VALID_BODIES[kind], ITAB, None)
+
     @pytest.mark.parametrize("kind", ["repl", "repl.t", "repl.delta", "repl.delta.t", "fetch.ok"])
     def test_metadata_corruption(self, kind):
-        body = VALID_BODIES[kind]
         # the bytes are unambiguous in these bodies: one schema tag per
         # metadata object, int vectors only inside them
-        at = body.index(bytes([0x60]))
-        for sid in (len(wire._MAP_SCHEMAS), 0x7F, 0xFF):
-            with pytest.raises(WireError):
-                decode_fully(body[: at + 1] + bytes([sid]) + body[at + 2 :])
+        for body in (VALID_BODIES[kind], PLAIN_BODIES[kind]):
+            at = body.index(bytes([0x60]))
+            for sid in (len(wire._MAP_SCHEMAS), 0x7F, 0xFF):
+                with pytest.raises(WireError):
+                    decode_fully(body[: at + 1] + bytes([sid]) + body[at + 2 :])
+        # the plain encoder's fixed-width vectors (varints: see below)
         at = body.index(bytes([0x48]))
         n, width = body[at + 1], body[at + 2]
         assert n >= 4 and width in (1, 2, 4, 8)
@@ -685,6 +780,34 @@ class TestOnePassRejects:
         with pytest.raises(WireError):
             decode_fully(body[: at + 1] + b"\xff" + body[at + 2 :])
 
+    def test_varint_vector_corruption(self):
+        """Hostile varint vectors: the apply snapshot is the last thing
+        in a ``fetch.ok`` body, so its bytes can be swapped whole."""
+        body = VALID_BODIES["fetch.ok"]
+        good = reference_varints([300, 0, 20, 10, 180, 30])  # ivr of the snapshot
+        assert body.endswith(good)
+        head = body[: -len(good)]
+        decode_fully(head + reference_varints([5, 1, 2]))
+        edge = b"\x72" + b"\xff" * 9 + b"\x01" + b"\xfe" + b"\xff" * 8 + b"\x01"
+        assert decode_fully(head + edge).applied == (-(2**63) - (2**63 - 1),)
+        for bad, why in (
+            (b"\x71" + b"\x80" * 10 + b"\x01", "over-long"),       # 11 groups
+            (b"\x71" + b"\xff" * 9 + b"\x03", "outside int64"),     # 65 bits
+            (b"\x71" + b"\xff" * 9 + b"\x7f", "outside int64"),
+            (b"\x71\x80", "truncated"),                             # continuation, then EOF
+            (b"\x73\x02\x04", "truncated"),                         # count past the body
+            (b"\x7f\xfe" + b"\x02" * 20, "truncated"),              # ... from 15 up
+            (b"\x7f\xff\xff\xff\xff\xff\x02", "truncated"),         # ... and a 4-byte count
+            (b"\x7f", "truncated"),
+        ):
+            with pytest.raises(WireError) as err:
+                decode_fully(head + bad)
+            assert why == "truncated" or why in str(err.value), (bad, err.value)
+        # the generic (dict) decoder makes the same refusals
+        for bad in (b"\x71" + b"\x80" * 10 + b"\x01", b"\x71" + b"\xff" * 9 + b"\x03", b"\x73\x02"):
+            with pytest.raises(WireError):
+                wire.decode_body(head + bad)
+
     def test_string_length_corruption(self):
         body = VALID_BODIES["put"]
         at = body.index(bytes([0x30]))  # the value string's tag
@@ -694,32 +817,34 @@ class TestOnePassRejects:
 
     def test_delta_without_baseline(self):
         for kind in ("repl.delta", "repl.delta.t"):
-            parsed = wire.decode_message(VALID_BODIES[kind], ITAB)
-            with pytest.raises(WireError, match="no chain baseline"):
-                wire.DeltaDecoder().unpack_update(parsed)
-            dec = wire.DeltaDecoder()
-            dec.unpack_update(wire.decode_message(VALID_BODIES["repl"], ITAB))
-            dec.reset()
+            dec = wire.DeltaDecoder(SRC, DST)
+            parsed = wire.decode_message(VALID_BODIES[kind], ITAB, dec)
             with pytest.raises(WireError, match="no chain baseline"):
                 dec.unpack_update(parsed)
+            dec.unpack_update(wire.decode_message(VALID_BODIES["repl"], ITAB, dec))
+            dec.unpack_update(parsed)  # against the frame it was cut from
+            # a new handshake makes a new end: the old baseline is gone
+            with pytest.raises(WireError, match="no chain baseline"):
+                wire.DeltaDecoder(SRC, DST).unpack_update(parsed)
 
     def test_delta_against_the_wrong_baseline_kind(self):
-        dec = wire.DeltaDecoder()
+        dec = wire.DeltaDecoder(SRC, DST)
         crp = UpdateMessage("x1", "v", WriteId(1, 9), 1, 2, CrpMeta(9, {0: 3}))
-        dec.unpack_update(
-            wire.decode_message(body_of(wire.BINARY_CODEC.pack_update(crp, 1)))
-        )
+        head = wire.DeltaEncoder(None, SRC, DST).pack_update(crp, 1)
+        dec.unpack_update(wire.decode_message(body_of(head), None, dec))
         with pytest.raises(WireError):
-            dec.unpack_update(wire.decode_message(VALID_BODIES["repl.delta"], ITAB))
+            dec.unpack_update(wire.decode_message(VALID_BODIES["repl.delta"], ITAB, dec))
 
     def test_interned_id_outside_the_table(self):
         small = wire.InternTable(["x0"])
-        for kind in ("repl", "repl.delta.t", "put", "fetch.ok"):
+        link = wire.DeltaDecoder(SRC, DST)
+        for kind in ("repl", "repl.delta.t", "put", "fetch", "fetch.ok"):
             assert VALID_BODIES[kind][3] == 0x80 | ITAB.names.index("x1")
             with pytest.raises(WireError, match="outside the negotiated table"):
-                wire.decode_message(VALID_BODIES[kind], small)
+                wire.decode_message(VALID_BODIES[kind], small, link)
             with pytest.raises(WireError, match="without a table"):
-                wire.decode_message(VALID_BODIES[kind], None)
+                wire.decode_message(VALID_BODIES[kind], None, link)
+        assert link._last_ls == 0  # a refused frame does not advance the chain
 
     def test_oversized_frames(self):
         big = "v" * (wire.MAX_FRAME_BYTES + 1)
@@ -760,7 +885,7 @@ class TestIssueStamp:
         latency = rng.uniform(0.0, 3.0, 1000)
         ages, biased = [], []
         for issued, applied in zip(issue, issue + latency):
-            frame = wire.stamp_issue(wire.make_frame("repl", ls=1), float(issued))
+            frame = stamped(wire.make_frame("repl", ls=1), float(issued))
             body = body_of(wire.BINARY_CODEC_V4.encode(frame))
             stamp = wire.strip_issue(wire.decode_body(body))
             ages.append(wire.issue_age_ms(stamp, float(applied)))

@@ -1,9 +1,10 @@
-"""Property: the v4 delta stream is a faithful transport.
+"""Property: the chained link stream is a faithful transport.
 
-The WIRE_VERSION 4 profile chains ``repl.delta`` frames against the
-previous frame on the same connection, interns variable names against a
-negotiated table, and ships the metadata-lean ``ot4``/``dl4``/``ivr``
-encodings.  None of that may change what the receiver reconstructs:
+A peer link chains ``repl.delta`` frames against the previous frame on
+the same connection, sends ``ls`` as its advance and leaves the link's
+two sites off the frame, interns variable names against a negotiated
+table, and ships the metadata-lean ``ot4``/``dl4``/``ivr`` encodings.
+None of that may change what the receiver reconstructs:
 
 * a :class:`~repro.service.wire.DeltaEncoder` stream decoded by a
   :class:`~repro.service.wire.DeltaDecoder` through a real codec
@@ -12,12 +13,14 @@ encodings.  None of that may change what the receiver reconstructs:
 * a reconnect (frames dropped, the sender re-sends from the ack with a
   fresh chain) must restart with a full frame and still reconstruct the
   remainder exactly;
-* an epoch reset (the decoder forgets its baseline) must *reject* a
+* an epoch reset (a fresh decoder: no baseline) must *reject* a
   chained frame with :class:`~repro.errors.WireError` — never guess —
   and resume once the sender restarts the chain;
 * the compact metadata kinds must decode to the exact objects the plain
   kinds carry, for arbitrary logs, not just the well-behaved ones the
-  protocol happens to produce.
+  protocol happens to produce;
+* a chained frame is never longer than the full frame of the same
+  message — the encoder's delta-or-full choice prices both honestly.
 
 The chains are generated as a connection produces them — an evolving
 dependency log mutated step by step — so both the profitable-delta path
@@ -25,7 +28,7 @@ and the wholesale-turnover fallback to full frames are exercised.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.log import DepLog
@@ -33,6 +36,7 @@ from repro.core.messages import CrpMeta, FetchReply, OptTrackMeta, UpdateMessage
 from repro.errors import WireError
 from repro.service import wire
 from repro.types import WriteId
+from tests.property.test_wire_codecs import update_streams
 
 sites = st.integers(min_value=0, max_value=15)
 clocks = st.integers(min_value=0, max_value=2**40)
@@ -89,7 +93,7 @@ def update_chains(draw):
     incrementally (add a record, reprune a destination set, retire a
     record) but occasionally churns wholesale — the case where the delta
     costs more than the full encoding and the encoder must fall back."""
-    sender = draw(sites)
+    sender, dest = draw(sites), draw(sites)
     clock = draw(st.integers(min_value=0, max_value=2**20))
     entries = dict(
         draw(st.dictionaries(st.tuples(sites, clocks), masks, max_size=6))
@@ -120,7 +124,7 @@ def update_chains(draw):
                 if derivable
                 else WriteId(draw(sites), draw(clocks)),
                 sender=sender,
-                dest=draw(sites),
+                dest=dest,
                 meta=OptTrackMeta(
                     clock=clock,
                     replicas_mask=draw(masks),
@@ -131,21 +135,101 @@ def update_chains(draw):
     return msgs
 
 
+@st.composite
+def tight_chains(draw):
+    """Chains where full and delta price within a byte of each other:
+    small clocks (a one-byte ``c`` either way), short logs, and mostly
+    PURGE-retention records (newest of their sender, no destinations) —
+    the two-int records a three-ints-per-record estimate over-prices."""
+    dests = st.sampled_from([0, 0, 0, 3, 5, 2**20])
+    clock = draw(st.integers(min_value=5, max_value=60))
+    records = st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(1, clock)), dests, max_size=5
+    )
+    entries = draw(records)
+    msgs = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        clock += 1
+        entries = {
+            key: draw(dests) if draw(st.booleans()) else d
+            for key, d in entries.items()
+            if draw(st.integers(0, 9)) >= 3
+        }
+        if draw(st.booleans()):
+            entries[(1, clock)] = draw(dests)
+        msgs.append(
+            UpdateMessage(
+                "x1", "v", WriteId(1, clock), 1, 2,
+                OptTrackMeta(clock, 6, DepLog(dict(entries))),
+            )
+        )
+    return msgs
+
+
+def link_ends(chain, itab=None):
+    """Both ends of a fresh connection of the link ``chain`` travels."""
+    sites_ = chain[0].sender, chain[0].dest
+    return wire.DeltaEncoder(itab, *sites_), wire.DeltaDecoder(*sites_)
+
+
 class TestDeltaChain:
     @settings(max_examples=150, deadline=None)
-    @given(chain=update_chains())
-    def test_chain_equals_original_stream(self, chain):
+    @given(chain=update_chains(), ls0=clocks)
+    def test_chain_equals_original_stream(self, chain, ls0):
         itab = wire.InternTable(ITAB_NAMES)
-        enc = wire.DeltaEncoder(itab)
-        dec = wire.DeltaDecoder()
-        for ls, msg in enumerate(chain, start=1):
+        enc, dec = link_ends(chain, itab)
+        for ls, msg in enumerate(chain, start=ls0):
             frame = roundtrip(enc.encode_update(msg, ls))
             assert frame["t"] in ("repl", "repl.delta")
-            if ls == 1:
-                # a fresh chain has no baseline: first frame always full
-                assert frame["t"] == "repl"
+            assert "src" not in frame and "dst" not in frame
+            if ls == ls0:
+                # a fresh chain has no baseline: first frame always
+                # full, its sequence number absolute
+                assert (frame["t"], frame["ls"]) == ("repl", ls0)
+            else:
+                assert frame["ls"] == 1
+            assert dec.restore(frame)["ls"] == ls
             out = dec.decode_update(frame, itab)
             assert_messages_equal(out, msg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(chain=st.one_of(update_chains(), tight_chains()))
+    @example(
+        # a delta of 5 ints against a full frame of 5 — not 6: one of
+        # its two records is a retention pair.  The 3-per-record
+        # estimate sent the delta, one byte longer than the full frame
+        chain=[
+            UpdateMessage("x1", "v", WriteId(1, c), 1, 2, OptTrackMeta(c, 6, DepLog(e)))
+            for c, e in (
+                (31, {(4, 12): 5}),
+                (32, {(4, 12): 0, (1, 32): 5}),
+            )
+        ]
+    )
+    def test_chained_frame_never_longer_than_the_full_frame(self, chain):
+        """Delta or full is a price comparison: whatever the encoder
+        chains must not exceed the full spelling of the same message
+        (the scalars cost one byte either way here: ``ls`` advances by
+        one from 0, the stamp stays 0)."""
+        itab = wire.InternTable(ITAB_NAMES)
+        enc, _ = link_ends(chain, itab)
+        for ls, msg in enumerate(chain, start=1):
+            chained = enc.pack_update(msg, ls, 0.0)
+            full = link_ends(chain, itab)[0].pack_update(msg, 1, 0.0)
+            assert wire.encoded_kind(full) == "repl.t"
+            assert len(chained) <= len(full), wire.encoded_kind(chained)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=update_streams())
+    def test_no_metadata_family_chains_at_a_loss(self, stream):
+        """The same price rule over every family with a diff (``crpd``,
+        ``mcd``) and the ones without (always full)."""
+        chain, _ = stream
+        enc, _ = link_ends(chain)
+        for ls, msg in enumerate(chain, start=1):
+            chained = enc.pack_update(msg, ls)
+            full = link_ends(chain)[0].pack_update(msg, 1)
+            assert len(chained) <= len(full), wire.encoded_kind(chained)
 
     @settings(max_examples=100, deadline=None)
     @given(chain=update_chains(), data=st.data())
@@ -156,15 +240,23 @@ class TestDeltaChain:
         total decoded sequence must still equal the original."""
         cut = data.draw(st.integers(min_value=0, max_value=len(chain)))
         itab = wire.InternTable(ITAB_NAMES)
-        enc, dec = wire.DeltaEncoder(itab), wire.DeltaDecoder()
+        enc, dec = link_ends(chain, itab)
         decoded = []
         for ls, msg in enumerate(chain[:cut], start=1):
-            decoded.append(dec.decode_update(roundtrip(enc.encode_update(msg, ls)), itab))
-        enc, dec = wire.DeltaEncoder(itab), wire.DeltaDecoder()
+            frame = dec.restore(roundtrip(enc.encode_update(msg, ls, 10.0 * ls)))
+            decoded.append(dec.decode_update(frame, itab))
+        enc, dec = link_ends(chain, itab)
         for ls, msg in enumerate(chain[cut:], start=cut + 1):
-            frame = roundtrip(enc.encode_update(msg, ls))
+            frame = roundtrip(enc.encode_update(msg, ls, 10.0 * ls))
             if ls == cut + 1:
-                assert frame["t"] == "repl"
+                # the first frame after the handshake: full, and
+                # absolute in every chained field
+                assert (frame["t"], frame["ls"], frame["it"]) == ("repl.t", ls, 10 * ls)
+            else:
+                assert (frame["ls"], frame["it"]) == (1, 10)
+            dec.restore(frame)
+            assert (frame["ls"], frame["it"]) == (ls, 10 * ls)
+            assert (frame["src"], frame["dst"]) == (chain[0].sender, chain[0].dest)
             decoded.append(dec.decode_update(frame, itab))
         assert len(decoded) == len(chain)
         for out, msg in zip(decoded, chain):
@@ -173,24 +265,27 @@ class TestDeltaChain:
     @settings(max_examples=100, deadline=None)
     @given(chain=update_chains(), data=st.data())
     def test_epoch_reset_then_resume(self, chain, data):
-        """``DeltaDecoder.reset`` mid-chain (a new sender epoch) forgets
-        the baseline: the very next chained frame must be rejected, and a
+        """A new sender epoch arrives with a new handshake, so the
+        receiver holds a fresh chain end with no baseline: a chained
+        frame of the old connection must be rejected by it, and a
         restarted chain must decode the rest exactly."""
         cut = data.draw(st.integers(min_value=0, max_value=len(chain) - 1))
-        enc, dec = wire.DeltaEncoder(), wire.DeltaDecoder()
+        enc, dec = link_ends(chain)
         for ls, msg in enumerate(chain[:cut], start=1):
             dec.decode_update(roundtrip(enc.encode_update(msg, ls)), None)
-        dec.reset()
+        _, dec = link_ends(chain)
         frame = roundtrip(enc.encode_update(chain[cut], cut + 1))
         if frame["t"] == "repl.delta":
             with pytest.raises(WireError):
                 dec.decode_update(frame, None)
         # the sender restarts its chain (what the reconnect handshake
-        # forces); decoding resumes and reconstructs the tail
-        enc = wire.DeltaEncoder()
+        # forces, on both ends); decoding resumes and reconstructs the
+        # tail, its first sequence number absolute again
+        enc, dec = link_ends(chain)
         for ls, msg in enumerate(chain[cut:], start=cut + 1):
-            out = dec.decode_update(roundtrip(enc.encode_update(msg, ls)), None)
-            assert_messages_equal(out, msg)
+            frame = dec.restore(roundtrip(enc.encode_update(msg, ls)))
+            assert frame["ls"] == ls
+            assert_messages_equal(dec.decode_update(frame, None), msg)
 
 
 class TestDeltaChainEdges:
@@ -321,7 +416,9 @@ class TestCompactMetadataKinds:
         frame = wire.encode_fetch_reply(reply, compact=True, itab=itab)
         assert isinstance(frame["var"], int) == (var in ITAB_NAMES)
         assert frame["applied"]["k"] == "ivr"
-        out = wire.decode_fetch_reply(roundtrip(frame, codec), itab)
+        # server and requester are the link's: site 5 dialed site 3
+        asking = wire.DeltaEncoder(itab, 5, 3)
+        out = wire.decode_fetch_reply(asking.restore(roundtrip(frame, codec)), itab)
         assert (out.var, out.value, out.write_id) == (var, value, reply.write_id)
         assert (out.server, out.requester, out.fetch_id) == (3, 5, 9)
         assert meta_equal(out.meta, log)

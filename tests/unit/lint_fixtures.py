@@ -99,8 +99,9 @@ FIXTURES: Dict[str, RuleFixture] = {
     ),
     "wire-delta-state": RuleFixture(
         module="repro.service.transport",
-        fire="def f(link):\n    link._delta_out = None\n",
-        quiet="def f(link):\n    return link._delta_out\n",
+        # a chained-scalar baseline inside a chain end is link state too
+        fire="def f(link):\n    link._delta_out._last_ls = 0\n",
+        quiet="def f(link):\n    return link._delta_out._last_ls\n",
     ),
     "metric-naming": RuleFixture(
         module="repro.service.server",

@@ -14,6 +14,7 @@ import pytest
 
 from repro.service import wire
 from repro.types import WriteId
+from tests.conftest import stamped
 from repro.service.durability import (
     SiteWal,
     WalCorruptionError,
@@ -168,7 +169,7 @@ class TestTransportAnnotation:
     def test_stamped_repl_body_is_annotated(self):
         from repro.service.transport import _decode_annotated
 
-        frame = wire.stamp_issue(repl_frame(0), 1234.0)
+        frame = stamped(repl_frame(0), 1234.0)
         body = wire.BINARY_CODEC.encode(frame)[4:]
         out = _decode_annotated(body)
         assert out.pop("_raw") == body and out["t"] == "repl.t"

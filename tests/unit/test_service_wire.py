@@ -134,8 +134,13 @@ class TestMessageCodecs:
 
     def test_fetch_roundtrip(self):
         req = FetchRequest(var="x0", requester=2, server=1, fetch_id=5, deps=((0, 3),))
-        out = wire.decode_fetch_request(roundtrip(wire.encode_fetch_request(req)))
-        assert out == req
+        frame = roundtrip(wire.encode_fetch_request(req))
+        # requester and server are the link's two ends, not fields
+        assert sorted(frame) == ["deps", "fid", "t", "v", "var"]
+        with pytest.raises(WireError, match="malformed fetch frame"):
+            wire.decode_fetch_request(dict(frame))
+        link = wire.DeltaDecoder(2, 1)  # site 2 dialed site 1
+        assert wire.decode_fetch_request(link.restore(frame)) == req
 
     def test_fetch_reply_roundtrip_with_applied(self):
         reply = FetchReply(
@@ -148,8 +153,10 @@ class TestMessageCodecs:
             meta=((1, 4),),
             applied=(2, 4, 0),
         )
-        out = wire.decode_fetch_reply(roundtrip(wire.encode_fetch_reply(reply)))
-        assert out == reply
+        frame = roundtrip(wire.encode_fetch_reply(reply))
+        assert "sv" not in frame and "rq" not in frame
+        link = wire.DeltaEncoder(None, 2, 1)  # the requester's end
+        assert wire.decode_fetch_reply(link.restore(frame)) == reply
 
     def test_malformed_update_rejected(self):
         with pytest.raises(WireError, match="malformed repl frame"):
