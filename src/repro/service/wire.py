@@ -1075,11 +1075,10 @@ def _read_varints(body: bytes, pos: int) -> Tuple[Any, int]:
         n, pos = _unpack_len(body, pos)
     values: List[int] = []
     append = values.append
-    one_byte = _UNZIGZAG
     for _ in range(n):
         u = body[pos]
         if u < 0x80:
-            append(one_byte[u])
+            append(_UNZIGZAG[u])
             pos += 1
             continue
         byte = body[pos + 1]
@@ -2011,10 +2010,9 @@ def decode_fetch_reply(
 
 
 # ----------------------------------------------------------------------
-# one-pass wire: hot frames between message objects and bytes
+# one-pass wire: hot frames between message objects and bytes (see
+# "One-pass path" in the module docstring)
 # ----------------------------------------------------------------------
-# (see "One-pass path" in the module docstring)
-
 #: kinds with a one-pass decoder (and encoder); the ``wal.*`` records
 #: have encoders only — they are read back at recovery, as dicts
 HOT_KINDS = REPL_FRAME_KINDS + (
@@ -2149,6 +2147,9 @@ def _read_value(body: bytes, pos: int) -> Tuple[Any, int]:
 def _read_var(
     body: bytes, pos: int, itab: Optional[InternTable]
 ) -> Tuple[Any, int]:
+    tag = body[pos]
+    if tag >= _T_FIXINT and itab is not None and tag - _T_FIXINT < len(itab.names):
+        return itab.names[tag - _T_FIXINT], pos + 1  # an interned id, nearly always
     var, pos = _read_value(body, pos)
     return (resolve_var(var, itab) if type(var) is int else var), pos
 
