@@ -771,7 +771,7 @@ _INTLIST_WIDTHS = (
 
 
 def _varint(value: int) -> bytes:
-    """Zigzag LEB128 of one int64."""
+    """Zigzag LEB128 of one int64 (remembered when one or two bytes)."""
     u = (value << 1) ^ (value >> 63)
     if u >> 64:
         raise OverflowError(f"{value} is outside int64")
@@ -780,14 +780,15 @@ def _varint(value: int) -> bytes:
         out.append(u & 0x7F | 0x80)
         u >>= 7
     out.append(u)
+    if len(out) < 3:
+        _VARINTS[value] = bytes(out)
     return bytes(out)
 
 
-#: every int whose varint takes one or two bytes (in practice every
-#: element): a run encodes as one C-level ``map`` + ``join``
-_VARINTS: Dict[int, bytes] = {x: _varint(x) for x in range(-(1 << 13), 1 << 13)}
-#: one-byte varint -> the int it spells
-_UNZIGZAG = tuple((u >> 1) ^ -(u & 1) for u in range(128))
+#: the one- and two-byte varints seen so far (at most 16 384; in practice
+#: every element): a warm run encodes as one C-level ``map`` + ``join``
+_VARINTS: Dict[int, bytes] = {}
+_UNZIGZAG = tuple((u >> 1) ^ -(u & 1) for u in range(128))  # one-byte varint -> int
 
 #: short strings recur constantly on the wire (frame field names,
 #: variable names, metadata kind tags) — cache their packed form.  The
@@ -2065,8 +2066,7 @@ def _pack_wid(out: bytearray, wid: Optional[WriteId], compact: bool) -> None:
     if wid is None:
         out.append(_T_NONE)
     elif compact:
-        # the varint vector the generic packer makes of ``[site, seq]``
-        try:
+        try:  # the varint vector the generic packer makes of [site, seq]
             site, seq = _VARINTS[wid.site], _VARINTS[wid.seq]
         except KeyError:
             _pack_into(out, [wid.site, wid.seq], compact)
