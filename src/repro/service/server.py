@@ -542,10 +542,10 @@ class PeerLink:
                 batch.append(frame)
                 last_ls = ls
         n_fetch = len(self._fetch)
-        # a fetch interns its variable against the serving site's table
-        encode = wire.encode_fetch_request if codec is None else codec.pack_fetch
-        itab = self._delta_out.itab
-        batch.extend([encode(req, itab) for req in self._fetch])
+        if n_fetch:  # interned against the serving site's table
+            encode = wire.encode_fetch_request if codec is None else codec.pack_fetch
+            itab = self._delta_out.itab
+            batch.extend([encode(req, itab) for req in self._fetch])
         n_ctrl = len(self._ctrl)
         batch.extend(self._ctrl)
         return batch, last_ls, n_fetch, n_ctrl

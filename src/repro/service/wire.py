@@ -1149,17 +1149,13 @@ def _read_int(body: bytes, pos: int) -> Tuple[int, int]:
 
 
 def _read_ints(body: bytes, pos: int) -> Tuple[Any, int]:
-    if _T_VARINTS <= body[pos] < _T_FIXINT:
-        return _read_varints(body, pos)
     # the plain encoder's spellings: legal, never sent on a connection
     values, pos = _unpack_from(body, pos)
     if type(values) is not list:
         raise WireError(f"expected an int vector, got {type(values).__name__}")
     for item in values:
         if type(item) is not int:
-            raise WireError(
-                f"expected an int vector, found {type(item).__name__}"
-            )
+            raise WireError(f"expected an int vector, found {type(item).__name__}")
     return values, pos
 
 
@@ -1180,7 +1176,10 @@ def _read_fields(body: bytes, pos: int) -> Tuple[Optional[int], Any, int]:
             if tag >= _T_FIXINT:
                 values.append(tag - _T_FIXINT)
                 pos += 1
-            elif tag >= _T_VARINTS or tag == _T_INTLIST or tag == _T_LIST:
+            elif tag >= _T_VARINTS:
+                value, pos = _read_varints(body, pos)
+                values.append(value)
+            elif tag == _T_INTLIST or tag == _T_LIST:
                 value, pos = _read_ints(body, pos)
                 values.append(value)
             else:
