@@ -323,14 +323,14 @@ class BinaryCodec:
             raise WireError(f"frame missing required field {exc}") from None
         compact = self.compact
         tag = _FRAME_TAGS.get(frame_type, 0)
-        layout = _LAYOUTS.get((frame_type, len(frame) - 2))
+        layout_tag = _LAYOUTS.get((frame_type, len(frame) - 2))
         values: Optional[list] = None
-        if layout is not None:
+        if layout_tag is not None:
             try:
-                values = [frame[k] for k in _TAG_SCHEMAS[layout]]
-                tag = layout
+                values = [frame[k] for k in _TAG_SCHEMAS[layout_tag]]
+                tag = layout_tag
             except KeyError:
-                values = None
+                pass  # the right count of other keys: map-shaped below
         try:
             if values is not None:
                 out += _HDR.pack(BINARY_MAGIC, version, tag | _SCHEMA_BIT)
