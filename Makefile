@@ -1,10 +1,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast lint typecheck check bench bench-fast sweep-bench table1 fig4 report trace-smoke serve-smoke interleave-smoke perf-smoke stats-smoke
+.PHONY: test test-cold test-fast lint typecheck check bench bench-fast sweep-bench table1 fig4 report trace-smoke serve-smoke interleave-smoke perf-smoke stats-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Tier-1 from an empty Hypothesis directory: CI's state, since
+# .hypothesis/ is gitignored (no example database to replay, no
+# unicode cache to lean on)
+test-cold:
+	@dir=$$(mktemp -d); \
+	HYPOTHESIS_STORAGE_DIRECTORY=$$dir $(PYTHON) -m pytest -x -q; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 test-fast:
 	$(PYTHON) -m pytest -x -q tests/unit

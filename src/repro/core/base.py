@@ -254,13 +254,21 @@ class CausalProtocol(ABC):
         re-issued (the missing updates are in flight to the server, so a
         bounded retry loop converges).
 
+        Strict mode narrows the window but does not close it everywhere:
+        the server defers until the piggybacked dependencies are applied,
+        which is enough in the simulator, where the requester's summary
+        cannot grow while it blocks on the fetch.  On the service it can:
+        every session of a site shares the site's log, so another
+        session's read can import a dependency naming the server while
+        this fetch is in flight — the service calls the gate in both modes
+        (``tests/integration/test_strict_remote_reads.py`` holds a reply
+        back to show it).
+
         Protocols compare the reply's ``applied`` snapshot (the server's
         apply progress at serve time) against their own dependency records
         naming the server.  The default accepts everything, which is
-        correct for strict mode (the server already deferred until the
-        piggybacked dependencies were applied, and the requester's summary
-        cannot grow while it blocks on the fetch) and for
-        full-replication protocols (never fetch remotely).
+        correct for full-replication protocols (they never fetch
+        remotely).
         """
         return True
 

@@ -644,7 +644,7 @@ class DurabilityIoRule(Rule):
     the recovery path does not know how to replay or repair — and a
     *synchronous* ``open``/``fsync`` on the event loop stalls every
     co-hosted site for the duration of the disk flush.  Flags, in any
-    service module other than the seam and the bench ledger writer:
+    service module other than the seam itself:
 
     * calls to the ``open`` builtin;
     * ``io.open`` / ``os.open`` / ``os.fsync`` / ``os.fdatasync``
@@ -726,11 +726,12 @@ class WireCodecRule(Rule):
 
     Every frame that crosses a connection must go through
     :mod:`repro.service.wire` — the codec registry is what makes the
-    WIRE_VERSION 3 negotiation sound (a hand-rolled ``json.dumps`` in
-    ``transport``/``server``/``client`` would silently bypass the
-    negotiated binary codec, and its frames would fail the length-prefix
-    + magic-byte sniffing on the other side).  Flags, in any
-    ``repro.service`` module other than the exempt edges:
+    WIRE_VERSION 6 handshake sound (a hand-rolled ``json.dumps`` in
+    ``transport``/``server``/``client`` would bypass the binary codec
+    the handshake installed, and after it the other side delimits frames
+    by their LEB128 length and sniffs each body's first byte for a lean
+    tag, the binary magic or ``{``).  Flags, in any ``repro.service``
+    module other than the exempt edges:
 
     * ``import json`` / ``from json import ...``;
     * attribute calls ``json.dumps``/``loads``/``dump``/``load``

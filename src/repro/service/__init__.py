@@ -3,8 +3,8 @@
 The simulator (:mod:`repro.sim`) exercises the protocols under simulated
 time; this package serves them for real: one asyncio TCP server per site
 (:mod:`repro.service.server`), a failure-aware client library
-(:mod:`repro.service.client`), a versioned length-prefixed JSON wire
-format (:mod:`repro.service.wire`), and a deterministic in-process
+(:mod:`repro.service.client`), a versioned wire format — a JSON
+handshake, then length-delimited binary frames (:mod:`repro.service.wire`), and a deterministic in-process
 loopback transport (:mod:`repro.service.transport`) so the whole stack —
 including the causal sanitizer — runs socket-free in unit tests and CI.
 

@@ -1326,11 +1326,11 @@ class SiteServer:
                     # read merges the reply's metadata into local state
                     self.wal.append(wire.BINARY_CODEC.pack_wal_rfetch(reply))
                 return proto.complete_remote_read(reply)
-            # lenient-mode stale reply: discard without merging its
-            # metadata and re-issue naming exactly the records the
-            # reply's snapshot failed, so the serving site parks the
-            # fetch until it applied them and answers on that apply
-            # (the simulator's gate, repro.sim.process._do_read, polls)
+            # stale reply (lenient, or strict with the site's shared log
+            # grown by another session meanwhile): discard unmerged and
+            # re-issue naming exactly the records the reply's snapshot
+            # failed, so the serving site parks the fetch and answers on
+            # the apply (the simulator's gate, sim.process._do_read, polls)
             stale += 1
             self.metric("service_stale_replies_total")
             if stale > MAX_STALE_FETCH_RETRIES:

@@ -257,18 +257,22 @@ class _PlainConnection(Connection):
         super().negotiate(codec, agreed)
         self.one_pass = codec if isinstance(codec, wire.BinaryCodec) else None
 
-    def _encode(self, frame: Any) -> bytes:
-        """Wire bytes of one outbound frame (a pre-encoded one is
-        already that), metered by kind."""
+    def _encode(self, frame: Any) -> Tuple[bytes, bytes]:
+        """The delimiter and the body one outbound frame puts on the
+        wire (a pre-encoded frame is already encoded), metered by kind:
+        the 4-byte length prefix until :meth:`negotiate` installs the
+        binary codec, the LEB128 one (:func:`wire.delimiter`) after."""
         if type(frame) is bytes:
             encoded = frame
         else:
             encoded = wire.encode_frame(frame, codec=self._codec)
+        body = encoded[4:]
+        head = encoded[:4] if self.one_pass is None else wire.delimiter(len(body))
         meter = self._meter
         if meter is not None:
             kind = wire.encoded_kind(frame) if encoded is frame else frame["t"]
-            meter.kind(kind).inc(len(encoded))
-        return encoded
+            meter.kind(kind).inc(len(head) + len(body))
+        return head, body
 
     @abstractmethod
     async def _next_body(self) -> Optional[bytes]:
@@ -389,9 +393,9 @@ class _LoopbackConnection(_PlainConnection):
         enqueue = peer._enqueue
         total = 0
         for frame in frames:
-            encoded = encode(frame)
-            total += len(encoded)
-            enqueue(encoded[4:])
+            head, body = encode(frame)
+            total += len(head) + len(body)
+            enqueue(body)
         meter = self._meter
         if meter is not None:
             meter.sent.inc(total)
@@ -555,7 +559,7 @@ class _TcpConnection(_PlainConnection):
 
     def write_many(self, frames: Any) -> None:
         # one writev-style buffer append for the whole batch
-        batch = b"".join(map(self._encode, frames))
+        batch = b"".join(part for frame in frames for part in self._encode(frame))
         if self._meter is not None:
             self._meter.sent.inc(len(batch))
         self._writer.write(batch)
@@ -583,20 +587,25 @@ class _TcpConnection(_PlainConnection):
 
     def _split(self) -> None:
         """Move the body of every complete frame in the buffer to
-        ``_bodies`` (decoding is the receiving call's choice)."""
-        buf = self._buf
-        pos = 0
-        end = len(buf)
-        while end - pos >= 4:
-            body_len = wire.frame_length(bytes(buf[pos : pos + 4]))
-            if end - pos - 4 < body_len:
+        ``_bodies`` (decoding is the receiving call's choice).  Before
+        the handshake only the first: the framing switches once
+        :meth:`negotiate` has run on it."""
+        buf, pos, end = self._buf, 0, len(self._buf)
+        if self.one_pass is None:
+            if end >= 4 and end - 4 >= (n := wire.frame_length(bytes(buf[:4]))):
+                self._bodies.append(bytes(buf[4 : 4 + n]))
+                pos = 4 + n
+        while self.one_pass is not None and pos < end:
+            n, start = wire.read_delimiter(buf, pos)
+            if n < 0 or end - start < n:
                 break
-            self._bodies.append(bytes(buf[pos + 4 : pos + 4 + body_len]))
-            pos += 4 + body_len
+            self._bodies.append(bytes(buf[start : start + n]))
+            pos = start + n
         if pos:
             del buf[:pos]
 
     async def _next_body(self) -> Optional[bytes]:
+        self._split()  # what the handshake frame left in the buffer
         while not self._bodies:
             if not await self._fill():
                 return None
@@ -604,6 +613,7 @@ class _TcpConnection(_PlainConnection):
         return self._bodies.popleft()
 
     async def _next_bodies(self) -> Optional[List[bytes]]:
+        self._split()
         while not self._bodies:
             if not await self._fill():
                 return None

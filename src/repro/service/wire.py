@@ -1,25 +1,32 @@
 """Wire format of the networked KV service.
 
-Frames are **length-prefixed**: a 4-byte big-endian unsigned length
-followed by one frame body in one of two codecs:
+Every frame is a **delimiter** and one **body**.  A connection's
+handshake frames carry a 4-byte big-endian body length, so a peer of
+any age can read a hello and its refusal; from the point where
+``Connection.negotiate`` installs the binary codec on an end, the
+frames it sends and reads carry a LEB128 body length instead
+(:func:`delimiter` / :func:`read_delimiter`: one byte under 128 B).
+A body is in one of two codecs:
 
 * the **JSON codec** (:class:`JsonCodec`) — a UTF-8 JSON object.  It is
   the *handshake codec* (the one frame that opens a connection travels
   in it, so a refusal is legible to any peer of any age) and a *debug
   input* (a hand-typed JSON frame decodes on any connection); nothing
   can be configured to stay on it;
-* the **binary codec** (:class:`BinaryCodec`) — a struct-packed header
-  (magic byte, frame schema version, frame-type tag) followed by the
-  frame's fields in a compact msgpack-style encoding (single-byte type
-  tags, varlength ints, flat integer vectors for dependency logs and
-  clock rows — varints on a connection, fixed-width ``struct`` runs in
-  a WAL record).  Everything after the handshake is sent in it, and
-  WAL records are frames of it.
+* the **binary codec** (:class:`BinaryCodec`) — a header followed by
+  the frame's fields in a compact msgpack-style encoding (single-byte
+  type tags, varlength ints, flat integer vectors for dependency logs
+  and clock rows — varints on a connection, fixed-width ``struct`` runs
+  in a WAL record).  The *full* header is three bytes: magic byte,
+  frame schema version, frame-type tag; WAL records carry it.  The
+  *lean* header, what a connection sends after its handshake fixed
+  codec and schema version, is the tag alone.
 
-A JSON body always starts with ``{`` (0x7B) and a binary body always
-starts with :data:`BINARY_MAGIC` (0xB3, not a valid UTF-8 lead byte), so
-a receiver decodes either codec per frame with no ambiguity
-(:func:`decode_body` sniffs the first byte).
+A JSON body always starts with ``{`` (0x7B), a full binary body with
+:data:`BINARY_MAGIC` (0xB3, not a valid UTF-8 lead byte) and a lean one
+with its tag (0x00-0x23, 0x80-0xA3 with the schema bit), so a receiver
+decodes any body with no ambiguity (:func:`decode_body` sniffs the
+first byte).
 
 Support window
 --------------
@@ -36,44 +43,37 @@ dialing side is symmetric (``Connection.handshake``).  Nothing is
 negotiated and nothing can be configured (docs/service.md, "Support
 window").
 
-What the current version puts on a peer link:
+What the current version puts on a peer link (docs/service.md, "What
+a peer link carries"):
 
-* **per-link delta encoding** — consecutive repl frames on one peer-link
-  connection share almost all of their dependency-log state, so the
-  sender chains each frame's metadata as a diff against the previous
-  frame it sent on that connection (``repl.delta``, encoded by
-  :class:`DeltaEncoder` / decoded by :class:`DeltaDecoder`).  The first
-  repl frame after every handshake is always full — every handshake
-  makes both chain ends anew — and the receiver only ever decodes the
-  contiguous ``ls == seen + 1`` frame, so its baseline (the previous
-  frame it processed) is the one the sender chained against by
-  construction.  A diff that would pack no fewer ints than the full
-  metadata falls back to a full ``repl`` frame.
-* **id interning** — variable names repeat on every frame, so the
-  handshake *receiver* answers with an intern table (``itab``: a list of
-  names; position = id) built from its placement map.  Senders may then
-  put the small int in any ``var`` field; since ``VarId`` is a string,
-  an int on the wire is unambiguously an interned id, resolved against
-  the table its receiver itself advertised.
-* **varint int vectors** — every list of ints a connection sends
-  (log runs, clock vectors, write ids) is a count in the tag byte and
-  one zigzag LEB128 varint per element (``_T_VARINTS``): an element
-  costs what *it* needs, not what the widest of its vector needs.  Only
-  the compact (connection) encoder emits it; both decode it.
+* **the lean envelope** — the LEB128 delimiter and the one-byte
+  header above: two bytes of envelope on nearly every frame;
+* **per-link delta encoding** — each repl frame's metadata travels as
+  a diff against the previous repl frame sent on the connection
+  (``repl.delta``, :class:`DeltaEncoder` / :class:`DeltaDecoder`),
+  full when a diff would pack no fewer ints, and always full first
+  after a handshake; the receiver only decodes the contiguous ``ls ==
+  seen + 1`` frame, so both ends chain against the same baseline;
+* **id interning** — the handshake *receiver* answers with an intern
+  table (``itab``: position = id) and senders may put the small int in
+  any ``var`` field (``VarId`` is a string, so an int is unambiguous);
+* **varint int vectors** — every list of ints a connection sends is a
+  count in the tag byte and one zigzag LEB128 varint per element
+  (``_T_VARINTS``), emitted by the compact encoder only;
 * **chained scalars** — ``ls``, the issue stamp ``it`` and the ack's
   ``a`` travel as the advance over the previous frame of their kind on
   the connection, absolute on the first after a handshake; the
-  receiving end adds it back as it parses (:class:`_LinkEnd`), so
-  dedup, gap refusal and :func:`issue_age_ms` see absolutes.
-* **link-implied fields** — the ``link.hello`` fixed both sites, so no
-  frame repeats them: no ``src`` / ``dst`` on the repl kinds, no ``rq``
-  / ``sv`` on ``fetch`` / ``fetch.ok``; the receiving end fills them in.
-  A repl frame that does spell ``src`` is *self-contained* (absolute):
-  what a snapshot nests and an old WAL holds, still legal on a link.
+  receiving end adds it back as it parses (:class:`_LinkEnd`);
+* **link-implied fields** — no ``src`` / ``dst`` on the repl kinds, no
+  ``rq`` / ``sv`` on ``fetch`` / ``fetch.ok``: the ``link.hello`` fixed
+  both sites.  A repl frame that does spell ``src`` is
+  *self-contained* (absolute): what a snapshot nests and an old WAL
+  holds, still legal on a link.
 
 Every frame carries the frame schema version (``"v"``,
-:data:`JSON_WIRE_VERSION` — it is in every binary header and every WAL
-record, and is *not* the capability ``cv``) and a frame type (``"t"``).
+:data:`JSON_WIRE_VERSION` — spelled in every full binary header and so
+in every WAL record, implied by a lean one, and *not* the capability
+``cv``) and a frame type (``"t"``).
 A frame with any other schema version is rejected rather than guessed
 at — the schema version is bumped on an incompatible change of field
 layout, never for additive optional fields.
@@ -197,8 +197,8 @@ from repro.types import WriteId
 #: must carry, not a byte on any frame.  The support window is this one
 #: value (see module docstring): chained ``repl.delta`` frames and
 #: scalars, link-implied fields, varint int vectors, ``ap`` applied
-#: watermarks on acks, id interning, the binary codec.
-WIRE_VERSION = 5
+#: watermarks on acks, id interning, the binary codec in its lean envelope.
+WIRE_VERSION = 6
 
 #: the frame schema version stamped on every frame dict, in every
 #: binary header and therefore in every WAL record.  Decoders accept
@@ -283,9 +283,9 @@ class JsonCodec:
 
 
 class BinaryCodec:
-    """The binary codec: struct header + compact field packing.
+    """The binary codec: a header + compact field packing.
 
-    Body layout (after the outer 4-byte length prefix)::
+    Body layout (after the delimiter; the lean header is the tag alone)::
 
         B  magic       BINARY_MAGIC (0xB3)
         B  version     frame schema version (the frame's ``v`` field)
@@ -299,13 +299,13 @@ class BinaryCodec:
     the codec round-trip property tests assert.
 
     ``compact=True`` (the :data:`BINARY_CODEC_V4` instance, what every
-    connection sends in) additionally *emits* the two-byte int tag
-    (``_T_INT16``) for values the plain encoder spends five bytes on,
-    and the varint int vector (``_T_VARINTS``) for every list of ints —
-    dependency-log runs, clock vectors, write ids.  Both decode
-    everything either emits.  The plain instance (:data:`BINARY_CODEC`)
-    is the WAL record encoder: its byte stream is a file format and
-    stays frozen.
+    connection sends in) writes the lean header and *emits* the
+    two-byte int tag (``_T_INT16``) for values the plain encoder spends
+    five bytes on, and the varint int vector (``_T_VARINTS``) for every
+    list of ints — dependency-log runs, clock vectors, write ids.  Both
+    decode everything either emits.  The plain instance
+    (:data:`BINARY_CODEC`) is the WAL record encoder: its byte stream is
+    a file format and stays frozen.
     """
 
     name = "binary"
@@ -322,6 +322,9 @@ class BinaryCodec:
         except KeyError as exc:
             raise WireError(f"frame missing required field {exc}") from None
         compact = self.compact
+        # the handshake fixed magic and schema: a compact body opens with
+        # its tag (another schema keeps the bytes its receiver refuses)
+        lean = compact and type(version) is int and version == JSON_WIRE_VERSION
         tag = _FRAME_TAGS.get(frame_type, 0)
         layout_tag = _LAYOUTS.get((frame_type, len(frame) - 2))
         values: Optional[list] = None
@@ -331,13 +334,14 @@ class BinaryCodec:
                 tag = layout_tag
             except KeyError:
                 pass  # the right count of other keys: map-shaped below
+        if values is not None:
+            tag |= _SCHEMA_BIT
         try:
+            out += bytes((tag,)) if lean else _HDR.pack(BINARY_MAGIC, version, tag)
             if values is not None:
-                out += _HDR.pack(BINARY_MAGIC, version, tag | _SCHEMA_BIT)
                 for val in values:
                     _pack_into(out, val, compact)
             else:
-                out += _HDR.pack(BINARY_MAGIC, version, tag)
                 if tag == 0:
                     _pack_into(out, frame_type, compact)
                 _pack_len(out, _T_MAP, len(frame) - 2)
@@ -358,14 +362,16 @@ class BinaryCodec:
         return bytes(out)
 
     def decode_body(self, body: bytes) -> Dict[str, Any]:
+        """Either header: full (magic, schema version, tag) or lean."""
         try:
-            magic, version, tag = _HDR.unpack_from(body, 0)
-        except struct.error as exc:
-            raise WireError(f"truncated binary frame header: {exc}") from None
-        if magic != BINARY_MAGIC:
-            raise WireError(f"binary frame with bad magic 0x{magic:02x}")
+            if body[0] != BINARY_MAGIC:
+                version, tag, pos = JSON_WIRE_VERSION, body[0], 1
+            else:
+                _, version, tag = _HDR.unpack_from(body, 0)
+                pos = _HDR.size
+        except (IndexError, struct.error) as exc:
+            raise WireError(f"truncated binary frame header: {exc!r}") from None
         _check_version(version)
-        pos = _HDR.size
         schema_packed = tag & _SCHEMA_BIT
         tag &= _SCHEMA_BIT - 1
         try:
@@ -461,7 +467,7 @@ class BinaryCodec:
         kind = "wal.repl" if wal else "repl" if issued_ms is None else "repl.t"
         meta = msg.meta
         return self._pack_repl(
-            _HEADS[kind], msg, msg.write_id, None,
+            _HEADS[self.compact][kind], msg, msg.write_id, None,
             None if meta is None else _meta_fields(meta),
             link_seq, None if issued_ms is None else int(issued_ms), True,
         )
@@ -469,7 +475,7 @@ class BinaryCodec:
     def pack_ack(self, ack: int, applied_gap: int) -> bytes:
         """``repl.ackp {a, ap}``: the cumulative ack (a link chains it,
         :meth:`DeltaDecoder.pack_ack`) and its gap to the applied watermark."""
-        out = bytearray(_HEADS["repl.ackp"])
+        out = bytearray(_HEADS[self.compact]["repl.ackp"])
         _pack_int(out, ack, self.compact)
         _pack_int(out, applied_gap, self.compact)
         return _finish(out)
@@ -477,18 +483,18 @@ class BinaryCodec:
     def pack_put(
         self, var: Any, value: Any, itab: Optional["InternTable"] = None
     ) -> bytes:
-        out = bytearray(_HEADS["put"])
+        out = bytearray(_HEADS[self.compact]["put"])
         _pack_var(out, var, itab, self.compact)
         _pack_into(out, value, self.compact)
         return _finish(out)
 
     def pack_put_ok(self, write_id: WriteId) -> bytes:
-        out = bytearray(_HEADS["put.ok"])
+        out = bytearray(_HEADS[self.compact]["put.ok"])
         _pack_wid(out, write_id, self.compact)
         return _finish(out)
 
     def pack_get(self, var: Any, itab: Optional["InternTable"] = None) -> bytes:
-        out = bytearray(_HEADS["get"])
+        out = bytearray(_HEADS[self.compact]["get"])
         _pack_var(out, var, itab, self.compact)
         return _finish(out)
 
@@ -496,7 +502,7 @@ class BinaryCodec:
         self, value: Any, write_id: Optional[WriteId], served_by: int
     ) -> bytes:
         compact = self.compact
-        out = bytearray(_HEADS["get.ok"])
+        out = bytearray(_HEADS[compact]["get.ok"])
         _pack_into(out, value, compact)
         _pack_wid(out, write_id, compact)
         _pack_int(out, served_by, compact)
@@ -505,7 +511,7 @@ class BinaryCodec:
     def pack_fetch(self, req: FetchRequest, itab: Any = None) -> bytes:
         """``fetch``; ``itab`` is the serving site's table (the link's)."""
         compact = self.compact
-        out = bytearray(_HEADS["fetch"])
+        out = bytearray(_HEADS[compact]["fetch"])
         _pack_var(out, req.var, itab, compact)
         _pack_int(out, req.fetch_id, compact)
         deps = req.deps
@@ -521,7 +527,7 @@ class BinaryCodec:
         """``fetch.ok``; ``lean`` and ``itab`` as
         :func:`encode_fetch_reply` (its ``compact``)."""
         compact = self.compact
-        out = bytearray(_HEADS["fetch.ok"])
+        out = bytearray(_HEADS[compact]["fetch.ok"])
         _pack_var(out, reply.var, itab, compact)
         _pack_into(out, reply.value, compact)
         _pack_wid(out, reply.write_id, compact)
@@ -531,14 +537,14 @@ class BinaryCodec:
         return _finish(out)
 
     def pack_wal_put(self, var: Any, value: Any, write_id: WriteId) -> bytes:
-        out = bytearray(_HEADS["wal.put"])
+        out = bytearray(_HEADS[self.compact]["wal.put"])
         _pack_var(out, var, None, self.compact)
         _pack_into(out, value, self.compact)
         _pack_wid(out, write_id, self.compact)
         return _finish(out)
 
     def pack_wal_read(self, var: Any) -> bytes:
-        out = bytearray(_HEADS["wal.read"])
+        out = bytearray(_HEADS[self.compact]["wal.read"])
         _pack_var(out, var, None, self.compact)
         return _finish(out)
 
@@ -546,7 +552,7 @@ class BinaryCodec:
         """The durable record of a completed remote read (plain
         metadata kinds: a WAL record decodes with no connection state)."""
         compact = self.compact
-        out = bytearray(_HEADS["wal.rfetch"])
+        out = bytearray(_HEADS[compact]["wal.rfetch"])
         _pack_var(out, reply.var, None, compact)
         _pack_into(out, reply.value, compact)
         _pack_wid(out, reply.write_id, compact)
@@ -1201,16 +1207,22 @@ def encode_frame(frame: Dict[str, Any], codec: Any = JSON_CODEC) -> bytes:
     return codec.encode(frame)
 
 
+def _lean(first: int) -> bool:
+    """A lean body's first byte: a tag, never ``{`` nor the magic."""
+    return first & (_SCHEMA_BIT - 1) < len(_FRAME_TYPES)
+
+
 def decode_body(body: bytes) -> Dict[str, Any]:
     """Decode one frame body (the bytes after the length prefix).
 
-    Sniffs the codec from the first byte: :data:`BINARY_MAGIC` marks the
-    binary codec, anything else is JSON — which is how the handshake
-    frame, and a hand-typed debug frame after it, are read.
+    Sniffs the codec from the first byte: :data:`BINARY_MAGIC` or a
+    frame tag (a lean body) marks the binary codec, anything else is
+    JSON — which is how the handshake frame, and a hand-typed debug
+    frame after it, are read.
     """
     if not body:
         raise WireError("empty frame body")
-    if body[0] == BINARY_MAGIC:
+    if body[0] == BINARY_MAGIC or _lean(body[0]):
         return BINARY_CODEC.decode_body(body)
     return JSON_CODEC.decode_body(body)
 
@@ -1220,12 +1232,13 @@ def decode_annotated(body: bytes) -> Dict[str, Any]:
     layout that spells ``src``; never what a link itself sends) with
     their raw wire bytes under the local ``_raw`` key: a durable
     receiver logs those verbatim (``SiteWal.append_raw``) instead of
-    re-encoding the decoded update.  ``_raw`` is a receive-side
+    re-encoding the decoded update — never a lean body, as a WAL record
+    must decode with no connection state.  ``_raw`` is a receive-side
     annotation, not a wire field — the ingest path pops it.
     """
     frame = decode_body(body)
     kind = frame["t"]
-    if (kind == "repl" or kind == "repl.t") and "src" in frame:
+    if (kind == "repl" or kind == "repl.t") and "src" in frame and not _lean(body[0]):
         frame["_raw"] = body
     return frame
 
@@ -1236,6 +1249,38 @@ def frame_length(prefix: bytes) -> int:
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
     return length
+
+
+#: the one-byte delimiters: a body under 128 bytes
+_DELIMITERS = tuple(bytes((n,)) for n in range(0x80))
+
+
+def delimiter(length: int) -> bytes:
+    """The LEB128 body length that delimits a frame after the handshake."""
+    if length < 0x80:
+        return _DELIMITERS[length]
+    out = bytearray()
+    while length > 0x7F:
+        out.append(length & 0x7F | 0x80)
+        length >>= 7
+    return bytes(out) + _DELIMITERS[length]
+
+
+def read_delimiter(buf: Any, pos: int) -> Tuple[int, int]:
+    """The delimiter at ``buf[pos]``: ``(body length, body start)``, or
+    ``(-1, pos)`` while the buffer stops inside it.  A zero length, one
+    over :data:`MAX_FRAME_BYTES` or a fifth byte is a :class:`WireError`."""
+    length = shift = 0
+    for i in range(pos, min(pos + 4, len(buf))):
+        length |= (buf[i] & 0x7F) << shift
+        if buf[i] < 0x80:
+            if 0 < length <= MAX_FRAME_BYTES:
+                return length, i + 1
+            raise WireError(f"frame length {length} outside 1..{MAX_FRAME_BYTES}")
+        shift += 7
+    if len(buf) - pos >= 4:
+        raise WireError("frame length runs past four bytes")
+    return -1, pos
 
 
 def make_frame(frame_type: str, **fields: Any) -> Dict[str, Any]:
@@ -1840,7 +1885,7 @@ class DeltaEncoder(_LinkEnd):
         between."""
         kind, fields, ls, it = self._advance(msg.meta, link_seq, issued_ms)
         return codec._pack_repl(
-            _LINK_HEADS[kind if it is None else kind + ".t"], msg,
+            _LINK_HEADS[codec.compact][kind if it is None else kind + ".t"], msg,
             None if _derivable_write_id(msg) else msg.write_id,
             self.itab, fields, ls, it,
         )
@@ -2022,20 +2067,20 @@ HOT_KINDS = REPL_FRAME_KINDS + (
 #: ``link.hello`` fixed and chain their scalars (:class:`_LinkEnd`)
 LINK_KINDS = frozenset(REPL_FRAME_KINDS + ("repl.ackp", "fetch", "fetch.ok"))
 
-#: length-prefix placeholder + schema-packed binary header per kind
-_HEADS: Dict[str, bytes] = {
-    kind: bytes(4) + _HDR.pack(
-        BINARY_MAGIC, JSON_WIRE_VERSION, _FRAME_TAGS[kind] | _SCHEMA_BIT
-    )
-    for kind in _FRAME_SCHEMAS
-}
-
-
-#: the four repl kinds as a link spells them
-_LINK_HEADS: Dict[str, bytes] = {
-    kind: _HEADS[kind][:6] + bytes((_LINK_TAGS.get(kind, _FRAME_TAGS[kind]) | _SCHEMA_BIT,))
-    for kind in REPL_FRAME_KINDS
-}
+#: length-prefix placeholder + schema-packed header per kind, indexed by
+#: ``BinaryCodec.compact``: full (magic, schema version, tag) for the
+#: plain codec's WAL records, lean (the tag alone) for connections
+_HEADS = tuple(
+    {kind: bytes(4) + _HDR.pack(BINARY_MAGIC, JSON_WIRE_VERSION, tag | _SCHEMA_BIT)[2 * lean :]
+     for kind, tag in _FRAME_TAGS.items() if kind in _FRAME_SCHEMAS}
+    for lean in (False, True)
+)
+#: the four repl kinds as a link spells them, likewise
+_LINK_HEADS = tuple(
+    {kind: heads[kind][:-1] + bytes((_LINK_TAGS.get(kind, _FRAME_TAGS[kind]) | _SCHEMA_BIT,))
+     for kind in REPL_FRAME_KINDS}
+    for heads in _HEADS
+)
 
 
 def _finish(out: bytearray) -> bytes:
@@ -2083,7 +2128,8 @@ def _pack_wid(out: bytearray, wid: Optional[WriteId], compact: bool) -> None:
 def encoded_kind(encoded: bytes) -> str:
     """Frame type of a pre-encoded binary frame (length prefix
     included), read back from its header tag byte."""
-    return _FRAME_TYPES[encoded[6] & (_SCHEMA_BIT - 1)]
+    tag = encoded[6] if encoded[4] == BINARY_MAGIC else encoded[4]
+    return _FRAME_TYPES[tag & (_SCHEMA_BIT - 1)]
 
 
 class ReplFrame(NamedTuple):
@@ -2183,10 +2229,10 @@ def _read_meta(body: bytes, pos: int) -> Tuple[Any, int]:
 
 
 def _read_repl(
-    body: bytes, itab: Optional[InternTable], link: "_LinkEnd",
+    body: bytes, pos: int, itab: Optional[InternTable], link: "_LinkEnd",
     delta: bool, stamped: bool,
 ) -> ReplFrame:
-    var, pos = _read_var(body, 3, itab)
+    var, pos = _read_var(body, pos, itab)
     value, pos = _read_value(body, pos)
     wid, pos = _read_wid(body, pos)
     sid, fields, pos = _read_fields(body, pos)
@@ -2203,8 +2249,8 @@ def _read_repl(
     return ReplFrame(delta, var, value, wid, link.src, link.dst, sid, fields, ls, it)
 
 
-def _read_ack(body: bytes, itab: Any, link: "_LinkEnd") -> Ack:
-    ack, pos = _read_int(body, 3)
+def _read_ack(body: bytes, pos: int, itab: Any, link: "_LinkEnd") -> Ack:
+    ack, pos = _read_int(body, pos)
     applied_gap, pos = _read_int(body, pos)
     if pos != len(body):
         raise _trailing(body, pos)
@@ -2212,30 +2258,30 @@ def _read_ack(body: bytes, itab: Any, link: "_LinkEnd") -> Ack:
     return Ack(ack, applied_gap)
 
 
-def _read_put(body: bytes, itab: Optional[InternTable]) -> Put:
-    var, pos = _read_var(body, 3, itab)
+def _read_put(body: bytes, pos: int, itab: Optional[InternTable]) -> Put:
+    var, pos = _read_var(body, pos, itab)
     value, pos = _read_value(body, pos)
     if pos != len(body):
         raise _trailing(body, pos)
     return Put(var, value)
 
 
-def _read_put_ok(body: bytes, itab: Any) -> PutOk:
-    wid, pos = _read_wid(body, 3)
+def _read_put_ok(body: bytes, pos: int, itab: Any) -> PutOk:
+    wid, pos = _read_wid(body, pos)
     if pos != len(body):
         raise _trailing(body, pos)
     return PutOk(wid)
 
 
-def _read_get(body: bytes, itab: Optional[InternTable]) -> Get:
-    var, pos = _read_var(body, 3, itab)
+def _read_get(body: bytes, pos: int, itab: Optional[InternTable]) -> Get:
+    var, pos = _read_var(body, pos, itab)
     if pos != len(body):
         raise _trailing(body, pos)
     return Get(var)
 
 
-def _read_get_ok(body: bytes, itab: Any) -> GetOk:
-    value, pos = _read_value(body, 3)
+def _read_get_ok(body: bytes, pos: int, itab: Any) -> GetOk:
+    value, pos = _read_value(body, pos)
     wid, pos = _read_wid(body, pos)
     by, pos = _read_int(body, pos)
     if pos != len(body):
@@ -2244,9 +2290,9 @@ def _read_get_ok(body: bytes, itab: Any) -> GetOk:
 
 
 def _read_fetch(
-    body: bytes, itab: Optional[InternTable], link: "_LinkEnd"
+    body: bytes, pos: int, itab: Optional[InternTable], link: "_LinkEnd"
 ) -> FetchRequest:
-    var, pos = _read_var(body, 3, itab)
+    var, pos = _read_var(body, pos, itab)
     fid, pos = _read_int(body, pos)
     deps, pos = _read_meta(body, pos)
     if pos != len(body):
@@ -2255,9 +2301,9 @@ def _read_fetch(
 
 
 def _read_fetch_ok(
-    body: bytes, itab: Optional[InternTable], link: "_LinkEnd"
+    body: bytes, pos: int, itab: Optional[InternTable], link: "_LinkEnd"
 ) -> FetchReply:
-    var, pos = _read_var(body, 3, itab)
+    var, pos = _read_var(body, pos, itab)
     value, pos = _read_value(body, pos)
     wid, pos = _read_wid(body, pos)
     fid, pos = _read_int(body, pos)
@@ -2281,10 +2327,10 @@ _READERS: Dict[int, Tuple[str, Any]] = {
         kind, reader, kind in LINK_KINDS
     )
     for kind, reader in (
-        ("repl", lambda b, t, k: _read_repl(b, t, k, False, False)),
-        ("repl.t", lambda b, t, k: _read_repl(b, t, k, False, True)),
-        ("repl.delta", lambda b, t, k: _read_repl(b, t, k, True, False)),
-        ("repl.delta.t", lambda b, t, k: _read_repl(b, t, k, True, True)),
+        ("repl", lambda b, p, t, k: _read_repl(b, p, t, k, False, False)),
+        ("repl.t", lambda b, p, t, k: _read_repl(b, p, t, k, False, True)),
+        ("repl.delta", lambda b, p, t, k: _read_repl(b, p, t, k, True, False)),
+        ("repl.delta.t", lambda b, p, t, k: _read_repl(b, p, t, k, True, True)),
         ("repl.ackp", _read_ack),
         ("put", _read_put),
         ("put.ok", _read_put_ok),
@@ -2318,23 +2364,22 @@ def decode_message(
     """
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    entry = (
-        _READERS.get(body[2])
-        if len(body) > 2 and body[0] == BINARY_MAGIC
-        else None
-    )
+    # a lean body opens with its tag; a full header puts it third
+    entry, pos = (_READERS.get(body[0]), 1) if body else (None, 0)
+    if entry is None and len(body) > 2 and body[0] == BINARY_MAGIC:
+        entry, pos = _READERS.get(body[2]), 3
+        if entry is not None and body[1] != JSON_WIRE_VERSION:
+            _check_version(body[1])
     if entry is None:
         return decode_annotated(body)
-    if body[1] != JSON_WIRE_VERSION:
-        _check_version(body[1])
     try:
         if not entry[2]:
-            return entry[1](body, itab)
+            return entry[1](body, pos, itab)
         if link is None:
             raise WireError(
                 f"{entry[0]} frame on a connection no link.hello opened"
             )
-        return entry[1](body, itab, link)
+        return entry[1](body, pos, itab, link)
     except (
         IndexError, KeyError, TypeError, ValueError, OverflowError,
         struct.error, UnicodeDecodeError,
@@ -2379,6 +2424,8 @@ __all__ = [
     "Get",
     "GetOk",
     "frame_length",
+    "delimiter",
+    "read_delimiter",
     "make_frame",
     "err_frame",
     "encode_write_id",

@@ -10,6 +10,19 @@ from repro.core.base import CausalProtocol, ProtocolConfig, protocol_class
 from repro.types import SiteId, VarId
 
 
+@pytest.hookimpl(trylast=True)
+def pytest_sessionstart(session):
+    """Build Hypothesis's utf-8 interval cache before any test runs.
+    The first ``st.text()`` draw otherwise builds it (3-4 s from an
+    empty ``.hypothesis/``, CI's state) inside some test's ``too_slow``
+    health-check window.  Run last, after Hypothesis's own plugin has
+    left its initialization phase, so the storage access is not
+    reported as an import-time side effect."""
+    from hypothesis import strategies as st
+
+    st.text().validate()
+
+
 def make_sites(
     protocol: str,
     n: int,

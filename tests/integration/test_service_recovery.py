@@ -215,8 +215,10 @@ class TestLoopbackRecovery:
         literal variable name — is logged as its raw wire bytes
         (SiteWal.append_raw); recovery must replay those records, the
         stamped ``repl.t`` and the unstamped ``repl`` alike, to exactly
-        the state they produced live.  A real link interns and chains,
-        so the frames come from a hand-driven link connection."""
+        the state they produced live.  A real link interns, chains and
+        sends lean headers, so the frames come from a hand-driven link
+        connection, spelled by the plain encoder (full header: a lean
+        body is never logged raw)."""
 
         async def main():
             # no sanitizer: the writes are minted by a site-0 twin it
@@ -240,7 +242,7 @@ class TestLoopbackRecovery:
                                if m.dest == victim)
                     issued = float(i) if i % 2 else None
                     frames.append(
-                        wire.BINARY_CODEC_V4.pack_update(msg, i + 1, issued)
+                        wire.BINARY_CODEC.pack_update(msg, i + 1, issued)
                     )
                 kinds = {wire.encoded_kind(f) for f in frames}
                 await conn.send_many(frames)

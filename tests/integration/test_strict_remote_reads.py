@@ -127,3 +127,122 @@ class TestStrictModeFixes:
         assert cluster.session(0).read("x") == "mine"
         assert check_history(cluster.history, cluster.placement).ok
         cluster.settle()
+
+
+
+def test_service_strict_read_refetches_a_reply_staled_in_flight():
+    """Strict fetches carry ``deps``, yet on the service a reply can go
+    stale while it is in flight: both sessions of a site share its log,
+    and the log grows while one of them waits.  Session A's get of
+    ``x1`` is served by site 1 and its reply held; meanwhile session B,
+    at the same site, reads ``x0`` from site 0, whose metadata names a
+    write of ``x1`` still in flight to site 1.  When A's reply lands
+    it is stale against the grown log: the site must discard it,
+    re-fetch, and return the fresh value — the stale check and re-fetch
+    are not lenient-only."""
+    import asyncio
+
+    from repro.obs.registry import MetricsRegistry
+    from repro.service.harness import ServiceCluster
+    from repro.service.transport import Connection, LoopbackTransport
+    from repro.service.wire import REPL_FRAME_KINDS
+
+    class HoldingConnection(Connection):
+        """Into site 1: holds the repl frames it sends while
+        ``holding``, and the ``fetch.ok`` it receives until
+        ``replies`` is set."""
+
+        def __init__(self, inner, transport):
+            self._inner = inner
+            self._transport = transport
+
+        @property
+        def codec(self):
+            return self._inner.codec
+
+        @property
+        def agreed_version(self):
+            return self._inner.agreed_version
+
+        def negotiate(self, codec, agreed=None):
+            self._inner.negotiate(codec, agreed)
+
+        async def send(self, frame):
+            await self.send_many([frame])
+
+        async def send_many(self, frames):
+            t = self._transport
+            if t.holding:
+                t.held.append((self._inner, [f for f in frames if f["t"] in REPL_FRAME_KINDS]))
+                frames = [f for f in frames if f["t"] not in REPL_FRAME_KINDS]
+            await self._inner.send_many(frames)
+
+        async def recv(self):
+            frame = await self._inner.recv()
+            t = self._transport
+            if frame is not None and frame["t"] == "fetch.ok" and not t.replies.is_set():
+                t.held_replies += 1
+                await t.replies.wait()
+            return frame
+
+        async def close(self):
+            await self._inner.close()
+
+        @property
+        def peer(self):
+            return self._inner.peer
+
+    class HoldingTransport(LoopbackTransport):
+        def __init__(self, metrics):
+            super().__init__(metrics=metrics)
+            self.holding = False
+            self.held = []
+            self.held_replies = 0
+            self.replies = asyncio.Event()
+            self.replies.set()
+
+        async def connect(self, address):
+            inner = await super().connect(address)
+            return HoldingConnection(inner, self) if address == "site-1" else inner
+
+        async def release(self):
+            self.holding = False
+            for inner, frames in self.held:
+                await inner.send_many(frames)
+
+    async def main():
+        metrics = MetricsRegistry()
+        transport = HoldingTransport(metrics)
+        placement = {"x0": (0,), "x1": (1,)}
+        async with ServiceCluster(3, 2, "opt-track", placement=placement,
+                                  strict_remote_reads=True, sanitize=True,
+                                  metrics=metrics, transport=transport) as cluster:
+            writer = cluster.client(home=0)
+            a, b = cluster.client(home=2), cluster.client(home=2)
+            await writer.put("x1", "warm")
+            await cluster.quiesce()
+            assert (await a.get("x1"))[0] == "warm"  # the 2 -> 1 link is up
+            transport.holding = True
+            await writer.put("x1", "fresh")  # in flight to site 1, held
+            await writer.put("x0", "x")  # its metadata names that write
+            transport.replies.clear()
+            read = asyncio.ensure_future(a.get("x1"))
+            for _ in range(200):
+                if transport.held_replies:
+                    break
+                await asyncio.sleep(0.005)
+            assert transport.held_replies == 1  # served "warm", held back
+            assert (await b.get("x0"))[0] == "x"  # the shared log grows
+            transport.replies.set()
+            await asyncio.sleep(0.02)
+            assert not read.done()  # the re-fetch is parked at site 1
+            await transport.release()
+            value, _, by = await asyncio.wait_for(read, 2.0)
+            await cluster.quiesce()
+            for client in (writer, a, b):
+                await client.close()
+            return value, by, metrics.snapshot()["counters"]
+
+    value, by, counters = asyncio.run(main())
+    assert (value, by) == ("fresh", 1)
+    assert counters["service_stale_replies_total{site=2}"] >= 1

@@ -28,6 +28,20 @@ over the identical message stream:
                                            took one byte)
     FETCH_BYTES        7 302 ->   4 690   (0.642x)
     FETCH_OK_BYTES    45 002 ->  32 877   (0.731x)
+
+Re-pinned once more, at WIRE_VERSION 6 (the lean envelope: a frame is
+priced as a handshaken connection carries it — its LEB128 delimiter,
+one byte under 128, instead of the 4-byte length prefix, and a body
+that opens with its tag, without the magic and schema-version bytes),
+old -> new over the identical message stream; every frame here is under
+128 bytes, so each is exactly 5 bytes shorter:
+
+    FULL_BYTES       236 866 -> 221 271
+    CHAINED_BYTES    137 448 -> 121 853   (0.887x)
+    full / delta     843 / 2 276 frames, unchanged
+    ACK_BYTES         26 694 ->  11 864   (0.444x)
+    FETCH_BYTES        4 690 ->   2 345   (0.500x)
+    FETCH_OK_BYTES    32 877 ->  30 532   (0.929x)
 """
 
 from collections import deque
@@ -41,19 +55,26 @@ from tests.conftest import make_sites
 N, Q, RF, OPS, SEED = 8, 24, 3, 1600, 20
 WRITE_FRAC, DELIVER_FRAC, FETCH_FRAC = 0.75, 0.4, 0.3
 
-#: 56 links; chained / full = 0.580
+#: 56 links; chained / full = 0.551
 MESSAGES = 3119
-FULL_BYTES = 236_866
-CHAINED_BYTES = 137_448
+FULL_BYTES = 221_271
+CHAINED_BYTES = 121_853
 FULL_FRAMES = 843
 DELTA_FRAMES = 2276
 #: one cumulative ack per delivery batch and sender
 ACKS = 2966
-ACK_BYTES = 26_694
+ACK_BYTES = 11_864
 #: remote reads: the request, and the reply with its log and snapshot
 FETCHES = 469
-FETCH_BYTES = 4_690
-FETCH_OK_BYTES = 32_877
+FETCH_BYTES = 2_345
+FETCH_OK_BYTES = 30_532
+
+
+def on_wire(encoded):
+    """What a handshaken connection carries of one encoded frame: its
+    body behind the LEB128 delimiter, not the codec's 4-byte prefix."""
+    body = len(encoded) - 4
+    return len(wire.delimiter(body)) + body
 
 
 def _drain(sites, inbox, dest, applied, acks):
@@ -133,8 +154,8 @@ def test_chained_stream_bytes_are_pinned():
             chained = enc.pack_update(msg, ls, issued, codec)
             assert wire.encoded_kind(full) == "repl.t"
             messages += 1
-            full_bytes += len(full)
-            chained_bytes += len(chained)
+            full_bytes += on_wire(full)
+            chained_bytes += on_wire(chained)
             if wire.encoded_kind(chained) == "repl.delta.t":
                 delta_frames += 1
             else:
@@ -159,14 +180,14 @@ def test_ack_and_fetch_stream_bytes_are_pinned():
         dec = wire.DeltaDecoder(*link)
         for ack in traffic["acks"][link]:
             acks += 1
-            ack_bytes += len(dec.pack_ack(ack, 0, codec))
+            ack_bytes += on_wire(dec.pack_ack(ack, 0, codec))
     fetches = fetch_bytes = reply_bytes = 0
     for link in sorted(traffic["fetches"]):
         for req, reply in traffic["fetches"][link]:
             assert (req.requester, req.server) == link
             fetches += 1
-            fetch_bytes += len(codec.pack_fetch(req, itab))
-            reply_bytes += len(codec.pack_fetch_ok(reply, True, itab))
+            fetch_bytes += on_wire(codec.pack_fetch(req, itab))
+            reply_bytes += on_wire(codec.pack_fetch_ok(reply, True, itab))
     assert (acks, ack_bytes) == (ACKS, ACK_BYTES)
     assert (fetches, fetch_bytes, reply_bytes) == (
         FETCHES, FETCH_BYTES, FETCH_OK_BYTES

@@ -219,7 +219,8 @@ class TestPlainDataBoundaries:
         frame = wire.make_frame("x", m=wire.encode_meta(clock))
         assert wire.encode_frame(frame, wire.JSON_CODEC).hex() == JSON_VC_HEX
         assert wire.encode_frame(frame, wire.BINARY_CODEC).hex() == BINARY_VC_HEX
-        # connections spell the same vector in varints since WIRE_VERSION 5
+        # connections spell the same vector in varints since WIRE_VERSION
+        # 5, behind the one-byte lean header since 6
         assert wire.encode_frame(frame, wire.BINARY_CODEC_V4).hex() == VARINT_VC_HEX
 
 
@@ -231,4 +232,4 @@ BINARY_VC_HEX = (
     "00000030b30200300178500130016d6004480408000000000000000100000000000000"
     "0000000100000000000000000000000005"
 )
-VARINT_VC_HEX = "00000017b30200300178500130016d60047402008080808080400a"
+VARINT_VC_HEX = "0000001500300178500130016d60047402008080808080400a"

@@ -282,6 +282,28 @@ class TestBinaryCodecEdges:
         assert jbody[0] == 0x7B and bbody[0] == wire.BINARY_MAGIC
         assert wire.decode_body(jbody) == wire.decode_body(bbody) == frame
 
+    def test_no_tag_reads_as_another_codec(self):
+        """A lean body opens with its tag, so no tag — with or without
+        the schema bit — may be ``{`` or the binary magic, and the
+        compact codec's bodies open with the tag."""
+        tags = range(len(wire._FRAME_TYPES))
+        firsts = {t | bit for t in tags for bit in (0, wire._SCHEMA_BIT)}
+        assert not firsts & {0x7B, wire.BINARY_MAGIC}
+        assert max(firsts) == 0xA3 and max(tags) == 0x23
+        frame = wire.make_frame("ping")
+        lean = wire.BINARY_CODEC_V4.encode(frame)[4:]
+        assert lean[0] == wire._FRAME_TAGS["ping"]  # then its (empty) field map
+        assert wire.decode_body(lean) == frame
+
+    def test_other_schema_versions_keep_the_full_header(self):
+        # a lean header implies the current schema: a frame of another
+        # one keeps the bytes its receiver refuses it by
+        frame = {"v": wire.JSON_WIRE_VERSION + 1, "t": "ping"}
+        body = wire.BINARY_CODEC_V4.encode(frame)[4:]
+        assert body[0] == wire.BINARY_MAGIC
+        with pytest.raises(WireError, match="unsupported wire version"):
+            wire.decode_body(body)
+
     def test_unknown_tag_rejected(self):
         body = bytes([wire.BINARY_MAGIC, wire.JSON_WIRE_VERSION, 0x7F])
         with pytest.raises(WireError):
@@ -513,8 +535,9 @@ class TestOnePassIdentity:
         """Self-contained full frames (what a snapshot nests, what a
         link sent before WIRE_VERSION 5) and their ``wal.repl`` twin,
         over every metadata kind ``encode_meta`` emits.  On a link they
-        pass the chain untouched — absolute, annotated with their bytes
-        for the raw WAL append."""
+        pass the chain untouched — absolute, and annotated with their bytes
+        for the raw WAL append unless lean (a WAL record carries the
+        full header)."""
         codec = BINARY[compact]
         msg = UpdateMessage(var, value, WriteId(*wid), src, dst, meta)
         expect = dict_path_update(codec, None, msg, ls, issued)
@@ -522,7 +545,7 @@ class TestOnePassIdentity:
         assert got == expect
         link = wire.DeltaDecoder(src + 1, dst + 1)
         frame = link.restore(wire.decode_message(body_of(got), None, link))
-        assert frame.pop("_raw") == body_of(got)
+        assert frame.pop("_raw", None) == (None if compact else body_of(got))
         assert (frame["src"], frame["dst"], frame["ls"]) == (src, dst, ls)
         assert wire.strip_issue(frame) == (None if issued is None else int(issued))
         assert messages_equal(link.decode_update(frame), msg)
@@ -712,6 +735,14 @@ class TestOnePassRejects:
     never ``IndexError`` / ``struct.error`` / ``KeyError``."""
 
     @pytest.mark.parametrize("kind", sorted(wire.HOT_KINDS))
+    def test_valid_bodies_are_lean(self, kind):
+        # what the prefix / trailing-byte / corruption tests below cut
+        # is what a connection carries: a body that opens with its tag
+        body = VALID_BODIES[kind]
+        assert body[0] & 0x80 and wire._FRAME_TYPES[body[0] & 0x7F] == kind
+        assert PLAIN_BODIES[kind][0] == wire.BINARY_MAGIC
+
+    @pytest.mark.parametrize("kind", sorted(wire.HOT_KINDS))
     def test_valid_bodies_decode(self, kind):
         decode_fully(VALID_BODIES[kind])
         decode_fully(PLAIN_BODIES[kind], bodies=PLAIN_BODIES)
@@ -731,7 +762,8 @@ class TestOnePassRejects:
 
     @pytest.mark.parametrize("kind", sorted(wire.HOT_KINDS))
     def test_header_corruption(self, kind):
-        body = VALID_BODIES[kind]
+        # the full header (magic, schema version, tag) of the plain encoder
+        body = PLAIN_BODIES[kind]
         bad = [bytes([wire.BINARY_MAGIC ^ flip]) + body[1:] for flip in (0x01, 0x80, 0xFF)]
         bad += [
             body[:1] + bytes([version]) + body[2:]
@@ -744,6 +776,13 @@ class TestOnePassRejects:
         # unregistered tags, with and without the schema bit; and this
         # kind's own tag without it (a map-shaped body these bytes are not)
         bad += [body[:2] + bytes([tag]) + body[3:] for tag in (0x7F, 0xFF, 0x70, body[2] & 0x7F)]
+        # a lean body's one header byte, the same tags and the first
+        # byte past the registry, with and without the schema bit
+        lean = VALID_BODIES[kind]
+        bad += [
+            bytes([tag]) + lean[1:]
+            for tag in (0x7F, 0xFF, 0x70, 0x24, 0xA4, lean[0] & 0x7F)
+        ]
         for corrupt in bad:
             with pytest.raises(WireError):
                 decode_fully(corrupt)
@@ -839,7 +878,8 @@ class TestOnePassRejects:
         small = wire.InternTable(["x0"])
         link = wire.DeltaDecoder(SRC, DST)
         for kind in ("repl", "repl.delta.t", "put", "fetch", "fetch.ok"):
-            assert VALID_BODIES[kind][3] == 0x80 | ITAB.names.index("x1")
+            # the variable follows the one-byte lean header
+            assert VALID_BODIES[kind][1] == 0x80 | ITAB.names.index("x1")
             with pytest.raises(WireError, match="outside the negotiated table"):
                 wire.decode_message(VALID_BODIES[kind], small, link)
             with pytest.raises(WireError, match="without a table"):

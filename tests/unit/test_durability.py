@@ -174,6 +174,19 @@ class TestTransportAnnotation:
         out = _decode_annotated(body)
         assert out.pop("_raw") == body and out["t"] == "repl.t"
 
+    def test_lean_body_is_not(self):
+        """The compact codec's self-contained repl frame has a lean
+        header — the connection's, not the record's — so it is never
+        logged raw: a WAL record always decodes with no connection
+        state."""
+        from repro.service.transport import _decode_annotated
+
+        for frame in (repl_frame(0), stamped(repl_frame(0), 1234.0)):
+            body = wire.BINARY_CODEC_V4.encode(frame)[4:]
+            assert body[0] != wire.BINARY_MAGIC
+            out = _decode_annotated(body)
+            assert "_raw" not in out and out["t"] == frame["t"]
+
     def test_delta_and_control_bodies_are_not(self):
         from repro.service.transport import _decode_annotated
 

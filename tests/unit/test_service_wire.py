@@ -28,6 +28,15 @@ class TestFraming:
         assert wire.make_frame("ping")["v"] == wire.JSON_WIRE_VERSION
         assert wire.JSON_WIRE_VERSION < wire.WIRE_VERSION
 
+    def test_refusal_names_both_versions(self):
+        # the support window is one version: a v5 build is refused by
+        # name, with the version this side speaks
+        assert wire.WIRE_VERSION == 6
+        message = str(wire.unsupported_version(5, "a hello"))
+        assert message == (
+            "unsupported wire version 5 in a hello: this side speaks version 6 only"
+        )
+
     def test_unsupported_version_rejected(self):
         encoded = wire.encode_frame({"v": wire.WIRE_VERSION + 1, "t": "ping"})
         with pytest.raises(WireError, match="unsupported wire version"):
