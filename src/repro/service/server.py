@@ -21,13 +21,23 @@ Request paths (the home-site session model):
   bounded by ``read_timeout`` and expires to a retriable ``read-timeout``
   error.
 * **get, remote** — the server performs the paper's RemoteFetch on the
-  client's behalf over the peer link to the predesignated replica.  Strict
-  mode defers on the serving side (``can_serve_fetch``); lenient mode runs
-  the client-side reply-freshness gate
-  (:meth:`~repro.core.base.CausalProtocol.reply_is_fresh`) and answers a
-  stale reply with a re-fetch that names the records the reply missed
-  (:meth:`~repro.core.base.CausalProtocol.stale_deps`), which the serving
-  site parks until it has applied them.  Exhaustion surfaces as a
+  client's behalf over the peer link to the predesignated replica.  The
+  serving site answers a fetch at the end of the inbound batch that
+  carried it, in the link handler's own step, when ``can_serve_fetch``
+  admits it (strict mode defers one whose dependencies are not applied
+  yet: that one waits in its own task).
+  The reply is judged where it lands: the link reader that reads the
+  ``fetch.ok`` runs the reply-freshness gate
+  (:meth:`~repro.core.base.CausalProtocol.reply_is_fresh`), the WAL
+  record, the merge and the read hooks in that same step — in FIFO
+  order with the acks behind it on the connection, whose ack-driven GC
+  would otherwise clear the serving site from the very log records the
+  gate checks.  A stale reply is answered with a re-fetch that names
+  the records the reply missed
+  (:meth:`~repro.core.base.CausalProtocol.stale_deps`), which the
+  serving site parks until it has applied them.  The ``get`` handler
+  only awaits the read's one future, bounded by ``fetch_timeout`` per
+  attempt and ``read_timeout`` per read; exhaustion surfaces as a
   retriable ``unavailable`` error and the client fails over to another
   replica of the key.
 
@@ -170,9 +180,10 @@ class PeerLink:
     by transport send success alone, so a frame the transport accepted
     but the peer never processed is resent on the next connection.
     Fetch requests ride the same connection fire-and-forget (the
-    requester's timeout covers their loss); a paired reader task routes
-    ``fetch.ok`` / ``fetch.err`` responses back to the owning server's
-    waiter table and applies incoming acks.
+    requester's timeout covers their loss); a paired reader task hands
+    ``fetch.ok`` / ``fetch.err`` responses to the owning server's
+    :meth:`SiteServer._resolve_fetch`, which completes the read in the
+    reader's step, and applies incoming acks in arrival order.
 
     The queue holds *decoded* :class:`UpdateMessage` objects and encodes
     at send time: the per-connection
@@ -631,6 +642,31 @@ class PeerLink:
                 self.owner._resolve_fetch(wire.field(frame, "fid", int), frame)
 
 
+class _RemoteRead:
+    """One remote ``get`` in flight: what :meth:`SiteServer._resolve_fetch`
+    needs to judge, merge or re-fetch a reply where it lands, and the
+    one future the ``get`` handler awaits."""
+
+    __slots__ = (
+        "var", "server", "done", "deadline", "timeout", "stale", "fetch_id"
+    )
+
+    def __init__(
+        self, var: VarId, server: SiteId, done: asyncio.Future, deadline: float
+    ) -> None:
+        self.var = var
+        self.server = server
+        self.done = done
+        #: loop time by which the whole read (every re-fetch) must end
+        self.deadline = deadline
+        #: the handler's ``asyncio.timeout``, rescheduled per attempt
+        self.timeout: Any = None
+        #: stale replies so far
+        self.stale = 0
+        #: the id of the fetch whose answer the read awaits
+        self.fetch_id = 0
+
+
 class SiteServer:
     """One site of the networked KV cluster (see module docstring)."""
 
@@ -725,7 +761,8 @@ class SiteServer:
         #: path skip the notify task when nobody is waiting
         self._waiting = 0
         self._links: Dict[SiteId, PeerLink] = {}
-        self._fetch_waiters: Dict[int, asyncio.Future] = {}
+        #: remote reads in flight, by the id of their outstanding fetch
+        self._fetch_waiters: Dict[int, _RemoteRead] = {}
         #: origin issue stamp (whole ms) per in-flight write, stripped
         #: from ``repl.t`` frames; consumed at apply into the per-origin
         #: visibility histogram
@@ -831,9 +868,8 @@ class SiteServer:
         self._links.clear()
         for link in links:
             await link.close()
-        for fut in self._fetch_waiters.values():
-            if not fut.done():
-                fut.cancel()
+        for read in self._fetch_waiters.values():
+            read.done.cancel()
         self._fetch_waiters.clear()
         if self.wal is not None:
             self.wal.close()
@@ -930,20 +966,14 @@ class SiteServer:
         the message :func:`wire.decode_message` built in one pass or as
         a frame dict (connections that only speak dicts, hand-typed
         JSON); both reach the same handler with the same arguments.
-        Repl frames never get here: :meth:`_dispatch_batch` takes them."""
+        Repl and fetch frames never get here: :meth:`_dispatch_batch`
+        takes them."""
         cls = type(frame)
         if cls is wire.Put:
             await self._handle_put(conn, frame.var, frame.value)
             return
         if cls is wire.Get:
             await self._handle_get(conn, frame.var)
-            return
-        if cls is FetchRequest:
-            # served in its own task: a strict-mode fetch can block on
-            # this site's apply progress, and the repl frames that unblock
-            # it arrive on this very connection — inline serving would
-            # deadlock the link (head-of-line blocking)
-            asyncio.ensure_future(self._handle_fetch(conn, frame))
             return
         if cls is not dict:
             # a reply kind (an ack, a put.ok, ...) sent *to* a server
@@ -962,12 +992,6 @@ class SiteServer:
             await self._handle_hello(conn, frame)
         elif kind == "hello":
             await self._handle_client_hello(conn, frame)
-        elif kind == "fetch":
-            asyncio.ensure_future(
-                self._handle_fetch(
-                    conn, wire.decode_fetch_request(frame, self._itab)
-                )
-            )
         elif kind == "sys.stats":
             await self._handle_stats(conn)
         elif kind in ("sys.digest", "sys.range") and conn in self._delta_in:
@@ -1002,13 +1026,17 @@ class SiteServer:
         an update a per-frame drain would have applied mid-batch is
         applied by the batch-end drain instead, before any ack covering
         it is sent, so the ack contract (processed ⇒ in protocol state)
-        holds.  Non-repl frames flush pending repl work first so a get
-        or fetch arriving behind a burst of updates observes them."""
+        holds.  Other frames flush pending repl work first so a get
+        arriving behind a burst of updates observes them; fetches wait
+        for the end of the batch (:meth:`_handle_fetch`), so a reply
+        also covers the updates queued behind its fetch."""
         acks: Dict[SiteId, int] = {}
         applied = 0
+        fetches: List[FetchRequest] = []
         link = self._delta_in.get(conn)
         for frame in frames:
-            if link is not None and type(frame) is dict:
+            cls = type(frame)
+            if link is not None and cls is dict:
                 link.restore(frame)
             if self.stopped:
                 await self._flush_repl(conn, acks, applied)
@@ -1018,18 +1046,22 @@ class SiteServer:
                     )
                 )
                 return
-            if type(frame) is wire.ReplFrame or (
-                type(frame) is dict and frame["t"] in _REPL_KINDS
-            ):
+            if cls is wire.ReplFrame or (cls is dict and frame["t"] in _REPL_KINDS):
                 if link is None:
                     raise WireError(
                         "repl frame on a connection no link.hello opened"
                     )
                 applied += self._ingest_repl(link, frame, acks)
+            elif cls is FetchRequest:
+                fetches.append(frame)
+            elif cls is dict and frame["t"] == "fetch":
+                fetches.append(wire.decode_fetch_request(frame, self._itab))
             else:
                 applied = await self._flush_repl(conn, acks, applied)
                 await self._dispatch(conn, frame)
         await self._flush_repl(conn, acks, applied)
+        for req in fetches:
+            await self._handle_fetch(conn, req)
 
     def _ingest_repl(
         self, link: wire.DeltaDecoder, frame: Any, acks: Dict[SiteId, int]
@@ -1264,21 +1296,16 @@ class SiteServer:
                 # read-merge across a crash would let post-recovery
                 # writes under-state their causal past
                 self.wal.append(wire.BINARY_CODEC.pack_wal_read(var))
+            self._observe_read(var, wid)
             served_by = self.site
         else:
             try:
                 value, wid = await self._remote_get(var)
-            except (ServiceUnavailableError, asyncio.TimeoutError) as exc:
+            except ServiceUnavailableError as exc:
                 self.metric("service_fetch_failures_total")
                 await conn.send(wire.err_frame("unavailable", str(exc)))
                 return
             served_by = proto.fetch_target(var)
-        now = self.now_ms()
-        if self.sanitizer is not None:
-            self.sanitizer.on_read(self.site, var, wid, now=now)
-        rec = self.recorder
-        if rec is not None and rec.enabled:
-            rec.on_read(now, self.site, var, wid)
         codec = conn.one_pass
         await conn.send(
             wire.make_frame(
@@ -1288,67 +1315,112 @@ class SiteServer:
             else codec.pack_get_ok(value, wid, served_by)
         )
 
+    def _observe_read(self, var: VarId, wid: Optional[WriteId]) -> None:
+        """The sanitizer's and the recorder's view of a completed read."""
+        now = self.now_ms()
+        if self.sanitizer is not None:
+            self.sanitizer.on_read(self.site, var, wid, now=now)
+        rec = self.recorder
+        if rec is not None and rec.enabled:
+            rec.on_read(now, self.site, var, wid)
+
     async def _remote_get(self, var: VarId) -> Tuple[Any, Optional[WriteId]]:
-        """The paper's RemoteFetch, run on the client's behalf.  The
-        whole read — first fetch and every stale re-fetch — is bounded
-        by one ``read_timeout`` deadline."""
+        """The paper's RemoteFetch, run on the client's behalf: send the
+        fetch and await the read's one future.  :meth:`_resolve_fetch`
+        judges, merges or re-fetches each reply where it lands; this
+        only bounds the wait — ``fetch_timeout`` per attempt (the
+        timeout is rescheduled at each re-fetch) and ``read_timeout``
+        for the whole read."""
         proto = self.protocol
         server = proto.fetch_target(var)
         link = self._link(server)
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.read_timeout
+        now = loop.time()
+        read = _RemoteRead(
+            var, server, loop.create_future(), now + self.read_timeout
+        )
         req = proto.make_fetch_request(var, server)
-        stale = 0
-        while True:
-            fut: asyncio.Future = loop.create_future()
-            self._fetch_waiters[req.fetch_id] = fut
-            link.enqueue_fetch(req)
-            try:
-                frame = await asyncio.wait_for(
-                    fut, min(self.fetch_timeout, max(0.0, deadline - loop.time()))
-                )
-            except asyncio.TimeoutError:
+        try:
+            async with asyncio.timeout_at(
+                min(now + self.fetch_timeout, read.deadline)
+            ) as read.timeout:
+                self._send_fetch(link, req, read)
+                return await read.done
+        except TimeoutError:
+            raise ServiceUnavailableError(
+                f"fetch of {var!r} from site {server} timed out"
+                + (f" after {read.stale} stale replies" if read.stale else "")
+            ) from None
+        finally:
+            self._fetch_waiters.pop(read.fetch_id, None)
+
+    def _send_fetch(
+        self, link: PeerLink, req: FetchRequest, read: _RemoteRead
+    ) -> None:
+        read.fetch_id = req.fetch_id
+        self._fetch_waiters[req.fetch_id] = read
+        link.enqueue_fetch(req)
+
+    def _resolve_fetch(self, fetch_id: int, reply: Any) -> None:
+        """Complete the remote read a fetch answer — a decoded
+        :class:`FetchReply`, or a ``fetch.err`` frame dict — belongs to.
+        The link reader calls this in the step that read the answer, so
+        the reply is judged in FIFO order with the acks behind it on the
+        connection: an ack processed first could let ack-driven GC clear
+        the serving site from the very log records
+        :meth:`~repro.core.base.CausalProtocol.reply_is_fresh` checks,
+        and a reply this site's own completed write made stale would
+        pass.  A fresh reply is logged, merged and observed in one
+        synchronous block; a stale one is discarded unmerged and
+        re-fetched naming exactly the records its snapshot missed
+        (:meth:`~repro.core.base.CausalProtocol.stale_deps`), which the
+        serving site parks until it has applied them."""
+        read = self._fetch_waiters.pop(fetch_id, None)
+        if read is None or read.done.done():
+            return  # the read timed out or was cancelled meanwhile
+        proto = self.protocol
+        try:
+            if type(reply) is not FetchReply:
                 raise ServiceUnavailableError(
-                    f"fetch of {var!r} from site {server} timed out"
-                    + (f" after {stale} stale replies" if stale else "")
-                ) from None
-            finally:
-                self._fetch_waiters.pop(req.fetch_id, None)
-            if type(frame) is not FetchReply:
-                raise ServiceUnavailableError(
-                    f"site {server} could not serve {var!r}: "
-                    f"{frame.get('code')} ({frame.get('msg')})"
+                    f"site {read.server} could not serve {read.var!r}: "
+                    f"{reply.get('code')} ({reply.get('msg')})"
                 )
-            reply = frame
             if proto.reply_is_fresh(reply):
                 if self.wal is not None:
                     # same reasoning as wal.read: completing a remote
                     # read merges the reply's metadata into local state
                     self.wal.append(wire.BINARY_CODEC.pack_wal_rfetch(reply))
-                return proto.complete_remote_read(reply)
-            # stale reply (lenient, or strict with the site's shared log
-            # grown by another session meanwhile): discard unmerged and
-            # re-issue naming exactly the records the reply's snapshot
-            # failed, so the serving site parks the fetch and answers on
-            # the apply (the simulator's gate, sim.process._do_read, polls)
-            stale += 1
+                value, wid = proto.complete_remote_read(reply)
+                self._observe_read(read.var, wid)
+                read.done.set_result((value, wid))
+                return
+            read.stale += 1
             self.metric("service_stale_replies_total")
-            if stale > MAX_STALE_FETCH_RETRIES:
+            if read.stale > MAX_STALE_FETCH_RETRIES:
                 raise ServiceUnavailableError(
-                    f"remote read of {var!r} stale after {stale - 1} retries: "
-                    f"site {server} never applied a causally required update"
+                    f"remote read of {read.var!r} stale after "
+                    f"{read.stale - 1} retries: site {read.server} never "
+                    f"applied a causally required update"
                 )
-            link = self._link(server)
-            req = FetchRequest(
-                var, self.site, server, proto.next_fetch_id(), proto.stale_deps(reply)
+            read.timeout.reschedule(
+                min(
+                    asyncio.get_running_loop().time() + self.fetch_timeout,
+                    read.deadline,
+                )
             )
-
-    def _resolve_fetch(self, fetch_id: int, reply: Any) -> None:
-        """Hand a fetch's answer — a decoded :class:`FetchReply`, or a
-        ``fetch.err`` frame dict — to its waiter."""
-        fut = self._fetch_waiters.pop(fetch_id, None)
-        if fut is not None and not fut.done():
-            fut.set_result(reply)
+            req = FetchRequest(
+                read.var,
+                self.site,
+                read.server,
+                proto.next_fetch_id(),
+                proto.stale_deps(reply),
+            )
+            self._send_fetch(self._link(read.server), req, read)
+        except Exception as exc:
+            # raised in the get handler, as if the read had completed
+            # there (a sanitizer violation still dumps the flight ring);
+            # the link reader goes on reading
+            read.done.set_exception(exc)
 
     # ------------------------------------------------------------------
     # peer traffic
@@ -1438,6 +1510,19 @@ class SiteServer:
             pass
 
     async def _handle_fetch(self, conn: Connection, req: FetchRequest) -> None:
+        """Answer a fetch this site can already serve in the handler's
+        own step — after its batch's repl frames are applied and acked
+        (see :meth:`_dispatch_batch`).  One that must wait on apply
+        progress is parked in its own task: the repl frames that
+        unblock it may arrive in a later batch on this very connection,
+        and waiting here would deadlock the link (head-of-line
+        blocking)."""
+        if self.protocol.can_serve_fetch(req):
+            await self._answer_fetch(conn, req)
+        else:
+            asyncio.ensure_future(self._park_fetch(conn, req))
+
+    async def _park_fetch(self, conn: Connection, req: FetchRequest) -> None:
         proto = self.protocol
         if not await self._wait_for(lambda: proto.can_serve_fetch(req)):
             self.metric("service_fetch_defer_timeouts_total")
@@ -1454,7 +1539,10 @@ class SiteServer:
             except (ConnectionError, OSError):
                 pass
             return
-        reply = proto.serve_fetch(req)
+        await self._answer_fetch(conn, req)
+
+    async def _answer_fetch(self, conn: Connection, req: FetchRequest) -> None:
+        reply = self.protocol.serve_fetch(req)
         try:
             # our own advertised table — the requester holds a copy
             # from this link's handshake

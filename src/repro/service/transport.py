@@ -32,7 +32,7 @@ from __future__ import annotations
 import asyncio
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ServiceError
 from repro.service import wire
@@ -40,7 +40,7 @@ from repro.service import wire
 #: per-connection frame handler installed by ``Transport.listen``
 ConnHandler = Callable[["Connection"], Awaitable[None]]
 
-#: sentinel queued by the loopback to mark an orderly or severed EOF
+#: sentinel the loopback hands over to mark an orderly or severed EOF
 _EOF = object()
 
 #: bytes per TCP read; large enough to swallow a whole coalesced batch
@@ -333,13 +333,21 @@ class Transport(ABC):
 class _LoopbackConnection(_PlainConnection):
     """One endpoint of an in-process connection pair.
 
-    ``_rx`` receives the bodies of frames the peer sent; ``_tx`` is the
-    peer's ``_rx``.  Frames cross as their encoded bytes, so what the
-    receiver decodes is exactly what *would* hit a socket.
+    ``_rx`` holds the bodies of frames the peer sent; the peer appends
+    to it and wakes this side's one reader through ``_waiter``.  A
+    connection has one reader, so a deque and one future do what an
+    ``asyncio.Queue`` would, without its per-item getter bookkeeping.
+    Frames cross as their encoded bytes, so what the receiver decodes
+    is exactly what *would* hit a socket.
     """
 
     def __init__(self, peer_name: str, delay: float = 0.0) -> None:
-        self._rx: asyncio.Queue = asyncio.Queue()
+        self._rx: Deque[bytes] = deque()
+        #: the peer closed, or this side was severed: once ``_rx`` is
+        #: drained every read reports EOF
+        self._eof = False
+        #: the future this side's reader parks on while ``_rx`` is empty
+        self._waiter: Optional[asyncio.Future] = None
         self._peer: Optional["_LoopbackConnection"] = None
         self._peer_name = peer_name
         self._closed = False
@@ -350,13 +358,26 @@ class _LoopbackConnection(_PlainConnection):
         self._pending: Optional[asyncio.Queue] = None
         self._pump: Optional[asyncio.Task] = None
 
+    def _deliver(self, item: Any) -> None:
+        """Land ``item`` — a body, or the EOF sentinel — in ``_rx`` and
+        wake the reader."""
+        if item is _EOF:
+            self._eof = True
+        else:
+            self._rx.append(item)
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            if not waiter.done():
+                waiter.set_result(None)
+
     def _enqueue(self, item: Any) -> None:
-        """Hand ``item`` to this side's receive queue, after this
+        """Hand ``item`` to this side's receive buffer, after this
         connection's one-way delay when one is configured.  The pump
         task drains in send order with monotone due times, so FIFO per
         connection is preserved exactly."""
         if self._delay <= 0.0:
-            self._rx.put_nowait(item)
+            self._deliver(item)
             return
         if self._pending is None:
             self._pending = asyncio.Queue()
@@ -372,13 +393,13 @@ class _LoopbackConnection(_PlainConnection):
             wait = due - loop.time()
             if wait > 0:
                 await asyncio.sleep(wait)
-            self._rx.put_nowait(item)
+            self._deliver(item)
 
     async def send(self, frame: Any) -> None:
         self.write_many((frame,))
 
     def writable(self) -> bool:
-        # an in-process queue never pushes back; a dead peer surfaces
+        # an in-process buffer never pushes back; a dead peer surfaces
         # as the ConnectionResetError write_many raises
         return True
 
@@ -387,7 +408,7 @@ class _LoopbackConnection(_PlainConnection):
         if self._closed or peer is None or peer._closed:
             raise ConnectionResetError(f"loopback peer {self._peer_name} is gone")
         # one liveness check for the whole batch; each frame crosses as
-        # its encoded body, and the receiver wakes once (the first put
+        # its encoded body, and the receiver wakes once (the first body
         # wakes it, the rest land before it runs)
         encode = self._encode
         enqueue = peer._enqueue
@@ -404,26 +425,24 @@ class _LoopbackConnection(_PlainConnection):
     async def send_many(self, frames: Any) -> None:
         self.write_many(frames)
 
+    async def _readable(self) -> bool:
+        """Wait until ``_rx`` holds a body; False once it never will
+        (bodies that beat the EOF are handed out first)."""
+        while not self._rx:
+            if self._eof:
+                return False
+            waiter = self._waiter = asyncio.get_running_loop().create_future()
+            await waiter
+        return True
+
     async def _next_body(self) -> Optional[bytes]:
-        if self._closed and self._rx.empty():
-            return None
-        item = await self._rx.get()
-        return None if item is _EOF else item
+        return self._rx.popleft() if await self._readable() else None
 
     async def _next_bodies(self) -> Optional[List[bytes]]:
-        first = await self._next_body()
-        if first is None:
+        if not await self._readable():
             return None
-        bodies = [first]
-        rx = self._rx
-        while not rx.empty():
-            item = rx.get_nowait()
-            if item is _EOF:
-                # deliver the frames that beat the EOF; re-queue it so
-                # the next recv reports the close
-                rx.put_nowait(_EOF)
-                break
-            bodies.append(item)
+        bodies = list(self._rx)
+        self._rx.clear()
         return bodies
 
     async def close(self) -> None:
@@ -442,7 +461,7 @@ class _LoopbackConnection(_PlainConnection):
             if self._pump is not None:
                 self._pump.cancel()
                 self._pump = None
-            self._rx.put_nowait(_EOF)
+            self._deliver(_EOF)
 
     @property
     def peer(self) -> str:

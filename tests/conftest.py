@@ -5,9 +5,18 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import settings
 
 from repro.core.base import CausalProtocol, ProtocolConfig, protocol_class
 from repro.types import SiteId, VarId
+
+
+#: Tier-1's Hypothesis profile: every run draws the same examples (no
+#: "fails once, then replays from .hypothesis/examples"), and nothing is
+#: read from or saved to an example database.  ``--hypothesis-profile
+#: default`` on the pytest command line restores random exploration.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.hookimpl(trylast=True)
