@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-cold test-fast lint typecheck check bench bench-fast sweep-bench table1 fig4 report trace-smoke serve-smoke interleave-smoke perf-smoke stats-smoke
+.PHONY: test test-cold test-fast lint typecheck check bench bench-fast sweep-bench table1 fig4 report trace-smoke serve-smoke interleave-smoke perf-smoke stats-smoke sanitize-sweep
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -75,6 +75,14 @@ stats-smoke:
 # await-atomicity static rule; details in docs/static-analysis.md
 interleave-smoke:
 	$(PYTHON) -m repro.verify.schedules --seeds 50
+
+# Fixed-seed oracle sweep: every protocol x seeds 0..499 on a 3-site,
+# 3-variable cluster, 15 ops/site (p = 1 for the partial-replication
+# protocols), strict reads, with the causal sanitizer and the history
+# checker on; stops at the first violation and names protocol and seed
+# (~10 s).  Details in docs/verification.md
+sanitize-sweep:
+	$(PYTHON) -m repro.verify.sweep
 
 # Smoke test of the repository benchmark (perf/, ~20 s; not collected
 # by tier-1, whose testpaths is tests/).  Its traced run wraps every

@@ -1,9 +1,19 @@
 """Deterministic discrete-event simulation engine.
 
-A minimal, fast event loop: a binary heap of ``(time, seq, callback)``
-entries.  ``seq`` is a global insertion counter, so events at equal
-simulated times fire in schedule order — together with seeded RNGs this
-makes every run bit-for-bit reproducible.
+A minimal, fast event loop over one binary heap.  Every entry starts
+``(time, seq, ...)``; ``seq`` is a global insertion counter, so events at
+equal simulated times fire in push order — together with seeded RNGs this
+makes every run bit-for-bit reproducible — and tuple comparison never
+looks past it, so heap ordering stays in C.
+
+An entry comes in one of two shapes:
+
+* ``(time, seq, fn, *args)`` — pushed by :meth:`Simulator.post`, the
+  fire-and-forget path for callers that never cancel: a network delivery
+  is ``(arrival, seq, deliver, msg, src, dst)``, one heap tuple per
+  message in flight and nothing else;
+* ``(time, seq, None, handle)`` — pushed by :meth:`Simulator.schedule`,
+  which returns the cancellable :class:`EventHandle`.
 
 Time is unitless; the latency models interpret it as milliseconds.
 """
@@ -11,18 +21,15 @@ Time is unitless; the latency models interpret it as milliseconds.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
 
 class EventHandle:
-    """One scheduled callback, and the caller's handle to it (``schedule``
-    returns the heap entry itself; most callers drop it).  Heap entries
-    are ``(time, seq, event)`` tuples rather than the events themselves:
-    ``seq`` is unique, so tuple comparison never reaches the event, and
-    ordering stays in C instead of a Python-level ``__lt__`` per heap
-    sift."""
+    """A cancellable scheduled callback, returned by
+    :meth:`Simulator.schedule`.  Its heap entry is ``(time, seq, None,
+    handle)``: the ``None`` marks the entry as a handle's."""
 
     __slots__ = ("time", "fn", "cancelled", "done", "_sim")
 
@@ -37,7 +44,7 @@ class EventHandle:
         """Keep the event from firing; a no-op once fired or cancelled."""
         if not self.cancelled and not self.done:
             self.cancelled = True
-            self._sim._pending_live -= 1
+            self._sim._cancelled += 1
 
 
 class Simulator:
@@ -45,20 +52,29 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, EventHandle]] = []
+        self._heap: List[tuple] = []
         self._seq: int = 0
-        self._pending_live: int = 0
+        #: cancelled handles whose entries are still in the heap
+        self._cancelled: int = 0
         self.events_processed: int = 0
 
+    def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` time units from now; the event cannot
+        be cancelled.  The heap entry is the only object this allocates."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, *args))
+        self._seq += 1
+
     def schedule(self, delay: float, fn: Callable[[], None]) -> EventHandle:
-        """Schedule ``fn`` to run ``delay`` time units from now."""
+        """Schedule ``fn`` to run ``delay`` time units from now; returns a
+        handle that can cancel it."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
         event = EventHandle(time, fn, self)
-        heapq.heappush(self._heap, (time, self._seq, event))
+        heapq.heappush(self._heap, (time, self._seq, None, event))
         self._seq += 1
-        self._pending_live += 1
         return event
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> EventHandle:
@@ -73,35 +89,55 @@ class Simulator:
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events.
 
-        O(1): a live counter maintained by ``schedule`` / ``cancel`` /
-        ``step``, instead of a scan over the heap (which retains cancelled
-        entries until they reach the top).
-        """
-        return self._pending_live
+        O(1): the heap retains cancelled entries until they reach the top,
+        so this is its length less the count of those."""
+        return len(self._heap) - self._cancelled
 
     def peek_time(self) -> Optional[float]:
         """Simulated time of the next event, or None if the queue is empty."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[2] is None and entry[3].cancelled:
+                heapq.heappop(heap)
+                self._cancelled -= 1
+                continue
+            return entry[0]
+        return None
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)[2]
-            if entry.cancelled:
-                continue
-            if entry.time < self.now:
-                raise SimulationError(
-                    f"time went backwards: {entry.time} < {self.now}"
-                )
-            self.now = entry.time
-            entry.done = True
-            self._pending_live -= 1
+        return self._drain(1) == 1
+
+    def _drain(self, max_events: Optional[int]) -> int:
+        """Pop and dispatch until the heap empties or ``max_events`` have
+        fired; returns the number fired.  Cancelled entries are dropped
+        uncounted on the way."""
+        heap = self._heap
+        pop = heapq.heappop
+        limit = -1 if max_events is None else max_events
+        fired = 0
+        while heap and fired != limit:
+            entry = pop(heap)
+            time = entry[0]
+            fn = entry[2]
+            if fn is None:
+                event = entry[3]
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                event.done = True
+                fn = event.fn
+                args: tuple = ()
+            else:
+                args = entry[3:]
+            if time < self.now:
+                raise SimulationError(f"time went backwards: {time} < {self.now}")
+            self.now = time
             self.events_processed += 1
-            entry.fn()
-            return True
-        return False
+            fired += 1
+            fn(*args)
+        return fired
 
     def stats(self) -> dict:
         """Scheduler counters, in the shape the ``repro.obs`` registry
@@ -109,7 +145,7 @@ class Simulator:
         return {
             "now": self.now,
             "events_processed": self.events_processed,
-            "pending": self._pending_live,
+            "pending": self.pending,
         }
 
     def run(
@@ -121,6 +157,10 @@ class Simulator:
         """Run events until the queue empties, ``until`` time is reached,
         ``max_events`` have fired, or ``stop_when()`` turns true (checked
         after every event).  Returns the number of events processed."""
+        if max_events is not None and max_events <= 0:
+            return 0
+        if until is None and stop_when is None:
+            return self._drain(max_events)
         fired = 0
         while True:
             if max_events is not None and fired >= max_events:

@@ -5,6 +5,11 @@ The network draws a delay from the latency model per message and enforces
 FIFO per directed channel by clamping each arrival to be no earlier than
 the channel's previous arrival.
 
+A message in flight is one engine heap entry, ``(arrival, seq, deliver,
+msg, src, dst)``: ``deliver`` is built once per message kind
+(:meth:`Network._deliverer`), so a copy costs no closure or handle of its
+own.  Whether the destination is down is judged when it arrives.
+
 Failure injection (used by the availability extension and the fault tests):
 
 * :meth:`Network.fail_site` — the site stops receiving and sending;
@@ -18,7 +23,6 @@ Failure injection (used by the availability extension and the fault tests):
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -73,6 +77,8 @@ class Network:
         self._partition_of: Optional[Dict[SiteId, int]] = None
         #: messages held at a partition boundary, in send order
         self._held: list[Tuple[str, Any, SiteId, SiteId]] = []
+        #: message kind -> its delivery callback (see _deliverer)
+        self._deliverers: Dict[str, Callable[[Any, SiteId, SiteId], None]] = {}
 
     # ------------------------------------------------------------------
     def register(self, site: SiteId, handler: Callable[[str, Any], None]) -> None:
@@ -137,10 +143,14 @@ class Network:
         _replay: bool = False,
     ) -> None:
         """Send ``msgs[i]`` to ``dsts[i]``, all from ``src`` — the copies of
-        one multicast.  Accounting, the partition, down-site and drop-filter
-        checks run per message in send order; the delays of the messages
-        that survive them come from one ``LatencyModel.sample_many`` draw,
-        which consumes the generator exactly as per-message draws would."""
+        one multicast.  A self-send rejects the whole multicast before any
+        copy is charged.  Accounting, the partition, down-site and
+        drop-filter checks run per message in send order; the delays of the
+        messages that survive them come from one ``LatencyModel.sample_many``
+        draw, which consumes the generator exactly as per-message draws
+        would."""
+        if src in dsts:
+            raise SimulationError(f"site {src} sending to itself")
         rec = self.recorder
         if rec is not None and not rec.enabled:
             rec = None
@@ -148,8 +158,6 @@ class Network:
         live_msgs = []
         live_dsts = []
         for msg, dst in zip(msgs, dsts):
-            if src == dst:
-                raise SimulationError(f"site {src} sending to itself")
             if not _replay:
                 self.messages_sent += 1
                 if self.metrics is not None:
@@ -179,6 +187,10 @@ class Network:
             return
         delays = self.latency.sample_many(src, live_dsts, self.rng)
         last_arrival = self._last_arrival
+        deliver = self._deliverers.get(kind)
+        if deliver is None:
+            deliver = self._deliverers[kind] = self._deliverer(kind)
+        post = self.sim.post
         for msg, dst, delay in zip(live_msgs, live_dsts, delays):
             if delay < 0:
                 raise SimulationError(
@@ -193,19 +205,27 @@ class Network:
             if rec is not None:
                 for wid in _update_write_ids(kind, msg):
                     rec.on_enqueue(now, src, dst, wid, arrival)
-            self.sim.schedule_at(arrival, partial(self._deliver, kind, msg, src, dst))
+            # arrival - now, not the delay: the engine adds now back, and
+            # every recorded run carries that rounding
+            post(arrival - now, deliver, msg, src, dst)
 
-    def _deliver(self, kind: str, msg: Any, src: SiteId, dst: SiteId) -> None:
-        if dst in self.down:
-            self.messages_dropped += 1
-            rec = self.recorder
-            if rec is not None and rec.enabled:
-                for wid in _update_write_ids(kind, msg):
-                    rec.on_drop(self.sim.now, src, dst, wid)
-            return
-        self.messages_delivered += 1
-        try:
-            handler = self._handlers[dst]
-        except KeyError:
-            raise SimulationError(f"no handler registered for site {dst}") from None
-        handler(kind, msg)
+    def _deliverer(self, kind: str) -> Callable[[Any, SiteId, SiteId], None]:
+        """The delivery callback of every ``kind`` message: a copy sent to a
+        site that is down by its arrival is dropped there."""
+
+        def deliver(msg: Any, src: SiteId, dst: SiteId) -> None:
+            if dst in self.down:
+                self.messages_dropped += 1
+                rec = self.recorder
+                if rec is not None and rec.enabled:
+                    for wid in _update_write_ids(kind, msg):
+                        rec.on_drop(self.sim.now, src, dst, wid)
+                return
+            self.messages_delivered += 1
+            try:
+                handler = self._handlers[dst]
+            except KeyError:
+                raise SimulationError(f"no handler registered for site {dst}") from None
+            handler(kind, msg)
+
+        return deliver

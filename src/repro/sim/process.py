@@ -62,7 +62,7 @@ class AppProcess:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Schedule the first operation."""
-        self.sim_site.sim.schedule(self._next_delay(), self._issue_next)
+        self.sim_site.sim.post(self._next_delay(), self._issue_next)
 
     def _next_delay(self) -> float:
         if self.think_time <= 0:
@@ -88,7 +88,7 @@ class AppProcess:
         if self.sim_site.metrics is not None:
             self.sim_site.metrics.on_op(kind, now - self._op_started_at)
         self.ops_completed += 1
-        self.sim_site.sim.schedule(self._next_delay(), self._issue_next)
+        self.sim_site.sim.post(self._next_delay(), self._issue_next)
 
     # ------------------------------------------------------------------
     def _do_write(self, op: Operation) -> None:

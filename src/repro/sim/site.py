@@ -139,7 +139,7 @@ class SimSite:
             self.batcher = UpdateBatcher(
                 self.site,
                 batch_window,
-                lambda delay, fn: sim.schedule(delay, fn),
+                sim.post,
                 self._send_batch,
             )
         #: arrival-ordered pending stores: seq -> item.  Sequence numbers

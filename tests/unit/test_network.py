@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.network import Network
@@ -28,6 +29,18 @@ class TestDelivery:
         _, net = make_net()
         with pytest.raises(SimulationError):
             net.send("update", "x", 2, 2)
+
+    def test_rejected_multicast_charges_nothing(self):
+        # the self-send is the second copy: the first must not be charged
+        sim = Simulator()
+        metrics = MetricsCollector()
+        net = Network(sim, ConstantLatency(1.0), np.random.default_rng(0), metrics)
+        with pytest.raises(SimulationError, match="site 0 sending to itself"):
+            net.send_many("x", ["a", "b"], 0, [1, 0])
+        assert net.messages_sent == 0
+        assert metrics.message_counts.get("x", 0) == 0
+        assert metrics.summary().total_messages == 0
+        assert sim.pending == 0
 
     def test_unregistered_destination_raises_at_delivery(self):
         sim, net = make_net()
