@@ -48,6 +48,9 @@ def test_hot_path_bench_smoke():
     overhead = report["trace_overhead"]
     assert set(overhead["wall_s"]) == {"disabled", "noop", "flight", "enabled"}
     assert all(w > 0 for w in overhead["wall_s"].values())
+    # the no-op gate is judged on counted calls, not on the wall times
+    assert set(overhead["calls"]) == {"disabled", "noop"}
+    assert all(c > 0 for c in overhead["calls"].values())
     # the budgets themselves are asserted by write_report / make bench;
     # the smoke test only checks the ledger exists and is well-formed
     assert "noop_within_budget" in overhead

@@ -48,10 +48,6 @@ class ProtocolConfig:
     n: int
     site: SiteId
     replicas_of: Mapping[VarId, Tuple[SiteId, ...]]
-    #: When True (default), remote reads piggyback the requester's causal
-    #: dependencies and the serving site defers the reply until they are
-    #: applied.  See DESIGN.md ("correctness completion of RemoteFetch").
-    strict_remote_reads: bool = True
 
     def __post_init__(self) -> None:
         if self.n <= 0:
@@ -199,16 +195,15 @@ class CausalProtocol(ABC):
         causal past beyond its locally applied state: the fetched value may
         originate from writes whose updates to *this* site are still in
         flight.  A local read in that window can return a value the reader
-        has causally overseen — a consistency violation (see DESIGN.md and
-        tests/integration/test_strict_remote_reads.py).  Strict-mode
-        partial-replication protocols therefore hold local reads until
-        every causally known update destined here has been applied.  The
-        simulation layer polls this before serving a local read and blocks
-        the reader while it is False.
+        has causally overseen — a consistency violation (DESIGN.md §2a,
+        completion 3a).  Partial-replication protocols therefore hold
+        local reads until every causally known update destined here has
+        been applied.  The simulation layer and the service poll this
+        before serving a local read and block the reader while it is
+        False.
 
-        Full-replication protocols (and lenient mode) never block: their
-        reads are always local, so the causal past can never outrun the
-        applied state.
+        Full-replication protocols never block: their reads are always
+        local, so the causal past can never outrun the applied state.
         """
         return True
 
@@ -222,9 +217,8 @@ class CausalProtocol(ABC):
         )
 
     def can_serve_fetch(self, req: FetchRequest) -> bool:
-        """True when the serving site may answer the fetch (strict mode
-        defers until the requester's piggybacked dependencies are applied
-        locally)."""
+        """True when the serving site may answer the fetch: the
+        requester's piggybacked dependencies are applied locally."""
         return True
 
     def serve_fetch(self, req: FetchRequest) -> FetchReply:
@@ -242,27 +236,19 @@ class CausalProtocol(ABC):
     def reply_is_fresh(self, reply: FetchReply) -> bool:
         """True when ``reply`` is causally safe to consume at this site.
 
-        In lenient mode (``strict_remote_reads=False``, the paper's literal
-        RemoteFetch) a fetch carries no dependency summary and the server
-        answers immediately, so the reply can hold a value the requester's
-        own metadata already proves causally overwritten: the requester can
-        import third-party dependency knowledge through earlier reads that
-        the server has not applied yet (see DESIGN.md, "completions").  The
-        client layer calls this on every reply *before*
-        :meth:`complete_remote_read`; a False result means the reply must
-        be discarded — without merging its metadata — and the fetch
-        re-issued (the missing updates are in flight to the server, so a
-        bounded retry loop converges).
-
-        Strict mode narrows the window but does not close it everywhere:
-        the server defers until the piggybacked dependencies are applied,
-        which is enough in the simulator, where the requester's summary
-        cannot grow while it blocks on the fetch.  On the service it can:
-        every session of a site shares the site's log, so another
-        session's read can import a dependency naming the server while
-        this fetch is in flight — the service calls the gate in both modes
-        (``tests/integration/test_strict_remote_reads.py`` holds a reply
-        back to show it).
+        A fetch carries the requester's dependency summary and the server
+        defers until it is applied (:meth:`can_serve_fetch`), which is
+        enough in the simulator, where the requester's summary cannot grow
+        while it blocks on the fetch.  On the service it can: every
+        session of a site shares the site's log, so another session's read
+        can import third-party dependency knowledge naming the server
+        while this fetch is in flight, and the reply then holds a value
+        the requester's own metadata proves causally overwritten
+        (DESIGN.md §2a, completion 4).  The client layer calls this on every reply
+        *before* :meth:`complete_remote_read`; a False result means the
+        reply must be discarded — without merging its metadata — and the
+        fetch re-issued (the missing updates are in flight to the server,
+        so a bounded retry loop converges).
 
         Protocols compare the reply's ``applied`` snapshot (the server's
         apply progress at serve time) against their own dependency records

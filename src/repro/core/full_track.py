@@ -98,18 +98,14 @@ class FullTrackProtocol(CausalProtocol):
         # Safe once every causal-past write destined to this site has been
         # applied: Apply[k] >= Write[k, i] for all k (column i is exactly
         # the per-writer counts of updates owed to this site).
-        if not self.config.strict_remote_reads:
-            return True
         return bool(np.all(self.apply_counts >= self.write_clock.m[:, self.site]))
 
     def make_fetch_request(self, var: VarId, server: SiteId) -> FetchRequest:
-        deps = None
-        if self.config.strict_remote_reads:
-            # Only column `server` of the matrix matters to the server:
-            # Write[k, server] = writes by k destined to the server in our
-            # causal past.  O(n) on the request instead of O(n^2).
-            deps = self.write_clock.column(server)
-            deps.setflags(write=False)
+        # Only column `server` of the matrix matters to the server:
+        # Write[k, server] = writes by k destined to the server in our
+        # causal past.  O(n) on the request instead of O(n^2).
+        deps = self.write_clock.column(server)
+        deps.setflags(write=False)
         return FetchRequest(var, self.site, server, self.next_fetch_id(), deps)
 
     def can_serve_fetch(self, req: FetchRequest) -> bool:
@@ -142,7 +138,7 @@ class FullTrackProtocol(CausalProtocol):
         return reply.value, reply.write_id
 
     def reply_is_fresh(self, reply: FetchReply) -> bool:
-        # Mirror of the strict-mode server wait, evaluated client-side:
+        # Mirror of the server-side fetch wait, evaluated client-side:
         # column `server` of our matrix counts the causal-past writes
         # destined to the server; the server's serve-time apply snapshot
         # must cover all of them or its copy may predate our causal past.
@@ -198,8 +194,6 @@ class FullTrackProtocol(CausalProtocol):
         )
 
     def blocking_read_deps(self, var: VarId) -> Tuple[Tuple[int, int], ...]:
-        if not self.config.strict_remote_reads:
-            return ()
         col = self.write_clock.m[:, self.site]
         ac = self.apply_counts
         return tuple((int(k), int(col[k])) for k in np.nonzero(ac < col)[0])

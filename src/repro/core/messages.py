@@ -68,12 +68,11 @@ class UpdateMessage:
 class FetchRequest:
     """A remote-read request for ``var`` sent to a predesignated replica.
 
-    ``deps`` carries the requester's causal-dependency summary when strict
-    remote reads are enabled (see DESIGN.md): the serving site defers the
-    reply until its applied state covers these dependencies, which is what
-    makes a remote read causally safe.  ``deps`` is ``None`` when strict
-    mode is off (the paper's literal reading) or when the protocol does not
-    need it.
+    ``deps`` carries the requester's causal-dependency summary (see
+    DESIGN.md §2a): the serving site defers the reply until its applied
+    state covers these dependencies, which is what makes a remote read
+    causally safe.  ``deps`` is ``None`` when the protocol does not need
+    it.
     """
 
     var: VarId
@@ -100,9 +99,10 @@ class FetchReply:
     per-origin clock vector).  The requester tests it against its own
     dependency summary (:meth:`repro.core.base.CausalProtocol.reply_is_fresh`)
     to reject replies served before the server caught up with the
-    requester's causal past — the client-side staleness gate that makes
-    lenient-mode (``strict_remote_reads=False``) remote reads safe.  ``None``
-    for protocols that do not expose apply progress.
+    requester's causal past — the client-side staleness gate for a reply
+    that went stale in flight, while the requester's summary grew past
+    the ``deps`` it sent.  ``None`` for protocols that do not expose
+    apply progress.
     """
 
     var: VarId

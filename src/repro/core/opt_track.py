@@ -104,7 +104,7 @@ class OptTrackProtocol(CausalProtocol):
         # only record that the writer still owes itself update ``o``,
         # letting a later local read return a value the writer has
         # causally overseen via a remote read (see can_read_local and
-        # tests/integration/test_strict_remote_reads.py).  The retained bit
+        # DESIGN.md §2a, completion 3a).  The retained bit
         # clears through Condition 1 once the update actually applies at
         # the writer; receivers' activation checks are unaffected.
         prune_mask = bitsets.remove(reps_mask, self.site)
@@ -182,23 +182,17 @@ class OptTrackProtocol(CausalProtocol):
         # been applied.  Records that pruned this site are transitively
         # covered by ones that retain it (the KS invariant), exactly as in
         # the server-side fetch wait.
-        if not self.config.strict_remote_reads:
-            return True
         me = bitsets.singleton(self.site)
         ac = self.apply_clocks
         return all(ac[z] >= c for (z, c), d in self.log if d & me)
 
     def make_fetch_request(self, var: VarId, server: SiteId) -> FetchRequest:
-        deps = None
-        if self.config.strict_remote_reads:
-            # Records naming the server: the server must have applied these
-            # before its copy of `var` is causally safe for us to read.
-            # (Records not naming the server are transitively covered by
-            # ones that do — the KS invariant.)
-            bit = bitsets.singleton(server)
-            deps = tuple(
-                sorted(key for key, d in self.log.entries.items() if d & bit)
-            )
+        # Records naming the server: the server must have applied these
+        # before its copy of `var` is causally safe for us to read.
+        # (Records not naming the server are transitively covered by ones
+        # that do — the KS invariant.)
+        bit = bitsets.singleton(server)
+        deps = tuple(sorted(key for key, d in self.log.entries.items() if d & bit))
         return FetchRequest(var, self.site, server, self.next_fetch_id(), deps)
 
     def can_serve_fetch(self, req: FetchRequest) -> bool:
@@ -236,7 +230,7 @@ class OptTrackProtocol(CausalProtocol):
         return reply.value, reply.write_id
 
     def reply_is_fresh(self, reply: FetchReply) -> bool:
-        # Mirror of the strict-mode server wait, evaluated client-side
+        # Mirror of the server-side fetch wait, evaluated client-side
         # against the server's serve-time apply snapshot: every log record
         # naming the server must have been applied there before its copy of
         # the variable covers our causal past.  (Records that pruned the
@@ -290,8 +284,6 @@ class OptTrackProtocol(CausalProtocol):
         return tuple((z, c) for (z, c) in req.deps if ac[z] < c)
 
     def blocking_read_deps(self, var: VarId) -> Tuple[Tuple[int, int], ...]:
-        if not self.config.strict_remote_reads:
-            return ()
         me = bitsets.singleton(self.site)
         ac = self.apply_clocks
         return tuple((z, c) for (z, c), d in self.log if d & me and ac[z] < c)

@@ -56,14 +56,11 @@ class FailoverReader:
         failover.  Raises :class:`~repro.errors.SimulationError` when every
         replica is unreachable."""
         c = self.cluster
-        proto = c.sites[self.site].protocol
+        sim_site = c.sites[self.site]
         started = c.sim.now
-        if proto.locally_replicates(var):
-            value, wid = proto.read_local(var)
-            if c.sanitizer is not None:
-                c.sanitizer.on_read(self.site, var, wid, now=c.sim.now)
-            if c.history is not None:
-                c.history.record_read(self.site, var, value, wid, c.sim.now)
+        if sim_site.protocol.locally_replicates(var):
+            # the session read: held by the local-read gate like any other
+            value, wid = c.session(self.site).read_versioned(var)
             return ReadOutcome(value, wid, self.site, attempts=1)
 
         failed: List[SiteId] = []
@@ -72,10 +69,7 @@ class FailoverReader:
             outcome = self._try_server(var, server)
             if outcome is not None:
                 value, wid = outcome
-                if c.sanitizer is not None:
-                    c.sanitizer.on_read(self.site, var, wid, now=c.sim.now)
-                if c.history is not None:
-                    c.history.record_read(self.site, var, value, wid, c.sim.now)
+                sim_site.observe_read(var, value, wid)
                 return ReadOutcome(
                     value,
                     wid,
@@ -95,34 +89,18 @@ class FailoverReader:
         self, var: VarId, server: SiteId
     ) -> Optional[Tuple[Any, Optional[WriteId]]]:
         c = self.cluster
-        sim_site = c.sites[self.site]
-        proto = sim_site.protocol
-        req = proto.make_fetch_request(var, server)
         box: List[Tuple[Any, Optional[WriteId]]] = []
-        state = {"timed_out": False, "fetch_id": req.fetch_id}
-
-        def on_reply(reply) -> None:
-            if not proto.reply_is_fresh(reply):
-                # lenient-mode stale reply: discard without merging and
-                # retry the same server; the attempt timeout still bounds
-                # the loop (see repro.sim.process)
-                retry = proto.make_fetch_request(var, server)
-                state["fetch_id"] = retry.fetch_id
-                sim_site.send_fetch(retry, on_reply)
-                return
-            box.append(proto.complete_remote_read(reply))
-
-        sim_site.send_fetch(req, on_reply)
-        deadline = c.sim.now + self.timeout
-
-        def on_timeout() -> None:
-            state["timed_out"] = True
-
-        handle = c.sim.schedule(self.timeout, on_timeout)
-        c.sim.run(stop_when=lambda: bool(box) or state["timed_out"])
+        timed_out: List[bool] = []
+        # stale replies are re-fetched from the same server; the attempt
+        # timeout still bounds the loop
+        abandon = c.sites[self.site].remote_read(
+            var, server, lambda *read: box.append(read)
+        )
+        handle = c.sim.schedule(self.timeout, lambda: timed_out.append(True))
+        c.sim.run(stop_when=lambda: bool(box) or bool(timed_out))
         if box:
             handle.cancel()
             return box[0]
         # abandon the fetch: a late reply must not complete a newer read
-        sim_site.forget_fetch(state["fetch_id"])
+        abandon()
         return None

@@ -25,7 +25,8 @@ None and rec.enabled`` — the same discipline as the pre-existing
   so that *attached-but-disabled* instrumentation (a recorder subclass
   with everything switched off) has a measured cost ceiling: the hot-path
   bench drives a full reference run against it and fails if the no-op
-  overhead exceeds 3 % (see ``repro.analysis.hotpaths.bench_trace_overhead``).
+  recorder adds more than 0.1 % to the run's calls (see
+  ``repro.analysis.hotpaths.bench_trace_overhead``).
 
 Recorders timestamp protocol-side events (prunes) themselves via a bound
 simulation clock — protocols are pure state machines and do not know the

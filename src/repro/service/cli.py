@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--protocol", default="opt-track", choices=available_protocols())
     srv.add_argument("--variables", type=int, default=16)
     srv.add_argument("--replication-factor", type=int, default=None)
-    srv.add_argument("--strict", action="store_true", help="strict remote reads")
     srv.add_argument("--seed", type=int, default=0, help="placement seed")
     srv.add_argument(
         "--metrics-port",
@@ -205,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--value-size", type=int, default=0, help="pad written values to N bytes"
     )
-    bench.add_argument("--strict", action="store_true")
     bench.add_argument("--sanitize", action="store_true")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--json", action="store_true", help="emit the metrics snapshot")
@@ -237,14 +235,7 @@ async def _serve(args: argparse.Namespace) -> int:
     n = len(addresses)
     cls = protocol_class(args.protocol)
     placement = _placement(args, n)
-    proto = cls(
-        ProtocolConfig(
-            n=n,
-            site=args.me,
-            replicas_of=placement,
-            strict_remote_reads=args.strict,
-        )
-    )
+    proto = cls(ProtocolConfig(n=n, site=args.me, replicas_of=placement))
     server = SiteServer(
         proto,
         addresses,
@@ -593,7 +584,6 @@ async def _bench(args: argparse.Namespace) -> int:
         args.variables,
         args.protocol,
         replication_factor=args.replication_factor,
-        strict_remote_reads=args.strict,
         sanitize=args.sanitize,
         metrics=metrics,
         seed=args.seed,

@@ -53,7 +53,6 @@ class ServiceCluster:
         replication_factor: Optional[int] = None,
         placement: Optional[Placement] = None,
         placement_strategy: str = "round-robin",
-        strict_remote_reads: bool = False,
         sanitize: bool = False,
         transport: Optional[Transport] = None,
         addresses: Optional[Dict[SiteId, str]] = None,
@@ -115,7 +114,6 @@ class ServiceCluster:
         # remembered so restart_site can rebuild a site from scratch
         self._protocol_cls = cls
         self._protocol_kwargs = kwargs
-        self._strict_remote_reads = strict_remote_reads
         self.read_timeout = read_timeout
         self._t0: Optional[float] = None
         self.servers: List[SiteServer] = []
@@ -129,12 +127,7 @@ class ServiceCluster:
         when enabled, so substituted server classes with narrower
         signatures keep working."""
         proto = self._protocol_cls(
-            ProtocolConfig(
-                n=self.n,
-                site=site,
-                replicas_of=self.placement,
-                strict_remote_reads=self._strict_remote_reads,
-            ),
+            ProtocolConfig(n=self.n, site=site, replicas_of=self.placement),
             **self._protocol_kwargs,
         )
         if self.recorder is not None:

@@ -16,16 +16,17 @@ Request paths (the home-site session model):
   on.  The client's ``put.ok`` is sent first and the links are flushed
   second, in the same loop step.
 * **get, locally replicated** — gated on
-  :meth:`~repro.core.base.CausalProtocol.can_read_local` (strict mode can
-  hold a read while causally known updates are in flight); the wait is
+  :meth:`~repro.core.base.CausalProtocol.can_read_local` (a partial-
+  replication protocol holds a read while causally known updates are in
+  flight to this site); the wait is
   bounded by ``read_timeout`` and expires to a retriable ``read-timeout``
   error.
 * **get, remote** — the server performs the paper's RemoteFetch on the
   client's behalf over the peer link to the predesignated replica.  The
   serving site answers a fetch at the end of the inbound batch that
   carried it, in the link handler's own step, when ``can_serve_fetch``
-  admits it (strict mode defers one whose dependencies are not applied
-  yet: that one waits in its own task).
+  admits it (one whose piggybacked dependencies are not applied yet
+  waits in its own task).
   The reply is judged where it lands: the link reader that reads the
   ``fetch.ok`` runs the reply-freshness gate
   (:meth:`~repro.core.base.CausalProtocol.reply_is_fresh`), the WAL
@@ -156,7 +157,7 @@ from repro.service.transport import Connection, Listener, Transport
 from repro.types import SiteId, VarId, WriteId
 
 #: bound on consecutive stale-reply re-fetches of one remote read (same
-#: role as ``repro.sim.process.MAX_STALE_FETCH_RETRIES``).  A re-fetch
+#: role as ``repro.sim.site.MAX_STALE_FETCH_RETRIES``).  A re-fetch
 #: parks at the serving replica until the records the stale reply
 #: missed are applied, so one usually suffices; more are needed only
 #: when this site's own causal past grew while it waited.
@@ -755,7 +756,7 @@ class SiteServer:
         #: yield the applied watermark ``ap`` acks advertise
         self._parked_ls: Dict[SiteId, Set[int]] = {}
         self._park_of: Dict[WriteId, Tuple[SiteId, int]] = {}
-        #: waiters notified after every apply (strict gates, parked reads)
+        #: waiters notified after every apply (read gates, parked reads)
         self._progress = asyncio.Condition()
         #: number of tasks blocked in ``_wait_for`` — lets the apply hot
         #: path skip the notify task when nobody is waiting
@@ -1532,7 +1533,7 @@ class SiteServer:
                         "fetch.err",
                         fid=req.fetch_id,
                         code="read-timeout",
-                        msg=f"strict fetch of {req.var!r} still causally "
+                        msg=f"fetch of {req.var!r} still causally "
                         f"gated after {self.read_timeout}s",
                     )
                 )

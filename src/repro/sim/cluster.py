@@ -31,7 +31,7 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Tracer
 from repro.sim.latency import LatencyModel, make_latency
 from repro.sim.network import Network
-from repro.sim.process import MAX_STALE_FETCH_RETRIES, AppProcess
+from repro.sim.process import AppProcess
 from repro.sim.site import SimSite
 from repro.sim.topology import Topology
 from repro.store.placement import Placement, make_placement
@@ -59,7 +59,6 @@ class ClusterConfig:
     latency: Any = None
     jitter_sigma: float = 0.1
     seed: int = 0
-    strict_remote_reads: bool = True
     #: mean think time between a process's operations (ms)
     think_time: float = 1.0
     think_jitter: bool = True
@@ -156,8 +155,9 @@ class Session:
         c = self.cluster
         sim_site = c.sites[self.site]
         proto = sim_site.protocol
+        started = c.sim.now
         if proto.locally_replicates(var):
-            started = c.sim.now
+            kind = "read-local"
             if not proto.can_read_local(var):
                 # local replica lags our causal past: drain until it's safe
                 c.sim.run(stop_when=lambda: proto.can_read_local(var))
@@ -167,67 +167,22 @@ class Session:
                         f"forever: a causally required update never arrived"
                     )
             value, write_id = proto.read_local(var)
-            if c.sanitizer is not None:
-                c.sanitizer.on_read(self.site, var, write_id, now=c.sim.now)
-            if c.recorder is not None and c.recorder.enabled:
-                c.recorder.on_read(c.sim.now, self.site, var, write_id)
-            if c.history is not None:
-                c.history.record_read(self.site, var, value, write_id, c.sim.now)
-            if c.tracer is not None:
-                from repro.sim.events import ReturnEvent
-
-                c.tracer.emit(ReturnEvent(c.sim.now, self.site, var, value, write_id))
-            c.metrics.on_op("read-local", c.sim.now - started)
-            return value, write_id
-
-        started = c.sim.now
-        server = proto.fetch_target(var, c.nearest_replica(self.site, var))
-        req = proto.make_fetch_request(var, server)
-        if c.tracer is not None:
-            from repro.sim.events import FetchEvent
-
-            c.tracer.emit(FetchEvent(c.sim.now, self.site, server, var))
-        box: List[Tuple[Any, Optional[WriteId]]] = []
-        retries = [0]
-
-        def on_reply(reply) -> None:
-            if not proto.reply_is_fresh(reply):
-                # lenient-mode stale reply: discard without merging its
-                # metadata and re-fetch (see AppProcess._do_read)
-                retries[0] += 1
-                if retries[0] > MAX_STALE_FETCH_RETRIES:
-                    raise DeadlockError(
-                        f"remote read of {var!r} at site {self.site} stale "
-                        f"after {retries[0] - 1} retries: server {server} "
-                        f"never applied a causally required update"
-                    )
-                sim_site.send_fetch(
-                    proto.make_fetch_request(var, server), on_reply
+        else:
+            kind = "read-remote"
+            server = proto.fetch_target(var, c.nearest_replica(self.site, var))
+            box: List[Tuple[Any, Optional[WriteId]]] = []
+            sim_site.remote_read(var, server, lambda *read: box.append(read))
+            c.sim.run(stop_when=lambda: bool(box))
+            if not box:
+                raise DeadlockError(
+                    f"remote read of {var!r} from site {self.site} never "
+                    f"completed (server {server} unreachable or "
+                    f"dependencies unmet)"
                 )
-                return
-            box.append(proto.complete_remote_read(reply))
-
-        sim_site.send_fetch(req, on_reply)
-        c.sim.run(stop_when=lambda: bool(box))
-        if not box:
-            raise DeadlockError(
-                f"remote read of {var!r} from site {self.site} never completed "
-                f"(server {server} unreachable or dependencies unmet)"
-            )
-        value, write_id = box[0]
-        if c.sanitizer is not None:
-            c.sanitizer.on_read(self.site, var, write_id, now=c.sim.now)
-        if c.recorder is not None and c.recorder.enabled:
-            c.recorder.on_read(c.sim.now, self.site, var, write_id)
-        if c.history is not None:
-            c.history.record_read(self.site, var, value, write_id, c.sim.now)
-        if c.tracer is not None:
-            from repro.sim.events import ReturnEvent
-
-            c.tracer.emit(ReturnEvent(c.sim.now, self.site, var, value, write_id))
-        c.metrics.on_op("read-remote", c.sim.now - started)
+            value, write_id = box[0]
+        sim_site.observe_read(var, value, write_id)
+        c.metrics.on_op(kind, c.sim.now - started)
         return value, write_id
-
 
     def read_snapshot(
         self, variables: Sequence[VarId]
@@ -238,7 +193,7 @@ class Session:
         The site's applied state is always a causal cut over the variables
         it replicates (the activation predicate applies updates in causal
         order), so reading them at a single simulated instant — after the
-        strict-read gate clears for all of them — yields mutually
+        local-read gate clears for all of them — yields mutually
         consistent values: no returned value is causally overwritten by a
         write in another returned value's past.  Remote variables are not
         supported (a cross-site snapshot needs COPS-GT-style per-key
@@ -353,12 +308,7 @@ class Cluster:
         self.protocols: List[CausalProtocol] = []
         self.sites: List[SimSite] = []
         for i in range(n):
-            pc = ProtocolConfig(
-                n=n,
-                site=i,
-                replicas_of=self.placement,
-                strict_remote_reads=config.strict_remote_reads,
-            )
+            pc = ProtocolConfig(n=n, site=i, replicas_of=self.placement)
             proto = proto_cls(pc, **config.protocol_kwargs)
             self.protocols.append(proto)
             self.sites.append(

@@ -171,7 +171,8 @@ class Simulator:
             if nxt is None:
                 return fired
             if until is not None and nxt > until:
-                self.now = until
+                # an ``until`` already in the past must not rewind the clock
+                self.now = max(self.now, until)
                 return fired
             self.step()
             fired += 1

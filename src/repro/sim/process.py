@@ -20,18 +20,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.core.messages import FetchReply
-from repro.errors import DeadlockError
-from repro.metrics.collector import MetricsCollector
-from repro.sim.events import FetchEvent, ReturnEvent
 from repro.sim.site import SimSite
 from repro.types import Operation, OpKind, SiteId
-
-#: cap on stale-reply re-fetches per remote read (lenient mode only; each
-#: round trip gives the in-flight updates one more RTT to reach the server,
-#: so a healthy run converges in a handful — the cap only turns an
-#: undeliverable dependency into a diagnosable error instead of a livelock)
-MAX_STALE_FETCH_RETRIES = 100
 
 
 class AppProcess:
@@ -125,50 +115,16 @@ class AppProcess:
         prefer = (
             self.fetch_preference(op.var) if self.fetch_preference else None
         )
-        server = proto.fetch_target(op.var, prefer)
-        req = proto.make_fetch_request(op.var, server)
-        if site.tracer:
-            site.tracer.emit(FetchEvent(site.sim.now, self.site, server, op.var))
         self._waiting_fetch = True
-        retries = [0]
 
-        def on_reply(reply: FetchReply) -> None:
-            if not proto.reply_is_fresh(reply):
-                # lenient-mode stale reply: the server has not yet applied
-                # updates our own metadata proves are in its copy's causal
-                # past.  Discard without merging and ask again.
-                retries[0] += 1
-                if retries[0] > MAX_STALE_FETCH_RETRIES:
-                    raise DeadlockError(
-                        f"remote read of {op.var!r} at site {self.site} "
-                        f"stale after {retries[0] - 1} retries: server "
-                        f"{server} never applied a causally required update"
-                    )
-                site.send_fetch(
-                    proto.make_fetch_request(op.var, server), on_reply
-                )
-                return
+        def on_done(value, write_id) -> None:
             self._waiting_fetch = False
-            value, write_id = proto.complete_remote_read(reply)
             self._complete_read(op, value, write_id, local=False)
 
-        site.send_fetch(req, on_reply)
+        site.remote_read(op.var, proto.fetch_target(op.var, prefer), on_done)
 
     def _complete_read(self, op: Operation, value, write_id, local: bool) -> None:
-        site = self.sim_site
-        if site.sanitizer is not None:
-            site.sanitizer.on_read(self.site, op.var, write_id, now=site.sim.now)
-        rec = site.recorder
-        if rec is not None and rec.enabled:
-            rec.on_read(site.sim.now, self.site, op.var, write_id)
-        if site.history is not None:
-            site.history.record_read(
-                self.site, op.var, value, write_id, site.sim.now
-            )
-        if site.tracer:
-            site.tracer.emit(
-                ReturnEvent(site.sim.now, self.site, op.var, value, write_id)
-            )
+        self.sim_site.observe_read(op.var, value, write_id)
         self._finish_op("read-local" if local else "read-remote")
 
     # ------------------------------------------------------------------

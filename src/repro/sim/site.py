@@ -37,8 +37,8 @@ The index is the only drain: measured on the repository's two simulator
 workloads it is within 3 % of the better of the rescan and a
 depth-switched hybrid on both (docs/performance.md, "One drain strategy").
 
-Fetch requests are buffered the same way when strict remote reads are on
-and the requester's dependencies have not yet been applied locally.
+Fetch requests are buffered the same way while the requester's
+piggybacked dependencies have not yet been applied locally.
 """
 
 from __future__ import annotations
@@ -49,18 +49,20 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.base import CausalProtocol
 from repro.core.messages import FetchReply, FetchRequest, UpdateMessage, WriteResult
-from repro.errors import SimulationError
+from repro.errors import DeadlockError, SimulationError
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.events import (
     ApplyEvent,
+    FetchEvent,
     ReceiptEvent,
     RemoteReturnEvent,
+    ReturnEvent,
     SendEvent,
     Tracer,
 )
 from repro.sim.network import Network
-from repro.types import SiteId, VarId
+from repro.types import SiteId, VarId, WriteId
 from repro.verify.history import History
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
@@ -69,6 +71,12 @@ if TYPE_CHECKING:  # pragma: no cover - import for annotations only
 
 #: wake-token kinds
 _UPD, _FET, _RD = 0, 1, 2
+
+#: cap on stale-reply re-fetches per remote read (each round trip gives
+#: the in-flight updates one more RTT to reach the server, so a healthy
+#: run converges in a handful — the cap only turns an undeliverable
+#: dependency into a diagnosable error instead of a livelock)
+MAX_STALE_FETCH_RETRIES = 100
 
 
 class _WakeIndex:
@@ -179,7 +187,7 @@ class SimSite:
 
     @property
     def pending_fetches(self) -> List[Tuple[FetchRequest, float]]:
-        """Fetch requests waiting for strict-mode dependencies."""
+        """Fetch requests waiting for their piggybacked dependencies."""
         return list(self._pf.values())
 
     @property
@@ -250,6 +258,66 @@ class SimSite:
     def forget_fetch(self, fetch_id: int) -> None:
         """Abandon an outstanding fetch (availability timeout path)."""
         self._fetch_waiters.pop(fetch_id, None)
+
+    def remote_read(
+        self,
+        var: VarId,
+        server: SiteId,
+        on_done: Callable[[Any, Optional[WriteId]], None],
+    ) -> Callable[[], None]:
+        """Fetch ``var`` from ``server`` and call ``on_done(value,
+        write_id)`` with the completed read.
+
+        Every reply passes the protocol's freshness gate first
+        (:meth:`~repro.core.base.CausalProtocol.reply_is_fresh`): a stale
+        one is discarded without merging its metadata and the fetch is
+        re-issued, at most :data:`MAX_STALE_FETCH_RETRIES` times.
+        Returns a callable that abandons the read (the fetch then in
+        flight is forgotten, so a late reply completes nothing)."""
+        proto = self.protocol
+        current = 0  # fetch id of the request in flight
+        retries = 0
+
+        def send() -> None:
+            nonlocal current
+            req = proto.make_fetch_request(var, server)
+            current = req.fetch_id
+            self.send_fetch(req, on_reply)
+
+        def on_reply(reply: FetchReply) -> None:
+            nonlocal retries
+            if not proto.reply_is_fresh(reply):
+                retries += 1
+                if retries > MAX_STALE_FETCH_RETRIES:
+                    raise DeadlockError(
+                        f"remote read of {var!r} at site {self.site} stale "
+                        f"after {retries - 1} retries: server {server} "
+                        f"never applied a causally required update"
+                    )
+                send()
+                return
+            on_done(*proto.complete_remote_read(reply))
+
+        if self.tracer:
+            self.tracer.emit(FetchEvent(self.sim.now, self.site, server, var))
+        send()
+        return lambda: self.forget_fetch(current)
+
+    def observe_read(
+        self, var: VarId, value: Any, write_id: Optional[WriteId]
+    ) -> None:
+        """Report a completed read to the sanitizer, the lifecycle
+        recorder, the history and the tracer."""
+        now = self.sim.now
+        if self.sanitizer is not None:
+            self.sanitizer.on_read(self.site, var, write_id, now=now)
+        rec = self.recorder
+        if rec is not None and rec.enabled:
+            rec.on_read(now, self.site, var, write_id)
+        if self.history is not None:
+            self.history.record_read(self.site, var, value, write_id, now)
+        if self.tracer:
+            self.tracer.emit(ReturnEvent(now, self.site, var, value, write_id))
 
     # ------------------------------------------------------------------
     # inbound

@@ -32,7 +32,6 @@ class StoreConfig:
     placement: Optional[Placement] = None
     topology: Optional[Topology] = None
     seed: int = 0
-    strict_remote_reads: bool = True
 
     def __post_init__(self) -> None:
         if not self.keys:
@@ -81,7 +80,6 @@ class CausalStore:
                 placement=placement,
                 topology=config.topology,
                 seed=config.seed,
-                strict_remote_reads=config.strict_remote_reads,
             )
         )
         self._sessions: Dict[SiteId, Session] = {}

@@ -3,8 +3,7 @@
 Random property draws almost never reach a bug that lives on a handful of
 seeds; a fixed sweep reaches the same ones every time.  Each run is a tiny
 simulated cluster (3 sites, 3 variables, 15 operations per site) with
-default (strict) remote reads, the runtime causal sanitizer
-shadowing every apply and the history checker (``CausalChecker``) run at
+the runtime causal sanitizer shadowing every apply and the history checker (``CausalChecker``) run at
 the end.  Partial-replication protocols run at one replica per variable,
 so almost every read is remote; the full-replication ones run full.  The
 sweep stops at the first violation and names its protocol and seed, which

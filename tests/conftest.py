@@ -36,22 +36,13 @@ def make_sites(
     protocol: str,
     n: int,
     placement: Dict[VarId, Tuple[SiteId, ...]],
-    strict_remote_reads: bool = True,
     **proto_kwargs,
 ) -> List[CausalProtocol]:
     """One protocol instance per site, sharing a placement — for driving
     protocols directly (no simulator)."""
     cls = protocol_class(protocol)
     return [
-        cls(
-            ProtocolConfig(
-                n=n,
-                site=i,
-                replicas_of=placement,
-                strict_remote_reads=strict_remote_reads,
-            ),
-            **proto_kwargs,
-        )
+        cls(ProtocolConfig(n=n, site=i, replicas_of=placement), **proto_kwargs)
         for i in range(n)
     ]
 

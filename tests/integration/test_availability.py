@@ -1,12 +1,15 @@
 """Integration tests for the Section-V availability extension: non-local
 reads that time out fail over to a secondary replica."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.ext.availability import FailoverReader
 from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.latency import MatrixLatency
 from repro.sim.topology import evenly_spread
+from repro.verify.checker import check_history
 
 PARTIAL_PROTOCOLS = ["full-track", "opt-track"]
 
@@ -119,3 +122,35 @@ class TestFailover:
         assert outcome.failed_over == [1]
         assert outcome.served_by == 2
         cluster.settle()  # the primary's late reply drains without effect
+
+
+@pytest.mark.parametrize("protocol", PARTIAL_PROTOCOLS)
+def test_local_read_waits_for_what_a_remote_read_imported(protocol):
+    """A failover reader's local read takes the same gate as every other
+    read: after a remote read of ``x`` imports knowledge of ``w(y)``,
+    whose update to the reader crawls the slow 2 -> 0 link, the local
+    read of ``y`` waits for it instead of returning the initial value."""
+    base = np.array(
+        [
+            [0.0, 1.0, 100.0],  # 0 <-> 2 is the slow WAN hop
+            [1.0, 0.0, 1.0],
+            [100.0, 1.0, 0.0],
+        ]
+    )
+    cluster = Cluster(
+        ClusterConfig(
+            n_sites=3,
+            protocol=protocol,
+            placement={"x": (1,), "y": (0, 2)},
+            latency=MatrixLatency(base, jitter_sigma=0.0),
+            seed=0,
+        )
+    )
+    cluster.session(2).write("y", "new")  # in flight to site 0 for 100 ms
+    cluster.session(2).write("x", "x")  # reaches site 1 at once
+    cluster.sim.run(until=5.0)
+    reader = FailoverReader(cluster, 0, timeout=50.0)
+    assert reader.read("x").value == "x"
+    assert reader.read("y").value == "new"
+    assert check_history(cluster.history, cluster.placement).ok
+    cluster.settle()

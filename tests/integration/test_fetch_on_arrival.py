@@ -27,6 +27,7 @@ from repro.service.harness import ServiceCluster
 from repro.service.server import SiteServer
 from repro.service.transport import Connection, LoopbackTransport
 from tests.conftest import open_handshaken
+from tests.paper_literal import use_paper_literal_reads
 
 
 class HoldingConnection(Connection):
@@ -99,18 +100,22 @@ class HoldingTransport(LoopbackTransport):
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
-def test_reply_is_judged_before_the_acks_behind_it(strict):
+def test_reply_is_judged_before_the_acks_behind_it(strict, monkeypatch):
     """``b`` puts ``x = v2`` after ``a``'s fetch of ``x`` was served
     ``v1`` and before the reply is read; the ack for ``v2`` lands right
     behind the reply.  Judged after that ack, the reply looks fresh
     (GC cleared site 1 from ``v2``'s record) and ``a`` reads ``v1``
-    after its own site completed ``v2``."""
+    after its own site completed ``v2``.  ``lenient`` runs the
+    paper-literal read (``tests/paper_literal.py``): the gate alone
+    must hold there too."""
+    if not strict:
+        use_paper_literal_reads(monkeypatch)
 
     async def main():
         transport = HoldingTransport()
         async with ServiceCluster(
             3, 1, "opt-track", placement={"x": (1,)},
-            strict_remote_reads=strict, sanitize=True, transport=transport,
+            sanitize=True, transport=transport,
         ) as cluster:
             a, b = cluster.client(home=2), cluster.client(home=2)
             await b.put("x", "v1")
@@ -156,11 +161,11 @@ PLACEMENT = {"x": (1,), "y": (0, 1)}
 
 
 def _serving_site(read_timeout=2.0):
-    """Site 1 alone on a loopback transport, strict; the tests dial it
+    """Site 1 alone on a loopback transport; the tests dial it
     as site 0 with a hand-driven link chain."""
     transport = LoopbackTransport()
     proto = protocol_class("opt-track")(
-        ProtocolConfig(n=3, site=1, replicas_of=PLACEMENT, strict_remote_reads=True)
+        ProtocolConfig(n=3, site=1, replicas_of=PLACEMENT)
     )
     addresses = {s: f"site-{s}" for s in range(3)}
     return transport, SiteServer(
@@ -170,7 +175,7 @@ def _serving_site(read_timeout=2.0):
 
 def _requester():
     return protocol_class("opt-track")(
-        ProtocolConfig(n=3, site=0, replicas_of=PLACEMENT, strict_remote_reads=True)
+        ProtocolConfig(n=3, site=0, replicas_of=PLACEMENT)
     )
 
 
@@ -212,7 +217,7 @@ def test_answerable_fetch_is_served_in_the_handlers_own_step():
 
 
 def _fetch_and_update():
-    """A strict fetch of ``x`` from site 0 and the update it depends
+    """A fetch of ``x`` from site 0 and the update it depends
     on, which site 1 has not seen yet."""
     writer = _requester()
     (msg,) = writer.write("x", "mine").messages

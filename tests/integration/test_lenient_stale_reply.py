@@ -1,18 +1,20 @@
-"""Pinned regressions for the lenient-mode stale-reply bug.
+"""Pinned regressions for stale remote-read replies.
 
-Before the client-side reply-freshness gate (``CausalProtocol.
-reply_is_fresh``), a remote fetch in lenient mode (``strict_remote_reads=
-False``) could return a value the requester's own metadata already proved
-causally overwritten: the requester imports third-party dependency
-knowledge through earlier reads, while the server — which got no
-dependency summary — answers before applying the corresponding updates.
+The paper's literal RemoteFetch sends no dependency summary, and the
+server answers at once.  The reply can then hold a value the requester's
+own metadata already proves causally overwritten: the requester imports
+third-party dependency knowledge through earlier reads, while the server
+has not applied the corresponding updates yet.
 
-The two workloads below are the shrunken falsifying examples found by
+The first three pins are the two shrunken falsifying examples found by
 ``tests/property/test_sanitizer_properties.py::test_sanitized_run_stays_clean``
-(noted in PR 4; both reproduce at the PR-3 seed).  They must stay pinned:
-the property test only samples this corner.  Beside them sit the seeds
-that still break lenient mode (ROADMAP item 1): strict must pass them,
-and lenient is an expected failure until the lenient path is gone.
+under that read (the Opt-Track one also through the distributed-prune
+variant).  The
+client-side reply-freshness gate (``CausalProtocol.reply_is_fresh``)
+alone rescues them.  Beside them sit ROADMAP item 1's seeds, which the
+gate alone does not rescue: the library's one read path (DESIGN.md §2a,
+completions 2 + 3a) passes all of them, and the paper-literal mutant
+(``tests/paper_literal.py``) must still be caught on each.
 """
 
 import numpy as np
@@ -22,58 +24,44 @@ from repro.errors import ConsistencyViolationError
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.latency import MatrixLatency
 from repro.workload.generator import WorkloadConfig, generate
+from tests.integration.test_strict_remote_reads import HoldingTransport
+from tests.paper_literal import use_paper_literal_reads
 
-#: (protocol, protocol_kwargs,
-#:  (n_sites, n_vars, repl_factor, seed, strict, ops_per_site))
-PINNED = [
+#: (protocol, protocol_kwargs, (n_sites, n_vars, repl_factor, seed, ops_per_site))
+GATE_PINNED = [
     # opt-track-proto_kwargs0 falsifying example: site 2 read x1 = w1:3
     # from server 1 while already knowing w0:3 (imported by reading x0),
     # which causally overwrites it and was still in flight to server 1.
-    pytest.param("opt-track", {}, (3, 3, 1, 5137556, False, 15), id="opt-track"),
+    pytest.param("opt-track", {}, (3, 3, 1, 5137556, 15), id="opt-track"),
     # the same schedule through the distributed-prune variant
     pytest.param(
         "opt-track",
         {"distributed_prune": True},
-        (3, 3, 1, 5137556, False, 15),
+        (3, 3, 1, 5137556, 15),
         id="opt-track-distributed-prune",
     ),
     # full-track-proto_kwargs2 falsifying example: site 3 read x0 = w2:4
     # from a server that had not yet applied w1:1, known to the requester.
-    pytest.param(
-        "full-track", {}, (4, 3, 2, 20036823, False, 15), id="full-track"
-    ),
+    pytest.param("full-track", {}, (4, 3, 2, 20036823, 15), id="full-track"),
 ]
 
-#: ROADMAP item 1's seeds: lenient mode is still unsafe on them (the
-#: checker finds a stale read), strict mode is clean.  Found by sweeping
+#: ROADMAP item 1's seeds: the paper-literal read returns a stale value
+#: on them that the freshness gate does not catch.  Found by sweeping
 #: seeds 0..1999 at n = 3, q = 3, p = 1 — 15 bad at 15 ops/site, one
 #: (1806) at 3 ops/site.
 ITEM_1_SEEDS = [(59, 15), (258, 15), (536416, 15), (1806, 3)]
 
-PINNED += [
-    pytest.param(
-        protocol,
-        {},
-        (3, 3, 1, seed, strict, ops),
-        id=f"{protocol}-{seed}-{ops}ops-{'strict' if strict else 'lenient'}",
-        marks=()
-        if strict
-        else pytest.mark.xfail(
-            strict=True,
-            raises=ConsistencyViolationError,
-            reason="ROADMAP item 1: lenient remote reads can return a stale "
-            "value the reply-freshness gate does not catch",
-        ),
-    )
+ITEM_1 = [
+    pytest.param(protocol, {}, (3, 3, 1, seed, ops), id=f"{protocol}-{seed}-{ops}ops")
     for protocol in ("opt-track", "full-track")
     for seed, ops in ITEM_1_SEEDS
-    for strict in (True, False)
 ]
 
 
-@pytest.mark.parametrize("protocol,proto_kwargs,params", PINNED)
-def test_pinned_lenient_stale_reply_examples(protocol, proto_kwargs, params):
-    n, q, p, seed, strict, ops_per_site = params
+def run_pinned(protocol, proto_kwargs, params):
+    """The pinned schedule under the sanitizer and the history checker
+    (either raises on a violation)."""
+    n, q, p, seed, ops_per_site = params
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.5, 80.0, size=(n, n))
     np.fill_diagonal(base, 0.0)
@@ -84,7 +72,6 @@ def test_pinned_lenient_stale_reply_examples(protocol, proto_kwargs, params):
         replication_factor=p,
         latency=MatrixLatency(base, jitter_sigma=0.2),
         seed=seed,
-        strict_remote_reads=strict,
         sanitize=True,
         protocol_kwargs=proto_kwargs,
     )
@@ -98,8 +85,30 @@ def test_pinned_lenient_stale_reply_examples(protocol, proto_kwargs, params):
             seed=seed,
         )
     )
-    result = cluster.run(wl)  # raises SanitizerViolation on regression
-    assert result.ok
+    return cluster.run(wl)
+
+
+@pytest.mark.parametrize("protocol,proto_kwargs,params", GATE_PINNED + ITEM_1)
+def test_pinned_lenient_stale_reply_examples(protocol, proto_kwargs, params):
+    """The library's read path is clean on every pinned schedule."""
+    assert run_pinned(protocol, proto_kwargs, params).ok
+
+
+@pytest.mark.parametrize("protocol,proto_kwargs,params", GATE_PINNED)
+def test_freshness_gate_rescues_the_paper_literal_read(
+    protocol, proto_kwargs, params, monkeypatch
+):
+    use_paper_literal_reads(monkeypatch)
+    assert run_pinned(protocol, proto_kwargs, params).ok
+
+
+@pytest.mark.parametrize("protocol,proto_kwargs,params", ITEM_1)
+def test_paper_literal_read_is_caught(protocol, proto_kwargs, params, monkeypatch):
+    """The must-catch half: the oracles see the stale read the
+    completions prevent."""
+    use_paper_literal_reads(monkeypatch)
+    with pytest.raises(ConsistencyViolationError):
+        run_pinned(protocol, proto_kwargs, params)
 
 
 def test_stale_reply_is_discarded_without_merging():
@@ -111,8 +120,7 @@ def test_stale_reply_is_discarded_without_merging():
 
     placement = {"x": (0,), "y": (1,)}
     cfgs = [
-        ProtocolConfig(n=3, site=i, replicas_of=placement, strict_remote_reads=False)
-        for i in range(3)
+        ProtocolConfig(n=3, site=i, replicas_of=placement) for i in range(3)
     ]
     writer, server, reader = (OptTrackProtocol(c) for c in cfgs)
 
@@ -141,16 +149,16 @@ def test_stale_reply_is_discarded_without_merging():
 
 
 def test_strict_mode_replies_always_fresh():
-    """In strict mode the server defers until the piggybacked dependency
-    summary is applied, so the freshness gate never fires — the retry path
-    is lenient-only."""
+    """The server defers until the piggybacked dependency summary is
+    applied, so the gate passes the reply it then serves — unless the
+    requester's summary grew while the fetch was in flight
+    (``test_strict_remote_reads.py`` stages that on the service)."""
     from repro.core.base import ProtocolConfig
     from repro.core.full_track import FullTrackProtocol
 
     placement = {"x": (0,), "y": (1,)}
     cfgs = [
-        ProtocolConfig(n=3, site=i, replicas_of=placement, strict_remote_reads=True)
-        for i in range(3)
+        ProtocolConfig(n=3, site=i, replicas_of=placement) for i in range(3)
     ]
     writer, server, reader = (FullTrackProtocol(c) for c in cfgs)
     res_y = writer.write("y", 1)
@@ -159,92 +167,34 @@ def test_strict_mode_replies_always_fresh():
     reader.complete_remote_read(reply)
 
     req_y = reader.make_fetch_request("y", server=1)
-    assert not server.can_serve_fetch(req_y)  # strict server would defer
+    assert not server.can_serve_fetch(req_y)  # the server defers
     (msg,) = res_y.messages
     server.apply_update(msg)
     assert server.can_serve_fetch(req_y)
     assert reader.reply_is_fresh(server.serve_fetch(req_y))
 
 
-def test_service_stale_reply_is_followed_by_one_parked_refetch():
-    """The same corner through the networked service: the requester
-    answers a stale reply with ONE re-fetch naming the records the
-    reply's snapshot missed; the serving site parks it and answers on
-    the apply.  No polling — while the update is held back for 50 ms
-    (a dozen rounds of the old 2 ms × attempt sleep loop) exactly two
-    fetch frames reach the serving site."""
+def test_service_stale_reply_is_followed_by_one_parked_refetch(monkeypatch):
+    """The same corner through the networked service, on the paper-
+    literal read: the requester answers a stale reply with ONE re-fetch
+    naming the records the reply's snapshot missed; the serving site
+    parks it and answers on the apply.  No polling — while the update
+    is held back for 50 ms (a dozen rounds of the old 2 ms × attempt
+    sleep loop) exactly two fetch frames reach the serving site."""
     import asyncio
 
     from repro.obs.registry import MetricsRegistry
     from repro.service.harness import ServiceCluster
-    from repro.service.transport import Connection, LoopbackTransport
-    from repro.service.wire import REPL_FRAME_KINDS
 
-    class HoldingConnection(Connection):
-        """Passes everything but repl frames, which wait for release()."""
-
-        def __init__(self, inner, transport):
-            self._inner = inner
-            self._transport = transport
-
-        @property
-        def codec(self):
-            return self._inner.codec
-
-        @property
-        def agreed_version(self):
-            return self._inner.agreed_version
-
-        def negotiate(self, codec, agreed=None):
-            self._inner.negotiate(codec, agreed)
-
-        async def send(self, frame):
-            await self.send_many([frame])
-
-        async def send_many(self, frames):
-            t = self._transport
-            t.fetches.extend(f for f in frames if f["t"] == "fetch")
-            if t.holding:
-                repl = [f for f in frames if f["t"] in REPL_FRAME_KINDS]
-                t.held.append((self._inner, repl))
-                frames = [f for f in frames if f["t"] not in REPL_FRAME_KINDS]
-            await self._inner.send_many(frames)
-
-        async def recv(self):
-            return await self._inner.recv()
-
-        async def close(self):
-            await self._inner.close()
-
-        @property
-        def peer(self):
-            return self._inner.peer
-
-    class HoldingTransport(LoopbackTransport):
-        """Replication into ``site-1`` is held until :meth:`release`."""
-
-        def __init__(self, metrics):
-            super().__init__(metrics=metrics)
-            self.holding = False
-            self.held = []
-            self.fetches = []
-
-        async def connect(self, address):
-            inner = await super().connect(address)
-            return HoldingConnection(inner, self) if address == "site-1" else inner
-
-        async def release(self):
-            self.holding = False
-            for inner, frames in self.held:
-                await inner.send_many(frames)
+    use_paper_literal_reads(monkeypatch)
 
     async def main():
         metrics = MetricsRegistry()
         transport = HoldingTransport(metrics)
         placement = {"x0": (0,), "x1": (1,)}
         async with ServiceCluster(3, 2, "opt-track", placement=placement,
-                                  strict_remote_reads=False, sanitize=True,
-                                  metrics=metrics, transport=transport) as cluster:
+                                  sanitize=True, metrics=metrics,
+                                  transport=transport) as cluster:
             writer = cluster.client(home=0)
             reader = cluster.client(home=2)
             await writer.put("x1", "warm")  # links up, chains started
@@ -271,6 +221,6 @@ def test_service_stale_reply_is_followed_by_one_parked_refetch():
     assert (value, by) == ("y", 1)
     assert parked == 1  # the re-fetch sat in site 1's _wait_for
     assert len(fetches) == 2
-    assert fetches[0]["deps"] is None  # lenient: the first carries nothing
+    assert fetches[0]["deps"] is None  # paper-literal: the first carries nothing
     assert fetches[1]["deps"] is not None  # the re-fetch names what was missed
     assert counters["service_stale_replies_total{site=2}"] == 1

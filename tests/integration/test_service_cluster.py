@@ -1096,7 +1096,6 @@ class TestCausalSafety:
     def test_strict_mode_over_the_wire(self):
         async def main():
             async with ServiceCluster(3, 6, "full-track", replication_factor=2,
-                                      strict_remote_reads=True,
                                       sanitize=True) as cluster:
                 c = cluster.client(home=0)
                 for i in range(5):

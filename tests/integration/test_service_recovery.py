@@ -448,9 +448,7 @@ class TestParentDataDir:
         want = PARENT_RECOVERED
         placement = {v: tuple(r) for v, r in want["placement"].items()}
         proto = protocol_class("opt-track")(
-            ProtocolConfig(
-                n=3, site=2, replicas_of=placement, strict_remote_reads=False
-            )
+            ProtocolConfig(n=3, site=2, replicas_of=placement)
         )
         site = SiteServer(
             proto, {s: f"site-{s}" for s in range(3)}, None,
@@ -531,3 +529,45 @@ class TestCapabilityFallback:
         assert epoch == 2
         assert "service_gossip_digests_total{site=1}" not in counters
         assert counters["service_gossip_digests_total{site=0}"] > 0
+
+
+@pytest.mark.parametrize(
+    "protocol", ["opt-track", "full-track", "opt-track-crp", "optp", "ahamad"]
+)
+def test_every_protocol_reads_and_recovers(protocol, tmp_path):
+    """Every protocol on the service's read path: a sanitized, durable
+    3-site cluster puts and gets at every site — remote gets for the
+    partial-replication protocols, at replication factor 2 — then site
+    2 is killed, restarted from its WAL, and must read back what the
+    survivors read."""
+
+    async def main():
+        async with ServiceCluster(
+            3, 6, protocol, replication_factor=2, sanitize=True,
+            data_dir=str(tmp_path), gossip_interval=0.05,
+        ) as cluster:
+            written = {v: f"v{i}" for i, v in enumerate(cluster.variables)}
+            clients = [cluster.client(home=s) for s in range(3)]
+            for i, (var, value) in enumerate(written.items()):
+                await clients[i % 3].put(var, value)
+            await cluster.quiesce()
+            remote = 0
+            for home, client in enumerate(clients):
+                for var, value in written.items():
+                    got, _, by = await client.get(var)
+                    assert got == value, (home, var)
+                    remote += by != home
+                await client.close()
+            cluster.kill_site(2)
+            revived = await cluster.restart_site(2)
+            await cluster.quiesce(timeout=10.0)
+            reader = cluster.client(home=2)
+            after = {v: (await reader.get(v))[0] for v in written}
+            await reader.close()
+            return written, remote, revived, after, cluster.sanitizer.checks_run
+
+    written, remote, revived, after, checks = run(main())
+    assert (remote > 0) == (protocol in ("opt-track", "full-track"))
+    assert revived.epoch == 2 and revived.wal_replayed > 0
+    assert after == written
+    assert checks > 0

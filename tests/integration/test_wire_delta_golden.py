@@ -42,6 +42,13 @@ old -> new over the identical message stream; every frame here is under
     ACK_BYTES         26 694 ->  11 864   (0.444x)
     FETCH_BYTES        4 690 ->   2 345   (0.500x)
     FETCH_OK_BYTES    32 877 ->  30 532   (0.929x)
+
+Re-pinned once more when the paper-literal read left the library: every
+``fetch`` now carries the requester's dependency summary (DESIGN.md
+§2a), on the service's links as here; the update, ack and reply streams
+are identical:
+
+    FETCH_BYTES        2 345 ->   5 278   (2.25x; 5.0 -> 11.3 B a fetch)
 """
 
 from collections import deque
@@ -66,7 +73,7 @@ ACKS = 2966
 ACK_BYTES = 11_864
 #: remote reads: the request, and the reply with its log and snapshot
 FETCHES = 469
-FETCH_BYTES = 2_345
+FETCH_BYTES = 5_278
 FETCH_OK_BYTES = 30_532
 
 
@@ -108,7 +115,7 @@ def link_streams(traffic=None):
     applied = [[0] * N for _ in range(N)]  # [dst][src]
     variables = default_variables(Q)
     placement = make_placement("round-robin", N, Q, RF, seed=SEED)
-    sites = make_sites("opt-track", N, placement, strict_remote_reads=False)
+    sites = make_sites("opt-track", N, placement)
     inbox = [[deque() for _ in range(N)] for _ in range(N)]  # [dst][src]
     streams = {}
     for step in range(OPS):

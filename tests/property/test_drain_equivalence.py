@@ -3,8 +3,9 @@
 The dependency wake index (``SimSite.drain``) is a pure performance
 rework of the original fixed-point rescan: it must produce the
 *identical execution* — same apply events at the same simulated times,
-same operation results, same message count — for every protocol, with
-strict remote reads on or off and with batching on or off.  Any
+same operation results, same message count — for every protocol, on the
+library's read path and on the paper-literal one
+(``tests/paper_literal.py``), with batching on or off.  Any
 divergence means the index woke something the rescan would not have (or
 vice versa), i.e. a correctness bug, not a perf difference.
 
@@ -22,6 +23,7 @@ from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.latency import MatrixLatency
 from repro.sim.site import SimSite
 from repro.workload.generator import WorkloadConfig, generate
+from tests.paper_literal import use_paper_literal_reads
 
 
 class RescanSite(SimSite):
@@ -116,11 +118,15 @@ def run_once(protocol, n, q, p, seed, write_rate, strict, batch, rescan):
         replication_factor=p if partial else None,
         latency=MatrixLatency(base, jitter_sigma=0.25),
         seed=seed,
-        strict_remote_reads=strict,
         think_time=1.0,
         batch_window=5.0 if batch else None,
     )
-    cluster = Cluster(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        if not strict:
+            # the paper-literal read (partial-replication protocols only;
+            # the others never read remotely)
+            use_paper_literal_reads(mp)
+        cluster = Cluster(cfg)
     if rescan:
         # nothing is buffered yet, and the network dispatches through the
         # instance, so swapping the class swaps the whole drain
@@ -135,8 +141,8 @@ def run_once(protocol, n, q, p, seed, write_rate, strict, batch, rescan):
             seed=seed ^ 0xBEEF,
         )
     )
-    # Non-strict remote reads may legitimately return stale values (that
-    # is what strict mode exists to prevent), so only strict runs are
+    # Paper-literal reads may return stale values (that is what the
+    # library's read path exists to prevent), so only strict runs are
     # held to the causal checker; equivalence itself is checked by the
     # caller on the raw histories either way.
     result = cluster.run(wl, check=strict)
@@ -193,8 +199,8 @@ class TestFullReplicationEquivalence:
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("batch", [False, True])
 def test_fixed_seed_matrix(protocol, strict, batch):
-    """A deterministic pass over the full protocol x strict x batching
-    grid, so every cell is exercised on every run (hypothesis explores
+    """A deterministic pass over the full protocol x read path x
+    batching grid, so every cell is exercised on every run (hypothesis explores
     the space but does not guarantee coverage of each combination)."""
     n = 5
     p = 2 if protocol in PARTIAL else n

@@ -35,15 +35,14 @@ def sanitized_params(draw):
     q = draw(st.integers(min_value=1, max_value=6))
     p = draw(st.integers(min_value=1, max_value=n))
     seed = draw(st.integers(min_value=0, max_value=2**31))
-    strict = draw(st.booleans())
-    return n, q, p, seed, strict
+    return n, q, p, seed
 
 
 @pytest.mark.parametrize("protocol,proto_kwargs", VARIANTS)
 @settings(**COMMON)
 @given(params=sanitized_params())
 def test_sanitized_run_stays_clean(protocol, proto_kwargs, params):
-    n, q, p, seed, strict = params
+    n, q, p, seed = params
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.5, 80.0, size=(n, n))
     np.fill_diagonal(base, 0.0)
@@ -55,7 +54,6 @@ def test_sanitized_run_stays_clean(protocol, proto_kwargs, params):
         replication_factor=p if partial else None,
         latency=MatrixLatency(base, jitter_sigma=0.2),
         seed=seed,
-        strict_remote_reads=strict,
         sanitize=True,
         protocol_kwargs=proto_kwargs,
     )

@@ -87,6 +87,17 @@ class TestRunControl:
         sim.run()
         assert log == [1, 10]
 
+    def test_run_until_in_the_past_keeps_the_clock(self):
+        sim = Simulator()
+        fired_at = []
+        sim.schedule(10.0, lambda: fired_at.append(sim.now))
+        sim.run()
+        sim.schedule(2.0, lambda: fired_at.append(sim.now))
+        assert sim.run(until=5.0) == 0
+        assert sim.now == 10.0
+        sim.run()
+        assert fired_at == [10.0, 12.0]
+
     def test_run_max_events(self):
         sim = Simulator()
         log = []

@@ -9,6 +9,7 @@ from repro.errors import ProtocolInvariantError, UnknownVariableError
 from repro.types import BOTTOM, WriteId
 
 from tests.conftest import deliver, full_placement, make_sites, remote_read
+from tests.paper_literal import use_paper_literal_reads
 
 
 @pytest.fixture
@@ -159,8 +160,9 @@ class TestRemoteRead:
         sites[server].apply_update(next(m for m in ry.messages if m.dest == 2))
         assert sites[server].can_serve_fetch(req)
 
-    def test_lenient_fetch_serves_immediately(self, two_var_partial):
-        sites = make_sites("full-track", 4, two_var_partial, strict_remote_reads=False)
+    def test_lenient_fetch_serves_immediately(self, two_var_partial, monkeypatch):
+        use_paper_literal_reads(monkeypatch)
+        sites = make_sites("full-track", 4, two_var_partial)
         rx = sites[0].write("x", 1)
         sites[1].apply_update(next(m for m in rx.messages if m.dest == 1))
         sites[1].read_local("x")

@@ -12,6 +12,7 @@ from repro.errors import ProtocolInvariantError
 from repro.types import BOTTOM, WriteId
 
 from tests.conftest import deliver, full_placement, make_sites, remote_read
+from tests.paper_literal import use_paper_literal_reads
 
 
 @pytest.fixture
@@ -190,8 +191,10 @@ class TestRemoteRead:
         reply = sites[1].serve_fetch(req)
         assert sites[0].complete_remote_read(reply) == (5, ry.write_id)
 
-    def test_lenient_fetch_has_no_deps(self, two_var_partial):
-        sites = make_sites("opt-track", 4, two_var_partial, strict_remote_reads=False)
+    def test_lenient_fetch_has_no_deps(self, two_var_partial, monkeypatch):
+        # the paper-literal mutant: no summary, so nothing defers it
+        use_paper_literal_reads(monkeypatch)
+        sites = make_sites("opt-track", 4, two_var_partial)
         sites[0].write("y", 5)
         req = sites[0].make_fetch_request("y", 1)
         assert req.deps is None

@@ -83,10 +83,7 @@ def swap_in(cluster, proto_cls, **kwargs):
     for i, site in enumerate(cluster.sites):
         broken = proto_cls(
             ProtocolConfig(
-                n=cluster.n_sites,
-                site=i,
-                replicas_of=cluster.placement,
-                strict_remote_reads=cluster.config.strict_remote_reads,
+                n=cluster.n_sites, site=i, replicas_of=cluster.placement
             ),
             **kwargs,
         )
