@@ -38,10 +38,11 @@ typecheck:
 
 # Tier-1 suite (includes the runner determinism properties in
 # tests/property/test_sweep_parallel.py) plus the benchmark-harness
-# smoke tests, which live outside pytest's testpaths
+# smoke tests and the E11 remote-read ablation, which live outside
+# pytest's testpaths
 check: lint typecheck
 	$(PYTHON) -m pytest -x -q
-	$(PYTHON) -m pytest -x -q benchmarks/bench_sweep.py benchmarks/bench_hot_paths.py
+	$(PYTHON) -m pytest -x -q benchmarks/bench_sweep.py benchmarks/bench_hot_paths.py benchmarks/bench_ablation_strict_reads.py
 
 # End-to-end tracing smoke: record a lifecycle trace under three
 # protocols, replay each through the causal sanitizer oracle, render the

@@ -12,7 +12,10 @@ quantifies the completions' price on an honest WAN workload:
 
   * read latency: strict reads can stall waiting for in-flight updates;
   * message bytes: strict fetches piggyback an O(n) dependency summary;
-  * message count: unchanged (no extra messages, only deferred replies).
+  * message count: the completions add none (one fetch and one reply per
+    remote read; strict replies are deferred, not repeated), while the
+    paper-literal mutant pays a fetch and a reply per stale reply its
+    freshness gate catches and re-fetches.
 
 And their value: on the paper-literal read the checker finds violations
 on adversarial schedules (the integration tests pin specific ones; here
@@ -82,10 +85,18 @@ def total_read_latency(results):
 
 class TestCost:
     @pytest.mark.parametrize("protocol", ["full-track", "opt-track"])
-    def test_message_count_unchanged(self, pairs, protocol):
-        strict = [r.metrics.total_messages for r in pairs[(protocol, True)]]
-        lenient = [r.metrics.total_messages for r in pairs[(protocol, False)]]
-        assert strict == lenient
+    def test_message_counts_add_up(self, pairs, protocol):
+        """Per seed: the same updates either way; on the library read one
+        fetch and one reply per remote read; the mutant's surplus
+        fetches are its re-fetches, each a fetch plus a reply."""
+        for strict, lenient in zip(pairs[(protocol, True)], pairs[(protocol, False)]):
+            s, l = strict.metrics, lenient.metrics
+            assert s.message_counts["update"] == l.message_counts["update"]
+            remote = s.op_latency["read-remote"]["count"]
+            assert s.message_counts["fetch"] == s.message_counts["fetch-reply"] == remote
+            refetches = l.message_counts["fetch"] - l.op_latency["read-remote"]["count"]
+            assert refetches >= 0
+            assert l.total_messages - s.total_messages == 2 * refetches
 
     @pytest.mark.parametrize("protocol", ["full-track", "opt-track"])
     def test_read_latency_overhead_is_bounded(self, pairs, protocol):

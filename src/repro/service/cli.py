@@ -322,9 +322,8 @@ async def _recover(args: argparse.Namespace) -> int:
         print(f"recover: CORRUPT — {exc}")
         return 2
     snapshot = info["snapshot"]
-    kinds: Dict[str, int] = {}
-    for frame in info["records"]:
-        kinds[frame["t"]] = kinds.get(frame["t"], 0) + 1
+    kinds: Dict[str, int] = info["kinds"]
+    replay = sum(kinds.values())
     origin: Dict[str, int] = {}
     if snapshot is not None:
         it = iter(snapshot.get("origin") or ())
@@ -348,7 +347,7 @@ async def _recover(args: argparse.Namespace) -> int:
                         "origin_watermarks": origin,
                     },
                     "segments": info["segments"],
-                    "replay_records": len(info["records"]),
+                    "replay_records": replay,
                     "replay_by_kind": kinds,
                 },
                 indent=2,
@@ -379,7 +378,7 @@ async def _recover(args: argparse.Namespace) -> int:
     print(f"segments     {', '.join(info['segments']) or 'none'}")
     if kinds:
         by_kind = ", ".join(f"{k} x{v}" for k, v in sorted(kinds.items()))
-        print(f"replay       {len(info['records'])} record(s): {by_kind}")
+        print(f"replay       {replay} record(s): {by_kind}")
     else:
         print("replay       0 records")
     return 0
@@ -720,7 +719,7 @@ async def _smoke(args: argparse.Namespace) -> int:
                 failures += 1
             else:
                 trace = load_trace(artifact)
-                if not trace.records or not render_report(trace):
+                if not len(trace) or not render_report(trace):
                     print(f"  {protocol}: flight artifact unrenderable")
                     failures += 1
         status = "ok" if report.errors == 0 else "FAIL"
@@ -874,11 +873,11 @@ async def _stats_smoke(args: argparse.Namespace) -> int:
             else:
                 trace = load_trace(artifact)
                 rendered = render_report(trace)
-                if not trace.records or not rendered:
+                if not len(trace) or not rendered:
                     failures.append("flight artifact empty or unrenderable")
                 else:
                     print(
-                        f"  flight post-mortem: {len(trace.records)} records, "
+                        f"  flight post-mortem: {len(trace)} records, "
                         f"reason={trace.header['flight']['reason']}"
                     )
             await client.close()

@@ -19,7 +19,11 @@ Design (docs/durability.md has the full walkthrough):
   of the **last** segment.  A record that is complete but fails its CRC
   (or any trailing bytes on a non-final segment) is *corruption* and
   recovery refuses to proceed: :class:`WalCorruptionError` names the file
-  and byte offset so the operator can decide what to salvage.
+  and byte offset so the operator can decide what to salvage.  Both rules
+  live in :class:`RecordReader`, which every read of a segment or the
+  snapshot goes through, one record in memory at a time: recovery scans
+  the log at open and then streams it into replay, never holding it
+  whole.
 * **Segments and retirement**: the log is a sequence of numbered segment
   files ``wal.NNNNNN``.  A snapshot atomically covers a *segment prefix*:
   the writer rotates to a fresh segment (synchronous, single-writer), the
@@ -48,6 +52,7 @@ docs/durability.md.
 from __future__ import annotations
 
 import asyncio
+import io
 import os
 import zlib
 from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
@@ -60,6 +65,7 @@ __all__ = [
     "SiteWal",
     "encode_record",
     "encode_raw_record",
+    "RecordReader",
     "decode_records",
     "FSYNC_MODES",
 ]
@@ -107,58 +113,105 @@ def encode_raw_record(body: bytes) -> bytes:
     return _guard(len(body).to_bytes(4, "big") + body)
 
 
+class RecordReader:
+    """The records of one byte stream, read one at a time.
+
+    ``f`` is a binary file object (a segment, the snapshot, a
+    ``BytesIO``); at most one record's bytes are held at once.  The
+    torn-tail and corruption rules live here and nowhere else:
+
+    * a record whose header or body runs past the end of the stream is a
+      torn tail — iteration stops there and :attr:`valid` is the offset
+      of its first byte (the stream's length when it is whole);
+    * a complete record whose CRC fails raises :class:`WalCorruptionError`
+      naming ``source`` and the record's offset, as does a record that
+      passes its CRC but does not decode (iterating frames only);
+    * with ``allow_torn_tail`` false (a non-final segment) any bytes past
+      the last whole record raise :class:`WalCorruptionError` instead.
+
+    :meth:`payloads` is the CRC-and-framing pass (no decoding), iterating
+    the reader itself yields decoded frames.
+    """
+
+    def __init__(
+        self, f: BinaryIO, *, source: str = "<wal>", allow_torn_tail: bool = True
+    ) -> None:
+        self._f = f
+        self.source = source
+        self.allow_torn_tail = allow_torn_tail
+        #: offset just past the last whole record read so far
+        self.valid = 0
+
+    def payloads(self) -> Iterator[Tuple[int, bytes]]:
+        """``(offset, frame body)`` per whole, CRC-checked record."""
+        f = self._f
+        head_len = _CRC_BYTES + 4
+        while True:
+            head = f.read(head_len)
+            if len(head) < head_len:
+                if head:
+                    self._torn()  # not even a crc + length prefix
+                return
+            try:
+                body_len = wire.frame_length(head[_CRC_BYTES:])
+            except WireError:
+                # a partially-written length prefix is indistinguishable
+                # from any other torn bytes
+                self._torn()
+                return
+            body = f.read(body_len)
+            if len(body) < body_len:
+                self._torn()  # body runs past EOF
+                return
+            off = self.valid
+            crc = int.from_bytes(head[:_CRC_BYTES], "big")
+            got = zlib.crc32(body, zlib.crc32(head[_CRC_BYTES:]))
+            if got != crc:
+                raise WalCorruptionError(
+                    f"WAL corruption in {self.source} at byte {off}: record "
+                    f"CRC mismatch (expected {crc:#010x}, got {got:#010x}); "
+                    f"refusing to recover past it"
+                )
+            self.valid = off + head_len + body_len
+            yield off, body
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        for off, body in self.payloads():
+            try:
+                frame = wire.decode_body(body)
+            except WireError as exc:
+                raise WalCorruptionError(
+                    f"WAL corruption in {self.source} at byte {off}: record "
+                    f"passed its CRC but failed to decode: {exc}"
+                ) from None
+            yield frame
+
+    def _torn(self) -> None:
+        """The bytes past :attr:`valid` are no whole record: a torn tail
+        where one is allowed, corruption anywhere else."""
+        if self.allow_torn_tail:
+            return
+        trailing = self._f.seek(0, os.SEEK_END) - self.valid
+        raise WalCorruptionError(
+            f"WAL corruption in {self.source} at byte {self.valid}: "
+            f"{trailing} trailing byte(s) on a non-final segment (torn "
+            f"tails are only legal at the end of the log)"
+        )
+
+
 def decode_records(
     data: bytes, *, source: str = "<wal>", allow_torn_tail: bool = True
 ) -> Tuple[List[Dict[str, Any]], int]:
-    """Decode a segment's bytes into frames.
+    """Decode a whole byte string with :class:`RecordReader`.
 
     Returns ``(frames, valid_length)`` where ``valid_length`` is the byte
-    offset of the first torn record (== ``len(data)`` when the segment is
-    clean).  A complete-but-corrupt record raises
-    :class:`WalCorruptionError`; so does a torn tail when
-    ``allow_torn_tail`` is false (non-final segments must be whole).
+    offset of the first torn record (== ``len(data)`` when clean).
     """
-    frames: List[Dict[str, Any]] = []
-    off = 0
-    n = len(data)
-    while off < n:
-        if off + _CRC_BYTES + 4 > n:
-            break  # torn: not even a crc + length prefix
-        crc = int.from_bytes(data[off : off + _CRC_BYTES], "big")
-        try:
-            body_len = wire.frame_length(
-                data[off + _CRC_BYTES : off + _CRC_BYTES + 4]
-            )
-        except WireError:
-            # a partially-written length prefix is indistinguishable from
-            # any other torn bytes; the trailing-bytes check below still
-            # rejects it on a non-final segment
-            break
-        end = off + _CRC_BYTES + 4 + body_len
-        if end > n:
-            break  # torn: body runs past EOF
-        payload = data[off + _CRC_BYTES : end]
-        if zlib.crc32(payload) != crc:
-            raise WalCorruptionError(
-                f"WAL corruption in {source} at byte {off}: record CRC "
-                f"mismatch (expected {crc:#010x}, got "
-                f"{zlib.crc32(payload):#010x}); refusing to recover past it"
-            )
-        try:
-            frames.append(wire.decode_body(payload[4:]))
-        except WireError as exc:
-            raise WalCorruptionError(
-                f"WAL corruption in {source} at byte {off}: record passed "
-                f"its CRC but failed to decode: {exc}"
-            ) from None
-        off = end
-    if off != n and not allow_torn_tail:
-        raise WalCorruptionError(
-            f"WAL corruption in {source} at byte {off}: {n - off} trailing "
-            f"byte(s) on a non-final segment (torn tails are only legal at "
-            f"the end of the log)"
-        )
-    return frames, off
+    reader = RecordReader(
+        io.BytesIO(data), source=source, allow_torn_tail=allow_torn_tail
+    )
+    frames = list(reader)
+    return frames, reader.valid
 
 
 def _fsync_path(path: str) -> None:
@@ -212,13 +265,14 @@ def _read_dir(
     snap_path = os.path.join(data_dir, _SNAP_NAME)
     if os.path.exists(snap_path):
         with open(snap_path, "rb") as f:
-            data = f.read()
-        frames, valid = decode_records(data, source=snap_path)
-        if valid != len(data) or len(frames) != 1:
+            reader = RecordReader(f, source=snap_path)
+            frames = list(reader)
+            trailing = f.seek(0, os.SEEK_END) - reader.valid
+        if trailing or len(frames) != 1:
             raise WalCorruptionError(
                 f"unreadable snapshot {snap_path}: expected exactly one "
                 f"whole record, got {len(frames)} record(s) and "
-                f"{len(data) - valid} trailing byte(s)"
+                f"{trailing} trailing byte(s)"
             )
         snapshot = frames[0]
     segments = sorted(
@@ -234,10 +288,12 @@ class SiteWal:
 
     Constructing a ``SiteWal`` *recovers*: it bumps the incarnation file
     (durably, before anything else — a recovered site must never reuse a
-    dead epoch), loads the committed snapshot if any, replays every
-    uncovered segment (truncating a torn tail on the last one), and opens
-    a fresh segment for new appends.  The loaded state is left on
-    :attr:`snapshot` and :attr:`records` for the server to consume.
+    dead epoch), loads the committed snapshot if any, scans every
+    uncovered segment (refusing corruption, truncating a torn tail on the
+    last one), and opens a fresh segment for new appends.  The server
+    replays :attr:`snapshot` and then :meth:`frames`, which reads the
+    scanned segments back one record at a time: the log is never held
+    in memory whole.
     """
 
     def __init__(
@@ -268,25 +324,27 @@ class SiteWal:
         #: the committed ``snap`` frame, or None on first boot
         self.snapshot = snapshot
         covered = int(snapshot.get("seg", 0)) if snapshot else 0
-        #: uncovered WAL frames in append order, ready for replay
-        self.records: List[Dict[str, Any]] = []
-        live = [(idx, name) for idx, name in segments if idx > covered]
-        for pos, (idx, name) in enumerate(live):
-            path = os.path.join(data_dir, name)
+        #: the uncovered segments, oldest first: what :meth:`frames`
+        #: replays.  Each is scanned here (CRC and framing, no decoding,
+        #: one record in memory at a time) so that corruption refuses
+        #: and a torn tail is truncated before the first append.
+        self._live = [
+            os.path.join(data_dir, name) for idx, name in segments if idx > covered
+        ]
+        for pos, path in enumerate(self._live):
+            last = pos == len(self._live) - 1
             with open(path, "rb") as f:
-                data = f.read()
-            last = pos == len(live) - 1
-            frames, valid = decode_records(
-                data, source=path, allow_torn_tail=last
-            )
-            if valid != len(data):
+                reader = RecordReader(f, source=path, allow_torn_tail=last)
+                for _ in reader.payloads():
+                    pass
+                torn = f.seek(0, os.SEEK_END) != reader.valid
+            if torn:
                 # torn tail on the final segment: truncate to the last
                 # whole record so the next recovery sees a clean log
                 with open(path, "r+b") as f:
-                    f.truncate(valid)
+                    f.truncate(reader.valid)
                     f.flush()
                     os.fsync(f.fileno())
-            self.records.extend(frames)
         # segments the committed snapshot covers are dead even if the
         # crash preempted their unlink — finish the retirement lazily
         for idx, name in segments:
@@ -306,6 +364,13 @@ class SiteWal:
         self.raw_appends = 0
         self.fsyncs = 0
         self.snapshots = 0
+
+    def frames(self) -> Iterator[Dict[str, Any]]:
+        """The uncovered WAL frames in append order, decoded one record
+        at a time — the suffix recovery replays after :attr:`snapshot`.
+        Records this incarnation appends are not among them; read them
+        before the first snapshot retires the segments they sit in."""
+        return _frames_of(self._live)
 
     # -- appends --------------------------------------------------------
 
@@ -444,24 +509,31 @@ class SiteWal:
         """Read-only view of a data dir (no incarnation bump, no locks).
 
         Used by ``repro-kv recover`` to answer "what would a restart
-        replay?" without perturbing the site's durable state.
+        replay?" without perturbing the site's durable state: the
+        uncovered records are counted by kind (``kinds``), decoded one
+        at a time and not kept.
         """
         incarnation, snapshot, segments = _read_dir(data_dir)
         covered = int(snapshot.get("seg", 0)) if snapshot else 0
-        records: List[Dict[str, Any]] = []
-        live = [(idx, name) for idx, name in segments if idx > covered]
-        for pos, (idx, name) in enumerate(live):
-            path = os.path.join(data_dir, name)
-            with open(path, "rb") as f:
-                data = f.read()
-            frames, _ = decode_records(
-                data, source=path, allow_torn_tail=pos == len(live) - 1
-            )
-            records.extend(frames)
+        live = [
+            os.path.join(data_dir, name) for idx, name in segments if idx > covered
+        ]
+        kinds: Dict[str, int] = {}
+        for frame in _frames_of(live):
+            kinds[frame["t"]] = kinds.get(frame["t"], 0) + 1
         return {
             "incarnation": incarnation,
             "snapshot": snapshot,
             "segments": [name for _, name in segments],
             "covered_segment": covered,
-            "records": records,
+            "kinds": kinds,
         }
+
+
+def _frames_of(paths: List[str]) -> Iterator[Dict[str, Any]]:
+    """The frames of a segment sequence; only the last may be torn."""
+    for pos, path in enumerate(paths):
+        with open(path, "rb") as f:
+            yield from RecordReader(
+                f, source=path, allow_torn_tail=pos == len(paths) - 1
+            )

@@ -131,7 +131,7 @@ import asyncio
 import itertools
 import os
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -803,19 +803,19 @@ class SiteServer:
         self._snapshot_task: Optional[asyncio.Task] = None
         #: the write-ahead log, or None for a memory-only site.  Opening
         #: it bumps the incarnation counter durably and loads any
-        #: committed snapshot + WAL suffix, which :meth:`_recover`
-        #: replays synchronously before the server takes traffic.
+        #: committed snapshot; :meth:`_recover` restores it and replays
+        #: the WAL suffix, streamed one record at a time, synchronously
+        #: before the server takes traffic.
         self.wal: Optional[SiteWal] = None
         #: WAL records replayed by this incarnation's recovery
         self.wal_replayed = 0
         if data_dir is not None:
             self.wal = SiteWal(data_dir, fsync=fsync)
             self.epoch = self.wal.incarnation
-            self.wal_replayed = len(self.wal.records)
-            recovered = self._recover(self.wal.snapshot, self.wal.records)
-            # replayed state is in memory now; drop the parsed copies
+            recovered = self._recover(self.wal.snapshot, self.wal.frames())
+            # the snapshot frame is restored; do not hold it for the
+            # incarnation's whole life
             self.wal.snapshot = None
-            self.wal.records = []
             if recovered:
                 self.metric("service_recoveries_total")
                 self.flight_dump("recovery")
@@ -1665,15 +1665,14 @@ class SiteServer:
     def _recover(
         self,
         snapshot: Optional[Dict[str, Any]],
-        records: List[Dict[str, Any]],
+        frames: Iterable[Dict[str, Any]],
     ) -> bool:
         """Rebuild in-memory state from the committed snapshot plus the
-        WAL suffix.  Runs in ``__init__``, strictly before the server
-        takes traffic, with no observers: the sanitizer, recorder, and
-        metrics already saw these transitions when they happened live.
-        Returns True when there was anything to recover."""
-        if snapshot is None and not records:
-            return False
+        WAL suffix, counting :attr:`wal_replayed` as the frames go by.
+        Runs in ``__init__``, strictly before the server takes traffic,
+        with no observers: the sanitizer, recorder, and metrics already
+        saw these transitions when they happened live.  Returns True
+        when there was anything to recover."""
         if snapshot is not None:
             if int(snapshot.get("site", self.site)) != int(self.site):
                 raise WalCorruptionError(
@@ -1701,9 +1700,10 @@ class SiteServer:
             for f in snapshot.get("own") or ():
                 msg = wire.decode_update(f)
                 self._own_log.setdefault(msg.write_id.seq, []).append(msg)
-        for frame in records:
+        for frame in frames:
             self._replay(frame)
-        return True
+            self.wal_replayed += 1
+        return snapshot is not None or self.wal_replayed > 0
 
     def _replay(self, frame: Dict[str, Any]) -> None:
         """Re-run one WAL record against the protocol.  Deterministic

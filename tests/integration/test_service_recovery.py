@@ -12,6 +12,7 @@ that never gossips.
 
 import asyncio
 import os
+import tracemalloc
 
 import pytest
 
@@ -336,6 +337,46 @@ class TestLoopbackRecovery:
             SiteServer(
                 proto, {0: "site-0", 1: "site-1"}, None, data_dir=str(tmp_path)
             )
+
+
+class TestRecoveryMemory:
+    """Recovery streams the WAL: a restarted site holds one record at a
+    time, never the whole log (as raw bytes or as decoded frames)."""
+
+    @staticmethod
+    def restart_peak(data_dir, puts):
+        """``puts`` 1 KB writes at site 0 of a durable 2-site cluster, then
+        kill and restart site 1 under tracemalloc: ``(peak bytes during
+        the restart, records replayed, records the dead site appended)``."""
+
+        async def main():
+            async with ServiceCluster(
+                2, 4, "opt-track", data_dir=data_dir, fsync="none"
+            ) as cluster:
+                client = cluster.client(0)
+                for i in range(puts):
+                    await client.put(cluster.variables[i % 4], f"{i:04d}" * 256)
+                await client.close()
+                await cluster.quiesce()
+                appended = cluster.servers[1].wal.records_appended
+                cluster.kill_site(1)
+                tracemalloc.start()
+                try:
+                    revived = await cluster.restart_site(1)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                return peak, revived.wal_replayed, appended
+
+        return run(main())
+
+    def test_restart_peak_does_not_grow_with_the_log(self, tmp_path):
+        n = 100
+        small, replayed, appended = self.restart_peak(str(tmp_path / "n"), n)
+        large, replayed4, appended4 = self.restart_peak(str(tmp_path / "4n"), 4 * n)
+        assert appended >= n and appended4 >= 4 * n
+        assert (replayed, replayed4) == (appended, appended4)
+        assert large / small < 1.5, (small, large)
 
 
 class TestTcpRecovery:

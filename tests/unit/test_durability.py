@@ -8,6 +8,7 @@ window on disk and reopens the log.
 """
 
 import asyncio
+import io
 import os
 
 import pytest
@@ -16,6 +17,7 @@ from repro.service import wire
 from repro.types import WriteId
 from tests.conftest import stamped
 from repro.service.durability import (
+    RecordReader,
     SiteWal,
     WalCorruptionError,
     decode_records,
@@ -78,6 +80,14 @@ class TestRecords:
             decode_records(bytes(data), source="wal.000001")
         assert "wal.000001" in str(exc.value)
         assert "byte 0" in str(exc.value)
+
+    def test_reader_reports_offsets_and_the_valid_prefix(self):
+        records = [encode_record(put_frame(i)) for i in range(3)]
+        data = b"".join(records)
+        reader = RecordReader(io.BytesIO(data[:-1]))
+        offsets = [off for off, _ in reader.payloads()]
+        assert offsets == [0, len(records[0])]
+        assert reader.valid == len(records[0]) + len(records[1])
 
     def test_trailing_bytes_on_non_final_segment_refuse(self):
         data = encode_record(put_frame(0)) + b"\x00\x01"
@@ -143,7 +153,7 @@ class TestRawRecords:
         assert (wal.records_appended, wal.raw_appends) == (3, 1)
         wal.close()
         wal2 = open_wal(tmp_path)
-        assert [f["t"] for f in wal2.records] == ["wal.put", "repl", "wal.put"]
+        assert [f["t"] for f in wal2.frames()] == ["wal.put", "repl", "wal.put"]
         wal2.close()
 
     def test_append_raw_after_close_is_a_noop(self, tmp_path):
@@ -209,7 +219,7 @@ class TestSiteWal:
         wal.close()
         wal2 = open_wal(tmp_path)
         assert wal2.snapshot is None
-        assert frames_of(wal2.records) == frames_of([put_frame(i) for i in range(5)])
+        assert frames_of(wal2.frames()) == frames_of([put_frame(i) for i in range(5)])
         wal2.close()
 
     def test_incarnation_is_strictly_monotone(self, tmp_path):
@@ -229,11 +239,11 @@ class TestSiteWal:
         with open(seg, "r+b") as f:
             f.truncate(os.path.getsize(seg) - 2)
         wal2 = open_wal(tmp_path)
-        assert frames_of(wal2.records) == frames_of([put_frame(i) for i in range(2)])
+        assert frames_of(wal2.frames()) == frames_of([put_frame(i) for i in range(2)])
         wal2.close()
         # the truncation is persisted: a third recovery sees a clean log
         wal3 = open_wal(tmp_path)
-        assert len(wal3.records) == 2
+        assert len(list(wal3.frames())) == 2
         wal3.close()
 
     def test_corrupt_record_refuses_with_file_and_offset(self, tmp_path):
@@ -253,6 +263,39 @@ class TestSiteWal:
         with pytest.raises(WalCorruptionError) as exc:
             open_wal(tmp_path)
         assert os.path.basename(seg) in str(exc.value)
+
+    def test_trailing_bytes_on_an_earlier_segment_refuse_at_open(self, tmp_path):
+        """Open scans every uncovered segment before it opens a new
+        one: a non-final segment with trailing bytes refuses, and the
+        refused open leaves the directory's segments as they were."""
+        wal = open_wal(tmp_path)
+        wal.append(put_frame(0))
+        first = wal._f.name
+        wal.close()
+        wal = open_wal(tmp_path)  # rotates: `first` is no longer last
+        wal.append(put_frame(1))
+        wal.close()
+        with open(first, "ab") as f:
+            f.write(b"\x00\x01")
+        before = sorted(os.listdir(str(tmp_path)))
+        with pytest.raises(WalCorruptionError, match="non-final segment"):
+            open_wal(tmp_path)
+        assert sorted(os.listdir(str(tmp_path))) == before
+
+    def test_frames_are_read_one_record_at_a_time(self, tmp_path):
+        """``frames`` is a lazy reader over the scanned segments: it
+        yields before it has read the whole log."""
+        wal = open_wal(tmp_path)
+        for i in range(3):
+            wal.append(put_frame(i))
+        wal.close()
+        wal2 = open_wal(tmp_path)
+        frames = wal2.frames()
+        assert frames_of([next(frames)]) == frames_of([put_frame(0)])
+        assert frames_of(frames) == frames_of([put_frame(1), put_frame(2)])
+        # a second pass reads the same suffix again
+        assert len(list(wal2.frames())) == 3
+        wal2.close()
 
     def test_snapshot_retires_covered_prefix_only(self, tmp_path):
         async def main():
@@ -274,7 +317,7 @@ class TestSiteWal:
         wal2 = open_wal(tmp_path)
         assert wal2.snapshot["marker"] == "s1"
         assert wal2.snapshot["seg"] == covered
-        assert frames_of(wal2.records) == frames_of(
+        assert frames_of(wal2.frames()) == frames_of(
             [put_frame(i) for i in range(3, 5)]
         )
         # the covered segment is gone from disk
@@ -306,7 +349,7 @@ class TestSiteWal:
             f.write(b"\xde\xad\xbe\xef" * 8)
         wal2 = open_wal(tmp_path)
         assert wal2.snapshot["marker"] == "s1"
-        assert frames_of(wal2.records) == frames_of([put_frame(1)])
+        assert frames_of(wal2.frames()) == frames_of([put_frame(1)])
         assert not os.path.exists(ghost)
         wal2.close()
 
@@ -351,13 +394,25 @@ class TestSiteWal:
 
         assert run(main()) >= 1
 
+    def test_sync_is_one_fsync_and_a_noop_after_close(self, tmp_path):
+        async def main():
+            wal = open_wal(tmp_path)
+            wal.append(put_frame(0))
+            await wal.sync()
+            synced = wal.fsyncs
+            wal.close()
+            await wal.sync()
+            return synced, wal.fsyncs
+
+        assert run(main()) == (1, 1)
+
     def test_inspect_is_read_only(self, tmp_path):
         wal = open_wal(tmp_path)
         wal.append(put_frame(0))
         wal.close()
         info = SiteWal.inspect(str(tmp_path))
         assert info["incarnation"] == 1
-        assert len(info["records"]) == 1
+        assert info["kinds"] == {"wal.put": 1}
         # no incarnation bump: a real reopen still runs as 2
         wal2 = open_wal(tmp_path)
         assert wal2.incarnation == 2
