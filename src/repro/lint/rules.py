@@ -726,7 +726,7 @@ class WireCodecRule(Rule):
 
     Every frame that crosses a connection must go through
     :mod:`repro.service.wire` — the codec registry is what makes the
-    WIRE_VERSION 6 handshake sound (a hand-rolled ``json.dumps`` in
+    version handshake sound (a hand-rolled ``json.dumps`` in
     ``transport``/``server``/``client`` would bypass the binary codec
     the handshake installed, and after it the other side delimits frames
     by their LEB128 length and sniffs each body's first byte for a lean

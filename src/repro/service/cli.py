@@ -17,10 +17,10 @@ Subcommands::
                      restart from ``--data-dir`` would replay
     smoke            the CI gate: durable 3-site loopback cluster per
                      protocol, sanitizer on, one site killed mid-run,
-                     restarted from its WAL, reconverged via gossip —
-                     asserts zero causal violations, zero surfaced
-                     request errors, and a fresh read of a post-crash
-                     write at the revived site
+                     restarted from its WAL, reconverged at the link
+                     handshakes — asserts zero causal violations, zero
+                     surfaced request errors, and a fresh read of a
+                     post-crash write at the revived site
     stats-smoke      the observability CI gate: in-process TCP cluster,
                      Prometheus scrape parsed strictly, ``top``-style
                      snapshot asserting zero lag after quiesce, then a
@@ -130,14 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --data-dir: period between stable-timestamp "
         "snapshots, each retiring the WAL prefix it covers",
     )
-    srv.add_argument(
-        "--gossip-interval",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="enable gossip anti-entropy: period between watermark "
-        "digests to a (rotating) peer",
-    )
 
     for name, help_text in (("put", "write VAR VALUE"), ("get", "read VAR")):
         p = sub.add_parser(name, help=help_text)
@@ -245,7 +237,6 @@ async def _serve(args: argparse.Namespace) -> int:
         data_dir=args.data_dir,
         fsync=args.fsync,
         snapshot_interval=args.snapshot_interval,
-        gossip_interval=args.gossip_interval,
     )
     await server.start()
     if args.data_dir is not None:
@@ -624,10 +615,11 @@ async def _smoke(args: argparse.Namespace) -> int:
     post-mortem dumped), a post-crash write issued at a survivor, then
     the victim restarted in place from its data directory.  The restart
     must recover from snapshot + WAL suffix, rejoin under a bumped
-    incarnation epoch, reconverge (peer-link redelivery + gossip
-    anti-entropy), and serve a causally-consistent read of the
-    post-crash write — with the sanitizer shadowing every site
-    throughout, the restarted incarnation included.
+    incarnation epoch, reconverge (peer-link redelivery, and the
+    handshake's re-ship of the own writes a peer lacks), and serve a
+    causally-consistent read of the post-crash write — with the
+    sanitizer shadowing every site throughout, the restarted
+    incarnation included.
     """
     import os
     import tempfile
@@ -653,7 +645,6 @@ async def _smoke(args: argparse.Namespace) -> int:
                 flight_dir=flight_dir,
                 data_dir=os.path.join(state_dir, "data"),
                 snapshot_interval=0.25,
-                gossip_interval=0.05,
             ) as cluster:
                 gen = LoadGenerator(
                     cluster,

@@ -21,8 +21,10 @@ With a ``data_dir`` the cluster becomes durable: every site gets its own
 :mod:`repro.service.durability`), and :meth:`restart_site` brings a
 killed site back *in place* — a fresh :class:`SiteServer` over the same
 data directory recovers from its snapshot + WAL suffix, rejoins under a
-bumped incarnation epoch, and catches up on whatever it missed through
-gossip anti-entropy (``gossip_interval``).
+bumped incarnation epoch, and catches up at its links' handshakes: each
+peer re-ships the writes it still owes the site, and the site re-ships
+its own writes a peer lacks (``link.ok``'s ``ow``; see
+:mod:`repro.service.server`).
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ class ServiceCluster:
         flight_dir: Optional[str] = None,
         data_dir: Optional[str] = None,
         fsync: str = "group",
-        gossip_interval: Optional[float] = None,
         snapshot_interval: Optional[float] = None,
     ) -> None:
         self.n = n_sites
@@ -109,7 +110,6 @@ class ServiceCluster:
         #: (None = memory-only cluster, exactly the pre-durability shape)
         self.data_dir = data_dir
         self.fsync = fsync
-        self.gossip_interval = gossip_interval
         self.snapshot_interval = snapshot_interval
         # remembered so restart_site can rebuild a site from scratch
         self._protocol_cls = cls
@@ -142,8 +142,6 @@ class ServiceCluster:
             extra_kwargs["fsync"] = self.fsync
             if self.snapshot_interval is not None:
                 extra_kwargs["snapshot_interval"] = self.snapshot_interval
-        if self.gossip_interval is not None:
-            extra_kwargs["gossip_interval"] = self.gossip_interval
         return self.server_cls(
             proto,
             self.addresses,
@@ -228,8 +226,8 @@ class ServiceCluster:
         incarnation epoch durably), recovers snapshot + suffix
         synchronously in its constructor, and starts listening on the
         site's old address.  Everything the site missed while dead — and
-        anything it lost that peers still owe it — converges through
-        gossip anti-entropy; call :meth:`quiesce` to wait for it."""
+        every own write it still owes a peer — converges at the link
+        handshakes; call :meth:`quiesce` to wait for it."""
         if self.data_dir is None:
             raise ServiceError("restart_site needs a durable cluster (data_dir)")
         old = self.servers[site]
@@ -252,20 +250,19 @@ class ServiceCluster:
     # ------------------------------------------------------------------
     async def quiesce(self, timeout: float = 5.0) -> None:
         """Wait until replication settles at every *live* site: all peer
-        links between live sites drained and no parked update can apply.
-        Raises ``TimeoutError`` if the cluster does not settle.
+        links between live sites drained, no live site still owes a live
+        peer an own write, and no parked update can apply.  Raises
+        ``TimeoutError`` if the cluster does not settle.
 
         Soundness: a link's backlog is **ack-gated** — a repl frame
         counts until the receiving site has *processed* it (acks follow
         the apply/park, see :class:`~repro.service.server.PeerLink`), so
         an update can never be invisible to both the backlog and the
-        receiver at once.  Gossip control frames are covered by the same
-        invariant: a ``sys.digest``/``sys.range`` counts in the backlog
-        from enqueue until the peer's ``sys.ctrl.ok`` — which the peer
-        sends only *after* enqueueing the repair re-ships on its own
-        links, where they count as ordinary repl backlog — so an
-        anti-entropy round in flight can never look settled.  Settlement
-        must additionally hold on two consecutive polls, covering any
+        receiver at once.  A recovered site's own-write log covers what
+        no queue holds yet: an entry names its destination until that
+        destination acks it or its handshake shows it applied, so a
+        catch-up still to come can never look settled.  Settlement must
+        additionally hold on two consecutive polls, covering any
         one-tick scheduling window."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
@@ -277,6 +274,9 @@ class ServiceCluster:
                     continue
                 for dest, link in server._links.items():
                     if dest in live and link.backlog:
+                        return False
+                for msgs in server._own_log.values():
+                    if any(m.dest in live for m in msgs):
                         return False
                 if any(server.protocol.can_apply(m) for m in server._parked):
                     return False

@@ -56,14 +56,23 @@ link's at-least-once delivery into exactly-once application; a new
 epoch (a restarted sender) resets the receiver's dedup state so a fresh
 incarnation's sequence numbers are not mistaken for duplicates.
 
+A link's queue dies with its site; what a restarted origin still owes a
+peer is in its recovered own-write log.  So ``link.ok`` also carries
+``ow``, the receiver's applied watermark for the dialer's own writes,
+and the dialer releases every own write at or below it and re-enqueues
+every one above it that no queue entry carries (:meth:`PeerLink.
+_catch_up`) — the one catch-up path, for a restarted receiver and a
+restarted sender alike.  A recovered site dials every peer its log
+still names as it starts.
+
 The same handshake enforces the **support window** (see
 :mod:`repro.service.wire`): a connection whose first frame is not a
 hello carrying ``cv == WIRE_VERSION`` is answered with one
 ``unsupported-version`` error and closed — on the dialing side a link
 backs off and retries, a client surfaces the error.  What a connection
-may send afterwards follows from which hello opened it (``sys.digest``
-/ ``sys.range``: link connections only).  After the handshake both ends
-send in the binary codec and the link hands its whole unsent suffix to
+may send afterwards follows from which hello opened it (``repl*``:
+link connections only).  After the handshake both ends send in the
+binary codec and the link hands its whole unsent suffix to
 the transport as one batch (written through in the loop step that
 enqueued it when the connection is idle and writable, by the link's
 writer task otherwise; see :class:`PeerLink`); the inbound loop decodes
@@ -150,7 +159,6 @@ from repro.errors import (
     WireError,
 )
 from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder, TeeRecorder
-from repro.service import gossip as gossip_proto
 from repro.service import wire
 from repro.service.durability import SiteWal, WalCorruptionError
 from repro.service.transport import Connection, Listener, Transport
@@ -230,19 +238,6 @@ class PeerLink:
         #: pending fetch requests (retired on send; no ack bookkeeping),
         #: encoded at send time like the updates
         self._fetch: Deque[FetchRequest] = deque()
-        #: pending gossip control frames (``sys.digest`` / ``sys.range``).
-        #: Retired on send but counted in :attr:`backlog` until the peer
-        #: acks them with ``sys.ctrl.ok`` — control frames trigger repair
-        #: shipping at the peer, so quiesce must not settle while one is
-        #: in flight.
-        self._ctrl: Deque[Dict[str, Any]] = deque()
-        self._ctrl_unacked = 0
-        #: highest own write clock among acked repl entries — the "peer
-        #: durably holds this write" watermark gossip pushes check first
-        self.acked_seq = 0
-        #: own write clocks currently sitting in ``_repl`` (unacked), so
-        #: a gossip repair never double-enqueues an in-flight update
-        self._queued_seqs: Set[int] = set()
         self._wakeup = asyncio.Event()
         self._link_seq = 0
         #: per-connection delta/intern encoder, replaced at every
@@ -291,12 +286,11 @@ class PeerLink:
     def enqueue_update(self, msg: UpdateMessage, flush: bool = True) -> None:
         """Queue one update.  ``flush=False`` leaves putting it on the
         wire to the caller's own :meth:`flush` — a put replies to its
-        client first, a gossip repair flushes its whole burst once."""
+        client first, the handshake's catch-up leaves it to the writer."""
         self._link_seq += 1
         self._repl.append((self._link_seq, msg))
         self._ls_clock[self._link_seq] = msg.write_id.seq
         self._issued_at[self._link_seq] = self.owner.now_ms()
-        self._queued_seqs.add(msg.write_id.seq)
         if flush:
             self.flush()
 
@@ -313,7 +307,7 @@ class PeerLink:
         if conn is None or self._busy or not conn.writable():
             self._wakeup.set()
             return
-        batch, last_ls, n_fetch, n_ctrl = self._collect()
+        batch, last_ls, n_fetch = self._collect()
         if not batch:
             return
         try:
@@ -325,35 +319,14 @@ class PeerLink:
             self._conn = None
             self._wakeup.set()
             return
-        self._mark_sent(last_ls, n_fetch, n_ctrl, "inline")
-
-    def enqueue_ctrl(self, frame: Dict[str, Any]) -> None:
-        """Queue a gossip control frame, superseding any queued frame of
-        the same kind (and origin): watermark digests and range requests
-        are cumulative, so only the newest of each matters."""
-        key = (frame["t"], frame.get("origin"))
-        for i, queued in enumerate(self._ctrl):
-            if (queued["t"], queued.get("origin")) == key:
-                self._ctrl[i] = frame
-                break
-        else:
-            self._ctrl.append(frame)
-        self.flush()
+        self._mark_sent(last_ls, n_fetch, "inline")
 
     @property
     def backlog(self) -> int:
         """Frames not yet *processed* by the peer: repl frames count
         until acknowledged, not merely until handed to the transport —
-        this is what makes :meth:`ServiceCluster.quiesce` sound.  Gossip
-        control frames count both while queued and (via ``sys.ctrl.ok``
-        accounting) while their repair effects may still be materializing
-        at the peer."""
-        return (
-            len(self._repl)
-            + len(self._fetch)
-            + len(self._ctrl)
-            + self._ctrl_unacked
-        )
+        this is what makes :meth:`ServiceCluster.quiesce` sound."""
+        return len(self._repl) + len(self._fetch)
 
     def stats(self) -> Dict[str, Any]:
         """Point-in-time lag watermarks, derived from the structures the
@@ -371,7 +344,6 @@ class PeerLink:
             "unacked": unacked,
             "applied": self._gc_ls,
             "fetch_queue": len(self._fetch),
-            "ctrl_queue": len(self._ctrl) + self._ctrl_unacked,
             "backlog": self.backlog,
             "flushes_inline": self.flushes["inline"],
             "flushes_task": self.flushes["task"],
@@ -449,12 +421,13 @@ class PeerLink:
     async def _handshake(self, conn: Connection) -> int:
         """Open the link: identify this sender incarnation, learn the
         receiver's cumulative ack (retiring frames it already has), its
-        intern table and its applied watermark, and switch to the binary
-        codec with a fresh :class:`~repro.service.wire.DeltaEncoder`
-        (first frame full and absolute).  The hello itself travels JSON.  A reply
-        that is not the current-version ``link.ok``, or whose fields are
-        missing or mistyped, raises ``WireError``: ``_run`` counts it,
-        backs off and dials again."""
+        intern table, its applied watermark and its per-origin watermark
+        for this site's writes (see :meth:`_catch_up`), and switch to
+        the binary codec with a fresh :class:`~repro.service.wire.
+        DeltaEncoder` (first frame full and absolute).  The hello itself
+        travels JSON.  A reply that is not the current-version
+        ``link.ok``, or whose fields are missing or mistyped, raises
+        ``WireError``: ``_run`` counts it, backs off and dials again."""
         hello = wire.make_frame(
             "link.hello",
             src=self.owner.site,
@@ -466,17 +439,37 @@ class PeerLink:
         )
         acked = wire.field(reply, "ack", int)
         applied = wire.field(reply, "ap", int)
+        own = wire.field(reply, "ow", int)
         itab = wire.InternTable(wire.field(reply, "itab", list))
-        # control frames unacked on the previous connection were either
-        # processed (their repair effects live in the PEER's link
-        # backlogs now) or lost (the next gossip round regenerates
-        # them) — either way the in-flight count restarts with the
-        # connection, unlike repl frames which must survive it
-        self._ctrl_unacked = 0
         self._delta_out = wire.DeltaEncoder(itab, self.owner.site, self.dest)
         self._note_applied(applied)
         self._retire(acked)
+        self._catch_up(own)
         return acked
+
+    def _catch_up(self, own: int) -> None:
+        """Bring the receiver up to date with this site's own writes,
+        given ``own``, the highest of them it has *applied* (its
+        per-origin stable timestamp for this site).  Writes destined to
+        it apply in clock order, so every own-log copy for this
+        destination at or below ``own`` is held there and is released;
+        every copy above it that no queue entry carries — the queue died
+        with an earlier incarnation of this site — is re-enqueued, in
+        clock order, behind whatever the queue still holds.  The
+        receiver parks a re-ship that lands behind a newer write and
+        absorbs one it already holds (``_is_origin_dup``)."""
+        owner = self.owner
+        queued = {msg.write_id.seq for _, msg in self._repl}
+        for clock in sorted(owner._own_log):
+            msg = next(
+                (m for m in owner._own_log[clock] if m.dest == self.dest), None
+            )
+            if msg is None:
+                continue
+            if clock <= own:
+                owner._own_retired(msg)
+            elif clock not in queued:
+                self.enqueue_update(msg, flush=False)
 
     def _note_applied(self, ap: int) -> None:
         """Feed the receiver's applied watermark to the protocol's
@@ -507,27 +500,23 @@ class PeerLink:
     def _retire(self, ack: int) -> None:
         """Drop repl entries up to the receiver's cumulative ack.  An
         acked update is durably held by the peer (it WAL-appends before
-        acking), so the ack also advances the gossip watermark
-        ``acked_seq`` and releases the sender's own-log copy for this
-        destination — every entry this link carries is an own write
-        (origins ship only their own updates under partial replication,
-        and gossip repair re-ships own writes only)."""
+        acking), so the ack also releases the sender's own-log copy for
+        this destination — every entry this link carries is an own
+        write (origins ship only their own updates under partial
+        replication, and the handshake re-ships own writes only)."""
         while self._repl and self._repl[0][0] <= ack:
             ls, msg = self._repl.popleft()
             self._issued_at.pop(ls, None)
-            self._queued_seqs.discard(msg.write_id.seq)
-            if msg.write_id.seq > self.acked_seq:
-                self.acked_seq = msg.write_id.seq
             self.owner._own_retired(msg)
 
-    def _collect(self) -> Tuple[List[Any], int, int, int]:
+    def _collect(self) -> Tuple[List[Any], int, int]:
         """Encode everything not yet handed to the current connection:
-        the unsent repl suffix, then the pending fetches and control
-        frames.  Returns ``(batch, last_ls, n_fetch, n_ctrl)``; the
-        caller writes the batch to ``_conn`` and passes the rest to
-        :meth:`_mark_sent`.  Retirement is unchanged — repl entries
-        leave ``_repl`` only via receiver acks.  Frames are encoded
-        here, in ``ls`` order, exactly once per connection: that
+        the unsent repl suffix, then the pending fetches.  Returns
+        ``(batch, last_ls, n_fetch)``; the caller writes the batch to
+        ``_conn`` and passes the rest to :meth:`_mark_sent`.  Retirement
+        is unchanged — repl entries leave ``_repl`` only via receiver
+        acks.  Frames are encoded here, in ``ls`` order, exactly once
+        per connection: that
         single-pass discipline is what lets the delta encoder chain
         each frame against the previous one.  Updates and fetches go
         straight to their wire bytes when the connection takes them
@@ -558,26 +547,19 @@ class PeerLink:
             encode = wire.encode_fetch_request if codec is None else codec.pack_fetch
             itab = self._delta_out.itab
             batch.extend([encode(req, itab) for req in self._fetch])
-        n_ctrl = len(self._ctrl)
-        batch.extend(self._ctrl)
-        return batch, last_ls, n_fetch, n_ctrl
+        return batch, last_ls, n_fetch
 
-    def _mark_sent(self, last_ls: int, n_fetch: int, n_ctrl: int, path: str) -> None:
+    def _mark_sent(self, last_ls: int, n_fetch: int, path: str) -> None:
         """The batch :meth:`_collect` built was handed to ``_conn``.
-        Nothing else pops ``_fetch`` / ``_ctrl`` or collects between the
-        two calls (inline: one synchronous block; writer task: ``_busy``
-        holds inline writes off while its send is suspended), so the
-        prefixes popped here are exactly the frames that were sent."""
+        Nothing else pops ``_fetch`` or collects between the two calls
+        (inline: one synchronous block; writer task: ``_busy`` holds
+        inline writes off while its send is suspended), so the prefix
+        popped here is exactly the fetches that were sent."""
         self._sent = last_ls
         # fetches are retired on send (fire-and-forget); ones enqueued
         # while a writer-task send was suspended stay for the next batch
         for _ in range(n_fetch):
             self._fetch.popleft()
-        for _ in range(n_ctrl):
-            # retired on send but still counted in the backlog via
-            # ``_ctrl_unacked`` until ``sys.ctrl.ok`` lands
-            self._ctrl.popleft()
-            self._ctrl_unacked += 1
         self.flushes[path] += 1
         if self._flush_counters is not None:
             self._flush_counters[path].inc()
@@ -589,7 +571,7 @@ class PeerLink:
         ``_conn`` is no longer this connection (an inline write found
         it dead), which makes ``_run`` reconnect."""
         while not self._closed and self._conn is conn:
-            batch, last_ls, n_fetch, n_ctrl = self._collect()
+            batch, last_ls, n_fetch = self._collect()
             if not batch:
                 self._wakeup.clear()
                 await self._wakeup.wait()
@@ -599,7 +581,7 @@ class PeerLink:
                 await conn.send_many(batch)
             finally:
                 self._busy = False
-            self._mark_sent(last_ls, n_fetch, n_ctrl, "task")
+            self._mark_sent(last_ls, n_fetch, "task")
 
     async def _read_replies(self, conn: Connection) -> None:
         """Route the peer's replies.  A reply field that is missing or
@@ -629,13 +611,6 @@ class PeerLink:
                 ack = wire.field(frame, "a", int)
                 self._note_applied(ack - wire.field(frame, "ap", int))
                 self._retire(ack)
-            elif kind == "sys.ctrl.ok":
-                # the peer processed a control frame: its repair effects
-                # (if any) are enqueued on the peer's own links now, so
-                # they are visible to quiesce there — stop counting here
-                self._ctrl_unacked = max(
-                    0, self._ctrl_unacked - wire.field(frame, "n", int)
-                )
             elif kind == "fetch.ok":
                 reply = wire.decode_fetch_reply(frame, itab)
                 self.owner._resolve_fetch(reply.fetch_id, reply)
@@ -688,7 +663,6 @@ class SiteServer:
         data_dir: Optional[str] = None,
         fsync: str = "group",
         snapshot_interval: Optional[float] = None,
-        gossip_interval: Optional[float] = None,
     ) -> None:
         if protocol.site not in addresses:
             raise ServiceError(f"no address for site {protocol.site}")
@@ -749,7 +723,7 @@ class SiteServer:
         self._peer_epoch: Dict[SiteId, int] = {}
         #: the accepting chain end of every open peer-link connection
         #: (made by its ``link.hello``, dropped with it) — the only ones
-        #: whose ``repl*`` / ``sys.digest`` / ``sys.range`` are honoured
+        #: whose ``repl*`` frames are honoured
         self._delta_in: Dict[Connection, wire.DeltaDecoder] = {}
         #: link sequences of currently *parked* updates per sender, plus
         #: the reverse index used to clear them on apply — together they
@@ -778,18 +752,20 @@ class SiteServer:
         self._t0 = 0.0
         self.applies = 0
 
-        # ---- durability + gossip state -------------------------------
+        # ---- durability + catch-up state -----------------------------
         #: highest applied write sequence per origin site (this site's
         #: own writes included).  Gaps below the watermark are writes
         #: this site does not replicate; writes destined here apply in
         #: origin order (program order at the origin is causal order),
         #: so the maximum doubles as the contiguous floor for
-        #: destined-here traffic — the stable timestamp gossip digests
-        #: and snapshot coverage are built on.
+        #: destined-here traffic — the stable timestamp ``link.ok``
+        #: advertises (``ow``) and snapshot coverage is built on.
         self._origin_applied: Dict[SiteId, int] = {}
         #: own write clock -> this site's update messages for that
-        #: write, kept until every destination acked (then pruned via
-        #: :meth:`_own_retired`) — the corpus gossip repair ships from
+        #: write, each kept until its destination acks it or shows it
+        #: applied at a handshake (then pruned via :meth:`_own_retired`)
+        #: — what the handshake's catch-up (:meth:`PeerLink._catch_up`)
+        #: re-ships from
         self._own_log: Dict[int, List[UpdateMessage]] = {}
         #: parked updates surviving from a PREVIOUS incarnation of their
         #: sender, per sender (see :meth:`_handle_hello`): while any
@@ -797,9 +773,7 @@ class SiteServer:
         #: to 0 so its ack-driven GC cannot prune destinations that have
         #: not actually applied those writes
         self._stale_parked: Dict[SiteId, int] = {}
-        self.gossip_interval = gossip_interval
         self.snapshot_interval = snapshot_interval
-        self._gossip_task: Optional[asyncio.Task] = None
         self._snapshot_task: Optional[asyncio.Task] = None
         #: the write-ahead log, or None for a memory-only site.  Opening
         #: it bumps the incarnation counter durably and loads any
@@ -812,7 +786,12 @@ class SiteServer:
         if data_dir is not None:
             self.wal = SiteWal(data_dir, fsync=fsync)
             self.epoch = self.wal.incarnation
-            recovered = self._recover(self.wal.snapshot, self.wal.frames())
+            try:
+                recovered = self._recover(self.wal.snapshot, self.wal.frames())
+            except BaseException:
+                # a refused recovery leaves no open segment behind
+                self.wal.close()
+                raise
             # the snapshot frame is restored; do not hold it for the
             # incarnation's whole life
             self.wal.snapshot = None
@@ -834,8 +813,11 @@ class SiteServer:
             self.wal.start()
             if self.snapshot_interval is not None and self._snapshot_task is None:
                 self._snapshot_task = asyncio.ensure_future(self._snapshot_loop())
-        if self.gossip_interval is not None and self._gossip_task is None:
-            self._gossip_task = asyncio.ensure_future(self._gossip_loop())
+        # a recovered site still owes its peers the own writes its log
+        # names: dial them now, the handshake re-ships what they lack
+        owed = {m.dest for msgs in self._own_log.values() for m in msgs}
+        for dest in sorted(owed):
+            self._link(dest)
 
     def set_clock_origin(self, t0: float) -> None:
         """Share one time origin across a co-hosted cluster so recorder
@@ -849,15 +831,13 @@ class SiteServer:
         self._stopped.set()
         # take-then-clear before each await: concurrent stop() calls
         # must not double-close the listener or the links
-        for attr in ("_gossip_task", "_snapshot_task"):
-            task = getattr(self, attr)
-            setattr(self, attr, None)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
+        task, self._snapshot_task = self._snapshot_task, None
+        if task is not None:
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
         listener, self._listener = self._listener, None
         if listener is not None:
             await listener.close()
@@ -995,14 +975,6 @@ class SiteServer:
             await self._handle_client_hello(conn, frame)
         elif kind == "sys.stats":
             await self._handle_stats(conn)
-        elif kind in ("sys.digest", "sys.range") and conn in self._delta_in:
-            # gossip control frames: link connections only (what a
-            # connection may send follows from which hello opened it);
-            # anywhere else they fall through to "unknown type"
-            if kind == "sys.digest":
-                await self._handle_digest(conn, frame)
-            else:
-                await self._handle_range(conn, frame)
         elif kind == "ping":
             await conn.send(wire.make_frame("ping.ok", site=self.site))
         elif kind == "kill":
@@ -1120,10 +1092,10 @@ class SiteServer:
                     wire.BINARY_CODEC.pack_update(msg, link_seq, wal=True)
                 )
         if self._is_origin_dup(msg):
-            # a gossip re-ship (or a recovered sender replaying history)
-            # delivered a write this site's state already covers: ack
-            # and advance the link without touching the protocol —
-            # applying it twice would break exactly-once application
+            # a handshake re-ship delivered a write this site's state
+            # already covers: ack and advance the link without touching
+            # the protocol — applying it twice would break exactly-once
+            # application
             self.metric("service_origin_dups_total")
             self._seen_ls[src] = link_seq
             acks[src] = max(acks.get(src, 0), link_seq)
@@ -1152,7 +1124,7 @@ class SiteServer:
     def _is_origin_dup(self, msg: UpdateMessage) -> bool:
         """True when this site already holds the write — applied (at or
         below the origin watermark) or parked.  The guard is what lets
-        gossip re-ships overlap normal delivery: the protocols either
+        handshake re-ships overlap normal delivery: the protocols either
         refuse a second apply outright (opt-track's non-monotonic-apply
         check) or would park the duplicate forever (the dense-order
         vector protocols), so a duplicate must be absorbed here."""
@@ -1165,8 +1137,8 @@ class SiteServer:
     def _own_retired(self, msg: UpdateMessage) -> None:
         """A destination acked ``msg`` (it is durable there): release
         this site's own-log copy for that destination.  The entry — and
-        with it the write's eligibility for gossip repair — disappears
-        once every destination acked."""
+        with it the write's eligibility for a handshake re-ship —
+        disappears once every destination acked."""
         entry = self._own_log.get(msg.write_id.seq)
         if entry is None:
             return
@@ -1229,8 +1201,8 @@ class SiteServer:
         if result.write_id.seq > self._origin_applied.get(self.site, 0):
             self._origin_applied[self.site] = result.write_id.seq
         if result.messages:
-            # kept until every destination acks (see _own_retired); the
-            # corpus gossip repair re-ships missing updates from
+            # kept until every destination holds it (see _own_retired):
+            # what the handshake's catch-up re-ships missing updates from
             self._own_log[result.write_id.seq] = list(result.messages)
         if self.sanitizer is not None:
             self.sanitizer.on_write(
@@ -1480,6 +1452,7 @@ class SiteServer:
                 cv=wire.WIRE_VERSION,
                 itab=list(self._itab.names),
                 ap=self._applied_ls(src),
+                ow=self._origin_applied.get(src, 0),
             )
         )
         conn.negotiate(wire.BINARY_CODEC_V4, wire.WIRE_VERSION)
@@ -1559,52 +1532,8 @@ class SiteServer:
             pass
 
     # ------------------------------------------------------------------
-    # durability + gossip anti-entropy
+    # durability
     # ------------------------------------------------------------------
-    async def _handle_digest(self, conn: Connection, frame: Dict[str, Any]) -> None:
-        """Answer a peer's watermark digest.  The repair itself is
-        synchronous, so every re-shipped update is on a link queue —
-        visible to quiesce — before the ``sys.ctrl.ok`` releases the
-        sender's in-flight control accounting."""
-        shipped = gossip_proto.handle_digest(self, frame)
-        if shipped:
-            self.metric("service_gossip_pushes_total", shipped)
-        await conn.send(wire.make_frame("sys.ctrl.ok", n=1))
-
-    async def _handle_range(self, conn: Connection, frame: Dict[str, Any]) -> None:
-        """Serve a peer's own-origin range request (see the gossip
-        module); acked with ``sys.ctrl.ok`` after the re-ships are
-        enqueued, like digests."""
-        shipped = gossip_proto.handle_range(self, frame)
-        self.metric("service_gossip_ranges_total")
-        if shipped:
-            self.metric("service_gossip_pushes_total", shipped)
-        await conn.send(wire.make_frame("sys.ctrl.ok", n=1))
-
-    async def _gossip_loop(self) -> None:
-        """Round-robin one digest per interval (with jitter, so a
-        co-hosted cluster's rounds interleave instead of thundering)."""
-        rng = np.random.default_rng(
-            (self.seed * 9_176_471 + self.site) & 0x7FFFFFFF
-        )
-        peers = sorted(s for s in self.addresses if s != self.site)
-        if not peers:
-            return
-        i = int(rng.integers(0, len(peers)))
-        while not self.stopped:
-            await asyncio.sleep(
-                self.gossip_interval * (0.75 + 0.5 * float(rng.uniform()))
-            )
-            if self.stopped:
-                return
-            try:
-                link = self._link(peers[i % len(peers)])
-            except ServiceUnavailableError:
-                return
-            i += 1
-            link.enqueue_ctrl(gossip_proto.digest_frame(self))
-            self.metric("service_gossip_digests_total")
-
     async def _snapshot_loop(self) -> None:
         while not self.stopped:
             await asyncio.sleep(self.snapshot_interval)
@@ -1940,8 +1869,8 @@ class SiteServer:
             # the per-origin stable timestamp: gaps below it are writes
             # this site does not replicate (writes destined here apply
             # in origin order, so the max is also the destined-here
-            # contiguous floor) — the unit gossip digests and snapshot
-            # coverage are denominated in
+            # contiguous floor) — the unit ``link.ok``'s ``ow`` and
+            # snapshot coverage are denominated in
             self._origin_applied[wid.site] = wid.seq
         park = self._park_of.pop(wid, None)
         if park is not None:

@@ -93,7 +93,7 @@ Client-facing request/response::
 Server-to-server (peer links)::
 
     link.hello  {v, t:"link.hello", src, epoch, cv}
-                                         -> link.ok {ack, ap, cv, itab}
+                                         -> link.ok {ack, ap, ow, cv, itab}
              opens every peer-link connection.  ``epoch`` identifies the
              sender *incarnation*: the receiver keys its repl dedup
              state by (src, epoch) and resets it when a new epoch
@@ -101,7 +101,13 @@ Server-to-server (peer links)::
              not mistaken for duplicates.  ``ack`` is the receiver's
              cumulative per-link high-water mark; the sender retires
              everything up to it and resends the rest.  ``ap`` is its
-             applied watermark (see ``repl.ackp``).
+             applied watermark (see ``repl.ackp``).  ``ow`` is the
+             highest of the sender's *own* writes the receiver has
+             applied (its per-origin stable timestamp for the sender,
+             across incarnations of both): the sender releases its
+             own-write log at or below it and re-enqueues what lies
+             above it and no queue entry carries — how a restarted
+             origin re-ships the writes its dead queue held.
     repl.t   {var, value, w, meta, ls, it}: one UpdateMessage
              (REPLICATE) from the link's ``src`` to its ``dst`` with the
              origin's issue time ``it`` (ms on the origin's clock —
@@ -135,8 +141,11 @@ Server-to-server (peer links)::
              (the requester) to its ``dst`` (the server), answered by
              fetch.ok {var, value, w, fid, meta, applied} (correlated
              by ``fid``)
-    sys.digest / sys.range -> sys.ctrl.ok   gossip anti-entropy; honoured
-             on link connections only.
+    sys.digest / sys.range / sys.ctrl.ok   retired (the periodic
+             anti-entropy rounds, before ``link.ok``'s ``ow`` made the
+             handshake the one catch-up path): their tags and layouts
+             stay reserved, and any connection answers them ``err
+             bad-frame``.
 
 Live observability::
 
@@ -197,8 +206,9 @@ from repro.types import WriteId
 #: must carry, not a byte on any frame.  The support window is this one
 #: value (see module docstring): chained ``repl.delta`` frames and
 #: scalars, link-implied fields, varint int vectors, ``ap`` applied
-#: watermarks on acks, id interning, the binary codec in its lean envelope.
-WIRE_VERSION = 6
+#: watermarks on acks, ``ow`` per-origin watermarks on ``link.ok``, id
+#: interning, the binary codec in its lean envelope.
+WIRE_VERSION = 7
 
 #: the frame schema version stamped on every frame dict, in every
 #: binary header and therefore in every WAL record.  Decoders accept
@@ -617,7 +627,7 @@ _FRAME_TYPES: Tuple[str, ...] = (
     "wal.read",
     "wal.rfetch",
     "snap",
-    # gossip anti-entropy (link connections only)
+    # retired (periodic anti-entropy): nothing produces or accepts them
     "sys.digest",
     "sys.range",
     "sys.ctrl.ok",
@@ -674,8 +684,8 @@ _FRAME_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "wal.hello": ("src", "epoch"),
     "wal.read": ("var",),
     "wal.rfetch": ("var", "value", "w", "sv", "meta", "applied"),
-    # gossip: ``d`` is the flat ``[origin, watermark, ...]`` apply-vector
-    # digest (the ivec idea applied to per-origin watermarks)
+    # retired (periodic anti-entropy), like ``repl.ack``: ``d`` was the
+    # flat ``[origin, watermark, ...]`` digest
     "sys.digest": ("src", "d"),
     "sys.range": ("origin", "rq", "lo", "hi"),
     "sys.ctrl.ok": ("n",),

@@ -183,7 +183,7 @@ class TestOlderPeerOverTcp:
         reply, tail = run(main())
         assert (reply["t"], reply["code"]) == ("err", "unsupported-version")
         assert "unsupported wire version 5 in a " + kind in reply["msg"]
-        assert "speaks version 6 only" in reply["msg"]
+        assert "speaks version 7 only" in reply["msg"]
         assert tail == b""  # then EOF
 
 

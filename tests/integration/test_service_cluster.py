@@ -387,7 +387,7 @@ class TestLinkProtocol:
             hello = await conn.recv()
             mine.append(hello["t"])
             ok = wire.make_frame("link.ok", cv=wire.WIRE_VERSION, ack=0, ap=0,
-                                 itab=[])
+                                 ow=0, itab=[])
             await conn.send(ok if good else {**ok, **first_link_ok})
             while (frame := await conn.recv()) is not None:
                 mine.append((frame["t"], frame["ls"]))
@@ -437,6 +437,17 @@ class TestLinkProtocol:
         assert seen[1] == ["link.hello", ("repl.t", 1)]
         assert counters["link_connect_failures_total{peer=1,site=0}"] >= 1
 
+    def test_link_ok_without_ow_fails_the_handshake(self):
+        # ``ow`` (the per-origin watermark the catch-up runs on) is
+        # required: a link.ok without it is refused like a mistyped one
+        seen, alive, backlog, counters = run(self._deliver_past(
+            {"ow": None}, None
+        ))
+        assert alive and backlog == 0
+        assert seen[0] == ["link.hello"]
+        assert seen[1] == ["link.hello", ("repl.t", 1)]
+        assert counters["link_connect_failures_total{peer=1,site=0}"] >= 1
+
 
 # ----------------------------------------------------------------------
 # the support window: one wire version, refused otherwise
@@ -475,7 +486,7 @@ class TestSupportWindow:
         assert f"unsupported wire version {offered!r}" in err["msg"]
         assert state == (0, {}, {}, {}, 0)
 
-    @pytest.mark.parametrize("cv", [None, 5, 7])
+    @pytest.mark.parametrize("cv", [None, 6, 8])
     @pytest.mark.parametrize("kind", ["hello", "link.hello"])
     def test_hello_outside_the_window_is_refused(self, kind, cv):
         fields = {"src": 0, "epoch": 7} if kind == "link.hello" else {}
@@ -503,7 +514,7 @@ class TestSupportWindow:
         assert f"a {kind} frame before any hello" in replies[0]["msg"]
 
     def test_link_backs_off_from_a_peer_on_another_version(self):
-        # the dialing side: a listener that answers ``link.ok cv=5`` (the
+        # the dialing side: a listener that answers ``link.ok cv=6`` (the
         # previous wire version) is never sent a frame — the link counts
         # a failed handshake, backs off and dials again, exactly as for
         # any other handshake failure; the refusal names both versions
@@ -514,7 +525,7 @@ class TestSupportWindow:
             async def old_peer(conn):
                 while (frame := await conn.recv()) is not None:
                     seen.append(frame["t"])
-                    await conn.send(wire.make_frame("link.ok", cv=5, ack=0))
+                    await conn.send(wire.make_frame("link.ok", cv=6, ack=0))
 
             async with ServiceCluster(2, 2, "opt-track", replication_factor=2,
                                       metrics=metrics) as cluster:
@@ -535,7 +546,7 @@ class TestSupportWindow:
                         metrics.snapshot()["counters"], str(refusal.value))
 
         seen, alive, backlog, counters, refusal = run(main())
-        assert "unsupported wire version 5 " in refusal
+        assert "unsupported wire version 6 " in refusal
         assert f"speaks version {wire.WIRE_VERSION} only" in refusal
         assert len(seen) >= 3 and set(seen) == {"link.hello"}
         assert alive and backlog == 1  # held for a peer that can take it

@@ -5,9 +5,9 @@ under real load with the causal sanitizer shadowing every site, one site
 killed mid-run and restarted *in place* from its data directory — it
 must recover from snapshot + WAL suffix, rejoin under a bumped
 incarnation epoch, and converge back (peer-link redelivery where the
-sender still holds the frames, gossip anti-entropy where it does not) —
-over the loopback transport AND real TCP sockets, and beside a peer
-that never gossips.
+sender still holds the frames, the handshake's re-ship from the origin's
+recovered own-write log where it does not) — over the loopback
+transport AND real TCP sockets.
 """
 
 import asyncio
@@ -26,6 +26,8 @@ from repro.service.loadgen import LoadGenerator
 from repro.service.server import SiteServer
 from repro.service.transport import TcpTransport
 from tests.conftest import open_handshaken
+
+PROTOCOLS = ["opt-track", "full-track", "opt-track-crp", "optp", "ahamad"]
 
 
 def run(coro):
@@ -76,7 +78,7 @@ class TestLoopbackRecovery:
             async with ServiceCluster(
                 3, 6, "opt-track", replication_factor=2, sanitize=True,
                 metrics=metrics, data_dir=str(tmp_path),
-                snapshot_interval=0.2, gossip_interval=0.05,
+                snapshot_interval=0.2,
             ) as cluster:
                 report, revived, value = await crash_recover_cycle(
                     cluster, metrics
@@ -98,7 +100,7 @@ class TestLoopbackRecovery:
         async def main():
             async with ServiceCluster(
                 3, 6, "opt-track", replication_factor=2, sanitize=True,
-                data_dir=str(tmp_path), gossip_interval=0.05,
+                data_dir=str(tmp_path),
             ) as cluster:
                 victim = 2
                 c = cluster.client(0)
@@ -128,16 +130,19 @@ class TestLoopbackRecovery:
         # snapshot restores its base, WAL replay re-adds the suffix
         assert applies_before > 0 and applies_after == applies_before
 
-    def test_gossip_repairs_what_no_link_still_holds(self, tmp_path):
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_handshake_reships_what_no_link_still_holds(self, protocol, tmp_path):
         """The case peer-link redelivery cannot heal: the ORIGIN crashes
         with updates still queued on its in-memory links.  The queue
-        dies with it; only its recovered own-write log, offered through
-        gossip, can close the gap at the destination."""
+        dies with it; its recovered own-write log, re-shipped at the
+        link handshake above the destination's ``ow`` watermark, closes
+        the gap — in the default configuration, with ``quiesce()``
+        alone as the wait."""
 
         async def main():
             async with ServiceCluster(
-                3, 6, "opt-track", replication_factor=2, sanitize=True,
-                data_dir=str(tmp_path), gossip_interval=0.05,
+                3, 6, protocol, replication_factor=2, sanitize=True,
+                data_dir=str(tmp_path),
             ) as cluster:
                 var = shared_var(cluster, 0, 1)
                 # the destination is dead while the origin writes, so
@@ -151,65 +156,44 @@ class TestLoopbackRecovery:
                 cluster.kill_site(0)
                 await cluster.restart_site(0)
                 await cluster.restart_site(1)
-                # quiesce alone is not convergence here: nothing is in
-                # flight until a digest round fires, so wait for the
-                # anti-entropy loop to notice the gap, then settle
-                loop = asyncio.get_running_loop()
-                deadline = loop.time() + 10.0
-                while (
-                    cluster.servers[1]._origin_applied.get(0, 0) < 5
-                    and loop.time() < deadline
-                ):
-                    await asyncio.sleep(0.02)
                 await cluster.quiesce(timeout=10.0)
                 reader = cluster.client(1)
                 value, wid, _ = await reader.get(var)
                 await reader.close()
                 origin_applied = dict(cluster.servers[1]._origin_applied)
-                return value, wid, origin_applied
+                return value, wid, origin_applied, cluster.sanitizer.checks_run
 
-        value, wid, origin_applied = run(main())
+        value, wid, origin_applied, checks = run(main())
         assert value == "v4"
         assert wid.site == 0
         assert origin_applied[0] >= wid.seq
+        assert checks > 0
 
-    def test_quiesce_settles_with_gossip_running(self, tmp_path):
-        """Satellite: an anti-entropy round in flight can never look
-        settled — quiesce() must neither hang on a healthy gossiping
-        cluster nor report settled while a repair is mid-flight."""
+    def test_restart_releases_what_peers_applied(self, tmp_path):
+        """WAL replay rebuilds the own-write log of every write since the
+        last snapshot, acked or not; the restarted origin's handshakes
+        release what each peer's ``ow`` shows applied, so once the
+        cluster settles the log is empty again."""
 
         async def main():
-            metrics = MetricsRegistry()
             async with ServiceCluster(
-                3, 6, "opt-track", replication_factor=2, sanitize=True,
-                metrics=metrics, data_dir=str(tmp_path),
-                gossip_interval=0.02,  # aggressive: rounds every ~20ms
+                2, 4, "opt-track", data_dir=str(tmp_path), fsync="none"
             ) as cluster:
-                gen = LoadGenerator(
-                    cluster, workload="a", ops_per_site=30, seed=1,
-                    metrics=metrics,
-                )
-                report = await gen.run()
-                for _ in range(5):
-                    await cluster.quiesce()
-                snap = metrics.snapshot()["counters"]
-                digests = sum(
-                    v for k, v in snap.items()
-                    if k.startswith("service_gossip_digests_total")
-                )
-                stores = [dict(s.protocol._values) for s in cluster.servers]
-                placement = cluster.placement
-                return report, digests, stores, placement
+                c = cluster.client(0)
+                for i in range(50):
+                    await c.put(cluster.variables[i % 4], f"v{i}")
+                await c.close()
+                await cluster.quiesce()
+                acked = len(cluster.servers[0]._own_log)
+                cluster.kill_site(0)
+                revived = await cluster.restart_site(0)
+                replayed = len(revived._own_log)
+                await cluster.quiesce()
+                return acked, replayed, len(revived._own_log)
 
-        report, digests, stores, placement = run(main())
-        assert report.errors == 0
-        assert digests > 0  # gossip really was running
-        # settled means converged: every replica of every variable agrees
-        for var, replicas in placement.items():
-            values = {
-                repr(stores[s][var]) for s in replicas if var in stores[s]
-            }
-            assert len(values) <= 1, f"{var} diverged across {replicas}"
+        acked, replayed, after = run(main())
+        assert (acked, replayed) == (0, 50)
+        assert after == 0
 
     def test_raw_wal_records_recover(self, tmp_path):
         """A received repl frame that is self-contained — full, with a
@@ -223,8 +207,8 @@ class TestLoopbackRecovery:
 
         async def main():
             # no sanitizer: the writes are minted by a site-0 twin it
-            # never saw.  No gossip: the real site 0 knows nothing of
-            # them either, and restart needs no catch-up here
+            # never saw.  The real site 0 knows nothing of them either,
+            # so its handshake re-ships none of them
             async with ServiceCluster(
                 3, 6, "opt-track", replication_factor=2,
                 data_dir=str(tmp_path),
@@ -278,7 +262,7 @@ class TestLoopbackRecovery:
         async def main():
             async with ServiceCluster(
                 3, 6, "opt-track", replication_factor=2,
-                data_dir=str(tmp_path), gossip_interval=0.05,
+                data_dir=str(tmp_path),
             ) as cluster:
                 c = cluster.client(0)
                 for i in range(5):
@@ -306,7 +290,7 @@ class TestLoopbackRecovery:
         async def main():
             async with ServiceCluster(
                 2, 4, "opt-track", data_dir=str(tmp_path),
-                snapshot_interval=None, gossip_interval=0.05,
+                snapshot_interval=None,
             ) as cluster:
                 c = cluster.client(0)
                 await c.put(shared_var(cluster, 0, 1), "x")
@@ -337,6 +321,32 @@ class TestLoopbackRecovery:
             SiteServer(
                 proto, {0: "site-0", 1: "site-1"}, None, data_dir=str(tmp_path)
             )
+
+
+    def test_refused_recovery_closes_the_wal(self, tmp_path, monkeypatch):
+        """A recovery that refuses leaves no WAL handle open behind it:
+        every attempt closes the segment its ``SiteWal`` opened."""
+        wal = SiteWal(str(tmp_path), fsync="none")
+        wal.append(wire.make_frame("wal.mystery", x=1))
+        wal.close()
+        closed = []
+        real_close = SiteWal.close
+
+        def spy(self):
+            closed.append(self)
+            real_close(self)
+
+        monkeypatch.setattr(SiteWal, "close", spy)
+        cls = protocol_class("opt-track")
+        for _ in range(3):
+            proto = cls(ProtocolConfig(n=2, site=0, replicas_of={"x0": (0, 1)}))
+            with pytest.raises(WalCorruptionError, match="'wal.mystery'"):
+                SiteServer(
+                    proto, {0: "site-0", 1: "site-1"}, None,
+                    data_dir=str(tmp_path),
+                )
+        assert len(closed) == 3
+        assert all(w._f.closed for w in closed)
 
 
 class TestRecoveryMemory:
@@ -401,7 +411,7 @@ class TestTcpRecovery:
                 3, 6, "opt-track", replication_factor=2, sanitize=True,
                 metrics=metrics, transport=TcpTransport(),
                 addresses=addresses, data_dir=str(tmp_path),
-                snapshot_interval=0.2, gossip_interval=0.05,
+                snapshot_interval=0.2,
             ) as cluster:
                 victim = 2
                 c = cluster.client(0)
@@ -511,70 +521,38 @@ class TestParentDataDir:
 
 class TestCapabilityFallback:
     def test_digest_without_gx_is_a_bad_frame(self):
-        """What a connection may send follows from which hello opened
-        it: gossip control frames are honoured on link connections only
-        (there is no ``gx`` field any more), so one sent on a client
-        connection is refused like an unknown frame type."""
+        """The retired anti-entropy kinds (``sys.digest`` / ``sys.range``
+        / ``sys.ctrl.ok``) keep their registry tags but nothing accepts
+        them: a client connection and a link connection alike answer
+        each with ``err bad-frame``, as for an unknown frame type."""
+        retired = (
+            wire.make_frame("sys.digest", src=1, d=[]),
+            wire.make_frame("sys.range", origin=0, rq=1, lo=1, hi=2),
+            wire.make_frame("sys.ctrl.ok", n=1),
+        )
+
+        async def refusals(cluster, **link):
+            conn, ok = await open_handshaken(cluster.transport, "site-0", **link)
+            replies = []
+            for frame in retired:
+                await conn.send(frame)
+                replies.append(await conn.recv())
+            await conn.close()
+            return ok, replies
 
         async def main():
             async with ServiceCluster(2, 2, "opt-track") as cluster:
-                conn, ok = await open_handshaken(cluster.transport, "site-0")
-                refused = []
-                for frame in (
-                    wire.make_frame("sys.digest", src=1, d=[]),
-                    wire.make_frame("sys.range", origin=0, rq=1, lo=1, hi=2),
-                ):
-                    await conn.send(frame)
-                    refused.append(await conn.recv())
-                await conn.close()
-                # the same digest on a link connection is answered
-                conn, _ = await open_handshaken(
-                    cluster.transport, "site-0", src=1, epoch=1
-                )
-                await conn.send(wire.make_frame("sys.digest", src=1, d=[]))
-                answered = await conn.recv()
-                await conn.close()
-                return ok, refused, answered
+                client = await refusals(cluster)
+                link = await refusals(cluster, src=1, epoch=1)
+                return client, link
 
-        ok, refused, answered = run(main())
+        (ok, client), (_, link) = run(main())
         assert "gx" not in ok
-        for reply in refused:
+        for reply in client + link:
             assert (reply["t"], reply["code"]) == ("err", "bad-frame")
-        assert (answered["t"], answered["n"]) == ("sys.ctrl.ok", 1)
-
-    def test_cycle_with_pre_durability_peer(self, tmp_path):
-        """One site never gossips (no digest loop of its own — all that
-        is left of the pre-durability peer this test once emulated, now
-        that every peer is a current build): the kill/recover cycle on
-        another site must still converge and quiesce, with the silent
-        site answering the digests it is sent."""
-
-        async def main():
-            metrics = MetricsRegistry()
-            cluster = ServiceCluster(
-                3, 6, "opt-track", replication_factor=2, sanitize=True,
-                metrics=metrics, data_dir=str(tmp_path),
-                gossip_interval=0.05,
-            )
-            cluster.servers[1].gossip_interval = None
-            async with cluster:
-                report, revived, value = await crash_recover_cycle(
-                    cluster, metrics
-                )
-                counters = metrics.snapshot()["counters"]
-                return report, revived.epoch, value, counters
-
-        report, epoch, value, counters = run(main())
-        assert report.errors == 0
-        assert value == "post-crash"
-        assert epoch == 2
-        assert "service_gossip_digests_total{site=1}" not in counters
-        assert counters["service_gossip_digests_total{site=0}"] > 0
 
 
-@pytest.mark.parametrize(
-    "protocol", ["opt-track", "full-track", "opt-track-crp", "optp", "ahamad"]
-)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_every_protocol_reads_and_recovers(protocol, tmp_path):
     """Every protocol on the service's read path: a sanitized, durable
     3-site cluster puts and gets at every site — remote gets for the
@@ -585,7 +563,7 @@ def test_every_protocol_reads_and_recovers(protocol, tmp_path):
     async def main():
         async with ServiceCluster(
             3, 6, protocol, replication_factor=2, sanitize=True,
-            data_dir=str(tmp_path), gossip_interval=0.05,
+            data_dir=str(tmp_path),
         ) as cluster:
             written = {v: f"v{i}" for i, v in enumerate(cluster.variables)}
             clients = [cluster.client(home=s) for s in range(3)]
@@ -612,3 +590,14 @@ def test_every_protocol_reads_and_recovers(protocol, tmp_path):
     assert revived.epoch == 2 and revived.wal_replayed > 0
     assert after == written
     assert checks > 0
+
+
+def test_serve_has_no_gossip_interval_flag():
+    """The handshake is the one catch-up path: there is no anti-entropy
+    period to set, and the old flag is an unrecognized argument."""
+    from repro.service.cli import build_parser
+
+    argv = ["serve", "--site", "0=127.0.0.1:7000", "--me", "0"]
+    assert build_parser().parse_args(argv).command == "serve"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + ["--gossip-interval", "0.05"])

@@ -380,7 +380,7 @@ class TestDurabilityIo:
     def test_low_level_file_attrs_fire(self, attr):
         mod, name = attr.split(".")
         src = f"import {mod}\ndef f(p):\n    return {attr}(p)\n"
-        assert rules_of(run(src, module="repro.service.gossip")) == [
+        assert rules_of(run(src, module="repro.service.client")) == [
             "durability-io"
         ]
 
