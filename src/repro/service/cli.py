@@ -19,8 +19,9 @@ Subcommands::
                      protocol, sanitizer on, one site killed mid-run,
                      restarted from its WAL, reconverged at the link
                      handshakes — asserts zero causal violations, zero
-                     surfaced request errors, and a fresh read of a
-                     post-crash write at the revived site
+                     surfaced request errors, a group fsync at the
+                     survivors and the revived site, and a fresh read
+                     of a post-crash write at the revived site
     stats-smoke      the observability CI gate: in-process TCP cluster,
                      Prometheus scrape parsed strictly, ``top``-style
                      snapshot asserting zero lag after quiesce, then a
@@ -47,7 +48,12 @@ from repro.errors import ServiceUnavailableError, WireError
 from repro.obs.export import parse_metric_key
 from repro.obs.registry import MetricsRegistry
 from repro.service.client import KVClient
-from repro.service.durability import FSYNC_MODES, SiteWal, WalCorruptionError
+from repro.service.durability import (
+    DEFAULT_FSYNC_INTERVAL,
+    FSYNC_MODES,
+    SiteWal,
+    WalCorruptionError,
+)
 from repro.service.harness import ServiceCluster
 from repro.service.loadgen import LoadGenerator
 from repro.service.server import SiteServer
@@ -607,6 +613,34 @@ async def _bench(args: argparse.Namespace) -> int:
     return 0 if report.errors == 0 else 1
 
 
+#: group windows the smoke gives a durable site to report its first
+#: fsync: far past one window, still short when the syncer never runs
+_FSYNC_WAIT_WINDOWS = 500
+
+
+async def _unsynced(cluster: ServiceCluster, sites: Sequence[SiteId]) -> List[SiteId]:
+    """The durable ``sites`` whose ``sys.stats`` still reports no fsync
+    by the group-commit thread after :data:`_FSYNC_WAIT_WINDOWS` group
+    windows.  Each has taken writes by then, so group fsync never ran
+    at a site listed here (a snapshot rotation's inline fsync does not
+    count: it would hide a dead thread)."""
+    client = cluster.client(sites[0])
+    pending = list(sites)
+    try:
+        for _ in range(_FSYNC_WAIT_WINDOWS):
+            pending = [
+                s
+                for s in pending
+                if not (await client.stats(s))["durability"]["group_fsyncs"]
+            ]
+            if not pending:
+                break
+            await asyncio.sleep(DEFAULT_FSYNC_INTERVAL)
+    finally:
+        await client.close()
+    return pending
+
+
 async def _smoke(args: argparse.Namespace) -> int:
     """The CI gate (see module docstring and docs/service.md).
 
@@ -619,7 +653,9 @@ async def _smoke(args: argparse.Namespace) -> int:
     handshake's re-ship of the own writes a peer lacks), and serve a
     causally-consistent read of the post-crash write — with the
     sanitizer shadowing every site throughout, the restarted
-    incarnation included.
+    incarnation included.  The survivors must report a fsync by the
+    group-commit thread in ``sys.stats`` once the load is through, and
+    the revived site after its restart.
     """
     import os
     import tempfile
@@ -667,6 +703,13 @@ async def _smoke(args: argparse.Namespace) -> int:
                 except TimeoutError:
                     print(f"  {protocol}: survivors failed to quiesce")
                     failures += 1
+                # checked once the load is through, not at the kill: the
+                # kill lands inside the first group window, and moving it
+                # changes which concurrent write the probe races below
+                survivors = [s for s in range(args.sites) if s != victim]
+                for site in await _unsynced(cluster, survivors):
+                    print(f"  {protocol}: no group fsync at s{site}")
+                    failures += 1
                 # a write the dead site has never seen, against a
                 # variable it replicates; the survivors have settled, so
                 # every earlier write to it is in this write's causal
@@ -685,6 +728,9 @@ async def _smoke(args: argparse.Namespace) -> int:
                     await cluster.quiesce(timeout=10.0)
                 except TimeoutError:
                     print(f"  {protocol}: cluster failed to reconverge")
+                    failures += 1
+                for site in await _unsynced(cluster, [victim]):
+                    print(f"  {protocol}: no group fsync at revived s{site}")
                     failures += 1
                 reader = cluster.client(victim)
                 value, _, served_by = await reader.get(probe_var)

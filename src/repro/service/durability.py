@@ -38,10 +38,17 @@ Design (docs/durability.md has the full walkthrough):
   in-process kill (the chaos ``kill`` frame, a cancelled task) loses
   nothing because the bytes are in the OS page cache before the append
   call returns.  ``fsync`` — which only matters for whole-machine power
-  loss — is batched by a background task through
-  ``loop.run_in_executor``, so the single-writer event loop never blocks
-  on the disk.  The torn-tail rule above covers whatever the batching
-  window exposes.
+  loss — is batched by one group-commit thread per process
+  (:class:`_GroupSyncer`), which serves every open ``fsync="group"``
+  WAL once per window.  The event loop only sets a flag per append and
+  hands a WAL to the thread when it goes from clean to dirty: it never
+  blocks on the disk and nothing travels back to it.  The torn-tail
+  rule above covers whatever the batching window exposes.
+* **Open on acceptance**: constructing a :class:`SiteWal` recovers
+  but starts no new life.  The incarnation bump and the fresh segment
+  wait for :meth:`SiteWal.open`, which the server calls once recovery
+  has accepted the log, so a refused recovery leaves the segment list
+  and the incarnation as it found them.
 
 The stable-timestamp rationale — why a snapshot keyed by the per-origin
 apply watermarks is sufficient — follows *Global Stabilization for
@@ -54,6 +61,8 @@ from __future__ import annotations
 import asyncio
 import io
 import os
+import threading
+import weakref
 import zlib
 from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
 
@@ -70,9 +79,9 @@ __all__ = [
     "FSYNC_MODES",
 ]
 
-#: supported ``fsync`` policies: ``"group"`` batches fsyncs off-loop (the
-#: default), ``"none"`` never fsyncs (bench mode — an in-process kill is
-#: still lossless, only power loss is not)
+#: supported ``fsync`` policies: ``"group"`` batches fsyncs on the
+#: group-commit thread (the default), ``"none"`` never fsyncs (bench
+#: mode — an in-process kill is still lossless, only power loss is not)
 FSYNC_MODES = ("group", "none")
 
 _CRC_BYTES = 4
@@ -80,8 +89,9 @@ _SNAP_NAME = "snap.bin"
 _INCARNATION_NAME = "incarnation"
 _SEGMENT_PREFIX = "wal."
 
-#: delay between an append and the batched fsync that covers it; every
-#: append inside one window shares a single disk flush
+#: delay between the append that dirties a WAL and the batched fsync
+#: that covers it; every append inside one window, to every WAL of the
+#: process, shares one pass of the group-commit thread
 DEFAULT_FSYNC_INTERVAL = 0.002
 
 
@@ -283,43 +293,100 @@ def _read_dir(
     return incarnation, snapshot, segments
 
 
+class _GroupSyncer:
+    """The process's one group-commit thread, shared by every open
+    ``fsync="group"`` WAL.
+
+    An append that finds its WAL clean hands the WAL over (:meth:`mark`).
+    The thread sleeps until the first hand-over, waits out one group
+    window so that every append in it shares a flush, then fsyncs each
+    handed-over WAL's open segment (:meth:`SiteWal._group_sync`).  The
+    appending thread only sets a flag and, once per window per WAL,
+    takes :attr:`lock`; nothing is reported back to it.  The thread
+    holds the WALs weakly, so a dropped WAL is not kept alive, and it
+    starts on the first hand-over: an idle process has no thread and no
+    wake-ups.
+    """
+
+    def __init__(self) -> None:
+        #: guards the hand-over list and every group WAL's segment
+        #: handle: the thread dups a WAL's fd under it, rotation and
+        #: close swap or retire the handle under it
+        self.lock = threading.Lock()
+        self._wake = threading.Event()
+        #: never set: its timed wait is the group window
+        self._window = threading.Event()
+        self._pending: List["weakref.ReferenceType[SiteWal]"] = []
+        self._thread: Optional[threading.Thread] = None
+
+    def mark(self, wal: "SiteWal") -> None:
+        """Have ``wal``'s open segment fsynced at the end of the window."""
+        with self.lock:
+            self._pending.append(weakref.ref(wal))
+            self._wake.set()
+            thread = self._thread
+            if thread is None or not thread.is_alive():
+                thread = self._thread = threading.Thread(
+                    target=self._run, name="wal-group-fsync", daemon=True
+                )
+                thread.start()
+
+    def _run(self) -> None:
+        while True:
+            self._wake.wait()
+            # group: every append landing in this window shares one flush
+            self._window.wait(DEFAULT_FSYNC_INTERVAL)
+            with self.lock:
+                self._wake.clear()
+                batch, self._pending = self._pending, []
+            self._serve(batch)
+
+    @staticmethod
+    def _serve(batch: List["weakref.ReferenceType[SiteWal]"]) -> None:
+        # a frame of its own, so no WAL outlives the pass in a local
+        for ref in batch:
+            wal = ref()
+            if wal is not None:
+                wal._group_sync()
+
+
+_SYNCER = _GroupSyncer()
+# a forked child inherits neither the thread nor a usable lock (the
+# thread may have held it at the fork): start the child from scratch
+os.register_at_fork(after_in_child=_SYNCER.__init__)
+
+
 class SiteWal:
     """One site's durable state: incarnation + snapshot + WAL segments.
 
-    Constructing a ``SiteWal`` *recovers*: it bumps the incarnation file
-    (durably, before anything else — a recovered site must never reuse a
-    dead epoch), loads the committed snapshot if any, scans every
-    uncovered segment (refusing corruption, truncating a torn tail on the
-    last one), and opens a fresh segment for new appends.  The server
+    Constructing a ``SiteWal`` *recovers*: it loads the committed
+    snapshot if any, scans every uncovered segment (refusing
+    corruption, truncating a torn tail on the last one) and unlinks the
+    segments the snapshot covers — the repairs any later recovery would
+    make the same way.  It starts no new life: :attr:`incarnation` is
+    the one this life will run as, and :meth:`open` bumps the
+    incarnation file durably and opens a fresh segment.  The server
     replays :attr:`snapshot` and then :meth:`frames`, which reads the
-    scanned segments back one record at a time: the log is never held
-    in memory whole.
+    scanned segments back one record at a time (the log is never held
+    in memory whole), and calls :meth:`open` only once it has accepted
+    them.  The first append, rotation or :meth:`close` of a WAL nobody
+    opened opens it.
     """
 
-    def __init__(
-        self,
-        data_dir: str,
-        *,
-        fsync: str = "group",
-        fsync_interval: float = DEFAULT_FSYNC_INTERVAL,
-    ) -> None:
+    def __init__(self, data_dir: str, *, fsync: str = "group") -> None:
         if fsync not in FSYNC_MODES:
             raise ServiceError(
                 f"unknown fsync mode {fsync!r} (choose from {FSYNC_MODES})"
             )
         self.data_dir = data_dir
         self.fsync_mode = fsync
-        self.fsync_interval = fsync_interval
         os.makedirs(data_dir, exist_ok=True)
 
         prev, snapshot, segments = _read_dir(data_dir)
-        #: strictly monotone across restarts; the server adopts it as its
-        #: link epoch so peers reset their dedup state for the new life
+        #: strictly monotone across restarts (durable from :meth:`open`
+        #: on); the server adopts it as its link epoch so peers reset
+        #: their dedup state for the new life
         self.incarnation = prev + 1
-        _atomic_write(
-            os.path.join(data_dir, _INCARNATION_NAME),
-            f"{self.incarnation}\n".encode("utf-8"),
-        )
 
         #: the committed ``snap`` frame, or None on first boot
         self.snapshot = snapshot
@@ -352,18 +419,31 @@ class SiteWal:
                 os.unlink(os.path.join(data_dir, name))
 
         self._seg_index = (segments[-1][0] if segments else 0) + 1
-        self._f: BinaryIO = open(
-            os.path.join(data_dir, _segment_name(self._seg_index)), "ab"
-        )
-        self._dirty = asyncio.Event()
+        #: the open segment; None until :meth:`open`
+        self._f: Optional[BinaryIO] = None
         self._closed = False
-        self._fsync_task: Optional[asyncio.Task] = None
+        #: appended since the group-commit thread last took this WAL
+        #: (written by both threads; see :meth:`_group_sync`)
+        self._dirty = False
         #: counters for the server's metrics plane
         self.records_appended = 0
         self.bytes_appended = 0
         self.raw_appends = 0
-        self.fsyncs = 0
         self.snapshots = 0
+        #: group fsyncs that failed (the group-commit thread's count).
+        #: Once non-zero, records of this WAL may not survive power
+        #: loss, whatever later fsyncs report.
+        self.sync_errors = 0
+        #: fsyncs the group-commit thread made.  One count per thread,
+        #: so neither loses the other's increments: this one, and the
+        #: owner's (:meth:`sync`, rotation, :meth:`close`)
+        self.group_fsyncs = 0
+        self._owner_fsyncs = 0
+
+    @property
+    def fsyncs(self) -> int:
+        """Successful fsyncs of this WAL's segments, from either thread."""
+        return self._owner_fsyncs + self.group_fsyncs
 
     def frames(self) -> Iterator[Dict[str, Any]]:
         """The uncovered WAL frames in append order, decoded one record
@@ -371,6 +451,21 @@ class SiteWal:
         Records this incarnation appends are not among them; read them
         before the first snapshot retires the segments they sit in."""
         return _frames_of(self._live)
+
+    def open(self) -> None:
+        """Start this incarnation on disk: bump the incarnation file
+        (durably, before anything else — a site must never reuse a dead
+        epoch) and open a fresh segment for appends.  A no-op once open
+        or closed."""
+        if self._f is not None or self._closed:
+            return
+        _atomic_write(
+            os.path.join(self.data_dir, _INCARNATION_NAME),
+            f"{self.incarnation}\n".encode("utf-8"),
+        )
+        self._f = open(
+            os.path.join(self.data_dir, _segment_name(self._seg_index)), "ab"
+        )
 
     # -- appends --------------------------------------------------------
 
@@ -410,38 +505,55 @@ class SiteWal:
         self.raw_appends += 1
 
     def _write_record(self, rec: bytes) -> None:
-        self._f.write(rec)
-        self._f.flush()
+        if self._f is None:
+            self.open()
+        f = self._f
+        f.write(rec)
+        f.flush()
         self.records_appended += 1
         self.bytes_appended += len(rec)
-        if self.fsync_mode == "group":
-            self._dirty.set()
+        # the write is in before the flag is read: if the group-commit
+        # thread has already taken this WAL, its fsync starts after the
+        # flag was cleared and so after this write, or this append sees
+        # the flag clear and hands the WAL over again
+        if self.fsync_mode == "group" and not self._dirty:
+            self._dirty = True
+            _SYNCER.mark(self)
 
-    def start(self) -> None:
-        """Start the group-fsync task (call from inside the event loop)."""
-        if self.fsync_mode == "group" and self._fsync_task is None:
-            self._fsync_task = asyncio.ensure_future(self._fsync_loop())
-
-    async def _fsync_loop(self) -> None:
-        loop = asyncio.get_event_loop()
-        while not self._closed:
-            await self._dirty.wait()
-            # group: every append landing in this window shares one flush
-            await asyncio.sleep(self.fsync_interval)
-            self._dirty.clear()
-            f = self._f
-            if self._closed or f.closed:
-                return
-            await loop.run_in_executor(None, os.fsync, f.fileno())
-            self.fsyncs += 1
+    def _group_sync(self) -> None:
+        """One group fsync of the open segment, on the group-commit
+        thread.  The flag clears before the fsync, so an append that
+        lands meanwhile hands the WAL over for the next window.  The
+        fsync goes through a dup of the segment's fd, taken under the
+        lock, so a concurrent rotation or close cannot pull it away.  A
+        failure is counted in :attr:`sync_errors` and retried next
+        window; the thread goes on serving the other WALs."""
+        try:
+            with _SYNCER.lock:
+                if self._closed or self._f is None:
+                    return
+                self._dirty = False
+                fd = os.dup(self._f.fileno())
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        except OSError:
+            self.sync_errors += 1
+            if not self._dirty:
+                self._dirty = True
+                _SYNCER.mark(self)
+            return
+        self.group_fsyncs += 1
 
     async def sync(self) -> None:
         """Force one immediate off-loop fsync of the open segment."""
-        if self._closed or self._f.closed:
+        f = self._f
+        if self._closed or f is None:
             return
         loop = asyncio.get_event_loop()
-        await loop.run_in_executor(None, os.fsync, self._f.fileno())
-        self.fsyncs += 1
+        await loop.run_in_executor(None, os.fsync, f.fileno())
+        self._owner_fsyncs += 1
 
     # -- snapshots ------------------------------------------------------
 
@@ -450,14 +562,27 @@ class SiteWal:
 
         Synchronous: the caller captures protocol state and calls this in
         the same no-await block, so the rotation point and the captured
-        state agree exactly.
+        state agree exactly.  Under group fsync the retiring segment's
+        unsynced window is fsynced here, inline: until the snapshot
+        commits, that segment is the only copy of its records, and the
+        group-commit thread only ever sees the open segment.  Rotation
+        is rare (once per snapshot).
         """
+        self.open()
+        old = self._f
         covered = self._seg_index
-        self._f.close()
         self._seg_index += 1
-        self._f = open(
+        new = open(
             os.path.join(self.data_dir, _segment_name(self._seg_index)), "ab"
         )
+        with _SYNCER.lock:
+            self._f = new
+            # set: appends to the old segment that no group fsync took
+            unsynced = self._dirty
+        if self.fsync_mode == "group" and unsynced:
+            os.fsync(old.fileno())
+            self._owner_fsyncs += 1
+        old.close()
         return covered
 
     async def commit_snapshot(self, frame: Dict[str, Any], covered: int) -> None:
@@ -488,19 +613,20 @@ class SiteWal:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Flush, final-fsync, and close the open segment."""
+        """Flush, final-fsync, and close the open segment.  A WAL nobody
+        opened is opened first: closing it spends its incarnation."""
         if self._closed:
             return
-        self._closed = True
-        if self._fsync_task is not None:
-            self._fsync_task.cancel()
-            self._fsync_task = None
-        if not self._f.closed:
-            self._f.flush()
-            if self.fsync_mode == "group":
-                os.fsync(self._f.fileno())
-                self.fsyncs += 1
-            self._f.close()
+        self.open()
+        f = self._f
+        with _SYNCER.lock:
+            # the group-commit thread dups no fd of a closed WAL
+            self._closed = True
+        f.flush()
+        if self.fsync_mode == "group":
+            os.fsync(f.fileno())
+            self._owner_fsyncs += 1
+        f.close()
 
     # -- offline inspection ---------------------------------------------
 

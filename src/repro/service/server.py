@@ -775,23 +775,23 @@ class SiteServer:
         self._stale_parked: Dict[SiteId, int] = {}
         self.snapshot_interval = snapshot_interval
         self._snapshot_task: Optional[asyncio.Task] = None
-        #: the write-ahead log, or None for a memory-only site.  Opening
-        #: it bumps the incarnation counter durably and loads any
-        #: committed snapshot; :meth:`_recover` restores it and replays
-        #: the WAL suffix, streamed one record at a time, synchronously
-        #: before the server takes traffic.
+        #: the write-ahead log, or None for a memory-only site.
+        #: Constructing it reads the committed snapshot and scans the
+        #: WAL suffix; :meth:`_recover` restores the one and replays the
+        #: other, streamed one record at a time, synchronously before the
+        #: server takes traffic.
         self.wal: Optional[SiteWal] = None
         #: WAL records replayed by this incarnation's recovery
         self.wal_replayed = 0
         if data_dir is not None:
             self.wal = SiteWal(data_dir, fsync=fsync)
             self.epoch = self.wal.incarnation
-            try:
-                recovered = self._recover(self.wal.snapshot, self.wal.frames())
-            except BaseException:
-                # a refused recovery leaves no open segment behind
-                self.wal.close()
-                raise
+            recovered = self._recover(self.wal.snapshot, self.wal.frames())
+            # the log is accepted: only now does the incarnation bump
+            # (durably, before this site can send a frame under it) and
+            # the fresh segment open, so a refused recovery leaves both
+            # as it found them
+            self.wal.open()
             # the snapshot frame is restored; do not hold it for the
             # incarnation's whole life
             self.wal.snapshot = None
@@ -809,10 +809,12 @@ class SiteServer:
         self._listener = await self.transport.listen(
             self.addresses[self.site], self._handle_conn
         )
-        if self.wal is not None:
-            self.wal.start()
-            if self.snapshot_interval is not None and self._snapshot_task is None:
-                self._snapshot_task = asyncio.ensure_future(self._snapshot_loop())
+        if (
+            self.wal is not None
+            and self.snapshot_interval is not None
+            and self._snapshot_task is None
+        ):
+            self._snapshot_task = asyncio.ensure_future(self._snapshot_loop())
         # a recovered site still owes its peers the own writes its log
         # names: dial them now, the handshake re-ships what they lack
         owed = {m.dest for msgs in self._own_log.values() for m in msgs}
@@ -1768,6 +1770,8 @@ class SiteServer:
                 "bytes_appended": self.wal.bytes_appended,
                 "raw_appends": self.wal.raw_appends,
                 "fsyncs": self.wal.fsyncs,
+                "group_fsyncs": self.wal.group_fsyncs,
+                "sync_errors": self.wal.sync_errors,
                 "snapshots": self.wal.snapshots,
             }
         if self.metrics is not None:
@@ -1801,6 +1805,10 @@ class SiteServer:
             m.gauge("wal_appended_bytes", site=self.site).set(
                 self.wal.bytes_appended
             )
+            # the group-commit thread counts failures on the WAL; the
+            # counter catches up here rather than from that thread
+            errors = m.counter("service_wal_sync_errors_total", site=self.site)
+            errors.inc(self.wal.sync_errors - errors.value)
         dep = self._dep_log_stats()
         m.gauge("dep_log_entries_count", site=self.site).set(dep["entries"])
         m.gauge("dep_log_bytes", site=self.site).set(dep["bytes"])

@@ -11,6 +11,7 @@ transport AND real TCP sockets.
 """
 
 import asyncio
+import errno
 import os
 import tracemalloc
 
@@ -322,21 +323,20 @@ class TestLoopbackRecovery:
                 proto, {0: "site-0", 1: "site-1"}, None, data_dir=str(tmp_path)
             )
 
-
-    def test_refused_recovery_closes_the_wal(self, tmp_path, monkeypatch):
-        """A recovery that refuses leaves no WAL handle open behind it:
-        every attempt closes the segment its ``SiteWal`` opened."""
+    def test_refused_recovery_leaves_the_data_dir_unchanged(self, tmp_path):
+        """A recovery that refuses starts no new life: three attempts
+        leave the same segment list and the same incarnation bytes, and
+        the next accepted open is incarnation 2."""
         wal = SiteWal(str(tmp_path), fsync="none")
         wal.append(wire.make_frame("wal.mystery", x=1))
         wal.close()
-        closed = []
-        real_close = SiteWal.close
+        inc_path = os.path.join(str(tmp_path), "incarnation")
 
-        def spy(self):
-            closed.append(self)
-            real_close(self)
+        def state():
+            with open(inc_path, "rb") as f:
+                return sorted(os.listdir(str(tmp_path))), f.read()
 
-        monkeypatch.setattr(SiteWal, "close", spy)
+        before = state()
         cls = protocol_class("opt-track")
         for _ in range(3):
             proto = cls(ProtocolConfig(n=2, site=0, replicas_of={"x0": (0, 1)}))
@@ -345,8 +345,65 @@ class TestLoopbackRecovery:
                     proto, {0: "site-0", 1: "site-1"}, None,
                     data_dir=str(tmp_path),
                 )
-        assert len(closed) == 3
-        assert all(w._f.closed for w in closed)
+            assert state() == before
+        wal = SiteWal(str(tmp_path), fsync="none")
+        wal.open()
+        assert wal.incarnation == 2
+        wal.close()
+
+
+class TestGroupFsyncErrors:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="maps fds through /proc/self/fd"
+    )
+    def test_failed_group_fsync_surfaces_in_stats_and_metrics(
+        self, tmp_path, monkeypatch
+    ):
+        """The first segment fsync fails: the WAL that took it reports
+        ``sync_errors == 1`` in its ``sys.stats`` durability block and
+        on ``service_wal_sync_errors_total``, and keeps group-fsyncing."""
+        real = os.fsync
+        failed = []
+
+        def flaky(fd):
+            name = os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))
+            if name.startswith("wal.") and not failed:
+                failed.append(name)
+                raise OSError(errno.EIO, "injected fsync failure")
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", flaky)
+        metrics = MetricsRegistry()
+
+        async def main():
+            async with ServiceCluster(
+                2, 4, "opt-track", data_dir=str(tmp_path), metrics=metrics,
+                snapshot_interval=None,
+            ) as cluster:
+                client = cluster.client(0)
+                await client.put(shared_var(cluster, 0, 1), "v")
+                await cluster.quiesce()
+                wals = [s.wal for s in cluster.servers]
+                for _ in range(1000):
+                    if any(w.sync_errors for w in wals) and all(
+                        w.group_fsyncs for w in wals
+                    ):
+                        break
+                    await asyncio.sleep(0.002)
+                site = next(s.site for s in cluster.servers if s.wal.sync_errors)
+                stats = (await client.stats(site))["durability"]
+                await client.close()
+                counter = metrics.counter(
+                    "service_wal_sync_errors_total", site=site
+                ).value
+                return stats, counter, [w.group_fsyncs for w in wals]
+
+        stats, counter, group_fsyncs = run(main())
+        assert failed
+        assert stats["sync_errors"] == 1
+        assert stats["group_fsyncs"] >= 1
+        assert counter == 1
+        assert all(group_fsyncs)
 
 
 class TestRecoveryMemory:

@@ -8,8 +8,14 @@ window on disk and reopens the log.
 """
 
 import asyncio
+import errno
+import gc
 import io
 import os
+import sys
+import threading
+import time
+import weakref
 
 import pytest
 
@@ -17,6 +23,7 @@ from repro.service import wire
 from repro.types import WriteId
 from tests.conftest import stamped
 from repro.service.durability import (
+    DEFAULT_FSYNC_INTERVAL,
     RecordReader,
     SiteWal,
     WalCorruptionError,
@@ -382,8 +389,7 @@ class TestSiteWal:
 
     def test_group_fsync_task_runs(self, tmp_path):
         async def main():
-            wal = SiteWal(str(tmp_path), fsync="group", fsync_interval=0.001)
-            wal.start()
+            wal = SiteWal(str(tmp_path), fsync="group")
             wal.append(put_frame(0))
             for _ in range(100):
                 if wal.fsyncs:
@@ -417,3 +423,211 @@ class TestSiteWal:
         wal2 = open_wal(tmp_path)
         assert wal2.incarnation == 2
         wal2.close()
+
+
+# ----------------------------------------------------------------------
+# the group-commit thread
+# ----------------------------------------------------------------------
+def wait_for(cond, windows=1000):
+    """Poll ``cond`` for up to ``windows`` group windows; its last value."""
+    for _ in range(windows):
+        if cond():
+            return True
+        time.sleep(DEFAULT_FSYNC_INTERVAL)
+    return cond()
+
+
+def group_wal(tmp_path, name):
+    return SiteWal(str(tmp_path / name), fsync="group")
+
+
+class FsyncSpy:
+    """Stands in for ``os.fsync``: records the file behind every fd it
+    is handed (through ``/proc/self/fd``, so a dup names the segment it
+    dups) and the file's size at that moment, then fsyncs."""
+
+    def __init__(self, monkeypatch, fail=0):
+        self._real = os.fsync
+        self._lock = threading.Lock()
+        self.calls = []  # (path, size)
+        self.fail = fail  # this many leading segment fsyncs raise EIO
+        monkeypatch.setattr(os, "fsync", self)
+
+    def __call__(self, fd):
+        path = os.readlink(f"/proc/self/fd/{fd}")
+        with self._lock:
+            if self.fail and os.path.basename(path).startswith("wal."):
+                self.fail -= 1
+                raise OSError(errno.EIO, "injected fsync failure")
+            self.calls.append((path, os.fstat(fd).st_size))
+        self._real(fd)
+
+    def paths(self):
+        with self._lock:
+            return [path for path, _ in self.calls]
+
+
+needs_proc_fd = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="maps fds through /proc/self/fd"
+)
+
+
+class TestGroupCommit:
+    """One group-commit thread per process serves every group WAL: the
+    appending thread sets a flag, the thread fsyncs once per window."""
+
+    def test_group_wals_share_one_thread(self, tmp_path):
+        before = threading.active_count()
+        wals = [group_wal(tmp_path, f"s{i}") for i in range(3)]
+        try:
+            for wal in wals:
+                wal.append(put_frame(0))
+            assert wait_for(lambda: all(w.fsyncs for w in wals))
+            assert threading.active_count() - before <= 1
+        finally:
+            for wal in wals:
+                wal.close()
+
+    @needs_proc_fd
+    def test_each_append_is_fsynced_after_it_with_no_event_loop(
+        self, tmp_path, monkeypatch
+    ):
+        """No event loop runs here, so no loop hop can be what syncs:
+        each WAL's segment is fsynced at a size that covers its append."""
+        spy = FsyncSpy(monkeypatch)
+        wals = [group_wal(tmp_path, f"s{i}") for i in range(3)]
+        try:
+            with pytest.raises(RuntimeError):
+                asyncio.get_running_loop()
+            for wal in wals:
+                wal.append(put_frame(0))
+            sizes = {
+                os.path.realpath(w._f.name): os.path.getsize(w._f.name) for w in wals
+            }
+
+            def covered():
+                got = dict(spy.calls)
+                return all(got.get(p, -1) >= size for p, size in sizes.items())
+
+            assert wait_for(covered)
+            assert wait_for(lambda: all(w.fsyncs == 1 for w in wals))
+        finally:
+            for wal in wals:
+                wal.close()
+
+    def test_appends_make_no_executor_calls(self, tmp_path, monkeypatch):
+        async def main():
+            loop = asyncio.get_running_loop()
+            hops = []
+            real = loop.run_in_executor
+
+            def counting(*args):
+                hops.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(loop, "run_in_executor", counting)
+            wal = group_wal(tmp_path, "s0")
+            for i in range(1000):  # one loop step: no await between
+                wal.append(put_frame(i))
+            for _ in range(1000):
+                if wal.fsyncs:
+                    break
+                await asyncio.sleep(DEFAULT_FSYNC_INTERVAL)
+            synced = wal.fsyncs
+            wal.close()
+            return synced, len(hops)
+
+        synced, hops = run(main())
+        assert synced >= 1
+        assert hops == 0
+
+    @needs_proc_fd
+    def test_closed_wal_is_dropped_and_never_fsynced_again(
+        self, tmp_path, monkeypatch
+    ):
+        wal = group_wal(tmp_path, "s0")
+        wal.append(put_frame(0))
+        segment = os.path.realpath(wal._f.name)
+        wal.close()
+        spy = FsyncSpy(monkeypatch)
+        wal.append(put_frame(1))  # a no-op after close
+        ref = weakref.ref(wal)
+        del wal
+        # another WAL's window passes through the thread meanwhile
+        other = group_wal(tmp_path, "s1")
+        other.append(put_frame(0))
+        assert wait_for(lambda: other.fsyncs)
+        other.close()
+
+        def dropped():
+            gc.collect()
+            return ref() is None
+
+        assert wait_for(dropped)
+        assert segment not in spy.paths()
+
+    @needs_proc_fd
+    def test_failed_fsync_is_counted_and_retried(self, tmp_path, monkeypatch):
+        """A failing fsync neither kills the thread nor ends syncing for
+        its WAL: it is counted, and the next window tries again."""
+        spy = FsyncSpy(monkeypatch, fail=1)
+        wal = group_wal(tmp_path, "s0")
+        try:
+            wal.append(put_frame(0))
+            assert wait_for(lambda: wal.fsyncs)
+            assert wal.sync_errors == 1
+            for i in range(1, 21):
+                wal.append(put_frame(i))
+            size = os.path.getsize(wal._f.name)
+            assert wait_for(lambda: max(sz for _, sz in spy.calls) >= size)
+            other = group_wal(tmp_path, "s1")
+            other.append(put_frame(0))
+            assert wait_for(lambda: other.fsyncs)
+            other.close()
+            assert wal.sync_errors == 1
+        finally:
+            wal.close()
+
+    @needs_proc_fd
+    def test_rotation_fsyncs_the_retiring_segment(self, tmp_path, monkeypatch):
+        spy = FsyncSpy(monkeypatch)
+        wal = group_wal(tmp_path, "s0")
+        try:
+            wal.append(put_frame(0))
+            retiring = os.path.realpath(wal._f.name)
+            wal.begin_snapshot()
+            assert wait_for(lambda: spy.calls, windows=25)
+            assert retiring in spy.paths()
+        finally:
+            wal.close()
+
+    @needs_proc_fd
+    def test_fsync_counts_survive_both_threads(self, tmp_path, monkeypatch):
+        """Owner fsyncs (rotation, close) and group fsyncs land on one
+        WAL from two threads at once, under a tiny switch interval: the
+        WALs' ``fsyncs`` still add up to the segment fsyncs made."""
+        spy = FsyncSpy(monkeypatch)
+        wals = [group_wal(tmp_path, f"s{i}") for i in range(4)]
+
+        def writer(wal):
+            for i in range(200):
+                wal.append(put_frame(i))
+                wal.begin_snapshot()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,)) for w in wals]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for wal in wals:
+            wal.close()
+        made = sum(
+            1 for path in spy.paths() if os.path.basename(path).startswith("wal.")
+        )
+        assert sum(w.fsyncs for w in wals) == made
