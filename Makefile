@@ -93,8 +93,9 @@ perf-smoke:
 	$(PYTHON) -m pytest perf -q
 
 # Regenerate BENCH_hot_paths.json (reference runs + DepLog and VectorClock micro-ops +
-# tracing overhead guardrails: fails if the no-op recorder costs > 3%
-# or the always-on flight ring costs > 20% over the detached fast path)
+# tracing overhead guardrails: fails if the no-op recorder adds > 0.1% of
+# calls (NOOP_CALL_BUDGET) or the always-on flight ring costs > 20% wall
+# time over the detached fast path)
 bench:
 	$(PYTHON) -m repro.cli bench --out BENCH_hot_paths.json
 

@@ -4,10 +4,11 @@ micro-operations, and the lifecycle-tracing overhead ledger.
 Regenerates ``BENCH_hot_paths.json`` (checked in at the repo root) — the
 measured basis for the before/after table in docs/performance.md and the
 tracing cost table in docs/observability.md.  ``write_report`` (and so
-``make bench``) fails when an attached no-op recorder costs more than 3%
-over the untraced run — the guardrail keeping tracing zero-cost-off —
-or when the always-on flight ring costs more than 20% (the guardrail
-keeping the crash recorder cheap enough to leave on).
+``make bench``) fails when an attached no-op recorder adds more than
+0.1 % to the untraced run's calls (``NOOP_CALL_BUDGET``, counted under
+``sys.setprofile``) — the guardrail keeping tracing zero-cost-off — or
+when the always-on flight ring costs more than 20 % wall time (the
+guardrail keeping the crash recorder cheap enough to leave on).
 
 Run directly::
 
@@ -19,8 +20,9 @@ or via the CLI / make::
     make bench
 
 Also exposes a pytest smoke test so the harness itself cannot rot: a fast
-pass must produce both runs' throughput, non-degenerate micro timings, and
-clock operations that agree with their numpy reference.
+pass must produce both runs' throughput, non-degenerate micro timings,
+clock operations that agree with their numpy reference, and a no-op
+recorder within its call budget.
 """
 
 from __future__ import annotations
@@ -51,9 +53,10 @@ def test_hot_path_bench_smoke():
     # the no-op gate is judged on counted calls, not on the wall times
     assert set(overhead["calls"]) == {"disabled", "noop"}
     assert all(c > 0 for c in overhead["calls"].values())
-    # the budgets themselves are asserted by write_report / make bench;
-    # the smoke test only checks the ledger exists and is well-formed
-    assert "noop_within_budget" in overhead
+    # the no-op verdict is a call count, the same on every run: the
+    # zero-cost-off rail holds here too.  The flight verdict is wall-timed
+    # and left to write_report / make bench
+    assert overhead["noop_within_budget"] is True
     assert "flight_within_budget" in overhead
 
 

@@ -295,12 +295,12 @@ def _spread(fn: Callable[[], Any], *, repeat: int, inner: int) -> list[float]:
 
 
 #: tracing-disabled vs. attached-no-op budget, in Python calls (counted
-#: under ``sys.setprofile``, so the verdict is the same on every run): the
-#: ``recorder = None`` guards must keep an attached
-#: :class:`~repro.obs.recorder.NullRecorder` within this fraction of the
-#: untraced run's calls (``make bench`` fails past it).  Attaching adds a
-#: constant handful of calls (one on the fast reference run); a hook that
-#: fires per event adds thousands.
+#: under ``sys.setprofile``, so the verdict is the same on every run): an
+#: attached :class:`~repro.obs.recorder.NullRecorder` must leave the
+#: observation seam ``None`` and so stay within this fraction of the
+#: untraced run's calls (``make bench`` and the bench smoke test fail past
+#: it).  Attaching adds a constant handful of calls (one on the fast
+#: reference run); an emit that fires per event adds thousands.
 NOOP_CALL_BUDGET = 0.001
 
 #: the always-on flight ring's budget: an attached
@@ -323,9 +323,9 @@ def _reference_cluster(
     recorder_mode: str, seed: int, ref: Dict[str, Any]
 ) -> Tuple[Cluster, Any]:
     """The reference run's cluster and workload under a tracing mode:
-    ``disabled`` (recorder = None, the default), ``noop`` (an attached
-    :class:`NullRecorder` — every hook guard fires, every hook is a
-    ``pass``), ``flight`` (an attached bounded
+    ``disabled`` (nothing attached, the default), ``noop`` (an attached
+    :class:`NullRecorder`, which the seam leaves out), ``flight`` (an
+    attached bounded
     :class:`~repro.obs.flight.FlightRecorder` ring — the service layer's
     always-on crash recorder) or ``enabled`` (an in-memory
     :class:`TraceRecorder`)."""
@@ -343,11 +343,12 @@ def _reference_cluster(
     )
     cluster = Cluster(cfg)
     if recorder_mode == "noop":
-        cluster.attach_recorder(NullRecorder())
+        cluster.recorder = NullRecorder()
     elif recorder_mode == "flight":
-        cluster.attach_recorder(FlightRecorder())
+        cluster.recorder = FlightRecorder()
     elif recorder_mode == "enabled":
-        cluster.attach_recorder(TraceRecorder())
+        cluster.recorder = TraceRecorder()
+    cluster.attach_observers()
     workload = generate(
         WorkloadConfig(
             n_sites=ref["n"],

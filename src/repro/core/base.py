@@ -27,6 +27,7 @@ from typing import Any, ClassVar, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core import bitsets
 from repro.core.messages import FetchReply, FetchRequest, UpdateMessage, WriteResult
+from repro.core.observe import Fanout
 from repro.errors import (
     ConfigurationError,
     ProtocolInvariantError,
@@ -105,18 +106,14 @@ class CausalProtocol(ABC):
         #: store's conflict rate.  Maintained by protocols whose stored
         #: metadata can decide concurrency (all but Ahamad).
         self.conflicts_detected: int = 0
-        #: optional ``repro.obs`` lifecycle recorder, attached externally
-        #: by ``Cluster.attach_recorder`` (duck-typed — ``core`` must not
-        #: import ``obs``).  Protocols use it for *protocol-internal*
-        #: events only, currently dependency-log prunes via
-        #: ``obs.on_prune(site, condition, var, removed, by_sender, kept)``;
-        #: every use must be guarded by ``if self.obs is not None and
-        #: self.obs.enabled`` so the detached path stays one attribute
-        #: test and an attached no-op recorder costs at most one more
-        #: (never the pre/post log snapshots).  Protocols are
-        #: clockless, so the recorder timestamps these events itself via
-        #: its bound simulation clock.
-        self.obs = None
+        #: the observation seam (:mod:`repro.core.observe`), attached by
+        #: the cluster or server; None = nothing attached.  Protocols emit
+        #: *protocol-internal* events only, currently dependency-log
+        #: prunes via ``obs.on_prune(site, condition, var, removed,
+        #: by_sender, kept)``, and build the pre-prune snapshots that
+        #: explain them only when ``obs.needs_reasons``.  Protocols are
+        #: clockless: the subscribers stamp prunes with their bound clock.
+        self.obs: Optional[Fanout] = None
 
     # ------------------------------------------------------------------
     # placement helpers

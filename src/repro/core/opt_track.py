@@ -50,6 +50,7 @@ from repro.core.messages import (
     UpdateMessage,
     WriteResult,
 )
+from repro.core.observe import Fanout
 from repro.errors import ProtocolInvariantError
 from repro.types import SiteId, VarId, WriteId
 
@@ -142,18 +143,15 @@ class OptTrackProtocol(CausalProtocol):
         # lines 10-12: Condition 2 at the sender — the new update will
         # transitively carry every logged dependency to the replicas of
         # x_h — fused with the PURGE sweep
+        # the prune diff is an *explanation*: its pre-image snapshot is
+        # built only when a subscriber declared ``needs_reasons`` (the
+        # always-on flight ring does not)
         obs = self.obs
-        # the prune diff is an *explanation* argument: skip the pre-image
-        # snapshot for recorders that declared ``needs_reasons`` off
-        # (e.g. the always-on flight ring)
-        pre = (
-            dict(self.log.entries)
-            if obs is not None and obs.enabled and obs.needs_reasons
-            else None
-        )
+        explain = obs if obs is not None and obs.needs_reasons else None
+        pre = dict(self.log.entries) if explain is not None else None
         self.log.retire(prune_mask)
-        if pre is not None:
-            self._obs_prune("condition2", var, pre, self.log)
+        if explain is not None:
+            self._obs_prune(explain, "condition2", var, pre, self.log)
         # line 13: the new write joins the log
         self.log.add(self.site, clock, bitsets.remove(reps_mask, self.site))
         # deviation from line 16 (see module docstring): own writes are
@@ -322,34 +320,29 @@ class OptTrackProtocol(CausalProtocol):
 
         stored = meta.log.copy()
         obs = self.obs
+        explain = obs if obs is not None and obs.needs_reasons else None
         if self.distributed_prune:
             # receiver-side Condition-2 pruning (sender skipped lines 3-8);
             # the sender's own bit is excluded, as in the sender-side prune
-            pre = (
-                dict(stored.entries)
-                if obs is not None and obs.enabled and obs.needs_reasons
-                else None
-            )
+            pre = dict(stored.entries) if explain is not None else None
             stored.prune_dests(bitsets.remove(meta.replicas_mask, msg.sender))
-            if pre is not None:
-                self._obs_prune("condition2-receiver", msg.var, pre, stored)
+            if explain is not None:
+                self._obs_prune(explain, "condition2-receiver", msg.var, pre, stored)
         # line 28: the update itself joins the stored log
         stored.add(msg.sender, meta.clock, meta.replicas_mask)
         # lines 29-30: Condition 1 — this site has now applied everything
         # the stored log mentions as destined to it
-        pre = (
-            dict(stored.entries)
-            if obs is not None and obs.enabled and obs.needs_reasons
-            else None
-        )
+        pre = dict(stored.entries) if explain is not None else None
         stored.remove_site(self.site)
-        if pre is not None:
-            self._obs_prune("condition1", msg.var, pre, stored)
+        if explain is not None:
+            self._obs_prune(explain, "condition1", msg.var, pre, stored)
         self.last_write_on[msg.var] = stored  # line 31
         self._raise_ceiling(msg.var, stored)
 
-    def _obs_prune(self, condition: str, var: VarId, pre, log: DepLog) -> None:
-        """Report one prune sweep to the attached lifecycle recorder as a
+    def _obs_prune(
+        self, obs: Fanout, condition: str, var: VarId, pre, log: DepLog
+    ) -> None:
+        """Report one prune sweep to the observation seam as a
         ``pre``-vs-``log.entries`` diff: destination bits lost per sender,
         records dropped outright, and empty-``Dests`` records retained as
         their sender's newest (the PURGE retention rule, paper Fig. 2)."""
@@ -370,7 +363,7 @@ class OptTrackProtocol(CausalProtocol):
                 z = key[0]
                 by_sender[z] = by_sender.get(z, 0) + lost.bit_count()
         if removed or by_sender:
-            self.obs.on_prune(self.site, condition, var, removed, by_sender, kept)
+            obs.on_prune(self.site, condition, var, removed, by_sender, kept)
 
     def _raise_ceiling(self, var: VarId, log: DepLog) -> None:
         ceiling = self._ceiling.setdefault(var, {})

@@ -27,17 +27,12 @@ from repro.obs.export import (
     prometheus_text,
     serve_metrics,
 )
-from repro.obs.flight import (
-    DEFAULT_FLIGHT_CAPACITY,
-    FlightRecorder,
-    TeeRecorder,
-)
+from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from repro.obs.jsonl import LoadedTrace, load_trace
 from repro.obs.recorder import (
     KINDS,
     TRACE_VERSION,
     NullRecorder,
-    Recorder,
     TraceRecorder,
     decode_write_id,
     encode_write_id,
@@ -72,9 +67,7 @@ __all__ = [
     "LoadedTrace",
     "MetricsRegistry",
     "NullRecorder",
-    "Recorder",
     "ReplayReport",
-    "TeeRecorder",
     "TraceRecorder",
     "UpdateSpan",
     "build_spans",

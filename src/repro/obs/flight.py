@@ -15,9 +15,8 @@ Three properties make "always on" affordable:
   with string keys are the dominant cost of full tracing).  The
   canonical shape is materialised only at :meth:`FlightRecorder.dump`
   time, when the process is already in trouble;
-* **no reasons** — ``needs_reasons`` is ``False``, so instrumentation
-  sites skip computing expensive hook arguments (e.g. naming a buffered
-  update's blocking dependencies).
+* **no reasons** — ``needs_reasons`` is ``False``, so the protocols
+  skip the pre-prune log snapshots that explain a ``prune`` event.
 
 The ring cost is enforced: ``repro.analysis.hotpaths`` drives the
 reference workload against an attached flight recorder and fails the
@@ -38,11 +37,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.recorder import (
-    NullRecorder,
-    TRACE_VERSION,
-    encode_write_id,
-)
+from repro.obs.recorder import TRACE_VERSION, encode_write_id
 
 #: default ring capacity (records, not spans); at the reference
 #: workload's ~4 records per replicated apply this holds the last few
@@ -50,7 +45,7 @@ from repro.obs.recorder import (
 DEFAULT_FLIGHT_CAPACITY = 2048
 
 
-class FlightRecorder(NullRecorder):
+class FlightRecorder:
     """Always-on bounded recorder; see module docstring.
 
     The hook surface matches :class:`TraceRecorder` record for record —
@@ -80,14 +75,17 @@ class FlightRecorder(NullRecorder):
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
 
+    def close(self) -> None:
+        """Nothing to flush: the ring reaches disk only via :meth:`dump`."""
+
     # ------------------------------------------------------------------
-    # hooks: one tuple append each (the always-on hot path)
+    # seam subscriber: one tuple append per event (the always-on hot path)
     # ------------------------------------------------------------------
-    def on_issue(self, t, site, var, write_id, dests) -> None:
+    def on_issue(self, t, site, var, write_id, dests, *_) -> None:
         self.recorded += 1
         self._ring.append(("issue", t, site, var, write_id, list(dests)))
 
-    def on_send(self, t, src, dest, write_id) -> None:
+    def on_send(self, t, src, dest, write_id, *_) -> None:
         self.recorded += 1
         self._ring.append(("send", t, src, dest, write_id))
 
@@ -121,7 +119,7 @@ class FlightRecorder(NullRecorder):
         self.recorded += 1
         self._ring.append(("apply", t, site, var, write_id, recv_time))
 
-    def on_read(self, t, site, var, write_id) -> None:
+    def on_read(self, t, site, var, write_id, *_) -> None:
         self.recorded += 1
         self._ring.append(("read", t, site, var, write_id))
 
@@ -236,76 +234,7 @@ _MATERIALIZE: Dict[str, Callable[[Tuple[Any, ...]], Dict[str, Any]]] = {
 }
 
 
-class TeeRecorder(NullRecorder):
-    """Fan one hook stream out to several recorders.
-
-    The server uses it to feed the always-on flight ring next to an
-    optional user trace recorder; disabled or ``None`` members are
-    dropped at construction so the fan-out never pays for them.
-    """
-
-    def __init__(self, *recorders: Any) -> None:
-        self.recorders: Tuple[Any, ...] = tuple(
-            r for r in recorders if r is not None and r.enabled
-        )
-        self.enabled = bool(self.recorders)
-        self.needs_reasons = any(r.needs_reasons for r in self.recorders)
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        for r in self.recorders:
-            r.bind_clock(clock)
-
-    def on_issue(self, *a: Any) -> None:
-        for r in self.recorders:
-            r.on_issue(*a)
-
-    def on_send(self, *a: Any) -> None:
-        for r in self.recorders:
-            r.on_send(*a)
-
-    def on_enqueue(self, *a: Any) -> None:
-        for r in self.recorders:
-            r.on_enqueue(*a)
-
-    def on_hold(self, *a: Any) -> None:
-        for r in self.recorders:
-            r.on_hold(*a)
-
-    def on_drop(self, *a: Any) -> None:
-        for r in self.recorders:
-            r.on_drop(*a)
-
-    def on_deliver(self, *a: Any) -> None:
-        for r in self.recorders:
-            r.on_deliver(*a)
-
-    def on_buffered(self, *a: Any) -> None:
-        for r in self.recorders:
-            r.on_buffered(*a)
-
-    def on_wake(self, *a: Any) -> None:
-        for r in self.recorders:
-            r.on_wake(*a)
-
-    def on_apply(self, *a: Any) -> None:
-        for r in self.recorders:
-            r.on_apply(*a)
-
-    def on_read(self, *a: Any) -> None:
-        for r in self.recorders:
-            r.on_read(*a)
-
-    def on_prune(self, *a: Any) -> None:
-        for r in self.recorders:
-            r.on_prune(*a)
-
-    def close(self) -> None:
-        for r in self.recorders:
-            r.close()
-
-
 __all__ = [
     "DEFAULT_FLIGHT_CAPACITY",
     "FlightRecorder",
-    "TeeRecorder",
 ]

@@ -7,11 +7,10 @@ module is the read side:
 * :func:`load_trace` — parse and validate a trace file into a
   :class:`LoadedTrace`;
 * :meth:`LoadedTrace.span_tree` — the same span trees a live recorder
-  builds (the round-trip tests assert equality);
-* :meth:`LoadedTrace.to_causal_trace` — re-materialize the event stream
-  as a :class:`repro.verify.sanitizer.CausalTrace`, the sanitizer's
-  replayable format (deferred import: ``obs`` sits below ``verify`` in
-  the package layering).
+  builds (the round-trip tests assert equality).
+
+:func:`repro.obs.replay.replay_trace` re-drives the causal oracle from
+the loaded records.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.recorder import TRACE_VERSION, decode_write_id
+from repro.obs.recorder import TRACE_VERSION
 from repro.obs.spans import UpdateSpan, build_spans
 from repro.types import WriteId
 
@@ -50,38 +49,6 @@ class LoadedTrace:
         for rec in self.records:
             counts[rec["k"]] = counts.get(rec["k"], 0) + 1
         return counts
-
-    def to_causal_trace(self):
-        """The recorded stream as the sanitizer's ``CausalTrace``."""
-        # deferred: repro.obs must not import repro.verify at module level
-        from repro.verify.sanitizer import CausalTrace, TraceEvent
-
-        trace = CausalTrace()
-        for rec in self.records:
-            kind = rec["k"]
-            wid = decode_write_id(rec.get("w"))
-            if kind == "issue":
-                trace.record(
-                    TraceEvent(
-                        "write", rec["t"], rec["s"], rec["v"], wid,
-                        f"dests={rec['d']}",
-                    )
-                )
-                continue
-            if kind == "read":
-                trace.record(TraceEvent("read", rec["t"], rec["s"], rec["v"], wid))
-                continue
-            if kind == "apply":
-                assert wid is not None
-                local = rec["s"] == wid.site
-                trace.record(
-                    TraceEvent(
-                        "apply-local" if local else "apply",
-                        rec["t"], rec["s"], rec["v"], wid,
-                        "" if local else f"from s{wid.site}",
-                    )
-                )
-        return trace
 
     def __len__(self) -> int:
         return len(self.records)

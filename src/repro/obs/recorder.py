@@ -1,41 +1,41 @@
 """Per-update lifecycle recorders (the write side of ``repro.obs``).
 
-The simulation layer is instrumented with a handful of *recorder hooks*
-covering the full life of an update message::
+The recorders are subscribers of the observation seam
+(:mod:`repro.core.observe`) that keep the full life of an update
+message::
 
     issue ─ send[dest] ─ enqueue ─ deliver ─ (buffered) ─ apply
                           │ hold / drop                │ wake / prune
 
 plus ``read`` returns (needed so a recorded trace can re-drive the causal
 oracle, see :mod:`repro.obs.replay`), wake-index wakeups and dependency-log
-prune events.  Every hook call produces one flat JSON-ready *record* (a
+prune events.  Every event produces one flat JSON-ready *record* (a
 plain dict with compact keys — the schema table lives in
 docs/observability.md); the :mod:`repro.obs.spans` builder folds the flat
 stream back into ``WriteId``-keyed span trees.
 
-Tracing is **off by default and zero-cost when off**: the simulation layer
-holds ``recorder = None`` and guards every hook behind ``if rec is not
-None and rec.enabled`` — the same discipline as the pre-existing
-``Tracer``.  Two recorder implementations exist:
+Tracing is **off by default and zero-cost when off**: with nothing
+attached the seam is ``None`` and every program point is one ``is not
+None`` test.  Two recorders exist:
 
 * :class:`TraceRecorder` — collects records in memory, optionally flushing
   them to a JSONL file on :meth:`~TraceRecorder.close` (atomic
   write-then-rename, like the result cache);
-* :class:`NullRecorder` — the no-op: every hook is a ``pass``.  It exists
-  so that *attached-but-disabled* instrumentation (a recorder subclass
-  with everything switched off) has a measured cost ceiling: the hot-path
-  bench drives a full reference run against it and fails if the no-op
-  recorder adds more than 0.1 % to the run's calls (see
+* :class:`NullRecorder` — a disabled recorder: attaching it leaves the
+  seam ``None``, so it costs what nothing attached costs.  The hot-path
+  bench drives a full reference run against it and fails if it adds more
+  than 0.1 % to the run's calls (see
   ``repro.analysis.hotpaths.bench_trace_overhead``).
 
 Recorders timestamp protocol-side events (prunes) themselves via a bound
 simulation clock — protocols are pure state machines and do not know the
-time (see :attr:`repro.core.base.CausalProtocol.obs`).
+time.  Schema fields a record does not keep (an issue's value, a read's
+value, a send's variable) are swallowed by a trailing ``*_``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.types import SiteId, VarId, WriteId
 
@@ -68,62 +68,16 @@ def decode_write_id(value: Any) -> Optional[WriteId]:
 
 
 class NullRecorder:
-    """The no-op recorder: full hook surface, zero behaviour.
-
-    ``enabled`` is the instrumentation gate: every hook site guards with
-    ``if rec is not None and rec.enabled``, so an *attached* null
-    recorder costs one attribute test per site — no method call, no
-    argument packing (the cost ceiling the hot-path bench enforces).
-    ``needs_reasons`` tells instrumentation sites whether it is worth
-    *computing* expensive hook arguments (e.g. snapshotting a dependency
-    log before a prune just to report what the prune removed) — the null
-    recorder declines them.
-    """
+    """A recorder that is never attached: ``enabled`` is false, so the
+    seam leaves it out (:func:`repro.core.observe.observe`)."""
 
     enabled = False
-    needs_reasons = False
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        pass
-
-    def on_issue(self, t, site, var, write_id, dests) -> None:
-        pass
-
-    def on_send(self, t, src, dest, write_id) -> None:
-        pass
-
-    def on_enqueue(self, t, src, dest, write_id, arrival) -> None:
-        pass
-
-    def on_hold(self, t, src, dest, write_id) -> None:
-        pass
-
-    def on_drop(self, t, src, dest, write_id) -> None:
-        pass
-
-    def on_deliver(self, t, site, write_id) -> None:
-        pass
-
-    def on_buffered(self, t, site, write_id, blocking) -> None:
-        pass
-
-    def on_wake(self, t, site, origin, progress, ready, reparked) -> None:
-        pass
-
-    def on_apply(self, t, site, var, write_id, recv_time) -> None:
-        pass
-
-    def on_read(self, t, site, var, write_id) -> None:
-        pass
-
-    def on_prune(self, site, condition, var, removed, by_sender, kept) -> None:
-        pass
 
     def close(self) -> None:
         pass
 
 
-class TraceRecorder(NullRecorder):
+class TraceRecorder:
     """Collects lifecycle records in memory; optional JSONL sink.
 
     Records are stored already in their canonical JSON shape (lists, not
@@ -158,7 +112,7 @@ class TraceRecorder(NullRecorder):
         self._clock = clock
 
     # ------------------------------------------------------------------
-    # hooks (sim layer)
+    # seam subscriber: every lifecycle event
     # ------------------------------------------------------------------
     def on_issue(
         self,
@@ -167,6 +121,7 @@ class TraceRecorder(NullRecorder):
         var: VarId,
         write_id: WriteId,
         dests: Iterable[SiteId],
+        *_: Any,
     ) -> None:
         self.records.append(
             {
@@ -179,7 +134,9 @@ class TraceRecorder(NullRecorder):
             }
         )
 
-    def on_send(self, t: float, src: SiteId, dest: SiteId, write_id: WriteId) -> None:
+    def on_send(
+        self, t: float, src: SiteId, dest: SiteId, write_id: WriteId, *_: Any
+    ) -> None:
         self.records.append(
             {"k": "send", "t": t, "s": src, "d": dest, "w": encode_write_id(write_id)}
         )
@@ -277,15 +234,18 @@ class TraceRecorder(NullRecorder):
         )
 
     def on_read(
-        self, t: float, site: SiteId, var: VarId, write_id: Optional[WriteId]
+        self,
+        t: float,
+        site: SiteId,
+        var: VarId,
+        write_id: Optional[WriteId],
+        *_: Any,
     ) -> None:
         self.records.append(
             {"k": "read", "t": t, "s": site, "v": var, "w": encode_write_id(write_id)}
         )
 
-    # ------------------------------------------------------------------
-    # hooks (protocol side — self-timestamped via the bound clock)
-    # ------------------------------------------------------------------
+    # protocol side: self-timestamped via the bound clock
     def on_prune(
         self,
         site: SiteId,
@@ -353,6 +313,3 @@ class TraceRecorder(NullRecorder):
         sink = f" -> {self.path}" if self.path else ""
         return f"<TraceRecorder {len(self.records)} records{sink}>"
 
-
-#: anything the sim layer accepts where a recorder is expected
-Recorder = Union[NullRecorder, TraceRecorder]

@@ -81,13 +81,14 @@ def replay_trace(loaded: LoadedTrace, n: Optional[int] = None) -> ReplayReport:
         if kind == "issue":
             wid = decode_write_id(rec["w"])
             assert wid is not None
-            sanitizer.on_write(
+            sanitizer.on_issue(
+                rec["t"],
                 rec["s"],
                 rec["v"],
                 wid,
                 tuple(rec["d"]),
-                applied_locally=False,  # the local apply is its own record
-                now=rec["t"],
+                None,  # records keep no values
+                False,  # the local apply is its own record
             )
             writes += 1
         elif kind == "apply":
@@ -103,7 +104,9 @@ def replay_trace(loaded: LoadedTrace, n: Optional[int] = None) -> ReplayReport:
                 applies += 1
         elif kind == "read":
             reads += 1
-            sanitizer.on_read(rec["s"], rec["v"], decode_write_id(rec["w"]), now=rec["t"])
+            sanitizer.on_read(
+                rec["t"], rec["s"], rec["v"], decode_write_id(rec["w"]), None
+            )
     return ReplayReport(
         path=loaded.path,
         protocol=loaded.protocol,

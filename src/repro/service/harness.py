@@ -130,8 +130,6 @@ class ServiceCluster:
             ProtocolConfig(n=self.n, site=site, replicas_of=self.placement),
             **self._protocol_kwargs,
         )
-        if self.recorder is not None:
-            proto.obs = self.recorder
         extra_kwargs: Dict[str, Any] = {}
         if self.flight_dir is not None:
             extra_kwargs["flight_dir"] = self.flight_dir

@@ -110,17 +110,20 @@ Updates whose activation predicate is false are parked and re-evaluated
 after every apply (a rescan drain — service deployments are a handful of
 sites, so the simulator's wake index is not worth its bookkeeping here).
 
-The observability hooks mirror the simulator byte-for-byte: the causal
-sanitizer (when attached) sees the same ``on_write`` / ``before_apply`` /
-``after_apply`` / ``on_read`` stream, and the lifecycle recorder receives
-``issue``/``send``/``deliver``/``buffered``/``apply``/``read`` spans, so
-``repro-sim trace`` renders service runs unchanged.
+Observation goes through the simulator's one seam
+(:mod:`repro.core.observe`): each program point makes one call on
+:attr:`SiteServer.obs`, the fan-out to this site's subscribers — the
+causal sanitizer (when attached) takes ``issue`` / ``check`` / ``apply``
+/ ``read`` exactly as it does in the simulator, and the lifecycle
+recorders take ``issue`` / ``send`` / ``deliver`` / ``buffered`` /
+``apply`` / ``read`` / ``prune``, so ``repro-sim trace`` renders service
+runs unchanged.
 
 On top of that sits the **live observability plane**:
 
 * every server keeps an always-on :class:`~repro.obs.flight.
-  FlightRecorder` ring next to any user recorder (fanned out through a
-  :class:`~repro.obs.flight.TeeRecorder`); a ``SanitizerViolation``, an
+  FlightRecorder` ring among its subscribers, next to any user
+  recorder; a ``SanitizerViolation``, an
   unhandled handler exception, or a chaos ``kill`` dumps the ring as a
   TRACE_VERSION post-mortem via :meth:`SiteServer.flight_dump`;
 * any handshaken connection may ask ``sys.stats`` and gets a
@@ -146,6 +149,7 @@ import numpy as np
 
 from repro.core.base import CausalProtocol
 from repro.core.log import DepLog
+from repro.core.observe import observe
 from repro.core.messages import (
     FetchReply,
     FetchRequest,
@@ -158,7 +162,7 @@ from repro.errors import (
     ServiceUnavailableError,
     WireError,
 )
-from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder, TeeRecorder
+from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from repro.service import wire
 from repro.service.durability import SiteWal, WalCorruptionError
 from repro.service.transport import Connection, Listener, Transport
@@ -671,9 +675,8 @@ class SiteServer:
         self.addresses = dict(addresses)
         self.transport = transport
         self.sanitizer = sanitizer
-        #: the always-on crash ring; ``recorder`` becomes the fan-out of
-        #: the user's recorder (if any) and this ring, so every existing
-        #: hook site feeds both without a second guard
+        #: the always-on crash ring, a subscriber of the seam beside the
+        #: sanitizer and the user's recorder (if any)
         self.flight = FlightRecorder(
             capacity=flight_capacity,
             meta={
@@ -686,13 +689,13 @@ class SiteServer:
         #: where :meth:`flight_dump` writes post-mortems (None = ring
         #: only: crashes still hold history, nothing lands on disk)
         self.flight_dir = flight_dir
-        if recorder is not None and recorder.enabled:
-            self.recorder = TeeRecorder(recorder, self.flight)
-        else:
-            self.recorder = self.flight
-        # protocol-internal events (dep-log prunes) follow the same
-        # fan-out; the server owns its protocol instance exclusively
-        protocol.obs = self.recorder
+        obs = observe(sanitizer, recorder, self.flight)
+        assert obs is not None  # the ring is always on
+        #: the observation seam (repro.core.observe)
+        self.obs = obs
+        # protocol-internal events (dep-log prunes) go through the same
+        # seam; the server owns its protocol instance exclusively
+        protocol.obs = self.obs
         self.metrics = metrics
         #: counters :meth:`metric` already resolved, by name and labels
         self._counters: Dict[Any, Any] = {}
@@ -1106,18 +1109,16 @@ class SiteServer:
             self._issue_ms[msg.write_id] = it
         now = self.now_ms()
         self._recv_at[msg.write_id] = now
-        rec = self.recorder
-        if rec is not None and rec.enabled:
-            rec.on_deliver(now, self.site, msg.write_id)
+        obs = self.obs
+        obs.on_deliver(now, self.site, msg.write_id)
         applied = 0
         if self.protocol.can_apply(msg):
             self._apply(msg)
             applied = 1
         else:
-            if rec is not None and rec.enabled:
-                rec.on_buffered(
-                    now, self.site, msg.write_id, self.protocol.blocking_deps(msg) or ()
-                )
+            obs.on_buffered(
+                now, self.site, msg.write_id, self.protocol.blocking_deps(msg) or ()
+            )
             self._park(src, link_seq, msg)
         self._seen_ls[src] = link_seq
         acks[src] = max(acks.get(src, 0), link_seq)
@@ -1206,25 +1207,22 @@ class SiteServer:
             # kept until every destination holds it (see _own_retired):
             # what the handshake's catch-up re-ships missing updates from
             self._own_log[result.write_id.seq] = list(result.messages)
-        if self.sanitizer is not None:
-            self.sanitizer.on_write(
-                self.site,
-                var,
-                result.write_id,
-                tuple(proto.replicas(var)),
-                result.applied_locally,
-                now=now,
-            )
-        rec = self.recorder
-        if rec is not None and rec.enabled:
-            rec.on_issue(now, self.site, var, result.write_id, proto.replicas(var))
+        obs = self.obs
+        obs.on_issue(
+            now,
+            self.site,
+            var,
+            result.write_id,
+            tuple(proto.replicas(var)),
+            value,
+            result.applied_locally,
+        )
         # enqueued in the same synchronous block as protocol.write —
         # link-sequence order must stay write-clock order — but flushed
         # only after the reply below
         links: List[PeerLink] = []
         for msg in result.messages:
-            if rec is not None and rec.enabled:
-                rec.on_send(now, self.site, msg.dest, msg.write_id)
+            obs.on_send(now, self.site, msg.dest, msg.write_id, var)
             link = self._link(msg.dest)
             link.enqueue_update(msg, flush=False)
             links.append(link)
@@ -1271,7 +1269,7 @@ class SiteServer:
                 # read-merge across a crash would let post-recovery
                 # writes under-state their causal past
                 self.wal.append(wire.BINARY_CODEC.pack_wal_read(var))
-            self._observe_read(var, wid)
+            self.obs.on_read(self.now_ms(), self.site, var, wid, value)
             served_by = self.site
         else:
             try:
@@ -1289,15 +1287,6 @@ class SiteServer:
             if codec is None
             else codec.pack_get_ok(value, wid, served_by)
         )
-
-    def _observe_read(self, var: VarId, wid: Optional[WriteId]) -> None:
-        """The sanitizer's and the recorder's view of a completed read."""
-        now = self.now_ms()
-        if self.sanitizer is not None:
-            self.sanitizer.on_read(self.site, var, wid, now=now)
-        rec = self.recorder
-        if rec is not None and rec.enabled:
-            rec.on_read(now, self.site, var, wid)
 
     async def _remote_get(self, var: VarId) -> Tuple[Any, Optional[WriteId]]:
         """The paper's RemoteFetch, run on the client's behalf: send the
@@ -1366,7 +1355,7 @@ class SiteServer:
                     # read merges the reply's metadata into local state
                     self.wal.append(wire.BINARY_CODEC.pack_wal_rfetch(reply))
                 value, wid = proto.complete_remote_read(reply)
-                self._observe_read(read.var, wid)
+                self.obs.on_read(self.now_ms(), self.site, read.var, wid, value)
                 read.done.set_result((value, wid))
                 return
             read.stale += 1
@@ -1862,15 +1851,12 @@ class SiteServer:
     # ------------------------------------------------------------------
     def _apply(self, msg: UpdateMessage, replay: bool = False) -> None:
         now = 0.0 if replay else self.now_ms()
-        if not replay and self.sanitizer is not None:
-            self.sanitizer.before_apply(self.protocol, msg, now=now)
-            self.protocol.apply_update(msg)
-            self.sanitizer.after_apply(self.protocol, msg, now=now)
-        else:
-            # replay bypasses the sanitizer entirely: these transitions
-            # were checked when they happened live, and the sanitizer's
-            # cross-site state still remembers them
-            self.protocol.apply_update(msg)
+        # replay bypasses the seam entirely: these transitions were
+        # observed when they happened live, and the sanitizer's
+        # cross-site state still remembers them
+        if not replay:
+            self.obs.on_check(now, self.protocol, msg)
+        self.protocol.apply_update(msg)
         self.applies += 1
         wid = msg.write_id
         if wid.seq > self._origin_applied.get(wid.site, 0):
@@ -1901,15 +1887,9 @@ class SiteServer:
                         del self._parked_ls[src]
         if replay:
             return
-        rec = self.recorder
-        if rec is not None and rec.enabled:
-            rec.on_apply(
-                now,
-                self.site,
-                msg.var,
-                msg.write_id,
-                self._recv_at.pop(msg.write_id, now),
-            )
+        self.obs.on_apply(
+            now, self.site, msg.var, msg.write_id, self._recv_at.pop(msg.write_id, now)
+        )
         issued = self._issue_ms.pop(msg.write_id, None)
         if issued is not None and self.metrics is not None:
             # issue→local-apply, as stamped by the origin and read at the

@@ -22,10 +22,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import CausalProtocol, ProtocolConfig, protocol_class
+from repro.core.observe import observe
 from repro.errors import ConfigurationError, DeadlockError
 from repro.metrics.collector import MetricsCollector, MetricsSummary
 from repro.metrics.sizes import SizeModel
-from repro.obs.recorder import Recorder, TraceRecorder
+from repro.obs.recorder import TraceRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.events import Tracer
@@ -131,16 +132,7 @@ class Session:
         c = self.cluster
         sim_site = c.sites[self.site]
         result = sim_site.protocol.write(var, value)
-        if c.history is not None:
-            c.history.record_write(
-                self.site,
-                var,
-                value,
-                result.write_id,
-                c.sim.now,
-                destinations=sim_site.protocol.replicas(var),
-            )
-        sim_site.broadcast_write(result, var)
+        sim_site.broadcast_write(result, var, value)
         sim_site.drain()
         c.metrics.on_op("write", 0.0)
         return result.write_id
@@ -201,7 +193,8 @@ class Session:
         variables replicated at this session's site.
         """
         c = self.cluster
-        proto = c.sites[self.site].protocol
+        sim_site = c.sites[self.site]
+        proto = sim_site.protocol
         missing = [v for v in variables if not proto.locally_replicates(v)]
         if missing:
             raise ConfigurationError(
@@ -220,15 +213,9 @@ class Session:
                     f"causally required update never arrived"
                 )
         out: Dict[VarId, Tuple[Any, Optional[WriteId]]] = {}
-        now = c.sim.now
         for var in variables:  # one instant: no events run between reads
             value, wid = proto.read_local(var)
-            if c.sanitizer is not None:
-                c.sanitizer.on_read(self.site, var, wid, now=now)
-            if c.recorder is not None and c.recorder.enabled:
-                c.recorder.on_read(now, self.site, var, wid)
-            if c.history is not None:
-                c.history.record_read(self.site, var, value, wid, now)
+            sim_site.observe_read(var, value, wid)
             c.metrics.on_op("read-local", 0.0)
             out[var] = (value, wid)
         return out
@@ -277,7 +264,7 @@ class Cluster:
         #: :meth:`publish_metrics` (run() does it automatically)
         self.registry = MetricsRegistry()
         #: repro.obs lifecycle recorder (None while tracing is off)
-        self.recorder: Optional[TraceRecorder] = None
+        self.recorder: Any = None
         if config.trace:
             trace_path = None if config.trace is True else str(config.trace)
             self.recorder = TraceRecorder(
@@ -316,34 +303,29 @@ class Cluster:
                     proto,
                     self.sim,
                     self.network,
-                    self.history,
                     self.metrics,
-                    self.tracer,
                     batch_window=config.batch_window,
-                    sanitizer=self.sanitizer,
                 )
             )
-        if self.recorder is not None:
-            self.attach_recorder(self.recorder)
+        self.attach_observers()
 
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def attach_recorder(self, recorder: Recorder) -> None:
-        """Wire a repro.obs lifecycle recorder into every layer: the
-        sites (issue/deliver/buffered/wake/apply), the network transport
-        (enqueue/hold/drop), the protocols (prune events, duck-typed via
-        ``CausalProtocol.obs``), and the simulation clock (protocol-side
-        events are self-timestamped).  Also used by the hot-path bench to
-        attach a :class:`~repro.obs.recorder.NullRecorder` and measure the
-        attached-but-disabled overhead ceiling."""
-        self.recorder = recorder
-        recorder.bind_clock(lambda: self.sim.now)
-        self.network.recorder = recorder
+    def attach_observers(self) -> None:
+        """(Re)build the one observation seam over :attr:`sanitizer`,
+        :attr:`history`, :attr:`tracer` and :attr:`recorder` (``None``
+        ones left out) and hand it to every emitter: the sites, the
+        network and the protocols (prunes, stamped with the simulation
+        clock).  Call it after replacing any of the four."""
+        obs = observe(self.sanitizer, self.history, self.tracer, self.recorder)
+        if obs is not None:
+            obs.bind_clock(lambda: self.sim.now)
+        self.network.obs = obs
         for site in self.sites:
-            site.recorder = recorder
+            site.obs = obs
         for proto in self.protocols:
-            proto.obs = recorder
+            proto.obs = obs
 
     def close_trace(self) -> Optional[str]:
         """Flush the lifecycle trace to its JSONL sink, if one was

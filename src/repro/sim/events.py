@@ -4,7 +4,9 @@ Section II-B lists the events the read/write operations generate in the
 message-passing system: ``send``, ``fetch``, ``message receipt``,
 ``apply``, ``remote return`` and ``return``.  The optional
 :class:`Tracer` collects them for debugging, visualization, and the
-scenario tests that replay the paper's Figures 2 and 3.
+scenario tests that replay the paper's Figures 2 and 3; it is a
+subscriber of the observation seam (:mod:`repro.core.observe`), taking
+exactly those six events.
 """
 
 from __future__ import annotations
@@ -85,6 +87,25 @@ class Tracer:
     def emit(self, event: TraceEvent) -> None:
         if self.enabled:
             self.events.append(event)
+
+    # seam subscriber: the six §II-B events
+    def on_send(self, t, src, dest, write_id, var) -> None:
+        self.emit(SendEvent(t, src, dest, var, write_id))
+
+    def on_fetch(self, t, site, server, var) -> None:
+        self.emit(FetchEvent(t, site, server, var))
+
+    def on_receipt(self, t, site, origin, kind, var) -> None:
+        self.emit(ReceiptEvent(t, site, origin, kind, var))
+
+    def on_apply(self, t, site, var, write_id, recv_time) -> None:
+        self.emit(ApplyEvent(t, site, var, write_id, write_id.site))
+
+    def on_remote_return(self, t, site, requester, var) -> None:
+        self.emit(RemoteReturnEvent(t, site, requester, var))
+
+    def on_read(self, t, site, var, write_id, value) -> None:
+        self.emit(ReturnEvent(t, site, var, value, write_id))
 
     def of_type(self, cls: type) -> List[TraceEvent]:
         return [e for e in self.events if isinstance(e, cls)]

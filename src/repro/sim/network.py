@@ -39,7 +39,7 @@ _FIFO_EPSILON = 1e-9
 
 def _update_write_ids(kind: str, msg: Any) -> Tuple[Any, ...]:
     """The write ids carried by one wire message (empty for non-updates);
-    what the lifecycle recorder keys its transport events on."""
+    what the transport events are keyed on."""
     if kind == MetricsCollector.UPDATE:
         return (msg.write_id,)
     if kind == "update-batch":
@@ -61,9 +61,9 @@ class Network:
         self.latency = latency
         self.rng = rng
         self.metrics = metrics
-        #: optional repro.obs lifecycle recorder (None = tracing off);
-        #: set by Cluster.attach_recorder
-        self.recorder = None
+        #: the observation seam (repro.core.observe; None = nothing
+        #: attached); set by the Cluster
+        self.obs = None
         self._last_arrival: Dict[Tuple[SiteId, SiteId], float] = {}
         self._handlers: Dict[SiteId, Callable[[str, Any], None]] = {}
         self.down: Set[SiteId] = set()
@@ -151,9 +151,7 @@ class Network:
         would."""
         if src in dsts:
             raise SimulationError(f"site {src} sending to itself")
-        rec = self.recorder
-        if rec is not None and not rec.enabled:
-            rec = None
+        obs = self.obs
         now = self.sim.now
         live_msgs = []
         live_dsts = []
@@ -165,9 +163,9 @@ class Network:
             if self._crosses_partition(src, dst):
                 self.messages_held += 1
                 self._held.append((kind, msg, src, dst))
-                if rec is not None:
+                if obs is not None:
                     for wid in _update_write_ids(kind, msg):
-                        rec.on_hold(now, src, dst, wid)
+                        obs.on_hold(now, src, dst, wid)
             elif (
                 src in self.down
                 or dst in self.down
@@ -177,9 +175,9 @@ class Network:
                 )
             ):
                 self.messages_dropped += 1
-                if rec is not None:
+                if obs is not None:
                     for wid in _update_write_ids(kind, msg):
-                        rec.on_drop(now, src, dst, wid)
+                        obs.on_drop(now, src, dst, wid)
             else:
                 live_msgs.append(msg)
                 live_dsts.append(dst)
@@ -202,9 +200,9 @@ class Network:
             if arrival <= prev:
                 arrival = prev + _FIFO_EPSILON
             last_arrival[key] = arrival
-            if rec is not None:
+            if obs is not None:
                 for wid in _update_write_ids(kind, msg):
-                    rec.on_enqueue(now, src, dst, wid, arrival)
+                    obs.on_enqueue(now, src, dst, wid, arrival)
             # arrival - now, not the delay: the engine adds now back, and
             # every recorded run carries that rounding
             post(arrival - now, deliver, msg, src, dst)
@@ -216,10 +214,9 @@ class Network:
         def deliver(msg: Any, src: SiteId, dst: SiteId) -> None:
             if dst in self.down:
                 self.messages_dropped += 1
-                rec = self.recorder
-                if rec is not None and rec.enabled:
+                if self.obs is not None:
                     for wid in _update_write_ids(kind, msg):
-                        rec.on_drop(self.sim.now, src, dst, wid)
+                        self.obs.on_drop(self.sim.now, src, dst, wid)
                 return
             self.messages_delivered += 1
             try:

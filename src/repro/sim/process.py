@@ -84,16 +84,7 @@ class AppProcess:
     def _do_write(self, op: Operation) -> None:
         site = self.sim_site
         result = site.protocol.write(op.var, op.value)
-        if site.history is not None:
-            site.history.record_write(
-                self.site,
-                op.var,
-                op.value,
-                result.write_id,
-                site.sim.now,
-                destinations=site.protocol.replicas(op.var),
-            )
-        site.broadcast_write(result, op.var)
+        site.broadcast_write(result, op.var, op.value)
         site.drain()  # a state change may unblock buffered work
         self._finish_op("write")
 

@@ -45,29 +45,16 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.base import CausalProtocol
 from repro.core.messages import FetchReply, FetchRequest, UpdateMessage, WriteResult
+from repro.core.observe import Fanout
 from repro.errors import DeadlockError, SimulationError
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
-from repro.sim.events import (
-    ApplyEvent,
-    FetchEvent,
-    ReceiptEvent,
-    RemoteReturnEvent,
-    ReturnEvent,
-    SendEvent,
-    Tracer,
-)
 from repro.sim.network import Network
 from repro.types import SiteId, VarId, WriteId
-from repro.verify.history import History
-
-if TYPE_CHECKING:  # pragma: no cover - import for annotations only
-    from repro.obs.recorder import Recorder
-    from repro.verify.sanitizer import CausalSanitizer
 
 #: wake-token kinds
 _UPD, _FET, _RD = 0, 1, 2
@@ -120,26 +107,18 @@ class SimSite:
         protocol: CausalProtocol,
         sim: Simulator,
         network: Network,
-        history: Optional[History] = None,
         metrics: Optional[MetricsCollector] = None,
-        tracer: Optional[Tracer] = None,
+        obs: Optional[Fanout] = None,
         batch_window: Optional[float] = None,
-        sanitizer: Optional["CausalSanitizer"] = None,
-        recorder: Optional["Recorder"] = None,
     ) -> None:
         self.protocol = protocol
         self.site: SiteId = protocol.site
         self.sim = sim
         self.network = network
-        self.history = history
         self.metrics = metrics
-        self.tracer = tracer
-        #: opt-in runtime causal oracle (ClusterConfig.sanitize); shared
-        #: across every site of the cluster
-        self.sanitizer = sanitizer
-        #: opt-in repro.obs lifecycle recorder (None = tracing off, the
-        #: zero-cost default); shared across the cluster
-        self.recorder = recorder
+        #: the observation seam (repro.core.observe), shared across the
+        #: cluster; None = nothing attached, the zero-cost default
+        self.obs = obs
         self.batcher = None
         if batch_window is not None:
             from repro.sim.batching import UpdateBatcher
@@ -198,38 +177,25 @@ class SimSite:
     # ------------------------------------------------------------------
     # outbound
     # ------------------------------------------------------------------
-    def broadcast_write(self, result: WriteResult, var: VarId) -> None:
-        """Hand a write's update messages to the network; record the local
-        apply if the variable is locally replicated."""
-        if self.sanitizer is not None:
-            self.sanitizer.on_write(
+    def broadcast_write(self, result: WriteResult, var: VarId, value: Any) -> None:
+        """Hand a write's update messages to the network; report the issue,
+        its sends and, if the variable is locally replicated, its local
+        apply."""
+        messages = result.messages
+        obs = self.obs
+        if obs is not None:
+            now = self.sim.now
+            obs.on_issue(
+                now,
                 self.site,
                 var,
                 result.write_id,
                 tuple(self.protocol.replicas(var)),
+                value,
                 result.applied_locally,
-                now=self.sim.now,
             )
-        rec = self.recorder
-        if rec is not None and not rec.enabled:
-            rec = None
-        if rec is not None:
-            rec.on_issue(
-                self.sim.now,
-                self.site,
-                var,
-                result.write_id,
-                self.protocol.replicas(var),
-            )
-        messages = result.messages
-        if self.tracer or rec is not None:
             for msg in messages:
-                if self.tracer:
-                    self.tracer.emit(
-                        SendEvent(self.sim.now, self.site, msg.dest, var, msg.write_id)
-                    )
-                if rec is not None:
-                    rec.on_send(self.sim.now, self.site, msg.dest, msg.write_id)
+                obs.on_send(now, self.site, msg.dest, msg.write_id, var)
         self.updates_sent += len(messages)
         if self.batcher is not None:
             for msg in messages:
@@ -298,26 +264,17 @@ class SimSite:
                 return
             on_done(*proto.complete_remote_read(reply))
 
-        if self.tracer:
-            self.tracer.emit(FetchEvent(self.sim.now, self.site, server, var))
+        if self.obs is not None:
+            self.obs.on_fetch(self.sim.now, self.site, server, var)
         send()
         return lambda: self.forget_fetch(current)
 
     def observe_read(
         self, var: VarId, value: Any, write_id: Optional[WriteId]
     ) -> None:
-        """Report a completed read to the sanitizer, the lifecycle
-        recorder, the history and the tracer."""
-        now = self.sim.now
-        if self.sanitizer is not None:
-            self.sanitizer.on_read(self.site, var, write_id, now=now)
-        rec = self.recorder
-        if rec is not None and rec.enabled:
-            rec.on_read(now, self.site, var, write_id)
-        if self.history is not None:
-            self.history.record_read(self.site, var, value, write_id, now)
-        if self.tracer:
-            self.tracer.emit(ReturnEvent(now, self.site, var, value, write_id))
+        """Report a completed read (the paper's ``return``)."""
+        if self.obs is not None:
+            self.obs.on_read(self.sim.now, self.site, var, write_id, value)
 
     # ------------------------------------------------------------------
     # inbound
@@ -335,41 +292,32 @@ class SimSite:
             raise SimulationError(f"unknown message kind {kind!r}")
 
     def _on_update_batch(self, batch) -> None:
-        if self.tracer:
-            self.tracer.emit(
-                ReceiptEvent(
-                    self.sim.now, self.site, batch.sender, "update-batch", "*"
-                )
-            )
         now = self.sim.now
-        rec = self.recorder
+        if self.obs is not None:
+            self.obs.on_receipt(now, self.site, batch.sender, "update-batch", "*")
         for msg in batch.updates:
-            if rec is not None and rec.enabled:
-                rec.on_deliver(now, self.site, msg.write_id)
             self._enqueue_update(msg, now)
         self.drain()
 
     def _on_update(self, msg: UpdateMessage) -> None:
-        if self.tracer:
-            self.tracer.emit(
-                ReceiptEvent(self.sim.now, self.site, msg.sender, "update", msg.var)
-            )
-        rec = self.recorder
-        if rec is not None and rec.enabled:
-            rec.on_deliver(self.sim.now, self.site, msg.write_id)
+        if self.obs is not None:
+            self.obs.on_receipt(self.sim.now, self.site, msg.sender, "update", msg.var)
         self._enqueue_update(msg, self.sim.now)
         self.drain()
 
     def _enqueue_update(self, msg: UpdateMessage, recv_time: float) -> None:
+        """Buffer one delivered update and register its wake watch."""
         seq = self._useq
         self._useq += 1
         self._pu[seq] = (msg, recv_time)
+        obs = self.obs
+        if obs is not None:
+            obs.on_deliver(recv_time, self.site, msg.write_id)
         deps = self.protocol.blocking_deps(msg)
-        rec = self.recorder
-        if rec is not None and rec.enabled and deps != ():
+        if obs is not None and deps != ():
             # None (unindexable) or a non-empty blocking set: the
             # activation predicate may be false right now
-            self._record_buffered(rec, msg, deps)
+            self._report_buffered(obs, msg, deps)
         if deps is None:
             self._unidx_u.append(seq)  # seqs only grow: stays sorted
         elif deps:
@@ -378,24 +326,21 @@ class SimSite:
         else:
             heapq.heappush(self._ready_u, seq)
 
-    def _record_buffered(self, rec, msg: UpdateMessage, deps) -> None:
-        """Emit a ``buffered`` lifecycle event if ``msg``'s activation
-        predicate is false on arrival, naming the blocking dependencies
-        when the protocol can report them (``deps`` is its
-        ``blocking_deps`` result; None = unindexable, so the predicate is
-        tested directly — predicate hooks are pure, the extra call cannot
-        perturb the run)."""
+    def _report_buffered(self, obs: Fanout, msg: UpdateMessage, deps) -> None:
+        """Emit ``buffered`` if ``msg``'s activation predicate is false on
+        arrival, naming the blocking dependencies when the protocol can
+        report them (``deps`` is its ``blocking_deps`` result; None =
+        unindexable, so the predicate is tested directly — predicate
+        hooks are pure, the extra call cannot perturb the run)."""
         if deps is None:
             if self.protocol.can_apply(msg):
                 return
             deps = ()
-        rec.on_buffered(self.sim.now, self.site, msg.write_id, deps)
+        obs.on_buffered(self.sim.now, self.site, msg.write_id, deps)
 
     def _on_fetch_request(self, req: FetchRequest) -> None:
-        if self.tracer:
-            self.tracer.emit(
-                ReceiptEvent(self.sim.now, self.site, req.requester, "fetch", req.var)
-            )
+        if self.obs is not None:
+            self.obs.on_receipt(self.sim.now, self.site, req.requester, "fetch", req.var)
         seq = self._fseq
         self._fseq += 1
         self._pf[seq] = (req, self.sim.now)
@@ -410,11 +355,9 @@ class SimSite:
             self._serve_fetch(req)
 
     def _on_fetch_reply(self, reply: FetchReply) -> None:
-        if self.tracer:
-            self.tracer.emit(
-                ReceiptEvent(
-                    self.sim.now, self.site, reply.server, "fetch-reply", reply.var
-                )
+        if self.obs is not None:
+            self.obs.on_receipt(
+                self.sim.now, self.site, reply.server, "fetch-reply", reply.var
             )
         waiter = self._fetch_waiters.pop(reply.fetch_id, None)
         if waiter is not None:
@@ -431,6 +374,7 @@ class SimSite:
         unblocked fetches and local reads.  Returns the number of updates
         applied."""
         proto = self.protocol
+        obs = self.obs
         pu = self._pu
         cur = self._ready_u  # sweep-1 ready heap (the persistent one)
         nxt: List[int] = []
@@ -477,12 +421,9 @@ class SimSite:
                         continue  # stale token (applied via another path)
                     msg, recv_time = item
                     cursor = seq
-                if self.sanitizer is not None:
-                    self.sanitizer.before_apply(proto, msg, now=self.sim.now)
-                    proto.apply_update(msg)
-                    self.sanitizer.after_apply(proto, msg, now=self.sim.now)
-                else:
-                    proto.apply_update(msg)
+                if obs is not None:
+                    obs.on_check(self.sim.now, proto, msg)
+                proto.apply_update(msg)
                 self._record_apply(msg.var, msg.write_id, recv_time)
                 self.updates_applied += 1
                 applied_sweep += 1
@@ -510,10 +451,10 @@ class SimSite:
         position is still ahead of the cursor, the next sweep otherwise
         (replicating the rescan's sweep discipline)."""
         proto = self.protocol
-        rec = self.recorder
+        obs = self.obs
         ready_w: Optional[List] = None
         reparked_w: Optional[List] = None
-        if rec is not None and rec.enabled:
+        if obs is not None:
             ready_w, reparked_w = [], []
         progress = proto.apply_progress(z)
         for kind, seq in self._wake.pop_ready(z, progress):
@@ -559,8 +500,8 @@ class SimSite:
                     self._wake.watch(z2, c2, _RD, seq)
                 else:
                     heapq.heappush(self._ready_r, seq)
-        if rec is not None and (ready_w or reparked_w):
-            rec.on_wake(self.sim.now, self.site, z, progress, ready_w, reparked_w)
+        if obs is not None and (ready_w or reparked_w):
+            obs.on_wake(self.sim.now, self.site, z, progress, ready_w, reparked_w)
 
     def _flush_ready_fetches(self) -> None:
         """Serve woken and unindexable pending fetches, in arrival order
@@ -660,25 +601,16 @@ class SimSite:
 
     def _serve_fetch(self, req: FetchRequest) -> None:
         reply = self.protocol.serve_fetch(req)
-        if self.tracer:
-            self.tracer.emit(
-                RemoteReturnEvent(self.sim.now, self.site, req.requester, req.var)
-            )
+        if self.obs is not None:
+            self.obs.on_remote_return(self.sim.now, self.site, req.requester, req.var)
         self.network.send(MetricsCollector.REPLY, reply, self.site, req.requester)
 
     def _record_apply(self, var: VarId, write_id, recv_time: float) -> None:
         now = self.sim.now
-        if self.history is not None:
-            self.history.record_apply(self.site, write_id, var, now, recv_time)
+        if self.obs is not None:
+            self.obs.on_apply(now, self.site, var, write_id, recv_time)
         if self.metrics is not None:
             self.metrics.on_apply(now - recv_time)
-        rec = self.recorder
-        if rec is not None and rec.enabled:
-            rec.on_apply(now, self.site, var, write_id, recv_time)
-        if self.tracer:
-            self.tracer.emit(
-                ApplyEvent(now, self.site, var, write_id, write_id.site)
-            )
 
     # ------------------------------------------------------------------
     @property

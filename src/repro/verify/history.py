@@ -52,7 +52,7 @@ class History:
             self.local = [[] for _ in range(self.n_sites)]
 
     # ------------------------------------------------------------------
-    # recording hooks (called by the simulation layer)
+    # recording
     # ------------------------------------------------------------------
     def record_write(
         self,
@@ -119,6 +119,36 @@ class History:
         )
         self.applies.append(rec)
         return rec
+
+    # ------------------------------------------------------------------
+    # seam subscriber (repro.core.observe): issue, apply and read
+    # ------------------------------------------------------------------
+    def on_issue(
+        self,
+        t: float,
+        site: SiteId,
+        var: VarId,
+        write_id: WriteId,
+        dests: Tuple[SiteId, ...],
+        value: object,
+        local: bool,
+    ) -> None:
+        self.record_write(site, var, value, write_id, t, destinations=dests)
+
+    def on_apply(
+        self, t: float, site: SiteId, var: VarId, write_id: WriteId, recv_time: float
+    ) -> None:
+        self.record_apply(site, write_id, var, t, recv_time)
+
+    def on_read(
+        self,
+        t: float,
+        site: SiteId,
+        var: VarId,
+        write_id: Optional[WriteId],
+        value: object,
+    ) -> None:
+        self.record_read(site, var, value, write_id, t)
 
     # ------------------------------------------------------------------
     # accessors

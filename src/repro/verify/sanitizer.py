@@ -115,6 +115,8 @@ class CausalSanitizer:
         #: Condition-1 dominated-skip gate
         self._pre_stored: Dict[Tuple[SiteId, VarId], Any] = {}
         self.checks_run = 0
+        #: the remote apply :meth:`on_check` passed, awaiting its commit
+        self._checked: Optional[Tuple[CausalProtocol, UpdateMessage]] = None
         #: the first violation raised, kept here durably: under the
         #: service layer a check fires inside a connection-handler task,
         #: where the raise can be swallowed by connection teardown — the
@@ -122,45 +124,51 @@ class CausalSanitizer:
         self.first_violation: Optional[SanitizerViolation] = None
 
     # ------------------------------------------------------------------
-    # observation hooks (called by the sim layer)
+    # seam subscriber (repro.core.observe): issue, check, apply, read
     # ------------------------------------------------------------------
-    def on_write(
+    def on_issue(
         self,
+        t: float,
         site: SiteId,
         var: VarId,
         write_id: WriteId,
         dests: Tuple[SiteId, ...],
-        applied_locally: bool,
-        now: float = 0.0,
+        value: Any,
+        local: bool,
     ) -> None:
         w = self.write[site]
         for dest in dests:
             w[site, dest] += 1
         self.shadows[write_id] = w.copy()
         self.trace.record(
-            TraceEvent("write", now, site, var, write_id, f"dests={list(dests)}")
+            TraceEvent("write", t, site, var, write_id, f"dests={list(dests)}")
         )
-        if applied_locally:
+        if local:
             self.applied[site][site] += 1
             self.last_seq[site][site] = write_id.seq
-            self.trace.record(TraceEvent("apply-local", now, site, var, write_id))
+            self.trace.record(TraceEvent("apply-local", t, site, var, write_id))
 
     def on_read(
-        self, site: SiteId, var: VarId, write_id: Optional[WriteId], now: float = 0.0
+        self,
+        t: float,
+        site: SiteId,
+        var: VarId,
+        write_id: Optional[WriteId],
+        value: Any,
     ) -> None:
-        self.trace.record(TraceEvent("read", now, site, var, write_id))
+        self.trace.record(TraceEvent("read", t, site, var, write_id))
         if write_id is None:
             return
         shadow = self.shadows.get(write_id)
         if shadow is not None:
             np.maximum(self.write[site], shadow, out=self.write[site])
 
-    def before_apply(
-        self, protocol: CausalProtocol, msg: UpdateMessage, now: float = 0.0
-    ) -> None:
+    def on_check(self, t: float, protocol: CausalProtocol, msg: UpdateMessage) -> None:
+        """Judge a remote apply before ``apply_update`` runs; the
+        :meth:`on_apply` that follows commits it."""
         site = protocol.site
         self.trace.record(
-            TraceEvent("apply", now, site, msg.var, msg.write_id, f"from s{msg.sender}")
+            TraceEvent("apply", t, site, msg.var, msg.write_id, f"from s{msg.sender}")
         )
         self.checks_run += 1
         self._check_monotone(site, msg.sender, msg.write_id)
@@ -170,13 +178,22 @@ class CausalSanitizer:
             self._pre_stored[(site, msg.var)] = getattr(
                 protocol, "last_write_on", {}
             ).get(msg.var)
+        self._checked = (protocol, msg)
 
-    def after_apply(
-        self, protocol: CausalProtocol, msg: UpdateMessage, now: float = 0.0
+    def on_apply(
+        self,
+        t: float,
+        site: SiteId,
+        var: VarId,
+        write_id: WriteId,
+        recv_time: float,
     ) -> None:
-        site = protocol.site
+        checked, self._checked = self._checked, None
+        if checked is None:
+            return  # the writer's own apply: committed at issue
+        protocol, msg = checked
         self.applied[site][msg.sender] += 1
-        self.last_seq[site][msg.sender] = msg.write_id.seq
+        self.last_seq[site][msg.sender] = write_id.seq
         if isinstance(msg.meta, OptTrackMeta):
             self._check_condition1(protocol, msg)
 
@@ -193,9 +210,9 @@ class CausalSanitizer:
         Runs the protocol-*independent* checks (per-sender monotonicity and
         ``A_OPT`` activation safety) and commits the apply to the oracle.
         The KS Condition-1/2 checks need the live protocol's dependency-log
-        state and are live-run only — :meth:`before_apply`/:meth:`after_apply`
+        state and are live-run only — :meth:`on_check`/:meth:`on_apply`
         remain the full-strength path.  ``local`` marks the writer applying
-        its own update (no checks, mirroring ``on_write(applied_locally=True)``).
+        its own update (no checks, mirroring ``on_issue(..., local=True)``).
         """
         if local:
             self.trace.record(TraceEvent("apply-local", now, site, var, write_id))

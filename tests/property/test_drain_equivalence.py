@@ -58,12 +58,9 @@ class RescanSite(SimSite):
                 msg, recv_time = pu[seq]
                 if proto.can_apply(msg):
                     del pu[seq]
-                    if self.sanitizer is not None:
-                        self.sanitizer.before_apply(proto, msg, now=self.sim.now)
-                        proto.apply_update(msg)
-                        self.sanitizer.after_apply(proto, msg, now=self.sim.now)
-                    else:
-                        proto.apply_update(msg)
+                    if self.obs is not None:
+                        self.obs.on_check(self.sim.now, proto, msg)
+                    proto.apply_update(msg)
                     self._record_apply(msg.var, msg.write_id, recv_time)
                     self.updates_applied += 1
                     applied_total += 1

@@ -2,10 +2,12 @@
 
 Two guarantees back the whole observability story:
 
-1. **Tracing is a pure observer.**  A run with ``ClusterConfig(trace=...)``
-   must produce the byte-identical history — same operation records, same
-   apply events at the same simulated times, same message count — as the
-   identical run with tracing off.  The fingerprints are shared with the
+1. **Observers are pure.**  A run with ``ClusterConfig(trace=...)``,
+   with the causal sanitizer and the §II-B ``Tracer`` each on or off
+   beside the lifecycle recorder, must produce the byte-identical
+   history of the identical run with tracing off: same operation
+   records, same apply events at the same simulated times, same message
+   count.  The fingerprints are shared with the
    drain-equivalence suite so "identical history" means the same thing
    everywhere.
 
@@ -33,7 +35,9 @@ PARTIAL = ["full-track", "opt-track"]
 ALL_PROTOCOLS = PARTIAL + ["opt-track-crp", "optp", "ahamad"]
 
 
-def run_once(protocol, n, q, p, seed, write_rate, trace=None):
+def run_once(
+    protocol, n, q, p, seed, write_rate, trace=None, sanitize=False, tracer=True
+):
     cfg = ClusterConfig(
         n_sites=n,
         n_variables=q,
@@ -43,8 +47,13 @@ def run_once(protocol, n, q, p, seed, write_rate, trace=None):
         seed=seed,
         think_time=0.5,
         trace=trace,
+        sanitize=sanitize,
     )
     cluster = Cluster(cfg)
+    if not tracer and cluster.tracer is not None:
+        # the lifecycle recorder alone: the §II-B Tracer detached
+        cluster.tracer = None
+        cluster.attach_observers()
     wl = generate(
         WorkloadConfig(
             n_sites=n,
@@ -60,15 +69,26 @@ def run_once(protocol, n, q, p, seed, write_rate, trace=None):
 
 
 def assert_observer_purity_and_roundtrip(
-    protocol, n, q, p, seed, write_rate, tmp_path
+    protocol, n, q, p, seed, write_rate, sanitize, tracer, tmp_path
 ):
     _, plain = run_once(protocol, n, q, p, seed, write_rate)
     path = tmp_path / f"{protocol}-{seed}.jsonl"
     cluster, traced = run_once(
-        protocol, n, q, p, seed, write_rate, trace=str(path)
+        protocol,
+        n,
+        q,
+        p,
+        seed,
+        write_rate,
+        trace=str(path),
+        sanitize=sanitize,
+        tracer=tracer,
     )
+    assert (cluster.sanitizer is not None) == sanitize
+    assert (cluster.tracer is not None) == tracer
 
-    # 1. pure observer: identical histories with tracing on and off
+    # 1. pure observer: identical histories with tracing on and off, and
+    # with the sanitizer and the §II-B Tracer on or off beside it
     assert op_fingerprint(traced.history) == op_fingerprint(plain.history)
     assert apply_fingerprint(traced.history) == apply_fingerprint(
         plain.history
@@ -100,7 +120,9 @@ def trace_params(draw):
     p = draw(st.integers(min_value=1, max_value=n))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     write_rate = draw(st.floats(min_value=0.1, max_value=1.0))
-    return n, q, p, seed, write_rate
+    sanitize = draw(st.booleans())
+    tracer = draw(st.booleans())
+    return n, q, p, seed, write_rate, sanitize, tracer
 
 
 @pytest.mark.parametrize("protocol", PARTIAL)
@@ -122,7 +144,10 @@ class TestTraceRoundTrip:
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 def test_fixed_seed_roundtrip(protocol, tmp_path):
     """Deterministic pass over every protocol, so each codepath (partial
-    and full replication) round-trips on every run."""
+    and full replication) round-trips on every run, with every
+    subscriber of the seam attached."""
     n = 5
     p = 2 if protocol in PARTIAL else n
-    assert_observer_purity_and_roundtrip(protocol, n, 8, p, 1234, 0.5, tmp_path)
+    assert_observer_purity_and_roundtrip(
+        protocol, n, 8, p, 1234, 0.5, True, True, tmp_path
+    )

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.observe import observe
 from repro.errors import ConfigurationError
 from repro.obs.export import (
     CONTENT_TYPE,
@@ -14,7 +15,7 @@ from repro.obs.export import (
     prometheus_text,
     serve_metrics,
 )
-from repro.obs.flight import FlightRecorder, TeeRecorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.jsonl import LoadedTrace, load_trace
 from repro.obs.recorder import (
     NullRecorder,
@@ -130,8 +131,8 @@ class TestRecorder:
 
     def test_null_recorder_is_disabled(self):
         rec = NullRecorder()
-        assert rec.enabled is False and rec.needs_reasons is False
-        rec.on_issue(0.0, 0, "x", WriteId(0, 1), (1,))  # all hooks no-op
+        assert rec.enabled is False
+        assert observe(rec) is None  # attaching it leaves the seam off
         assert rec.close() is None
 
     def test_trace_recorder_records_canonical_json_shapes(self):
@@ -267,6 +268,32 @@ class TestJsonlAndReplay:
         assert report.checks_run > 0
         assert report.writes == loaded.kind_counts()["issue"]
         assert "OK" in report.summary()
+
+    def test_replay_infers_the_site_count_of_a_flight_dump(self, tmp_path):
+        # a flight dump's header names no n_sites: replay infers it from
+        # the highest site the records mention
+        cluster = Cluster(
+            ClusterConfig(n_sites=5, n_variables=8, protocol="optp", seed=3)
+        )
+        flight = cluster.recorder = FlightRecorder(capacity=100_000)
+        cluster.attach_observers()
+        wl = generate(
+            WorkloadConfig(
+                n_sites=5, ops_per_site=20, placement=cluster.placement, seed=3
+            )
+        )
+        assert cluster.run(wl).ok
+        assert flight.dropped == 0
+        dump = tmp_path / "flight.jsonl"
+        flight.dump(str(dump), "test")
+        loaded = load_trace(dump)
+        assert loaded.n_sites is None
+        report = replay_trace(loaded)
+        assert report.n_sites == 5 and report.checks_run > 0
+        empty = tmp_path / "empty-flight.jsonl"
+        FlightRecorder().dump(str(empty), "test")
+        with pytest.raises(ConfigurationError, match="cannot infer site count"):
+            replay_trace(load_trace(empty))
 
     def test_render_report_shows_buffering(self, tmp_path):
         _, path = traced_run(tmp_path)
@@ -456,34 +483,41 @@ class TestFlightRecorder:
         assert load_trace(second).header["flight"]["reason"] == "handler-error"
 
 
-class TestTeeRecorder:
+class TestFanout:
     def test_drops_disabled_members_at_construction(self):
-        tee = TeeRecorder(NullRecorder(), None)
-        assert tee.enabled is False and tee.recorders == ()
+        assert observe(NullRecorder(), None) is None
+        flight = FlightRecorder()
+        assert observe(NullRecorder(), flight).subscribers == (flight,)
 
     def test_fans_hooks_to_every_member(self):
         trace = TraceRecorder()
         flight = FlightRecorder()
-        tee = TeeRecorder(trace, flight)
-        assert tee.enabled is True
+        fan = observe(trace, flight)
         # reasons propagate: the trace recorder wants them
-        assert tee.needs_reasons is True
+        assert fan.needs_reasons is True
         wid = WriteId(0, 1)
-        tee.on_issue(0.0, 0, "x", wid, (1,))
-        tee.on_apply(1.0, 1, "x", wid, 0.0)
+        fan.on_issue(0.0, 0, "x", wid, (1,), "v", False)
+        fan.on_apply(1.0, 1, "x", wid, 0.0)
+        fan.on_receipt(1.0, 1, 0, "update", "x")  # no recorder takes it
         assert len(trace.records) == 2 and len(flight) == 2
         assert flight.records() == trace.records
 
-    def test_flight_only_tee_needs_no_reasons(self):
-        tee = TeeRecorder(NullRecorder(), FlightRecorder())
-        assert tee.enabled is True and tee.needs_reasons is False
-        assert len(tee.recorders) == 1
+    def test_single_subscriber_is_called_directly(self):
+        flight = FlightRecorder()
+        fan = observe(flight)
+        # no fan-out frame between the emit and the one subscriber
+        assert fan.on_apply == flight.on_apply
+
+    def test_flight_only_fanout_needs_no_reasons(self):
+        fan = observe(NullRecorder(), FlightRecorder())
+        assert fan.needs_reasons is False
+        assert len(fan.subscribers) == 1
 
     def test_bind_clock_reaches_members(self):
         flight = FlightRecorder()
-        tee = TeeRecorder(flight)
-        tee.bind_clock(lambda: 9.0)
-        tee.on_prune(0, "condition2", "x", 1, {0: 1}, 0)
+        fan = observe(flight)
+        fan.bind_clock(lambda: 9.0)
+        fan.on_prune(0, "condition2", "x", 1, {0: 1}, 0)
         (prune,) = flight.records()
         assert prune["t"] == 9.0
 

@@ -246,13 +246,13 @@ class TestSanitizerUnit:
         san = CausalSanitizer(2)
         receiver = self._proto(site=1)
         wid = WriteId(0, 1)
-        san.on_write(0, "x", wid, dests=(0, 1), applied_locally=True)
+        san.on_issue(0.0, 0, "x", wid, (0, 1), "v", True)
         meta = OptTrackMeta(1, 0b11, receiver.log.copy())
         msg = UpdateMessage("x", "v", wid, 0, 1, meta)
-        san.before_apply(receiver, msg)
-        san.after_apply(receiver, msg)
+        san.on_check(0.0, receiver, msg)
+        san.on_apply(0.0, 1, "x", wid, 0.0)
         with pytest.raises(SanitizerViolation, match="monotonicity"):
-            san.before_apply(receiver, msg)
+            san.on_check(0.0, receiver, msg)
 
     def test_unknown_write_is_not_checked(self):
         # writes injected outside the session API have no shadow; the
@@ -261,14 +261,14 @@ class TestSanitizerUnit:
         receiver = self._proto(site=1)
         meta = OptTrackMeta(1, 0b11, receiver.log.copy())
         msg = UpdateMessage("x", "v", WriteId(0, 1), 0, 1, meta)
-        san.before_apply(receiver, msg)
-        san.after_apply(receiver, msg)
+        san.on_check(0.0, receiver, msg)
+        san.on_apply(0.0, 1, "x", WriteId(0, 1), 0.0)
 
     def test_trace_format_tail(self):
         trace = CausalTrace()
         san = CausalSanitizer(2)
         for i in range(5):
-            san.on_write(0, "x", WriteId(0, i + 1), dests=(0,), applied_locally=True)
+            san.on_issue(0.0, 0, "x", WriteId(0, i + 1), (0,), i, True)
         text = san.trace.format(tail=3)
         assert "earlier events" in text
         assert len(san.trace) == 10  # 5 writes + 5 local applies

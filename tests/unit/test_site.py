@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.base import ProtocolConfig
+from repro.core.observe import observe
 from repro.core.opt_track import OptTrackProtocol
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
@@ -21,14 +22,15 @@ def make_rig(n=3, placement=None, tracer=False):
     net = Network(sim, ConstantLatency(1.0), np.random.default_rng(0), metrics)
     history = History(n)
     tr = Tracer() if tracer else None
+    obs = observe(history, tr)
+    net.obs = obs
     sites = [
         SimSite(
             OptTrackProtocol(ProtocolConfig(n=n, site=i, replicas_of=placement)),
             sim,
             net,
-            history,
             metrics,
-            tr,
+            obs,
         )
         for i in range(n)
     ]
@@ -39,7 +41,7 @@ class TestUpdatePath:
     def test_update_applied_on_arrival(self):
         sim, net, sites, history, metrics, _ = make_rig()
         result = sites[0].protocol.write("x", 1)
-        sites[0].broadcast_write(result, "x")
+        sites[0].broadcast_write(result, "x", 1)
         sim.run()
         assert sites[1].protocol.local_value("x") == (1, result.write_id)
         assert sites[1].quiescent
@@ -91,7 +93,7 @@ class TestUpdatePath:
     def test_counters(self):
         sim, net, sites, *_ = make_rig()
         result = sites[0].protocol.write("x", 1)
-        sites[0].broadcast_write(result, "x")
+        sites[0].broadcast_write(result, "x", 1)
         sim.run()
         assert sites[0].updates_sent == 2
         assert sites[1].updates_applied == 1
@@ -105,7 +107,7 @@ class TestFetchPath:
     def test_fetch_round_trip_through_network(self):
         sim, net, sites, history, metrics, _ = make_rig(placement=self.placement())
         w = sites[0].protocol.write("x", 9)
-        sites[0].broadcast_write(w, "x")
+        sites[0].broadcast_write(w, "x", 9)
         sim.run()
         proto2 = sites[2].protocol
         req = proto2.make_fetch_request("x", 0)
@@ -179,7 +181,7 @@ class TestTracing:
     def test_events_emitted(self):
         sim, net, sites, history, metrics, tracer = make_rig(tracer=True)
         result = sites[0].protocol.write("x", 1)
-        sites[0].broadcast_write(result, "x")
+        sites[0].broadcast_write(result, "x", 1)
         sim.run()
         assert len(tracer.of_type(SendEvent)) == 2
         assert len(tracer.of_type(ReceiptEvent)) == 2
