@@ -94,8 +94,8 @@ perf-smoke:
 
 # Regenerate BENCH_hot_paths.json (reference runs + DepLog and VectorClock micro-ops +
 # tracing overhead guardrails: fails if the no-op recorder adds > 0.1% of
-# calls (NOOP_CALL_BUDGET) or the always-on flight ring costs > 20% wall
-# time over the detached fast path)
+# calls (NOOP_CALL_BUDGET) or the always-on flight ring adds > 10% of
+# calls (FLIGHT_CALL_BUDGET) over the detached fast path)
 bench:
 	$(PYTHON) -m repro.cli bench --out BENCH_hot_paths.json
 

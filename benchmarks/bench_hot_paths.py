@@ -7,8 +7,9 @@ tracing cost table in docs/observability.md.  ``write_report`` (and so
 ``make bench``) fails when an attached no-op recorder adds more than
 0.1 % to the untraced run's calls (``NOOP_CALL_BUDGET``, counted under
 ``sys.setprofile``) — the guardrail keeping tracing zero-cost-off — or
-when the always-on flight ring costs more than 20 % wall time (the
-guardrail keeping the crash recorder cheap enough to leave on).
+when the always-on flight ring adds more than 10 % of them
+(``FLIGHT_CALL_BUDGET``, the guardrail keeping the crash recorder cheap
+enough to leave on).
 
 Run directly::
 
@@ -22,7 +23,7 @@ or via the CLI / make::
 Also exposes a pytest smoke test so the harness itself cannot rot: a fast
 pass must produce both runs' throughput, non-degenerate micro timings,
 clock operations that agree with their numpy reference, and a no-op
-recorder within its call budget.
+recorder and a flight ring within their call budgets.
 """
 
 from __future__ import annotations
@@ -50,14 +51,13 @@ def test_hot_path_bench_smoke():
     overhead = report["trace_overhead"]
     assert set(overhead["wall_s"]) == {"disabled", "noop", "flight", "enabled"}
     assert all(w > 0 for w in overhead["wall_s"].values())
-    # the no-op gate is judged on counted calls, not on the wall times
-    assert set(overhead["calls"]) == {"disabled", "noop"}
+    # both gates are judged on counted calls, not on the wall times
+    assert set(overhead["calls"]) == {"disabled", "noop", "flight"}
     assert all(c > 0 for c in overhead["calls"].values())
-    # the no-op verdict is a call count, the same on every run: the
-    # zero-cost-off rail holds here too.  The flight verdict is wall-timed
-    # and left to write_report / make bench
+    # call counts are the same on every run: the zero-cost-off rail and
+    # the always-on ring's rail hold here too
     assert overhead["noop_within_budget"] is True
-    assert "flight_within_budget" in overhead
+    assert overhead["flight_within_budget"] is True
 
 
 def main() -> int:

@@ -303,20 +303,19 @@ def _spread(fn: Callable[[], Any], *, repeat: int, inner: int) -> list[float]:
 #: reference run); an emit that fires per event adds thousands.
 NOOP_CALL_BUDGET = 0.001
 
-#: the always-on flight ring's budget: an attached
-#: :class:`~repro.obs.flight.FlightRecorder` (bounded deque of cheap
-#: tuples, ``needs_reasons`` off) must stay within this fraction of the
-#: untraced run — the rail that keeps "every service site records its
-#: black box unconditionally" an acceptable default.  Wider than the
-#: no-op budget (the ring genuinely appends per event) but far below
-#: full tracing, which materialises dict records per event.  The value
-#: is set from measurement on the reference run: the ring costs ~5-15%
-#: there (a pure-CPU protocol loop is the *densest* possible hook rate
-#: — the live service amortises the same hooks over network I/O), while
-#: the two regressions this rail exists to catch sit well above it:
-#: losing the ``needs_reasons`` gate on prune pre-image snapshots costs
-#: ~30%, materialising dict records in the hooks ~40%+.
-FLIGHT_OVERHEAD_BUDGET = 0.20
+#: the always-on flight ring's budget, in calls like the no-op one: an
+#: attached :class:`~repro.obs.flight.FlightRecorder` (bounded deque of
+#: cheap tuples, ``needs_reasons`` off) may add at most this fraction to
+#: the untraced run's calls — the rail that keeps "every service site
+#: records its black box unconditionally" an acceptable default.  The
+#: ring makes one handler call and one append per event: +6.9 % on the
+#: fast reference run, +5.9 % on the full one.  A ring that records
+#: every event twice reads ≈ +14 % and fails, and so do the regressions
+#: the rail exists to catch (prune pre-image snapshots without the
+#: ``needs_reasons`` gate, dict records materialised in the hooks).
+#: Judged on wall time this verdict flipped between runs on a shared
+#: machine (9.5-35 % against a 20 % budget).
+FLIGHT_CALL_BUDGET = 0.10
 
 
 def _reference_cluster(
@@ -397,16 +396,18 @@ def _counted_reference_run(
 def bench_trace_overhead(
     fast: bool = False, seed: int = 3, repeat: int = 3
 ) -> Dict[str, Any]:
-    """The tracing cost ledger: disabled vs. no-op vs. enabled recorder.
+    """The tracing cost ledger: disabled vs. no-op vs. flight ring vs.
+    enabled recorder.
 
     Best-of-``repeat`` wall times (minimum — robust against scheduler
     noise) for the reference run in each mode, and the calls the
-    disabled and no-op runs make.  ``noop_within_budget`` is the
-    guardrail ``make bench`` enforces, judged on the counts: an
-    attached-but-silent recorder may add at most :data:`NOOP_CALL_BUDGET`
-    to the ``recorder = None`` fast path's calls.  A wall-time verdict
-    on these short runs swings past a few percent between identical
-    invocations; a call count does not move."""
+    disabled, no-op and flight runs make.  ``noop_within_budget`` and
+    ``flight_within_budget`` are the guardrails ``make bench`` enforces,
+    both judged on the counts: an attached-but-silent recorder may add
+    at most :data:`NOOP_CALL_BUDGET` to the ``recorder = None`` fast
+    path's calls, the flight ring :data:`FLIGHT_CALL_BUDGET`.  A
+    wall-time verdict on these short runs swings past a few percent
+    between identical invocations; a call count does not move."""
     ref: Dict[str, Any] = dict(REFERENCE)
     if fast:
         ref["ops_per_site"] = 50
@@ -421,11 +422,15 @@ def bench_trace_overhead(
             walls[mode] = min(walls[mode], _timed_reference_run(mode, seed, ref))
     # the timed runs above warmed every mode up
     calls = {
-        mode: _counted_reference_run(mode, seed, ref) for mode in ("disabled", "noop")
+        mode: _counted_reference_run(mode, seed, ref)
+        for mode in ("disabled", "noop", "flight")
     }
     noop_pct = (walls["noop"] - walls["disabled"]) / walls["disabled"] * 100
     noop_calls_pct = (calls["noop"] - calls["disabled"]) / calls["disabled"] * 100
     flight_pct = (walls["flight"] - walls["disabled"]) / walls["disabled"] * 100
+    flight_calls_pct = (
+        (calls["flight"] - calls["disabled"]) / calls["disabled"] * 100
+    )
     enabled_pct = (walls["enabled"] - walls["disabled"]) / walls["disabled"] * 100
     return {
         "reference": ref,
@@ -434,11 +439,12 @@ def bench_trace_overhead(
         "noop_overhead_pct": noop_pct,
         "noop_calls_overhead_pct": noop_calls_pct,
         "flight_overhead_pct": flight_pct,
+        "flight_calls_overhead_pct": flight_calls_pct,
         "enabled_overhead_pct": enabled_pct,
         "noop_budget_pct": NOOP_CALL_BUDGET * 100,
-        "flight_budget_pct": FLIGHT_OVERHEAD_BUDGET * 100,
+        "flight_budget_pct": FLIGHT_CALL_BUDGET * 100,
         "noop_within_budget": noop_calls_pct <= NOOP_CALL_BUDGET * 100,
-        "flight_within_budget": flight_pct <= FLIGHT_OVERHEAD_BUDGET * 100,
+        "flight_within_budget": flight_calls_pct <= FLIGHT_CALL_BUDGET * 100,
     }
 
 
@@ -513,8 +519,8 @@ def write_report(
         )
     if not overhead["flight_within_budget"]:
         raise RuntimeError(
-            f"flight-ring overhead {overhead['flight_overhead_pct']:.2f}% "
-            f"exceeds the {overhead['flight_budget_pct']:.0f}% budget "
+            f"flight ring adds {overhead['flight_calls_overhead_pct']:.2f}% "
+            f"calls, past the {overhead['flight_budget_pct']:.0f}% budget "
             "(the always-on crash recorder got too expensive to keep on)"
         )
     return report

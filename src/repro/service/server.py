@@ -768,8 +768,14 @@ class SiteServer:
         #: write, each kept until its destination acks it or shows it
         #: applied at a handshake (then pruned via :meth:`_own_retired`)
         #: — what the handshake's catch-up (:meth:`PeerLink._catch_up`)
-        #: re-ships from
+        #: re-ships from.  Every ``wal.put`` names the log's oldest
+        #: clock (:meth:`_retired_floor`), so a recovered log starts
+        #: there, not at the last snapshot
         self._own_log: Dict[int, List[UpdateMessage]] = {}
+        #: at most the oldest clock in ``_own_log``: every own write
+        #: below it has left the log.  It only advances, a clock at a
+        #: time, so tracking it costs O(1) per own write amortized
+        self._own_floor = 0
         #: parked updates surviving from a PREVIOUS incarnation of their
         #: sender, per sender (see :meth:`_handle_hello`): while any
         #: exist, the applied watermark advertised to that sender clamps
@@ -1149,6 +1155,34 @@ class SiteServer:
         if not entry:
             del self._own_log[msg.write_id.seq]
 
+    def _retired_floor(self, seq: int) -> int:
+        """The retired floor as of own write ``seq`` (not yet in the own
+        log): the oldest clock still in ``_own_log``, or ``seq`` when
+        the log is empty.  Every own write below it is held by every
+        destination.  ``_own_floor`` walks up over the clocks that left
+        the log — each clock once over the site's life, never a scan
+        of the log."""
+        log = self._own_log
+        floor = self._own_floor
+        if not log:
+            floor = seq
+        else:
+            while floor not in log:
+                floor += 1
+        self._own_floor = floor
+        return floor
+
+    def _release_below(self, floor: int) -> None:
+        """Drop the own-log entries below a logged retired ``floor``
+        (replay): every destination held those writes when the record
+        was written."""
+        log = self._own_log
+        if log:
+            for clock in range(self._own_floor, floor):
+                log.pop(clock, None)
+        if floor > self._own_floor:
+            self._own_floor = floor
+
     def _park(self, src: SiteId, link_seq: int, msg: UpdateMessage) -> None:
         """Buffer an update whose activation predicate is false, and
         record its link sequence: the applied watermark ``ap`` stops
@@ -1198,8 +1232,11 @@ class SiteServer:
         proto = self.protocol
         result: WriteResult = proto.write(var, value)
         if self.wal is not None:
+            wid = result.write_id
             self.wal.append(
-                wire.BINARY_CODEC.pack_wal_put(var, value, result.write_id)
+                wire.BINARY_CODEC.pack_wal_put(
+                    var, value, wid, self._retired_floor(wid.seq)
+                )
             )
         if result.write_id.seq > self._origin_applied.get(self.site, 0):
             self._origin_applied[self.site] = result.write_id.seq
@@ -1227,6 +1264,9 @@ class SiteServer:
             link.enqueue_update(msg, flush=False)
             links.append(link)
         if result.applied_locally:
+            # the writer's own apply, reported as the simulator reports
+            # it: a trace replay commits the write at its origin here
+            obs.on_apply(now, self.site, var, result.write_id, now)
             self._drain()
         self.metric("service_requests_total", op="put")
         try:
@@ -1620,6 +1660,7 @@ class SiteServer:
             for f in snapshot.get("own") or ():
                 msg = wire.decode_update(f)
                 self._own_log.setdefault(msg.write_id.seq, []).append(msg)
+            self._own_floor = min(self._own_log, default=0)
         for frame in frames:
             self._replay(frame)
             self.wal_replayed += 1
@@ -1632,7 +1673,12 @@ class SiteServer:
         what they were when the record was written.  Ack-driven GC
         effects (``note_remote_apply``) are NOT replayed — a recovered
         site carries fatter dependency logs, which is a safe
-        over-approximation."""
+        over-approximation.  The own-write log is the exception: a
+        ``wal.put`` names the retired floor it was written under
+        (``fl``, the gap below its clock), and the entries below it are
+        dropped before the write goes in — the log ends holding the
+        writes in flight at the last put, and those written after it.
+        A put record with no floor (an older build's) keeps them all."""
         kind = frame["t"]
         if kind == "wal.put":
             var = frame["var"]
@@ -1646,6 +1692,9 @@ class SiteServer:
                 )
             if result.write_id.seq > self._origin_applied.get(self.site, 0):
                 self._origin_applied[self.site] = result.write_id.seq
+            gap = frame.get("fl")
+            if gap is not None:
+                self._release_below(logged.seq - gap)
             if result.messages:
                 self._own_log[result.write_id.seq] = list(result.messages)
             if result.applied_locally:

@@ -546,11 +546,21 @@ class BinaryCodec:
         _pack_fields(out, _reply_applied_fields(reply, lean), compact)
         return _finish(out)
 
-    def pack_wal_put(self, var: Any, value: Any, write_id: WriteId) -> bytes:
-        out = bytearray(_HEADS[self.compact]["wal.put"])
-        _pack_var(out, var, None, self.compact)
-        _pack_into(out, value, self.compact)
-        _pack_wid(out, write_id, self.compact)
+    def pack_wal_put(
+        self, var: Any, value: Any, write_id: WriteId, floor: Optional[int] = None
+    ) -> bytes:
+        """``wal.put``; given the origin's retired ``floor``, the second
+        layout, which spells it as the gap ``fl`` below the write's clock."""
+        compact = self.compact
+        if floor is None:
+            out = bytearray(_HEADS[compact]["wal.put"])
+        else:
+            out = bytearray(_FLOOR_PUT_HEADS[compact])
+        _pack_var(out, var, None, compact)
+        _pack_into(out, value, compact)
+        _pack_wid(out, write_id, compact)
+        if floor is not None:
+            _pack_int(out, write_id.seq - floor, compact)
         return _finish(out)
 
     def pack_wal_read(self, var: Any) -> bytes:
@@ -631,10 +641,12 @@ _FRAME_TYPES: Tuple[str, ...] = (
     "sys.digest",
     "sys.range",
     "sys.ctrl.ok",
-    # second layouts of two kinds (see ``_LINK_TAGS``): what a link
-    # sends, under tags of its own — the first layouts are on disk
+    # second layouts (see ``_SECOND_LAYOUTS``), under tags of their
+    # own — the first layouts are on disk: what a link sends...
     "repl",
     "repl.t",
+    # ...and the put record that names its origin's retired floor
+    "wal.put",
 )
 #: a kind's tag is its first entry: map-shaped bodies and its first
 #: (self-contained) layout travel under it
@@ -691,17 +703,24 @@ _FRAME_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "sys.ctrl.ok": ("n",),
 }
 
-#: the second layouts: on a link a full frame of the chain is field for
-#: field its ``repl.delta`` twin (the first layouts are file formats)
-_LINK_TAGS: Dict[str, int] = {
-    kind: _FRAME_TYPES.index(kind, _FRAME_TAGS[kind] + 1) for kind in ("repl", "repl.t")
+#: the second layouts (the first layouts are file formats and stay
+#: byte-frozen): on a link a full frame of the chain is field for field
+#: its ``repl.delta`` twin; a ``wal.put`` adds ``fl``, the gap from its
+#: write's clock down to the origin's retired floor — the oldest own
+#: write some destination still lacked (usually 0, one byte)
+_SECOND_LAYOUTS: Dict[str, Tuple[str, ...]] = {
+    "repl": _FRAME_SCHEMAS["repl.delta"],
+    "repl.t": _FRAME_SCHEMAS["repl.delta.t"],
+    "wal.put": _FRAME_SCHEMAS["wal.put"] + ("fl",),
+}
+_SECOND_TAGS: Dict[str, int] = {
+    kind: _FRAME_TYPES.index(kind, _FRAME_TAGS[kind] + 1) for kind in _SECOND_LAYOUTS
 }
 #: header tag -> layout; (kind, field count) -> header tag — a kind's
 #: layouts differ in length, so the count picks one when encoding
 _TAG_SCHEMAS: Dict[int, Tuple[str, ...]] = {
     **{_FRAME_TAGS[kind]: schema for kind, schema in _FRAME_SCHEMAS.items()},
-    **{tag: _FRAME_SCHEMAS[kind.replace("repl", "repl.delta")]
-       for kind, tag in _LINK_TAGS.items()},
+    **{_SECOND_TAGS[kind]: schema for kind, schema in _SECOND_LAYOUTS.items()},
 }
 _LAYOUTS: Dict[Tuple[str, int], int] = {
     (_FRAME_TYPES[tag], len(schema)): tag for tag, schema in _TAG_SCHEMAS.items()
@@ -2087,8 +2106,13 @@ _HEADS = tuple(
 )
 #: the four repl kinds as a link spells them, likewise
 _LINK_HEADS = tuple(
-    {kind: heads[kind][:-1] + bytes((_LINK_TAGS.get(kind, _FRAME_TAGS[kind]) | _SCHEMA_BIT,))
+    {kind: heads[kind][:-1] + bytes((_SECOND_TAGS.get(kind, _FRAME_TAGS[kind]) | _SCHEMA_BIT,))
      for kind in REPL_FRAME_KINDS}
+    for heads in _HEADS
+)
+#: the head of ``wal.put``'s second (floor-carrying) layout, likewise
+_FLOOR_PUT_HEADS = tuple(
+    heads["wal.put"][:-1] + bytes((_SECOND_TAGS["wal.put"] | _SCHEMA_BIT,))
     for heads in _HEADS
 )
 
@@ -2333,7 +2357,7 @@ def _trailing(body: bytes, pos: int) -> WireError:
 #: emitted) has no entry: it takes the dict path like any other frame.
 #: The :data:`LINK_KINDS` readers also take the link the frame is on
 _READERS: Dict[int, Tuple[str, Any]] = {
-    _LINK_TAGS.get(kind, _FRAME_TAGS[kind]) | _SCHEMA_BIT: (
+    _SECOND_TAGS.get(kind, _FRAME_TAGS[kind]) | _SCHEMA_BIT: (
         kind, reader, kind in LINK_KINDS
     )
     for kind, reader in (

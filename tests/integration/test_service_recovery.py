@@ -153,9 +153,15 @@ class TestLoopbackRecovery:
                 for i in range(5):
                     await c.put(var, f"v{i}")
                 await c.close()
-                # ...and die with the origin
+                # ...and die with the origin, whose log still holds them:
+                # the floor every put logged stayed at the first of them
                 cluster.kill_site(0)
-                await cluster.restart_site(0)
+                origin = await cluster.restart_site(0)
+                owed = sorted(
+                    c for c, msgs in origin._own_log.items()
+                    if any(m.dest == 1 for m in msgs)
+                )
+                assert len(owed) == 5
                 await cluster.restart_site(1)
                 await cluster.quiesce(timeout=10.0)
                 reader = cluster.client(1)
@@ -170,11 +176,68 @@ class TestLoopbackRecovery:
         assert origin_applied[0] >= wid.seq
         assert checks > 0
 
+    @pytest.mark.parametrize("protocol", ["opt-track", "full-track"])
+    def test_down_peer_pins_the_floor_across_a_restart(self, protocol, tmp_path):
+        """Writes a live peer acks do not release the ones a down peer
+        never acked: the floor stays at the oldest of those, so after the
+        origin restarts its log still holds them — and the acked writes
+        above them, which the live peer's handshake releases, but none
+        below — and the down peer's handshake gets them re-shipped."""
+
+        def only(cluster, sites):
+            return next(
+                v for v in cluster.variables
+                if set(cluster.placement[v]) == set(sites)
+            )
+
+        async def main():
+            async with ServiceCluster(
+                3, 6, protocol, replication_factor=2, sanitize=True,
+                data_dir=str(tmp_path),
+            ) as cluster:
+                to_down, to_live = only(cluster, (0, 1)), only(cluster, (0, 2))
+                c = cluster.client(0)
+                await c.put(to_live, "early")
+                await cluster.quiesce()
+                cluster.kill_site(1)
+                for i in range(3):
+                    await c.put(to_down, f"owed{i}")
+                for i in range(20):
+                    await c.put(to_live, f"acked{i}")
+                await c.close()
+                await cluster.quiesce()
+                live_log = {
+                    c: sorted(m.dest for m in msgs)
+                    for c, msgs in cluster.servers[0]._own_log.items()
+                }
+                cluster.kill_site(0)
+                origin = await cluster.restart_site(0)
+                recovered = {
+                    c: sorted(m.dest for m in msgs)
+                    for c, msgs in origin._own_log.items()
+                }
+                await cluster.restart_site(1)
+                await cluster.quiesce(timeout=10.0)
+                reader = cluster.client(1)
+                value, _, _ = await reader.get(to_down)
+                await reader.close()
+                return live_log, recovered, value, dict(origin._own_log)
+
+        live_log, recovered, value, after = run(main())
+        assert live_log == {2: [1], 3: [1], 4: [1]}
+        # the owed writes, and the live peer's writes logged above the floor
+        assert {c: d for c, d in recovered.items() if d == [1]} == live_log
+        assert set(recovered) <= set(range(2, 25))
+        assert min(recovered) == 2  # the early write, acked, is gone
+        assert value == "owed2"
+        assert after == {}
+
     def test_restart_releases_what_peers_applied(self, tmp_path):
-        """WAL replay rebuilds the own-write log of every write since the
-        last snapshot, acked or not; the restarted origin's handshakes
-        release what each peer's ``ow`` shows applied, so once the
-        cluster settles the log is empty again."""
+        """WAL replay rebuilds the own-write log from the retired floor
+        the last ``wal.put`` names — the writes still unretired when it
+        was logged — not from the last snapshot; the restarted origin's
+        handshakes release what each peer's ``ow`` shows applied, so
+        once the cluster settles the log is empty again."""
 
         async def main():
             async with ServiceCluster(
@@ -186,14 +249,23 @@ class TestLoopbackRecovery:
                 await c.close()
                 await cluster.quiesce()
                 acked = len(cluster.servers[0]._own_log)
+                data_dir = cluster.servers[0].wal.data_dir
                 cluster.kill_site(0)
+                puts = [f for f in SiteWal(data_dir, fsync="none").frames()
+                        if f["t"] == "wal.put"]
                 revived = await cluster.restart_site(0)
-                replayed = len(revived._own_log)
+                replayed = sorted(revived._own_log)
                 await cluster.quiesce()
-                return acked, replayed, len(revived._own_log)
+                return acked, puts[-1], replayed, len(revived._own_log)
 
-        acked, replayed, after = run(main())
-        assert (acked, replayed) == (0, 50)
+        acked, last, replayed, after = run(main())
+        assert acked == 0
+        seq = wire.decode_write_id(last["w"]).seq
+        assert seq == 50
+        # every write of the run has a destination: the log holds
+        # exactly the clocks from the last put's floor up to that put
+        assert replayed == list(range(seq - last["fl"], seq + 1))
+        assert len(replayed) < 50
         assert after == 0
 
     def test_raw_wal_records_recover(self, tmp_path):
@@ -411,10 +483,11 @@ class TestRecoveryMemory:
     time, never the whole log (as raw bytes or as decoded frames)."""
 
     @staticmethod
-    def restart_peak(data_dir, puts):
+    def restart_peak(data_dir, puts, victim=1):
         """``puts`` 1 KB writes at site 0 of a durable 2-site cluster, then
-        kill and restart site 1 under tracemalloc: ``(peak bytes during
-        the restart, records replayed, records the dead site appended)``."""
+        kill and restart ``victim`` under tracemalloc: ``(peak bytes
+        during the restart, records replayed, records the dead site
+        appended)``."""
 
         async def main():
             async with ServiceCluster(
@@ -425,11 +498,11 @@ class TestRecoveryMemory:
                     await client.put(cluster.variables[i % 4], f"{i:04d}" * 256)
                 await client.close()
                 await cluster.quiesce()
-                appended = cluster.servers[1].wal.records_appended
-                cluster.kill_site(1)
+                appended = cluster.servers[victim].wal.records_appended
+                cluster.kill_site(victim)
                 tracemalloc.start()
                 try:
-                    revived = await cluster.restart_site(1)
+                    revived = await cluster.restart_site(victim)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -441,6 +514,19 @@ class TestRecoveryMemory:
         n = 100
         small, replayed, appended = self.restart_peak(str(tmp_path / "n"), n)
         large, replayed4, appended4 = self.restart_peak(str(tmp_path / "4n"), 4 * n)
+        assert appended >= n and appended4 >= 4 * n
+        assert (replayed, replayed4) == (appended, appended4)
+        assert large / small < 1.5, (small, large)
+
+    def test_writer_restart_peak_does_not_grow_with_its_writes(self, tmp_path):
+        """The writing site itself: every put it logged was acked long
+        before the kill, so replay keeps none of them in its own-write
+        log, and the peak stays flat however many it wrote."""
+        n = 200
+        small, replayed, appended = self.restart_peak(str(tmp_path / "n"), n, 0)
+        large, replayed4, appended4 = self.restart_peak(
+            str(tmp_path / "4n"), 4 * n, 0
+        )
         assert appended >= n and appended4 >= 4 * n
         assert (replayed, replayed4) == (appended, appended4)
         assert large / small < 1.5, (small, large)

@@ -44,12 +44,16 @@ def wal_frames(draw):
     """Frames shaped like what the server actually appends."""
     kind = draw(st.sampled_from(["wal.put", "wal.read", "wal.hello", "sys.digest"]))
     if kind == "wal.put":
-        return wire.make_frame(
+        frame = wire.make_frame(
             "wal.put",
             var=draw(varnames),
             value=draw(values),
             w=wire.encode_write_id(WriteId(draw(sites), draw(clocks))),
         )
+        if draw(st.booleans()):
+            # the second layout: the gap down to the retired floor
+            frame["fl"] = draw(st.integers(min_value=0, max_value=2**40))
+        return frame
     if kind == "wal.read":
         return wire.make_frame("wal.read", var=draw(varnames))
     if kind == "wal.hello":
@@ -208,6 +212,18 @@ PARENT_WAL = (
          "applied": {"k": "ivec", "v": [5, 0, 1]}},
     ),
 )
+#: the second ``wal.put`` layout (today's put record): the first one's
+#: fields, then ``fl`` — the write's clock minus the retired floor it was
+#: logged under (here 5 - 3: own writes 3 and 4 were still unacked)
+FLOOR_WAL_PUT = (
+    "cf3d011c00000017b302a43002783130096f776e2d61667465724002828583",
+    {"v": 2,
+     "t": "wal.put",
+     "var": "x1",
+     "value": "own-after",
+     "w": [2, 5],
+     "fl": 3},
+)
 PARENT_SNAP = (
     "0b93dde8000001a9b3021e500a300473697465823003696e638130076170706c"
     "69657382300570726f746f5009300676616c7565735004300278314002300161"
@@ -321,3 +337,25 @@ def test_todays_encoders_write_the_parent_bytes(record, frame):
             wire.decode_meta(frame["applied"]),
         )
         assert codec.pack_wal_rfetch(reply) == payload
+
+
+def test_floor_put_layout_is_pinned():
+    """The put record today's server appends: its bytes, what they
+    decode to, and the one-pass encoder the put path spells it with."""
+    hexed, frame = FLOOR_WAL_PUT
+    record = bytes.fromhex(hexed)
+    decoded, valid = decode_records(record, allow_torn_tail=False)
+    assert (decoded, valid) == ([frame], len(record))
+    assert encode_record(frame) == record
+    wid = wire.decode_write_id(frame["w"])
+    packed = wire.BINARY_CODEC.pack_wal_put(
+        frame["var"], frame["value"], wid, wid.seq - frame["fl"]
+    )
+    assert packed == record[_CRC:]
+    # the same put without a floor is the first layout, whose tag it
+    # does not share
+    old = wire.BINARY_CODEC.pack_wal_put(frame["var"], frame["value"], wid)
+    assert old[_LEN + 2] != packed[_LEN + 2]
+    assert wire.decode_body(old[_LEN:]) == {
+        k: v for k, v in frame.items() if k != "fl"
+    }

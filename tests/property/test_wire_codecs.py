@@ -289,7 +289,7 @@ class TestBinaryCodecEdges:
         tags = range(len(wire._FRAME_TYPES))
         firsts = {t | bit for t in tags for bit in (0, wire._SCHEMA_BIT)}
         assert not firsts & {0x7B, wire.BINARY_MAGIC}
-        assert max(firsts) == 0xA3 and max(tags) == 0x23
+        assert max(firsts) == 0xA4 and max(tags) == 0x24
         frame = wire.make_frame("ping")
         lean = wire.BINARY_CODEC_V4.encode(frame)[4:]
         assert lean[0] == wire._FRAME_TAGS["ping"]  # then its (empty) field map
@@ -654,18 +654,27 @@ class TestOnePassIdentity:
         var=varnames, value=values, wid=st.tuples(sites, clocks), sv=sites,
         meta=st.one_of(st.none(), deplogs()),
         applied=st.one_of(st.none(), st.lists(clocks, max_size=8).map(tuple)),
+        data=st.data(),
     )
-    def test_wal_records(self, var, value, wid, sv, meta, applied):
+    def test_wal_records(self, var, value, wid, sv, meta, applied, data):
         """The server's WAL records: pre-encoded bytes are what
         ``encode_record`` made of the frame dicts, and they replay (the
         generic decoder, no connection state) to those dicts."""
         codec = wire.BINARY_CODEC
         wid = WriteId(*wid)
+        floor = data.draw(st.integers(min_value=0, max_value=wid.seq))
         reply = FetchReply(var, value, wid, sv, 0, 0, meta, applied)
         cases = [
             (
                 codec.pack_wal_put(var, value, wid),
                 wire.make_frame("wal.put", var=var, value=value, w=wire.encode_write_id(wid)),
+            ),
+            (
+                codec.pack_wal_put(var, value, wid, floor),
+                wire.make_frame(
+                    "wal.put", var=var, value=value, w=wire.encode_write_id(wid),
+                    fl=wid.seq - floor,
+                ),
             ),
             (codec.pack_wal_read(var), wire.make_frame("wal.read", var=var)),
             (

@@ -482,6 +482,37 @@ class TestFlightRecorder:
         assert len(load_trace(second)) == 2
         assert load_trace(second).header["flight"]["reason"] == "handler-error"
 
+    def test_bench_gate_counts_the_rings_calls(self, monkeypatch):
+        """``make bench``'s flight verdict is a call count, so it is the
+        same on every run: the ring is inside its budget, and a ring
+        that records every event twice is not."""
+        from repro.analysis.hotpaths import FLIGHT_CALL_BUDGET, bench_trace_overhead
+        from repro.core.observe import EVENTS
+        from repro.obs import flight
+
+        ledger = bench_trace_overhead(fast=True, repeat=1)
+        assert ledger["flight_within_budget"] is True
+        assert 0 < ledger["flight_calls_overhead_pct"] <= FLIGHT_CALL_BUDGET * 100
+
+        def twice(handler):
+            def record(self, *args):
+                handler(self, *args)
+                handler(self, *args)
+
+            return record
+
+        handlers = {
+            name: twice(getattr(FlightRecorder, name))
+            for name in ("on_" + event for event in EVENTS)
+            if hasattr(FlightRecorder, name)
+        }
+        monkeypatch.setattr(
+            flight, "FlightRecorder", type("Twice", (FlightRecorder,), handlers)
+        )
+        doubled = bench_trace_overhead(fast=True, repeat=1)
+        assert doubled["flight_within_budget"] is False
+        assert doubled["flight_calls_overhead_pct"] > FLIGHT_CALL_BUDGET * 100
+
 
 class TestFanout:
     def test_drops_disabled_members_at_construction(self):
