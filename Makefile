@@ -88,8 +88,11 @@ sanitize-sweep:
 # Smoke test of the repository benchmark (perf/, ~20 s; not collected
 # by tier-1, whose testpaths is tests/).  Its traced run wraps every
 # connection in perf's TracingTransport, which inherits the base-class
-# "not writable()" — the peer links' writer-task fallback end to end
+# "not writable()" — the peer links' writer-task fallback end to end.
+# perf/out/ is made first: on a fresh checkout the first traced case
+# writes its trace there before anything else creates it
 perf-smoke:
+	mkdir -p perf/out
 	$(PYTHON) -m pytest perf -q
 
 # Regenerate BENCH_hot_paths.json (reference runs + DepLog and VectorClock micro-ops +

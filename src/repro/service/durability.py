@@ -384,8 +384,7 @@ class SiteWal:
 
         prev, snapshot, segments = _read_dir(data_dir)
         #: strictly monotone across restarts (durable from :meth:`open`
-        #: on); the server adopts it as its link epoch so peers reset
-        #: their dedup state for the new life
+        #: on); the server reports it as its ``epoch``
         self.incarnation = prev + 1
 
         #: the committed ``snap`` frame, or None on first boot

@@ -21,9 +21,9 @@ With a ``data_dir`` the cluster becomes durable: every site gets its own
 :mod:`repro.service.durability`), and :meth:`restart_site` brings a
 killed site back *in place* — a fresh :class:`SiteServer` over the same
 data directory recovers from its snapshot + WAL suffix, rejoins under a
-bumped incarnation epoch, and catches up at its links' handshakes: each
-peer re-ships the writes it still owes the site, and the site re-ships
-its own writes a peer lacks (``link.ok``'s ``ow``; see
+bumped incarnation, and catches up at its links' handshakes: each peer
+re-ships the writes it still owes the site, and the site re-ships its
+own writes a peer lacks — every link resumes above the peer's ack (see
 :mod:`repro.service.server`).
 """
 
@@ -221,7 +221,7 @@ class ServiceCluster:
         """Bring a killed site back in place from its data directory.
 
         A fresh :class:`SiteServer` opens the same WAL (which bumps the
-        incarnation epoch durably), recovers snapshot + suffix
+        incarnation durably), recovers snapshot + suffix
         synchronously in its constructor, and starts listening on the
         site's old address.  Everything the site missed while dead — and
         every own write it still owes a peer — converges at the link
@@ -248,20 +248,18 @@ class ServiceCluster:
     # ------------------------------------------------------------------
     async def quiesce(self, timeout: float = 5.0) -> None:
         """Wait until replication settles at every *live* site: all peer
-        links between live sites drained, no live site still owes a live
-        peer an own write, and no parked update can apply.  Raises
+        links between live sites drained (so no live site still owes a
+        live peer an own write) and no parked update can apply.  Raises
         ``TimeoutError`` if the cluster does not settle.
 
         Soundness: a link's backlog is **ack-gated** — a repl frame
         counts until the receiving site has *processed* it (acks follow
         the apply/park, see :class:`~repro.service.server.PeerLink`), so
         an update can never be invisible to both the backlog and the
-        receiver at once.  A recovered site's own-write log covers what
-        no queue holds yet: an entry names its destination until that
-        destination acks it or its handshake shows it applied, so a
-        catch-up still to come can never look settled.  Settlement must
-        additionally hold on two consecutive polls, covering any
-        one-tick scheduling window."""
+        receiver at once.  The queue is the site's own-write log for
+        that peer, rebuilt by recovery, so a catch-up still to come can
+        never look settled.  Settlement must additionally hold on two
+        consecutive polls, covering any one-tick scheduling window."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
 
@@ -272,9 +270,6 @@ class ServiceCluster:
                     continue
                 for dest, link in server._links.items():
                     if dest in live and link.backlog:
-                        return False
-                for msgs in server._own_log.values():
-                    if any(m.dest in live for m in msgs):
                         return False
                 if any(server.protocol.can_apply(m) for m in server._parked):
                     return False

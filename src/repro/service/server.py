@@ -42,28 +42,30 @@ Request paths (the home-site session model):
   retriable ``unavailable`` error and the client fails over to another
   replica of the key.
 
-Peer links are **acknowledged**: every link connection opens with a
-``link.hello`` handshake naming the sender's incarnation ``epoch``, and
-the receiver answers ``link.ok`` with its cumulative per-link ack.  A
-repl frame leaves the sender's queue only when the receiver has
-acknowledged it (``repl.ackp``, sent after the update is applied or
-parked) — a transport-level send success (e.g. TCP accepting bytes into
-a kernel buffer the peer never reads) is *not* enough, so a frame lost
-mid-connection is resent after the next handshake.  The receiver
-processes only the contiguous next sequence number (``ls == seen + 1``),
-drops duplicates, and refuses gaps without acking, which turns the
-link's at-least-once delivery into exactly-once application; a new
-epoch (a restarted sender) resets the receiver's dedup state so a fresh
-incarnation's sequence numbers are not mistaken for duplicates.
+Peer links are **acknowledged**, and numbered by the origin's write
+clock: a repl frame's ``ls`` is its write's sequence number, the name
+``WriteId(site, seq)`` already gives the update.  Every link connection
+opens with a ``link.hello`` handshake, and the receiver answers
+``link.ok`` with its cumulative ack — the highest clock of the dialer's
+writes it holds, applied or parked.  A write leaves the sender's queue
+only when the receiver has acknowledged it (``repl.ackp``, sent after
+the update is applied or parked) — a transport-level send success (e.g.
+TCP accepting bytes into a kernel buffer the peer never reads) is *not*
+enough, so a frame lost mid-connection is resent after the next
+handshake.  The receiver drops a write it already holds
+(:meth:`SiteServer._is_origin_dup`) and re-acks it, which turns the
+link's at-least-once delivery into exactly-once application; the clock
+does not restart with either end, so there is nothing to reset when
+one does.
 
-A link's queue dies with its site; what a restarted origin still owes a
-peer is in its recovered own-write log.  So ``link.ok`` also carries
-``ow``, the receiver's applied watermark for the dialer's own writes,
-and the dialer releases every own write at or below it and re-enqueues
-every one above it that no queue entry carries (:meth:`PeerLink.
-_catch_up`) — the one catch-up path, for a restarted receiver and a
-restarted sender alike.  A recovered site dials every peer its log
-still names as it starts.
+A link's queue *is* the own-write log for its destination: a put
+appends to it, an ack pops the prefix it covers, and WAL replay
+rebuilds it from the retired floor the last ``wal.put`` names.  The
+handshake resets the link's send cursor to the receiver's ack, so a
+connection's first frame is the oldest write that receiver lacks — the
+one catch-up path, for a restarted receiver and a restarted sender
+alike.  A recovered site dials every peer its log still names as it
+starts.
 
 The same handshake enforces the **support window** (see
 :mod:`repro.service.wire`): a connection whose first frame is not a
@@ -76,11 +78,11 @@ binary codec and the link hands its whole unsent suffix to
 the transport as one batch (written through in the loop step that
 enqueued it when the connection is idle and writable, by the link's
 writer task otherwise; see :class:`PeerLink`); the inbound loop decodes
-and applies a whole batch of contiguous frames before signalling the
-progress condition once, and repl acks are **cumulative per batch** (one
-ack naming the highest contiguous sequence, instead of one ack frame per
-apply).  An ack is sent only after every frame it covers was applied or
-parked, so an acked frame is inside this site's protocol state.
+and applies a whole batch of frames before signalling the progress
+condition once, and repl acks are **cumulative per batch** (one ack
+naming the highest clock taken in, instead of one ack frame per apply).
+An ack is sent only after every frame it covers was applied or parked,
+so an acked frame is inside this site's protocol state.
 
 The receiver's ``link.ok`` / ``hello.ok`` carries its intern table
 (``itab``: variable names whose positions become the small int ids
@@ -88,18 +90,17 @@ senders may substitute for ``var`` strings) and ``link.ok`` its applied
 watermark ``ap``.  The sender *chains* repl frames per connection: the
 first frame travels full, later frames may travel as ``repl.delta``
 carrying only the metadata diff against the previous frame of the same
-connection.  Because the receiver only ever decodes the contiguous
-``ls == seen + 1`` frame, its decode baseline (the last frame it
-processed) always equals the sender's chain baseline; a reconnect drops
-the chain on both sides and restarts with a full frame, so loss never
-needs a repair protocol.  The same pair of chain ends carries what the
-link itself fixes: ``ls``, the issue stamp and the ack travel as
-advances over the previous frame of their kind (absolute on the first),
-and no frame repeats the two sites the ``link.hello`` named.  Acks
-carry the applied watermark — the
-highest contiguous sequence whose update this site has *applied* (not
-merely parked), wired as the usually-zero gap below the ack — which the
-sender feeds to
+connection.  The receiver decodes every frame a connection carries, so
+its decode baseline (the last frame it received) always equals the
+sender's chain baseline; a reconnect drops the chain on both sides and
+restarts with a full frame, so loss never needs a repair protocol.  The
+same pair of chain ends carries what the link itself fixes: ``ls``, the
+issue stamp and the ack travel as advances over the previous frame of
+their kind (absolute on the first), and no frame repeats the two sites
+the ``link.hello`` named.  Acks carry the applied watermark — the
+highest clock of the sender's writes this site has *applied* (not
+merely parked), its per-origin stable timestamp, wired as the
+usually-zero gap below the ack — which the sender feeds to
 :meth:`~repro.core.base.CausalProtocol.note_remote_apply`: an applied
 watermark is out-of-band Condition-1 knowledge, so the sender prunes
 the acked destination from retired dependency-log entries and its own
@@ -184,10 +185,11 @@ _REPL_KINDS = frozenset(wire.REPL_FRAME_KINDS)
 
 
 class PeerLink:
-    """Outbound frame queue to one peer site, with reconnect + resend.
+    """This site's own writes for one peer, and the connection that
+    ships them: reconnect + resend.
 
     Every connection opens with a ``link.hello``/``link.ok`` handshake
-    (see the module docstring).  ``repl`` frames are sent in FIFO order
+    (see the module docstring).  ``repl`` frames are sent in clock order
     by one flusher at a time but **retired only by a receiver-side ack**
     — the handshake's cumulative ack or an in-band ``repl.ackp`` — never
     by transport send success alone, so a frame the transport accepted
@@ -198,15 +200,22 @@ class PeerLink:
     :meth:`SiteServer._resolve_fetch`, which completes the read in the
     reader's step, and applies incoming acks in arrival order.
 
-    The queue holds *decoded* :class:`UpdateMessage` objects and encodes
-    at send time: the per-connection
-    :class:`~repro.service.wire.DeltaEncoder` (created during the
-    handshake, dropped on disconnect) chains each frame against the
-    previous one, so the same queued message encodes as a full frame on
-    a fresh connection and as a ``repl.delta`` mid-stream.  Acks carry
-    the receiver's applied watermark ``ap``; :meth:`_note_applied`
-    translates it to the write clock at that sequence and feeds the
-    protocol's ack-driven dependency-log GC.
+    The queue is the own-write log for this destination: the decoded
+    :class:`UpdateMessage` objects of this site's writes the peer has
+    not acked, in write-clock order — a put appends, an ack pops the
+    prefix it covers, WAL replay rebuilds it from the retired floor.
+    Each frame's ``ls`` is its write's clock, and the send cursor
+    ``_sent`` is the highest clock handed to the current connection;
+    a handshake resets it to the peer's ack, so a connection's first
+    frame is the oldest write the peer lacks.  Messages are encoded at
+    send time: the per-connection :class:`~repro.service.wire.
+    DeltaEncoder` (created during the handshake, dropped on disconnect)
+    chains each frame against the previous one, so the same queued
+    message encodes as a full frame on a fresh connection and as a
+    ``repl.delta`` mid-stream.  Acks carry the receiver's applied
+    watermark ``ap``, a clock of this site's writes, which
+    :meth:`_note_applied` feeds to the protocol's ack-driven
+    dependency-log GC.
 
     The link is **write-through**: while it holds a handshaken
     connection that is idle (``_busy`` false) and :meth:`~repro.service.
@@ -217,7 +226,7 @@ class PeerLink:
     resend after a reconnect, and backpressure (a connection that is not
     writable, or never is — the base-class default).  Both paths build
     batches with the same :meth:`_collect` / :meth:`_mark_sent` pair, so
-    frames reach a connection in ``ls`` order exactly once whichever
+    frames reach a connection in clock order exactly once whichever
     path carried them.
     """
 
@@ -235,32 +244,28 @@ class PeerLink:
         self.address = address
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        #: unacknowledged updates as ``(ls, msg)``, FIFO by ``ls``;
-        #: encoding happens at send time so the delta chain can restart
-        #: per connection while the queue survives reconnects
-        self._repl: Deque[Tuple[int, UpdateMessage]] = deque()
+        #: this site's writes the peer has not acked, in clock order
+        self._own: Deque[UpdateMessage] = deque()
         #: pending fetch requests (retired on send; no ack bookkeeping),
         #: encoded at send time like the updates
         self._fetch: Deque[FetchRequest] = deque()
         self._wakeup = asyncio.Event()
-        self._link_seq = 0
         #: per-connection delta/intern encoder, replaced at every
         #: handshake (this first one never encodes: nothing is collected
         #: while ``_conn`` is None)
         self._delta_out = wire.DeltaEncoder()
-        #: link sequence -> write clock, for translating the receiver's
-        #: applied watermark ``ap`` into a ``note_remote_apply`` call;
-        #: entries at or below ``_gc_ls`` have been consumed
-        self._ls_clock: Dict[int, int] = {}
-        self._gc_ls = 0
-        #: link sequence -> origin issue time (ms), recorded at enqueue
-        #: and stamped onto the frame; survives reconnects with the
-        #: queue, retired with the acks
+        #: the peer's cumulative ack and applied watermark: the highest
+        #: clock of this site's writes it holds, and has applied
+        self._acked = 0
+        self._applied = 0
+        #: write clock -> origin issue time (ms), recorded at enqueue and
+        #: stamped onto the frame, retired with the acks; a write
+        #: recovered from the WAL has none and travels unstamped
         self._issued_at: Dict[int, float] = {}
         #: the handshaken connection batches currently go to; ``None``
         #: while connecting, handshaking or tearing one down
         self._conn: Optional[Connection] = None
-        #: highest repl link sequence handed to ``_conn``
+        #: the send cursor: highest write clock handed to ``_conn``
         self._sent = 0
         #: a writer-task ``send_many`` on ``_conn`` is suspended in the
         #: transport: an inline write now would land behind a batch that
@@ -288,15 +293,20 @@ class PeerLink:
             self._task = asyncio.ensure_future(self._run())
 
     def enqueue_update(self, msg: UpdateMessage, flush: bool = True) -> None:
-        """Queue one update.  ``flush=False`` leaves putting it on the
-        wire to the caller's own :meth:`flush` — a put replies to its
-        client first, the handshake's catch-up leaves it to the writer."""
-        self._link_seq += 1
-        self._repl.append((self._link_seq, msg))
-        self._ls_clock[self._link_seq] = msg.write_id.seq
-        self._issued_at[self._link_seq] = self.owner.now_ms()
+        """Queue one own write.  ``flush=False`` leaves putting it on
+        the wire to the caller's own :meth:`flush` — a put replies to
+        its client first."""
+        self._own.append(msg)
+        self._issued_at[msg.write_id.seq] = self.owner.now_ms()
         if flush:
             self.flush()
+
+    def release_below(self, floor: int) -> None:
+        """Drop the writes below a logged retired ``floor`` (replay):
+        the peer held them when the record was written."""
+        own = self._own
+        while own and own[0].write_id.seq < floor:
+            own.popleft()
 
     def enqueue_fetch(self, req: FetchRequest) -> None:
         self._fetch.append(req)
@@ -330,23 +340,21 @@ class PeerLink:
         """Frames not yet *processed* by the peer: repl frames count
         until acknowledged, not merely until handed to the transport —
         this is what makes :meth:`ServiceCluster.quiesce` sound."""
-        return len(self._repl) + len(self._fetch)
+        return len(self._own) + len(self._fetch)
 
     def stats(self) -> Dict[str, Any]:
         """Point-in-time lag watermarks, derived from the structures the
         ack protocol already keeps — no extra hot-path bookkeeping.
-        ``acked == enqueued - unacked`` holds because ``_repl`` is
-        exactly the ``(acked, _link_seq]`` suffix: entries leave only
-        through :meth:`_retire`, which pops a contiguous prefix.
-        ``applied`` is the receiver's applied watermark (every ack
-        carries it)."""
-        unacked = len(self._repl)
-        acked = self._link_seq - unacked
+        ``enqueued`` / ``acked`` / ``applied`` are clocks of this site's
+        writes: the newest one queued (the ack when none is), the
+        peer's cumulative ack and its applied watermark (every ack
+        carries it); ``unacked`` counts the queued writes."""
+        own = self._own
         return {
-            "enqueued": self._link_seq,
-            "acked": acked,
-            "unacked": unacked,
-            "applied": self._gc_ls,
+            "enqueued": own[-1].write_id.seq if own else self._acked,
+            "acked": self._acked,
+            "unacked": len(own),
+            "applied": self._applied,
             "fetch_queue": len(self._fetch),
             "backlog": self.backlog,
             "flushes_inline": self.flushes["inline"],
@@ -381,7 +389,7 @@ class PeerLink:
                 backoff = min(backoff * 2.0, self.backoff_cap)
                 continue
             try:
-                acked = await self._handshake(conn)
+                await self._handshake(conn)
             except (ConnectionError, OSError, WireError, asyncio.TimeoutError):
                 self.owner.metric("link_connect_failures_total", peer=self.dest)
                 await conn.close()
@@ -389,9 +397,7 @@ class PeerLink:
                 backoff = min(backoff * 2.0, self.backoff_cap)
                 continue
             backoff = self.backoff_base
-            # from here flush() may write to the connection inline:
-            # everything the receiver acked is sent, the rest is not
-            self._sent = acked
+            # from here flush() may write to the connection inline
             self._conn = conn
             # run writer and reader side by side and reconnect when
             # EITHER dies: a send failure, or the reader seeing EOF (a
@@ -422,130 +428,103 @@ class PeerLink:
             if not self._closed:
                 self.owner.metric("link_drops_total", peer=self.dest)
 
-    async def _handshake(self, conn: Connection) -> int:
-        """Open the link: identify this sender incarnation, learn the
-        receiver's cumulative ack (retiring frames it already has), its
-        intern table, its applied watermark and its per-origin watermark
-        for this site's writes (see :meth:`_catch_up`), and switch to
-        the binary codec with a fresh :class:`~repro.service.wire.
-        DeltaEncoder` (first frame full and absolute).  The hello itself
-        travels JSON.  A reply that is not the current-version
-        ``link.ok``, or whose fields are missing or mistyped, raises
-        ``WireError``: ``_run`` counts it, backs off and dials again."""
+    async def _handshake(self, conn: Connection) -> None:
+        """Open the link: learn the receiver's cumulative ack, its
+        intern table and its applied watermark, resume above the ack
+        (:meth:`_resume`), and switch to the binary codec with a fresh
+        :class:`~repro.service.wire.DeltaEncoder` (first frame full and
+        absolute).  The hello itself travels JSON.  A reply that is not
+        the current-version ``link.ok``, or whose fields are missing or
+        mistyped, raises ``WireError``: ``_run`` counts it, backs off
+        and dials again."""
         hello = wire.make_frame(
-            "link.hello",
-            src=self.owner.site,
-            epoch=self.owner.epoch,
-            cv=wire.WIRE_VERSION,
+            "link.hello", src=self.owner.site, cv=wire.WIRE_VERSION
         )
         reply = await asyncio.wait_for(
             conn.handshake(hello, "link.ok"), LINK_HANDSHAKE_TIMEOUT
         )
         acked = wire.field(reply, "ack", int)
         applied = wire.field(reply, "ap", int)
-        own = wire.field(reply, "ow", int)
         itab = wire.InternTable(wire.field(reply, "itab", list))
         self._delta_out = wire.DeltaEncoder(itab, self.owner.site, self.dest)
-        self._note_applied(applied)
-        self._retire(acked)
-        self._catch_up(own)
-        return acked
+        self._resume(acked, applied)
 
-    def _catch_up(self, own: int) -> None:
-        """Bring the receiver up to date with this site's own writes,
-        given ``own``, the highest of them it has *applied* (its
-        per-origin stable timestamp for this site).  Writes destined to
-        it apply in clock order, so every own-log copy for this
-        destination at or below ``own`` is held there and is released;
-        every copy above it that no queue entry carries — the queue died
-        with an earlier incarnation of this site — is re-enqueued, in
-        clock order, behind whatever the queue still holds.  The
-        receiver parks a re-ship that lands behind a newer write and
-        absorbs one it already holds (``_is_origin_dup``)."""
-        owner = self.owner
-        queued = {msg.write_id.seq for _, msg in self._repl}
-        for clock in sorted(owner._own_log):
-            msg = next(
-                (m for m in owner._own_log[clock] if m.dest == self.dest), None
-            )
-            if msg is None:
-                continue
-            if clock <= own:
-                owner._own_retired(msg)
-            elif clock not in queued:
-                self.enqueue_update(msg, flush=False)
+    def _resume(self, ack: int, ap: int) -> None:
+        """The handshake's catch-up: feed the applied watermark ``ap``
+        to the GC, retire what the ack covers — whichever incarnation
+        of either end shipped it — and reset the send cursor to the
+        ack, so the connection's first frame is the oldest write the
+        peer lacks.  The queue holds every own write above the ack
+        (recovery rebuilds it), so nothing needs re-enqueueing."""
+        self._note_applied(ap)
+        self._retire(ack)
+        self._sent = ack
 
     def _note_applied(self, ap: int) -> None:
-        """Feed the receiver's applied watermark to the protocol's
-        dependency-log GC.  ``ap`` covers a *contiguous* applied prefix
-        and link sequence order is this site's write clock order, so the
-        clock recorded at ``ap`` bounds every write the peer applied;
-        the watermark is monotone, so stale repeats are no-ops."""
-        if ap <= self._gc_ls:
+        """Feed the receiver's applied watermark — the highest clock of
+        this site's writes it has applied, so every one destined to it
+        at or below — to the protocol's dependency-log GC; the
+        watermark is monotone, so stale repeats are no-ops."""
+        if ap <= self._applied:
             return
-        clock = self._ls_clock.pop(ap, 0)
-        for ls in range(self._gc_ls + 1, ap):
-            self._ls_clock.pop(ls, None)
-        lo = self._gc_ls
-        self._gc_ls = ap
+        self._applied = ap
         proto = self.owner.protocol
         # Transitive knowledge first: every newly-applied update's
         # piggybacked metadata proves the peer applied the records
-        # naming it (activation predicate).  The updates are still in
-        # ``_repl`` because acks retire entries only after this runs;
-        # after a reconnect some may already be gone — best-effort GC.
-        for ls, msg in self._repl:
-            if ls > ap:
+        # naming it (activation predicate).  Acks retire entries only
+        # after this runs, so the ones this watermark newly covers are
+        # still queued — an earlier ack retired those it covered
+        for msg in self._own:
+            if msg.write_id.seq > ap:
                 break
-            if ls > lo:
-                proto.note_remote_apply_log(self.dest, msg.meta)
-        proto.note_remote_apply(self.dest, clock)
+            proto.note_remote_apply_log(self.dest, msg.meta)
+        proto.note_remote_apply(self.dest, ap)
 
     def _retire(self, ack: int) -> None:
-        """Drop repl entries up to the receiver's cumulative ack.  An
-        acked update is durably held by the peer (it WAL-appends before
-        acking), so the ack also releases the sender's own-log copy for
-        this destination — every entry this link carries is an own
-        write (origins ship only their own updates under partial
-        replication, and the handshake re-ships own writes only)."""
-        while self._repl and self._repl[0][0] <= ack:
-            ls, msg = self._repl.popleft()
-            self._issued_at.pop(ls, None)
-            self.owner._own_retired(msg)
+        """Drop the writes up to the receiver's cumulative ack: an acked
+        update is durably held by the peer (it WAL-appends before
+        acking), so it leaves this site's own-write log for good."""
+        if ack > self._acked:
+            self._acked = ack
+        own, issued_at = self._own, self._issued_at
+        while own and own[0].write_id.seq <= ack:
+            issued_at.pop(own.popleft().write_id.seq, None)
 
     def _collect(self) -> Tuple[List[Any], int, int]:
         """Encode everything not yet handed to the current connection:
-        the unsent repl suffix, then the pending fetches.  Returns
-        ``(batch, last_ls, n_fetch)``; the caller writes the batch to
-        ``_conn`` and passes the rest to :meth:`_mark_sent`.  Retirement
-        is unchanged — repl entries leave ``_repl`` only via receiver
-        acks.  Frames are encoded here, in ``ls`` order, exactly once
-        per connection: that
-        single-pass discipline is what lets the delta encoder chain
-        each frame against the previous one.  Updates and fetches go
-        straight to their wire bytes when the connection takes them
-        (``one_pass``), through frame dicts when it does not."""
+        the queued writes above the send cursor, then the pending
+        fetches.  Returns ``(batch, last_ls, n_fetch)`` — ``last_ls``
+        the cursor once the batch is sent; the caller writes the batch to
+        ``_conn`` and passes the rest to :meth:`_mark_sent`.  Writes
+        leave ``_own`` only via receiver acks.  Frames are encoded here,
+        in clock order, exactly once per connection: that single-pass
+        discipline is what lets the delta encoder chain each frame
+        against the previous one.  Updates and fetches go straight to
+        their wire bytes when the connection takes them (``one_pass``),
+        through frame dicts when it does not."""
         sent = self._sent
         codec = self._conn.one_pass if self._conn is not None else None
-        # ``ls`` values are consecutive (assigned at enqueue) and
-        # retired from the left only, so the unsent entries are exactly
-        # the last ``_link_seq - sent`` entries — no scan
-        n_unsent = min(len(self._repl), self._link_seq - sent)
+        own = self._own
+        # acks retire from the left, puts append on the right: the
+        # unsent writes are a suffix, found from its end
+        n_unsent = 0
+        for msg in reversed(own):
+            if msg.write_id.seq <= sent:
+                break
+            n_unsent += 1
         batch: List[Any] = []
         last_ls = sent
-        if n_unsent > 0:
+        if n_unsent:
             enc = self._delta_out
-            # every unsent entry is unacked, so its issue time is here
             issued_at = self._issued_at
-            for ls, msg in itertools.islice(
-                self._repl, len(self._repl) - n_unsent, None
-            ):
+            for msg in itertools.islice(own, len(own) - n_unsent, None):
+                last_ls = msg.write_id.seq
+                issued = issued_at.get(last_ls)
                 if codec is None:
-                    frame: Any = enc.encode_update(msg, ls, issued_at[ls])
+                    frame: Any = enc.encode_update(msg, last_ls, issued)
                 else:
-                    frame = enc.pack_update(msg, ls, issued_at[ls], codec)
+                    frame = enc.pack_update(msg, last_ls, issued, codec)
                 batch.append(frame)
-                last_ls = ls
         n_fetch = len(self._fetch)
         if n_fetch:  # interned against the serving site's table
             encode = wire.encode_fetch_request if codec is None else codec.pack_fetch
@@ -570,7 +549,7 @@ class PeerLink:
 
     async def _drain_queue(self, conn: Connection) -> None:
         """The writer task — the slow path behind :meth:`flush`:
-        per wakeup, drain the WHOLE outbound FIFO with one coalesced
+        per wakeup, drain the WHOLE outbound queue with one coalesced
         flush (``send_many`` → one transport drain).  It returns once
         ``_conn`` is no longer this connection (an inline write found
         it dead), which makes ``_run`` reconnect."""
@@ -709,30 +688,20 @@ class SiteServer:
             wire.intern_table_names(protocol.config.replicas_of)
         )
 
-        #: this incarnation's identity for the link handshake: a
-        #: restarted site restarts its link sequence numbers, so it must
-        #: not inherit its predecessor's dedup state at the peers.
-        #: Durable sites use the WAL's monotone incarnation counter
-        #: instead of a random epoch (assigned below, after the WAL
-        #: opens), so peers can order incarnations of the same site.
-        self.epoch = int.from_bytes(os.urandom(6), "big")
+        #: the WAL's incarnation counter, reported in ``sys.stats`` and
+        #: snapshots (0 for a memory-only site; assigned below, once the
+        #: WAL opens)
+        self.epoch = 0
         #: updates whose activation predicate was false on arrival
         self._parked: List[UpdateMessage] = []
+        #: the write ids of ``_parked``, for the duplicate check
+        self._parked_ids: Set[WriteId] = set()
         #: arrival timestamp per parked/applied write, for apply spans
         self._recv_at: Dict[WriteId, float] = {}
-        #: last contiguously processed link sequence number per sender
-        self._seen_ls: Dict[SiteId, int] = {}
-        #: sender incarnation the dedup state belongs to, per sender
-        self._peer_epoch: Dict[SiteId, int] = {}
         #: the accepting chain end of every open peer-link connection
         #: (made by its ``link.hello``, dropped with it) — the only ones
         #: whose ``repl*`` frames are honoured
         self._delta_in: Dict[Connection, wire.DeltaDecoder] = {}
-        #: link sequences of currently *parked* updates per sender, plus
-        #: the reverse index used to clear them on apply — together they
-        #: yield the applied watermark ``ap`` acks advertise
-        self._parked_ls: Dict[SiteId, Set[int]] = {}
-        self._park_of: Dict[WriteId, Tuple[SiteId, int]] = {}
         #: waiters notified after every apply (read gates, parked reads)
         self._progress = asyncio.Condition()
         #: number of tasks blocked in ``_wait_for`` — lets the apply hot
@@ -761,27 +730,11 @@ class SiteServer:
         #: this site does not replicate; writes destined here apply in
         #: origin order (program order at the origin is causal order),
         #: so the maximum doubles as the contiguous floor for
-        #: destined-here traffic — the stable timestamp ``link.ok``
-        #: advertises (``ow``) and snapshot coverage is built on.
+        #: destined-here traffic — the applied watermark ``ap`` links
+        #: advertise and snapshot coverage is built on.  This site's own
+        #: writes still owed to a peer are in that peer's
+        #: :class:`PeerLink` queue (:attr:`_own_log` views them all).
         self._origin_applied: Dict[SiteId, int] = {}
-        #: own write clock -> this site's update messages for that
-        #: write, each kept until its destination acks it or shows it
-        #: applied at a handshake (then pruned via :meth:`_own_retired`)
-        #: — what the handshake's catch-up (:meth:`PeerLink._catch_up`)
-        #: re-ships from.  Every ``wal.put`` names the log's oldest
-        #: clock (:meth:`_retired_floor`), so a recovered log starts
-        #: there, not at the last snapshot
-        self._own_log: Dict[int, List[UpdateMessage]] = {}
-        #: at most the oldest clock in ``_own_log``: every own write
-        #: below it has left the log.  It only advances, a clock at a
-        #: time, so tracking it costs O(1) per own write amortized
-        self._own_floor = 0
-        #: parked updates surviving from a PREVIOUS incarnation of their
-        #: sender, per sender (see :meth:`_handle_hello`): while any
-        #: exist, the applied watermark advertised to that sender clamps
-        #: to 0 so its ack-driven GC cannot prune destinations that have
-        #: not actually applied those writes
-        self._stale_parked: Dict[SiteId, int] = {}
         self.snapshot_interval = snapshot_interval
         self._snapshot_task: Optional[asyncio.Task] = None
         #: the write-ahead log, or None for a memory-only site.
@@ -826,9 +779,11 @@ class SiteServer:
             self._snapshot_task = asyncio.ensure_future(self._snapshot_loop())
         # a recovered site still owes its peers the own writes its log
         # names: dial them now, the handshake re-ships what they lack
-        owed = {m.dest for msgs in self._own_log.values() for m in msgs}
-        for dest in sorted(owed):
-            self._link(dest)
+        for dest in sorted(self._links):
+            if self._links[dest]._own:
+                self._links[dest].start()
+            else:
+                del self._links[dest]
 
     def set_clock_origin(self, t0: float) -> None:
         """Share one time origin across a co-hosted cluster so recorder
@@ -1004,8 +959,8 @@ class SiteServer:
 
         Repl frames are ingested synchronously (applied or parked — no
         awaits, preserving the single-writer discipline) while their
-        acks are *deferred*: per sender we track the highest contiguous
-        sequence processed and emit ONE ``repl.ackp`` per batch.  The
+        acks are *deferred*: per sender we track the highest clock taken
+        in and emit ONE ``repl.ackp`` per batch.  The
         parked-update rescan (:meth:`_drain`) also runs once per batch —
         an update a per-frame drain would have applied mid-batch is
         applied by the batch-end drain instead, before any ack covering
@@ -1053,33 +1008,15 @@ class SiteServer:
         """Process one repl frame of ``link`` — parsed in one pass
         (:class:`wire.ReplFrame`) or a restored frame dict — without
         acking or draining; returns the number of updates applied (0 =
-        dup/gap/parked).  Only the contiguous next frame is decoded
-        through the link's chain: duplicates and gaps never touch it."""
-        parsed = type(frame) is wire.ReplFrame
-        if parsed:
-            src, link_seq = frame.src, frame.ls
-        else:
-            src = int(frame["src"])
-            link_seq = int(frame["ls"])
-        seen = self._seen_ls.get(src, 0)
-        if link_seq <= seen:
-            # resend of a frame processed earlier; fold the cumulative
-            # re-ack into this batch's ack
-            self.metric("service_repl_dups_total")
-            acks[src] = max(acks.get(src, 0), seen)
-            return 0
-        if link_seq != seen + 1:
-            # gap: an earlier frame of this link was lost in flight.
-            # Don't ack, don't advance — advancing here would silently
-            # skip the lost update forever; the sender renegotiates from
-            # the last contiguous ack at its next handshake and resends.
-            # The ack for the contiguous prefix, if any, still goes out
-            self.metric("service_repl_gaps_total")
-            return 0
-        if parsed:
-            it, raw = frame.it, None
+        duplicate or parked).  Every frame is decoded through the
+        link's chain, as the sender chained every frame it sent.  Its
+        ``ls`` must be its write's clock, and the write its sender's
+        own: the ack is a clock of the sender's writes."""
+        if type(frame) is wire.ReplFrame:
+            src, clock, it, raw = frame.src, frame.ls, frame.it, None
             msg = link.unpack_update(frame)
         else:
+            src, clock = int(frame["src"]), int(frame["ls"])
             # strip the issue-time stamp BEFORE the chained-delta decode —
             # the decoder dispatches on the restored base frame type
             it = wire.strip_issue(frame)
@@ -1087,126 +1024,90 @@ class SiteServer:
             if raw is not None and not isinstance(frame.get("var"), str):
                 raw = None  # interned var id: the body needs the link's table
             msg = link.decode_update(frame, self._itab)
+        wid = msg.write_id
+        if wid.seq != clock or wid.site != src:
+            raise WireError(
+                f"repl frame from site {src} with ls {clock} carries write {wid}"
+            )
+        if self._is_origin_dup(msg):
+            # a resend of a write this site already holds — after a
+            # reconnect, or a restarted receiver's: re-ack it without
+            # touching the protocol (applying it twice would break
+            # exactly-once application)
+            self.metric("service_repl_dups_total")
+            acks[src] = max(acks.get(src, 0), self._taken_in(src))
+            return 0
         if self.wal is not None:
-            # logged before the apply/park decision (and before the
-            # origin-dup guard — the guard still ACKS, and an acked
-            # link-sequence advance must survive a restart or the
-            # sender, which retires on ack, would leave a permanent
-            # gap), in the same synchronous block as both
+            # logged before the apply/park decision, in the same
+            # synchronous block as it: the ack below covers the write
             if raw is not None:
                 self.wal.append_raw(raw)
             else:
                 # the durable twin of the frame: same fields, never
                 # interned, never lean — a WAL record must decode with
                 # no connection state
-                self.wal.append(
-                    wire.BINARY_CODEC.pack_update(msg, link_seq, wal=True)
-                )
-        if self._is_origin_dup(msg):
-            # a handshake re-ship delivered a write this site's state
-            # already covers: ack and advance the link without touching
-            # the protocol — applying it twice would break exactly-once
-            # application
-            self.metric("service_origin_dups_total")
-            self._seen_ls[src] = link_seq
-            acks[src] = max(acks.get(src, 0), link_seq)
-            return 0
+                self.wal.append(wire.BINARY_CODEC.pack_update(msg, clock, wal=True))
         if it is not None:
-            self._issue_ms[msg.write_id] = it
+            self._issue_ms[wid] = it
         now = self.now_ms()
-        self._recv_at[msg.write_id] = now
+        self._recv_at[wid] = now
         obs = self.obs
-        obs.on_deliver(now, self.site, msg.write_id)
+        obs.on_deliver(now, self.site, wid)
         applied = 0
         if self.protocol.can_apply(msg):
             self._apply(msg)
             applied = 1
         else:
             obs.on_buffered(
-                now, self.site, msg.write_id, self.protocol.blocking_deps(msg) or ()
+                now, self.site, wid, self.protocol.blocking_deps(msg) or ()
             )
-            self._park(src, link_seq, msg)
-        self._seen_ls[src] = link_seq
-        acks[src] = max(acks.get(src, 0), link_seq)
+            self._park(msg)
+        # taken in: this write is now the newest of ``src``'s held here
+        acks[src] = clock
         return applied
 
     def _is_origin_dup(self, msg: UpdateMessage) -> bool:
         """True when this site already holds the write — applied (at or
-        below the origin watermark) or parked.  The guard is what lets
-        handshake re-ships overlap normal delivery: the protocols either
-        refuse a second apply outright (opt-track's non-monotonic-apply
-        check) or would park the duplicate forever (the dense-order
-        vector protocols), so a duplicate must be absorbed here."""
+        below the origin watermark) or parked.  The one dedup: link
+        frames are numbered by their writes' clocks, so a resend after
+        a reconnect and a restarted origin's re-ship are the same case.
+        The protocols either refuse a second apply outright (opt-track's
+        non-monotonic-apply check) or would park the duplicate forever
+        (the dense-order vector protocols), so it is absorbed here."""
         wid = msg.write_id
         return (
             wid.seq <= self._origin_applied.get(wid.site, 0)
-            or wid in self._park_of
+            or wid in self._parked_ids
         )
 
-    def _own_retired(self, msg: UpdateMessage) -> None:
-        """A destination acked ``msg`` (it is durable there): release
-        this site's own-log copy for that destination.  The entry — and
-        with it the write's eligibility for a handshake re-ship —
-        disappears once every destination acked."""
-        entry = self._own_log.get(msg.write_id.seq)
-        if entry is None:
-            return
-        entry[:] = [m for m in entry if m.dest != msg.dest]
-        if not entry:
-            del self._own_log[msg.write_id.seq]
+    def _taken_in(self, src: SiteId) -> int:
+        """The ack for ``src``: the highest clock of its writes this
+        site holds, applied or parked.  Its writes destined here arrive
+        in clock order, so every one below is held too; parked ones
+        are all above the applied watermark (they apply in origin
+        order)."""
+        ack = self._origin_applied.get(src, 0)
+        for wid in self._parked_ids:
+            if wid.site == src and wid.seq > ack:
+                ack = wid.seq
+        return ack
 
     def _retired_floor(self, seq: int) -> int:
-        """The retired floor as of own write ``seq`` (not yet in the own
-        log): the oldest clock still in ``_own_log``, or ``seq`` when
-        the log is empty.  Every own write below it is held by every
-        destination.  ``_own_floor`` walks up over the clocks that left
-        the log — each clock once over the site's life, never a scan
-        of the log."""
-        log = self._own_log
-        floor = self._own_floor
-        if not log:
-            floor = seq
-        else:
-            while floor not in log:
-                floor += 1
-        self._own_floor = floor
+        """The retired floor as of own write ``seq`` (not yet queued):
+        the oldest clock still queued for any peer, or ``seq`` when no
+        queue holds one.  Every own write below it is held by every
+        destination.  The queues are clock-ordered, so it is the least
+        of their heads."""
+        floor = seq
+        for link in self._links.values():
+            if link._own and link._own[0].write_id.seq < floor:
+                floor = link._own[0].write_id.seq
         return floor
 
-    def _release_below(self, floor: int) -> None:
-        """Drop the own-log entries below a logged retired ``floor``
-        (replay): every destination held those writes when the record
-        was written."""
-        log = self._own_log
-        if log:
-            for clock in range(self._own_floor, floor):
-                log.pop(clock, None)
-        if floor > self._own_floor:
-            self._own_floor = floor
-
-    def _park(self, src: SiteId, link_seq: int, msg: UpdateMessage) -> None:
-        """Buffer an update whose activation predicate is false, and
-        record its link sequence: the applied watermark ``ap`` stops
-        just short of the oldest parked sequence."""
+    def _park(self, msg: UpdateMessage) -> None:
+        """Buffer an update whose activation predicate is false."""
         self._parked.append(msg)
-        self._parked_ls.setdefault(src, set()).add(link_seq)
-        self._park_of[msg.write_id] = (src, link_seq)
-
-    def _applied_ls(self, src: SiteId) -> int:
-        """Highest contiguous link sequence from ``src`` whose update
-        was *applied* — the GC watermark acks advertise.  Everything
-        processed is applied unless still parked, so this is ``seen``
-        capped below the oldest parked sequence.  While updates from a
-        PREVIOUS incarnation of ``src`` are still parked the watermark
-        clamps to 0: the new incarnation's numbering says nothing about
-        them, and advertising progress would let the sender's
-        Condition-1 GC prune destinations that never applied those
-        writes — a causal-soundness violation, not just a perf bug."""
-        if self._stale_parked.get(src):
-            return 0
-        parked = self._parked_ls.get(src)
-        if parked:
-            return min(parked) - 1
-        return self._seen_ls.get(src, 0)
+        self._parked_ids.add(msg.write_id)
 
     async def _flush_repl(
         self, conn: Connection, acks: Dict[SiteId, int], applied: int
@@ -1240,10 +1141,6 @@ class SiteServer:
             )
         if result.write_id.seq > self._origin_applied.get(self.site, 0):
             self._origin_applied[self.site] = result.write_id.seq
-        if result.messages:
-            # kept until every destination holds it (see _own_retired):
-            # what the handshake's catch-up re-ships missing updates from
-            self._own_log[result.write_id.seq] = list(result.messages)
         obs = self.obs
         obs.on_issue(
             now,
@@ -1255,8 +1152,9 @@ class SiteServer:
             result.applied_locally,
         )
         # enqueued in the same synchronous block as protocol.write —
-        # link-sequence order must stay write-clock order — but flushed
-        # only after the reply below
+        # each link queue must stay in write-clock order — but flushed
+        # only after the reply below; the queue holds the write until
+        # its destination acks it
         links: List[PeerLink] = []
         for msg in result.messages:
             obs.on_send(now, self.site, msg.dest, msg.write_id, var)
@@ -1442,34 +1340,6 @@ class SiteServer:
     async def _handle_hello(self, conn: Connection, frame: Dict[str, Any]) -> None:
         self._accept_hello(frame)
         src = wire.field(frame, "src", int)
-        epoch = wire.field(frame, "epoch", int)
-        if self._peer_epoch.get(src) != epoch:
-            # a new sender incarnation restarts its link sequence at 1:
-            # the dedup high-water mark must restart with it, or every
-            # frame from the restarted site would be dropped as a dup —
-            # and the parked-sequence bookkeeping refers to the old
-            # incarnation's numbering, so it restarts too.
-            # The parked updates themselves are KEPT: they were acked to
-            # the dead incarnation, which may have pruned them from its
-            # own log, so dropping them here could lose them forever.
-            # They survive re-keyed to the sentinel sequence 0 (their
-            # old numbering is meaningless now) and counted in
-            # ``_stale_parked``, which clamps the applied watermark this
-            # site advertises to the new incarnation (see _applied_ls).
-            if self.wal is not None:
-                self.wal.append(
-                    wire.make_frame("wal.hello", src=src, epoch=epoch)
-                )
-            self._peer_epoch[src] = epoch
-            self._seen_ls[src] = 0
-            stale = 0
-            for wid, (s, ls) in list(self._park_of.items()):
-                if s == src and ls:
-                    self._park_of[wid] = (src, 0)
-                    stale += 1
-            if stale:
-                self._stale_parked[src] = self._stale_parked.get(src, 0) + stale
-            self._parked_ls.pop(src, None)
         # a link connection from here on, with a fresh chain end
         self._delta_in[conn] = wire.DeltaDecoder(src, self.site)
         # the link.ok itself travels under the codec the hello arrived
@@ -1479,11 +1349,10 @@ class SiteServer:
             wire.make_frame(
                 "link.ok",
                 site=self.site,
-                ack=self._seen_ls.get(src, 0),
+                ack=self._taken_in(src),
                 cv=wire.WIRE_VERSION,
                 itab=list(self._itab.names),
-                ap=self._applied_ls(src),
-                ow=self._origin_applied.get(src, 0),
+                ap=self._origin_applied.get(src, 0),
             )
         )
         conn.negotiate(wire.BINARY_CODEC_V4, wire.WIRE_VERSION)
@@ -1507,7 +1376,7 @@ class SiteServer:
     ) -> None:
         # the applied watermark rides every ack as the gap
         # ``ack - applied`` (usually 0 — one byte); the link chains ``a``
-        gap = ack - self._applied_ls(src)
+        gap = ack - self._origin_applied.get(src, 0)
         try:
             await conn.send(link.pack_ack(ack, gap, conn.one_pass))
         except (ConnectionError, OSError):
@@ -1588,39 +1457,50 @@ class SiteServer:
 
     def _snapshot_frame(self) -> Dict[str, Any]:
         """Everything a restart needs beyond the WAL suffix, as plain
-        wire-encodable data: protocol state, per-link dedup watermarks
-        and peer epochs, per-origin stable timestamps, parked updates
-        (stale ones under the sentinel sequence 0), and the unacked
-        own-write log."""
-        seen: List[int] = []
-        for s in sorted(self._seen_ls):
-            seen.extend((int(s), int(self._seen_ls[s])))
-        epochs: List[int] = []
-        for s in sorted(self._peer_epoch):
-            epochs.extend((int(s), int(self._peer_epoch[s])))
+        wire-encodable data: protocol state, per-origin stable
+        timestamps, parked updates, and the own writes the links still
+        hold.  Acks are not in it: they follow from the first and the
+        second."""
         origin: List[int] = []
         for s in sorted(self._origin_applied):
             origin.extend((int(s), int(self._origin_applied[s])))
         parked: List[List[Any]] = []
         for msg in self._parked:
-            src, ls = self._park_of.get(msg.write_id, (msg.sender, 0))
-            parked.append([int(src), int(ls), wire.encode_update(msg, int(ls))])
+            clock = int(msg.write_id.seq)
+            parked.append([int(msg.sender), clock, wire.encode_update(msg, clock)])
         own: List[Dict[str, Any]] = []
-        for clock in sorted(self._own_log):
-            for msg in self._own_log[clock]:
-                own.append(wire.encode_update(msg, 0))
+        for msgs in self._own_log.values():
+            own.extend(wire.encode_update(msg, 0) for msg in msgs)
         return wire.make_frame(
             "snap",
             site=int(self.site),
             inc=int(self.epoch),
             applies=int(self.applies),
             proto=self.protocol.state_snapshot(),
-            seen=seen,
-            epochs=epochs,
             origin=origin,
             parked=parked,
             own=own,
         )
+
+    @property
+    def _own_log(self) -> Dict[int, List[UpdateMessage]]:
+        """This site's own writes some peer still lacks, by clock — a
+        view over the links' queues, which hold them."""
+        log: Dict[int, List[UpdateMessage]] = {}
+        for dest in sorted(self._links):
+            for msg in self._links[dest]._own:
+                log.setdefault(msg.write_id.seq, []).append(msg)
+        return dict(sorted(log.items()))
+
+    def _hold_own(self, msg: UpdateMessage) -> None:
+        """Recovery: queue own write ``msg`` for its destination again,
+        on a link :meth:`start` dials."""
+        link = self._links.get(msg.dest)
+        if link is None:
+            link = self._links[msg.dest] = PeerLink(
+                self, msg.dest, self.addresses[msg.dest]
+            )
+        link._own.append(msg)
 
     def _recover(
         self,
@@ -1631,8 +1511,9 @@ class SiteServer:
         WAL suffix, counting :attr:`wal_replayed` as the frames go by.
         Runs in ``__init__``, strictly before the server takes traffic,
         with no observers: the sanitizer, recorder, and metrics already
-        saw these transitions when they happened live.  Returns True
-        when there was anything to recover."""
+        saw these transitions when they happened live.  An older
+        build's per-link ``seen`` / ``epochs`` are ignored.  Returns
+        True when there was anything to recover."""
         if snapshot is not None:
             if int(snapshot.get("site", self.site)) != int(self.site):
                 raise WalCorruptionError(
@@ -1640,27 +1521,13 @@ class SiteServer:
                     f"not site {self.site} (wrong data dir?)"
                 )
             self.protocol.state_restore(snapshot["proto"])
-            it = iter(snapshot.get("seen") or ())
-            self._seen_ls = {int(s): int(v) for s, v in zip(it, it)}
-            it = iter(snapshot.get("epochs") or ())
-            self._peer_epoch = {int(s): int(v) for s, v in zip(it, it)}
             it = iter(snapshot.get("origin") or ())
             self._origin_applied = {int(s): int(v) for s, v in zip(it, it)}
             self.applies = int(snapshot.get("applies", 0))
-            for src, ls, f in snapshot.get("parked") or ():
-                msg = wire.decode_update(f)
-                self._parked.append(msg)
-                self._park_of[msg.write_id] = (int(src), int(ls))
-                if int(ls):
-                    self._parked_ls.setdefault(int(src), set()).add(int(ls))
-                else:
-                    self._stale_parked[int(src)] = (
-                        self._stale_parked.get(int(src), 0) + 1
-                    )
+            for _, _, f in snapshot.get("parked") or ():
+                self._park(wire.decode_update(f))
             for f in snapshot.get("own") or ():
-                msg = wire.decode_update(f)
-                self._own_log.setdefault(msg.write_id.seq, []).append(msg)
-            self._own_floor = min(self._own_log, default=0)
+                self._hold_own(wire.decode_update(f))
         for frame in frames:
             self._replay(frame)
             self.wal_replayed += 1
@@ -1694,9 +1561,10 @@ class SiteServer:
                 self._origin_applied[self.site] = result.write_id.seq
             gap = frame.get("fl")
             if gap is not None:
-                self._release_below(logged.seq - gap)
-            if result.messages:
-                self._own_log[result.write_id.seq] = list(result.messages)
+                for link in self._links.values():
+                    link.release_below(logged.seq - gap)
+            for msg in result.messages:
+                self._hold_own(msg)
             if result.applied_locally:
                 self._drain(replay=True)
         elif kind in ("wal.repl", "repl", "repl.t"):
@@ -1705,31 +1573,15 @@ class SiteServer:
             # never reach the log un-renamed, so a plain repl kind in
             # the WAL is unambiguously a logged replicated update
             wire.strip_issue(frame)
-            src = int(frame["src"])
-            ls = int(frame["ls"])
             msg = wire.decode_update(frame)
             if not self._is_origin_dup(msg):
                 if self.protocol.can_apply(msg):
                     self._apply(msg, replay=True)
                     self._drain(replay=True)
                 else:
-                    self._park(src, ls, msg)
-            if ls > self._seen_ls.get(src, 0):
-                self._seen_ls[src] = ls
+                    self._park(msg)
         elif kind == "wal.hello":
-            # mirror of _handle_hello's epoch-change block: reset the
-            # dedup state, keep parked updates under the stale sentinel
-            src = int(frame["src"])
-            self._peer_epoch[src] = int(frame["epoch"])
-            self._seen_ls[src] = 0
-            stale = 0
-            for wid, (s, ls) in list(self._park_of.items()):
-                if s == src and ls:
-                    self._park_of[wid] = (src, 0)
-                    stale += 1
-            if stale:
-                self._stale_parked[src] = self._stale_parked.get(src, 0) + stale
-            self._parked_ls.pop(src, None)
+            pass  # an older build's sender-epoch record: nothing reads it
         elif kind == "wal.read":
             # reads mutate state (the deferred ~>co merge) — that is the
             # only reason they are in the log at all
@@ -1770,11 +1622,13 @@ class SiteServer:
         for dest in sorted(self._links):
             links[str(int(dest))] = self._links[dest].stats()
         inbound: Dict[str, Any] = {}
-        for src in sorted(self._seen_ls):
+        senders = set(self._origin_applied) | {w.site for w in self._parked_ids}
+        senders.discard(self.site)
+        for src in sorted(senders):
             inbound[str(int(src))] = {
-                "seen": self._seen_ls[src],
-                "applied": self._applied_ls(src),
-                "parked": len(self._parked_ls.get(src, ())),
+                "seen": self._taken_in(src),
+                "applied": self._origin_applied.get(src, 0),
+                "parked": sum(w.site == src for w in self._parked_ids),
             }
         snap: Dict[str, Any] = {
             "site": int(self.site),
@@ -1798,7 +1652,6 @@ class SiteServer:
                 for s, v in sorted(self._origin_applied.items())
             },
             "own_log": len(self._own_log),
-            "stale_parked": sum(self._stale_parked.values()),
         }
         if self.wal is not None:
             snap["durability"] = {
@@ -1912,28 +1765,10 @@ class SiteServer:
             # the per-origin stable timestamp: gaps below it are writes
             # this site does not replicate (writes destined here apply
             # in origin order, so the max is also the destined-here
-            # contiguous floor) — the unit ``link.ok``'s ``ow`` and
+            # contiguous floor) — the applied watermark ``ap`` and
             # snapshot coverage are denominated in
             self._origin_applied[wid.site] = wid.seq
-        park = self._park_of.pop(wid, None)
-        if park is not None:
-            # a formerly parked update applied: the applied watermark
-            # for its sender may advance past its link sequence now
-            src, link_seq = park
-            if link_seq == 0:
-                # a stale park from a dead incarnation of its sender
-                # (see _handle_hello): release the GC clamp with it
-                n = self._stale_parked.get(src, 0) - 1
-                if n > 0:
-                    self._stale_parked[src] = n
-                else:
-                    self._stale_parked.pop(src, None)
-            else:
-                parked = self._parked_ls.get(src)
-                if parked is not None:
-                    parked.discard(link_seq)
-                    if not parked:
-                        del self._parked_ls[src]
+        self._parked_ids.discard(wid)
         if replay:
             return
         self.obs.on_apply(

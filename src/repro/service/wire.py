@@ -52,8 +52,8 @@ a peer link carries"):
   a diff against the previous repl frame sent on the connection
   (``repl.delta``, :class:`DeltaEncoder` / :class:`DeltaDecoder`),
   full when a diff would pack no fewer ints, and always full first
-  after a handshake; the receiver only decodes the contiguous ``ls ==
-  seen + 1`` frame, so both ends chain against the same baseline;
+  after a handshake; the receiver decodes every frame the connection
+  carries, so both ends chain against the same baseline;
 * **id interning** — the handshake *receiver* answers with an intern
   table (``itab``: position = id) and senders may put the small int in
   any ``var`` field (``VarId`` is a string, so an int is unambiguous);
@@ -92,33 +92,28 @@ Client-facing request/response::
 
 Server-to-server (peer links)::
 
-    link.hello  {v, t:"link.hello", src, epoch, cv}
-                                         -> link.ok {ack, ap, ow, cv, itab}
-             opens every peer-link connection.  ``epoch`` identifies the
-             sender *incarnation*: the receiver keys its repl dedup
-             state by (src, epoch) and resets it when a new epoch
-             connects, so a restarted site's fresh sequence numbers are
-             not mistaken for duplicates.  ``ack`` is the receiver's
-             cumulative per-link high-water mark; the sender retires
-             everything up to it and resends the rest.  ``ap`` is its
-             applied watermark (see ``repl.ackp``).  ``ow`` is the
-             highest of the sender's *own* writes the receiver has
-             applied (its per-origin stable timestamp for the sender,
-             across incarnations of both): the sender releases its
-             own-write log at or below it and re-enqueues what lies
-             above it and no queue entry carries — how a restarted
-             origin re-ships the writes its dead queue held.
+    link.hello  {v, t:"link.hello", src, cv}
+                                         -> link.ok {ack, ap, cv, itab}
+             opens every peer-link connection.  ``ack`` is the highest
+             clock of ``src``'s writes the receiver holds, applied or
+             parked; the sender retires its own writes up to it and
+             sends the rest, oldest first — whichever end restarted,
+             and whichever incarnation of the sender shipped them.
+             ``ap`` is the receiver's applied watermark (see
+             ``repl.ackp``).
     repl.t   {var, value, w, meta, ls, it}: one UpdateMessage
              (REPLICATE) from the link's ``src`` to its ``dst`` with the
              origin's issue time ``it`` (ms on the origin's clock —
              what feeds the receiver's per-origin visibility-latency
-             histograms); ``ls`` is a contiguous per-link sequence
-             number; both travel chained (see above).  The receiver
-             processes only ``ls == seen + 1`` (drops duplicates,
-             refuses gaps without acking) and acks only *after* the
-             update is applied or parked.  The sender retires a frame
-             on ack, never on transport send success alone:
-             at-least-once delivery, exactly-once apply.
+             histograms); ``ls`` is the write's clock (its
+             ``WriteId`` sequence number) — a frame whose ``ls`` is
+             not, or whose write is not ``src``'s, is refused
+             ``bad-frame``; both travel chained (see above).  The
+             receiver drops (and re-acks) a write it already holds and
+             acks only *after* the update is applied or parked.  The
+             sender retires a frame on ack, never on transport send
+             success alone: at-least-once delivery, exactly-once
+             apply.
     repl.delta.t  same fields, but ``meta`` holds a diff against the
              metadata of the previous frame sent on this connection
              (kinds ``otd``/``crpd``/``mcd``); never the first repl
@@ -126,13 +121,16 @@ Server-to-server (peer links)::
              the write id is derivable as ``WriteId(src, meta.clock)``
              (it always is for opt-track and CRP writes).
     repl / repl.delta  the same two frames without the stamp
-             (:func:`strip_issue`); a link always stamps.  ``repl`` /
+             (:func:`strip_issue`): a link stamps every write it was
+             handed live, and ships a write recovered from the WAL
+             unstamped.  ``repl`` /
              ``repl.t`` also have a *self-contained* layout {var, value,
              w, src, dst, meta, ls[, it]} (absolute): a WAL written by
              an earlier build holds raw records of it.
     repl.ackp  ``{a, ap}``: the cumulative ack ``a`` (chained) and the
-             gap between it and the highest contiguous *applied* (not
-             merely parked) ``ls`` — ``a - ap`` is the sender's
+             gap between it and the highest clock of the sender's
+             writes *applied* (not merely parked) — ``a - ap`` is the
+             sender's
              ack-driven dependency-log GC watermark
              (``note_remote_apply``).  The gap is almost always 0, so
              it packs into one byte where an absolute watermark would
@@ -142,8 +140,8 @@ Server-to-server (peer links)::
              fetch.ok {var, value, w, fid, meta, applied} (correlated
              by ``fid``)
     sys.digest / sys.range / sys.ctrl.ok   retired (the periodic
-             anti-entropy rounds, before ``link.ok``'s ``ow`` made the
-             handshake the one catch-up path): their tags and layouts
+             anti-entropy rounds, before the link handshake became the
+             one catch-up path): their tags and layouts
              stay reserved, and any connection answers them ``err
              bad-frame``.
 
@@ -205,10 +203,11 @@ from repro.types import WriteId
 #: the wire version this side speaks — the *capability* ``cv`` a hello
 #: must carry, not a byte on any frame.  The support window is this one
 #: value (see module docstring): chained ``repl.delta`` frames and
-#: scalars, link-implied fields, varint int vectors, ``ap`` applied
-#: watermarks on acks, ``ow`` per-origin watermarks on ``link.ok``, id
-#: interning, the binary codec in its lean envelope.
-WIRE_VERSION = 7
+#: scalars, link-implied fields, varint int vectors, link frames and
+#: acks numbered by the origin's write clock, ``ap`` applied watermarks
+#: on acks and ``link.ok``, id interning, the binary codec in its lean
+#: envelope.
+WIRE_VERSION = 8
 
 #: the frame schema version stamped on every frame dict, in every
 #: binary header and therefore in every WAL record.  Decoders accept
@@ -693,6 +692,7 @@ _FRAME_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     # is expected to grow.
     "wal.put": ("var", "value", "w"),
     "wal.repl": ("var", "value", "w", "src", "dst", "meta", "ls"),
+    # an older build's sender-epoch record: read, and ignored, on replay
     "wal.hello": ("src", "epoch"),
     "wal.read": ("var",),
     "wal.rfetch": ("var", "value", "w", "sv", "meta", "applied"),
@@ -1632,8 +1632,8 @@ def encode_update(msg: UpdateMessage, link_seq: int) -> Dict[str, Any]:
     :class:`UpdateMessage` — what a snapshot stores; a link sends the
     chained, lean, interned spelling (:class:`DeltaEncoder`).
 
-    ``link_seq`` is the per-peer-link sequence number used for duplicate
-    suppression across reconnect resends.
+    ``link_seq`` is the frame's ``ls``: on a link, the write's clock
+    (``msg.write_id.seq``); a snapshot's own-write entries carry 0.
     """
     return make_frame(
         "repl",
@@ -1923,12 +1923,10 @@ class DeltaEncoder(_LinkEnd):
 class DeltaDecoder(_LinkEnd):
     """The accepting end of a link, mirroring :class:`DeltaEncoder`.
 
-    The metadata baseline is that of the last repl frame *processed* on
-    this connection.  The server's link discipline only ever decodes
-    the contiguous ``ls == seen + 1`` frame (duplicates and gaps never
-    touch it, though every frame *received* advances the scalars, as
-    every frame sent did), and the sender chains against the previous
-    frame it sent, so the baselines agree by construction.  A
+    The metadata baseline is that of the last repl frame received on
+    this connection.  The server decodes every frame a connection
+    carries, duplicates included, and the sender chains against the
+    previous frame it sent, so the baselines agree by construction.  A
     ``repl.delta`` arriving with no or mismatched baseline raises
     :class:`WireError` — the server drops the connection and the sender
     reconnects, re-sending from the ack with a full first frame.
@@ -2168,9 +2166,8 @@ def encoded_kind(encoded: bytes) -> str:
 
 class ReplFrame(NamedTuple):
     """One link repl frame parsed off the wire but not yet decoded
-    against its sender's delta chain: the server reads ``src`` / ``ls``
-    to drop duplicates and gaps *before*
-    :meth:`DeltaDecoder.unpack_update` touches the chain.  ``ls`` /
+    against its sender's delta chain (:meth:`DeltaDecoder.
+    unpack_update` finishes it).  ``ls`` /
     ``it`` (the issue stamp, ``None`` unstamped) are already absolute;
     ``sid`` / ``fields`` are the metadata's schema row (``sid`` ``None``
     = no metadata) and ``delta`` says the row is a diff."""

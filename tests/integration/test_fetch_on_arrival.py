@@ -180,7 +180,7 @@ def _requester():
 
 
 async def _dial(transport):
-    conn, ok = await open_handshaken(transport, "site-1", src=0, epoch=7)
+    conn, ok = await open_handshaken(transport, "site-1", src=0)
     return conn, wire.DeltaEncoder(wire.InternTable(ok["itab"]), 0, 1)
 
 
@@ -308,7 +308,7 @@ def _stale_server(answer_refetches):
         hello = await conn.recv()
         await conn.send(wire.make_frame(
             "link.ok", site=1, ack=0, cv=wire.WIRE_VERSION,
-            itab=list(itab.names), ap=0, ow=0,
+            itab=list(itab.names), ap=0,
         ))
         conn.negotiate(wire.BINARY_CODEC_V4, wire.WIRE_VERSION)
         link = wire.DeltaDecoder(hello["src"], 1)

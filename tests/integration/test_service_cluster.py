@@ -180,7 +180,7 @@ class TestFailover:
 
 
 # ----------------------------------------------------------------------
-# peer-link protocol: acks, epochs, loss recovery
+# peer-link protocol: acks, dedup, loss recovery
 # ----------------------------------------------------------------------
 class _LossyConnection(Connection):
     """Wraps a loopback connection and silently drops the first ``repl``
@@ -252,13 +252,13 @@ class TestLinkProtocol:
         assert (value, wid, by) == ("must-arrive", WriteId(0, 1), 1)
         assert applies == 1  # resent exactly once, applied exactly once
 
-    def test_handshake_acks_dedup_and_epoch_reset(self):
-        # drive the link protocol with raw frames: contiguity, cumulative
-        # re-ack of duplicates, gap refusal, and the epoch handshake that
-        # resets dedup state for a restarted sender incarnation.  The
-        # updates go self-contained (a chained frame can be sent once
-        # only); the acks come back chained: ``a`` is the advance over
-        # the previous ack of the connection, the first one absolute
+    def test_handshake_acks_and_dedup(self):
+        # drive the link protocol with raw frames, each numbered by its
+        # write's clock: cumulative acks, the re-ack of a duplicate, and
+        # a reconnect that resumes at the ack.  The updates go
+        # self-contained (a chained frame can be sent once only); the
+        # acks come back chained: ``a`` is the advance over the previous
+        # ack of the connection, the first one absolute
         async def main():
             async with ServiceCluster(2, 2, "opt-track",
                                       replication_factor=2) as cluster:
@@ -270,35 +270,27 @@ class TestLinkProtocol:
                     return next(m for m in proto.write("x0", value).messages
                                 if m.dest == 1)
 
-                conn, ok = await open_handshaken(
-                    cluster.transport, "site-1", src=0, epoch=11
-                )
+                conn, ok = await open_handshaken(cluster.transport, "site-1", src=0)
                 assert ok["ack"] == 0 and ok["ap"] == 0
                 link = wire.DeltaEncoder(None, 0, 1)  # this end of the link
 
                 m1 = write("v1")
+                assert m1.write_id.seq == 1
                 await conn.send(wire.encode_update(m1, 1))
                 ack = await conn.recv()
                 assert (ack["t"], ack["a"], ack["ap"]) == ("repl.ackp", 1, 0)
                 assert link.restore(ack)["a"] == 1
                 assert receiver.applies == 1
 
-                # duplicate: dropped at the link layer, re-acked so the
-                # sender can retire it, protocol untouched
+                # duplicate: re-acked so the sender can retire it,
+                # protocol untouched
                 await conn.send(wire.encode_update(m1, 1))
                 ack = await conn.recv()
                 assert (ack["t"], ack["a"]) == ("repl.ackp", 0)  # no advance
                 assert link.restore(ack)["a"] == 1
                 assert receiver.applies == 1
 
-                # gap: ls=3 while seen=1 — refused without ack or advance
                 m2 = write("v2")
-                await conn.send(wire.encode_update(m2, 3))
-                with pytest.raises(asyncio.TimeoutError):
-                    await asyncio.wait_for(conn.recv(), 0.05)
-                assert receiver.applies == 1
-
-                # the contiguous retry lands
                 await conn.send(wire.encode_update(m2, 2))
                 ack = await conn.recv()
                 assert (ack["t"], ack["a"]) == ("repl.ackp", 1)
@@ -306,40 +298,61 @@ class TestLinkProtocol:
                 assert receiver.applies == 2
                 await conn.close()
 
-                # same incarnation reconnecting resumes at its high-water
-                # mark; a NEW incarnation (site restart) resets it, so the
-                # fresh link sequence starting at 1 is not dropped as a dup.
-                # Either way the handshake made both chain ends anew: the
-                # first frame is full and absolute in every chained field
-                # (``ls``, ``it``, the ack's ``a``), the second advances
-                applies = receiver.applies
-                for epoch, resumes_at in ((11, 2), (99, 0)):
-                    conn, ok = await open_handshaken(
-                        cluster.transport, "site-1", src=0, epoch=epoch
-                    )
-                    assert ok["ack"] == resumes_at
-                    link = wire.DeltaEncoder(wire.InternTable(ok["itab"]), 0, 1)
-                    first = link.encode_update(write("a"), resumes_at + 1, 5000.0)
-                    second = link.encode_update(write("b"), resumes_at + 2, 5007.0)
-                    assert (first["t"], first["ls"], first["it"]) == (
-                        "repl.t", resumes_at + 1, 5000
-                    )
-                    assert (second["ls"], second["it"]) == (1, 7)
-                    assert not {"src", "dst"} & (set(first) | set(second))
-                    await conn.send(first)
-                    ack = await conn.recv()
-                    assert ack["a"] == resumes_at + 1      # absolute
-                    link.restore(ack)
-                    await conn.send(second)
-                    ack = await conn.recv()
-                    assert ack["a"] == 1                   # chained
-                    assert link.restore(ack)["a"] == resumes_at + 2
-                    applies += 2
-                    assert receiver.applies == applies
-                    assert receiver._seen_ls[0] == resumes_at + 2
-                    await conn.close()
+                # reconnecting resumes at the ack.  The handshake made
+                # both chain ends anew: the first frame is full and
+                # absolute in every chained field (``ls``, ``it``, the
+                # ack's ``a``), the second advances
+                conn, ok = await open_handshaken(cluster.transport, "site-1", src=0)
+                assert ok["ack"] == ok["ap"] == 2
+                link = wire.DeltaEncoder(wire.InternTable(ok["itab"]), 0, 1)
+                first = link.encode_update(write("a"), 3, 5000.0)
+                second = link.encode_update(write("b"), 4, 5007.0)
+                assert (first["t"], first["ls"], first["it"]) == ("repl.t", 3, 5000)
+                assert (second["ls"], second["it"]) == (1, 7)
+                assert not {"src", "dst"} & (set(first) | set(second))
+                await conn.send(first)
+                ack = await conn.recv()
+                assert ack["a"] == 3                       # absolute
+                link.restore(ack)
+                await conn.send(second)
+                ack = await conn.recv()
+                assert ack["a"] == 1                       # chained
+                assert link.restore(ack)["a"] == 4
+                assert receiver.applies == 4
+                assert receiver._taken_in(0) == 4
+                await conn.close()
 
         run(main())
+
+    def test_repl_frame_not_numbered_by_its_clock_is_refused(self):
+        # ``ls`` is the write's clock — outside input that says
+        # otherwise (or ships another origin's write) is a bad frame,
+        # refused before it touches the protocol
+        async def main():
+            async with ServiceCluster(2, 2, "opt-track",
+                                      replication_factor=2) as cluster:
+                receiver = cluster.servers[1]
+                proto = cluster.servers[0].protocol
+                msg = next(m for m in proto.write("x0", "v").messages
+                           if m.dest == 1)
+                replies = []
+                for frame in (
+                    wire.encode_update(msg, msg.write_id.seq + 1),
+                    {**wire.encode_update(msg, msg.write_id.seq), "src": 1},
+                ):
+                    conn, _ = await open_handshaken(
+                        cluster.transport, "site-1", src=frame["src"]
+                    )
+                    await conn.send(frame)
+                    replies.append(await conn.recv())
+                    await conn.close()
+                return replies, receiver.applies, receiver._taken_in(0)
+
+        replies, applies, taken = run(main())
+        for reply in replies:
+            assert (reply["t"], reply["code"]) == ("err", "bad-frame")
+        assert "carries write" in replies[0]["msg"]
+        assert applies == 0 and taken == 0
 
     def test_frames_in_flight_at_kill_are_refused_not_half_served(self):
         # regression: a put that arrived just after the chaos kill used
@@ -387,7 +400,7 @@ class TestLinkProtocol:
             hello = await conn.recv()
             mine.append(hello["t"])
             ok = wire.make_frame("link.ok", cv=wire.WIRE_VERSION, ack=0, ap=0,
-                                 ow=0, itab=[])
+                                 itab=[])
             await conn.send(ok if good else {**ok, **first_link_ok})
             while (frame := await conn.recv()) is not None:
                 mine.append((frame["t"], frame["ls"]))
@@ -437,11 +450,11 @@ class TestLinkProtocol:
         assert seen[1] == ["link.hello", ("repl.t", 1)]
         assert counters["link_connect_failures_total{peer=1,site=0}"] >= 1
 
-    def test_link_ok_without_ow_fails_the_handshake(self):
-        # ``ow`` (the per-origin watermark the catch-up runs on) is
+    def test_link_ok_without_ap_fails_the_handshake(self):
+        # ``ap`` (the applied watermark the ack-driven GC runs on) is
         # required: a link.ok without it is refused like a mistyped one
         seen, alive, backlog, counters = run(self._deliver_past(
-            {"ow": None}, None
+            {"ap": None}, None
         ))
         assert alive and backlog == 0
         assert seen[0] == ["link.hello"]
@@ -472,9 +485,8 @@ class TestSupportWindow:
             while (reply := await asyncio.wait_for(conn.recv(), 1.0)) is not None:
                 replies.append(reply)
             await conn.close()
-            state = (receiver.applies, dict(receiver._seen_ls),
-                     dict(receiver._peer_epoch), dict(receiver._origin_applied),
-                     len(receiver._delta_in))
+            state = (receiver.applies, dict(receiver._origin_applied),
+                     len(receiver._parked_ids), len(receiver._delta_in))
             return replies, state
 
     @staticmethod
@@ -484,12 +496,12 @@ class TestSupportWindow:
         assert err["code"] not in wire.RETRIABLE
         assert f"version {wire.WIRE_VERSION} only" in err["msg"]
         assert f"unsupported wire version {offered!r}" in err["msg"]
-        assert state == (0, {}, {}, {}, 0)
+        assert state == (0, {}, 0, 0)
 
-    @pytest.mark.parametrize("cv", [None, 6, 8])
+    @pytest.mark.parametrize("cv", [None, 7, 9])
     @pytest.mark.parametrize("kind", ["hello", "link.hello"])
     def test_hello_outside_the_window_is_refused(self, kind, cv):
-        fields = {"src": 0, "epoch": 7} if kind == "link.hello" else {}
+        fields = {"src": 0} if kind == "link.hello" else {}
         if cv is not None:
             fields["cv"] = cv
         replies, state = run(
@@ -541,7 +553,7 @@ class TestSupportWindow:
                     await asyncio.sleep(0.005)
                 await c0.close()
                 with pytest.raises(WireError) as refusal:
-                    await open_handshaken(cluster.transport, "site-1", src=0, epoch=1)
+                    await open_handshaken(cluster.transport, "site-1", src=0)
                 return (list(seen), not link._task.done(), link.backlog,
                         metrics.snapshot()["counters"], str(refusal.value))
 
@@ -594,7 +606,7 @@ class TestBatchedAcks:
         """Open a raw link connection to site 1 the way a real PeerLink
         does."""
         conn, _ = await open_handshaken(
-            cluster.transport, "site-1", src=0, epoch=5
+            cluster.transport, "site-1", src=0
         )
         return conn
 
@@ -626,46 +638,6 @@ class TestBatchedAcks:
         applies, counters = run(main())
         assert applies == 3
         assert counters.get("service_ack_batches_total{site=1}") == 1
-
-    def test_gap_in_batch_acks_contiguous_prefix_only(self):
-        # a batch with a hole: the contiguous prefix is applied and
-        # acked, the frame past the gap is refused without advancing
-        # the dedup high-water mark — the retransmit then lands whole
-        async def main():
-            metrics = MetricsRegistry()
-            async with ServiceCluster(2, 2, "opt-track", replication_factor=2,
-                                      metrics=metrics) as cluster:
-                receiver = cluster.servers[1]
-                proto = cluster.servers[0].protocol
-                conn = await self._link(cluster)
-                msgs = [next(m for m in proto.write("x0", f"v{i}").messages
-                             if m.dest == 1) for i in range(4)]
-                # ls=3 missing: the batch is [1, 2, 4]
-                await conn.send_many([
-                    wire.encode_update(msgs[0], 1),
-                    wire.encode_update(msgs[1], 2),
-                    wire.encode_update(msgs[3], 4),
-                ])
-                link = wire.DeltaEncoder(None, 0, 1)  # restores chained acks
-                ack = link.restore(await conn.recv())
-                assert (ack["t"], ack["a"]) == ("repl.ackp", 2)
-                assert receiver.applies == 2
-                # the retransmit closing the gap is again acked once
-                await conn.send_many([
-                    wire.encode_update(msgs[2], 3),
-                    wire.encode_update(msgs[3], 4),
-                ])
-                ack = link.restore(await conn.recv())
-                assert (ack["t"], ack["a"]) == ("repl.ackp", 4)
-                with pytest.raises(asyncio.TimeoutError):
-                    await asyncio.wait_for(conn.recv(), 0.05)
-                await conn.close()
-                return receiver.applies, metrics.snapshot()["counters"]
-
-        applies, counters = run(main())
-        assert applies == 4
-        assert counters.get("service_repl_gaps_total{site=1}") == 1
-        assert counters.get("service_ack_batches_total{site=1}") == 2
 
     def test_cumulative_ack_retires_whole_sender_backlog(self):
         # sender side: a burst enqueued on the real PeerLink without
@@ -939,7 +911,6 @@ class TestOnePassInterop:
         assert paths[1] is None and paths[2] is wire.BINARY_CODEC_V4
         carried = {kind for _, kinds in log for kind in kinds}
         assert {"put", "get", "repl.t", "repl.delta.t", "fetch"} <= carried
-        assert _counter(counters, "service_repl_gaps_total") == 0
         # remote reads crossed the seam too (wrapped fetch, one-pass reply)
         assert _counter(counters, "service_fetch_failures_total") == 0
 
@@ -955,10 +926,10 @@ class TestWriteThrough:
                 link = cluster.servers[0]._links[1]
                 receiver = cluster.servers[1]
                 before = dict(link.flushes), receiver.applies
-                await c0.put("x0", "v1")
+                wid = await c0.put("x0", "v1")
                 # put() has only just returned: the update was handed to
                 # the transport in the handler's own loop step ...
-                sent = link._sent == link._link_seq
+                sent = link._sent == wid.seq
                 flushes = dict(link.flushes)
                 # ... so the destination's handler is already runnable
                 await asyncio.sleep(0)
@@ -1001,7 +972,6 @@ class TestWriteThrough:
 
         n, applies, counters, log = run(main())
         assert applies == [0, n, n]  # every delta chain decoded
-        assert _counter(counters, "service_repl_gaps_total") == 0
         assert _counter(counters, "service_repl_dups_total") == 0
         assert counters["link_flushes_total{path=task,peer=1,site=0}"] > 0
         assert counters["link_flushes_total{path=inline,peer=1,site=0}"] == 0
@@ -1025,7 +995,6 @@ class TestWriteThrough:
 
         n, applies, flushes, counters = run(main())
         assert applies == [0, n, n]
-        assert _counter(counters, "service_repl_gaps_total") == 0
         assert _counter(counters, "service_repl_dups_total") == 0
         assert flushes["inline"] > 0 and flushes["task"] > 0
 
@@ -1057,7 +1026,6 @@ class TestWriteThrough:
         value, applies, same_chain, counters, log = run(main())
         assert (value, applies) == ("after", 5)  # resent once, applied once
         assert not same_chain
-        assert _counter(counters, "service_repl_gaps_total") == 0
         cut = next(i for i, (op, _) in enumerate(log) if op == "swallowed")
         resent = next(kinds for op, kinds in log[cut + 1:]
                       if any(k in wire.REPL_FRAME_KINDS for k in kinds))
@@ -1268,7 +1236,7 @@ class TestStatsFrames:
                 receiver = cluster.servers[1]
                 proto = cluster.servers[0].protocol
                 conn, _ = await open_handshaken(
-                    cluster.transport, "site-1", src=0, epoch=5
+                    cluster.transport, "site-1", src=0
                 )
                 frames = []
                 for i in range(2):

@@ -134,10 +134,9 @@ class TestLoopbackRecovery:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_handshake_reships_what_no_link_still_holds(self, protocol, tmp_path):
         """The case peer-link redelivery cannot heal: the ORIGIN crashes
-        with updates still queued on its in-memory links.  The queue
-        dies with it; its recovered own-write log, re-shipped at the
-        link handshake above the destination's ``ow`` watermark, closes
-        the gap — in the default configuration, with ``quiesce()``
+        with updates still queued on its in-memory links.  WAL replay
+        rebuilds the queues, and the link handshake re-ships what lies
+        above the destination's ack, which closes the gap — in the default configuration, with ``quiesce()``
         alone as the wait."""
 
         async def main():
@@ -175,6 +174,125 @@ class TestLoopbackRecovery:
         assert wid.site == 0
         assert origin_applied[0] >= wid.seq
         assert checks > 0
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_both_ends_restart_with_writes_in_flight(self, protocol, tmp_path):
+        """Sender and receiver of one link both crash while it carries
+        writes both ways, and both come back: once the cluster settles,
+        every replica has applied every write destined to it exactly
+        once — no resend from either side's recovered state applies
+        twice, none is lost — and the sanitizer saw no violation."""
+
+        async def main():
+            async with ServiceCluster(
+                3, 6, protocol, replication_factor=2, sanitize=True,
+                data_dir=str(tmp_path),
+            ) as cluster:
+                clients = {s: cluster.client(home=s) for s in (0, 1)}
+                writes = []  # (write id, var)
+
+                async def put(site, i):
+                    var = cluster.variables[(i + site) % len(cluster.variables)]
+                    writes.append((await clients[site].put(var, f"{site}.{i}"), var))
+
+                for i in range(12):
+                    await put(0, i)
+                    await put(1, i)
+                # the receiver dies with the last frames on the wire...
+                cluster.kill_site(1)
+                for i in range(12, 18):
+                    await put(0, i)
+                # ...and the sender with its queue for it
+                cluster.kill_site(0)
+                for client in clients.values():
+                    await client.close()
+                await cluster.restart_site(0)
+                await cluster.restart_site(1)
+                await cluster.quiesce(timeout=10.0)
+                state = {
+                    s.site: (s.applies, dict(s._origin_applied), len(s._parked))
+                    for s in cluster.servers
+                }
+                return writes, cluster.placement, state, cluster.sanitizer
+
+        writes, placement, state, sanitizer = run(main())
+        applies = {site: 0 for site in state}
+        newest = {site: {} for site in state}
+        for wid, var in writes:
+            for site in placement[var]:
+                if site != wid.site:
+                    applies[site] += 1
+                newest[site][wid.site] = max(newest[site].get(wid.site, 0), wid.seq)
+        for site, (applied, origin_applied, parked) in state.items():
+            assert applied == applies[site], site
+            assert origin_applied == newest[site], site
+            assert parked == 0
+        assert sanitizer.first_violation is None
+        assert sanitizer.checks_run > 0
+
+    @pytest.mark.parametrize("protocol", ["opt-track", "full-track"])
+    def test_sender_restarts_while_its_write_is_parked(self, protocol, tmp_path):
+        """Site 1's write depends on site 0's, which is held on its way
+        to site 2, so site 2 parks site 1's write (and acks it).  Site 1
+        crashes and comes back before the hold lifts: its recovered
+        queue still names the write, the handshake's ack releases it,
+        and once site 0's write lands site 2 applies site 1's exactly
+        once — and site 1's link learns it applied (``ap``)."""
+        from tests.integration.test_strict_remote_reads import HoldingTransport
+
+        async def main():
+            metrics = MetricsRegistry()
+            transport = HoldingTransport(metrics, into="site-2")
+            placement = {"x": (0, 1, 2), "y": (1, 2)}
+            async with ServiceCluster(
+                3, 2, protocol, placement=placement, sanitize=True,
+                metrics=metrics, transport=transport, data_dir=str(tmp_path),
+            ) as cluster:
+                t, s = cluster.client(home=0), cluster.client(home=1)
+                await t.put("x", "warm")
+                await s.put("y", "warm")
+                await cluster.quiesce()
+                receiver = cluster.servers[2]
+                transport.holding = True
+                held = await t.put("x", "t")  # applied at 1, held into 2
+                for _ in range(400):
+                    if cluster.servers[1]._origin_applied.get(0, 0) >= held.seq:
+                        break
+                    await asyncio.sleep(0.005)
+                assert (await s.get("x"))[0] == "t"
+                transport.holding = False
+                parked = await s.put("y", "s")  # depends on the held write
+                for _ in range(400):
+                    if parked in receiver._parked_ids:
+                        break
+                    await asyncio.sleep(0.005)
+                assert parked in receiver._parked_ids
+                assert receiver._taken_in(1) == parked.seq
+                cluster.kill_site(1)
+                await s.close()
+                revived = await cluster.restart_site(1)
+                assert parked.seq in revived._own_log  # still owed, as far as it knows
+                await transport.release()
+                await cluster.quiesce(timeout=10.0)
+                applied = dict(receiver._origin_applied)
+                # the next write's ack carries the applied watermark home
+                s = cluster.client(home=1)
+                await s.put("y", "after")
+                await cluster.quiesce(timeout=10.0)
+                await s.close()
+                await t.close()
+                link = revived._links[2].stats()
+                value = receiver.protocol.read_local("y")[0]
+                return (parked, applied, receiver.applies, link, value,
+                        cluster.sanitizer.first_violation)
+
+        parked, applied, applies, link, value, violation = run(main())
+        assert applied[1] == parked.seq
+        # warm x, warm y, the held x, the parked y, then "after": each once
+        assert applies == 5
+        assert value == "after"
+        assert link["unacked"] == 0 and link["applied"] >= parked.seq
+        assert violation is None
 
     @pytest.mark.parametrize("protocol", ["opt-track", "full-track"])
     def test_down_peer_pins_the_floor_across_a_restart(self, protocol, tmp_path):
@@ -236,7 +354,7 @@ class TestLoopbackRecovery:
         """WAL replay rebuilds the own-write log from the retired floor
         the last ``wal.put`` names — the writes still unretired when it
         was logged — not from the last snapshot; the restarted origin's
-        handshakes release what each peer's ``ow`` shows applied, so
+        handshakes release what each peer's ack shows it holds, so
         once the cluster settles the log is empty again."""
 
         async def main():
@@ -292,7 +410,7 @@ class TestLoopbackRecovery:
                     ProtocolConfig(n=3, site=0, replicas_of=cluster.placement)
                 )
                 conn, _ = await open_handshaken(
-                    cluster.transport, f"site-{victim}", src=0, epoch=77
+                    cluster.transport, f"site-{victim}", src=0
                 )
                 frames = []
                 for i in range(10):
@@ -654,7 +772,7 @@ class TestParentDataDir:
             assert site.applies == want["applies"]
             assert len(site._parked) == want["parked"]
             assert sorted(site._own_log) == want["own_log"]
-            for attr in ("seen_ls", "peer_epoch", "origin_applied"):
+            for attr in ("origin_applied",):
                 got = {str(k): v for k, v in getattr(site, "_" + attr).items()}
                 assert got == want[attr], attr
             assert proto.state_snapshot() == want["proto"]
@@ -686,7 +804,7 @@ class TestCapabilityFallback:
         async def main():
             async with ServiceCluster(2, 2, "opt-track") as cluster:
                 client = await refusals(cluster)
-                link = await refusals(cluster, src=1, epoch=1)
+                link = await refusals(cluster, src=1)
                 return client, link
 
         (ok, client), (_, link) = run(main())

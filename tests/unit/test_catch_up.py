@@ -1,88 +1,128 @@
 """The link handshake's catch-up as a pure step: given the receiver's
-``ow`` watermark (from ``link.ok``), :meth:`PeerLink._catch_up` re-ships
-and releases the dialer's own-write log — driven against a minimal fake
-owner, with no connection and no event loop.  (End-to-end reconvergence
-lives in tests/integration/test_service_recovery.py.)
+ack and applied watermark (from ``link.ok``), :meth:`PeerLink._resume`
+releases the dialer's own writes the receiver holds and points the send
+cursor at the ack, and :meth:`PeerLink._collect` sends what lies above
+it — driven against a minimal fake owner, with no connection and no
+event loop.  (End-to-end reconvergence lives in
+tests/integration/test_service_recovery.py.)
 """
 
 from repro.core.messages import UpdateMessage
-from repro.service.server import PeerLink, SiteServer
+from repro.service import wire
+from repro.service.server import PeerLink
 from repro.types import WriteId
+
+
+class FakeProtocol:
+    """Records the ack-driven GC calls a link makes."""
+
+    def __init__(self):
+        self.applied = []
+
+    def note_remote_apply_log(self, site, meta):
+        pass
+
+    def note_remote_apply(self, site, clock):
+        self.applied.append((site, clock))
 
 
 class FakeOwner:
     """The parts of a :class:`SiteServer` a link's catch-up touches."""
 
     metrics = None
-    _own_retired = SiteServer._own_retired
 
     def __init__(self, site=0):
         self.site = site
+        self.protocol = FakeProtocol()
         self._origin_applied = {}
-        self._own_log = {}
 
     def now_ms(self):
         return 0.0
 
 
-def own_writes(owner, seqs, dests, var="x0"):
+def own_writes(link, seqs, var="x0"):
+    site = link.owner.site
     for seq in seqs:
-        owner._own_log[seq] = [
-            UpdateMessage(var, f"v{seq}", WriteId(owner.site, seq), owner.site, d, None)
-            for d in dests
-        ]
+        link.enqueue_update(
+            UpdateMessage(var, f"v{seq}", WriteId(site, seq), site, link.dest, None),
+            flush=False,
+        )
 
 
 def queued(link):
-    return [(msg.write_id.seq, msg.dest) for _, msg in link._repl]
+    return [msg.write_id.seq for msg in link._own]
+
+
+def handshake(link, ack):
+    """What a ``link.ok`` carrying ``ack`` (and ``ap == ack``) does: a
+    fresh chain on both ends, then the catch-up."""
+    link._delta_out = wire.DeltaEncoder(None, link.owner.site, link.dest)
+    link.peer_end = wire.DeltaDecoder(link.owner.site, link.dest)
+    link._resume(ack, ack)
+
+
+def send(link):
+    """One flush: the ``ls`` of every repl frame it puts on the wire, as
+    the receiving end restores it.  Each must be its write's clock."""
+    batch, last, n_fetch = link._collect()
+    link._mark_sent(last, n_fetch, "task")
+    sent = []
+    for frame in batch:
+        ls = link.peer_end.restore(frame)["ls"]
+        assert ls == wire.decode_write_id(frame["w"]).seq
+        sent.append(ls)
+    return sent
 
 
 class TestCatchUp:
     def test_pushes_own_writes_above_the_watermark(self):
-        owner = FakeOwner(site=0)
-        own_writes(owner, (1, 2, 3), dests=(1, 2))
-        link = PeerLink(owner, 1, "site-1")
-        # peer 1 has applied our writes through 1: only 2 and 3 re-ship,
-        # and only the copies destined to peer 1
-        link._catch_up(1)
-        assert queued(link) == [(2, 1), (3, 1)]
+        link = PeerLink(FakeOwner(site=0), 1, "site-1")
+        own_writes(link, (1, 2, 3))
+        # peer 1 holds our writes through 1: the connection starts at 2
+        handshake(link, 1)
+        assert send(link) == [2, 3]
         assert link.backlog == 2
 
     def test_releases_writes_at_or_below_the_watermark(self):
         owner = FakeOwner(site=0)
-        own_writes(owner, (1, 2), dests=(1,))
-        own_writes(owner, (3, 4), dests=(1, 2))
-        link = PeerLink(owner, 1, "site-1")
-        link._catch_up(3)
-        # peer 1 holds 1..3: its copies leave the log, peer 2's stay
-        assert {seq: [m.dest for m in msgs] for seq, msgs in owner._own_log.items()} == {
-            3: [2],
-            4: [1, 2],
-        }
-        assert queued(link) == [(4, 1)]
+        to_1, to_2 = PeerLink(owner, 1, "site-1"), PeerLink(owner, 2, "site-2")
+        own_writes(to_1, (1, 2, 3, 4))
+        own_writes(to_2, (3, 4))
+        handshake(to_1, 3)
+        # peer 1 holds 1..3: they leave its queue, peer 2's stays
+        assert queued(to_1) == [4]
+        assert queued(to_2) == [3, 4]
+        # and the GC learns that peer 1 applied them
+        assert owner.protocol.applied == [(1, 3)]
 
     def test_skips_writes_already_on_the_link(self):
-        owner = FakeOwner(site=0)
-        own_writes(owner, (1, 2, 3), dests=(1,))
-        link = PeerLink(owner, 1, "site-1")
-        link.enqueue_update(owner._own_log[2][0], flush=False)  # in flight
-        link._catch_up(0)
-        # 1 and 3 re-ship behind it; 2 is not queued twice
-        assert queued(link) == [(2, 1), (1, 1), (3, 1)]
+        link = PeerLink(FakeOwner(site=0), 1, "site-1")
+        own_writes(link, (1, 2))
+        handshake(link, 0)
+        assert send(link) == [1, 2]
+        # in flight, not acked: a later flush sends only what came after
+        own_writes(link, (3,))
+        assert send(link) == [3]
+        assert send(link) == []
+        link._retire(2)
+        assert queued(link) == [3]
+        # a reconnect resends from the ack, not from the cursor
+        handshake(link, 2)
+        assert send(link) == [3]
 
     def test_writes_for_other_peers_are_left_alone(self):
         owner = FakeOwner(site=0)
-        own_writes(owner, (1, 2), dests=(2,))
-        link = PeerLink(owner, 1, "site-1")
-        link._catch_up(5)
-        assert queued(link) == []
-        assert sorted(owner._own_log) == [1, 2]
+        to_1, to_2 = PeerLink(owner, 1, "site-1"), PeerLink(owner, 2, "site-2")
+        own_writes(to_2, (1, 2))
+        handshake(to_1, 5)
+        assert send(to_1) == []
+        assert queued(to_2) == [1, 2]
 
     def test_third_origin_writes_are_never_forwarded(self):
         # this site applied origin 2's writes, the peer may lack them —
-        # but only origin 2's own handshake re-ships them
+        # but only origin 2's own link ships them
         owner = FakeOwner(site=0)
         owner._origin_applied = {2: 9}
         link = PeerLink(owner, 1, "site-1")
-        link._catch_up(0)
-        assert queued(link) == []
+        handshake(link, 0)
+        assert send(link) == []

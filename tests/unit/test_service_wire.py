@@ -29,12 +29,12 @@ class TestFraming:
         assert wire.JSON_WIRE_VERSION < wire.WIRE_VERSION
 
     def test_refusal_names_both_versions(self):
-        # the support window is one version: a v6 build is refused by
+        # the support window is one version: a v7 build is refused by
         # name, with the version this side speaks
-        assert wire.WIRE_VERSION == 7
-        message = str(wire.unsupported_version(6, "a hello"))
+        assert wire.WIRE_VERSION == 8
+        message = str(wire.unsupported_version(7, "a hello"))
         assert message == (
-            "unsupported wire version 6 in a hello: this side speaks version 7 only"
+            "unsupported wire version 7 in a hello: this side speaks version 8 only"
         )
 
     def test_unsupported_version_rejected(self):
